@@ -1,38 +1,50 @@
-//! Criterion benchmarks for the fleet layer: one steady-state fleet step across four
-//! datacenters (the inner loop of every geo-scheduling experiment), the same step across
-//! a 16-datacenter fleet (the scale point for the SoA physics kernels), and one full
+//! Criterion benchmarks for the fleet layer: a window of steady-state fleet steps across
+//! four datacenters (the inner loop of every geo-scheduling experiment), the same window
+//! across a 16-datacenter fleet (the scale point for the SoA physics kernels), and one full
 //! 3-site fleet smoke run.
 
 use cluster_sim::experiment::{ExperimentConfig, FleetConfig};
 use cluster_sim::fleet::FleetSimulator;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use simkit::time::SimTime;
-use std::hint::black_box;
 use tapas::policy::Policy;
 
-fn bench_fleet(c: &mut Criterion) {
-    // Four 80-server datacenters under cycling climates, primed past the initial
-    // placement wave so the measured step is the steady-state loop (route arrivals, step
-    // every cell, refresh signals) with no warm-up allocations left.
+/// Consecutive one-minute steps per timed iteration of the `fleet_step_*` benches.
+const WINDOW_STEPS: u64 = 10;
+
+/// A fleet primed past its placement wave (steps at minutes 0 and 1).
+fn primed(sites: usize) -> FleetSimulator {
     let mut base = ExperimentConfig::real_cluster_hour(Policy::Tapas);
     base.duration = SimTime::from_hours(12);
-    let mut sim = FleetSimulator::new(FleetConfig::evaluation(base, 4));
+    let mut sim = FleetSimulator::new(FleetConfig::evaluation(base, sites));
     sim.step(SimTime::ZERO);
     sim.step(SimTime::from_minutes(1));
-    let now = SimTime::from_minutes(2);
+    sim
+}
+
+/// Steps a fresh clone of `primed` through minutes 2..2 + [`WINDOW_STEPS`]: every step
+/// advances the clock, so arrivals, retirements and serving all run (re-stepping one fixed
+/// minute would find every scheduler already past the window end).
+fn step_window(mut sim: FleetSimulator) -> FleetSimulator {
+    for minute in 2..2 + WINDOW_STEPS {
+        sim.step(SimTime::from_minutes(minute));
+    }
+    sim
+}
+
+fn bench_fleet(c: &mut Criterion) {
+    // Four 80-server datacenters under cycling climates: one iteration is a window of
+    // steady-state steps (route arrivals, step every cell, refresh signals).
+    let four = primed(4);
     c.bench_function("fleet_step_4_datacenters", |b| {
-        b.iter(|| sim.step(black_box(now)))
+        b.iter_batched(|| four.clone(), step_window, BatchSize::LargeInput)
     });
 
-    // The same steady-state step across sixteen 80-server datacenters: the fleet-scale
-    // point of the physics scale series (geo split + 16 cell steps + signal refresh).
-    let mut base16 = ExperimentConfig::real_cluster_hour(Policy::Tapas);
-    base16.duration = SimTime::from_hours(12);
-    let mut sim16 = FleetSimulator::new(FleetConfig::evaluation(base16, 16));
-    sim16.step(SimTime::ZERO);
-    sim16.step(SimTime::from_minutes(1));
+    // The same window across sixteen 80-server datacenters: the fleet-scale point of the
+    // physics scale series (geo split + 16 cell steps + signal refresh per step).
+    let sixteen = primed(16);
     c.bench_function("fleet_step_16_datacenters", |b| {
-        b.iter(|| sim16.step(black_box(now)))
+        b.iter_batched(|| sixteen.clone(), step_window, BatchSize::LargeInput)
     });
 
     let mut group = c.benchmark_group("fleet");

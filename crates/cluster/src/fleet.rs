@@ -37,7 +37,7 @@ use workload::trace::{TraceError, TraceRecord};
 use workload::vm::Vm;
 
 /// The multi-datacenter fleet simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FleetSimulator {
     config: FleetConfig,
     cells: Vec<ClusterSimulator>,

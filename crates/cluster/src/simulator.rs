@@ -268,7 +268,7 @@ struct EntityLabels {
 }
 
 /// The end-to-end cluster simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClusterSimulator {
     config: ExperimentConfig,
     /// The config's scenario resolved once into dense per-step vectors (weather overlay,

@@ -404,7 +404,7 @@ impl Default for TapasRouterConfig {
 /// and per-server inlet predictions are memoized in the [`RouterScratch`] so each server's
 /// piecewise-polynomial inlet model is evaluated at most once per step regardless of how many
 /// quanta route to instances on it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PreparedRoutingContext {
     outside_temp: Celsius,
     dc_load: f64,
@@ -466,7 +466,7 @@ impl PreparedRoutingContext {
 }
 
 /// Reusable per-step buffers for the routing hot path.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RouterScratch {
     /// Memoized per-server predicted inlet (°C); NaN marks "not yet computed this step".
     inlet_c: Vec<f64>,

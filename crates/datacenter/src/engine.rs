@@ -909,7 +909,7 @@ impl Datacenter {
 ///
 /// The workspace is shaped by a [`TopologyIndex`] handle (shared with the engine via
 /// `Arc`), which freezes the grid strides every buffer follows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StepWorkspace {
     /// The most recent step's outcome.
     pub outcome: StepOutcome,
