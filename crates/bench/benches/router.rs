@@ -1,22 +1,23 @@
 //! Criterion micro-benchmarks for the request router: one routing decision across a
-//! 100-instance endpoint, Baseline vs TAPAS, measured on the simulator's hot path — the
-//! struct-of-arrays candidate view with a per-step prepared context and scratch, exactly as
-//! `ClusterSimulator::route_requests` drives it.
+//! 100-instance endpoint, Baseline vs TAPAS, over the struct-of-arrays candidate view with a
+//! per-step prepared context and scratch. `routing_tapas_keyed_100_instances` is the
+//! decision exactly as `ClusterSimulator::route_requests` drives it;
+//! `routing_tapas_100_instances` times its reference, `route_prescored`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::ServerId;
 use dc_sim::topology::LayoutConfig;
-use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
 use llm_sim::request::{CustomerId, InferenceRequest, RequestId};
+use simkit::rng::SimRng;
 use simkit::time::SimTime;
 use simkit::units::Celsius;
 use std::hint::black_box;
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouterScratch,
-    RoutingContext, TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouteKeys, RouterScratch,
+    RoutingContext, TapasRouter, RECENT_WINDOW,
 };
 use workload::vm::VmId;
 
@@ -24,8 +25,11 @@ fn bench_router(c: &mut Criterion) {
     let dc = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
     let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
 
-    // One endpoint with 100 instances, as struct-of-arrays registry columns.
+    // One endpoint with 100 instances, as struct-of-arrays registry columns. In a running
+    // simulation every window is full, with customers drawn from an endpoint-sized range.
     let count = 100u64;
+    let customers = 1000u64;
+    let mut rng = SimRng::seed_from(42);
     let vm: Vec<VmId> = (0..count).map(VmId).collect();
     let server: Vec<ServerId> = (0..count)
         .map(|i| ServerId::new((i * 7) as usize % dc.layout().server_count()))
@@ -34,9 +38,11 @@ fn bench_router(c: &mut Criterion) {
     let utilization: Vec<f64> = (0..count).map(|i| (i % 10) as f64 / 10.0).collect();
     let in_transition: Vec<bool> = vec![false; count as usize];
     let recent: Vec<RecentWindow> = (0..count)
-        .map(|i| {
+        .map(|_| {
             let mut window = RecentWindow::new();
-            window.push(CustomerId(i % 13));
+            for _ in 0..RECENT_WINDOW {
+                window.push(CustomerId(rng.next_u64() % customers));
+            }
             window
         })
         .collect();
@@ -48,7 +54,6 @@ fn bench_router(c: &mut Criterion) {
         in_transition: &in_transition,
         recent: &recent,
     };
-    let _ = InstanceConfig::default_70b();
 
     let context = RoutingContext::uniform(&profiles, Celsius::new(30.0), 0.7, 0.8, 0.8);
     let request = InferenceRequest {
@@ -84,6 +89,28 @@ fn bench_router(c: &mut Criterion) {
                     &prepared,
                     &mut scratch,
                 );
+            }
+            choice
+        })
+    });
+
+    // The keyed decision: keys are filled once per endpoint per step, each decision is one
+    // keyed pass, and the routed candidate's flag and key are refreshed afterwards.
+    let mut keys = RouteKeys::default();
+    tapas.fill_risk_flags(&view, &profiles, &prepared, &mut scratch, &mut flags);
+    tapas.fill_route_keys(&view, &flags, &mut keys);
+    c.bench_function("routing_tapas_keyed_100_instances", |b| {
+        b.iter(|| {
+            let choice = tapas.route_keyed(black_box(&request), black_box(&view), &keys);
+            if let Some(index) = choice {
+                let risky = tapas.candidate_risk(
+                    server[index],
+                    utilization[index],
+                    &profiles,
+                    &prepared,
+                    &mut scratch,
+                );
+                tapas.refresh_route_key(&view, index, risky, &mut keys);
             }
             choice
         })

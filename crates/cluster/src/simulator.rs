@@ -41,7 +41,7 @@ use tapas::placement::{
 };
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouterScratch,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouteKeys, RouterScratch,
     RoutingContext, TapasRouter,
 };
 use tapas::state::{ClusterState, VmSlotMap};
@@ -87,8 +87,6 @@ struct EndpointPool {
     /// saturated at 1.5. Equals `utilization` below 1.0, but keeps signalling excess
     /// demand above it so the configurator can upsize during surges.
     pressure: Vec<f64>,
-    /// Cached TAPAS risk flags, refreshed per step and after each routed quantum.
-    risky: Vec<bool>,
 }
 
 impl EndpointPool {
@@ -121,7 +119,6 @@ impl EndpointPool {
         self.transition_until.swap_remove(index);
         self.offered.swap_remove(index);
         self.pressure.swap_remove(index);
-        self.risky.swap_remove(index);
     }
 }
 
@@ -169,7 +166,6 @@ impl InstanceRegistry {
         pool.transition_until.push(None);
         pool.offered.push(0.0);
         pool.pressure.push(0.0);
-        pool.risky.push(false);
         self.endpoint_of.insert(vm, index as u32);
         self.position_of.insert(vm, position as u32);
         self.total += 1;
@@ -292,6 +288,9 @@ pub struct ClusterSimulator {
     routing_context: RoutingContext,
     prepared_routing: PreparedRoutingContext,
     router_scratch: RouterScratch,
+    /// Per-step TAPAS risk flags and decision keys of the endpoint being routed.
+    risk_flags: Vec<bool>,
+    route_keys: RouteKeys,
     carryover_freq: Vec<f64>,
     carryover_next: Vec<f64>,
     prev_dc_load: f64,
@@ -469,6 +468,8 @@ impl ClusterSimulator {
             routing_context,
             prepared_routing,
             router_scratch: RouterScratch::default(),
+            risk_flags: Vec::new(),
+            route_keys: RouteKeys::default(),
             carryover_freq: vec![1.0; server_count],
             carryover_next: vec![1.0; server_count],
             prev_dc_load: 0.5,
@@ -714,18 +715,22 @@ impl ClusterSimulator {
             }
 
             // Route the step's load in quanta to keep routing cost bounded while still
-            // exercising the policy's ordering. Risk flags are computed once per endpoint
-            // per step; each quantum then refreshes only the flag of the instance it loaded.
+            // exercising the policy's ordering. Risk flags and decision keys are computed
+            // once per endpoint per step; each quantum then refreshes only the key of the
+            // instance it loaded.
             if routing_enabled {
-                let mut risky = std::mem::take(&mut pool.risky);
                 self.router_tapas.fill_risk_flags(
                     &pool.view(),
                     &self.profiles,
                     &self.prepared_routing,
                     &mut self.router_scratch,
-                    &mut risky,
+                    &mut self.risk_flags,
                 );
-                pool.risky = risky;
+                self.router_tapas.fill_route_keys(
+                    &pool.view(),
+                    &self.risk_flags,
+                    &mut self.route_keys,
+                );
             }
             let quanta = (pool.len() * 2).clamp(1, 64);
             let requests_per_quantum = total_requests / quanta as f64;
@@ -740,7 +745,7 @@ impl ClusterSimulator {
                 };
                 self.next_request_id += 1;
                 let choice = if routing_enabled {
-                    self.router_tapas.route_prescored(&request, &pool.view(), &pool.risky)
+                    self.router_tapas.route_keyed(&request, &pool.view(), &self.route_keys)
                 } else {
                     BaselineRouter.route_view(&pool.view())
                 };
@@ -760,12 +765,18 @@ impl ClusterSimulator {
                     (pool.utilization[index] + requests_per_quantum / capacity).min(1.5);
                 pool.recent[index].push(customer);
                 if routing_enabled {
-                    pool.risky[index] = self.router_tapas.candidate_risk(
+                    let risky = self.router_tapas.candidate_risk(
                         pool.server[index],
                         pool.utilization[index],
                         &self.profiles,
                         &self.prepared_routing,
                         &mut self.router_scratch,
+                    );
+                    self.router_tapas.refresh_route_key(
+                        &pool.view(),
+                        index,
+                        risky,
+                        &mut self.route_keys,
                     );
                 }
             }
@@ -1436,7 +1447,6 @@ mod tests {
                 assert_eq!(pool.boundedness.len(), n);
                 assert_eq!(pool.transition_until.len(), n);
                 assert_eq!(pool.offered.len(), n);
-                assert_eq!(pool.risky.len(), n);
                 for (position, &vm) in pool.vm.iter().enumerate() {
                     assert_eq!(
                         sim.registry.lookup(vm),

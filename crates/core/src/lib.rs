@@ -45,6 +45,6 @@ pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{
     BaselineRouter, CandidateSource, CandidateView, InstanceSnapshot, PreparedRoutingContext,
-    RecentWindow, RequestRouterPolicy, RouterScratch, RoutingContext, TapasRouter,
+    RecentWindow, RequestRouterPolicy, RouteKeys, RouterScratch, RoutingContext, TapasRouter,
 };
 pub use state::{ClusterState, PlacedVm, VmSlotMap};

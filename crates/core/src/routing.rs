@@ -12,14 +12,19 @@
 //!
 //! # Hot path
 //!
-//! The simulator routes millions of request quanta per experiment, so the router has two
-//! entry points. The [`RequestRouterPolicy`] trait keeps the snapshot-slice API for tests and
-//! ad-hoc callers. The hot path routes over a [`CandidateSource`] (a struct-of-arrays view of
-//! an endpoint's instances maintained incrementally by the caller) with a
-//! [`PreparedRoutingContext`] that pre-computes per-row/per-aisle headrooms and memoizes
-//! per-server inlet predictions in a [`RouterScratch`], returning a candidate *index* so the
-//! caller can update its registry in O(1). Both entry points share one generic decision core,
-//! so the policy cannot diverge between them.
+//! The simulator routes millions of request quanta per experiment. The
+//! [`RequestRouterPolicy`] trait keeps the snapshot-slice API for tests and ad-hoc callers.
+//! The hot path works on a [`CandidateView`] (a struct-of-arrays view of an endpoint's
+//! instances maintained incrementally by the caller) with a [`PreparedRoutingContext`] that
+//! pre-computes per-row/per-aisle headrooms and memoizes per-server inlet predictions in a
+//! [`RouterScratch`], and returns a candidate *index* so the caller can update its registry
+//! in O(1).
+//!
+//! [`TapasRouter::route_keyed`] is the simulator's decision: it reads per-candidate keys
+//! ([`RouteKeys`]) cached once per step and refreshed for the one candidate each quantum
+//! loads. The four-tier scan behind [`RequestRouterPolicy::route`],
+//! [`TapasRouter::route_candidates`] and [`TapasRouter::route_prescored`] is its reference;
+//! both choose the candidate maximizing `(available, safe, score, smaller vm id)`.
 
 use crate::profiles::ProfileStore;
 use dc_sim::ids::ServerId;
@@ -31,21 +36,27 @@ use workload::vm::VmId;
 
 /// Length of the per-instance recent-customer window used for KV-affinity scoring.
 pub const RECENT_WINDOW: usize = 32;
+// `RecentWindow` keeps its length and head in `u8`s.
+const _: () = assert!(RECENT_WINDOW <= u8::MAX as usize);
 
 /// A bounded ring of recently served customers.
 ///
 /// Mirrors the instance runtime's bounded window: pushes evict the oldest entry once the
 /// window is full, and affinity checks scan at most [`RECENT_WINDOW`] entries, so the scoring
-/// cost cannot drift upward over long simulations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// cost cannot drift upward over long simulations. The ring is stored inline, so a pool's
+/// windows sit contiguously in its column.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecentWindow {
-    items: Vec<CustomerId>,
-    head: usize,
-    /// 128-bit Bloom filter over the window (split into two words so the offline serde
-    /// facade can encode it); lets most negative affinity checks skip the scan.
-    mask_lo: u64,
-    mask_hi: u64,
+    items: [CustomerId; RECENT_WINDOW],
+    len: u8,
+    head: u8,
+    /// 512-bit Bloom filter over the window (one hash): a full window of 32 distinct
+    /// customers sets at most 32 bits, so about 6 % of absent customers reach the scan.
+    filter: [u64; FILTER_WORDS],
 }
+
+/// 64-bit words in [`RecentWindow`]'s filter.
+const FILTER_WORDS: usize = 8;
 
 impl Default for RecentWindow {
     fn default() -> Self {
@@ -53,41 +64,41 @@ impl Default for RecentWindow {
     }
 }
 
+/// The filter bit of `customer`: word index and mask.
 #[inline]
-fn customer_bit(customer: CustomerId) -> (u64, u64) {
-    let hash = customer.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57;
-    if hash < 64 {
-        (1u64 << hash, 0)
-    } else {
-        (0, 1u64 << (hash - 64))
-    }
+fn customer_bit(customer: CustomerId) -> (usize, u64) {
+    let hash = customer.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55;
+    ((hash >> 6) as usize, 1u64 << (hash & 63))
 }
 
 impl RecentWindow {
     /// An empty window.
     #[must_use]
     pub fn new() -> Self {
-        Self { items: Vec::with_capacity(RECENT_WINDOW), head: 0, mask_lo: 0, mask_hi: 0 }
+        Self {
+            items: [CustomerId(0); RECENT_WINDOW],
+            len: 0,
+            head: 0,
+            filter: [0; FILTER_WORDS],
+        }
     }
 
     /// Records a served customer, evicting the oldest entry when full.
     pub fn push(&mut self, customer: CustomerId) {
-        if self.items.len() < RECENT_WINDOW {
-            self.items.push(customer);
-            let (lo, hi) = customer_bit(customer);
-            self.mask_lo |= lo;
-            self.mask_hi |= hi;
+        if usize::from(self.len) < RECENT_WINDOW {
+            self.items[usize::from(self.len)] = customer;
+            self.len += 1;
+            let (word, bit) = customer_bit(customer);
+            self.filter[word] |= bit;
         } else {
-            self.items[self.head] = customer;
-            self.head = (self.head + 1) % RECENT_WINDOW;
+            self.items[usize::from(self.head)] = customer;
+            self.head = ((usize::from(self.head) + 1) % RECENT_WINDOW) as u8;
             // An entry was evicted: rebuild the filter over the surviving window. This runs
             // once per routed quantum (for one window), not per affinity check.
-            self.mask_lo = 0;
-            self.mask_hi = 0;
+            self.filter = [0; FILTER_WORDS];
             for &item in &self.items {
-                let (lo, hi) = customer_bit(item);
-                self.mask_lo |= lo;
-                self.mask_hi |= hi;
+                let (word, bit) = customer_bit(item);
+                self.filter[word] |= bit;
             }
         }
     }
@@ -96,23 +107,20 @@ impl RecentWindow {
     #[inline]
     #[must_use]
     pub fn contains(&self, customer: CustomerId) -> bool {
-        let (lo, hi) = customer_bit(customer);
-        if self.mask_lo & lo == 0 && self.mask_hi & hi == 0 {
-            return false;
-        }
-        self.items.contains(&customer)
+        let (word, bit) = customer_bit(customer);
+        self.filter[word] & bit != 0 && self.items[..usize::from(self.len)].contains(&customer)
     }
 
     /// Number of recorded customers (at most [`RECENT_WINDOW`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.len()
+        usize::from(self.len)
     }
 
     /// Returns `true` if no customer was recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 }
 
@@ -480,6 +488,26 @@ impl RouterScratch {
     }
 }
 
+/// The customer-independent part of one candidate's decision key.
+#[derive(Debug, Clone, Copy)]
+struct RouteKey {
+    /// Score without a KV-affinity hit.
+    plain: f64,
+    /// Score with a KV-affinity hit (equal to `plain` past the knee).
+    affinity: f64,
+    /// `2 × available + safe`: the fallback tier, higher is better.
+    tier: u8,
+}
+
+/// Reusable per-candidate decision keys for [`TapasRouter::route_keyed`].
+///
+/// Filled once per endpoint per step with [`TapasRouter::fill_route_keys`]; after each routed
+/// quantum the caller refreshes the routed candidate with [`TapasRouter::refresh_route_key`].
+#[derive(Debug, Default, Clone)]
+pub struct RouteKeys {
+    keys: Vec<RouteKey>,
+}
+
 /// The TAPAS thermal- and power-aware request router.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[derive(Default)]
@@ -553,9 +581,13 @@ impl TapasRouter {
         100.0 * affinity + 2.0 * concentration + spread
     }
 
-    /// The shared decision core: one pass over the candidates, tracking the best candidate
-    /// of each fallback tier (available+safe, available, safe, any). Ties break toward the
-    /// smaller VM id, so the result is independent of candidate order.
+    /// The reference decision core: one pass over the candidates, tracking the best
+    /// candidate of each fallback tier (available+safe, available, safe, any). Ties break
+    /// toward the smaller VM id, so the result is independent of candidate order.
+    ///
+    /// This is the routing contract [`Self::route_keyed`] must reproduce: the chosen
+    /// candidate maximizes `(available, safe, score, smaller vm id)` lexicographically, and
+    /// among fully equal keys the first in candidate order wins.
     fn route_core<S: CandidateSource>(
         &self,
         request: &InferenceRequest,
@@ -711,7 +743,7 @@ impl TapasRouter {
         }
     }
 
-    /// Hot-path routing with pre-computed risk flags.
+    /// Routing with pre-computed risk flags: the reference for [`Self::route_keyed`].
     ///
     /// The caller computes the flags once per endpoint per step with
     /// [`Self::fill_risk_flags`], then refreshes only the mutated candidate's flag (via
@@ -730,6 +762,93 @@ impl TapasRouter {
     ) -> Option<usize> {
         assert!(flags.len() >= candidates.len(), "risk flags must cover every candidate");
         self.route_core(request, candidates, |i, _, _| flags[i])
+    }
+
+    /// The decision key of candidate `i` with risk flag `risky`.
+    fn route_key<S: CandidateSource>(&self, candidates: &S, i: usize, risky: bool) -> RouteKey {
+        let outstanding = candidates.outstanding(i);
+        let utilization = candidates.utilization(i);
+        RouteKey {
+            plain: self.score(outstanding, utilization, || false),
+            affinity: self.score(outstanding, utilization, || true),
+            tier: 2 * u8::from(!candidates.in_transition(i)) + u8::from(!risky),
+        }
+    }
+
+    /// Fills `keys` for every candidate from its current columns and risk flag.
+    ///
+    /// # Panics
+    /// Panics if `risky` is shorter than the candidate list.
+    pub fn fill_route_keys<S: CandidateSource>(
+        &self,
+        candidates: &S,
+        risky: &[bool],
+        keys: &mut RouteKeys,
+    ) {
+        keys.keys.clear();
+        keys.keys.extend((0..candidates.len()).map(|i| self.route_key(candidates, i, risky[i])));
+    }
+
+    /// Recomputes candidate `index`'s key after the caller mutated its columns; `risky` is
+    /// its refreshed flag (from [`Self::candidate_risk`]).
+    pub fn refresh_route_key<S: CandidateSource>(
+        &self,
+        candidates: &S,
+        index: usize,
+        risky: bool,
+        keys: &mut RouteKeys,
+    ) {
+        keys.keys[index] = self.route_key(candidates, index, risky);
+    }
+
+    /// Hot-path routing over per-step cached keys: the simulator's entry point.
+    ///
+    /// Returns what [`Self::route_prescored`] returns for the same candidates and flags
+    /// whenever `keys` is current: the candidate maximizing `(available, safe, score,
+    /// smaller vm id)`, the first in candidate order among equal keys. One pass keeps the
+    /// running best; the only customer-dependent work is the window lookup, done only for
+    /// candidates at or below the knee, in the leading tier, whose affinity score could
+    /// still win.
+    ///
+    /// # Panics
+    /// Panics if `keys` is shorter than the candidate list.
+    #[must_use]
+    pub fn route_keyed(
+        &self,
+        request: &InferenceRequest,
+        view: &CandidateView<'_>,
+        keys: &RouteKeys,
+    ) -> Option<usize> {
+        let keys = &keys.keys[..view.vm.len()];
+        let mut best: Option<(u8, f64, u64, usize)> = None;
+        for (i, key) in keys.iter().enumerate() {
+            if let Some((tier, score, _, _)) = best {
+                // `plain ≤ affinity`, so neither score can reach a better best.
+                if key.tier < tier || (key.tier == tier && key.affinity < score) {
+                    continue;
+                }
+            }
+            // Past the knee both scores are equal and the window cannot matter.
+            let score = if key.affinity != key.plain && view.recent[i].contains(request.customer)
+            {
+                key.affinity
+            } else {
+                key.plain
+            };
+            let vm = view.vm[i].0;
+            let replace = match best {
+                Some((tier, best_score, best_vm, _)) => {
+                    key.tier > tier
+                        || score > best_score
+                        || (score == best_score && vm < best_vm)
+                }
+                None => true,
+            };
+            if replace {
+                best = Some((key.tier, score, vm, i));
+            }
+        }
+        best.map(|(_, _, _, i)| i)
     }
 }
 

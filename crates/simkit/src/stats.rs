@@ -6,6 +6,13 @@
 //! set of estimators those figures need.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+
+/// Ascending order for sorting samples: numbers by value (`-0.0 = +0.0`, so a stable sort
+/// keeps their input order), every NaN after every number whatever its sign bit.
+fn nan_last(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
 
 /// Returns the arithmetic mean of `values`, or `None` if the slice is empty.
 #[must_use]
@@ -26,10 +33,10 @@ pub fn std_dev(values: &[f64]) -> Option<f64> {
 }
 
 /// Returns the `p`-th percentile (0–100) of `values` using linear interpolation between the
-/// closest ranks, or `None` if the slice is empty.
+/// closest ranks, or `None` if the slice is empty. NaN values rank above every number.
 ///
 /// # Panics
-/// Panics if `p` is not within `[0, 100]` or any value is NaN.
+/// Panics if `p` is not within `[0, 100]`.
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100], got {p}");
@@ -37,7 +44,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
         return None;
     }
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted.sort_by(nan_last);
     Some(percentile_of_sorted(&sorted, p))
 }
 
@@ -110,15 +117,16 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Builds a summary from raw values.
+    /// Builds a summary from raw values. NaN values rank above every number, so they reach
+    /// `max` and the upper percentiles first; `mean` and `std_dev` are then NaN.
     ///
     /// # Panics
-    /// Panics if `values` is empty or contains NaN.
+    /// Panics if `values` is empty.
     #[must_use]
     pub fn from_values(values: &[f64]) -> Self {
         assert!(!values.is_empty(), "Summary::from_values on empty slice");
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in Summary input"));
+        sorted.sort_by(nan_last);
         Self {
             count: sorted.len(),
             mean: mean(&sorted).expect("non-empty"),
@@ -142,15 +150,16 @@ pub struct Ecdf {
 }
 
 impl Ecdf {
-    /// Builds the ECDF from a sample.
+    /// Builds the ECDF from a sample. NaN values rank above every number: `cdf` never counts
+    /// them, and only the top quantiles reach them.
     ///
     /// # Panics
-    /// Panics if the sample is empty or contains NaN.
+    /// Panics if the sample is empty.
     #[must_use]
     pub fn new(values: &[f64]) -> Self {
         assert!(!values.is_empty(), "Ecdf of empty sample");
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in Ecdf input"));
+        sorted.sort_by(nan_last);
         Self { sorted }
     }
 
@@ -309,6 +318,35 @@ mod tests {
     #[should_panic(expected = "percentile must be in [0, 100]")]
     fn percentile_rejects_out_of_range() {
         let _ = percentile(&[1.0], 120.0);
+    }
+
+    #[test]
+    fn percentile_ranks_nan_above_every_number() {
+        let values = [3.0, f64::NAN, 1.0, -f64::NAN, 2.0];
+        assert_eq!(percentile(&values, 0.0), Some(1.0));
+        assert_eq!(percentile(&values, 50.0), Some(3.0));
+        assert!(percentile(&values, 100.0).unwrap().is_nan());
+        assert!(percentile(&[f64::NAN], 50.0).unwrap().is_nan());
+    }
+
+    #[test]
+    fn summary_accepts_nan() {
+        let values = [f64::NAN, 4.0, 1.0, 0.0, -0.0];
+        let s = Summary::from_values(&values);
+        assert_eq!(s.count, 5);
+        assert!(s.min == 0.0 && s.min.is_sign_positive(), "equal zeros keep their input order");
+        assert_eq!(s.p50, 1.0);
+        assert!(s.max.is_nan() && s.mean.is_nan());
+    }
+
+    #[test]
+    fn ecdf_accepts_nan() {
+        let ecdf = Ecdf::new(&[f64::NAN, 3.0, -f64::NAN, 1.0]);
+        assert_eq!(ecdf.len(), 4);
+        assert!((ecdf.cdf(2.0) - 0.25).abs() < 1e-12);
+        assert!((ecdf.cdf(f64::INFINITY) - 0.5).abs() < 1e-12);
+        assert_eq!(ecdf.quantile(0.0), 1.0);
+        assert!(ecdf.quantile(1.0).is_nan());
     }
 
     #[test]
