@@ -2,7 +2,8 @@
 //! fleet steps at one and sixteen sites (generation + per-request geo routing +
 //! KV-bounded batch serving riding on the full simulation step), and the
 //! continuous-batching scheduler in isolation (offer + drain of a fixed request batch —
-//! the per-request hot path).
+//! the per-request hot path — and a deep batch drained by the event-cost path and by its
+//! per-sequence reference).
 
 use cluster_sim::experiment::{ExperimentConfig, FleetConfig, RequestFabricConfig};
 use cluster_sim::fleet::FleetSimulator;
@@ -81,6 +82,39 @@ fn bench_request_fabric(c: &mut Criterion) {
             scheduler.advance_to(u64::MAX / 2, &mut completions);
             black_box(completions.len())
         })
+    });
+
+    // A deep batch: 2048 long-output requests keep all 4 × 64 decode slots full for
+    // thousands of iterations, the regime where a per-sequence walk per iteration
+    // dominated. The `_reference` twin drains the same offers through that walk.
+    let deep = || {
+        let mut scheduler = BatchScheduler::new(config, &gpu, 4);
+        for i in 0..2048u64 {
+            scheduler.offer(i, 512, 512, i * 10);
+        }
+        scheduler
+    };
+    c.bench_function("batch_scheduler_deep_batch", |b| {
+        b.iter_batched(
+            deep,
+            |mut scheduler| {
+                completions.clear();
+                scheduler.advance_to(u64::MAX / 2, &mut completions);
+                black_box(completions.len())
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("batch_scheduler_deep_batch_reference", |b| {
+        b.iter_batched(
+            deep,
+            |mut scheduler| {
+                completions.clear();
+                scheduler.advance_to_reference(u64::MAX / 2, &mut completions);
+                black_box(completions.len())
+            },
+            BatchSize::LargeInput,
+        )
     });
 }
 

@@ -49,10 +49,13 @@ impl LatencyHistogram {
 
     /// Records one sample (milliseconds).
     pub fn record(&mut self, sample_ms: f64) {
-        let bucket = LATENCY_BUCKET_EDGES_MS
-            .iter()
-            .position(|&edge| sample_ms <= edge as f64)
-            .unwrap_or(LATENCY_BUCKET_EDGES_MS.len());
+        // First edge at or above the sample (the edges ascend); NaN is at or below no
+        // edge, so it overflows.
+        let bucket = if sample_ms.is_nan() {
+            LATENCY_BUCKET_EDGES_MS.len()
+        } else {
+            LATENCY_BUCKET_EDGES_MS.partition_point(|&edge| (edge as f64) < sample_ms)
+        };
         self.counts[bucket] += 1;
         self.sum_ms += sample_ms.max(0.0);
     }
@@ -747,6 +750,48 @@ impl FleetReport {
 mod tests {
     use super::*;
     use simkit::events::Event;
+
+    #[test]
+    fn latency_buckets_match_a_linear_edge_scan() {
+        let linear = |sample_ms: f64| {
+            LATENCY_BUCKET_EDGES_MS
+                .iter()
+                .position(|&edge| sample_ms <= edge as f64)
+                .unwrap_or(LATENCY_BUCKET_EDGES_MS.len())
+        };
+        let mut samples = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1.0e9,
+            0.25,
+            0.5,
+            1.5,
+            2.75,
+            33.3,
+            1.0e7,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &edge in &LATENCY_BUCKET_EDGES_MS {
+            let edge = edge as f64;
+            samples.extend([edge, edge.next_down(), edge.next_up(), edge * 0.75]);
+        }
+        for step in 1..2_000 {
+            // Fractional TBT-like values: mean gaps of a few to a few hundred ms.
+            samples.push(step as f64 / 7.0);
+        }
+        for sample in samples {
+            let mut histogram = LatencyHistogram::new();
+            histogram.record(sample);
+            let bucket = histogram.counts.iter().position(|&count| count == 1).unwrap();
+            assert_eq!(bucket, linear(sample), "sample {sample}");
+            let sum = 0.0 + sample.max(0.0);
+            assert_eq!(histogram.sum_ms.to_bits(), sum.to_bits(), "sum {sample}");
+        }
+    }
 
     fn report_with_data() -> RunReport {
         let mut report = RunReport::new(

@@ -10,6 +10,7 @@ use crate::ids::{AisleId, UpsId};
 use crate::power::hierarchy::CapacityState;
 use crate::topology::Layout;
 use serde::{Deserialize, Serialize};
+use simkit::stats::nan_last;
 use simkit::time::SimTime;
 
 /// The kinds of infrastructure failures the simulator injects.
@@ -246,12 +247,12 @@ impl FailureState {
     /// keep their allocations across steps.
     pub fn capacity_state_into(&self, layout: &Layout, capacity: &mut CapacityState) {
         capacity.reset();
-        if let Some(min_fraction) = self
-            .failed_upses
-            .iter()
-            .map(|&(_, fraction)| fraction)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite fractions"))
+        if let Some(min_fraction) =
+            self.failed_upses.iter().map(|&(_, fraction)| fraction).min_by(nan_last)
         {
+            // A NaN fraction ranks after every number, so any finite failure decides; if
+            // every fraction is NaN, nothing says what survived — read it as a total loss.
+            let min_fraction = if min_fraction.is_nan() { 0.0 } else { min_fraction };
             capacity.datacenter_capacity = min_fraction;
             for ups in layout.upses() {
                 capacity.set_ups_capacity(ups.id, min_fraction);
@@ -395,6 +396,19 @@ mod tests {
             end: t(60),
         });
         assert_eq!(late.state_at(t(30)).failed_upses(), &[(UpsId::new(0), 0.8)]);
+    }
+
+    #[test]
+    fn nan_ups_fraction_yields_to_a_finite_one_and_alone_reads_as_total_loss() {
+        let layout = LayoutConfig::small_test_cluster().build();
+        let mut state = FailureState::healthy();
+        state.fail_ups(UpsId::new(0), f64::NAN);
+        state.fail_ups(UpsId::new(1), 0.75);
+        assert_eq!(state.capacity_state(&layout).datacenter_capacity, 0.75);
+
+        let mut only_nan = FailureState::healthy();
+        only_nan.fail_ups(UpsId::new(0), f64::NAN);
+        assert_eq!(only_nan.capacity_state(&layout).datacenter_capacity, 0.0);
     }
 
     #[test]

@@ -17,11 +17,25 @@
 //! footprint fits. Because every admitted sequence runs to completion, observed occupancy
 //! can never exceed capacity — the invariant `tests/request_fabric.rs` pins — while the
 //! occupancy curve itself is the incremental prefill + per-token-growth + eviction shape.
+//!
+//! **Event-cost iterations.** Every running sequence produces exactly one token per
+//! iteration, so its progress is a function of one global counter: a sequence admitted
+//! when the counter read `admit_iter` has generated `iterations − admit_iter` tokens and
+//! finishes in iteration `admit_iter + output_tokens − 1`. [`BatchScheduler::advance_to`]
+//! keeps those finish iterations in a min-heap and never walks the batch: an iteration
+//! costs the roofline time arithmetic, one heap peek and — only when the queue front is
+//! ready — admission; each admission or completion adds O(log n). Completions within one
+//! iteration are emitted in exactly the order of a front-to-back walk that
+//! `swap_remove`s each finisher (a finisher pulled in from the tail is met next, at the
+//! freed position), because downstream latency sums are order-dependent f64 sums.
+//! [`BatchScheduler::advance_to_reference`] is that walk, kept as the differential
+//! reference (`tests/batch_reference.rs`).
 
 use crate::config::InstanceConfig;
 use crate::hardware::GpuHardware;
 use crate::perf::PerfModel;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// KV-cache capacity in tokens of one replica: the HBM left after weights are resident
 /// (with a 10 % activation margin), divided by the per-token KV footprint. Identical to
@@ -92,13 +106,17 @@ struct Active {
     tag: u64,
     prompt_tokens: usize,
     output_tokens: usize,
-    generated: usize,
+    /// The scheduler's iteration counter at admission: the sequence has generated
+    /// `iterations − admit_iter` tokens.
+    admit_iter: u64,
     arrival_ms: u64,
     first_token_ms: Option<u64>,
     /// Monotone admission ordinal; preemption evicts the highest (LIFO), which
     /// `Vec::swap_remove` order cannot provide.
     seq: u64,
     attempts: u32,
+    /// Stable handle for the finish heap; `slot_pos[slot]` is the index in `running`.
+    slot: u32,
 }
 
 /// Fault-tolerance counters a scheduler accumulates over its lifetime: preemption and
@@ -148,6 +166,15 @@ pub struct BatchScheduler {
     queued_tokens: usize,
     queue: VecDeque<Pending>,
     running: Vec<Active>,
+    /// Iterations run so far (each produces one token per running sequence).
+    iterations: u64,
+    /// `(finish iteration, slot)` of every running sequence, earliest first.
+    finish_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Position in `running` of the sequence holding each slot.
+    slot_pos: Vec<u32>,
+    free_slots: Vec<u32>,
+    /// Scratch: positions of the sequences finishing in the current iteration.
+    finishing: Vec<u32>,
     now_ms: u64,
     completed_total: u64,
     admission_seq: u64,
@@ -180,6 +207,11 @@ impl BatchScheduler {
             queued_tokens: 0,
             queue: VecDeque::new(),
             running: Vec::new(),
+            iterations: 0,
+            finish_heap: BinaryHeap::new(),
+            slot_pos: Vec::new(),
+            free_slots: Vec::new(),
+            finishing: Vec::new(),
             now_ms: 0,
             completed_total: 0,
             admission_seq: 0,
@@ -342,13 +374,15 @@ impl BatchScheduler {
                 .max_by_key(|(_, seq)| seq.seq)
                 .map(|(index, _)| index)
                 .expect("running is non-empty");
-            let victim = self.running.swap_remove(victim_index);
-            self.kv_in_use -= victim.prompt_tokens + victim.generated;
+            let victim = self.remove_running(victim_index);
+            self.finish_heap.retain(|&Reverse((_, slot))| slot != victim.slot);
+            let generated = (self.iterations - victim.admit_iter) as usize;
+            self.kv_in_use -= victim.prompt_tokens + generated;
             self.kv_committed -= victim.prompt_tokens + victim.output_tokens;
             self.faults.preemptions += 1;
-            self.faults.evicted_tokens += (victim.prompt_tokens + victim.generated) as u64;
+            self.faults.evicted_tokens += (victim.prompt_tokens + generated) as u64;
             self.faults.wasted_prefill_tokens += victim.prompt_tokens as u64;
-            self.faults.wasted_decode_tokens += victim.generated as u64;
+            self.faults.wasted_decode_tokens += generated as u64;
             let attempts = victim.attempts + 1;
             if attempts > self.max_retries {
                 self.faults.timeouts += 1;
@@ -439,18 +473,98 @@ impl BatchScheduler {
             admitted_prompt_tokens += front.prompt_tokens;
             let seq = self.admission_seq;
             self.admission_seq += 1;
+            let slot = self.free_slots.pop().unwrap_or_else(|| {
+                self.slot_pos.push(0);
+                (self.slot_pos.len() - 1) as u32
+            });
+            self.slot_pos[slot as usize] = self.running.len() as u32;
+            self.finish_heap
+                .push(Reverse((self.iterations + front.output_tokens as u64 - 1, slot)));
             self.running.push(Active {
                 tag: front.tag,
                 prompt_tokens: front.prompt_tokens,
                 output_tokens: front.output_tokens,
-                generated: 0,
+                admit_iter: self.iterations,
                 arrival_ms: front.arrival_ms,
                 first_token_ms: None,
                 seq,
                 attempts: front.attempts,
+                slot,
             });
         }
         admitted_prompt_tokens
+    }
+
+    /// Removes the sequence at `index` from the running batch (`swap_remove`: the tail
+    /// sequence takes its place) and releases its slot. The caller owns the victim's heap
+    /// entry and KV accounting.
+    fn remove_running(&mut self, index: usize) -> Active {
+        let removed = self.running.swap_remove(index);
+        if let Some(moved) = self.running.get(index) {
+            self.slot_pos[moved.slot as usize] = index as u32;
+        }
+        self.free_slots.push(removed.slot);
+        removed
+    }
+
+    /// Completes the sequence at `index` at the current time: evicts its footprint and
+    /// appends its completion to `out`.
+    fn complete(&mut self, index: usize, out: &mut Vec<BatchCompletion>) {
+        let seq = self.remove_running(index);
+        let footprint = seq.prompt_tokens + seq.output_tokens;
+        self.kv_in_use -= footprint;
+        self.kv_committed -= footprint;
+        self.completed_total += 1;
+        out.push(BatchCompletion {
+            tag: seq.tag,
+            prompt_tokens: seq.prompt_tokens,
+            output_tokens: seq.output_tokens,
+            arrival_ms: seq.arrival_ms,
+            first_token_ms: seq.first_token_ms.expect("stamped in its first iteration"),
+            finish_ms: self.now_ms,
+        });
+    }
+
+    /// Admits what fits, then runs the part of one scheduler iteration both serving
+    /// paths share: the clock advances by the iteration time, every running sequence's
+    /// new token is charged to `kv_in_use`, and the iteration counter ticks. Returns the
+    /// index in `running` where this iteration's admissions start, or `None` when the
+    /// batch is idle and the clock jumped instead — to the next ready time (arrival, or
+    /// backoff re-delivery for a requeued victim) or the deadline, whichever is earlier.
+    /// A ready front is always consumed by `admit` (admitted, shed or dropped), so a
+    /// jump target is strictly in the future — no livelock.
+    fn begin_iteration(&mut self, deadline_ms: u64) -> Option<usize> {
+        let admitted_from = self.running.len();
+        let admitted_prompt_tokens = self.admit();
+        if self.running.is_empty() {
+            self.now_ms = match self.queue.front() {
+                Some(front) if front.ready_ms <= deadline_ms => front.ready_ms,
+                _ => deadline_ms,
+            };
+            return None;
+        }
+
+        // Prefill newly admitted prompts, then one decode step for the whole running
+        // batch. Replicas split the batch evenly, so the aggregate iteration time is the
+        // per-replica share's time.
+        let prefill_s = if admitted_prompt_tokens > 0 {
+            self.perf
+                .prefill_time_s(&self.config, self.per_replica(admitted_prompt_tokens))
+        } else {
+            0.0
+        };
+        let mean_context = (self.kv_in_use / self.running.len()).max(1);
+        let decode_s = self.perf.decode_step_time_s(
+            &self.config,
+            self.per_replica(self.running.len()),
+            mean_context,
+        );
+        let iteration_ms = (((prefill_s + decode_s) * 1000.0).ceil() as u64).max(1);
+        self.now_ms += iteration_ms;
+        // Every running sequence produces one token (+1 KV token each).
+        self.kv_in_use += self.running.len();
+        self.iterations += 1;
+        Some(admitted_from)
     }
 
     /// Advances the scheduler to `deadline_ms`, appending finished requests to `out`.
@@ -459,73 +573,87 @@ impl BatchScheduler {
     /// carries across calls, so the next window resumes exactly where this one stopped.
     /// A deadline at or before the current clock (the previous window overshot past it)
     /// is a no-op.
+    ///
+    /// An iteration touches only the sequences it admits or completes (see the module
+    /// docs); the result is identical to [`Self::advance_to_reference`].
     pub fn advance_to(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
         while self.now_ms < deadline_ms {
-            let admitted_prompt_tokens = self.admit();
-
-            if self.running.is_empty() {
-                // Idle: jump to the next ready time (arrival, or backoff re-delivery
-                // for a requeued victim) or the deadline, whichever is earlier. A ready
-                // front is always consumed by `admit` (admitted, shed or dropped), so
-                // the jump target is strictly in the future — no livelock.
-                match self.queue.front() {
-                    Some(front) if front.ready_ms <= deadline_ms => {
-                        self.now_ms = front.ready_ms;
-                        continue;
-                    }
-                    _ => {
-                        self.now_ms = deadline_ms;
-                        break;
-                    }
-                }
+            let Some(admitted_from) = self.begin_iteration(deadline_ms) else { continue };
+            let now_ms = self.now_ms;
+            for seq in &mut self.running[admitted_from..] {
+                seq.first_token_ms = Some(now_ms);
             }
 
-            // One scheduler iteration: prefill newly admitted prompts, then one decode
-            // step for the whole running batch. Replicas split the batch evenly, so the
-            // aggregate iteration time is the per-replica share's time.
-            let prefill_s = if admitted_prompt_tokens > 0 {
-                self.perf
-                    .prefill_time_s(&self.config, self.per_replica(admitted_prompt_tokens))
-            } else {
-                0.0
-            };
-            let mean_context = (self.kv_in_use / self.running.len()).max(1);
-            let decode_s = self.perf.decode_step_time_s(
-                &self.config,
-                self.per_replica(self.running.len()),
-                mean_context,
-            );
-            let iteration_ms = (((prefill_s + decode_s) * 1000.0).ceil() as u64).max(1);
-            self.now_ms += iteration_ms;
+            // Sequences whose finish iteration is the one that just ran complete and
+            // evict their whole footprint.
+            if self
+                .finish_heap
+                .peek()
+                .is_some_and(|&Reverse((finish, _))| finish < self.iterations)
+            {
+                self.complete_finished(out);
+            }
+        }
+    }
 
-            // Every running sequence produces one token (+1 KV token each); completed
-            // sequences evict their whole footprint.
+    /// Completes every sequence whose finish iteration has run, in the reference walk's
+    /// order: ascending position, except that when `swap_remove` pulls a finisher in from
+    /// the tail, it lands on the freed position and the walk meets it next.
+    fn complete_finished(&mut self, out: &mut Vec<BatchCompletion>) {
+        let mut finishing = std::mem::take(&mut self.finishing);
+        finishing.clear();
+        while let Some(&Reverse((finish, slot))) = self.finish_heap.peek() {
+            if finish >= self.iterations {
+                break;
+            }
+            self.finish_heap.pop();
+            finishing.push(self.slot_pos[slot as usize]);
+        }
+        finishing.sort_unstable();
+        let (mut next, mut end) = (0, finishing.len());
+        while next < end {
+            let index = finishing[next] as usize;
+            let last = self.running.len() - 1;
+            if index != last && finishing[end - 1] as usize == last {
+                end -= 1;
+            } else {
+                next += 1;
+            }
+            self.complete(index, out);
+        }
+        self.finishing = finishing;
+    }
+
+    /// Reference for [`Self::advance_to`], for tests and benches, not for serving: every
+    /// iteration visits every running sequence, stamps its first token, and
+    /// `swap_remove`s it once it has generated its whole output. Admission, preemption
+    /// and iteration time are the same code as the serving path's.
+    pub fn advance_to_reference(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
+        while self.now_ms < deadline_ms {
+            if self.begin_iteration(deadline_ms).is_none() {
+                continue;
+            }
             let now_ms = self.now_ms;
-            self.kv_in_use += self.running.len();
             let mut index = 0;
             while index < self.running.len() {
                 let seq = &mut self.running[index];
-                seq.generated += 1;
                 if seq.first_token_ms.is_none() {
                     seq.first_token_ms = Some(now_ms);
                 }
-                if seq.generated >= seq.output_tokens {
-                    let seq = self.running.swap_remove(index);
-                    let footprint = seq.prompt_tokens + seq.output_tokens;
-                    self.kv_in_use -= footprint;
-                    self.kv_committed -= footprint;
-                    self.completed_total += 1;
-                    out.push(BatchCompletion {
-                        tag: seq.tag,
-                        prompt_tokens: seq.prompt_tokens,
-                        output_tokens: seq.output_tokens,
-                        arrival_ms: seq.arrival_ms,
-                        first_token_ms: seq.first_token_ms.expect("set above"),
-                        finish_ms: now_ms,
-                    });
+                if self.iterations - seq.admit_iter >= seq.output_tokens as u64 {
+                    self.complete(index, out);
                 } else {
                     index += 1;
                 }
+            }
+            // Keep the finish heap in step with the batch: drop the entries of the
+            // sequences this iteration completed.
+            while self
+                .finish_heap
+                .peek()
+                .is_some_and(|&Reverse((finish, _))| finish < self.iterations)
+            {
+                self.finish_heap.pop();
             }
         }
     }
@@ -758,6 +886,31 @@ mod tests {
         // admitted first complete with the fewest attempts.
         assert_eq!(s.kv_in_use(), 0);
         assert_eq!(s.kv_committed(), 0);
+    }
+
+    #[test]
+    fn preemption_counts_exactly_the_tokens_generated_so_far() {
+        // Two sequences admitted in the same iteration have generated the same number of
+        // tokens; a shrink to one replica strands the commitment and evicts the newer.
+        let mut s = scheduler(2);
+        let prompt = s.kv_capacity() / 4 - 100;
+        s.offer(0, prompt, 500, 0);
+        s.offer(1, prompt, 500, 0);
+        let mut out = Vec::new();
+        // The long prefill dominates the first iteration; step past a few decodes.
+        while s.kv_in_use() < 2 * prompt + 8 {
+            s.advance_to(s.now_ms() + 1, &mut out);
+        }
+        assert_eq!(s.running_len(), 2);
+        let generated = (s.kv_in_use() - 2 * prompt) / 2;
+        assert!(generated > 1 && generated < 500, "mid-decode, got {generated}");
+        s.set_replicas(1);
+        let faults = s.faults();
+        assert_eq!(faults.preemptions, 1);
+        assert_eq!(faults.wasted_decode_tokens, generated as u64);
+        assert_eq!(faults.evicted_tokens, (prompt + generated) as u64);
+        assert_eq!(s.kv_in_use(), prompt + generated);
+        assert_eq!(s.kv_committed(), prompt + 500);
     }
 
     #[test]

@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Ascending order for sorting samples: numbers by value (`-0.0 = +0.0`, so a stable sort
-/// keeps their input order), every NaN after every number whatever its sign bit.
-fn nan_last(a: &f64, b: &f64) -> Ordering {
+/// keeps their input order), every NaN after every number whatever its sign bit. Unlike
+/// [`f64::total_cmp`] it leaves the order of finite values exactly as `partial_cmp` has it.
+pub fn nan_last(a: &f64, b: &f64) -> Ordering {
     a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
