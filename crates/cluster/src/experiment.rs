@@ -54,6 +54,25 @@ impl Default for RequestFabricConfig {
     }
 }
 
+impl RequestFabricConfig {
+    /// Checks the knobs the generator draws with and the SLO accounting scales by. Each
+    /// test names its accepting range, so NaN fails too.
+    ///
+    /// # Errors
+    /// Returns [`ScenarioError::InvalidRateScale`] for a negative or non-finite rate
+    /// scale and [`ScenarioError::InvalidSloMultiplier`] for a non-positive or
+    /// non-finite SLO multiplier.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        if !(self.rate_scale.is_finite() && self.rate_scale >= 0.0) {
+            return Err(ScenarioError::InvalidRateScale { scale: self.rate_scale });
+        }
+        if !(self.slo_multiplier.is_finite() && self.slo_multiplier > 0.0) {
+            return Err(ScenarioError::InvalidSloMultiplier { multiplier: self.slo_multiplier });
+        }
+        Ok(())
+    }
+}
+
 // Hand-written serde: the fault-tolerance knobs are emitted only when they differ from
 // the defaults, so every fabric-enabled artifact pinned before they existed keeps its
 // exact bytes, and old artifacts (which lack the keys) still load.
@@ -378,13 +397,17 @@ impl ExperimentConfig {
         self
     }
 
-    /// Validates the configuration's scenario (a standalone experiment is site 0 of a
-    /// 1-site fleet, but site-targeted events are allowed here because the config may be
-    /// the shared base of a larger fleet — [`FleetConfig::check`] bounds them).
+    /// Validates the request-fabric knobs ([`RequestFabricConfig::check`]) and the
+    /// configuration's scenario (a standalone experiment is site 0 of a 1-site fleet, but
+    /// site-targeted events are allowed here because the config may be the shared base
+    /// of a larger fleet — [`FleetConfig::check`] bounds them).
     ///
     /// # Errors
-    /// Returns the first violated event invariant as a [`ScenarioError`].
+    /// Returns the first violated fabric or event invariant as a [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        if let Some(fabric) = &self.request_fabric {
+            fabric.check()?;
+        }
         self.scenario.validate_events()
     }
 
@@ -638,8 +661,16 @@ impl FleetConfig {
             return Err(ScenarioError::NoSites);
         }
         // NaN must fail too, so test the accepting range rather than its negation.
-        if self.arrival_scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !(self.arrival_scale.is_finite() && self.arrival_scale > 0.0) {
             return Err(ScenarioError::NonPositiveArrivalScale { scale: self.arrival_scale });
+        }
+        if let Some(fabric) = &self.base.request_fabric {
+            fabric.check()?;
+            // The fleet generates at `rate_scale × arrival_scale`, which can overflow.
+            let scaled = fabric.rate_scale * self.arrival_scale;
+            if !scaled.is_finite() {
+                return Err(ScenarioError::InvalidRateScale { scale: scaled });
+            }
         }
         if let GeoPolicy::Pinned(site) = self.geo {
             if site >= self.sites.len() {
@@ -921,6 +952,107 @@ mod tests {
         fleet.check().expect("one positive share is enough");
         fleet.sites[1].arrival_share = 0.0;
         assert_eq!(fleet.check().unwrap_err(), ScenarioError::NoPositiveArrivalShare);
+    }
+
+    /// Checks that `fabric` fails both entry points (a standalone experiment's
+    /// `validate` and a fleet's `check`) with an error `expected` accepts.
+    fn assert_fabric_rejected(
+        fabric: RequestFabricConfig,
+        expected: impl Fn(&ScenarioError) -> bool,
+    ) {
+        let config = ExperimentConfig::small_smoke_test().with_request_fabric(fabric);
+        let error = config.validate().unwrap_err();
+        assert!(expected(&error), "validate: {error}");
+        let error = FleetConfig::evaluation(config, 2).check().unwrap_err();
+        assert!(expected(&error), "check: {error}");
+    }
+
+    fn fabric(rate_scale: f64, slo_multiplier: f64) -> RequestFabricConfig {
+        RequestFabricConfig { rate_scale, slo_multiplier, ..RequestFabricConfig::default() }
+    }
+
+    #[test]
+    fn nan_rate_scale_is_rejected() {
+        assert_fabric_rejected(fabric(f64::NAN, 5.0), |e| {
+            matches!(e, ScenarioError::InvalidRateScale { scale } if scale.is_nan())
+        });
+    }
+
+    #[test]
+    fn infinite_rate_scale_is_rejected() {
+        assert_fabric_rejected(fabric(f64::INFINITY, 5.0), |e| {
+            *e == ScenarioError::InvalidRateScale { scale: f64::INFINITY }
+        });
+    }
+
+    #[test]
+    fn negative_rate_scale_is_rejected() {
+        assert_fabric_rejected(fabric(-0.5, 5.0), |e| {
+            *e == ScenarioError::InvalidRateScale { scale: -0.5 }
+        });
+    }
+
+    #[test]
+    fn nan_slo_multiplier_is_rejected() {
+        assert_fabric_rejected(fabric(1.0, f64::NAN), |e| {
+            matches!(e, ScenarioError::InvalidSloMultiplier { multiplier } if multiplier.is_nan())
+        });
+    }
+
+    #[test]
+    fn infinite_slo_multiplier_is_rejected() {
+        assert_fabric_rejected(fabric(1.0, f64::INFINITY), |e| {
+            *e == ScenarioError::InvalidSloMultiplier { multiplier: f64::INFINITY }
+        });
+    }
+
+    #[test]
+    fn zero_slo_multiplier_is_rejected() {
+        assert_fabric_rejected(fabric(1.0, 0.0), |e| {
+            *e == ScenarioError::InvalidSloMultiplier { multiplier: 0.0 }
+        });
+    }
+
+    #[test]
+    fn negative_slo_multiplier_is_rejected() {
+        let error = ScenarioError::InvalidSloMultiplier { multiplier: -5.0 };
+        assert!(error.to_string().contains("finite and positive"));
+        assert_fabric_rejected(fabric(1.0, -5.0), |e| *e == error);
+    }
+
+    #[test]
+    fn in_range_fabric_knobs_pass_both_entry_points() {
+        // A zero rate is legal (the fabric generates nothing); only the bounds fail.
+        for (rate_scale, slo_multiplier) in [(0.0, 5.0), (1.0, 1.0), (1e6, f64::MIN_POSITIVE)] {
+            let config = ExperimentConfig::small_smoke_test()
+                .with_request_fabric(fabric(rate_scale, slo_multiplier));
+            config.validate().expect("in-range knobs are valid");
+            FleetConfig::evaluation(config, 2).check().expect("in-range knobs are valid");
+        }
+    }
+
+    #[test]
+    fn infinite_arrival_scale_is_rejected() {
+        let mut fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 2);
+        fleet.arrival_scale = f64::INFINITY;
+        let error = fleet.check().unwrap_err();
+        assert_eq!(error, ScenarioError::NonPositiveArrivalScale { scale: f64::INFINITY });
+        assert!(error.to_string().contains("finite and positive"));
+    }
+
+    #[test]
+    fn fleet_rate_scale_overflowing_the_arrival_scale_is_rejected() {
+        // Each factor is finite; the fleet generator's product is not.
+        let mut fleet = FleetConfig::evaluation(
+            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(1e300, 5.0)),
+            2,
+        );
+        fleet.arrival_scale = 1e10;
+        fleet.base.validate().expect("the base alone is valid");
+        assert_eq!(
+            fleet.check().unwrap_err(),
+            ScenarioError::InvalidRateScale { scale: f64::INFINITY }
+        );
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!    prompt/output shape (the [`workload`] request-shape calibration). Draws come from
 //!    RNG streams derived under the `"request-fabric"` label, so enabling the fabric
 //!    never perturbs the legacy per-step draws — fabric-off runs stay byte-identical.
-//! 2. **Ordering** ([`simkit::queue::EventQueue`]) — requests are delivered in
-//!    `(time, push-order)` order: a dense binary heap over integer timestamps with a
-//!    monotone sequence number breaking ties FIFO, so replay is deterministic for
-//!    millions of events without any per-event allocation.
+//! 2. **Ordering** ([`ArrivalBuffer`]) — requests are delivered in `(time, push-order)`
+//!    order, the same order a binary heap with a FIFO tie-break would pop them in. The
+//!    buffer is a flat `Vec` drained by a cursor: a push appends and notes whether it
+//!    broke time order, and a drain sorts the undrained tail only if one did (once per
+//!    generated step; never for a cell inbox, which the fleet fills in time order).
+//!    Storage is reused across steps, so a steady-state step allocates nothing.
 //! 3. **Serving** ([`RequestFabric`]) — per endpoint, an aggregate continuous-batching
 //!    scheduler ([`llm_sim::batch::BatchScheduler`]) whose replica count tracks the
 //!    endpoint's placed instances and whose admission is bounded by KV-cache occupancy
@@ -49,8 +51,8 @@ use workload::trace::{TraceError, TraceRecord};
 /// simulator's step clock is integer minutes).
 pub const MS_PER_MINUTE: u64 = 60_000;
 
-/// One inference request travelling through the fabric. The arrival timestamp lives in
-/// the event queue's key, not here, so the payload stays a single machine word pair.
+/// One inference request travelling through the fabric. The arrival timestamp travels
+/// beside it (the arrival buffer's sort key), not inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricRequest {
     /// Fleet-unique request id (generation order, or trace line for replays).
@@ -61,6 +63,133 @@ pub struct FabricRequest {
     pub prompt_tokens: u32,
     /// Output length in tokens.
     pub output_tokens: u32,
+}
+
+/// One buffered arrival. `rank` is the push index since the buffer was last emptied; it
+/// breaks timestamp ties in push order under an unstable sort (which, unlike a stable
+/// one, needs no scratch allocation). The request is flattened so the slot stays 32 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    time_ms: u64,
+    id: u64,
+    endpoint: u32,
+    prompt_tokens: u32,
+    output_tokens: u32,
+    rank: u32,
+}
+
+/// A time-ordered arrival buffer: the fabric's replacement for an event heap on the
+/// serving path. Pushes append; [`ArrivalBuffer::drain_before`] sorts the undrained tail
+/// by `(time, push order)` only if some push arrived out of time order, visits the due
+/// prefix and advances a cursor. The drain order is exactly a FIFO-tie-break heap's, and
+/// the storage is reused once every buffered arrival has been drained.
+#[derive(Debug, Clone, Default)]
+pub struct ArrivalBuffer {
+    arrivals: Vec<Arrival>,
+    /// Arrivals before this index have been drained.
+    cursor: usize,
+    /// Set when a push was earlier than its predecessor: the tail needs a sort.
+    out_of_order: bool,
+}
+
+impl ArrivalBuffer {
+    /// An empty buffer.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Arrivals buffered but not yet drained.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.arrivals.len() - self.cursor
+    }
+
+    /// Returns `true` if nothing is waiting to be drained.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Buffers `request` at `time_ms`. Among equal timestamps, earlier pushes drain first.
+    ///
+    /// # Panics
+    /// Panics if 2³² arrivals are buffered at once.
+    pub fn push(&mut self, time_ms: u64, request: FabricRequest) {
+        // The last slot is always undrained: a fully drained buffer is emptied.
+        if self.arrivals.last().is_some_and(|last| time_ms < last.time_ms) {
+            self.out_of_order = true;
+        }
+        let rank = u32::try_from(self.arrivals.len()).expect("fewer than 2^32 arrivals");
+        self.arrivals.push(Arrival {
+            time_ms,
+            id: request.id,
+            endpoint: request.endpoint,
+            prompt_tokens: request.prompt_tokens,
+            output_tokens: request.output_tokens,
+            rank,
+        });
+    }
+
+    /// Buffers a whole request trace (record index = request id) and sorts it once.
+    ///
+    /// # Errors
+    /// Returns [`TraceError::UnknownEndpoint`] for the first record naming an endpoint
+    /// `>= endpoints`, before anything is buffered.
+    pub fn load_trace(
+        &mut self,
+        records: &[TraceRecord],
+        endpoints: usize,
+    ) -> Result<(), TraceError> {
+        if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints as u64) {
+            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
+        }
+        self.arrivals.reserve(records.len());
+        for (line, record) in records.iter().enumerate() {
+            self.push(
+                record.timestamp_ms,
+                FabricRequest {
+                    id: line as u64,
+                    endpoint: record.endpoint as u32,
+                    prompt_tokens: record.prompt_tokens,
+                    output_tokens: record.output_tokens,
+                },
+            );
+        }
+        self.sort_pending();
+        Ok(())
+    }
+
+    /// Sorts the undrained tail by `(time, push order)` if a push broke time order.
+    fn sort_pending(&mut self) {
+        if std::mem::take(&mut self.out_of_order) {
+            self.arrivals[self.cursor..].sort_unstable_by_key(|a| (a.time_ms, a.rank));
+        }
+    }
+
+    /// Visits every buffered arrival with `time < end_ms`, earliest first and in push
+    /// order among equal times, and removes them from the buffer.
+    pub fn drain_before(&mut self, end_ms: u64, mut visit: impl FnMut(u64, FabricRequest)) {
+        self.sort_pending();
+        let pending = &self.arrivals[self.cursor..];
+        let due = pending.partition_point(|a| a.time_ms < end_ms);
+        for a in &pending[..due] {
+            visit(
+                a.time_ms,
+                FabricRequest {
+                    id: a.id,
+                    endpoint: a.endpoint,
+                    prompt_tokens: a.prompt_tokens,
+                    output_tokens: a.output_tokens,
+                },
+            );
+        }
+        self.cursor += due;
+        if self.cursor == self.arrivals.len() {
+            self.arrivals.clear();
+            self.cursor = 0;
+        }
+    }
 }
 
 /// Per-endpoint generation state.
@@ -115,15 +244,28 @@ impl FabricGenerator {
         self.next_id
     }
 
-    /// Pushes the step's requests (arrivals in `[now, now + step)`, millisecond
-    /// timestamps) into `queue`. The scenario timeline's demand shaping multiplies the
-    /// diurnal rate exactly as it does on the legacy serving path.
+    /// Pushes the step's requests into `queue`; see [`FabricGenerator::generate_with`].
     pub fn generate_step(
         &mut self,
         now: SimTime,
         step: SimDuration,
         timeline: &ResolvedTimeline,
         queue: &mut EventQueue<FabricRequest>,
+    ) {
+        self.generate_with(now, step, timeline, |time_ms, request| queue.push(time_ms, request));
+    }
+
+    /// Hands the step's requests (arrivals in `[now, now + step)`, millisecond
+    /// timestamps) to `sink` in generation order: endpoint by endpoint, each endpoint's
+    /// arrivals in draw order, so timestamps are not sorted. The scenario timeline's
+    /// demand shaping multiplies the diurnal rate exactly as it does on the legacy
+    /// serving path.
+    pub fn generate_with(
+        &mut self,
+        now: SimTime,
+        step: SimDuration,
+        timeline: &ResolvedTimeline,
+        mut sink: impl FnMut(u64, FabricRequest),
     ) {
         let step_minutes = step.as_minutes();
         let step_ms = step_minutes * MS_PER_MINUTE;
@@ -152,7 +294,7 @@ impl FabricGenerator {
                     .round()
                     .max(1.0) as usize;
                 let (prompt, output) = clamp_total(prompt, output, self.shape.max_total_tokens);
-                queue.push(
+                sink(
                     start_ms + offset_ms,
                     FabricRequest {
                         id: self.next_id,
@@ -180,14 +322,14 @@ fn clamp_total(prompt: usize, output: usize, max_total: usize) -> (usize, usize)
     (prompt, output)
 }
 
-/// One site's serving side of the request fabric: the inbox event queue, one batch
+/// One site's serving side of the request fabric: the inbox arrival buffer, one batch
 /// scheduler per endpoint, and the per-request metrics block.
 #[derive(Debug, Clone)]
 pub struct RequestFabric {
     /// Self-generating mode (single-datacenter runs). Fleet cells leave this `None` and
     /// receive their stream through [`RequestFabric::deliver`].
     generator: Option<FabricGenerator>,
-    queue: EventQueue<FabricRequest>,
+    queue: ArrivalBuffer,
     schedulers: Vec<BatchScheduler>,
     /// Unloaded analytic `(TTFT, TBT)` targets in seconds per endpoint — the `1×` point
     /// of the SLO attainment curves.
@@ -252,7 +394,7 @@ impl RequestFabric {
             .collect();
         Self {
             generator: generate.then(|| FabricGenerator::new(seed, catalog, config)),
-            queue: EventQueue::new(),
+            queue: ArrivalBuffer::new(),
             pressures: vec![0.0; schedulers.len()],
             schedulers,
             targets,
@@ -263,29 +405,15 @@ impl RequestFabric {
         }
     }
 
-    /// Preloads a parsed request trace as the fabric's stream (replay mode). Fails with
+    /// Preloads a parsed request trace as the fabric's stream (replay mode). Records
+    /// may come in any timestamp order; ties replay in record order. Fails with
     /// [`TraceError::UnknownEndpoint`] if a record names an endpoint outside the
     /// catalog, before anything is enqueued.
     ///
     /// # Errors
     /// Returns the first out-of-catalog endpoint as a typed error.
     pub fn load_trace(&mut self, records: &[TraceRecord]) -> Result<(), TraceError> {
-        let endpoints = self.schedulers.len() as u64;
-        if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints) {
-            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
-        }
-        for (line, record) in records.iter().enumerate() {
-            self.queue.push(
-                record.timestamp_ms,
-                FabricRequest {
-                    id: line as u64,
-                    endpoint: record.endpoint as u32,
-                    prompt_tokens: record.prompt_tokens,
-                    output_tokens: record.output_tokens,
-                },
-            );
-        }
-        Ok(())
+        self.queue.load_trace(records, self.schedulers.len())
     }
 
     /// Delivers one fleet-routed request into the site's inbox.
@@ -302,7 +430,10 @@ impl RequestFabric {
         timeline: &ResolvedTimeline,
     ) {
         if let Some(generator) = self.generator.as_mut() {
-            generator.generate_step(now, step, timeline, &mut self.queue);
+            let queue = &mut self.queue;
+            generator.generate_with(now, step, timeline, |time_ms, request| {
+                queue.push(time_ms, request);
+            });
         }
     }
 
@@ -325,7 +456,7 @@ impl RequestFabric {
         }
         let schedulers = &mut self.schedulers;
         let lifecycle = &mut self.metrics.lifecycle;
-        self.queue.drain_until(end_ms - 1, |time_ms, request| {
+        self.queue.drain_before(end_ms, |time_ms, request| {
             if let Some(scheduler) = schedulers.get_mut(request.endpoint as usize) {
                 lifecycle.arrived += 1;
                 scheduler.offer(
@@ -456,6 +587,27 @@ mod tests {
         }));
         // Ids are the queue's FIFO tie-break witness: same-run regeneration is identical.
         assert_eq!(events, run());
+    }
+
+    #[test]
+    fn arrival_buffer_reuses_its_storage_across_steps() {
+        let mut buffer = ArrivalBuffer::new();
+        let request = FabricRequest { id: 0, endpoint: 0, prompt_tokens: 1, output_tokens: 1 };
+        let step = |buffer: &mut ArrivalBuffer| {
+            for time_ms in (0..500u64).rev() {
+                buffer.push(time_ms, request);
+            }
+            let mut drained = 0;
+            buffer.drain_before(500, |_, _| drained += 1);
+            assert_eq!(drained, 500);
+        };
+        step(&mut buffer);
+        let high_water = buffer.arrivals.capacity();
+        for _ in 0..5 {
+            step(&mut buffer);
+            assert!(buffer.is_empty());
+            assert_eq!(buffer.arrivals.capacity(), high_water, "a drained buffer is reused");
+        }
     }
 
     #[test]

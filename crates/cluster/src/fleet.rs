@@ -24,11 +24,10 @@
 //! allocation-free per the dense-telemetry contract.
 
 use crate::experiment::{FleetConfig, GeoPolicy, RequestFabricConfig};
-use crate::fabric::{FabricGenerator, FabricRequest, MS_PER_MINUTE};
+use crate::fabric::{ArrivalBuffer, FabricGenerator, MS_PER_MINUTE};
 use crate::metrics::{FleetReport, RunReport};
 use crate::scenario::ResolvedTimeline;
 use crate::simulator::ClusterSimulator;
-use simkit::queue::EventQueue;
 use simkit::time::{SimClock, SimTime};
 use std::collections::VecDeque;
 use tapas::geo::{GeoPlacement, SiteSignals};
@@ -53,8 +52,8 @@ pub struct FleetSimulator {
     /// Fleet-wide request-fabric generator (None unless the base experiment opts in, or
     /// when a replayed trace preloaded the queue instead).
     fabric_generator: Option<FabricGenerator>,
-    /// The fleet-wide fabric stream, ordered by millisecond timestamp (FIFO on ties).
-    fabric_queue: EventQueue<FabricRequest>,
+    /// The fleet-wide fabric stream, drained by millisecond timestamp (FIFO on ties).
+    fabric_queue: ArrivalBuffer,
     /// The base scenario's resolved timeline, driving fleet-wide fabric demand shaping.
     /// (Per-site demand events still shape each cell's *legacy* serving path; the fabric
     /// stream is generated once fleet-wide from the base view.)
@@ -113,7 +112,7 @@ impl FleetSimulator {
             routed,
             emergency_diversions: 0,
             fabric_generator,
-            fabric_queue: EventQueue::new(),
+            fabric_queue: ArrivalBuffer::new(),
             base_timeline,
             cells,
             config,
@@ -123,7 +122,8 @@ impl FleetSimulator {
     /// Builds a fleet that replays an externally supplied request trace through the
     /// fabric instead of generating a stream (the fleet-level trace-replay entry; the
     /// VM arrival stream is still generated as usual). Requests are geo-routed across
-    /// sites per record exactly like generated traffic.
+    /// sites per record exactly like generated traffic. Records may come in any
+    /// timestamp order; ties replay in record order.
     ///
     /// # Errors
     /// Returns [`TraceError::UnknownEndpoint`] if a record names an endpoint outside the
@@ -138,23 +138,11 @@ impl FleetSimulator {
         if config.base.request_fabric.is_none() {
             config.base.request_fabric = Some(RequestFabricConfig::default());
         }
-        let endpoints = config.base.endpoint_catalog().len() as u64;
-        if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints) {
-            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
-        }
+        let mut queue = ArrivalBuffer::new();
+        queue.load_trace(records, config.base.endpoint_catalog().len())?;
         let mut fleet = Self::new(config);
         fleet.fabric_generator = None;
-        for (line, record) in records.iter().enumerate() {
-            fleet.fabric_queue.push(
-                record.timestamp_ms,
-                FabricRequest {
-                    id: line as u64,
-                    endpoint: record.endpoint as u32,
-                    prompt_tokens: record.prompt_tokens,
-                    output_tokens: record.output_tokens,
-                },
-            );
-        }
+        fleet.fabric_queue = queue;
         Ok(fleet)
     }
 
@@ -216,12 +204,10 @@ impl FleetSimulator {
         //     Routing happens before the cells step, so serial and `parallel` execution
         //     see identical per-cell event sequences.
         if let Some(generator) = self.fabric_generator.as_mut() {
-            generator.generate_step(
-                now,
-                self.config.base.step,
-                &self.base_timeline,
-                &mut self.fabric_queue,
-            );
+            let queue = &mut self.fabric_queue;
+            generator.generate_with(now, self.config.base.step, &self.base_timeline, |t, r| {
+                queue.push(t, r);
+            });
         }
         if !self.fabric_queue.is_empty() {
             let end_ms =
@@ -236,8 +222,7 @@ impl FleetSimulator {
             let signals = &self.signals;
             let geo = &mut self.geo;
             let request_splitter = &mut self.request_splitter;
-            // `drain_until` is inclusive; the step window is half-open.
-            self.fabric_queue.drain_until(end_ms - 1, |time_ms, request| {
+            self.fabric_queue.drain_before(end_ms, |time_ms, request| {
                 let site = match geo_policy {
                     GeoPolicy::Pinned(site) => site,
                     GeoPolicy::RoundRobin => request_splitter.next_site(),
@@ -433,6 +418,15 @@ mod tests {
             geo: GeoPolicy::RoundRobin,
             arrival_scale: 1.0,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "rate scale must be finite and non-negative, got NaN")]
+    fn nan_fabric_rate_fails_the_config_check_not_the_generator() {
+        let mut fleet = smoke_fleet(2);
+        fleet.base.request_fabric =
+            Some(RequestFabricConfig { rate_scale: f64::NAN, ..RequestFabricConfig::default() });
+        let _ = FleetSimulator::new(fleet);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod scenario;
 pub mod simulator;
 
 pub use experiment::{ExperimentConfig, FleetConfig, GeoPolicy, RequestFabricConfig, SiteConfig};
-pub use fabric::{FabricGenerator, FabricRequest, RequestFabric};
+pub use fabric::{ArrivalBuffer, FabricGenerator, FabricRequest, RequestFabric};
 pub use fleet::FleetSimulator;
 pub use metrics::{FleetReport, LatencyHistogram, RequestMetrics, RunReport};
 pub use scenario::{

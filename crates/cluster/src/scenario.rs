@@ -313,6 +313,17 @@ pub enum ScenarioError {
         /// Index of the offending event in the timeline.
         event: usize,
     },
+    /// The request fabric's rate scale is negative or non-finite (for a fleet: also
+    /// when multiplied by the arrival scale).
+    InvalidRateScale {
+        /// The offending scale.
+        scale: f64,
+    },
+    /// The request fabric's headline SLO multiplier is zero, negative or non-finite.
+    InvalidSloMultiplier {
+        /// The offending multiplier.
+        multiplier: f64,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -323,7 +334,7 @@ impl fmt::Display for ScenarioError {
                 write!(f, "pinned site {site} out of range for a {sites}-site fleet")
             }
             ScenarioError::NonPositiveArrivalScale { scale } => {
-                write!(f, "arrival scale must be positive, got {scale}")
+                write!(f, "arrival scale must be finite and positive, got {scale}")
             }
             ScenarioError::InvalidArrivalShare { site, share } => write!(
                 f,
@@ -366,6 +377,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NoFailedReplicas { event } => {
                 write!(f, "event {event} is a replica failure that kills zero replicas")
             }
+            ScenarioError::InvalidRateScale { scale } => write!(
+                f,
+                "request-fabric rate scale must be finite and non-negative, got {scale}"
+            ),
+            ScenarioError::InvalidSloMultiplier { multiplier } => write!(
+                f,
+                "request-fabric SLO multiplier must be finite and positive, got {multiplier}"
+            ),
         }
     }
 }

@@ -523,8 +523,9 @@ impl ClusterSimulator {
     }
 
     /// Delivers a fleet-routed fabric request into this cell's inbox (no-op unless the
-    /// cell's experiment enabled the fabric). The inbox is an event queue, so delivery
-    /// order only tie-breaks among equal millisecond timestamps.
+    /// cell's experiment enabled the fabric). The inbox is an arrival buffer that drains
+    /// by millisecond timestamp, so delivery order only tie-breaks among equal
+    /// timestamps; in-order delivery (the fleet's) never needs a sort.
     pub(crate) fn deliver_request(&mut self, time_ms: u64, request: FabricRequest) {
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.deliver(time_ms, request);

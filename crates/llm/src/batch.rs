@@ -33,7 +33,7 @@
 
 use crate::config::InstanceConfig;
 use crate::hardware::GpuHardware;
-use crate::perf::PerfModel;
+use crate::perf::{PerfModel, StepModel};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -159,6 +159,8 @@ const MAX_BACKOFF_SHIFT: u32 = 8;
 pub struct BatchScheduler {
     config: InstanceConfig,
     perf: PerfModel,
+    /// `perf`'s step formulas for `config`, built once (an iteration times one of each).
+    step: StepModel,
     kv_capacity_per_replica: usize,
     replicas: usize,
     kv_in_use: usize,
@@ -197,9 +199,11 @@ impl BatchScheduler {
     /// Creates a scheduler for `replicas` instances of `config` on a GPU generation.
     #[must_use]
     pub fn new(config: InstanceConfig, gpu: &GpuHardware, replicas: usize) -> Self {
+        let perf = PerfModel::new(*gpu);
         Self {
             config,
-            perf: PerfModel::new(*gpu),
+            perf,
+            step: perf.step_model(&config),
             kv_capacity_per_replica: kv_capacity_tokens(&config, gpu),
             replicas: replicas.max(1),
             kv_in_use: 0,
@@ -548,17 +552,13 @@ impl BatchScheduler {
         // batch. Replicas split the batch evenly, so the aggregate iteration time is the
         // per-replica share's time.
         let prefill_s = if admitted_prompt_tokens > 0 {
-            self.perf
-                .prefill_time_s(&self.config, self.per_replica(admitted_prompt_tokens))
+            self.step.prefill_time_s(self.per_replica(admitted_prompt_tokens))
         } else {
             0.0
         };
         let mean_context = (self.kv_in_use / self.running.len()).max(1);
-        let decode_s = self.perf.decode_step_time_s(
-            &self.config,
-            self.per_replica(self.running.len()),
-            mean_context,
-        );
+        let decode_s =
+            self.step.decode_step_time_s(self.per_replica(self.running.len()), mean_context);
         let iteration_ms = (((prefill_s + decode_s) * 1000.0).ceil() as u64).max(1);
         self.now_ms += iteration_ms;
         // Every running sequence produces one token (+1 KV token each).

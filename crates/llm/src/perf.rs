@@ -38,6 +38,50 @@ pub struct SloTargets {
     pub tbt_s: f64,
 }
 
+/// The roofline step formulas of one configuration on one GPU generation, with the
+/// per-configuration constants precomputed ([`PerfModel::step_model`]). These are the only
+/// copies of the formulas: [`PerfModel`]'s per-call methods build a `StepModel` and
+/// delegate, so both paths round identically.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepModel {
+    /// `2 × parameters`: FLOPs per token.
+    two_parameters: f64,
+    /// Weight bytes streamed from HBM per decode iteration.
+    weight_bytes: f64,
+    /// KV-cache bytes per context token.
+    kv_bytes_per_token: f64,
+    /// Aggregate effective compute of the instance in FLOP/s.
+    instance_flops: f64,
+    /// Aggregate effective HBM bandwidth of the instance in byte/s.
+    instance_bandwidth: f64,
+}
+
+impl StepModel {
+    /// Prefill time for a prompt of `prompt_tokens` tokens, in seconds.
+    #[must_use]
+    pub fn prefill_time_s(&self, prompt_tokens: usize) -> f64 {
+        self.two_parameters * prompt_tokens as f64 / self.instance_flops
+    }
+
+    /// Time of one decode iteration for a batch of `batch_size` sequences whose mean context
+    /// length is `mean_context_tokens`, in seconds.
+    ///
+    /// The iteration is the maximum of its memory time (weights + KV cache streamed once) and
+    /// its compute time (one token of FLOPs per sequence).
+    #[must_use]
+    pub fn decode_step_time_s(&self, batch_size: usize, mean_context_tokens: usize) -> f64 {
+        let batch = batch_size.max(1) as f64;
+        let kv_bytes = batch * mean_context_tokens as f64 * self.kv_bytes_per_token;
+        let memory_time = (self.weight_bytes + kv_bytes) / self.instance_bandwidth;
+        memory_time.max(self.compute_time_s(batch_size))
+    }
+
+    /// Compute time of one decode iteration (one token of FLOPs per sequence), in seconds.
+    fn compute_time_s(&self, batch_size: usize) -> f64 {
+        self.two_parameters * batch_size.max(1) as f64 / self.instance_flops
+    }
+}
+
 impl PerfModel {
     /// Creates the model for a GPU generation.
     #[must_use]
@@ -51,33 +95,34 @@ impl PerfModel {
         &self.gpu
     }
 
-    /// Aggregate effective compute of the instance in FLOP/s.
-    fn instance_flops(&self, config: &InstanceConfig) -> f64 {
-        self.gpu.effective_flops(config.frequency.value())
-            * config.parallelism.gpus() as f64
-            * config.parallelism.scaling_efficiency()
-            * config.variant.quantization.compute_speedup()
-    }
-
-    /// Aggregate effective HBM bandwidth of the instance in byte/s.
-    fn instance_bandwidth(&self, config: &InstanceConfig) -> f64 {
-        self.gpu.effective_bandwidth(config.frequency.value())
-            * config.parallelism.gpus() as f64
-            * config.parallelism.scaling_efficiency()
+    /// The per-configuration constants of the step formulas, computed once so a caller
+    /// that times many iterations of one configuration does not recompute them.
+    #[must_use]
+    pub fn step_model(&self, config: &InstanceConfig) -> StepModel {
+        let frequency = config.frequency.value();
+        let parameters = config.variant.size.parameters();
+        StepModel {
+            two_parameters: 2.0 * parameters,
+            weight_bytes: parameters * config.variant.quantization.bytes_per_param(),
+            kv_bytes_per_token: config.variant.kv_bytes_per_token(),
+            instance_flops: self.gpu.effective_flops(frequency)
+                * config.parallelism.gpus() as f64
+                * config.parallelism.scaling_efficiency()
+                * config.variant.quantization.compute_speedup(),
+            instance_bandwidth: self.gpu.effective_bandwidth(frequency)
+                * config.parallelism.gpus() as f64
+                * config.parallelism.scaling_efficiency(),
+        }
     }
 
     /// Prefill time for a prompt of `prompt_tokens` tokens, in seconds.
     #[must_use]
     pub fn prefill_time_s(&self, config: &InstanceConfig, prompt_tokens: usize) -> f64 {
-        let flops = 2.0 * config.variant.size.parameters() * prompt_tokens as f64;
-        flops / self.instance_flops(config)
+        self.step_model(config).prefill_time_s(prompt_tokens)
     }
 
     /// Time of one decode iteration for a batch of `batch_size` sequences whose mean context
-    /// length is `mean_context_tokens`, in seconds.
-    ///
-    /// The iteration is the maximum of its memory time (weights + KV cache streamed once) and
-    /// its compute time (one token of FLOPs per sequence).
+    /// length is `mean_context_tokens`, in seconds; see [`StepModel::decode_step_time_s`].
     #[must_use]
     pub fn decode_step_time_s(
         &self,
@@ -85,14 +130,7 @@ impl PerfModel {
         batch_size: usize,
         mean_context_tokens: usize,
     ) -> f64 {
-        let batch = batch_size.max(1) as f64;
-        let weight_bytes = config.variant.size.parameters()
-            * config.variant.quantization.bytes_per_param();
-        let kv_bytes = batch * mean_context_tokens as f64 * config.variant.kv_bytes_per_token();
-        let memory_time = (weight_bytes + kv_bytes) / self.instance_bandwidth(config);
-        let compute_time =
-            2.0 * config.variant.size.parameters() * batch / self.instance_flops(config);
-        memory_time.max(compute_time)
+        self.step_model(config).decode_step_time_s(batch_size, mean_context_tokens)
     }
 
     /// Fraction of a decode iteration spent compute-bound (a proxy for GPU utilization and
@@ -105,10 +143,9 @@ impl PerfModel {
         batch_size: usize,
         mean_context_tokens: usize,
     ) -> f64 {
-        let step = self.decode_step_time_s(config, batch_size, mean_context_tokens);
-        let compute = 2.0 * config.variant.size.parameters() * batch_size.max(1) as f64
-            / self.instance_flops(config);
-        (compute / step).clamp(0.12, 0.95)
+        let model = self.step_model(config);
+        let step = model.decode_step_time_s(batch_size, mean_context_tokens);
+        (model.compute_time_s(batch_size) / step).clamp(0.12, 0.95)
     }
 
     /// Unloaded time-to-first-token: prefill of the calibration prompt with nothing else
@@ -143,10 +180,11 @@ impl PerfModel {
     #[must_use]
     pub fn slo_feasible_batch(&self, config: &InstanceConfig) -> usize {
         let targets = self.slo_targets(config);
+        let model = self.step_model(config);
         let context = CALIBRATION_PROMPT_TOKENS + CALIBRATION_OUTPUT_TOKENS / 2;
         let mut best = 1;
         for batch in 1..=config.max_batch_size.max(1) {
-            if self.decode_step_time_s(config, batch, context) <= targets.tbt_s {
+            if model.decode_step_time_s(batch, context) <= targets.tbt_s {
                 best = batch;
             } else {
                 break;

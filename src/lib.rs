@@ -34,7 +34,7 @@ pub mod prelude {
     pub use cluster_sim::experiment::{
         ExperimentConfig, FleetConfig, GeoPolicy, RequestFabricConfig, SiteConfig,
     };
-    pub use cluster_sim::fabric::{FabricGenerator, FabricRequest, RequestFabric};
+    pub use cluster_sim::fabric::{ArrivalBuffer, FabricGenerator, FabricRequest, RequestFabric};
     pub use cluster_sim::fleet::FleetSimulator;
     pub use cluster_sim::metrics::{FleetReport, LatencyHistogram, RequestMetrics, RunReport};
     pub use cluster_sim::scenario::generator::{generate, GeneratorConfig, IntensityTier};

@@ -1,5 +1,5 @@
-//! Request-fabric integration tests: event-queue ordering against a reference model,
-//! KV-cache admission invariants, fabric-enabled fleet determinism, trace replay through
+//! Request-fabric integration tests: event-queue ordering against a reference model, the
+//! arrival buffer against the event queue, KV-cache admission invariants, fabric-enabled fleet determinism, trace replay through
 //! both encodings, and a pinned golden metrics artifact.
 //!
 //! Regenerate the golden file after an intentional format change with:
@@ -55,6 +55,164 @@ fn event_queue_drain_until_is_inclusive_and_leaves_the_rest() {
     assert_eq!(drained, vec![1, 3, 5, 5]);
     assert_eq!(queue.len(), 1);
     assert_eq!(queue.peek_time(), Some(9));
+}
+
+// --- Arrival buffer vs. EventQueue -------------------------------------------------
+
+/// Per-feature counters so the random cases provably exercise every path.
+#[derive(Default)]
+struct BufferCoverage {
+    out_of_order_pushes: usize,
+    equal_time_pushes: usize,
+    pushes_after_partial_drain: usize,
+    drains_leaving_events: usize,
+    drains_at_an_event_time: usize,
+    empty_drains: usize,
+}
+
+/// Replays one random operation sequence into an [`ArrivalBuffer`] and an [`EventQueue`]
+/// (the heap the buffer replaced) and compares every drained event and the pending count
+/// after every operation.
+fn buffer_case(rng: &mut SimRng, coverage: &mut BufferCoverage) {
+    let mut buffer = ArrivalBuffer::new();
+    let mut heap = EventQueue::new();
+    // Narrow spans force timestamp collisions; wide ones are mostly distinct.
+    let span = [4u64, 50, 100_000][rng.uniform_usize(0, 3)];
+    let mut last_time = 0u64;
+    let mut pushed = 0u64;
+    let mut times: Vec<u64> = Vec::new();
+    let mut drained_once = false;
+    for _ in 0..rng.uniform_usize(1, 40) {
+        if rng.chance(0.6) {
+            // A burst: in order, out of order, or a run of one repeated timestamp.
+            let burst = rng.uniform_usize(1, 60);
+            let style = rng.uniform_usize(0, 3);
+            let base = rng.uniform_usize(0, span as usize) as u64;
+            for _ in 0..burst {
+                let time = match style {
+                    0 => last_time + rng.uniform_usize(0, 3) as u64,
+                    1 => rng.uniform_usize(0, span as usize) as u64,
+                    _ => base,
+                };
+                if time < last_time && !buffer.is_empty() {
+                    coverage.out_of_order_pushes += 1;
+                }
+                if times.contains(&time) {
+                    coverage.equal_time_pushes += 1;
+                }
+                if drained_once && !buffer.is_empty() {
+                    coverage.pushes_after_partial_drain += 1;
+                }
+                let request = FabricRequest {
+                    id: pushed,
+                    endpoint: rng.uniform_usize(0, 4) as u32,
+                    prompt_tokens: rng.uniform_usize(1, 4096) as u32,
+                    output_tokens: rng.uniform_usize(1, 512) as u32,
+                };
+                buffer.push(time, request);
+                heap.push(time, request);
+                times.push(time);
+                last_time = time;
+                pushed += 1;
+            }
+        } else {
+            // A deadline at a pending timestamp, one past it, or anywhere in the span.
+            let end_ms = match (rng.uniform_usize(0, 3), times.is_empty()) {
+                (0, false) => times[rng.uniform_usize(0, times.len())],
+                (1, false) => times[rng.uniform_usize(0, times.len())] + 1,
+                _ => rng.uniform_usize(0, span as usize + 2) as u64,
+            };
+            if times.contains(&end_ms) {
+                coverage.drains_at_an_event_time += 1;
+            }
+            let mut from_buffer = Vec::new();
+            buffer.drain_before(end_ms, |time, request| from_buffer.push((time, request)));
+            let mut from_heap = Vec::new();
+            if let Some(deadline) = end_ms.checked_sub(1) {
+                heap.drain_until(deadline, |time, request| from_heap.push((time, request)));
+            }
+            assert_eq!(from_buffer, from_heap, "drain before {end_ms} diverged");
+            times.retain(|&time| time >= end_ms);
+            if from_buffer.is_empty() {
+                coverage.empty_drains += 1;
+            }
+            if !buffer.is_empty() {
+                coverage.drains_leaving_events += 1;
+            }
+            drained_once = true;
+        }
+        assert_eq!(buffer.len(), heap.len(), "pending counts diverged");
+    }
+    let mut from_buffer = Vec::new();
+    buffer.drain_before(u64::MAX, |time, request| from_buffer.push((time, request)));
+    let mut from_heap = Vec::new();
+    heap.drain_until(u64::MAX, |time, request| from_heap.push((time, request)));
+    assert_eq!(from_buffer, from_heap, "final drain diverged");
+    assert!(buffer.is_empty());
+}
+
+#[test]
+fn arrival_buffer_drains_exactly_like_the_event_queue() {
+    let mut rng = SimRng::seed_from(2026).derive("arrival-buffer");
+    let mut coverage = BufferCoverage::default();
+    for _ in 0..400 {
+        buffer_case(&mut rng, &mut coverage);
+    }
+    let floors = [
+        ("out-of-order pushes", coverage.out_of_order_pushes),
+        ("equal-time pushes", coverage.equal_time_pushes),
+        ("pushes after a partial drain", coverage.pushes_after_partial_drain),
+        ("drains leaving events", coverage.drains_leaving_events),
+        ("drains at an event time", coverage.drains_at_an_event_time),
+        ("empty drains", coverage.empty_drains),
+    ];
+    for (what, count) in floors {
+        assert!(count >= 100, "only {count} {what}");
+    }
+}
+
+/// A trace with out-of-order records and timestamp ties between different shapes on one
+/// endpoint, and the same records stably sorted by timestamp (ties keep record order).
+fn shuffled_trace_and_its_stable_sort() -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+    let mut rng = SimRng::seed_from(11).derive("shuffled-trace");
+    let mut records: Vec<TraceRecord> = (0..400)
+        .map(|_| TraceRecord {
+            // Whole seconds over two hours: many requests share a millisecond.
+            timestamp_ms: rng.uniform_usize(0, 7200) as u64 * 1000,
+            endpoint: rng.uniform_usize(0, 2) as u64,
+            prompt_tokens: rng.uniform_usize(16, 2048) as u32,
+            output_tokens: rng.uniform_usize(1, 400) as u32,
+        })
+        .collect();
+    rng.shuffle(&mut records);
+    assert!(records.windows(2).any(|p| p[0].timestamp_ms > p[1].timestamp_ms));
+    let mut sorted = records.clone();
+    sorted.sort_by_key(|r| r.timestamp_ms);
+    assert!(sorted.windows(2).any(|p| p[0].timestamp_ms == p[1].timestamp_ms));
+    (records, sorted)
+}
+
+#[test]
+fn out_of_order_trace_replays_like_its_stable_sort() {
+    let (shuffled, sorted) = shuffled_trace_and_its_stable_sort();
+    let replay = |records: &[TraceRecord]| {
+        let report = ClusterSimulator::with_request_trace(fabric_smoke(), records)
+            .expect("trace endpoints are in the smoke catalog")
+            .run();
+        serde_json::to_string(&report).expect("serialize")
+    };
+    assert_eq!(replay(&shuffled), replay(&sorted));
+
+    let fleet_replay = |records: &[TraceRecord]| {
+        let mut base = fabric_smoke();
+        base.policy = Policy::Tapas;
+        let report = FleetSimulator::with_request_trace(FleetConfig::evaluation(base, 3), records)
+            .expect("trace endpoints are in the base catalog")
+            .run();
+        assert!(report.request_fabric().is_some_and(|m| m.completed > 0));
+        serde_json::to_string(&report).expect("serialize")
+    };
+    assert_eq!(fleet_replay(&shuffled), fleet_replay(&sorted));
 }
 
 // --- KV-cache admission invariants -------------------------------------------------
