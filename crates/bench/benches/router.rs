@@ -1,8 +1,16 @@
-//! Criterion micro-benchmarks for the request router: one routing decision across a
-//! 100-instance endpoint, Baseline vs TAPAS, over the struct-of-arrays candidate view with a
-//! per-step prepared context and scratch. `routing_tapas_keyed_100_instances` is the
-//! decision exactly as `ClusterSimulator::route_requests` drives it;
-//! `routing_tapas_100_instances` times its reference, `route_prescored`.
+//! Criterion micro-benchmarks for the request router over the struct-of-arrays candidate
+//! view with a per-step prepared context and scratch.
+//!
+//! * `routing_baseline_100_instances`, `routing_tapas_100_instances` and
+//!   `routing_tapas_keyed_100_instances`: one decision across a 100-instance endpoint whose
+//!   columns stay fixed. `routing_tapas_100_instances` times the reference,
+//!   `route_prescored`; the keyed one times `route_keyed` plus the routed candidate's key
+//!   refresh.
+//! * `routing_tapas_quantum_{50,470}_instances`: one routed quantum exactly as
+//!   `ClusterSimulator::route_requests` drives it (`route_keyed`, `RecentIndex::push`, the
+//!   load update, `candidate_risk`, `refresh_route_key`), at the mean pool sizes of the
+//!   1040- and 10240-server sites. Every `min(2 × pool, 64)` quanta the columns are reset
+//!   and the keys refilled, as a step boundary does, so that cost is amortized as in a run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dc_sim::engine::Datacenter;
@@ -16,62 +24,86 @@ use simkit::units::Celsius;
 use std::hint::black_box;
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouteKeys, RouterScratch,
-    RoutingContext, TapasRouter, RECENT_WINDOW,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
+    RouterScratch, RoutingContext, TapasRouter, RECENT_WINDOW,
 };
 use workload::vm::VmId;
+
+/// Distinct customers per endpoint, inside the catalog's 100–5100 range.
+const CUSTOMERS: u64 = 1000;
+
+/// One endpoint's instances as struct-of-arrays registry columns. In a running simulation
+/// every window is full, with customers drawn from an endpoint-sized range.
+struct Endpoint {
+    vm: Vec<VmId>,
+    server: Vec<ServerId>,
+    outstanding: Vec<u32>,
+    utilization: Vec<f64>,
+    in_transition: Vec<bool>,
+    recent: RecentIndex,
+}
+
+impl Endpoint {
+    fn new(count: usize, server_count: usize, rng: &mut SimRng) -> Self {
+        let mut recent = RecentIndex::default();
+        for _ in 0..count {
+            let mut window = RecentWindow::new();
+            for _ in 0..RECENT_WINDOW {
+                window.push(CustomerId(rng.next_u64() % CUSTOMERS));
+            }
+            recent.add(window);
+        }
+        Self {
+            vm: (0..count as u64).map(VmId).collect(),
+            server: (0..count).map(|i| ServerId::new(i * 7 % server_count)).collect(),
+            outstanding: (0..count).map(|i| (i % 9) as u32).collect(),
+            utilization: (0..count).map(|i| (i % 10) as f64 / 10.0).collect(),
+            in_transition: vec![false; count],
+            recent,
+        }
+    }
+
+    fn view(&self) -> CandidateView<'_> {
+        CandidateView {
+            vm: &self.vm,
+            server: &self.server,
+            outstanding: &self.outstanding,
+            utilization: &self.utilization,
+            in_transition: &self.in_transition,
+            recent: self.recent.windows(),
+        }
+    }
+}
+
+fn request(customer: u64) -> InferenceRequest {
+    InferenceRequest {
+        id: RequestId(1),
+        customer: CustomerId(customer),
+        arrival: SimTime::ZERO,
+        prompt_tokens: 512,
+        output_tokens: 200,
+    }
+}
 
 fn bench_router(c: &mut Criterion) {
     let dc = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
     let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
-
-    // One endpoint with 100 instances, as struct-of-arrays registry columns. In a running
-    // simulation every window is full, with customers drawn from an endpoint-sized range.
-    let count = 100u64;
-    let customers = 1000u64;
+    let server_count = dc.layout().server_count();
     let mut rng = SimRng::seed_from(42);
-    let vm: Vec<VmId> = (0..count).map(VmId).collect();
-    let server: Vec<ServerId> = (0..count)
-        .map(|i| ServerId::new((i * 7) as usize % dc.layout().server_count()))
-        .collect();
-    let outstanding: Vec<u32> = (0..count).map(|i| (i % 9) as u32).collect();
-    let utilization: Vec<f64> = (0..count).map(|i| (i % 10) as f64 / 10.0).collect();
-    let in_transition: Vec<bool> = vec![false; count as usize];
-    let recent: Vec<RecentWindow> = (0..count)
-        .map(|_| {
-            let mut window = RecentWindow::new();
-            for _ in 0..RECENT_WINDOW {
-                window.push(CustomerId(rng.next_u64() % customers));
-            }
-            window
-        })
-        .collect();
-    let view = CandidateView {
-        vm: &vm,
-        server: &server,
-        outstanding: &outstanding,
-        utilization: &utilization,
-        in_transition: &in_transition,
-        recent: &recent,
-    };
+    let endpoint = Endpoint::new(100, server_count, &mut rng);
+    let view = endpoint.view();
 
     let context = RoutingContext::uniform(&profiles, Celsius::new(30.0), 0.7, 0.8, 0.8);
-    let request = InferenceRequest {
-        id: RequestId(1),
-        customer: CustomerId(5),
-        arrival: SimTime::ZERO,
-        prompt_tokens: 512,
-        output_tokens: 200,
-    };
+    let fixed_request = request(5);
 
     let baseline = BaselineRouter;
     c.bench_function("routing_baseline_100_instances", |b| {
         b.iter(|| baseline.route_view(black_box(&view)))
     });
 
-    // The TAPAS per-decision hot path as the simulator drives it: risk flags are computed
-    // once per endpoint per step, each decision is one prescored pass, and the routed
-    // candidate's flag is refreshed afterwards.
+    // The reference decision: risk flags are computed once per endpoint per step, each
+    // decision is one prescored pass, and the routed candidate's flag is refreshed
+    // afterwards.
     let tapas = TapasRouter::default();
     let prepared = PreparedRoutingContext::new(&context, &tapas.config, &profiles);
     let mut scratch = RouterScratch::default();
@@ -80,11 +112,11 @@ fn bench_router(c: &mut Criterion) {
     tapas.fill_risk_flags(&view, &profiles, &prepared, &mut scratch, &mut flags);
     c.bench_function("routing_tapas_100_instances", |b| {
         b.iter(|| {
-            let choice = tapas.route_prescored(black_box(&request), black_box(&view), &flags);
+            let choice = tapas.route_prescored(black_box(&fixed_request), black_box(&view), &flags);
             if let Some(index) = choice {
                 flags[index] = tapas.candidate_risk(
-                    server[index],
-                    utilization[index],
+                    endpoint.server[index],
+                    endpoint.utilization[index],
                     &profiles,
                     &prepared,
                     &mut scratch,
@@ -94,18 +126,23 @@ fn bench_router(c: &mut Criterion) {
         })
     });
 
-    // The keyed decision: keys are filled once per endpoint per step, each decision is one
-    // keyed pass, and the routed candidate's flag and key are refreshed afterwards.
+    // The keyed decision over the same fixed columns: keys are filled once, each decision
+    // reads them, and the routed candidate's flag and key are refreshed afterwards.
     let mut keys = RouteKeys::default();
     tapas.fill_risk_flags(&view, &profiles, &prepared, &mut scratch, &mut flags);
     tapas.fill_route_keys(&view, &flags, &mut keys);
     c.bench_function("routing_tapas_keyed_100_instances", |b| {
         b.iter(|| {
-            let choice = tapas.route_keyed(black_box(&request), black_box(&view), &keys);
+            let choice = tapas.route_keyed(
+                black_box(&fixed_request),
+                black_box(&view),
+                &keys,
+                &endpoint.recent,
+            );
             if let Some(index) = choice {
                 let risky = tapas.candidate_risk(
-                    server[index],
-                    utilization[index],
+                    endpoint.server[index],
+                    endpoint.utilization[index],
                     &profiles,
                     &prepared,
                     &mut scratch,
@@ -115,6 +152,48 @@ fn bench_router(c: &mut Criterion) {
             choice
         })
     });
+
+    for count in [50, 470] {
+        let mut endpoint = Endpoint::new(count, server_count, &mut rng);
+        let (outstanding, utilization) =
+            (endpoint.outstanding.clone(), endpoint.utilization.clone());
+        let quanta = (count * 2).clamp(1, 64);
+        let mut quantum = 0;
+        c.bench_function(&format!("routing_tapas_quantum_{count}_instances"), |b| {
+            b.iter(|| {
+                if quantum == 0 {
+                    endpoint.outstanding.copy_from_slice(&outstanding);
+                    endpoint.utilization.copy_from_slice(&utilization);
+                    scratch.begin_step(profiles.server_count());
+                    tapas.fill_risk_flags(
+                        &endpoint.view(),
+                        &profiles,
+                        &prepared,
+                        &mut scratch,
+                        &mut flags,
+                    );
+                    tapas.fill_route_keys(&endpoint.view(), &flags, &mut keys);
+                }
+                quantum = (quantum + 1) % quanta;
+                let customer = rng.next_u64() % CUSTOMERS;
+                let request = request(customer);
+                let choice = tapas.route_keyed(&request, &endpoint.view(), &keys, &endpoint.recent);
+                let Some(index) = choice else { return choice };
+                endpoint.outstanding[index] += 1;
+                endpoint.utilization[index] = (endpoint.utilization[index] + 0.02).min(1.5);
+                endpoint.recent.push(index, CustomerId(customer));
+                let risky = tapas.candidate_risk(
+                    endpoint.server[index],
+                    endpoint.utilization[index],
+                    &profiles,
+                    &prepared,
+                    &mut scratch,
+                );
+                tapas.refresh_route_key(&endpoint.view(), index, risky, &mut keys);
+                choice
+            })
+        });
+    }
 }
 
 criterion_group! {

@@ -55,15 +55,21 @@ impl Default for RequestFabricConfig {
 }
 
 impl RequestFabricConfig {
+    /// The largest accepted `rate_scale` (for a fleet: `rate_scale × arrival_scale`):
+    /// 1000× the catalog's calibrated demand, about 2.5 M requests per simulated minute on
+    /// 80 servers. The generator materializes every request, so a larger scale only adds
+    /// generation time and memory, without bound (1e12 never finishes a step).
+    pub const MAX_RATE_SCALE: f64 = 1e3;
+
     /// Checks the knobs the generator draws with and the SLO accounting scales by. Each
     /// test names its accepting range, so NaN fails too.
     ///
     /// # Errors
-    /// Returns [`ScenarioError::InvalidRateScale`] for a negative or non-finite rate
-    /// scale and [`ScenarioError::InvalidSloMultiplier`] for a non-positive or
-    /// non-finite SLO multiplier.
+    /// Returns [`ScenarioError::InvalidRateScale`] for a rate scale outside
+    /// `[0, MAX_RATE_SCALE]` (NaN included) and [`ScenarioError::InvalidSloMultiplier`]
+    /// for a non-positive or non-finite SLO multiplier.
     pub fn check(&self) -> Result<(), ScenarioError> {
-        if !(self.rate_scale.is_finite() && self.rate_scale >= 0.0) {
+        if !(self.rate_scale >= 0.0 && self.rate_scale <= Self::MAX_RATE_SCALE) {
             return Err(ScenarioError::InvalidRateScale { scale: self.rate_scale });
         }
         if !(self.slo_multiplier.is_finite() && self.slo_multiplier > 0.0) {
@@ -666,9 +672,10 @@ impl FleetConfig {
         }
         if let Some(fabric) = &self.base.request_fabric {
             fabric.check()?;
-            // The fleet generates at `rate_scale × arrival_scale`, which can overflow.
+            // The fleet generates at `rate_scale × arrival_scale`, which can pass the
+            // ceiling (or overflow) while each factor is in range.
             let scaled = fabric.rate_scale * self.arrival_scale;
-            if !scaled.is_finite() {
+            if scaled > RequestFabricConfig::MAX_RATE_SCALE {
                 return Err(ScenarioError::InvalidRateScale { scale: scaled });
             }
         }
@@ -1023,12 +1030,21 @@ mod tests {
     #[test]
     fn in_range_fabric_knobs_pass_both_entry_points() {
         // A zero rate is legal (the fabric generates nothing); only the bounds fail.
-        for (rate_scale, slo_multiplier) in [(0.0, 5.0), (1.0, 1.0), (1e6, f64::MIN_POSITIVE)] {
+        // The two-site fleet generates at twice the rate scale, so half the ceiling is the
+        // largest scale both entry points accept.
+        let ceiling = RequestFabricConfig::MAX_RATE_SCALE;
+        for (rate_scale, slo_multiplier) in
+            [(0.0, 5.0), (1.0, 1.0), (ceiling / 2.0, f64::MIN_POSITIVE)]
+        {
             let config = ExperimentConfig::small_smoke_test()
                 .with_request_fabric(fabric(rate_scale, slo_multiplier));
             config.validate().expect("in-range knobs are valid");
             FleetConfig::evaluation(config, 2).check().expect("in-range knobs are valid");
         }
+        ExperimentConfig::small_smoke_test()
+            .with_request_fabric(fabric(ceiling, 5.0))
+            .validate()
+            .expect("a scale at the ceiling is valid");
     }
 
     #[test]
@@ -1041,13 +1057,41 @@ mod tests {
     }
 
     #[test]
-    fn fleet_rate_scale_overflowing_the_arrival_scale_is_rejected() {
-        // Each factor is finite; the fleet generator's product is not.
+    fn rate_scale_above_the_ceiling_is_rejected() {
+        // A huge finite scale would never finish generating a step.
+        for scale in [1e12, RequestFabricConfig::MAX_RATE_SCALE * (1.0 + f64::EPSILON)] {
+            assert_fabric_rejected(fabric(scale, 5.0), |e| {
+                *e == ScenarioError::InvalidRateScale { scale }
+            });
+        }
+        let error = ScenarioError::InvalidRateScale { scale: 1e12 };
+        assert!(error.to_string().contains("in [0, 1000]"), "{error}");
+    }
+
+    #[test]
+    fn fleet_rate_scale_times_arrival_scale_above_the_ceiling_is_rejected() {
+        // Each factor is in range; the fleet generator's product is not.
         let mut fleet = FleetConfig::evaluation(
-            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(1e300, 5.0)),
+            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(500.0, 5.0)),
+            4,
+        );
+        fleet.base.validate().expect("the base alone is valid");
+        assert_eq!(fleet.arrival_scale, 4.0);
+        assert_eq!(fleet.check().unwrap_err(), ScenarioError::InvalidRateScale { scale: 2000.0 });
+        // Exactly at the ceiling passes.
+        fleet.arrival_scale = 2.0;
+        fleet.check().expect("a product at the ceiling is valid");
+    }
+
+    #[test]
+    fn fleet_rate_scale_overflowing_the_arrival_scale_is_rejected() {
+        // Each factor is finite and in range; the fleet generator's product is not.
+        let ceiling = RequestFabricConfig::MAX_RATE_SCALE;
+        let mut fleet = FleetConfig::evaluation(
+            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(ceiling, 5.0)),
             2,
         );
-        fleet.arrival_scale = 1e10;
+        fleet.arrival_scale = f64::MAX;
         fleet.base.validate().expect("the base alone is valid");
         assert_eq!(
             fleet.check().unwrap_err(),

@@ -421,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate scale must be finite and non-negative, got NaN")]
+    #[should_panic(expected = "rate scale must be in [0, 1000], got NaN")]
     fn nan_fabric_rate_fails_the_config_check_not_the_generator() {
         let mut fleet = smoke_fleet(2);
         fleet.base.request_fabric =

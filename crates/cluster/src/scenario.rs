@@ -313,8 +313,11 @@ pub enum ScenarioError {
         /// Index of the offending event in the timeline.
         event: usize,
     },
-    /// The request fabric's rate scale is negative or non-finite (for a fleet: also
-    /// when multiplied by the arrival scale).
+    /// The request fabric's rate scale is negative, NaN or above
+    /// [`RequestFabricConfig::MAX_RATE_SCALE`] (for a fleet: also when multiplied by the
+    /// arrival scale).
+    ///
+    /// [`RequestFabricConfig::MAX_RATE_SCALE`]: crate::experiment::RequestFabricConfig::MAX_RATE_SCALE
     InvalidRateScale {
         /// The offending scale.
         scale: f64,
@@ -379,7 +382,8 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::InvalidRateScale { scale } => write!(
                 f,
-                "request-fabric rate scale must be finite and non-negative, got {scale}"
+                "request-fabric rate scale must be in [0, {}], got {scale}",
+                crate::experiment::RequestFabricConfig::MAX_RATE_SCALE
             ),
             ScenarioError::InvalidSloMultiplier { multiplier } => write!(
                 f,

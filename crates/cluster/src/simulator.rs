@@ -41,8 +41,8 @@ use tapas::placement::{
 };
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouteKeys, RouterScratch,
-    RoutingContext, TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
+    RouterScratch, RoutingContext, TapasRouter,
 };
 use tapas::state::{ClusterState, VmSlotMap};
 use workload::diurnal::DiurnalPattern;
@@ -72,7 +72,7 @@ struct EndpointPool {
     outstanding: Vec<u32>,
     utilization: Vec<f64>,
     in_transition: Vec<bool>,
-    recent: Vec<RecentWindow>,
+    recent: RecentIndex,
     config: Vec<InstanceConfig>,
     /// Profiled goodput of `config` (NaN when the configuration was not in the sweep).
     goodput: Vec<f64>,
@@ -101,7 +101,7 @@ impl EndpointPool {
             outstanding: &self.outstanding,
             utilization: &self.utilization,
             in_transition: &self.in_transition,
-            recent: &self.recent,
+            recent: self.recent.windows(),
         }
     }
 
@@ -157,7 +157,7 @@ impl InstanceRegistry {
         pool.outstanding.push(0);
         pool.utilization.push(0.0);
         pool.in_transition.push(false);
-        pool.recent.push(RecentWindow::new());
+        pool.recent.add(RecentWindow::new());
         pool.config.push(config);
         let (goodput, sat_util, boundedness) = profile_figures(profiles, &config);
         pool.goodput.push(goodput);
@@ -746,7 +746,12 @@ impl ClusterSimulator {
                 };
                 self.next_request_id += 1;
                 let choice = if routing_enabled {
-                    self.router_tapas.route_keyed(&request, &pool.view(), &self.route_keys)
+                    self.router_tapas.route_keyed(
+                        &request,
+                        &pool.view(),
+                        &self.route_keys,
+                        &pool.recent,
+                    )
                 } else {
                     BaselineRouter.route_view(&pool.view())
                 };
@@ -764,7 +769,7 @@ impl ClusterSimulator {
                     (goodput * step_seconds / MEAN_TOKENS_PER_REQUEST).max(1.0);
                 pool.utilization[index] =
                     (pool.utilization[index] + requests_per_quantum / capacity).min(1.5);
-                pool.recent[index].push(customer);
+                pool.recent.push(index, customer);
                 if routing_enabled {
                     let risky = self.router_tapas.candidate_risk(
                         pool.server[index],
@@ -1441,7 +1446,7 @@ mod tests {
                 assert_eq!(pool.outstanding.len(), n);
                 assert_eq!(pool.utilization.len(), n);
                 assert_eq!(pool.in_transition.len(), n);
-                assert_eq!(pool.recent.len(), n);
+                assert_eq!(pool.recent.windows().len(), n);
                 assert_eq!(pool.config.len(), n);
                 assert_eq!(pool.goodput.len(), n);
                 assert_eq!(pool.sat_util.len(), n);

@@ -45,6 +45,7 @@ pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{
     BaselineRouter, CandidateSource, CandidateView, InstanceSnapshot, PreparedRoutingContext,
-    RecentWindow, RequestRouterPolicy, RouteKeys, RouterScratch, RoutingContext, TapasRouter,
+    RecentIndex, RecentWindow, RequestRouterPolicy, RouteKeys, RouterScratch, RoutingContext,
+    TapasRouter,
 };
 pub use state::{ClusterState, PlacedVm, VmSlotMap};

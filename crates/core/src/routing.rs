@@ -20,9 +20,13 @@
 //! [`RouterScratch`], and returns a candidate *index* so the caller can update its registry
 //! in O(1).
 //!
-//! [`TapasRouter::route_keyed`] is the simulator's decision: it reads per-candidate keys
+//! [`TapasRouter::route_keyed`] is the simulator's decision. It reads per-candidate keys
 //! ([`RouteKeys`]) cached once per step and refreshed for the one candidate each quantum
-//! loads. The four-tier scan behind [`RequestRouterPolicy::route`],
+//! loads, with a tournament tree over them that holds the best candidate by plain
+//! (no-affinity) score. A [`RecentIndex`] keeps the pool's recent-customer windows and maps
+//! each customer to the positions whose window holds it, so a decision weighs the tree root
+//! against the request customer's holders only: O(log pool + holders) per quantum instead
+//! of a pass over the pool. The four-tier scan behind [`RequestRouterPolicy::route`],
 //! [`TapasRouter::route_candidates`] and [`TapasRouter::route_prescored`] is its reference;
 //! both choose the candidate maximizing `(available, safe, score, smaller vm id)`.
 
@@ -32,6 +36,8 @@ use llm_sim::config::InstanceConfig;
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use workload::vm::VmId;
 
 /// Length of the per-instance recent-customer window used for KV-affinity scoring.
@@ -42,21 +48,15 @@ const _: () = assert!(RECENT_WINDOW <= u8::MAX as usize);
 /// A bounded ring of recently served customers.
 ///
 /// Mirrors the instance runtime's bounded window: pushes evict the oldest entry once the
-/// window is full, and affinity checks scan at most [`RECENT_WINDOW`] entries, so the scoring
-/// cost cannot drift upward over long simulations. The ring is stored inline, so a pool's
-/// windows sit contiguously in its column.
+/// window is full, and membership checks scan at most [`RECENT_WINDOW`] entries, so the
+/// scoring cost cannot drift upward over long simulations. The ring is stored inline, so a
+/// pool's windows sit contiguously in its column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecentWindow {
     items: [CustomerId; RECENT_WINDOW],
     len: u8,
     head: u8,
-    /// 512-bit Bloom filter over the window (one hash): a full window of 32 distinct
-    /// customers sets at most 32 bits, so about 6 % of absent customers reach the scan.
-    filter: [u64; FILTER_WORDS],
 }
-
-/// 64-bit words in [`RecentWindow`]'s filter.
-const FILTER_WORDS: usize = 8;
 
 impl Default for RecentWindow {
     fn default() -> Self {
@@ -64,51 +64,38 @@ impl Default for RecentWindow {
     }
 }
 
-/// The filter bit of `customer`: word index and mask.
-#[inline]
-fn customer_bit(customer: CustomerId) -> (usize, u64) {
-    let hash = customer.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55;
-    ((hash >> 6) as usize, 1u64 << (hash & 63))
-}
-
 impl RecentWindow {
     /// An empty window.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            items: [CustomerId(0); RECENT_WINDOW],
-            len: 0,
-            head: 0,
-            filter: [0; FILTER_WORDS],
-        }
+        Self { items: [CustomerId(0); RECENT_WINDOW], len: 0, head: 0 }
     }
 
-    /// Records a served customer, evicting the oldest entry when full.
-    pub fn push(&mut self, customer: CustomerId) {
+    /// Records a served customer, evicting the oldest entry when full. Returns the evicted
+    /// customer, if any.
+    pub fn push(&mut self, customer: CustomerId) -> Option<CustomerId> {
         if usize::from(self.len) < RECENT_WINDOW {
             self.items[usize::from(self.len)] = customer;
             self.len += 1;
-            let (word, bit) = customer_bit(customer);
-            self.filter[word] |= bit;
+            None
         } else {
-            self.items[usize::from(self.head)] = customer;
+            let evicted = std::mem::replace(&mut self.items[usize::from(self.head)], customer);
             self.head = ((usize::from(self.head) + 1) % RECENT_WINDOW) as u8;
-            // An entry was evicted: rebuild the filter over the surviving window. This runs
-            // once per routed quantum (for one window), not per affinity check.
-            self.filter = [0; FILTER_WORDS];
-            for &item in &self.items {
-                let (word, bit) = customer_bit(item);
-                self.filter[word] |= bit;
-            }
+            Some(evicted)
         }
     }
 
-    /// Returns `true` if the customer is within the window.
+    /// Returns `true` if the customer is within the window (an exact scan).
     #[inline]
     #[must_use]
     pub fn contains(&self, customer: CustomerId) -> bool {
-        let (word, bit) = customer_bit(customer);
-        self.filter[word] & bit != 0 && self.items[..usize::from(self.len)].contains(&customer)
+        self.customers().contains(&customer)
+    }
+
+    /// The recorded customers, with repeats, in ring order (not oldest first).
+    #[must_use]
+    pub fn customers(&self) -> &[CustomerId] {
+        &self.items[..usize::from(self.len)]
     }
 
     /// Number of recorded customers (at most [`RECENT_WINDOW`]).
@@ -121,6 +108,133 @@ impl RecentWindow {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// A pool's recent-customer windows plus an inverted index from each customer to the
+/// positions whose window holds it.
+///
+/// The index is exact: after every operation, `holders(c)` lists each position whose window
+/// holds `c`, once, with the number of window entries equal to `c`. It is what lets
+/// [`TapasRouter::route_keyed`] visit only the candidates a request has affinity with.
+#[derive(Debug, Clone, Default)]
+pub struct RecentIndex {
+    windows: Vec<RecentWindow>,
+    holders: HashMap<u64, Vec<(u32, u32)>, BuildHasherDefault<CustomerHasher>>,
+    /// Emptied holder lists, kept for reuse so customers entering and leaving the index do
+    /// not allocate.
+    spare: Vec<Vec<(u32, u32)>>,
+}
+
+impl RecentIndex {
+    /// Appends `window` as the last position, indexing its contents.
+    pub fn add(&mut self, window: RecentWindow) {
+        let position = position_u32(self.windows.len());
+        for &customer in window.customers() {
+            self.increment(customer, position);
+        }
+        self.windows.push(window);
+    }
+
+    /// Records `customer` in the window at `position` (see [`RecentWindow::push`]).
+    ///
+    /// # Panics
+    /// Panics if `position` is out of range.
+    pub fn push(&mut self, position: usize, customer: CustomerId) {
+        let evicted = self.windows[position].push(customer);
+        if evicted == Some(customer) {
+            return;
+        }
+        let position = position_u32(position);
+        self.increment(customer, position);
+        if let Some(evicted) = evicted {
+            self.decrement(evicted, position);
+        }
+    }
+
+    /// Removes the window at `position`, moving the last window into its place (the
+    /// registry's `swap_remove`).
+    ///
+    /// # Panics
+    /// Panics if `position` is out of range.
+    pub fn swap_remove(&mut self, position: usize) {
+        let last = self.windows.len() - 1;
+        let removed = self.windows.swap_remove(position);
+        let (position, last) = (position_u32(position), position_u32(last));
+        for &customer in removed.customers() {
+            self.decrement(customer, position);
+        }
+        if position != last {
+            // The moved window's entries are renamed; a repeated customer's entry is
+            // renamed on its first occurrence and not found again.
+            for &customer in self.windows[position as usize].customers() {
+                let list = self.holders.get_mut(&customer.0).expect("window entries are indexed");
+                if let Some(entry) = list.iter_mut().find(|entry| entry.0 == last) {
+                    entry.0 = position;
+                }
+            }
+        }
+    }
+
+    /// `(position, occurrences)` for every window holding `customer`, in no fixed order.
+    #[must_use]
+    pub fn holders(&self, customer: CustomerId) -> &[(u32, u32)] {
+        self.holders.get(&customer.0).map_or(&[], Vec::as_slice)
+    }
+
+    /// The windows, indexed by position.
+    #[must_use]
+    pub fn windows(&self) -> &[RecentWindow] {
+        &self.windows
+    }
+
+    fn increment(&mut self, customer: CustomerId, position: u32) {
+        let list =
+            self.holders.entry(customer.0).or_insert_with(|| self.spare.pop().unwrap_or_default());
+        match list.iter_mut().find(|entry| entry.0 == position) {
+            Some(entry) => entry.1 += 1,
+            None => list.push((position, 1)),
+        }
+    }
+
+    fn decrement(&mut self, customer: CustomerId, position: u32) {
+        let list = self.holders.get_mut(&customer.0).expect("window entries are indexed");
+        let at =
+            list.iter().position(|entry| entry.0 == position).expect("window entries are indexed");
+        list[at].1 -= 1;
+        if list[at].1 == 0 {
+            list.swap_remove(at);
+            if list.is_empty() {
+                self.spare.extend(self.holders.remove(&customer.0));
+            }
+        }
+    }
+}
+
+fn position_u32(position: usize) -> u32 {
+    u32::try_from(position).expect("pool positions fit in u32")
+}
+
+/// A one-multiply hasher for `u64` customer ids: the folded 128-bit product with a 64-bit
+/// odd constant, so both the low (bucket) and high (tag) bits depend on every input bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct CustomerHasher(u64);
+
+impl Hasher for CustomerHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Customer ids hash through `write_u64`; other input is folded in byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        let product = u128::from(value) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 
@@ -493,19 +607,85 @@ impl RouterScratch {
 struct RouteKey {
     /// Score without a KV-affinity hit.
     plain: f64,
-    /// Score with a KV-affinity hit (equal to `plain` past the knee).
+    /// Score with a KV-affinity hit (equal to `plain` past the knee, never below it).
     affinity: f64,
+    /// The candidate's VM id, the tie-break after the score.
+    vm: u64,
     /// `2 × available + safe`: the fallback tier, higher is better.
     tier: u8,
+}
+
+/// `true` if candidate `a` with `score_a` beats candidate `b` with `score_b` in the decision
+/// order `(tier, score, smaller vm id, smaller index)`, a strict total order.
+#[inline]
+fn beats(a: (&RouteKey, f64, usize), b: (&RouteKey, f64, usize)) -> bool {
+    let ((key_a, score_a, index_a), (key_b, score_b, index_b)) = (a, b);
+    // Non-short-circuit operators: the outcome is data-dependent, so a select beats a branch.
+    (key_a.tier > key_b.tier)
+        | ((key_a.tier == key_b.tier)
+            & ((score_a > score_b)
+                | ((score_a == score_b)
+                    & ((key_a.vm < key_b.vm) | ((key_a.vm == key_b.vm) & (index_a < index_b))))))
 }
 
 /// Reusable per-candidate decision keys for [`TapasRouter::route_keyed`].
 ///
 /// Filled once per endpoint per step with [`TapasRouter::fill_route_keys`]; after each routed
 /// quantum the caller refreshes the routed candidate with [`TapasRouter::refresh_route_key`].
+/// A bottom-up tournament tree over the candidates holds the best by plain score: `tree[1]`
+/// is the root, `tree[p + i] = i` are the leaves of a `p`-candidate pool, and node `n`
+/// holds the winner of nodes `2n` and `2n + 1`.
 #[derive(Debug, Default, Clone)]
 pub struct RouteKeys {
     keys: Vec<RouteKey>,
+    tree: Vec<u32>,
+}
+
+impl RouteKeys {
+    /// The winner of tree nodes `2 × node` and `2 × node + 1` by plain score.
+    #[inline]
+    fn play(&self, node: usize) -> u32 {
+        let (left, right) = (self.tree[2 * node], self.tree[2 * node + 1]);
+        let (l, r) = (left as usize, right as usize);
+        let (key_l, key_r) = (&self.keys[l], &self.keys[r]);
+        if beats((key_r, key_r.plain, r), (key_l, key_l.plain, l)) {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// Rebuilds the whole tree from the keys in O(pool).
+    fn build(&mut self) {
+        let count = self.keys.len();
+        self.tree.clear();
+        self.tree.resize(count, 0);
+        self.tree.extend(0..position_u32(count));
+        for node in (1..count).rev() {
+            self.tree[node] = self.play(node);
+        }
+    }
+
+    /// Replays the matches on the path from leaf `index` to the root, carrying the winner
+    /// up so each level reads only the sibling.
+    fn replay(&mut self, index: usize) {
+        let mut node = self.keys.len() + index;
+        let mut winner = index;
+        while node > 1 {
+            let sibling = self.tree[node ^ 1] as usize;
+            let (key_w, key_s) = (&self.keys[winner], &self.keys[sibling]);
+            if beats((key_s, key_s.plain, sibling), (key_w, key_w.plain, winner)) {
+                winner = sibling;
+            }
+            node /= 2;
+            let previous = std::mem::replace(&mut self.tree[node], winner as u32);
+            // A node whose winner is unchanged and is not `index` hands its parent the same
+            // key as before, so nothing above it changes either.
+            if previous as usize == winner && winner != index {
+                break;
+            }
+        }
+    }
 }
 
 /// The TAPAS thermal- and power-aware request router.
@@ -771,11 +951,13 @@ impl TapasRouter {
         RouteKey {
             plain: self.score(outstanding, utilization, || false),
             affinity: self.score(outstanding, utilization, || true),
+            vm: candidates.vm(i).0,
             tier: 2 * u8::from(!candidates.in_transition(i)) + u8::from(!risky),
         }
     }
 
-    /// Fills `keys` for every candidate from its current columns and risk flag.
+    /// Fills `keys` for every candidate from its current columns and risk flag, and builds
+    /// their tournament tree.
     ///
     /// # Panics
     /// Panics if `risky` is shorter than the candidate list.
@@ -787,10 +969,11 @@ impl TapasRouter {
     ) {
         keys.keys.clear();
         keys.keys.extend((0..candidates.len()).map(|i| self.route_key(candidates, i, risky[i])));
+        keys.build();
     }
 
-    /// Recomputes candidate `index`'s key after the caller mutated its columns; `risky` is
-    /// its refreshed flag (from [`Self::candidate_risk`]).
+    /// Recomputes candidate `index`'s key after the caller mutated its columns, and replays
+    /// its path in the tree; `risky` is its refreshed flag (from [`Self::candidate_risk`]).
     pub fn refresh_route_key<S: CandidateSource>(
         &self,
         candidates: &S,
@@ -799,56 +982,46 @@ impl TapasRouter {
         keys: &mut RouteKeys,
     ) {
         keys.keys[index] = self.route_key(candidates, index, risky);
+        keys.replay(index);
     }
 
     /// Hot-path routing over per-step cached keys: the simulator's entry point.
     ///
     /// Returns what [`Self::route_prescored`] returns for the same candidates and flags
-    /// whenever `keys` is current: the candidate maximizing `(available, safe, score,
-    /// smaller vm id)`, the first in candidate order among equal keys. One pass keeps the
-    /// running best; the only customer-dependent work is the window lookup, done only for
-    /// candidates at or below the knee, in the leading tier, whose affinity score could
-    /// still win.
+    /// whenever `keys` and `recent` are current: the candidate maximizing `(available, safe,
+    /// score, smaller vm id)`, the first in candidate order among equal keys. It compares
+    /// two candidates: the tree root under its plain score, and the best of the request
+    /// customer's holders whose affinity score differs from their plain score, under their
+    /// affinity score. That is exact because no score is below the plain score: a candidate
+    /// that is not such a holder scores its plain score, and the root's plain key bounds
+    /// every plain key. The cost is O(holders), with no pass over the pool.
     ///
     /// # Panics
-    /// Panics if `keys` is shorter than the candidate list.
+    /// Panics if `keys` or `recent` was not filled for exactly this candidate list.
     #[must_use]
     pub fn route_keyed(
         &self,
         request: &InferenceRequest,
         view: &CandidateView<'_>,
         keys: &RouteKeys,
+        recent: &RecentIndex,
     ) -> Option<usize> {
-        let keys = &keys.keys[..view.vm.len()];
-        let mut best: Option<(u8, f64, u64, usize)> = None;
-        for (i, key) in keys.iter().enumerate() {
-            if let Some((tier, score, _, _)) = best {
-                // `plain ≤ affinity`, so neither score can reach a better best.
-                if key.tier < tier || (key.tier == tier && key.affinity < score) {
-                    continue;
-                }
-            }
-            // Past the knee both scores are equal and the window cannot matter.
-            let score = if key.affinity != key.plain && view.recent[i].contains(request.customer)
-            {
-                key.affinity
-            } else {
-                key.plain
-            };
-            let vm = view.vm[i].0;
-            let replace = match best {
-                Some((tier, best_score, best_vm, _)) => {
-                    key.tier > tier
-                        || score > best_score
-                        || (score == best_score && vm < best_vm)
-                }
-                None => true,
-            };
-            if replace {
-                best = Some((key.tier, score, vm, i));
+        let count = view.vm.len();
+        assert!(
+            keys.keys.len() == count && recent.windows.len() == count,
+            "route keys and recent index must cover exactly the candidates"
+        );
+        let root = *keys.tree.get(1)? as usize;
+        let mut best = (&keys.keys[root], keys.keys[root].plain, root);
+        for &(position, _) in recent.holders(request.customer) {
+            let index = position as usize;
+            let key = &keys.keys[index];
+            // Past the knee the window cannot matter.
+            if key.affinity != key.plain && beats((key, key.affinity, index), best) {
+                best = (key, key.affinity, index);
             }
         }
-        best.map(|(_, _, _, i)| i)
+        Some(best.2)
     }
 }
 

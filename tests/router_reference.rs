@@ -1,14 +1,16 @@
 //! Differential tests pinning the keyed TAPAS router (`TapasRouter::route_keyed` over
-//! per-step `RouteKeys`) to its reference, the four-tier scan behind
-//! `TapasRouter::route_prescored`, on every quantum of random multi-step sequences.
+//! per-step `RouteKeys` and the pool's `RecentIndex`) to its reference, the four-tier scan
+//! behind `TapasRouter::route_prescored`, on every quantum of random multi-step sequences.
 //!
 //! Each quantum applies the simulator's update rule to the routed candidate: outstanding
 //! grows by `⌈q⌉`, utilization by `q / capacity` saturating at 1.5, the customer enters the
-//! recent window, and the candidate's risk flag and key are refreshed. Cases cover pool
-//! sizes 1–120, utilizations at 0, at the knee, past it and at 1.5, score ties between
-//! shuffled (and occasionally repeated) VM ids, pools that are wholly in transition or
-//! wholly risky, customers that share one filter bit, and windows wrapped many times with
-//! repeated customers. A model test holds `RecentWindow` to a 32-entry `VecDeque`.
+//! recent index, and the candidate's risk flag and key are refreshed. Between steps some
+//! instances retire (`swap_remove`) and new ones join before the keys are refilled. Cases
+//! cover pool sizes 1–512, utilizations at 0, at the knee, past it and at 1.5, score ties
+//! between shuffled (and occasionally repeated) VM ids, pools that are wholly in transition
+//! or wholly risky, dense and random 64-bit customer ids, and windows wrapped many times
+//! with repeated customers. Model tests hold `RecentWindow` to a 32-entry `VecDeque` and
+//! `RecentIndex` to a brute-force scan of its windows.
 
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::ServerId;
@@ -21,33 +23,24 @@ use simkit::units::Celsius;
 use std::collections::VecDeque;
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    CandidateView, PreparedRoutingContext, RecentWindow, RouteKeys, RouterScratch,
+    CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys, RouterScratch,
     RoutingContext, TapasRouter, RECENT_WINDOW,
 };
 use workload::vm::VmId;
 
 const CASES: usize = 160;
-
-/// `RecentWindow`'s filter slot of a customer (its 9-bit multiplicative hash), used only to
-/// build customer sets that all land on one filter bit.
-fn filter_slot(customer: u64) -> u64 {
-    customer.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55
-}
-
-/// `count` distinct customers sharing one filter bit.
-fn colliding_customers(count: usize) -> Vec<u64> {
-    let slot = filter_slot(1);
-    (1..).filter(|&c| filter_slot(c) == slot).take(count).collect()
-}
+/// The largest pool; `site10240_day` pools average about 460 instances.
+const MAX_POOL: usize = 512;
 
 /// One endpoint's instances as the simulator's struct-of-arrays columns.
+#[derive(Default)]
 struct Pool {
     vm: Vec<VmId>,
     server: Vec<ServerId>,
     outstanding: Vec<u32>,
     utilization: Vec<f64>,
     in_transition: Vec<bool>,
-    recent: Vec<RecentWindow>,
+    recent: RecentIndex,
     /// Requests per step the instance serves at full utilization.
     capacity: Vec<f64>,
 }
@@ -60,8 +53,23 @@ impl Pool {
             outstanding: &self.outstanding,
             utilization: &self.utilization,
             in_transition: &self.in_transition,
-            recent: &self.recent,
+            recent: self.recent.windows(),
         }
+    }
+
+    fn len(&self) -> usize {
+        self.vm.len()
+    }
+
+    /// The registry's retirement: the last instance moves into `index`.
+    fn swap_remove(&mut self, index: usize) {
+        self.vm.swap_remove(index);
+        self.server.swap_remove(index);
+        self.outstanding.swap_remove(index);
+        self.utilization.swap_remove(index);
+        self.in_transition.swap_remove(index);
+        self.recent.swap_remove(index);
+        self.capacity.swap_remove(index);
     }
 }
 
@@ -72,6 +80,16 @@ enum RiskSource {
     Model,
     /// An independent coin with the given probability of "risky".
     Coin(f64),
+}
+
+/// The per-case distributions new instances are drawn from.
+struct Shape {
+    servers: usize,
+    knee: f64,
+    customers: Vec<u64>,
+    /// A few shared (outstanding, utilization) classes, so many candidates tie on score.
+    classes: Vec<(u32, f64)>,
+    transition_p: f64,
 }
 
 fn random_utilization(rng: &mut SimRng, knee: f64) -> f64 {
@@ -85,62 +103,79 @@ fn random_utilization(rng: &mut SimRng, knee: f64) -> f64 {
     }
 }
 
-fn random_pool(
-    rng: &mut SimRng,
-    size: usize,
-    servers: usize,
-    knee: f64,
-    customers: &[u64],
-) -> Pool {
-    // Distinct VM ids in shuffled order, so the vm-id tie-break is not index order; a few
+fn random_window(rng: &mut SimRng, customers: &[u64]) -> RecentWindow {
+    let mut window = RecentWindow::new();
+    // Up to three wraps of the ring, customers drawn with repeats.
+    for _ in 0..rng.uniform_usize(0, 3 * RECENT_WINDOW + 5) {
+        window.push(CustomerId(customers[rng.uniform_usize(0, customers.len())]));
+    }
+    window
+}
+
+/// Appends one instance drawn from `shape` with VM id `vm`.
+fn add_instance(pool: &mut Pool, rng: &mut SimRng, shape: &Shape, vm: VmId) {
+    let (outstanding, utilization) = if rng.chance(0.6) {
+        shape.classes[rng.uniform_usize(0, shape.classes.len())]
+    } else {
+        (rng.uniform_usize(0, 20) as u32, random_utilization(rng, shape.knee))
+    };
+    pool.vm.push(vm);
+    pool.server.push(ServerId::new(rng.uniform_usize(0, shape.servers)));
+    pool.outstanding.push(outstanding);
+    pool.utilization.push(utilization);
+    pool.in_transition.push(rng.chance(shape.transition_p));
+    pool.recent.add(random_window(rng, &shape.customers));
+    pool.capacity.push(rng.uniform(1.0, 200.0));
+}
+
+fn random_pool(rng: &mut SimRng, size: usize, shape: &Shape) -> Pool {
+    // Distinct VM ids in shuffled order, so the vm-id tie-break is not index order; some
     // cases repeat ids to pin "first in candidate order" among fully equal keys.
     let mut vm: Vec<VmId> = (0..size as u64).map(|i| VmId(1000 + 7 * i)).collect();
     rng.shuffle(&mut vm);
-    if size > 1 && rng.chance(0.2) {
-        vm[size - 1] = vm[0];
-    }
-    // A few (outstanding, utilization) classes, so many candidates tie on score.
-    let classes = rng.uniform_usize(1, 5);
-    let class_state: Vec<(u32, f64)> = (0..classes)
-        .map(|_| (rng.uniform_usize(0, 4) as u32, random_utilization(rng, knee)))
-        .collect();
-    let transition_p = [0.0, 0.3, 1.0][rng.uniform_usize(0, 3)];
-    let mut pool = Pool {
-        vm,
-        server: Vec::with_capacity(size),
-        outstanding: Vec::with_capacity(size),
-        utilization: Vec::with_capacity(size),
-        in_transition: Vec::with_capacity(size),
-        recent: Vec::with_capacity(size),
-        capacity: Vec::with_capacity(size),
-    };
-    for _ in 0..size {
-        let (outstanding, utilization) = if rng.chance(0.6) {
-            class_state[rng.uniform_usize(0, classes)]
-        } else {
-            (rng.uniform_usize(0, 20) as u32, random_utilization(rng, knee))
-        };
-        pool.server.push(ServerId::new(rng.uniform_usize(0, servers)));
-        pool.outstanding.push(outstanding);
-        pool.utilization.push(utilization);
-        pool.in_transition.push(rng.chance(transition_p));
-        let mut window = RecentWindow::new();
-        // Up to three wraps of the ring, customers drawn with repeats.
-        for _ in 0..rng.uniform_usize(0, 3 * RECENT_WINDOW + 5) {
-            window.push(CustomerId(customers[rng.uniform_usize(0, customers.len())]));
+    if size > 1 && rng.chance(0.3) {
+        let distinct = rng.uniform_usize(1, 4).min(size);
+        for i in distinct..size {
+            if rng.chance(0.5) {
+                vm[i] = vm[rng.uniform_usize(0, distinct)];
+            }
         }
-        pool.recent.push(window);
-        pool.capacity.push(rng.uniform(1.0, 200.0));
+    }
+    let mut pool = Pool::default();
+    for id in vm {
+        add_instance(&mut pool, rng, shape, id);
     }
     pool
+}
+
+/// Retires a few random instances and adds a few new ones, as placement and retirement do
+/// between steps. New instances may reuse a live VM id, keeping duplicate ids in play.
+fn churn(pool: &mut Pool, rng: &mut SimRng, shape: &Shape, next_vm: &mut u64) {
+    for _ in 0..rng.uniform_usize(0, 4).min(pool.len().saturating_sub(1)) {
+        // Half the retirements take the last position, which moves nothing.
+        let index = if rng.chance(0.5) { pool.len() - 1 } else { rng.uniform_usize(0, pool.len()) };
+        pool.swap_remove(index);
+    }
+    for _ in 0..rng.uniform_usize(0, 4) {
+        if pool.len() >= MAX_POOL {
+            break;
+        }
+        let vm = if pool.len() > 0 && rng.chance(0.1) {
+            pool.vm[rng.uniform_usize(0, pool.len())]
+        } else {
+            *next_vm += 1;
+            VmId(*next_vm)
+        };
+        add_instance(pool, rng, shape, vm);
+    }
 }
 
 fn random_customers(rng: &mut SimRng) -> Vec<u64> {
     match rng.uniform_usize(0, 4) {
         0 => vec![3],
         1 => (0..rng.uniform_usize(2, 60) as u64).collect(),
-        2 => colliding_customers(rng.uniform_usize(2, 50)),
-        _ => (0..40).map(|_| rng.next_u64()).collect(),
+        2 => (0..rng.uniform_usize(60, 3000) as u64).collect(),
+        _ => (0..rng.uniform_usize(1, 200)).map(|_| rng.next_u64()).collect(),
     }
 }
 
@@ -168,17 +203,29 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
     let mut keys = RouteKeys::default();
     let mut flags = Vec::new();
     let (mut decisions, mut affinity_hits, mut tiers_seen) = (0usize, 0usize, [false; 4]);
-    let mut next_id = 0u64;
+    let (mut largest_pool, mut churned_steps, mut index_ties) = (0usize, 0usize, 0usize);
+    let (mut next_id, mut next_vm) = (0u64, 1u64 << 40);
 
     for case in 0..CASES {
         router.config.thermal_margin_c = [3.0, 10.0][rng.uniform_usize(0, 2)];
         let size = match case {
             0..=2 => case + 1,
-            3 => 120,
+            3 => MAX_POOL,
+            4 => 470,
+            _ if rng.chance(0.25) => rng.uniform_usize(120, MAX_POOL + 1),
             _ => rng.uniform_usize(1, 121),
         };
-        let customers = random_customers(&mut rng);
-        let mut pool = random_pool(&mut rng, size, profiles.server_count(), knee, &customers);
+        let classes = rng.uniform_usize(1, 5);
+        let shape = Shape {
+            servers: profiles.server_count(),
+            knee,
+            customers: random_customers(&mut rng),
+            classes: (0..classes)
+                .map(|_| (rng.uniform_usize(0, 4) as u32, random_utilization(&mut rng, knee)))
+                .collect(),
+            transition_p: [0.0, 0.3, 1.0][rng.uniform_usize(0, 3)],
+        };
+        let mut pool = random_pool(&mut rng, size, &shape);
         let source = if rng.chance(0.5) {
             RiskSource::Model
         } else {
@@ -187,7 +234,12 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
         let context = random_context(&mut rng, &profiles);
         let prepared = PreparedRoutingContext::new(&context, &router.config, &profiles);
 
-        for _step in 0..rng.uniform_usize(1, 4) {
+        for step in 0..rng.uniform_usize(1, 4) {
+            if step > 0 {
+                churn(&mut pool, &mut rng, &shape, &mut next_vm);
+                churned_steps += 1;
+            }
+            largest_pool = largest_pool.max(pool.len());
             scratch.begin_step(profiles.server_count());
             match source {
                 RiskSource::Model => router.fill_risk_flags(
@@ -199,14 +251,15 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
                 ),
                 RiskSource::Coin(p) => {
                     flags.clear();
-                    flags.extend((0..size).map(|_| rng.chance(p)));
+                    flags.extend((0..pool.len()).map(|_| rng.chance(p)));
                 }
             }
             router.fill_route_keys(&pool.view(), &flags, &mut keys);
 
-            let quanta = (size * 2).clamp(1, 64);
+            let quanta = (pool.len() * 2).clamp(1, 64);
             let per_quantum = rng.uniform(0.05, 5.0);
             for quantum in 0..quanta {
+                let customers = &shape.customers;
                 let customer = CustomerId(customers[rng.uniform_usize(0, customers.len())]);
                 let request = InferenceRequest {
                     id: RequestId(next_id),
@@ -217,24 +270,37 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
                 };
                 next_id += 1;
                 let expected = router.route_prescored(&request, &pool.view(), &flags);
-                let keyed = router.route_keyed(&request, &pool.view(), &keys);
+                let keyed = router.route_keyed(&request, &pool.view(), &keys, &pool.recent);
                 assert_eq!(
-                    keyed, expected,
-                    "case {case} ({size} instances, {source:?}), quantum {quantum}"
+                    keyed,
+                    expected,
+                    "case {case} ({} instances, {source:?}), step {step}, quantum {quantum}",
+                    pool.len()
                 );
                 let index = keyed.expect("a non-empty pool always routes");
                 decisions += 1;
                 let tier = 2 * usize::from(!pool.in_transition[index]) + usize::from(!flags[index]);
                 tiers_seen[tier] = true;
-                if pool.utilization[index] <= knee && pool.recent[index].contains(customer) {
-                    affinity_hits += 1;
-                }
+                let affinity = |i: usize| {
+                    pool.utilization[i] <= knee && pool.recent.windows()[i].contains(customer)
+                };
+                affinity_hits += usize::from(affinity(index));
+                // A later candidate with the same VM id and the same decision inputs lost
+                // only on candidate order.
+                index_ties += usize::from((index + 1..pool.len()).any(|j| {
+                    pool.vm[j] == pool.vm[index]
+                        && pool.in_transition[j] == pool.in_transition[index]
+                        && flags[j] == flags[index]
+                        && pool.outstanding[j] == pool.outstanding[index]
+                        && pool.utilization[j] == pool.utilization[index]
+                        && affinity(j) == affinity(index)
+                }));
 
                 // The simulator's per-quantum update of the routed candidate.
                 pool.outstanding[index] += per_quantum.ceil() as u32;
                 pool.utilization[index] =
                     (pool.utilization[index] + per_quantum / pool.capacity[index]).min(1.5);
-                pool.recent[index].push(customer);
+                pool.recent.push(index, customer);
                 flags[index] = match source {
                     RiskSource::Model => router.candidate_risk(
                         pool.server[index],
@@ -249,23 +315,19 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
             }
         }
     }
-    // The sequences must reach every tier and exercise the affinity branch.
+    // The sequences must reach every tier, exercise the affinity branch and the final
+    // tie-break, reach the largest pools and churn between steps.
     assert!(tiers_seen.iter().all(|&seen| seen), "tiers seen: {tiers_seen:?}");
+    assert!(index_ties > 100, "only {index_ties} decisions broken on candidate order");
     assert!(affinity_hits > 100, "only {affinity_hits} affinity wins in {decisions} decisions");
+    assert!(largest_pool >= MAX_POOL, "largest pool {largest_pool}");
+    assert!(churned_steps > 50, "only {churned_steps} churned steps");
 }
 
 #[test]
 fn keyed_router_handles_an_empty_pool() {
     let router = TapasRouter::default();
-    let pool = Pool {
-        vm: Vec::new(),
-        server: Vec::new(),
-        outstanding: Vec::new(),
-        utilization: Vec::new(),
-        in_transition: Vec::new(),
-        recent: Vec::new(),
-        capacity: Vec::new(),
-    };
+    let pool = Pool::default();
     let mut keys = RouteKeys::default();
     router.fill_route_keys(&pool.view(), &[], &mut keys);
     let request = InferenceRequest {
@@ -275,7 +337,7 @@ fn keyed_router_handles_an_empty_pool() {
         prompt_tokens: 512,
         output_tokens: 200,
     };
-    assert_eq!(router.route_keyed(&request, &pool.view(), &keys), None);
+    assert_eq!(router.route_keyed(&request, &pool.view(), &keys, &pool.recent), None);
 }
 
 #[test]
@@ -285,20 +347,24 @@ fn recent_window_matches_a_bounded_deque() {
         let customers: Vec<u64> = if case % 2 == 0 {
             (0..rng.uniform_usize(1, 80) as u64).collect()
         } else {
-            colliding_customers(rng.uniform_usize(1, 48))
+            (0..rng.uniform_usize(1, 48)).map(|_| rng.next_u64()).collect()
         };
         let mut window = RecentWindow::new();
         let mut model: VecDeque<u64> = VecDeque::with_capacity(RECENT_WINDOW);
         for _ in 0..rng.uniform_usize(0, 4 * RECENT_WINDOW) {
             let customer = customers[rng.uniform_usize(0, customers.len())];
-            window.push(CustomerId(customer));
-            if model.len() == RECENT_WINDOW {
-                model.pop_front();
-            }
+            let evicted = window.push(CustomerId(customer));
+            let expected = if model.len() == RECENT_WINDOW { model.pop_front() } else { None };
             model.push_back(customer);
+            assert_eq!(evicted, expected.map(CustomerId), "case {case}");
 
             assert_eq!(window.len(), model.len());
             assert_eq!(window.is_empty(), model.is_empty());
+            let mut held: Vec<u64> = window.customers().iter().map(|c| c.0).collect();
+            let mut expected_held: Vec<u64> = model.iter().copied().collect();
+            held.sort_unstable();
+            expected_held.sort_unstable();
+            assert_eq!(held, expected_held, "case {case}");
             for &probe in &customers {
                 assert_eq!(
                     window.contains(CustomerId(probe)),
@@ -310,7 +376,94 @@ fn recent_window_matches_a_bounded_deque() {
             let copy = window.clone();
             assert_eq!(copy, window);
         }
-        // Customers never pushed are absent, whatever their filter bit.
+        // Customers never pushed are absent.
         assert!(!window.contains(CustomerId(u64::MAX)));
     }
+}
+
+/// `(position, occurrences)` of `customer` in every window, from a scan.
+fn scanned_holders(windows: &[RecentWindow], customer: CustomerId) -> Vec<(u32, u32)> {
+    windows
+        .iter()
+        .enumerate()
+        .filter_map(|(position, window)| {
+            let count = window.customers().iter().filter(|&&c| c == customer).count();
+            (count > 0).then_some((position as u32, count as u32))
+        })
+        .collect()
+}
+
+#[test]
+fn recent_index_matches_a_brute_force_scan() {
+    let mut rng = SimRng::seed_from(17).derive("recent-index-model");
+    let (mut removed_last, mut removed_repeating, mut evicted_self) = (0usize, 0usize, 0usize);
+    for case in 0..96 {
+        // Dense ids in even cases, random 64-bit ids in odd ones; few customers make
+        // repeats and self-evictions common.
+        let count = [1, 2, 5, 40][rng.uniform_usize(0, 4)];
+        let customers: Vec<u64> = if case % 2 == 0 {
+            (0..count as u64).collect()
+        } else {
+            (0..count).map(|_| rng.next_u64()).collect()
+        };
+        let mut index = RecentIndex::default();
+        // Each window's contents as a multiset, moved the way `swap_remove` moves them.
+        let mut model: Vec<Vec<u64>> = Vec::new();
+        for _ in 0..rng.uniform_usize(50, 400) {
+            let len = model.len();
+            match rng.uniform_usize(0, 10) {
+                0 | 1 if len < 24 => {
+                    let window = random_window(&mut rng, &customers);
+                    model.push(window.customers().iter().map(|c| c.0).collect());
+                    index.add(window);
+                }
+                2 if len > 0 => {
+                    let position =
+                        if rng.chance(0.4) { len - 1 } else { rng.uniform_usize(0, len) };
+                    removed_last += usize::from(position == len - 1);
+                    let held = index.windows()[position].customers();
+                    removed_repeating +=
+                        usize::from(held.iter().enumerate().any(|(k, c)| held[..k].contains(c)));
+                    index.swap_remove(position);
+                    model.swap_remove(position);
+                }
+                _ if len > 0 => {
+                    let position = rng.uniform_usize(0, len);
+                    let customer = CustomerId(customers[rng.uniform_usize(0, customers.len())]);
+                    let evicted = index.windows()[position].clone().push(customer);
+                    evicted_self += usize::from(evicted == Some(customer));
+                    index.push(position, customer);
+                    let held = &mut model[position];
+                    if let Some(evicted) = evicted {
+                        let at = held.iter().position(|&c| c == evicted.0).expect("evicted");
+                        held.swap_remove(at);
+                    }
+                    held.push(customer.0);
+                }
+                _ => {}
+            }
+
+            assert_eq!(index.windows().len(), model.len(), "case {case}");
+            for (window, expected) in index.windows().iter().zip(&model) {
+                let mut held: Vec<u64> = window.customers().iter().map(|c| c.0).collect();
+                let mut expected = expected.clone();
+                held.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(held, expected, "case {case}: window contents");
+            }
+            for &customer in customers.iter().chain([&u64::MAX]) {
+                let customer = CustomerId(customer);
+                let mut holders = index.holders(customer).to_vec();
+                holders.sort_unstable();
+                assert_eq!(
+                    holders,
+                    scanned_holders(index.windows(), customer),
+                    "case {case}: customer {customer:?}"
+                );
+            }
+        }
+    }
+    assert!(removed_last > 100, "only {removed_last} removals of the last position");
+    assert!(removed_repeating > 100, "only {removed_repeating} removals of repeating windows");
+    assert!(evicted_self > 100, "only {evicted_self} self-evictions");
 }
