@@ -44,8 +44,7 @@ pub use placement::{
 pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{
-    BaselineRouter, CandidateSource, CandidateView, InstanceSnapshot, PreparedRoutingContext,
-    RecentIndex, RecentWindow, RequestRouterPolicy, RouteKeys, RouterScratch, RoutingContext,
-    TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
+    RouterScratch, RoutingContext, TapasRouter,
 };
 pub use state::{ClusterState, PlacedVm, VmSlotMap};

@@ -12,10 +12,9 @@
 //!
 //! # Hot path
 //!
-//! The simulator routes millions of request quanta per experiment. The
-//! [`RequestRouterPolicy`] trait keeps the snapshot-slice API for tests and ad-hoc callers.
-//! The hot path works on a [`CandidateView`] (a struct-of-arrays view of an endpoint's
-//! instances maintained incrementally by the caller) with a [`PreparedRoutingContext`] that
+//! The simulator routes millions of request quanta per experiment. Every entry point works
+//! on a [`CandidateView`] (a struct-of-arrays view of an endpoint's instances maintained
+//! incrementally by the caller) with a [`PreparedRoutingContext`] that
 //! pre-computes per-row/per-aisle headrooms and memoizes per-server inlet predictions in a
 //! [`RouterScratch`], and returns a candidate *index* so the caller can update its registry
 //! in O(1).
@@ -26,13 +25,13 @@
 //! (no-affinity) score. A [`RecentIndex`] keeps the pool's recent-customer windows and maps
 //! each customer to the positions whose window holds it, so a decision weighs the tree root
 //! against the request customer's holders only: O(log pool + holders) per quantum instead
-//! of a pass over the pool. The four-tier scan behind [`RequestRouterPolicy::route`],
-//! [`TapasRouter::route_candidates`] and [`TapasRouter::route_prescored`] is its reference;
-//! both choose the candidate maximizing `(available, safe, score, smaller vm id)`.
+//! of a pass over the pool. [`TapasRouter::route_prescored`], a four-tier scan over the
+//! pool, is its reference; both choose the candidate maximizing `(available, safe, score,
+//! smaller vm id)`. [`BaselineRouter::route_view`] is the simulator's baseline decision,
+//! with [`BaselineRouter::route_candidates`] as its reference.
 
 use crate::profiles::ProfileStore;
 use dc_sim::ids::ServerId;
-use llm_sim::config::InstanceConfig;
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts};
@@ -238,26 +237,6 @@ impl Hasher for CustomerHasher {
     }
 }
 
-/// A snapshot of one SaaS instance the router can send requests to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstanceSnapshot {
-    /// The VM running the instance.
-    pub vm: VmId,
-    /// The server hosting it.
-    pub server: ServerId,
-    /// Requests currently queued or running on the instance.
-    pub outstanding_requests: usize,
-    /// Current mean GPU utilization of the instance in `[0, 1]`.
-    pub utilization: f64,
-    /// Customers whose KV cache is likely still resident (recently served).
-    pub recent_customers: Vec<CustomerId>,
-    /// The instance's current configuration.
-    pub config: InstanceConfig,
-    /// Whether the instance is currently unavailable (e.g. reloading after a
-    /// reconfiguration, §4.3).
-    pub in_transition: bool,
-}
-
 /// The infrastructure state the router consults (recomputed every few minutes, §4.2).
 ///
 /// Per-row power and per-aisle airflow are dense vectors indexed by `RowId::index` /
@@ -324,127 +303,40 @@ pub struct CandidateView<'a> {
     pub recent: &'a [RecentWindow],
 }
 
-/// Anything the routing core can draw candidates from.
-pub trait CandidateSource {
-    /// Number of candidates.
-    fn len(&self) -> usize;
-    /// Returns `true` if there are no candidates.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// VM id of candidate `i`.
-    fn vm(&self, i: usize) -> VmId;
-    /// Server of candidate `i`.
-    fn server(&self, i: usize) -> ServerId;
-    /// Outstanding requests of candidate `i`.
-    fn outstanding(&self, i: usize) -> usize;
-    /// Utilization of candidate `i`.
-    fn utilization(&self, i: usize) -> f64;
-    /// Whether candidate `i` is reloading.
-    fn in_transition(&self, i: usize) -> bool;
-    /// Whether candidate `i` recently served `customer`.
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool;
-}
-
-impl CandidateSource for &[InstanceSnapshot] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn vm(&self, i: usize) -> VmId {
-        self[i].vm
-    }
-    fn server(&self, i: usize) -> ServerId {
-        self[i].server
-    }
-    fn outstanding(&self, i: usize) -> usize {
-        self[i].outstanding_requests
-    }
-    fn utilization(&self, i: usize) -> f64 {
-        self[i].utilization
-    }
-    fn in_transition(&self, i: usize) -> bool {
-        self[i].in_transition
-    }
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool {
-        self[i].recent_customers.contains(&customer)
-    }
-}
-
-impl CandidateSource for CandidateView<'_> {
-    fn len(&self) -> usize {
-        self.vm.len()
-    }
-    fn vm(&self, i: usize) -> VmId {
-        self.vm[i]
-    }
-    fn server(&self, i: usize) -> ServerId {
-        self.server[i]
-    }
-    fn outstanding(&self, i: usize) -> usize {
-        self.outstanding[i] as usize
-    }
-    fn utilization(&self, i: usize) -> f64 {
-        self.utilization[i]
-    }
-    fn in_transition(&self, i: usize) -> bool {
-        self.in_transition[i]
-    }
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool {
-        self.recent[i].contains(customer)
-    }
-}
-
-/// A request routing policy.
-pub trait RequestRouterPolicy {
-    /// Picks the instance to serve `request`, or `None` if `instances` is empty.
-    fn route(
-        &self,
-        request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        profiles: &ProfileStore,
-        context: &RoutingContext,
-    ) -> Option<VmId>;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// The conventional baseline: least outstanding requests, ignoring thermal/power state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineRouter;
 
 impl BaselineRouter {
-    /// Routes over any candidate source, returning the chosen candidate index.
+    /// The reference decision, returning the chosen candidate index.
     ///
     /// Single pass, allocation-free: tracks the best available and the best overall
     /// candidate by `(outstanding, vm)` and falls back to the overall best only when every
     /// instance is in transition.
     #[must_use]
-    pub fn route_candidates<S: CandidateSource>(&self, candidates: &S) -> Option<usize> {
-        let mut best_available: Option<(usize, u64, usize)> = None;
-        let mut best_any: Option<(usize, u64, usize)> = None;
-        for i in 0..candidates.len() {
-            let key = (candidates.outstanding(i), candidates.vm(i).0);
-            let better = |best: &Option<(usize, u64, usize)>| match best {
+    pub fn route_candidates(&self, view: &CandidateView<'_>) -> Option<usize> {
+        let mut best_available: Option<(u32, u64, usize)> = None;
+        let mut best_any: Option<(u32, u64, usize)> = None;
+        for i in 0..view.vm.len() {
+            let key = (view.outstanding[i], view.vm[i].0);
+            let better = |best: &Option<(u32, u64, usize)>| match best {
                 Some((outstanding, vm, _)) => key < (*outstanding, *vm),
                 None => true,
             };
             if better(&best_any) {
                 best_any = Some((key.0, key.1, i));
             }
-            if !candidates.in_transition(i) && better(&best_available) {
+            if !view.in_transition[i] && better(&best_available) {
                 best_available = Some((key.0, key.1, i));
             }
         }
         best_available.or(best_any).map(|(_, _, i)| i)
     }
-}
 
-impl BaselineRouter {
-    /// Specialized scan over the struct-of-arrays view: one pass tracking the minimum of a
-    /// packed `(outstanding, vm)` key, with transitioning instances forced to the maximum
-    /// key so they never win. Falls back to the generic tiered scan only when every
-    /// instance is transitioning.
+    /// The simulator's decision: one pass tracking the minimum of a packed
+    /// `(outstanding, vm)` key, with transitioning instances forced to the maximum key so
+    /// they never win. Falls back to [`Self::route_candidates`] only when every instance is
+    /// transitioning.
     #[must_use]
     pub fn route_view(&self, view: &CandidateView<'_>) -> Option<usize> {
         let n = view.vm.len();
@@ -468,26 +360,10 @@ impl BaselineRouter {
             }
         }
         if best == usize::MAX {
-            // Every instance is in transition: the generic scan handles the degenerate tier.
+            // Every instance is in transition: the reference handles the degenerate tier.
             return self.route_candidates(view);
         }
         Some(best)
-    }
-}
-
-impl RequestRouterPolicy for BaselineRouter {
-    fn route(
-        &self,
-        _request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        _profiles: &ProfileStore,
-        _context: &RoutingContext,
-    ) -> Option<VmId> {
-        self.route_candidates(&instances).map(|i| instances[i].vm)
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline-router"
     }
 }
 
@@ -761,19 +637,30 @@ impl TapasRouter {
         100.0 * affinity + 2.0 * concentration + spread
     }
 
-    /// The reference decision core: one pass over the candidates, tracking the best
-    /// candidate of each fallback tier (available+safe, available, safe, any). Ties break
-    /// toward the smaller VM id, so the result is independent of candidate order.
+    /// Routing with pre-computed risk flags: the reference for [`Self::route_keyed`].
     ///
-    /// This is the routing contract [`Self::route_keyed`] must reproduce: the chosen
-    /// candidate maximizes `(available, safe, score, smaller vm id)` lexicographically, and
-    /// among fully equal keys the first in candidate order wins.
-    fn route_core<S: CandidateSource>(
+    /// One pass over the candidates, tracking the best candidate of each fallback tier
+    /// (available+safe, available, safe, any). Ties break toward the smaller VM id, so the
+    /// result is independent of candidate order. This is the routing contract
+    /// [`Self::route_keyed`] must reproduce: the chosen candidate maximizes `(available,
+    /// safe, score, smaller vm id)` lexicographically, and among fully equal keys the first
+    /// in candidate order wins.
+    ///
+    /// The caller computes the flags once per endpoint per step with
+    /// [`Self::fill_risk_flags`], then refreshes only the mutated candidate's flag (via
+    /// [`Self::candidate_risk`]) after each routed quantum — so each decision costs one
+    /// scoring pass and zero risk-model evaluations.
+    ///
+    /// # Panics
+    /// Panics if `flags` is shorter than the candidate list.
+    #[must_use]
+    pub fn route_prescored(
         &self,
         request: &InferenceRequest,
-        candidates: &S,
-        mut risky: impl FnMut(usize, ServerId, f64) -> bool,
+        view: &CandidateView<'_>,
+        flags: &[bool],
     ) -> Option<usize> {
+        assert!(flags.len() >= view.vm.len(), "risk flags must cover every candidate");
         #[derive(Clone, Copy)]
         struct Best {
             score: f64,
@@ -796,18 +683,18 @@ impl TapasRouter {
         let mut all_safe: Option<Best> = None;
         let mut all_any: Option<Best> = None;
 
-        for i in 0..candidates.len() {
-            let vm = candidates.vm(i).0;
-            let utilization = candidates.utilization(i);
-            let score = self.score(candidates.outstanding(i), utilization, || {
-                candidates.has_recent(i, request.customer)
+        for (i, &risky) in flags[..view.vm.len()].iter().enumerate() {
+            let vm = view.vm[i].0;
+            let utilization = view.utilization[i];
+            let score = self.score(view.outstanding[i] as usize, utilization, || {
+                view.recent[i].contains(request.customer)
             });
-            let is_safe = !risky(i, candidates.server(i), utilization);
+            let is_safe = !risky;
             consider(&mut all_any, score, vm, i);
             if is_safe {
                 consider(&mut all_safe, score, vm, i);
             }
-            if !candidates.in_transition(i) {
+            if !view.in_transition[i] {
                 consider(&mut avail_any, score, vm, i);
                 if is_safe {
                     consider(&mut avail_safe, score, vm, i);
@@ -824,30 +711,6 @@ impl TapasRouter {
             all_safe.or(all_any)
         };
         chosen.map(|b| b.index)
-    }
-
-    /// Hot-path routing over a struct-of-arrays candidate view with pre-computed headrooms
-    /// and a per-step inlet memo. Returns the index of the chosen candidate.
-    #[must_use]
-    pub fn route_candidates<S: CandidateSource>(
-        &self,
-        request: &InferenceRequest,
-        candidates: &S,
-        profiles: &ProfileStore,
-        prepared: &PreparedRoutingContext,
-        scratch: &mut RouterScratch,
-    ) -> Option<usize> {
-        let inlet_memo = &mut scratch.inlet_c;
-        self.route_core(request, candidates, |_, server, utilization| {
-            Self::risk_with_memo(
-                &self.config,
-                server,
-                utilization,
-                profiles,
-                prepared,
-                inlet_memo,
-            )
-        })
     }
 
     #[inline]
@@ -901,21 +764,21 @@ impl TapasRouter {
     }
 
     /// Fills `flags[i] = risky(candidate i)` for every candidate, reusing the scratch memo.
-    pub fn fill_risk_flags<S: CandidateSource>(
+    pub fn fill_risk_flags(
         &self,
-        candidates: &S,
+        view: &CandidateView<'_>,
         profiles: &ProfileStore,
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
         flags: &mut Vec<bool>,
     ) {
         flags.clear();
-        flags.reserve(candidates.len());
-        for i in 0..candidates.len() {
+        flags.reserve(view.vm.len());
+        for (&server, &utilization) in view.server.iter().zip(view.utilization) {
             flags.push(Self::risk_with_memo(
                 &self.config,
-                candidates.server(i),
-                candidates.utilization(i),
+                server,
+                utilization,
                 profiles,
                 prepared,
                 &mut scratch.inlet_c,
@@ -923,36 +786,16 @@ impl TapasRouter {
         }
     }
 
-    /// Routing with pre-computed risk flags: the reference for [`Self::route_keyed`].
-    ///
-    /// The caller computes the flags once per endpoint per step with
-    /// [`Self::fill_risk_flags`], then refreshes only the mutated candidate's flag (via
-    /// [`Self::candidate_risk`]) after each routed quantum — so each decision costs one
-    /// scoring pass and zero risk-model evaluations. Equivalent to
-    /// [`Self::route_candidates`] when the flags are current.
-    ///
-    /// # Panics
-    /// Panics if `flags` is shorter than the candidate list.
-    #[must_use]
-    pub fn route_prescored<S: CandidateSource>(
-        &self,
-        request: &InferenceRequest,
-        candidates: &S,
-        flags: &[bool],
-    ) -> Option<usize> {
-        assert!(flags.len() >= candidates.len(), "risk flags must cover every candidate");
-        self.route_core(request, candidates, |i, _, _| flags[i])
-    }
-
     /// The decision key of candidate `i` with risk flag `risky`.
-    fn route_key<S: CandidateSource>(&self, candidates: &S, i: usize, risky: bool) -> RouteKey {
-        let outstanding = candidates.outstanding(i);
-        let utilization = candidates.utilization(i);
+    #[inline]
+    fn route_key(&self, view: &CandidateView<'_>, i: usize, risky: bool) -> RouteKey {
+        let outstanding = view.outstanding[i] as usize;
+        let utilization = view.utilization[i];
         RouteKey {
             plain: self.score(outstanding, utilization, || false),
             affinity: self.score(outstanding, utilization, || true),
-            vm: candidates.vm(i).0,
-            tier: 2 * u8::from(!candidates.in_transition(i)) + u8::from(!risky),
+            vm: view.vm[i].0,
+            tier: 2 * u8::from(!view.in_transition[i]) + u8::from(!risky),
         }
     }
 
@@ -961,27 +804,23 @@ impl TapasRouter {
     ///
     /// # Panics
     /// Panics if `risky` is shorter than the candidate list.
-    pub fn fill_route_keys<S: CandidateSource>(
-        &self,
-        candidates: &S,
-        risky: &[bool],
-        keys: &mut RouteKeys,
-    ) {
+    pub fn fill_route_keys(&self, view: &CandidateView<'_>, risky: &[bool], keys: &mut RouteKeys) {
         keys.keys.clear();
-        keys.keys.extend((0..candidates.len()).map(|i| self.route_key(candidates, i, risky[i])));
+        keys.keys.extend((0..view.vm.len()).map(|i| self.route_key(view, i, risky[i])));
         keys.build();
     }
 
     /// Recomputes candidate `index`'s key after the caller mutated its columns, and replays
     /// its path in the tree; `risky` is its refreshed flag (from [`Self::candidate_risk`]).
-    pub fn refresh_route_key<S: CandidateSource>(
+    #[inline]
+    pub fn refresh_route_key(
         &self,
-        candidates: &S,
+        view: &CandidateView<'_>,
         index: usize,
         risky: bool,
         keys: &mut RouteKeys,
     ) {
-        keys.keys[index] = self.route_key(candidates, index, risky);
+        keys.keys[index] = self.route_key(view, index, risky);
         keys.replay(index);
     }
 
@@ -1025,26 +864,6 @@ impl TapasRouter {
     }
 }
 
-impl RequestRouterPolicy for TapasRouter {
-    fn route(
-        &self,
-        request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        profiles: &ProfileStore,
-        context: &RoutingContext,
-    ) -> Option<VmId> {
-        let prepared = PreparedRoutingContext::new(context, &self.config, profiles);
-        let mut scratch = RouterScratch::default();
-        scratch.begin_step(profiles.server_count());
-        self.route_candidates(request, &instances, profiles, &prepared, &mut scratch)
-            .map(|i| instances[i].vm)
-    }
-
-    fn name(&self) -> &'static str {
-        "tapas-router"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,6 +872,7 @@ mod tests {
     use dc_sim::topology::LayoutConfig;
     use llm_sim::hardware::GpuHardware;
     use llm_sim::request::RequestId;
+    use simkit::rng::SimRng;
     use simkit::time::SimTime;
 
     fn profiles() -> ProfileStore {
@@ -1060,16 +880,67 @@ mod tests {
         ProfileStore::offline_profiling(&dc, &GpuHardware::a100())
     }
 
-    fn snapshot(vm: u64, server: usize, outstanding: usize, util: f64) -> InstanceSnapshot {
-        InstanceSnapshot {
-            vm: VmId(vm),
-            server: ServerId::new(server),
-            outstanding_requests: outstanding,
-            utilization: util,
-            recent_customers: Vec::new(),
-            config: InstanceConfig::default_70b(),
-            in_transition: false,
+    /// The owned columns behind a [`CandidateView`].
+    #[derive(Debug, Default)]
+    struct Pool {
+        vm: Vec<VmId>,
+        server: Vec<ServerId>,
+        outstanding: Vec<u32>,
+        utilization: Vec<f64>,
+        in_transition: Vec<bool>,
+        recent: Vec<RecentWindow>,
+    }
+
+    impl Pool {
+        fn push(&mut self, vm: u64, server: usize, outstanding: u32, util: f64) {
+            self.vm.push(VmId(vm));
+            self.server.push(ServerId::new(server));
+            self.outstanding.push(outstanding);
+            self.utilization.push(util);
+            self.in_transition.push(false);
+            self.recent.push(RecentWindow::new());
         }
+
+        fn view(&self) -> CandidateView<'_> {
+            CandidateView {
+                vm: &self.vm,
+                server: &self.server,
+                outstanding: &self.outstanding,
+                utilization: &self.utilization,
+                in_transition: &self.in_transition,
+                recent: &self.recent,
+            }
+        }
+
+        /// The TAPAS decision through `fill_risk_flags` + `route_prescored`.
+        fn route_tapas(
+            &self,
+            router: &TapasRouter,
+            request: &InferenceRequest,
+            profiles: &ProfileStore,
+            context: &RoutingContext,
+        ) -> Option<VmId> {
+            let prepared = PreparedRoutingContext::new(context, &router.config, profiles);
+            let mut scratch = RouterScratch::default();
+            scratch.begin_step(profiles.server_count());
+            let mut flags = Vec::new();
+            router.fill_risk_flags(&self.view(), profiles, &prepared, &mut scratch, &mut flags);
+            router.route_prescored(request, &self.view(), &flags).map(|i| self.vm[i])
+        }
+
+        /// The baseline decision through `route_view`, the simulator's path.
+        fn route_baseline(&self) -> Option<VmId> {
+            BaselineRouter.route_view(&self.view()).map(|i| self.vm[i])
+        }
+    }
+
+    /// A pool of `(vm, server, outstanding, utilization)` instances.
+    fn pool(instances: &[(u64, usize, u32, f64)]) -> Pool {
+        let mut pool = Pool::default();
+        for &(vm, server, outstanding, util) in instances {
+            pool.push(vm, server, outstanding, util);
+        }
+        pool
     }
 
     fn request(customer: u64) -> InferenceRequest {
@@ -1103,26 +974,45 @@ mod tests {
 
     #[test]
     fn baseline_picks_least_outstanding() {
-        let profiles = profiles();
-        let ctx = calm_context(&profiles);
-        let instances = vec![snapshot(1, 0, 10, 0.9), snapshot(2, 1, 2, 0.3), snapshot(3, 2, 5, 0.5)];
-        let choice = BaselineRouter.route(&request(0), &instances, &profiles, &ctx);
-        assert_eq!(choice, Some(VmId(2)));
-        assert_eq!(BaselineRouter.name(), "baseline-router");
-        assert!(BaselineRouter.route(&request(0), &[], &profiles, &ctx).is_none());
+        let instances = pool(&[(1, 0, 10, 0.9), (2, 1, 2, 0.3), (3, 2, 5, 0.5)]);
+        assert_eq!(instances.route_baseline(), Some(VmId(2)));
+        assert!(Pool::default().route_baseline().is_none());
     }
 
     #[test]
     fn baseline_skips_instances_in_transition_when_possible() {
-        let profiles = profiles();
-        let ctx = calm_context(&profiles);
-        let mut busy = snapshot(1, 0, 1, 0.2);
-        busy.in_transition = true;
-        let instances = vec![busy.clone(), snapshot(2, 1, 5, 0.5)];
-        assert_eq!(BaselineRouter.route(&request(0), &instances, &profiles, &ctx), Some(VmId(2)));
+        let mut instances = pool(&[(1, 0, 1, 0.2), (2, 1, 5, 0.5)]);
+        instances.in_transition[0] = true;
+        assert_eq!(instances.route_baseline(), Some(VmId(2)));
         // If every instance is in transition the request still goes somewhere.
-        let all_busy = vec![busy];
-        assert_eq!(BaselineRouter.route(&request(0), &all_busy, &profiles, &ctx), Some(VmId(1)));
+        let mut all_busy = pool(&[(1, 0, 1, 0.2)]);
+        all_busy.in_transition[0] = true;
+        assert_eq!(all_busy.route_baseline(), Some(VmId(1)));
+    }
+
+    #[test]
+    fn baseline_view_scan_matches_its_reference() {
+        let mut rng = SimRng::seed_from(31).derive("baseline-route-view");
+        for case in 0..400 {
+            // Case 0 is the empty pool; every fourth case has every instance in transition.
+            let size = if case == 0 { 0 } else { rng.uniform_usize(1, 24) };
+            let all_in_transition = case % 4 == 3;
+            // Shuffled VM ids over a narrow outstanding range force ties on the count.
+            let mut vms: Vec<u64> = (0..size as u64).map(|i| 100 + 7 * i).collect();
+            rng.shuffle(&mut vms);
+            let mut instances = Pool::default();
+            for (i, &vm) in vms.iter().enumerate() {
+                let outstanding = rng.uniform_usize(0, 3) as u32;
+                instances.push(vm, i, outstanding, rng.uniform(0.0, 1.0));
+                instances.in_transition[i] = all_in_transition || rng.chance(0.3);
+            }
+            let view = instances.view();
+            assert_eq!(
+                BaselineRouter.route_view(&view),
+                BaselineRouter.route_candidates(&view),
+                "case {case}: {size} candidates"
+            );
+        }
     }
 
     #[test]
@@ -1135,10 +1025,9 @@ mod tests {
         let row0 = profiles.server(ServerId::new(0)).row;
         let budget = profiles.budgets.row_power[row0];
         ctx.row_power[row0.index()] = budget * 0.99;
-        let instances = vec![snapshot(1, 0, 1, 0.5), snapshot(2, 40, 5, 0.5)];
-        let choice = router.route(&request(0), &instances, &profiles, &ctx);
+        let instances = pool(&[(1, 0, 1, 0.5), (2, 40, 5, 0.5)]);
+        let choice = instances.route_tapas(&router, &request(0), &profiles, &ctx);
         assert_eq!(choice, Some(VmId(2)), "the request must avoid the at-risk row");
-        assert_eq!(router.name(), "tapas-router");
     }
 
     #[test]
@@ -1153,12 +1042,12 @@ mod tests {
         // A very hot day with high utilization puts fully-loaded servers at thermal risk.
         ctx.outside_temp = Celsius::new(42.0);
         ctx.dc_load = 1.0;
-        let hot = snapshot(1, 0, 0, 0.98);
-        let cool = snapshot(2, 40, 8, 0.2);
-        let choice = router.route(&request(0), &[hot.clone(), cool], &profiles, &ctx);
+        let hot = (1, 0, 0, 0.98);
+        let cool = (2, 40, 8, 0.2);
+        let choice = pool(&[hot, cool]).route_tapas(&router, &request(0), &profiles, &ctx);
         assert_eq!(choice, Some(VmId(2)));
         // If every instance is risky, the router still returns something.
-        let choice = router.route(&request(0), &[hot], &profiles, &ctx);
+        let choice = pool(&[hot]).route_tapas(&router, &request(0), &profiles, &ctx);
         assert_eq!(choice, Some(VmId(1)));
     }
 
@@ -1167,14 +1056,12 @@ mod tests {
         let profiles = profiles();
         let router = TapasRouter::default();
         let ctx = calm_context(&profiles);
-        let mut with_cache = snapshot(1, 0, 6, 0.5);
-        with_cache.recent_customers.push(CustomerId(7));
-        let without_cache = snapshot(2, 1, 0, 0.1);
-        let choice =
-            router.route(&request(7), &[with_cache.clone(), without_cache.clone()], &profiles, &ctx);
+        let mut instances = pool(&[(1, 0, 6, 0.5), (2, 1, 0, 0.1)]);
+        instances.recent[0].push(CustomerId(7));
+        let choice = instances.route_tapas(&router, &request(7), &profiles, &ctx);
         assert_eq!(choice, Some(VmId(1)), "KV affinity should dominate");
         // A different customer goes by concentration/spread instead.
-        let other = router.route(&request(9), &[with_cache, without_cache], &profiles, &ctx);
+        let other = instances.route_tapas(&router, &request(9), &profiles, &ctx);
         assert_eq!(other, Some(VmId(1)), "concentration prefers the busier-but-safe instance");
     }
 
@@ -1184,15 +1071,18 @@ mod tests {
         let router = TapasRouter::default();
         let ctx = calm_context(&profiles);
         // Both below the knee: prefer the busier one (concentration).
-        let low = snapshot(1, 0, 2, 0.2);
-        let mid = snapshot(2, 1, 2, 0.6);
+        let low = (1, 0, 2, 0.2);
+        let mid = (2, 1, 2, 0.6);
         assert_eq!(
-            router.route(&request(0), &[low.clone(), mid], &profiles, &ctx),
+            pool(&[low, mid]).route_tapas(&router, &request(0), &profiles, &ctx),
             Some(VmId(2))
         );
         // One far above the knee: prefer the one with headroom.
-        let hot = snapshot(3, 2, 2, 0.95);
-        assert_eq!(router.route(&request(0), &[low, hot], &profiles, &ctx), Some(VmId(1)));
+        let hot = (3, 2, 2, 0.95);
+        assert_eq!(
+            pool(&[low, hot]).route_tapas(&router, &request(0), &profiles, &ctx),
+            Some(VmId(1))
+        );
     }
 
     #[test]
@@ -1205,65 +1095,8 @@ mod tests {
         ctx.aisle_airflow[aisle.index()] = provisioned * 0.999;
         // Both instances are in the same (only) aisle, so the filter rejects both and the
         // fallback still routes the request.
-        let instances = vec![snapshot(1, 0, 3, 0.5), snapshot(2, 40, 1, 0.5)];
-        let choice = router.route(&request(0), &instances, &profiles, &ctx);
-        assert!(choice.is_some());
-    }
-
-    #[test]
-    fn candidate_view_and_snapshot_paths_agree() {
-        let profiles = profiles();
-        let router = TapasRouter::default();
-        let ctx = calm_context(&profiles);
-        let snapshots: Vec<InstanceSnapshot> = (0..20)
-            .map(|i| {
-                let mut s = snapshot(i, (i as usize * 7) % 80, (i % 5) as usize, (i % 10) as f64 / 10.0);
-                if i % 6 == 0 {
-                    s.recent_customers.push(CustomerId(3));
-                }
-                if i % 7 == 0 {
-                    s.in_transition = true;
-                }
-                s
-            })
-            .collect();
-        // Build the SoA columns mirroring the snapshots.
-        let vm: Vec<VmId> = snapshots.iter().map(|s| s.vm).collect();
-        let server: Vec<ServerId> = snapshots.iter().map(|s| s.server).collect();
-        let outstanding: Vec<u32> = snapshots.iter().map(|s| s.outstanding_requests as u32).collect();
-        let utilization: Vec<f64> = snapshots.iter().map(|s| s.utilization).collect();
-        let in_transition: Vec<bool> = snapshots.iter().map(|s| s.in_transition).collect();
-        let recent: Vec<RecentWindow> = snapshots
-            .iter()
-            .map(|s| {
-                let mut w = RecentWindow::new();
-                for &c in &s.recent_customers {
-                    w.push(c);
-                }
-                w
-            })
-            .collect();
-        let view = CandidateView {
-            vm: &vm,
-            server: &server,
-            outstanding: &outstanding,
-            utilization: &utilization,
-            in_transition: &in_transition,
-            recent: &recent,
-        };
-        let prepared = PreparedRoutingContext::new(&ctx, &router.config, &profiles);
-        let mut scratch = RouterScratch::default();
-        for customer in 0..8u64 {
-            scratch.begin_step(profiles.server_count());
-            let via_view = router
-                .route_candidates(&request(customer), &view, &profiles, &prepared, &mut scratch)
-                .map(|i| vm[i]);
-            let via_snapshots = router.route(&request(customer), &snapshots, &profiles, &ctx);
-            assert_eq!(via_view, via_snapshots, "customer {customer}");
-            let base_view = BaselineRouter.route_candidates(&view).map(|i| vm[i]);
-            let base_snap = BaselineRouter.route(&request(customer), &snapshots, &profiles, &ctx);
-            assert_eq!(base_view, base_snap);
-        }
+        let instances = pool(&[(1, 0, 3, 0.5), (2, 40, 1, 0.5)]);
+        assert!(instances.route_tapas(&router, &request(0), &profiles, &ctx).is_some());
     }
 
     #[test]
@@ -1278,9 +1111,9 @@ mod tests {
             row_power: Vec::new(),
             aisle_airflow: Vec::new(),
         };
-        let instances = vec![snapshot(1, 0, 1, 0.5), snapshot(2, 40, 3, 0.4)];
-        assert!(router.route(&request(0), &instances, &profiles, &ctx).is_some());
-        assert!(BaselineRouter.route(&request(0), &instances, &profiles, &ctx).is_some());
+        let instances = pool(&[(1, 0, 1, 0.5), (2, 40, 3, 0.4)]);
+        assert!(instances.route_tapas(&router, &request(0), &profiles, &ctx).is_some());
+        assert!(instances.route_baseline().is_some());
     }
 
     #[test]

@@ -29,16 +29,6 @@ use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::sync::Arc;
 
-/// `true` when this build compiled the opt-in AVX2+FMA kernel lane
-/// (`RUSTFLAGS="-C target-feature=+avx2,+fma"`). Wide builds are deterministic for a
-/// given binary but use fused multiply-adds and four-lane accumulators, which change the
-/// FP rounding/order relative to the pinned scalar contract — so they are **excluded
-/// from the digest and bitwise-vs-reference test contracts** (those tests skip
-/// themselves when this is `true` and tolerance-based sanity tests run instead).
-/// Default builds compile the SSE2/scalar kernels and stay bit-identical.
-pub const WIDE_KERNELS: bool =
-    cfg!(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"));
-
 /// Activity of one server during a step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerActivity {
@@ -1064,7 +1054,6 @@ impl StepWorkspace {
 /// results are bit-identical (see `kernel_reference` and `tests/soa_physics.rs`); NaN
 /// activity is outside the engine's contract either way (the debug poison sweep rejects
 /// it).
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma")))]
 #[inline(always)]
 fn power_lanes(
     static_power: f64,
@@ -1142,78 +1131,6 @@ fn power_lanes(
     let mean_load =
         if lanes == 0 { 0.0 } else { (util_acc[0] + util_acc[1]) / lanes as f64 };
     (gpu_sum, mean_load)
-}
-
-/// Opt-in wide build of [`power_lanes`]: four-wide AVX2 lanes with fused multiply-adds,
-/// compiled in place of the SSE2 pair loop when the build enables both target features
-/// (`RUSTFLAGS="-C target-feature=+avx2,+fma"`), mirroring the SSE2 kernels'
-/// compile-time detection. FMA fuses `dynamic·u·f³ + static` into one rounding and the
-/// four-lane accumulator reduces in a different order than the two-lane contract, so
-/// wide builds are deterministic for a given binary but **excluded from the digest and
-/// bitwise-vs-reference contracts** (see [`WIDE_KERNELS`]). Default builds never compile
-/// this path and stay bit-identical to the scalar reference.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-#[inline(always)]
-fn power_lanes(
-    static_power: f64,
-    dynamic_coeff: f64,
-    utilization: &[f64],
-    frequency: &[f64],
-    out: &mut [f64],
-) -> (f64, f64) {
-    let lanes = out.len();
-    let utilization = &utilization[..lanes];
-    let frequency = &frequency[..lanes];
-    let quads = lanes / 4;
-    let mut util_sum;
-    let mut pow_sum;
-    // SAFETY: the cfg gate guarantees AVX2+FMA at compile time; every pointer below
-    // stays within the resliced `lanes` bound (`4 * quads <= lanes`).
-    unsafe {
-        use std::arch::x86_64::{
-            _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd,
-            _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-        };
-        let zero = _mm256_set1_pd(0.0);
-        let one = _mm256_set1_pd(1.0);
-        let freq_floor = _mm256_set1_pd(0.1);
-        let static_4 = _mm256_set1_pd(static_power);
-        let dynamic_4 = _mm256_set1_pd(dynamic_coeff);
-        let mut util_acc_4 = zero;
-        let mut pow_acc_4 = zero;
-        for i in 0..quads {
-            let u = _mm256_loadu_pd(utilization.as_ptr().add(4 * i));
-            let f = _mm256_loadu_pd(frequency.as_ptr().add(4 * i));
-            let clamped_u = _mm256_min_pd(_mm256_max_pd(u, zero), one);
-            let clamped_f = _mm256_min_pd(_mm256_max_pd(f, freq_floor), one);
-            let f3 = _mm256_mul_pd(_mm256_mul_pd(clamped_f, clamped_f), clamped_f);
-            let power = _mm256_fmadd_pd(_mm256_mul_pd(dynamic_4, clamped_u), f3, static_4);
-            _mm256_storeu_pd(out.as_mut_ptr().add(4 * i), power);
-            util_acc_4 = _mm256_add_pd(util_acc_4, u);
-            pow_acc_4 = _mm256_add_pd(pow_acc_4, power);
-        }
-        let mut u4 = [0.0f64; 4];
-        let mut p4 = [0.0f64; 4];
-        _mm256_storeu_pd(u4.as_mut_ptr(), util_acc_4);
-        _mm256_storeu_pd(p4.as_mut_ptr(), pow_acc_4);
-        // Fixed pairwise reduction: deterministic within a wide build, but a different
-        // FP order than the two-lane contract.
-        util_sum = (u4[0] + u4[2]) + (u4[1] + u4[3]);
-        pow_sum = (p4[0] + p4[2]) + (p4[1] + p4[3]);
-    }
-    // Scalar tail for the 1–3 trailing lanes of ragged GPU counts.
-    for i in 4 * quads..lanes {
-        let u = utilization[i];
-        let clamped_u = u.clamp(0.0, 1.0);
-        let clamped_f = frequency[i].clamp(0.1, 1.0);
-        let f3 = (clamped_f * clamped_f) * clamped_f;
-        let power = (dynamic_coeff * clamped_u).mul_add(f3, static_power);
-        util_sum += u;
-        pow_sum += power;
-        out[i] = power;
-    }
-    let mean_load = if lanes == 0 { 0.0 } else { util_sum / lanes as f64 };
-    (pow_sum, mean_load)
 }
 
 struct RowPowerTask<'a> {
@@ -1314,7 +1231,6 @@ impl RowPowerTask<'_> {
 /// As in [`power_lanes`], the x86-64 pair loop uses explicit SSE2 packed doubles; every
 /// packed op is the lane-wise IEEE operation of the scalar path, so results are
 /// bit-identical to the retained scalar reference.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma")))]
 #[inline(always)]
 fn thermal_lanes(
     base_common: f64,
@@ -1363,52 +1279,6 @@ fn thermal_lanes(
     if lanes % 2 == 1 {
         let base = base_common + power_coeff * gpu_out[lanes - 1] + offsets[lanes - 1];
         gpu_out[lanes - 1] = base;
-        any_hot |= base > limit;
-    }
-    any_hot
-}
-
-/// Opt-in wide build of [`thermal_lanes`]: four-wide AVX2 lanes with one fused
-/// multiply-add per GPU, compiled in place of the SSE2 pair loop under
-/// `-C target-feature=+avx2,+fma`. Same determinism caveat as the wide
-/// [`power_lanes`]: excluded from digest contracts (see [`WIDE_KERNELS`]).
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-#[inline(always)]
-fn thermal_lanes(
-    base_common: f64,
-    power_coeff: f64,
-    limit: f64,
-    offsets: &[f64],
-    gpu_out: &mut [f64],
-) -> bool {
-    let lanes = gpu_out.len();
-    let offsets = &offsets[..lanes];
-    let quads = lanes / 4;
-    let mut any_hot;
-    // SAFETY: the cfg gate guarantees AVX2+FMA at compile time; every pointer below
-    // stays within the resliced `lanes` bound (`4 * quads <= lanes`).
-    unsafe {
-        use std::arch::x86_64::{
-            _mm256_add_pd, _mm256_cmp_pd, _mm256_fmadd_pd, _mm256_loadu_pd,
-            _mm256_movemask_pd, _mm256_set1_pd, _mm256_storeu_pd, _CMP_GT_OQ,
-        };
-        let base_4 = _mm256_set1_pd(base_common);
-        let coeff_4 = _mm256_set1_pd(power_coeff);
-        let limit_4 = _mm256_set1_pd(limit);
-        let mut hot_mask = 0i32;
-        for i in 0..quads {
-            let power = _mm256_loadu_pd(gpu_out.as_ptr().add(4 * i));
-            let offset = _mm256_loadu_pd(offsets.as_ptr().add(4 * i));
-            let base = _mm256_add_pd(_mm256_fmadd_pd(coeff_4, power, base_4), offset);
-            _mm256_storeu_pd(gpu_out.as_mut_ptr().add(4 * i), base);
-            hot_mask |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(base, limit_4));
-        }
-        any_hot = hot_mask != 0;
-    }
-    // Scalar tail for the 1–3 trailing lanes of ragged GPU counts.
-    for i in 4 * quads..lanes {
-        let base = power_coeff.mul_add(gpu_out[i], base_common) + offsets[i];
-        gpu_out[i] = base;
         any_hot |= base > limit;
     }
     any_hot

@@ -1,12 +1,9 @@
 //! Request-fabric batch scheduler: continuous batching with KV-cache admission.
 //!
-//! [`InstanceEngine`](crate::engine::InstanceEngine) models one vLLM-style instance with
-//! float-second timestamps and an up-front KV reservation (`total_tokens` charged at
-//! admission). The request fabric needs something slightly different: an aggregate,
-//! *event-timestamped* scheduler for all the replicas an endpoint runs at a site, on an
-//! integer-millisecond clock that composes with the fabric's
-//! [`EventQueue`](simkit::queue::EventQueue), and with KV-cache occupancy tracked the way
-//! "Online Scheduling for LLM Inference with KV Cache Constraints" (PAPERS.md) models it —
+//! [`BatchScheduler`] is the crate's serving model: an aggregate, *event-timestamped*
+//! scheduler for all the replicas an endpoint runs at a site, on the request fabric's
+//! integer-millisecond clock, with KV-cache occupancy tracked the way "Online Scheduling
+//! for LLM Inference with KV Cache Constraints" (PAPERS.md) models it —
 //! **incrementally**: the prompt is pinned at admission, occupancy grows by one token per
 //! running sequence per decode iteration, and the sequence's whole footprint is evicted on
 //! completion.
@@ -38,8 +35,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// KV-cache capacity in tokens of one replica: the HBM left after weights are resident
-/// (with a 10 % activation margin), divided by the per-token KV footprint. Identical to
-/// the derivation [`crate::engine::InstanceEngine::new`] uses.
+/// (with a 10 % activation margin), divided by the per-token KV footprint.
 #[must_use]
 pub fn kv_capacity_tokens(config: &InstanceConfig, gpu: &GpuHardware) -> usize {
     let total_hbm_gb = gpu.memory_capacity_gb * config.parallelism.gpus() as f64;
@@ -668,14 +664,69 @@ mod tests {
     }
 
     #[test]
-    fn capacity_matches_the_instance_engine_derivation() {
-        use crate::engine::InstanceEngine;
-        let config = InstanceConfig::default_70b();
-        let gpu = GpuHardware::a100();
-        let engine = InstanceEngine::new(config, &gpu);
-        assert_eq!(kv_capacity_tokens(&config, &gpu), engine.kv_capacity_tokens());
-        assert_eq!(scheduler(1).kv_capacity(), engine.kv_capacity_tokens());
-        assert_eq!(scheduler(3).kv_capacity(), 3 * engine.kv_capacity_tokens());
+    fn capacity_is_pinned_and_scales_with_replicas() {
+        let per_replica = 1_373_291;
+        let capacity = kv_capacity_tokens(&InstanceConfig::default_70b(), &GpuHardware::a100());
+        assert_eq!(capacity, per_replica);
+        assert_eq!(scheduler(1).kv_capacity(), per_replica);
+        assert_eq!(scheduler(3).kv_capacity(), 3 * per_replica);
+    }
+
+    #[test]
+    fn throughput_approaches_profile_goodput() {
+        // A saturated replica's served output rate stays within reach of the analytic
+        // goodput the configurator plans with.
+        let mut s = scheduler(1);
+        let goodput = s.perf().goodput_tokens_per_s(s.config());
+        for i in 0..600 {
+            s.offer(i, 64, 128, 0);
+        }
+        let mut out = Vec::new();
+        s.advance_to(30_000, &mut out);
+        let served: usize = out.iter().map(|done| done.output_tokens).sum();
+        let throughput = served as f64 / 30.0;
+        assert!(
+            throughput > 0.3 * goodput,
+            "scheduler throughput {throughput} too far below analytic goodput {goodput}"
+        );
+    }
+
+    #[test]
+    fn batching_amortizes_work() {
+        // Serving 16 identical requests together takes far less than 16x one request.
+        let lone_latency = {
+            let mut s = scheduler(1);
+            s.offer(0, 256, 64, 0);
+            let mut out = Vec::new();
+            s.advance_to(60_000, &mut out);
+            assert_eq!(out.len(), 1);
+            out[0].latency_ms()
+        };
+        let mut s = scheduler(1);
+        for i in 0..16 {
+            s.offer(i, 256, 64, 0);
+        }
+        let mut out = Vec::new();
+        s.advance_to(120_000, &mut out);
+        assert_eq!(out.len(), 16);
+        let slowest = out.iter().map(BatchCompletion::latency_ms).max().unwrap();
+        assert!(
+            slowest < 8 * lone_latency,
+            "batch of 16 took {slowest} ms against {lone_latency} ms for one request"
+        );
+    }
+
+    #[test]
+    fn smaller_model_finishes_faster() {
+        let latency = |config: InstanceConfig| {
+            let mut s = BatchScheduler::new(config, &GpuHardware::a100(), 1);
+            s.offer(0, 512, 128, 0);
+            let mut out = Vec::new();
+            s.advance_to(60_000, &mut out);
+            assert_eq!(out.len(), 1);
+            out[0].latency_ms()
+        };
+        assert!(latency(InstanceConfig::small_fallback()) < latency(InstanceConfig::default_70b()));
     }
 
     #[test]

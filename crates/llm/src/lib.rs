@@ -20,13 +20,10 @@
 //!   TAPAS instance configurator, reproducing the orderings of Fig. 15.
 //! * [`pareto`] — the temperature/power vs goodput Pareto frontier of Fig. 16.
 //! * [`request`] — inference request descriptions and generators.
-//! * [`engine`] — an iteration-level continuous-batching engine simulator (vLLM-like) that
-//!   serves requests and records TTFT/TBT/goodput, used to validate the analytic model and to
-//!   drive the real-cluster-scale experiments.
-//! * [`batch`] — the request fabric's aggregate batch scheduler: continuous batching on an
-//!   integer-millisecond event clock with *incremental* KV-cache admission accounting
-//!   (prompt pinned at admission, +1 token per sequence per decode iteration, eviction on
-//!   completion).
+//! * [`batch`] — the serving model: the request fabric's aggregate batch scheduler, with
+//!   continuous batching on an integer-millisecond event clock and *incremental* KV-cache
+//!   admission accounting (prompt pinned at admission, +1 token per sequence per decode
+//!   iteration, eviction on completion).
 //!
 //! # Example
 //!
@@ -46,7 +43,8 @@
 
 pub mod batch;
 pub mod config;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod hardware;
 pub mod model;
 pub mod pareto;

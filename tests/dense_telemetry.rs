@@ -182,9 +182,6 @@ fn dense_assessment_matches_btreemap_reference_model() {
 /// per-GPU activity.
 #[test]
 fn temp_grid_and_aisle_grid_match_reference_models() {
-    if dc_sim::engine::WIDE_KERNELS {
-        return; // AVX2+FMA builds are excluded from bitwise contracts.
-    }
     let mut rng = SimRng::seed_from(2025).derive("dense-grid-cases");
     for case in 0..CASES {
         let layout = random_layout(&mut rng);

@@ -101,12 +101,6 @@ fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInpu
 /// digests cover.
 #[test]
 fn batched_kernels_match_scalar_reference_bitwise() {
-    if dc_sim::engine::WIDE_KERNELS {
-        // The AVX2+FMA lane fuses rounding and reduces four accumulator lanes, so it is
-        // explicitly excluded from the bitwise contract (see docs/architecture.md);
-        // `wide_kernels_stay_close_to_reference` covers that build instead.
-        return;
-    }
     let mut rng = SimRng::seed_from(4242).derive("soa-physics-cases");
     for case in 0..CASES {
         let layout = random_layout(&mut rng);
@@ -153,10 +147,8 @@ fn throttle_collection_order_and_values_are_preserved() {
     let input = StepInput::uniform_load(dc.layout(), Celsius::new(45.0), 1.0);
     let outcome = dc.evaluate(&input);
     assert!(outcome.throttled_gpu_count() > 0, "heatwave at full load must throttle");
-    if !dc_sim::engine::WIDE_KERNELS {
-        let reference = evaluate_scalar(&dc, &input);
-        assert_eq!(outcome.thermal_throttles, reference.thermal_throttles);
-    }
+    let reference = evaluate_scalar(&dc, &input);
+    assert_eq!(outcome.thermal_throttles, reference.thermal_throttles);
     // Directives arrive sorted by (server, slot) with strictly increasing flat ordinals.
     let flats: Vec<usize> = outcome
         .thermal_throttles
@@ -171,9 +163,6 @@ fn throttle_collection_order_and_values_are_preserved() {
 /// coverage that the two paths cannot drift apart).
 #[test]
 fn uniform_and_mixed_rows_agree_with_reference() {
-    if dc_sim::engine::WIDE_KERNELS {
-        return; // bitwise contract excluded under AVX2+FMA; see module note above.
-    }
     let base = LayoutConfig::small_test_cluster().build();
     // Homogeneous H100 remap: still uniform rows, exercising the fast path with a
     // different spec than the builder default.
@@ -223,42 +212,5 @@ fn forced_thread_counts_are_byte_identical() {
         let sharded =
             serde_json::to_string(&workspace.outcome).expect("serialize sharded");
         assert_eq!(serial, sharded, "{threads}-thread sweep diverged from serial");
-    }
-}
-
-/// Sanity floor for the opt-in AVX2+FMA lane (and a cheap finiteness check everywhere
-/// else): the wide kernels trade bitwise reproducibility for throughput, but they must
-/// stay numerically glued to the scalar reference — everything finite, temperatures and
-/// power within a tight relative tolerance.
-#[test]
-fn wide_kernels_stay_close_to_reference() {
-    let mut rng = SimRng::seed_from(8888).derive("soa-physics-wide");
-    for case in 0..6 {
-        let layout = random_layout(&mut rng);
-        let dc = Datacenter::new(layout, rng.next_u64());
-        let outside = Celsius::new(rng.uniform(-10.0, 48.0));
-        let input = random_input(&mut rng, &dc, outside);
-        let outcome = dc.evaluate(&input);
-        let reference = evaluate_scalar(&dc, &input);
-        assert!(outcome.datacenter_load.is_finite(), "case {case}: load not finite");
-        let close = |a: f64, b: f64| {
-            assert!(a.is_finite(), "case {case}: non-finite value");
-            let scale = a.abs().max(b.abs()).max(1.0);
-            assert!(
-                (a - b).abs() <= 1e-9 * scale,
-                "case {case}: {a} vs {b} drifted past 1e-9 relative"
-            );
-        };
-        for (got, want) in outcome.server_power.iter().zip(&reference.server_power) {
-            close(got.value(), want.value());
-        }
-        for (got, want) in outcome.inlet_temps.iter().zip(&reference.inlet_temps) {
-            close(got.value(), want.value());
-        }
-        assert_eq!(
-            outcome.thermal_throttles.len(),
-            reference.thermal_throttles.len(),
-            "case {case}: throttle count drifted"
-        );
     }
 }
