@@ -9,7 +9,6 @@
 //! [`ScenarioError`] instead of panicking.
 
 use crate::scenario::{ResolvedTimeline, Scenario, ScenarioError};
-use dc_sim::failures::FailureSchedule;
 use dc_sim::topology::LayoutConfig;
 use dc_sim::weather::Climate;
 use serde::{Deserialize, Serialize};
@@ -20,9 +19,9 @@ use workload::endpoints::EndpointCatalog;
 use workload::vm::Vm;
 
 /// Tunables of the per-request serving fabric (see `crate::fabric`). The fabric is
-/// opt-in: [`ExperimentConfig::request_fabric`] is `None` by default and every legacy
-/// code path (RNG draws, report bytes, digests) is untouched until it is enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// opt-in: [`ExperimentConfig::request_fabric`] is `None` by default, and no fabric RNG
+/// draw or request happens until it is enabled.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestFabricConfig {
     /// Scales the generated request rate relative to the endpoint catalog's diurnal
     /// per-VM peak rates (`1.0` = the catalog's calibrated demand).
@@ -79,53 +78,8 @@ impl RequestFabricConfig {
     }
 }
 
-// Hand-written serde: the fault-tolerance knobs are emitted only when they differ from
-// the defaults, so every fabric-enabled artifact pinned before they existed keeps its
-// exact bytes, and old artifacts (which lack the keys) still load.
-impl Serialize for RequestFabricConfig {
-    fn to_value(&self) -> serde::Value {
-        let defaults = Self::default();
-        let mut entries = vec![
-            (String::from("rate_scale"), self.rate_scale.to_value()),
-            (String::from("slo_multiplier"), self.slo_multiplier.to_value()),
-        ];
-        if self.deadline_shedding != defaults.deadline_shedding {
-            entries.push((String::from("deadline_shedding"), self.deadline_shedding.to_value()));
-        }
-        if self.max_retries != defaults.max_retries {
-            entries.push((String::from("max_retries"), self.max_retries.to_value()));
-        }
-        if self.backoff_base_ms != defaults.backoff_base_ms {
-            entries.push((String::from("backoff_base_ms"), self.backoff_base_ms.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RequestFabricConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let defaults = Self::default();
-        Ok(Self {
-            rate_scale: Deserialize::from_value(value.get("rate_scale")?)?,
-            slo_multiplier: Deserialize::from_value(value.get("slo_multiplier")?)?,
-            deadline_shedding: match value.get("deadline_shedding") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.deadline_shedding,
-            },
-            max_retries: match value.get("max_retries") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.max_retries,
-            },
-            backoff_base_ms: match value.get("backoff_base_ms") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.backoff_base_ms,
-            },
-        })
-    }
-}
-
 /// Everything that defines one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Physical layout of the datacenter.
     pub layout: LayoutConfig,
@@ -150,89 +104,16 @@ pub struct ExperimentConfig {
     /// day; arrival-driven scenarios (e.g. fleet geo-routing studies) raise it so load
     /// builds over the horizon instead of arriving entirely at time zero.
     pub arrivals_per_day: Option<f64>,
-    /// Infrastructure failures to inject. Legacy shortcut kept for pinned artifacts: the
-    /// windows merge into the resolved scenario timeline, so `failures` and
-    /// `scenario` failure events behave identically. New code should prefer
-    /// [`Scenario`] events (site-targetable, validated).
-    pub failures: FailureSchedule,
     /// The typed event timeline this experiment runs under (weather episodes,
-    /// grid-price curves, failures, demand shaping). The default empty scenario
-    /// reproduces the pre-scenario behaviour bit for bit. For fleets this is shared
-    /// fleet-wide with per-site targeting; [`FleetConfig::site_experiment`] hands each
-    /// cell its single-site view.
+    /// grid-price curves, failures, demand shaping); the default is the empty scenario.
+    /// For fleets this is shared fleet-wide with per-site targeting;
+    /// [`FleetConfig::site_experiment`] hands each cell its single-site view.
     pub scenario: Scenario,
     /// Random seed (drives weather, arrivals, request shapes and per-entity offsets).
     pub seed: u64,
-    /// Per-request serving fabric, off by default. `None` keeps the run byte-identical
-    /// to a build without the fabric subsystem.
+    /// Per-request serving fabric, off by default. `None` runs the quantum serving model
+    /// alone.
     pub request_fabric: Option<RequestFabricConfig>,
-}
-
-// Hand-written serde on both sides. Serialize: the vendored derive writes `Option` as
-// `null`, which would insert a `request_fabric` key into every artifact and break the
-// pinned pre-fabric goldens — so the key is emitted only when the fabric is enabled,
-// with every pre-existing field in declaration order exactly as the derive wrote it.
-impl Serialize for ExperimentConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            (String::from("layout"), self.layout.to_value()),
-            (String::from("policy"), self.policy.to_value()),
-            (String::from("saas_fraction"), self.saas_fraction.to_value()),
-            (String::from("climate"), self.climate.to_value()),
-            (String::from("duration"), self.duration.to_value()),
-            (String::from("step"), self.step.to_value()),
-            (String::from("endpoint_count"), self.endpoint_count.to_value()),
-            (
-                String::from("requests_per_vm_per_minute"),
-                self.requests_per_vm_per_minute.to_value(),
-            ),
-            (String::from("initial_occupancy"), self.initial_occupancy.to_value()),
-            (String::from("arrivals_per_day"), self.arrivals_per_day.to_value()),
-            (String::from("failures"), self.failures.to_value()),
-            (String::from("scenario"), self.scenario.to_value()),
-            (String::from("seed"), self.seed.to_value()),
-        ];
-        if let Some(fabric) = &self.request_fabric {
-            entries.push((String::from("request_fabric"), fabric.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-// Deserialize is hand-written (the other configs use the derive) so experiment artifacts
-// serialized before `arrivals_per_day` / `scenario` / `request_fabric` existed still
-// load: the vendored derive rejects a missing key, but these fields must default for
-// backward compatibility.
-impl Deserialize for ExperimentConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            layout: Deserialize::from_value(value.get("layout")?)?,
-            policy: Deserialize::from_value(value.get("policy")?)?,
-            saas_fraction: Deserialize::from_value(value.get("saas_fraction")?)?,
-            climate: Deserialize::from_value(value.get("climate")?)?,
-            duration: Deserialize::from_value(value.get("duration")?)?,
-            step: Deserialize::from_value(value.get("step")?)?,
-            endpoint_count: Deserialize::from_value(value.get("endpoint_count")?)?,
-            requests_per_vm_per_minute: Deserialize::from_value(
-                value.get("requests_per_vm_per_minute")?,
-            )?,
-            initial_occupancy: Deserialize::from_value(value.get("initial_occupancy")?)?,
-            arrivals_per_day: match value.get("arrivals_per_day") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => None,
-            },
-            failures: Deserialize::from_value(value.get("failures")?)?,
-            scenario: match value.get("scenario") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => Scenario::default(),
-            },
-            seed: Deserialize::from_value(value.get("seed")?)?,
-            request_fabric: match value.get("request_fabric") {
-                Ok(field) => Some(Deserialize::from_value(field)?),
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl ExperimentConfig {
@@ -251,7 +132,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 12.0,
             initial_occupancy: 0.9,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 42,
             request_fabric: None,
@@ -273,7 +153,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.95,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 7,
             request_fabric: None,
@@ -295,7 +174,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.92,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 11,
             request_fabric: None,
@@ -317,7 +195,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.92,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 13,
             request_fabric: None,
@@ -381,14 +258,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the legacy failure schedule (prefer scenario failure events; both merge into
-    /// the same resolved timeline).
-    #[must_use]
-    pub fn with_failures(mut self, failures: FailureSchedule) -> Self {
-        self.failures = failures;
-        self
-    }
-
     /// Composes a scenario into the experiment.
     #[must_use]
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
@@ -417,17 +286,11 @@ impl ExperimentConfig {
         self.scenario.validate_events()
     }
 
-    /// Resolves the composed scenario (and the legacy failure schedule it subsumes) into
-    /// the dense per-step timeline this experiment runs under, viewed as site 0.
+    /// Resolves the composed scenario into the dense per-step timeline this experiment
+    /// runs under, viewed as site 0.
     #[must_use]
     pub fn resolved_timeline(&self) -> ResolvedTimeline {
-        self.scenario.resolve(
-            0,
-            self.duration,
-            self.step,
-            self.endpoint_count.max(1),
-            &self.failures,
-        )
+        self.scenario.resolve(0, self.duration, self.step, self.endpoint_count.max(1))
     }
 
     /// Adds extra servers beyond the provisioned budgets to model oversubscription (Fig. 21):
@@ -553,7 +416,7 @@ pub struct SiteConfig {
 /// existing digests are preserved.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
-    /// Workload shape, scheduling policy, duration, step and failure schedule shared by
+    /// Workload shape, scheduling policy, duration, step and scenario shared by
     /// every site (each site overrides layout, climate and seed from its [`SiteConfig`]).
     pub base: ExperimentConfig,
     /// The fleet's datacenters, in site-ordinal order.
@@ -803,42 +666,51 @@ mod tests {
 
     #[test]
     fn experiment_config_round_trips_through_json() {
-        let mut config = ExperimentConfig::production_week(Policy::PlaceRoute);
-        config.failures = FailureSchedule::none()
-            .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        let config = ExperimentConfig::production_week(Policy::PlaceRoute).with_scenario(
+            Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5)),
+        );
         let json = serde_json::to_string(&config).expect("serialize");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
     }
 
-    #[test]
-    fn configs_serialized_before_the_arrivals_field_still_deserialize() {
-        let config = ExperimentConfig::small_smoke_test();
-        let json = serde_json::to_string(&config).expect("serialize");
-        // A pre-fleet-layer artifact has no `arrivals_per_day` key at all, and a
-        // pre-scenario artifact no `scenario` key either.
-        let legacy = json
-            .replace("\"arrivals_per_day\":null,", "")
-            .replace(&format!("\"scenario\":{},", scenario_json(&config.scenario)), "");
-        assert_ne!(legacy, json, "test must actually strip the fields");
-        assert!(!legacy.contains("scenario"), "scenario key must be stripped");
-        let back: ExperimentConfig = serde_json::from_str(&legacy).expect("deserialize");
-        assert_eq!(back, config);
-    }
-
-    fn scenario_json(scenario: &Scenario) -> String {
-        serde_json::to_string(scenario).expect("serialize scenario")
+    /// `value` with one top-level map key removed (the removal must happen).
+    fn without_key(mut value: serde::Value, key: &str) -> serde::Value {
+        let serde::Value::Map(entries) = &mut value else { panic!("expected a map") };
+        let before = entries.len();
+        entries.retain(|(name, _)| name != key);
+        assert_eq!(entries.len(), before - 1, "`{key}` must be present to strip");
+        value
     }
 
     #[test]
-    fn disabled_fabric_leaves_config_artifacts_byte_free_of_the_key() {
-        // The opt-in field must be invisible in pre-fabric artifacts: pinned goldens
-        // serialized before the fabric existed stay bit-identical.
+    fn configs_missing_the_arrivals_or_scenario_key_fail_to_deserialize() {
+        // Every key is written, `None` as `null`, and every key is required on load: an
+        // artifact without `arrivals_per_day` or `scenario` is an error, never a default.
         let config = ExperimentConfig::small_smoke_test();
-        let json = serde_json::to_string(&config).expect("serialize");
-        assert!(!json.contains("request_fabric"), "disabled fabric must not serialize");
+        for key in ["arrivals_per_day", "scenario"] {
+            let json = serde_json::to_string(&without_key(config.to_value(), key))
+                .expect("serialize");
+            let error = serde_json::from_str::<ExperimentConfig>(&json).unwrap_err();
+            assert!(error.to_string().contains(key), "{key}: {error}");
+        }
+    }
+
+    #[test]
+    fn disabled_fabric_writes_the_key_as_null_and_requires_it() {
+        let disabled = ExperimentConfig::small_smoke_test();
+        let json = serde_json::to_string(&disabled).expect("serialize");
+        assert!(json.ends_with("\"request_fabric\":null}"), "{json}");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, config);
+        assert_eq!(back, disabled);
+        let enabled = ExperimentConfig::small_smoke_test()
+            .with_request_fabric(RequestFabricConfig::default());
+        for config in [disabled, enabled] {
+            let json = serde_json::to_string(&without_key(config.to_value(), "request_fabric"))
+                .expect("serialize");
+            let error = serde_json::from_str::<ExperimentConfig>(&json).unwrap_err();
+            assert!(error.to_string().contains("request_fabric"), "{error}");
+        }
     }
 
     #[test]
@@ -847,13 +719,19 @@ mod tests {
             RequestFabricConfig { rate_scale: 2.5, ..RequestFabricConfig::default() },
         );
         let json = serde_json::to_string(&config).expect("serialize");
-        assert!(json.ends_with("\"request_fabric\":{\"rate_scale\":2.5,\"slo_multiplier\":5}}"));
+        assert!(
+            json.ends_with(
+                "\"request_fabric\":{\"rate_scale\":2.5,\"slo_multiplier\":5,\
+                 \"deadline_shedding\":false,\"max_retries\":3,\"backoff_base_ms\":256}}"
+            ),
+            "{json}"
+        );
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
     }
 
     #[test]
-    fn fault_policy_knobs_serialize_only_when_non_default_and_round_trip() {
+    fn fault_policy_knobs_always_serialize_and_round_trip() {
         let config = ExperimentConfig::small_smoke_test().with_request_fabric(
             RequestFabricConfig {
                 deadline_shedding: true,
@@ -863,12 +741,22 @@ mod tests {
             },
         );
         let json = serde_json::to_string(&config).expect("serialize");
-        assert!(json.ends_with(
-            "\"request_fabric\":{\"rate_scale\":1,\"slo_multiplier\":5,\
-             \"deadline_shedding\":true,\"max_retries\":5,\"backoff_base_ms\":128}}"
-        ));
+        assert!(
+            json.ends_with(
+                "\"request_fabric\":{\"rate_scale\":1,\"slo_multiplier\":5,\
+                 \"deadline_shedding\":true,\"max_retries\":5,\"backoff_base_ms\":128}}"
+            ),
+            "{json}"
+        );
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
+        // The knobs are written at their defaults too, so each one is required on load.
+        let fabric = RequestFabricConfig::default().to_value();
+        for key in ["deadline_shedding", "max_retries", "backoff_base_ms"] {
+            let error = RequestFabricConfig::from_value(&without_key(fabric.clone(), key))
+                .unwrap_err();
+            assert!(error.to_string().contains(key), "{key}: {error}");
+        }
     }
 
     #[test]
@@ -919,20 +807,6 @@ mod tests {
             .events
             .iter()
             .all(|e| e.site() == crate::scenario::SiteSelector::All));
-    }
-
-    #[test]
-    fn legacy_failures_and_scenario_events_merge_in_the_resolved_timeline() {
-        let start = SimTime::from_minutes(30);
-        let end = SimTime::from_minutes(90);
-        let config = ExperimentConfig::small_smoke_test()
-            .with_failures(FailureSchedule::none().with_power_emergency(start, end))
-            .with_scenario(Scenario::thermal_emergency(start, end));
-        let timeline = config.resolved_timeline();
-        assert_eq!(timeline.failures().windows().len(), 2);
-        let state = timeline.failures().state_at(SimTime::from_minutes(60));
-        assert!((state.global_cooling_fraction - 0.9).abs() < 1e-12);
-        assert_eq!(state.failed_upses().len(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   [`tapas::geo::SiteSignals::grid_price_per_mwh`] so placement can weigh energy cost
 //!   alongside power headroom and thermal slack.
 //! * **Infrastructure failures** — generalizes [`dc_sim::failures::FailureSchedule`] with
-//!   per-site targeting; scenario failure windows merge with a config's legacy schedule.
+//!   per-site targeting; they are the only way an experiment injects a failure.
 //! * **Demand shaping** — multiplicative surges on SaaS request rates, fleet-wide or per
 //!   endpoint (trace replay enters through
 //!   [`crate::simulator::ClusterSimulator::with_arrivals`]).
@@ -579,11 +579,6 @@ impl Scenario {
 
     /// Resolves the scenario into dense per-step vectors for one site. Pure (no RNG) and
     /// run once per simulator build; the per-step hot path only indexes the result.
-    ///
-    /// `legacy_failures` is the config-level [`FailureSchedule`] the scenario subsumes:
-    /// its windows come first, then the scenario's failure events in timeline order (the
-    /// collapse semantics of [`dc_sim::failures::FailureState`] make the order
-    /// irrelevant to the outcome).
     #[must_use]
     pub fn resolve(
         &self,
@@ -591,7 +586,6 @@ impl Scenario {
         duration: SimTime,
         step: SimDuration,
         endpoint_count: usize,
-        legacy_failures: &FailureSchedule,
     ) -> ResolvedTimeline {
         let step_minutes = step.as_minutes().max(1);
         let steps = step_count(duration, step_minutes);
@@ -604,7 +598,7 @@ impl Scenario {
             power_cap: vec![1.0; steps],
             endpoint_scale: Vec::new(),
             endpoint_count,
-            failures: legacy_failures.clone(),
+            failures: FailureSchedule::none(),
             replica_failures: Vec::new(),
         };
         for event in self.events.iter().filter(|e| e.site().matches(site)) {
@@ -1020,7 +1014,7 @@ impl ResolvedTimeline {
         self.power_cap.iter().filter(|&&f| f < 1.0).count() as u64 * self.step_minutes
     }
 
-    /// The merged failure schedule (legacy config windows plus scenario failure events).
+    /// The failure schedule the scenario's failure events resolve to.
     #[must_use]
     pub fn failures(&self) -> &FailureSchedule {
         &self.failures
@@ -1083,13 +1077,7 @@ mod tests {
     }
 
     fn resolve(scenario: &Scenario, site: usize) -> ResolvedTimeline {
-        scenario.resolve(
-            site,
-            SimTime::from_hours(2),
-            SimDuration::from_minutes(5),
-            4,
-            &FailureSchedule::none(),
-        )
+        scenario.resolve(site, SimTime::from_hours(2), SimDuration::from_minutes(5), 4)
     }
 
     #[test]
@@ -1157,28 +1145,27 @@ mod tests {
     }
 
     #[test]
-    fn failure_events_merge_with_the_legacy_schedule() {
-        let legacy =
-            FailureSchedule::none().with_power_emergency(t(0), t(20));
+    fn failure_events_resolve_into_the_failure_schedule() {
         let scenario = Scenario::builder()
+            .fail_ups(SiteSelector::All, t(0), t(20), 0.75)
             .fail_cooling(SiteSelector::All, t(10), t(40), 0.9)
             .fail_ahus(0, 1, 2, t(10), t(40))
             .build()
             .expect("valid");
-        let timeline = scenario.resolve(
-            0,
-            SimTime::from_hours(1),
-            SimDuration::from_minutes(5),
-            1,
-            &legacy,
-        );
+        let timeline =
+            scenario.resolve(0, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
         assert_eq!(timeline.failures().windows().len(), 3);
         let state = timeline.failures().state_at(t(15));
         assert!((state.global_cooling_fraction - 0.9).abs() < 1e-12);
         assert_eq!(state.failed_upses().len(), 1);
         assert_eq!(state.failed_ahus().len(), 1);
-        // Scenario-only failures end on schedule; the legacy window has already closed.
+        // Each window ends on schedule.
         assert!(timeline.failures().state_at(t(25)).failed_upses().is_empty());
+        assert_eq!(timeline.failures().state_at(t(25)).failed_ahus().len(), 1);
+        // Site 1 sees only the fleet-wide windows.
+        let other =
+            scenario.resolve(1, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
+        assert_eq!(other.failures().windows().len(), 2);
     }
 
     #[test]
@@ -1387,13 +1374,8 @@ mod tests {
             .grid_price(SiteSelector::All, t(30), t(45), 200.0)
             .build()
             .expect("valid");
-        let timeline = scenario.resolve(
-            0,
-            SimTime::from_minutes(30),
-            SimDuration::from_minutes(15),
-            1,
-            &FailureSchedule::none(),
-        );
+        let timeline =
+            scenario.resolve(0, SimTime::from_minutes(30), SimDuration::from_minutes(15), 1);
         // 1 MWh-equivalent pricing: (1000 kW × 0.25 h × $100 + same + 2000 × 0.25 × $200) / 1000.
         let cost = energy_cost_usd(&report, &timeline);
         assert!((cost - (25.0 + 25.0 + 100.0)).abs() < 1e-9, "cost {cost}");

@@ -423,13 +423,8 @@ mod tests {
     #[test]
     fn generated_scenarios_resolve_and_cap_windows_land() {
         let scenario = generate(7, &config(IntensityTier::Adversarial, 3));
-        let timeline = scenario.resolve(
-            0,
-            SimTime::from_days(2),
-            simkit::time::SimDuration::from_minutes(10),
-            4,
-            &dc_sim::failures::FailureSchedule::none(),
-        );
+        let step = simkit::time::SimDuration::from_minutes(10);
+        let timeline = scenario.resolve(0, SimTime::from_days(2), step, 4);
         assert!(timeline.power_caps().iter().all(|&f| f > 0.0 && f <= 1.0));
         assert!(timeline.grid_prices().iter().all(|&p| p.is_finite() && p >= 0.0));
     }

@@ -8,7 +8,7 @@
 //!
 //! # Hot-path layout
 //!
-//! The simulator owns an [`InstanceRegistry`]: a per-endpoint struct-of-arrays store of every
+//! The simulator owns an `InstanceRegistry`: a per-endpoint struct-of-arrays store of every
 //! SaaS instance's runtime state (utilization, outstanding requests, recent customers,
 //! configuration, cached profile figures). The registry is updated in place on VM
 //! place/retire/reconfigure and mutated per routing quantum through the index the router
@@ -36,9 +36,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use tapas::configurator::{InstanceConfigurator, InstanceLimits};
 use tapas::geo::SiteSignals;
-use tapas::placement::{
-    BaselinePlacement, PlacementPlanner, PlacementRequest, TapasPlacement, VmPlacementPolicy,
-};
+use tapas::placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
     BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
@@ -600,7 +598,6 @@ impl ClusterSimulator {
     }
 
     fn place_pending_vms(&mut self, now: SimTime) {
-        let baseline = BaselinePlacement;
         while let Some(front) = self.pending.front() {
             if front.arrival > now {
                 break;
@@ -610,17 +607,17 @@ impl ClusterSimulator {
                 continue;
             }
             let request = PlacementRequest { vm, predicted_peak_load: self.predicted_peak_load(&vm) };
-            let layout = self.dc.layout();
             let chosen = if self.config.policy.placement_enabled() {
                 self.tapas_placement.place_with(
                     &request,
                     &self.state,
-                    layout,
+                    self.dc.layout(),
                     &self.profiles,
                     &mut self.planner,
                 )
             } else {
-                baseline.place(&request, &self.state, layout, &self.profiles)
+                // The thermal- and power-oblivious baseline packs the first free server.
+                self.state.first_free()
             };
             match chosen {
                 Some(server) => {
@@ -1046,9 +1043,9 @@ impl ClusterSimulator {
 
         self.fill_activity(now);
         self.step_input.outside_temp = outside;
-        // The resolved timeline's schedule merges the legacy config windows with the
-        // scenario's failure events; the step's power cap rides along the same way
-        // (1.0 outside cap windows keeps the engine's uncapped path untouched).
+        // The resolved timeline holds the scenario's failure windows; the step's power
+        // cap rides along the same way (1.0 outside cap windows keeps the engine's
+        // uncapped path untouched).
         self.timeline.failures().state_into(now, &mut self.step_input.failures);
         self.step_input.power_cap = self.timeline.power_cap_at(now);
         self.dc.evaluate_into(&self.step_input, &mut self.workspace);
@@ -1204,9 +1201,12 @@ mod tests {
 
     #[test]
     fn failure_schedule_is_honoured() {
-        let mut config = ExperimentConfig::small_smoke_test();
-        config.failures = dc_sim::failures::FailureSchedule::none()
-            .with_power_emergency(SimTime::from_minutes(30), SimTime::from_minutes(90));
+        let config = ExperimentConfig::small_smoke_test().with_scenario(
+            crate::scenario::Scenario::power_emergency(
+                SimTime::from_minutes(30),
+                SimTime::from_minutes(90),
+            ),
+        );
         let report = ClusterSimulator::new(config).run();
         // During the emergency the reduced capacity should trigger capping on a loaded
         // cluster, or at least be recorded as events if load is high enough; the run must in
@@ -1326,29 +1326,6 @@ mod tests {
         let report = sim.into_report();
         assert!(report.events.count(EventKind::PowerCap) > 0);
         assert!(report.requests_served > 0);
-    }
-
-    #[test]
-    fn scenario_failures_behave_exactly_like_the_legacy_schedule() {
-        use crate::scenario::Scenario;
-        let start = SimTime::from_minutes(30);
-        let end = SimTime::from_minutes(90);
-        let legacy = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test().with_failures(
-                dc_sim::failures::FailureSchedule::none().with_power_emergency(start, end),
-            ),
-        )
-        .run();
-        let scenario = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test()
-                .with_scenario(Scenario::power_emergency(start, end)),
-        )
-        .run();
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("serialize"),
-            serde_json::to_string(&scenario).expect("serialize"),
-            "a scenario failure event must reproduce the legacy schedule bit for bit"
-        );
     }
 
     #[test]

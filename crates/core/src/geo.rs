@@ -270,7 +270,7 @@ impl GeoPlacement {
     /// the lowest site ordinal, and no RNG is consumed. Unlike [`GeoPlacement::choose`]
     /// a site with zero free servers is never skipped — requests are served by the
     /// instances a site already runs, not by spare servers — and the burst charge is
-    /// per-request scale (one free server absorbs [`REQUESTS_PER_SERVER_SLOT`] requests
+    /// per-request scale (one free server absorbs `REQUESTS_PER_SERVER_SLOT` requests
     /// per step before the penalty reaches one server's worth), so routing a step's
     /// request stream does not instantly saturate the counter that VM `choose` uses.
     ///
@@ -282,7 +282,7 @@ impl GeoPlacement {
     /// rest of the run: a weighted deficit round-robin that deals each endpoint's
     /// stream proportionally to where that endpoint's effective serving instances
     /// live (see [`GeoPlacement::set_request_capacity`]), with a saturated site's
-    /// weight shrinking by [`REQUEST_SATURATION_PENALTY`] per unit of over-pressure.
+    /// weight shrinking by `REQUEST_SATURATION_PENALTY` per unit of over-pressure.
     /// Preference routing concentrates — exactly the wrong move once serving capacity
     /// is the binding constraint — and because the pressure telemetry is one step
     /// stale, un-latching on recovery would oscillate: a single concentrated step

@@ -38,9 +38,7 @@ pub mod state;
 pub use configurator::{ConfigDecision, InstanceConfigurator, InstanceLimits};
 pub use emergency::{EmergencyPlan, EmergencyResponder};
 pub use geo::{GeoConfig, GeoPlacement, SiteSignals};
-pub use placement::{
-    BaselinePlacement, PlacementPlanner, PlacementRequest, TapasPlacement, VmPlacementPolicy,
-};
+pub use placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{

@@ -7,7 +7,7 @@
 //! cold/medium/warm terciles of predicted peak GPU temperature); a second preference rule
 //! keeps the IaaS/SaaS mix of each row balanced so the SaaS flexibility is spread across the
 //! power/airflow domains. The Baseline allocator is thermal- and power-oblivious: it packs
-//! VMs onto the lowest-numbered free server.
+//! VMs onto the lowest-numbered free server ([`ClusterState::first_free`]).
 
 use crate::profiles::{ProfileStore, ServerProfile};
 use crate::state::ClusterState;
@@ -42,43 +42,6 @@ pub struct DesignConditions {
 impl Default for DesignConditions {
     fn default() -> Self {
         Self { design_outside_temp: Celsius::new(32.0), design_dc_load: 0.8 }
-    }
-}
-
-/// A VM placement policy.
-pub trait VmPlacementPolicy {
-    /// Chooses a server for the VM, or `None` if no feasible server exists.
-    fn place(
-        &self,
-        request: &PlacementRequest,
-        state: &ClusterState,
-        layout: &Layout,
-        profiles: &ProfileStore,
-    ) -> Option<ServerId>;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The thermal- and power-oblivious baseline: first free server in id order (a packing
-/// placement that concentrates load, as conventional allocators optimized for fragmentation
-/// do).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BaselinePlacement;
-
-impl VmPlacementPolicy for BaselinePlacement {
-    fn place(
-        &self,
-        _request: &PlacementRequest,
-        state: &ClusterState,
-        _layout: &Layout,
-        _profiles: &ProfileStore,
-    ) -> Option<ServerId> {
-        state.first_free()
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline-placement"
     }
 }
 
@@ -457,8 +420,9 @@ impl TapasPlacement {
 
 impl TapasPlacement {
     /// Chooses a server using the planner's aggregates, dense per-server constants and
-    /// scratch buffers (the allocation-free hot path; [`VmPlacementPolicy::place`] wraps it
-    /// with a transient planner).
+    /// scratch buffers: the allocation-free hot path, and TAPAS placement's one entry
+    /// point. The caller keeps `planner` in step with `state` through
+    /// [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`].
     ///
     /// One pass over the free servers applies the validator and estimates each survivor's
     /// peak temperature; two `select_nth_unstable` calls split the candidates into the
@@ -698,23 +662,6 @@ fn balance_score((iaas, saas): (usize, usize), is_saas: bool) -> f64 {
     1.0 - ((new_iaas as f64 - new_saas as f64).abs() / total)
 }
 
-impl VmPlacementPolicy for TapasPlacement {
-    fn place(
-        &self,
-        request: &PlacementRequest,
-        state: &ClusterState,
-        layout: &Layout,
-        profiles: &ProfileStore,
-    ) -> Option<ServerId> {
-        let mut planner = PlacementPlanner::new(state, layout, profiles, self.config.design);
-        self.place_with(request, state, layout, profiles, &mut planner)
-    }
-
-    fn name(&self) -> &'static str {
-        "tapas-placement"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,17 +773,23 @@ mod tests {
         assert!((added - full_kw).abs() < 1e-9, "a NaN peak should book full power, added {added}");
     }
 
+    /// A planner in step with `state`, as the simulator keeps one.
+    fn planner_for(
+        state: &ClusterState,
+        layout: &Layout,
+        profiles: &ProfileStore,
+    ) -> PlacementPlanner {
+        PlacementPlanner::new(state, layout, profiles, TapasPlacement::default().config.design)
+    }
+
     #[test]
     fn baseline_packs_lowest_free_server() {
-        let (layout, profiles) = setup();
+        let (layout, _) = setup();
         let mut state = ClusterState::new(layout.server_count());
-        let policy = BaselinePlacement;
-        assert_eq!(policy.name(), "baseline-placement");
-        let first = policy.place(&request(1, false, 1.0), &state, &layout, &profiles).unwrap();
+        let first = state.first_free().unwrap();
         assert_eq!(first, ServerId::new(0));
         state.place(vm(1, false), first, 1.0, None).unwrap();
-        let second = policy.place(&request(2, true, 1.0), &state, &layout, &profiles).unwrap();
-        assert_eq!(second, ServerId::new(1));
+        assert_eq!(state.first_free(), Some(ServerId::new(1)));
     }
 
     #[test]
@@ -844,9 +797,12 @@ mod tests {
         let (layout, profiles) = setup();
         let state = ClusterState::new(layout.server_count());
         let policy = TapasPlacement::default();
-        assert_eq!(policy.name(), "tapas-placement");
-        let iaas_server = policy.place(&request(1, false, 0.9), &state, &layout, &profiles).unwrap();
-        let saas_server = policy.place(&request(2, true, 0.9), &state, &layout, &profiles).unwrap();
+        let mut planner = planner_for(&state, &layout, &profiles);
+        let mut place = |req: PlacementRequest| {
+            policy.place_with(&req, &state, &layout, &profiles, &mut planner).unwrap()
+        };
+        let iaas_server = place(request(1, false, 0.9));
+        let saas_server = place(request(2, true, 0.9));
         let temp_of = |s: ServerId| policy.thermal_estimate(&profiles, s, 0.9).value();
         assert!(
             temp_of(iaas_server) < temp_of(saas_server),
@@ -868,7 +824,10 @@ mod tests {
         }
         // The next peak-load VM must not land in row 0 (its predicted peak would exceed the
         // 85 %-provisioned budget), even though row 0 still has free servers.
-        let chosen = policy.place(&request(1, false, 1.0), &state, &layout, &profiles).unwrap();
+        let mut planner = planner_for(&state, &layout, &profiles);
+        let chosen = policy
+            .place_with(&request(1, false, 1.0), &state, &layout, &profiles, &mut planner)
+            .unwrap();
         let chosen_row = layout.server(chosen).row;
         assert_eq!(chosen_row.index(), 1, "validator should steer the VM to the other row");
     }
@@ -878,12 +837,15 @@ mod tests {
         let (layout, profiles) = setup();
         let mut state = ClusterState::new(layout.server_count());
         let policy = TapasPlacement::default();
+        let mut planner = planner_for(&state, &layout, &profiles);
         // Place an alternating stream and check that neither row ends up one-sided.
         for i in 0..40u64 {
             let saas = i % 2 == 0;
             let req = request(i, saas, 0.7);
-            let server = policy.place(&req, &state, &layout, &profiles).unwrap();
+            let server =
+                policy.place_with(&req, &state, &layout, &profiles, &mut planner).unwrap();
             state.place(vm(i, saas), server, 0.7, None).unwrap();
+            planner.on_place(server, 0.7, &profiles);
         }
         for row in layout.rows() {
             let (iaas, saas) = state.row_mix(&layout, row.id);
@@ -904,11 +866,10 @@ mod tests {
                 .place(vm(i as u64, false), ServerId::new(i), 0.5, None)
                 .unwrap();
         }
-        assert!(BaselinePlacement
-            .place(&request(999, false, 0.5), &state, &layout, &profiles)
-            .is_none());
+        assert!(state.first_free().is_none());
+        let mut planner = planner_for(&state, &layout, &profiles);
         assert!(TapasPlacement::default()
-            .place(&request(999, false, 0.5), &state, &layout, &profiles)
+            .place_with(&request(999, false, 0.5), &state, &layout, &profiles, &mut planner)
             .is_none());
     }
 
@@ -917,12 +878,15 @@ mod tests {
         let (layout, profiles) = setup();
         let mut state = ClusterState::new(layout.server_count());
         let policy = TapasPlacement::default();
+        let mut planner = planner_for(&state, &layout, &profiles);
         // Place a realistic mixed stream at moderate predicted load and verify the invariant.
         for i in 0..60u64 {
             let saas = i % 2 == 0;
             let req = request(i, saas, 0.8);
-            if let Some(server) = policy.place(&req, &state, &layout, &profiles) {
+            let chosen = policy.place_with(&req, &state, &layout, &profiles, &mut planner);
+            if let Some(server) = chosen {
                 state.place(vm(i, saas), server, 0.8, None).unwrap();
+                planner.on_place(server, 0.8, &profiles);
             }
         }
         let row_power = TapasPlacement::predicted_row_power(&state, &layout, &profiles);

@@ -12,7 +12,7 @@
 use crate::ids::{GpuId, ServerId};
 use crate::index::TopologyIndex;
 use crate::topology::Layout;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
 use simkit::units::{Celsius, Watts};
 
@@ -80,77 +80,43 @@ pub struct GpuTemperatures {
 }
 
 /// One step's GPU temperatures for a whole datacenter: a contiguous server-major
-/// structure-of-arrays junction plane plus a derived memory plane.
+/// structure-of-arrays junction plane plus one memory offset per server.
 ///
-/// Replaces the array-of-structs `Vec<GpuTemperatures>` storage with one flat `f64`
-/// junction plane (`gpu_c`), stride-indexed through the server-major GPU offsets of a
-/// [`TopologyIndex`]. The physics kernels write the plane with branch-free lane loops,
-/// and datacenter-wide scans (hottest GPU, fleet aggregation) walk one dense `f64`
-/// slice. Memory (HBM) temperatures track their GPU by a *per-server* offset
-/// (Eq. 2's memory-boundedness term), so the grid stores that offset per server instead
-/// of a second per-GPU plane — at 10k-server scale a full memory plane write is ~20 % of
-/// the step's memory traffic — and materializes `mem = gpu + offset` on access, which is
-/// bit-identical to what the old stored plane held (same addition, same operands).
-/// Deserialized grids keep their explicit per-GPU memory values instead.
+/// The junction plane (`gpu_c`) is one flat `f64` vector, stride-indexed through the
+/// server-major GPU offsets of a [`TopologyIndex`]. The physics kernels write the plane
+/// with branch-free lane loops, and datacenter-wide scans (hottest GPU, fleet
+/// aggregation) walk one dense `f64` slice. Memory (HBM) temperatures track their GPU by
+/// a *per-server* offset (Eq. 2's memory-boundedness term), so the grid stores that
+/// offset per server instead of a second per-GPU plane — at 10k-server scale a full
+/// memory plane write is ~20 % of the step's memory traffic — and computes
+/// `mem = gpu + offset` on access.
 ///
-/// Id-keyed accessors ([`Self::get`], [`Self::server`]) are preserved, and the serde
-/// encoding is bit-identical to the original array-of-structs shape, so digests and
-/// golden artifacts are unchanged across the storage change.
-#[derive(Debug, Clone)]
+/// Id-keyed accessors ([`Self::get`], [`Self::server`]) read the planes; the serialized
+/// form is the storage itself.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TempGrid {
     /// Flat per-GPU junction temperatures (°C), server-major.
     gpu_c: Vec<f64>,
-    /// Memory-temperature storage (see the type docs).
-    mem: MemPlane,
+    /// Per-server memory-temperature offset (°C): `mem[g] = gpu_c[g] + mem_offset_c[s]`
+    /// for every GPU `g` of server `s`.
+    mem_offset_c: Vec<f64>,
     /// Server-major GPU prefix sums (length `servers + 1`), copied from the topology index
     /// that shaped the grid.
     offsets: Vec<u32>,
 }
 
-/// Memory-temperature storage of a [`TempGrid`].
-#[derive(Debug, Clone)]
-enum MemPlane {
-    /// One offset per server: `mem[g] = gpu_c[g] + offsets_c[server(g)]`. The kernels'
-    /// output representation.
-    Derived(Vec<f64>),
-    /// One explicit value per GPU (server-major). The deserialized representation, kept
-    /// verbatim so serde round trips are byte-stable.
-    Materialized(Vec<f64>),
-}
-
 impl Default for TempGrid {
     fn default() -> Self {
-        Self { gpu_c: Vec::new(), mem: MemPlane::Derived(Vec::new()), offsets: vec![0] }
-    }
-}
-
-// Equality is semantic: two grids are equal when they cover the same shape and every
-// GPU's junction and (materialized-on-demand) memory temperature is bit-equal, whichever
-// representation the memory plane uses.
-impl PartialEq for TempGrid {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.gpu_c == other.gpu_c
-            && self
-                .iter()
-                .map(|t| t.memory)
-                .eq(other.iter().map(|t| t.memory))
+        Self { gpu_c: Vec::new(), mem_offset_c: Vec::new(), offsets: vec![0] }
     }
 }
 
 /// The temperatures of one server's GPUs: a contiguous junction-plane window plus the
-/// server's memory lane (derived offset or materialized values).
+/// server's memory offset.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerTemps<'a> {
     gpu_c: &'a [f64],
-    mem: MemLane<'a>,
-}
-
-/// One server's memory-temperature lane.
-#[derive(Debug, Clone, Copy)]
-enum MemLane<'a> {
-    Offset(f64),
-    Slice(&'a [f64]),
+    mem_offset_c: f64,
 }
 
 impl<'a> ServerTemps<'a> {
@@ -166,14 +132,6 @@ impl<'a> ServerTemps<'a> {
         self.gpu_c.is_empty()
     }
 
-    /// The memory temperature of one slot (°C).
-    fn mem_at(&self, slot: usize) -> f64 {
-        match self.mem {
-            MemLane::Offset(offset) => self.gpu_c[slot] + offset,
-            MemLane::Slice(values) => values[slot],
-        }
-    }
-
     /// The temperatures of one GPU slot.
     ///
     /// # Panics
@@ -182,7 +140,7 @@ impl<'a> ServerTemps<'a> {
     pub fn get(&self, slot: usize) -> GpuTemperatures {
         GpuTemperatures {
             gpu: Celsius::new(self.gpu_c[slot]),
-            memory: Celsius::new(self.mem_at(slot)),
+            memory: Celsius::new(self.gpu_c[slot] + self.mem_offset_c),
         }
     }
 
@@ -204,7 +162,7 @@ impl TempGrid {
     pub fn for_topology(topology: &TopologyIndex) -> Self {
         Self {
             gpu_c: vec![0.0; topology.gpu_count()],
-            mem: MemPlane::Derived(vec![0.0; topology.server_count()]),
+            mem_offset_c: vec![0.0; topology.server_count()],
             offsets: topology.gpu_offsets().to_vec(),
         }
     }
@@ -227,12 +185,11 @@ impl TempGrid {
         self.gpu_c.is_empty()
     }
 
-    /// The memory lane of one server ordinal.
-    fn mem_lane(&self, ordinal: usize, start: usize, end: usize) -> MemLane<'_> {
-        match &self.mem {
-            MemPlane::Derived(offsets) => MemLane::Offset(offsets[ordinal]),
-            MemPlane::Materialized(values) => MemLane::Slice(&values[start..end]),
-        }
+    /// The view of one server ordinal.
+    fn server_at(&self, ordinal: usize) -> ServerTemps<'_> {
+        let start = self.offsets[ordinal] as usize;
+        let end = self.offsets[ordinal + 1] as usize;
+        ServerTemps { gpu_c: &self.gpu_c[start..end], mem_offset_c: self.mem_offset_c[ordinal] }
     }
 
     /// The temperatures of every GPU in one server.
@@ -241,12 +198,7 @@ impl TempGrid {
     /// Panics if the server ordinal is out of range.
     #[must_use]
     pub fn server(&self, server: ServerId) -> ServerTemps<'_> {
-        let start = self.offsets[server.index()] as usize;
-        let end = self.offsets[server.index() + 1] as usize;
-        ServerTemps {
-            gpu_c: &self.gpu_c[start..end],
-            mem: self.mem_lane(server.index(), start, end),
-        }
+        self.server_at(server.index())
     }
 
     /// The temperatures of one GPU.
@@ -266,16 +218,7 @@ impl TempGrid {
 
     /// Iterates `(server, per-GPU view)` pairs in server order.
     pub fn iter_servers(&self) -> impl Iterator<Item = (ServerId, ServerTemps<'_>)> + '_ {
-        self.offsets.windows(2).enumerate().map(|(i, w)| {
-            let (start, end) = (w[0] as usize, w[1] as usize);
-            (
-                ServerId::new(i),
-                ServerTemps {
-                    gpu_c: &self.gpu_c[start..end],
-                    mem: self.mem_lane(i, start, end),
-                },
-            )
-        })
+        (0..self.server_count()).map(|i| (ServerId::new(i), self.server_at(i)))
     }
 
     /// The flat server-major junction-temperature plane (°C).
@@ -285,7 +228,7 @@ impl TempGrid {
     }
 
     /// Mutable kernel access: the flat junction plane plus the per-server memory-offset
-    /// plane (converting a deserialized grid back to the derived representation).
+    /// plane.
     ///
     /// The junction plane doubles as the kernels' per-GPU power staging area: the power
     /// pass writes per-GPU watts into it and the thermal pass transforms them to
@@ -293,15 +236,7 @@ impl TempGrid {
     /// cache on every step.
     #[must_use]
     pub fn kernel_planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        let server_count = self.offsets.len() - 1;
-        if !matches!(self.mem, MemPlane::Derived(_)) {
-            self.mem = MemPlane::Derived(vec![0.0; server_count]);
-        }
-        let MemPlane::Derived(offsets_c) = &mut self.mem else {
-            unreachable!("just converted to the derived representation")
-        };
-        offsets_c.resize(server_count, 0.0);
-        (&mut self.gpu_c, offsets_c)
+        (&mut self.gpu_c, &mut self.mem_offset_c)
     }
 
     /// The hottest GPU junction temperature in the grid.
@@ -316,38 +251,6 @@ impl TempGrid {
         self.iter()
             .map(|t| t.memory)
             .fold(Celsius::new(f64::MIN), Celsius::max)
-    }
-}
-
-// Serde compatibility: the grid serializes exactly as the pre-SoA array-of-structs shape
-// (`temps`: a sequence of `{gpu, memory}` maps, `offsets`: the prefix sums), with memory
-// values materialized on the fly, so the determinism digests over serialized
-// `StepOutcome`s and the golden artifacts are byte-identical across the storage change.
-impl Serialize for TempGrid {
-    fn to_value(&self) -> Value {
-        let mut temps = Vec::with_capacity(self.gpu_c.len());
-        for t in self.iter() {
-            temps.push(Value::Map(vec![
-                (String::from("gpu"), Value::F64(t.gpu.value())),
-                (String::from("memory"), Value::F64(t.memory.value())),
-            ]));
-        }
-        Value::Map(vec![
-            (String::from("temps"), Value::Seq(temps)),
-            (String::from("offsets"), self.offsets.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TempGrid {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let temps = Vec::<GpuTemperatures>::from_value(value.get("temps")?)?;
-        let offsets = Vec::<u32>::from_value(value.get("offsets")?)?;
-        let (gpu_c, mem_c): (Vec<f64>, Vec<f64>) = temps
-            .iter()
-            .map(|t| (t.gpu.value(), t.memory.value()))
-            .unzip();
-        Ok(Self { gpu_c, mem: MemPlane::Materialized(mem_c), offsets })
     }
 }
 
@@ -622,23 +525,12 @@ mod tests {
         assert_eq!(servers[7], ServerId::new(7));
         assert_eq!(grid.max_gpu().value(), 63.0);
         assert_eq!(grid.max_mem().value(), 63.5);
-        // Serde round trip preserves shape and values across representations: the
-        // deserialized grid materializes per-GPU memory values yet compares (and
-        // re-serializes) identically to the derived-offset original.
-        use serde::{Deserialize as _, Serialize as _};
-        let back = TempGrid::from_value(&grid.to_value()).unwrap();
-        assert_eq!(back, grid);
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&grid).unwrap()
-        );
-        // A deserialized grid handed back to the kernels reverts to derived offsets.
-        let mut reused = back.clone();
-        let (gpu_c, mem_offsets) = reused.kernel_planes_mut();
-        assert_eq!(gpu_c.len(), 64);
-        mem_offsets.fill(0.5);
-        gpu_c.copy_from_slice(grid.gpu_plane());
-        assert_eq!(reused, grid);
+        // The serialized grid is its storage: the junction plane, the per-server memory
+        // offsets and the prefix sums.
+        let json = serde_json::to_string(&grid).unwrap();
+        assert!(json.starts_with("{\"gpu_c\":[0,1,2,"), "{json}");
+        assert!(json.contains("],\"mem_offset_c\":[0.5,0.5,"), "{json}");
+        assert!(json.ends_with(",\"offsets\":[0,8,16,24,32,40,48,56,64]}"), "{json}");
         assert!(TempGrid::default().is_empty());
     }
 

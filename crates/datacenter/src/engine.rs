@@ -29,63 +29,16 @@ use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::sync::Arc;
 
-/// Activity of one server during a step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerActivity {
-    /// Per-GPU utilization in `[0, 1]`.
-    pub gpu_utilization: Vec<f64>,
-    /// Per-GPU frequency scale in `(0, 1]` (1.0 = nominal clocks).
-    pub frequency_scale: Vec<f64>,
-    /// Memory-boundedness of the work in `[0, 1]` (0 = prefill-like, 1 = decode-like).
-    pub memory_boundedness: f64,
-}
-
-impl ServerActivity {
-    /// An idle server with the given GPU count.
-    #[must_use]
-    pub fn idle(gpu_count: usize) -> Self {
-        Self {
-            gpu_utilization: vec![0.0; gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: 0.0,
-        }
-    }
-
-    /// A server with every GPU at the same utilization and nominal frequency.
-    #[must_use]
-    pub fn uniform(gpu_count: usize, utilization: f64) -> Self {
-        Self {
-            gpu_utilization: vec![utilization.clamp(0.0, 1.0); gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: 0.5,
-        }
-    }
-
-    /// Mean GPU utilization of the server.
-    #[must_use]
-    pub fn mean_utilization(&self) -> f64 {
-        if self.gpu_utilization.is_empty() {
-            0.0
-        } else {
-            self.gpu_utilization.iter().sum::<f64>() / self.gpu_utilization.len() as f64
-        }
-    }
-}
-
 /// Structure-of-arrays per-GPU activity of the whole datacenter: the step input the
 /// row-batched kernels stream directly.
 ///
-/// Instead of one heap-allocated [`ServerActivity`] per server (two pointer-chased
-/// `Vec<f64>` payloads each — the last array-of-structs on the hot path), the planes
-/// store every GPU's utilization and frequency scale in two flat server-major vectors
-/// windowed by the same GPU prefix sums a [`TopologyIndex`] freezes
+/// The planes store every GPU's utilization and frequency scale in two flat server-major
+/// vectors windowed by the same GPU prefix sums a [`TopologyIndex`] freezes
 /// ([`TopologyIndex::gpu_offsets`]), plus one per-server memory-boundedness vector.
 /// Row kernels slice contiguous windows out of the planes with no per-server indirection,
-/// and building an idle cluster costs four allocations total instead of two per server.
-///
-/// The serialized encoding is exactly the legacy `Vec<ServerActivity>` sequence-of-maps
-/// form (see the hand-written serde impls), so golden artifacts and digests that captured
-/// the old shape remain byte-identical.
+/// and building an idle cluster costs four allocations total. The planes are always
+/// shaped for a layout ([`Self::idle_for`], [`Self::uniform_for`]); per-server writes go
+/// through [`Self::server_mut`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityPlanes {
     /// Flat server-major per-GPU utilization in `[0, 1]`, windowed by `offsets`.
@@ -102,7 +55,7 @@ pub struct ActivityPlanes {
 
 /// Read-only view of one server's activity inside [`ActivityPlanes`].
 #[derive(Debug, Clone, Copy)]
-pub struct ServerActivityRef<'a> {
+pub struct ActivityView<'a> {
     /// The server's window of the utilization plane.
     pub gpu_utilization: &'a [f64],
     /// The server's window of the frequency-scale plane.
@@ -113,7 +66,7 @@ pub struct ServerActivityRef<'a> {
 
 /// Mutable view of one server's activity inside [`ActivityPlanes`].
 #[derive(Debug)]
-pub struct ServerActivityMut<'a> {
+pub struct ActivityViewMut<'a> {
     /// The server's window of the utilization plane.
     pub gpu_utilization: &'a mut [f64],
     /// The server's window of the frequency-scale plane.
@@ -137,8 +90,8 @@ impl ActivityPlanes {
         }
     }
 
-    /// Planes with every GPU at the same utilization and nominal frequency (the
-    /// [`ServerActivity::uniform`] shape, datacenter-wide).
+    /// Planes with every GPU at the same utilization (clamped to `[0, 1]`), nominal
+    /// frequency and memory-boundedness 0.5 ([`Self::set_uniform`] on every server).
     #[must_use]
     pub fn uniform_for(layout: &Layout, utilization: f64) -> Self {
         let offsets = Self::offsets_for(layout);
@@ -149,39 +102,6 @@ impl ActivityPlanes {
             memory_boundedness: vec![0.5; layout.server_count()],
             offsets,
         }
-    }
-
-    /// Compat constructor from the legacy per-server shape. The planes' offsets are
-    /// derived from each entry's GPU count, so a shape that disagrees with the layout is
-    /// still representable (and rejected by the engine's validation, exactly as before).
-    ///
-    /// # Panics
-    /// Panics if a server's utilization and frequency vectors have different lengths —
-    /// that shape has no plane representation.
-    #[must_use]
-    pub fn from_servers(servers: &[ServerActivity]) -> Self {
-        let mut offsets = Vec::with_capacity(servers.len() + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for activity in servers {
-            assert_eq!(
-                activity.frequency_scale.len(),
-                activity.gpu_utilization.len(),
-                "activity frequency count must match the activity GPU count"
-            );
-            total += u32::try_from(activity.gpu_utilization.len())
-                .expect("per-server GPU count fits in u32");
-            offsets.push(total);
-        }
-        let mut gpu_utilization = Vec::with_capacity(total as usize);
-        let mut frequency_scale = Vec::with_capacity(total as usize);
-        let mut memory_boundedness = Vec::with_capacity(servers.len());
-        for activity in servers {
-            gpu_utilization.extend_from_slice(&activity.gpu_utilization);
-            frequency_scale.extend_from_slice(&activity.frequency_scale);
-            memory_boundedness.push(activity.memory_boundedness);
-        }
-        Self { gpu_utilization, frequency_scale, memory_boundedness, offsets }
     }
 
     fn offsets_for(layout: &Layout) -> Vec<u32> {
@@ -225,9 +145,9 @@ impl ActivityPlanes {
     /// # Panics
     /// Panics if the server ordinal is out of range.
     #[must_use]
-    pub fn server(&self, server: usize) -> ServerActivityRef<'_> {
+    pub fn server(&self, server: usize) -> ActivityView<'_> {
         let window = self.offsets[server] as usize..self.offsets[server + 1] as usize;
-        ServerActivityRef {
+        ActivityView {
             gpu_utilization: &self.gpu_utilization[window.clone()],
             frequency_scale: &self.frequency_scale[window],
             memory_boundedness: self.memory_boundedness[server],
@@ -239,9 +159,9 @@ impl ActivityPlanes {
     /// # Panics
     /// Panics if the server ordinal is out of range.
     #[must_use]
-    pub fn server_mut(&mut self, server: usize) -> ServerActivityMut<'_> {
+    pub fn server_mut(&mut self, server: usize) -> ActivityViewMut<'_> {
         let window = self.offsets[server] as usize..self.offsets[server + 1] as usize;
-        ServerActivityMut {
+        ActivityViewMut {
             gpu_utilization: &mut self.gpu_utilization[window.clone()],
             frequency_scale: &mut self.frequency_scale[window],
             memory_boundedness: &mut self.memory_boundedness[server],
@@ -259,7 +179,8 @@ impl ActivityPlanes {
         *a.memory_boundedness = 0.0;
     }
 
-    /// Sets one server to the [`ServerActivity::uniform`] shape (allocation-free).
+    /// Sets one server's GPUs to the same utilization (clamped to `[0, 1]`) at nominal
+    /// frequency, with memory-boundedness 0.5 (allocation-free).
     ///
     /// # Panics
     /// Panics if the server ordinal is out of range.
@@ -271,34 +192,8 @@ impl ActivityPlanes {
     }
 }
 
-// The serialized form is the legacy `Vec<ServerActivity>` encoding — a sequence of
-// per-server `{gpu_utilization, frequency_scale, memory_boundedness}` maps — written out
-// by hand (the vendored derive cannot express the planes-to-sequence projection). Golden
-// artifacts and digests captured before the SoA conversion stay byte-identical.
-impl Serialize for ActivityPlanes {
-    fn to_value(&self) -> serde::Value {
-        let mut servers = Vec::with_capacity(self.server_count());
-        for i in 0..self.server_count() {
-            let s = self.server(i);
-            servers.push(serde::Value::Map(vec![
-                (String::from("gpu_utilization"), s.gpu_utilization.to_value()),
-                (String::from("frequency_scale"), s.frequency_scale.to_value()),
-                (String::from("memory_boundedness"), serde::Value::F64(s.memory_boundedness)),
-            ]));
-        }
-        serde::Value::Seq(servers)
-    }
-}
-
-impl Deserialize for ActivityPlanes {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let servers = Vec::<ServerActivity>::from_value(value)?;
-        Ok(Self::from_servers(&servers))
-    }
-}
-
 /// Input to one evaluation step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepInput {
     /// Outside air temperature.
     pub outside_temp: Celsius,
@@ -357,7 +252,7 @@ pub struct ThermalThrottleDirective {
 /// aggregation level. The shapes are frozen by the [`TopologyIndex`] of the datacenter that
 /// produced the outcome, so fleet-level consumers can aggregate across datacenters with
 /// O(1) per-cell access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StepOutcome {
     /// Per-server inlet temperature.
     pub inlet_temps: Vec<Celsius>,
@@ -1641,25 +1536,21 @@ mod tests {
         assert!(gpu_spread > 1.0);
     }
 
-    /// The legacy per-server shape with one entry removed, rebuilt through the compat
-    /// constructor (planes derive their offsets from the entries, so malformed shapes
-    /// stay representable and the engine's validation still fires).
-    fn legacy_activity(dc: &Datacenter) -> Vec<ServerActivity> {
-        dc.layout()
-            .servers()
-            .iter()
-            .map(|s| ServerActivity::idle(s.spec.gpus_per_server))
-            .collect()
+    /// Planes shaped for the test layout with `edit` applied to its config: a step input
+    /// whose shape disagrees with the datacenter.
+    fn planes_for_other_layout(edit: impl FnOnce(&mut LayoutConfig)) -> ActivityPlanes {
+        let mut config = LayoutConfig::real_cluster_two_rows();
+        edit(&mut config);
+        ActivityPlanes::idle_for(&config.build())
     }
 
     #[test]
     #[should_panic(expected = "activity must cover every server")]
     fn mismatched_activity_length_panics() {
         let dc = datacenter();
-        let mut servers = legacy_activity(&dc);
-        servers.pop();
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = ActivityPlanes::from_servers(&servers);
+        input.activity = planes_for_other_layout(|c| c.racks_per_row -= 1);
+        assert!(input.activity.server_count() < dc.layout().server_count());
         let _ = dc.evaluate(&input);
     }
 
@@ -1667,72 +1558,31 @@ mod tests {
     #[should_panic(expected = "match the server spec")]
     fn mismatched_gpu_count_panics() {
         let dc = datacenter();
-        let mut servers = legacy_activity(&dc);
-        servers[0].gpu_utilization.pop();
-        servers[0].frequency_scale.pop();
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = ActivityPlanes::from_servers(&servers);
+        input.activity = planes_for_other_layout(|c| c.server_spec.gpus_per_server -= 1);
+        assert_eq!(input.activity.server_count(), dc.layout().server_count());
         let _ = dc.evaluate(&input);
     }
 
+    /// Per-server views and the allocation-free fill helpers agree with the
+    /// datacenter-wide constructors.
     #[test]
-    #[should_panic(expected = "activity frequency count must match")]
-    fn ragged_legacy_activity_is_unrepresentable() {
-        let mut servers = vec![ServerActivity::idle(8)];
-        servers[0].frequency_scale.pop();
-        let _ = ActivityPlanes::from_servers(&servers);
-    }
-
-    /// The planes' hand-written serde must reproduce the legacy `Vec<ServerActivity>`
-    /// byte encoding exactly — golden artifacts that captured step inputs before the SoA
-    /// conversion depend on it — and round-trip losslessly.
-    #[test]
-    fn activity_planes_serde_matches_legacy_encoding() {
-        let dc = datacenter();
-        let mut input = StepInput::uniform_load(dc.layout(), Celsius::new(25.0), 0.7);
-        let mid = input.activity.server_mut(3);
-        mid.gpu_utilization[1] = 0.123;
-        mid.frequency_scale[5] = 0.88;
-        *mid.memory_boundedness = 0.9;
-        let legacy: Vec<ServerActivity> = (0..input.activity.server_count())
-            .map(|i| {
-                let s = input.activity.server(i);
-                ServerActivity {
-                    gpu_utilization: s.gpu_utilization.to_vec(),
-                    frequency_scale: s.frequency_scale.to_vec(),
-                    memory_boundedness: s.memory_boundedness,
-                }
-            })
-            .collect();
-        let planes_json =
-            serde_json::to_string(&input.activity).expect("serialize planes");
-        let legacy_json = serde_json::to_string(&legacy).expect("serialize legacy");
-        assert_eq!(planes_json, legacy_json, "planes must keep the legacy encoding");
-
-        let restored = ActivityPlanes::from_value(&input.activity.to_value())
-            .expect("planes deserialize");
-        assert_eq!(restored, input.activity);
-        assert_eq!(ActivityPlanes::from_servers(&legacy), input.activity);
-    }
-
-    /// Per-server views and the allocation-free fill helpers agree with the legacy
-    /// constructors.
-    #[test]
-    fn planes_views_match_legacy_constructors() {
+    fn planes_views_match_the_layout_constructors() {
         let dc = datacenter();
         let mut planes = ActivityPlanes::idle_for(dc.layout());
         assert_eq!(planes.server_count(), 80);
         assert_eq!(planes.gpu_count(), 640);
         assert_eq!(planes.offsets(), dc.topology().gpu_offsets());
-        let idle = ServerActivity::idle(8);
         let s0 = planes.server(0);
-        assert_eq!(s0.gpu_utilization, &idle.gpu_utilization[..]);
-        assert_eq!(s0.frequency_scale, &idle.frequency_scale[..]);
-        assert_eq!(s0.memory_boundedness, idle.memory_boundedness);
+        assert_eq!(s0.gpu_utilization, &[0.0; 8][..]);
+        assert_eq!(s0.frequency_scale, &[1.0; 8][..]);
+        assert_eq!(s0.memory_boundedness, 0.0);
         planes.set_uniform(2, 1.7);
-        let expected = ServerActivity::uniform(8, 1.7);
-        let s2 = planes.server(2);
-        assert_eq!(s2.gpu_utilization, &expected.gpu_utilization[..]);
+        let uniform = ActivityPlanes::uniform_for(dc.layout(), 1.7);
+        let (s2, expected) = (planes.server(2), uniform.server(2));
+        assert_eq!(s2.gpu_utilization, &[1.0; 8][..], "utilization is clamped");
+        assert_eq!(s2.gpu_utilization, expected.gpu_utilization);
+        assert_eq!(s2.frequency_scale, expected.frequency_scale);
         assert_eq!(s2.memory_boundedness, expected.memory_boundedness);
         planes.set_idle(2);
         assert_eq!(planes, ActivityPlanes::idle_for(dc.layout()));

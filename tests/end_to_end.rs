@@ -60,8 +60,8 @@ fn power_emergency_is_survivable() {
     for policy in [Policy::Baseline, Policy::Tapas] {
         let mut config = ExperimentConfig::medium(policy);
         config.duration = SimTime::from_hours(8);
-        config.failures = FailureSchedule::none()
-            .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        config.scenario =
+            Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
         let report = ClusterSimulator::new(config).run();
         assert_eq!(report.max_gpu_temp.len(), 8 * 6 + 1);
         assert!(report.peak_temperature_c() < 120.0, "temperatures must stay physical");

@@ -1,6 +1,6 @@
 //! Scenario-layer integration tests: golden-file serde round-trips for a fully loaded
-//! 3-site fleet scenario, and backward-compatible deserialization of pre-scenario
-//! experiment artifacts.
+//! 3-site fleet scenario, and strict loading of experiment and report artifacts (every key
+//! is required).
 //!
 //! Regenerate the golden file after an intentional format change with:
 //! `UPDATE_GOLDEN=1 cargo test --test scenario`.
@@ -9,7 +9,6 @@ use tapas_repro::prelude::*;
 use tapas_repro::workload::endpoints::EndpointId;
 
 const GOLDEN_FLEET: &str = include_str!("golden/scenario_fleet.json");
-const PRE_SCENARIO_EXPERIMENT: &str = include_str!("golden/pre_scenario_experiment.json");
 
 /// The golden 3-site fleet: a heatwave on the hot site, a grid-price curve (base price,
 /// a spike at site 1 and a cheap overnight window), a UPS failure at site 2 and demand
@@ -78,24 +77,44 @@ fn golden_fleet_scenario_resolves_per_site() {
     assert_eq!(fleet.site_timeline(1).temp_offset_at(SimTime::from_days(1)), 0.0);
 }
 
+/// `json` with the entry `"key":value` removed, together with its separating comma.
+fn without_entry(json: &str, key: &str, value: &str) -> String {
+    let entry = format!("\"{key}\":{value}");
+    let stripped = json
+        .replacen(&format!("{entry},"), "", 1)
+        .replacen(&format!(",{entry}"), "", 1);
+    assert_eq!(stripped.len(), json.len() - entry.len() - 1, "`{key}` must be present");
+    stripped
+}
+
 #[test]
-fn pre_scenario_experiment_artifact_still_deserializes() {
-    assert!(
-        !PRE_SCENARIO_EXPERIMENT.contains("\"scenario\""),
-        "the artifact must predate the scenario field"
-    );
-    let config: ExperimentConfig =
-        serde_json::from_str(PRE_SCENARIO_EXPERIMENT).expect("pre-scenario artifact loads");
-    // The artifact was serialized (by the pre-scenario code) from this exact preset.
-    let mut expected = ExperimentConfig::production_week(Policy::PlaceRoute);
-    expected.failures = FailureSchedule::none()
-        .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
-    assert_eq!(config, expected);
-    // The missing field defaults to the empty scenario: resolved behaviour is legacy.
-    assert!(config.scenario.is_empty());
-    let report = ClusterSimulator::new(
-        config.with_duration(SimTime::from_hours(1)).with_step(SimDuration::from_minutes(10)),
-    )
-    .run();
-    assert!(report.requests_served > 0);
+fn experiment_and_report_json_missing_a_key_is_an_error() {
+    // Artifacts load only in the native shape: every key is written (`None` as `null`)
+    // and a missing key is a typed error, never a default.
+    let fleet = golden_fleet();
+    let json = serde_json::to_string(&fleet).expect("serialize");
+    let scenario = serde_json::to_string(&fleet.base.scenario).expect("serialize scenario");
+    for (key, value) in
+        [("scenario", scenario.as_str()), ("arrivals_per_day", "null"), ("request_fabric", "null")]
+    {
+        let error = serde_json::from_str::<FleetConfig>(&without_entry(&json, key, value))
+            .expect_err("a config without the key must not load");
+        assert!(error.to_string().contains(key), "{key}: {error}");
+    }
+
+    let config = ExperimentConfig::small_smoke_test()
+        .with_duration(SimTime::from_hours(1))
+        .with_request_fabric(RequestFabricConfig { rate_scale: 0.05, ..Default::default() });
+    let report = ClusterSimulator::new(config).run();
+    let metrics = report.request_fabric.as_ref().expect("the fabric ran");
+    let json = serde_json::to_string(&report).expect("serialize report");
+    let back: RunReport = serde_json::from_str(&json).expect("the native shape loads");
+    assert_eq!(back.request_fabric.as_ref(), Some(metrics));
+    let lifecycle = serde_json::to_string(&metrics.lifecycle).expect("serialize lifecycle");
+    let fabric = serde_json::to_string(metrics).expect("serialize metrics");
+    for (key, value) in [("lifecycle", lifecycle.as_str()), ("request_fabric", fabric.as_str())] {
+        let error = serde_json::from_str::<RunReport>(&without_entry(&json, key, value))
+            .expect_err("a report without the key must not load");
+        assert!(error.to_string().contains(key), "{key}: {error}");
+    }
 }
