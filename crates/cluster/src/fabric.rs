@@ -11,9 +11,10 @@
 //! 1. **Generation** ([`FabricGenerator`]) — per endpoint, a Poisson request count per
 //!    step (diurnal rate × scenario demand shaping × `rate_scale`), each request stamped
 //!    with an integer-*millisecond* event time uniform within the step and a log-normal
-//!    prompt/output shape (the [`workload`] request-shape calibration). Draws come from
-//!    RNG streams derived under the `"request-fabric"` label, so enabling the fabric
-//!    never perturbs the legacy per-step draws — fabric-off runs stay byte-identical.
+//!    prompt/output shape ([`RequestShape`], truncated by [`RequestShape::clamp`]). Draws
+//!    come from RNG streams derived under the `"request-fabric"` label, so enabling the
+//!    fabric never perturbs the legacy per-step draws — fabric-off runs stay
+//!    byte-identical.
 //! 2. **Ordering** ([`ArrivalBuffer`]) — requests are delivered in `(time, push-order)`
 //!    order, the same order a binary heap with a FIFO tie-break would pop them in. The
 //!    buffer is a flat `Vec` drained by a cursor: a push appends and notes whether it
@@ -293,7 +294,7 @@ impl FabricGenerator {
                     .log_normal(self.shape.median_output_tokens.ln(), self.shape.output_sigma)
                     .round()
                     .max(1.0) as usize;
-                let (prompt, output) = clamp_total(prompt, output, self.shape.max_total_tokens);
+                let (prompt, output) = self.shape.clamp(prompt, output);
                 sink(
                     start_ms + offset_ms,
                     FabricRequest {
@@ -307,19 +308,6 @@ impl FabricGenerator {
             }
         }
     }
-}
-
-/// Scales `(prompt, output)` down proportionally if their sum exceeds `max_total` (the
-/// same truncation [`workload`]'s request generator applies).
-fn clamp_total(prompt: usize, output: usize, max_total: usize) -> (usize, usize) {
-    let total = prompt + output;
-    if total <= max_total || total == 0 {
-        return (prompt, output);
-    }
-    let scale = max_total as f64 / total as f64;
-    let prompt = ((prompt as f64 * scale).floor() as usize).max(1);
-    let output = (max_total - prompt).max(1);
-    (prompt, output)
 }
 
 /// One site's serving side of the request fabric: the inbox arrival buffer, one batch
@@ -581,10 +569,20 @@ mod tests {
         assert!(!events.is_empty(), "the smoke catalog generates traffic");
         assert!(events.windows(2).all(|p| p[0].0 <= p[1].0), "drained in time order");
         assert!(events.iter().all(|(t, _)| *t < 15 * MS_PER_MINUTE));
+        let shape = RequestShape::default();
         assert!(events.iter().all(|(_, r)| {
             let total = r.prompt_tokens as usize + r.output_tokens as usize;
-            r.prompt_tokens >= 1 && r.output_tokens >= 1 && total <= 8192
+            r.prompt_tokens >= 1 && r.output_tokens >= 1 && total <= shape.max_total_tokens
         }));
+        let prompts: Vec<f64> = events.iter().map(|(_, r)| f64::from(r.prompt_tokens)).collect();
+        let median = simkit::stats::percentile(&prompts, 50.0).unwrap();
+        assert!(
+            (median - shape.median_prompt_tokens).abs() < 0.15 * shape.median_prompt_tokens,
+            "median prompt {median} over {} requests",
+            prompts.len()
+        );
+        // Log-normal shapes are heavy-tailed: the p99 prompt sits well above the median.
+        assert!(simkit::stats::percentile(&prompts, 99.0).unwrap() > 2.0 * median);
         // Ids are the queue's FIFO tie-break witness: same-run regeneration is identical.
         assert_eq!(events, run());
     }

@@ -6,7 +6,6 @@ use simkit::events::{EventKind, EventLog};
 use simkit::series::TimeSeries;
 use simkit::stats::Summary;
 use simkit::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Upper bucket edges (milliseconds, inclusive) of the request-fabric latency
 /// histograms: log-spaced powers of two from 1 ms to ~70 simulated minutes, plus an
@@ -306,7 +305,9 @@ impl RequestMetrics {
     }
 }
 
-/// Everything a simulation run records.
+/// Everything a simulation run records. Its size is bounded by the step count and the
+/// events: per-step series, counters, and the fabric's fixed-bucket histograms. No field
+/// grows with the number of requests or instances.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     /// The policy label the run used.
@@ -323,16 +324,18 @@ pub struct RunReport {
     pub datacenter_power: TimeSeries,
     /// Mean SaaS instance utilization per step.
     pub saas_utilization: TimeSeries,
+    /// SaaS instances whose latency factor exceeded the SLO, per step.
+    pub slo_violating_instances: TimeSeries,
     /// Provisioned row power budget (kW) of the most-loaded row, for normalization.
     pub row_power_budget_kw: f64,
     /// GPU throttle temperature (°C), for normalization.
     pub gpu_throttle_temp_c: f64,
     /// Events recorded during the run (throttling, capping, reconfigurations, …).
     pub events: EventLog,
-    /// Per-request latency factors observed (latency relative to the unloaded latency).
-    pub latency_factors: Vec<f64>,
-    /// Per-request result quality observed.
-    pub request_quality: Vec<f64>,
+    /// Sum of the result quality of every served instance-step, in recording order.
+    pub quality_sum: f64,
+    /// Instance-steps summed into `quality_sum`.
+    pub quality_samples: u64,
     /// Total requests served.
     pub requests_served: u64,
     /// Requests that violated their latency SLO.
@@ -354,11 +357,12 @@ impl RunReport {
             peak_row_power: TimeSeries::new("peak row power (kW)"),
             datacenter_power: TimeSeries::new("datacenter power (kW)"),
             saas_utilization: TimeSeries::new("mean SaaS utilization"),
+            slo_violating_instances: TimeSeries::new("SLO-violating instances"),
             row_power_budget_kw: 0.0,
             gpu_throttle_temp_c: 85.0,
             events: EventLog::new(),
-            latency_factors: Vec::new(),
-            request_quality: Vec::new(),
+            quality_sum: 0.0,
+            quality_samples: 0,
             requests_served: 0,
             slo_violations: 0,
             request_fabric: None,
@@ -410,17 +414,12 @@ impl RunReport {
         self.events.fraction_of_time(EventKind::PowerCap, self.horizon, self.step)
     }
 
-    /// Largest number of SLO-violation events logged in any single step — the
-    /// "worst-step SLO" robustness metric of the scenario sweep. A run can keep mean
-    /// attainment high while a single emergency step craters; this catches that step.
+    /// Largest number of SLO-violating instances in any single step — the "worst-step
+    /// SLO" robustness metric of the scenario sweep. A run can keep mean attainment high
+    /// while a single emergency step craters; this catches that step.
     #[must_use]
     pub fn worst_step_slo_violations(&self) -> usize {
-        let step_minutes = self.step.as_minutes().max(1);
-        let mut buckets: BTreeMap<u64, usize> = BTreeMap::new();
-        for event in self.events.of_kind(EventKind::SloViolation) {
-            *buckets.entry(event.time.as_minutes() / step_minutes).or_insert(0) += 1;
-        }
-        buckets.values().copied().max().unwrap_or(0)
+        self.slo_violating_instances.peak().unwrap_or(0.0) as usize
     }
 
     /// Minute of the last thermal-throttle or power-cap event, if any. The scenario
@@ -436,12 +435,6 @@ impl RunReport {
             .max()
     }
 
-    /// P99 of the observed latency factors (1.0 = unloaded latency; the SLO is 5.0).
-    #[must_use]
-    pub fn p99_latency_factor(&self) -> f64 {
-        simkit::stats::percentile(&self.latency_factors, 99.0).unwrap_or(1.0)
-    }
-
     /// Fraction of requests that met the latency SLO.
     #[must_use]
     pub fn slo_attainment(&self) -> f64 {
@@ -452,10 +445,15 @@ impl RunReport {
         }
     }
 
-    /// Mean result quality across requests (1.0 when every request hit the full-size model).
+    /// Mean result quality across served instance-steps (1.0 when every one ran the
+    /// full-size model, and when nothing was served).
     #[must_use]
     pub fn mean_quality(&self) -> f64 {
-        simkit::stats::mean(&self.request_quality).unwrap_or(1.0)
+        if self.quality_samples == 0 {
+            1.0
+        } else {
+            self.quality_sum / self.quality_samples as f64
+        }
     }
 
     /// Summary of the maximum-temperature series.
@@ -471,14 +469,14 @@ impl RunReport {
     #[must_use]
     pub fn one_liner(&self) -> String {
         format!(
-            "{:<14} peak_temp={:6.1}C peak_row_power={:7.1}kW norm_power={:5.3} thermal_capped={:6.3}% power_capped={:6.3}% p99_latency={:5.2}x quality={:5.3}",
+            "{:<14} peak_temp={:6.1}C peak_row_power={:7.1}kW norm_power={:5.3} thermal_capped={:6.3}% power_capped={:6.3}% slo={:5.3} quality={:5.3}",
             self.policy,
             self.peak_temperature_c(),
             self.peak_row_power_kw(),
             self.normalized_peak_power(),
             self.thermal_capped_time_fraction() * 100.0,
             self.power_capped_time_fraction() * 100.0,
-            self.p99_latency_factor(),
+            self.slo_attainment(),
             self.mean_quality(),
         )
     }
@@ -555,18 +553,18 @@ impl FleetReport {
             .sum()
     }
 
-    /// Largest number of SLO-violation events logged in any single step, fleet-wide
-    /// (per-step counts sum across sites before taking the worst step).
+    /// Largest number of SLO-violating instances in any single step, fleet-wide. Every
+    /// cell runs the base step and horizon, so the sites' per-step counts sum by step
+    /// index before the worst step is taken.
     #[must_use]
     pub fn worst_step_slo_violations(&self) -> usize {
-        let mut buckets: BTreeMap<u64, usize> = BTreeMap::new();
-        for site in &self.sites {
-            let step_minutes = site.step.as_minutes().max(1);
-            for event in site.events.of_kind(EventKind::SloViolation) {
-                *buckets.entry(event.time.as_minutes() / step_minutes).or_insert(0) += 1;
-            }
-        }
-        buckets.values().copied().max().unwrap_or(0)
+        let steps = self.sites.iter().map(|s| s.slo_violating_instances.len()).max().unwrap_or(0);
+        (0..steps)
+            .map(|step| {
+                let counts = self.sites.iter().map(|s| s.slo_violating_instances.values());
+                counts.filter_map(|values| values.get(step)).sum::<f64>()
+            })
+            .fold(0.0, f64::max) as usize
     }
 
     /// Minute of the last thermal-throttle or power-cap event across the fleet, if any.
@@ -581,19 +579,14 @@ impl FleetReport {
         self.sites.iter().map(RunReport::peak_temperature_c).fold(0.0, f64::max)
     }
 
-    /// Mean result quality across every request the fleet served.
+    /// Mean result quality across every instance-step the fleet served.
     #[must_use]
     pub fn mean_quality(&self) -> f64 {
-        let count: usize = self.sites.iter().map(|s| s.request_quality.len()).sum();
-        if count == 0 {
+        let samples: u64 = self.sites.iter().map(|s| s.quality_samples).sum();
+        if samples == 0 {
             return 1.0;
         }
-        let sum: f64 = self
-            .sites
-            .iter()
-            .flat_map(|s| s.request_quality.iter())
-            .sum();
-        sum / count as f64
+        self.sites.iter().map(|s| s.quality_sum).sum::<f64>() / samples as f64
     }
 
     /// Fleet-level request-fabric metrics: the lossless merge of every site's
@@ -687,6 +680,15 @@ mod tests {
         }
     }
 
+    /// A 5-minute-step SLO-violation series with the given per-step instance counts.
+    fn violating_per_step(counts: &[f64]) -> TimeSeries {
+        let mut series = TimeSeries::new("SLO-violating instances");
+        for (i, &count) in counts.iter().enumerate() {
+            series.push(SimTime::from_minutes(i as u64 * 5), count);
+        }
+        series
+    }
+
     fn report_with_data() -> RunReport {
         let mut report = RunReport::new(
             "TAPAS",
@@ -701,6 +703,7 @@ mod tests {
             report.datacenter_power.push(t, 400.0);
             report.saas_utilization.push(t, 0.5);
         }
+        report.slo_violating_instances = violating_per_step(&[0.0, 1.0, 0.0, 0.0]);
         report.events.record(Event {
             time: SimTime::from_minutes(5),
             kind: EventKind::ThermalThrottle,
@@ -708,8 +711,10 @@ mod tests {
             magnitude: 2.0,
             detail: String::new(),
         });
-        report.latency_factors = vec![1.0, 1.2, 2.0, 8.0];
-        report.request_quality = vec![1.0, 1.0, 0.72, 1.0];
+        for quality in [1.0, 1.0, 0.72, 1.0] {
+            report.quality_sum += quality;
+            report.quality_samples += 1;
+        }
         report.requests_served = 4;
         report.slo_violations = 1;
         report
@@ -726,28 +731,20 @@ mod tests {
         assert_eq!(report.power_capped_time_fraction(), 0.0);
         assert!((report.slo_attainment() - 0.75).abs() < 1e-12);
         assert!((report.mean_quality() - 0.93).abs() < 1e-12);
-        assert!(report.p99_latency_factor() > 7.0);
+        assert_eq!(report.worst_step_slo_violations(), 1);
         assert_eq!(report.temperature_summary().count, 4);
         let line = report.one_liner();
         assert!(line.contains("TAPAS"));
         assert!(line.contains("peak_temp"));
+        assert!(line.contains("slo=0.750"), "{line}");
     }
 
     #[test]
     fn worst_step_slo_and_last_stress_event_bucket_the_event_log() {
         let mut report = report_with_data();
-        assert_eq!(report.worst_step_slo_violations(), 0);
+        report.slo_violating_instances = violating_per_step(&[0.0, 0.0, 2.0, 1.0]);
+        assert_eq!(report.worst_step_slo_violations(), 2);
         assert_eq!(report.last_stress_event_minute(), Some(5));
-        // Two violations in the step starting at minute 10, one at minute 15.
-        for minute in [10, 12, 15] {
-            report.events.record(Event {
-                time: SimTime::from_minutes(minute),
-                kind: EventKind::SloViolation,
-                entity: "vm-1".into(),
-                magnitude: 6.0,
-                detail: String::new(),
-            });
-        }
         report.events.record(Event {
             time: SimTime::from_minutes(15),
             kind: EventKind::PowerCap,
@@ -755,18 +752,20 @@ mod tests {
             magnitude: 1.1,
             detail: String::new(),
         });
-        assert_eq!(report.worst_step_slo_violations(), 2);
         assert_eq!(report.last_stress_event_minute(), Some(15));
 
-        // Fleet-wide, the per-step counts of the two identical sites add up.
+        // Fleet-wide, the sites' per-step counts add up before the worst step is taken:
+        // [0, 0, 2, 1] + [0, 1, 0, 2] peaks at 3, not at either site's 2 nor at 2 + 2.
+        let mut other = report_with_data();
+        other.slo_violating_instances = violating_per_step(&[0.0, 1.0, 0.0, 2.0]);
         let fleet = FleetReport {
             geo: "Headroom".to_string(),
             site_names: vec!["a".to_string(), "b".to_string()],
-            sites: vec![report.clone(), report],
+            sites: vec![report, other],
             vms_routed: vec![1, 1],
             emergency_diversions: 0,
         };
-        assert_eq!(fleet.worst_step_slo_violations(), 4);
+        assert_eq!(fleet.worst_step_slo_violations(), 3);
         assert_eq!(fleet.last_stress_event_minute(), Some(15));
     }
 
@@ -777,7 +776,16 @@ mod tests {
         assert_eq!(report.normalized_peak_power(), 0.0);
         assert_eq!(report.slo_attainment(), 1.0);
         assert_eq!(report.mean_quality(), 1.0);
-        assert_eq!(report.p99_latency_factor(), 1.0);
+        assert_eq!(report.worst_step_slo_violations(), 0);
+        let fleet = FleetReport {
+            geo: String::new(),
+            site_names: vec!["a".to_string()],
+            sites: vec![report],
+            vms_routed: vec![0],
+            emergency_diversions: 0,
+        };
+        assert_eq!(fleet.mean_quality(), 1.0);
+        assert_eq!(fleet.worst_step_slo_violations(), 0);
     }
 
     #[test]

@@ -675,12 +675,13 @@ impl ClusterSimulator {
     }
 
     /// Routes this step's requests for every endpoint, updating instance utilization and
-    /// recording latency/quality samples.
+    /// the report's served-quality and SLO counters. Returns the number of instances whose
+    /// latency factor exceeded the SLO this step.
     ///
     /// Routing operates directly on the registry's per-endpoint columns: each quantum picks
     /// a candidate index, and the chosen column entries are updated in place — no snapshot
     /// rebuild, no clone, no linear search.
-    fn route_requests(&mut self, now: SimTime, outside: Celsius) {
+    fn route_requests(&mut self, now: SimTime, outside: Celsius) -> u64 {
         let step_minutes = self.config.step.as_minutes() as f64;
         self.routing_context.outside_temp = outside;
         self.routing_context.dc_load = self.prev_dc_load;
@@ -785,8 +786,10 @@ impl ClusterSimulator {
             }
         }
 
-        // Convert offered load to utilization and record latency/quality samples.
+        // Convert offered load to utilization and account served quality and SLO
+        // violations.
         let carryover = &self.carryover_freq;
+        let mut slo_violating_instances = 0u64;
         for pool in &mut self.registry.pools {
             for i in 0..pool.len() {
                 let offered = pool.offered[i];
@@ -819,35 +822,16 @@ impl ClusterSimulator {
                     let quality = pool.config[i].quality();
                     let requests = offered.round().max(1.0) as u64;
                     self.report.requests_served += requests;
-                    let vm_id = pool.vm[i];
                     if latency_factor > SLO_LATENCY_FACTOR {
                         self.report.slo_violations += requests;
-                        self.report.events.record_kind(
-                            now,
-                            EventKind::SloViolation,
-                            self.labels
-                                .vm
-                                .get_or_insert_with(vm_id.0 as usize, || vm_id.to_string()),
-                            latency_factor,
-                            "",
-                        );
+                        slo_violating_instances += 1;
                     }
-                    self.report.latency_factors.push(latency_factor);
-                    self.report.request_quality.push(quality);
-                    if quality < 0.99 {
-                        self.report.events.record_kind(
-                            now,
-                            EventKind::QualityDegraded,
-                            self.labels
-                                .vm
-                                .get_or_insert_with(vm_id.0 as usize, || vm_id.to_string()),
-                            quality,
-                            "",
-                        );
-                    }
+                    self.report.quality_sum += quality;
+                    self.report.quality_samples += 1;
                 }
             }
         }
+        slo_violating_instances
     }
 
     /// Advances the request fabric by one step (no-op unless the experiment enabled it):
@@ -1037,7 +1021,7 @@ impl ClusterSimulator {
         );
         self.retire_vms(now);
         self.place_pending_vms(now);
-        self.route_requests(now, outside);
+        let slo_violating_instances = self.route_requests(now, outside);
         self.step_fabric(now);
         self.reconfigure_instances(now, outside);
 
@@ -1064,6 +1048,9 @@ impl ClusterSimulator {
         self.report
             .saas_utilization
             .push(now, self.registry.mean_utilization());
+        self.report
+            .slo_violating_instances
+            .push(now, slo_violating_instances as f64);
 
         for throttle in &outcome.thermal_throttles {
             let gpu = throttle.gpu;

@@ -1383,7 +1383,8 @@ fn run_row_tasks<T>(tasks: &mut [T], _chunks: impl Iterator<Item = usize>, run: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failures::FailureSchedule;
+    use crate::failures::{FailureKind, FailureSchedule, FailureWindow};
+    use crate::ids::UpsId;
     use crate::topology::LayoutConfig;
     use simkit::time::SimTime;
 
@@ -1494,10 +1495,12 @@ mod tests {
         let dc = datacenter();
         let mut input = StepInput::uniform_load(dc.layout(), Celsius::new(28.0), 0.9);
         let healthy = dc.evaluate(&input);
-        let schedule = FailureSchedule::none().with_thermal_emergency(
-            SimTime::ZERO,
-            SimTime::from_hours(2),
-        );
+        let mut schedule = FailureSchedule::none();
+        schedule.add(FailureWindow {
+            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
+            start: SimTime::ZERO,
+            end: SimTime::from_hours(2),
+        });
         input.failures = schedule.state_at(SimTime::from_minutes(30));
         let degraded = dc.evaluate(&input);
         // Less airflow available -> higher (or equal) utilization and potentially recirculation.
@@ -1513,8 +1516,12 @@ mod tests {
         let mut input = StepInput::uniform_load(dc.layout(), Celsius::new(20.0), 0.7);
         let healthy = dc.evaluate(&input);
         assert!(!healthy.power.any_over_budget());
-        let schedule = FailureSchedule::none()
-            .with_power_emergency(SimTime::ZERO, SimTime::from_hours(1));
+        let mut schedule = FailureSchedule::none();
+        schedule.add(FailureWindow {
+            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 },
+            start: SimTime::ZERO,
+            end: SimTime::from_hours(1),
+        });
         input.failures = schedule.state_at(SimTime::from_minutes(10));
         let degraded = dc.evaluate(&input);
         assert!(degraded.power.any_over_budget());

@@ -78,28 +78,6 @@ impl FailureSchedule {
         self
     }
 
-    /// Convenience: the paper's thermal emergency (cooling capacity reduced to 90 %) during
-    /// `[start, end)`.
-    pub fn with_thermal_emergency(mut self, start: SimTime, end: SimTime) -> Self {
-        self.windows.push(FailureWindow {
-            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
-            start,
-            end,
-        });
-        self
-    }
-
-    /// Convenience: the paper's power emergency (power capacity reduced to 75 %) during
-    /// `[start, end)`.
-    pub fn with_power_emergency(mut self, start: SimTime, end: SimTime) -> Self {
-        self.windows.push(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 },
-            start,
-            end,
-        });
-        self
-    }
-
     /// The scheduled windows.
     #[must_use]
     pub fn windows(&self) -> &[FailureWindow] {
@@ -269,6 +247,24 @@ mod tests {
     use super::*;
     use crate::topology::LayoutConfig;
 
+    /// The paper's thermal emergency: cooling capacity reduced to 90 % over `[start, end)`.
+    fn thermal_emergency(start: SimTime, end: SimTime) -> FailureWindow {
+        FailureWindow {
+            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
+            start,
+            end,
+        }
+    }
+
+    /// The paper's power emergency: power capacity reduced to 75 % over `[start, end)`.
+    fn power_emergency(start: SimTime, end: SimTime) -> FailureWindow {
+        FailureWindow {
+            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 },
+            start,
+            end,
+        }
+    }
+
     fn t(minutes: u64) -> SimTime {
         SimTime::from_minutes(minutes)
     }
@@ -322,7 +318,8 @@ mod tests {
 
     #[test]
     fn cooling_failure_applies_globally_and_combines_with_ahu() {
-        let mut schedule = FailureSchedule::none().with_thermal_emergency(t(0), t(100));
+        let mut schedule = FailureSchedule::none();
+        schedule.add(thermal_emergency(t(0), t(100)));
         schedule.add(FailureWindow {
             kind: FailureKind::AhuFailure { aisle: AisleId::new(0), failed_units: 2 },
             start: t(0),
@@ -337,7 +334,8 @@ mod tests {
     #[test]
     fn ups_failure_reduces_power_capacity_everywhere() {
         let layout = LayoutConfig::production_datacenter().build();
-        let schedule = FailureSchedule::none().with_power_emergency(t(0), t(30));
+        let mut schedule = FailureSchedule::none();
+        schedule.add(power_emergency(t(0), t(30)));
         let state = schedule.state_at(t(10));
         let capacity = state.capacity_state(&layout);
         assert!((capacity.datacenter_capacity - 0.75).abs() < 1e-12);
@@ -413,10 +411,9 @@ mod tests {
 
     #[test]
     fn overlapping_failures_take_the_most_severe() {
-        let schedule = FailureSchedule::none()
-            .with_thermal_emergency(t(0), t(100))
-            .with_power_emergency(t(0), t(100));
-        let mut schedule = schedule;
+        let mut schedule = FailureSchedule::none();
+        schedule.add(thermal_emergency(t(0), t(100)));
+        schedule.add(power_emergency(t(0), t(100)));
         schedule.add(FailureWindow {
             kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.8 },
             start: t(20),

@@ -1,12 +1,12 @@
-//! Inference requests and request generators.
+//! Inference requests and their shape distribution.
 //!
 //! A request is a prompt of some length that generates some number of output tokens, sent by
-//! a customer (the customer identity matters for KV-cache-affinity routing, §4.5). The
-//! generator draws prompt/output lengths from log-normal distributions, matching the
-//! heavy-tailed shapes reported for production conversational traces.
+//! a customer (the customer identity matters for KV-cache-affinity routing, §4.5). A
+//! [`RequestShape`] parameterizes the log-normal prompt/output lengths, matching the
+//! heavy-tailed shapes reported for production conversational traces; the cluster's
+//! request fabric draws from it.
 
 use serde::{Deserialize, Serialize};
-use simkit::rng::SimRng;
 use simkit::time::SimTime;
 
 /// A unique request identifier.
@@ -69,146 +69,35 @@ impl Default for RequestShape {
     }
 }
 
-/// Generates requests with log-normally distributed shapes from a pool of customers.
-#[derive(Debug, Clone)]
-pub struct RequestGenerator {
-    shape: RequestShape,
-    customers: u64,
-    next_id: u64,
-    rng: SimRng,
-}
-
-impl RequestGenerator {
-    /// Creates a generator with `customers` distinct customers and a deterministic seed.
-    ///
-    /// # Panics
-    /// Panics if `customers` is zero.
+impl RequestShape {
+    /// Scales `(prompt, output)` down proportionally if their sum exceeds
+    /// `max_total_tokens`, keeping each at least one token.
     #[must_use]
-    pub fn new(shape: RequestShape, customers: u64, seed: u64) -> Self {
-        assert!(customers > 0, "need at least one customer");
-        Self {
-            shape,
-            customers,
-            next_id: 0,
-            rng: SimRng::seed_from(seed).derive("requests"),
+    pub fn clamp(&self, prompt: usize, output: usize) -> (usize, usize) {
+        let max_total = self.max_total_tokens;
+        let total = prompt + output;
+        if total <= max_total || total == 0 {
+            return (prompt, output);
         }
+        let scale = max_total as f64 / total as f64;
+        let prompt = ((prompt as f64 * scale).floor() as usize).max(1);
+        let output = (max_total - prompt).max(1);
+        (prompt, output)
     }
-
-    /// Generates one request arriving at `time`.
-    pub fn generate(&mut self, time: SimTime) -> InferenceRequest {
-        let prompt = self
-            .rng
-            .log_normal(self.shape.median_prompt_tokens.ln(), self.shape.prompt_sigma)
-            .round()
-            .max(1.0) as usize;
-        let output = self
-            .rng
-            .log_normal(self.shape.median_output_tokens.ln(), self.shape.output_sigma)
-            .round()
-            .max(1.0) as usize;
-        let (prompt, output) = clamp_total(prompt, output, self.shape.max_total_tokens);
-        let customer = CustomerId(self.rng.next_u64() % self.customers);
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        InferenceRequest { id, customer, arrival: time, prompt_tokens: prompt, output_tokens: output }
-    }
-
-    /// Generates a Poisson batch of requests for one step of `step_minutes` minutes at an
-    /// average rate of `requests_per_minute`.
-    pub fn generate_step(
-        &mut self,
-        time: SimTime,
-        requests_per_minute: f64,
-        step_minutes: u64,
-    ) -> Vec<InferenceRequest> {
-        let mean = (requests_per_minute * step_minutes as f64).max(0.0);
-        let count = self.rng.poisson(mean);
-        (0..count).map(|_| self.generate(time)).collect()
-    }
-}
-
-/// Scales `(prompt, output)` down proportionally if their sum exceeds `max_total`.
-fn clamp_total(prompt: usize, output: usize, max_total: usize) -> (usize, usize) {
-    let total = prompt + output;
-    if total <= max_total || total == 0 {
-        return (prompt, output);
-    }
-    let scale = max_total as f64 / total as f64;
-    let prompt = ((prompt as f64 * scale).floor() as usize).max(1);
-    let output = (max_total - prompt).max(1);
-    (prompt, output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::stats;
-
-    #[test]
-    fn generated_requests_have_positive_lengths_and_unique_ids() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 100, 1);
-        let mut ids = std::collections::BTreeSet::new();
-        for i in 0..1000 {
-            let r = generator.generate(SimTime::from_minutes(i));
-            assert!(r.prompt_tokens >= 1);
-            assert!(r.output_tokens >= 1);
-            assert!(r.total_tokens() <= RequestShape::default().max_total_tokens);
-            assert!(r.customer.0 < 100);
-            assert!(ids.insert(r.id), "request ids must be unique");
-        }
-    }
-
-    #[test]
-    fn median_prompt_length_matches_shape() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 10, 2);
-        let prompts: Vec<f64> = (0..5000)
-            .map(|_| generator.generate(SimTime::ZERO).prompt_tokens as f64)
-            .collect();
-        let median = stats::percentile(&prompts, 50.0).unwrap();
-        assert!((median - 512.0).abs() < 80.0, "median {median}");
-        // The distribution is heavy-tailed: p99 well above the median.
-        let p99 = stats::percentile(&prompts, 99.0).unwrap();
-        assert!(p99 > 2.0 * median);
-    }
-
-    #[test]
-    fn poisson_step_generation_matches_rate() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 10, 3);
-        let counts: Vec<f64> = (0..500)
-            .map(|i| {
-                generator
-                    .generate_step(SimTime::from_minutes(i * 5), 12.0, 5)
-                    .len() as f64
-            })
-            .collect();
-        let mean = stats::mean(&counts).unwrap();
-        assert!((mean - 60.0).abs() < 3.0, "mean {mean}");
-        // Zero rate produces zero requests.
-        assert!(generator.generate_step(SimTime::ZERO, 0.0, 5).is_empty());
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let mut a = RequestGenerator::new(RequestShape::default(), 10, 7);
-        let mut b = RequestGenerator::new(RequestShape::default(), 10, 7);
-        for i in 0..50 {
-            assert_eq!(a.generate(SimTime::from_minutes(i)), b.generate(SimTime::from_minutes(i)));
-        }
-    }
 
     #[test]
     fn clamp_total_preserves_budget() {
-        assert_eq!(clamp_total(100, 100, 300), (100, 100));
-        let (p, o) = clamp_total(6000, 6000, 8192);
+        let shape = |max_total_tokens| RequestShape { max_total_tokens, ..RequestShape::default() };
+        assert_eq!(shape(300).clamp(100, 100), (100, 100));
+        let (p, o) = shape(8192).clamp(6000, 6000);
         assert!(p + o <= 8192);
         assert!(p >= 1 && o >= 1);
-        let (p, o) = clamp_total(10_000, 1, 4096);
+        let (p, o) = shape(4096).clamp(10_000, 1);
         assert!(p + o <= 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one customer")]
-    fn zero_customers_panics() {
-        let _ = RequestGenerator::new(RequestShape::default(), 0, 1);
     }
 }

@@ -1,13 +1,14 @@
 //! Structured event log.
 //!
 //! The evaluation of TAPAS counts *events*: thermal throttling episodes, power capping
-//! episodes, infrastructure failures, VM reconfigurations and SLO violations. Rather than
-//! letting every crate keep ad-hoc counters, the cluster simulator appends typed [`Event`]s
-//! to an [`EventLog`] which the report generators then slice by kind, entity and time window.
+//! episodes, infrastructure failures, VM placements and instance reconfigurations. Rather
+//! than letting every crate keep ad-hoc counters, the cluster simulator appends typed
+//! [`Event`]s to an [`EventLog`] which the report generators then slice by kind and time
+//! window. States that hold for a whole step (an SLO-violating or quality-degraded
+//! instance) are not events; reports count them per step instead.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Error, Serialize, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,10 +35,6 @@ pub enum EventKind {
     VmRetired,
     /// A SaaS instance changed configuration (frequency, batch, parallelism, model, quant).
     InstanceReconfigured,
-    /// A request violated its latency SLO.
-    SloViolation,
-    /// A request was served by a reduced-quality model variant.
-    QualityDegraded,
 }
 
 impl fmt::Display for EventKind {
@@ -53,8 +50,6 @@ impl fmt::Display for EventKind {
             EventKind::VmRejected => "vm-rejected",
             EventKind::VmRetired => "vm-retired",
             EventKind::InstanceReconfigured => "instance-reconfigured",
-            EventKind::SloViolation => "slo-violation",
-            EventKind::QualityDegraded => "quality-degraded",
         };
         f.write_str(label)
     }
@@ -257,21 +252,6 @@ impl EventLog {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Events affecting the given entity.
-    pub fn for_entity<'a>(&'a self, entity: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
-        self.events.iter().filter(move |e| e.entity == entity)
-    }
-
-    /// Counts events by kind.
-    #[must_use]
-    pub fn counts_by_kind(&self) -> BTreeMap<EventKind, usize> {
-        let mut counts = BTreeMap::new();
-        for event in &self.events {
-            *counts.entry(event.kind).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Fraction of simulation steps in `[0, horizon)` during which at least one event of the
     /// given kind occurred, assuming events are logged at step boundaries of length `step`.
     ///
@@ -291,18 +271,6 @@ impl EventLog {
             steps_with_event.insert(event.time.as_minutes() / step.as_minutes());
         }
         steps_with_event.len() as f64 / total_steps as f64
-    }
-
-    /// Merges another log into this one (used when sub-simulations run independently).
-    pub fn merge(&mut self, other: EventLog) {
-        self.events.extend(other.events);
-        self.events.sort_by_key(|e| e.time);
-    }
-}
-
-impl Extend<Event> for EventLog {
-    fn extend<T: IntoIterator<Item = Event>>(&mut self, iter: T) {
-        self.events.extend(iter);
     }
 }
 
@@ -332,9 +300,6 @@ mod tests {
         assert_eq!(log.count(EventKind::PowerCap), 1);
         assert_eq!(log.count(EventKind::CoolingFailure), 0);
         assert_eq!(log.of_kind(EventKind::PowerCap).count(), 1);
-        assert_eq!(log.for_entity("server-1").count(), 1);
-        let counts = log.counts_by_kind();
-        assert_eq!(counts[&EventKind::ThermalThrottle], 2);
     }
 
     #[test]
@@ -375,17 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorts_by_time() {
-        let mut a = EventLog::new();
-        a.record(event(10, EventKind::VmPlaced, "vm-1"));
-        let mut b = EventLog::new();
-        b.record(event(2, EventKind::VmPlaced, "vm-2"));
-        a.merge(b);
-        assert_eq!(a.events()[0].entity, "vm-2");
-        assert_eq!(a.events()[1].entity, "vm-1");
-    }
-
-    #[test]
     fn entity_labels_serialize_like_plain_strings() {
         let label = EntityLabel::from("row-3");
         assert_eq!(label.to_value(), Value::Str("row-3".to_string()));
@@ -418,6 +372,6 @@ mod tests {
     #[test]
     fn event_kind_display_is_kebab_case() {
         assert_eq!(EventKind::ThermalThrottle.to_string(), "thermal-throttle");
-        assert_eq!(EventKind::QualityDegraded.to_string(), "quality-degraded");
+        assert_eq!(EventKind::InstanceReconfigured.to_string(), "instance-reconfigured");
     }
 }

@@ -114,3 +114,37 @@ fn run_reports_round_trip_through_json() {
     assert_eq!(back.policy, report.policy);
     assert_eq!(back.max_gpu_temp.len(), report.max_gpu_temp.len());
 }
+
+/// The real-cluster hour under a 0.6 power cap for minutes 20–50: TAPAS degrades quality and
+/// some instances overrun the SLO, so both of the report's counters are exercised.
+fn capped_real_cluster_hour() -> RunReport {
+    let scenario = Scenario::builder()
+        .power_cap(SiteSelector::All, SimTime::from_minutes(20), SimTime::from_minutes(50), 0.6)
+        .build()
+        .expect("valid power-cap window");
+    let config = ExperimentConfig::real_cluster_hour(Policy::Tapas).with_scenario(scenario);
+    ClusterSimulator::new(config).run()
+}
+
+/// The worst-step SLO count and the mean quality, pinned to the bit: the per-step series
+/// counts each SLO-violating instance once per step, and the running quality sum adds one
+/// sample per served instance-step in recording order.
+#[test]
+fn capped_hour_pins_worst_step_slo_and_mean_quality() {
+    let report = capped_real_cluster_hour();
+    assert_eq!(report.worst_step_slo_violations(), 5);
+    let quality = report.mean_quality();
+    assert_eq!(quality.to_bits(), 0x3fef_7cfc_2eab_3125, "mean quality {quality}");
+    assert_eq!(report.slo_violating_instances.len(), report.max_gpu_temp.len());
+    assert!(report.quality_samples > 0);
+}
+
+/// The report holds per-step series, counters and events, nothing per request or per
+/// instance-step. A latency and a quality sample per served instance-step, plus an event
+/// per degraded or SLO-violating instance-step, put this run at about 160 kB.
+#[test]
+fn capped_hour_report_serializes_within_a_step_bounded_size() {
+    let report = capped_real_cluster_hour();
+    let json = serde_json::to_string(&report).expect("serialize");
+    assert!(json.len() < 40_000, "{} bytes", json.len());
+}

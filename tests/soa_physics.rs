@@ -13,7 +13,8 @@
 //! states that trigger recirculation penalties and power capping.
 
 use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
-use dc_sim::failures::FailureSchedule;
+use dc_sim::failures::{FailureKind, FailureSchedule, FailureWindow};
+use dc_sim::ids::UpsId;
 use dc_sim::kernel_reference::evaluate_scalar;
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
 use simkit::rng::SimRng;
@@ -75,11 +76,14 @@ fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInpu
         *activity.memory_boundedness = rng.uniform(0.0, 1.0);
     }
     if rng.chance(0.3) {
-        let schedule = if rng.chance(0.5) {
-            FailureSchedule::none().with_thermal_emergency(SimTime::ZERO, SimTime::from_hours(2))
+        // The paper's thermal (cooling at 90 %) or power (UPS capacity at 75 %) emergency.
+        let kind = if rng.chance(0.5) {
+            FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 }
         } else {
-            FailureSchedule::none().with_power_emergency(SimTime::ZERO, SimTime::from_hours(2))
+            FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 }
         };
+        let mut schedule = FailureSchedule::none();
+        schedule.add(FailureWindow { kind, start: SimTime::ZERO, end: SimTime::from_hours(2) });
         input.failures = schedule.state_at(SimTime::from_minutes(30));
     }
     input
