@@ -25,7 +25,8 @@ use tapas_bench::snapshot::{
     BenchResult,
 };
 
-const DEFAULT_BENCHES: &str = "router,end_to_end,hierarchy,fleet,scenario,request_fabric";
+const DEFAULT_BENCHES: &str =
+    "router,end_to_end,hierarchy,fleet,scenario,request_fabric,configurator";
 
 struct Args {
     section: String,

@@ -47,7 +47,7 @@ use workload::diurnal::DiurnalPattern;
 use workload::endpoints::{EndpointCatalog, EndpointId};
 use workload::iaas::IaasLoadModel;
 use workload::trace::{TraceError, TraceRecord};
-use workload::vm::{Vm, VmId, VmKind};
+use workload::vm::{IaasCustomerId, Vm, VmId, VmKind};
 
 /// Mean tokens processed per request (prompt + output) used to convert request rates into
 /// token throughput demands.
@@ -274,6 +274,11 @@ pub struct ClusterSimulator {
     weather: WeatherModel,
     catalog: EndpointCatalog,
     iaas_model: IaasLoadModel,
+    /// Scratch: each IaaS customer's shared load this step, indexed by customer id.
+    iaas_customer_load: Vec<f64>,
+    /// Per-server wobble of the IaaS VM on it (`IaasLoadModel::vm_wobble`), written when
+    /// the VM lands; stale on other servers and never read there.
+    iaas_wobble: Vec<f64>,
     /// Diurnal pattern per endpoint, indexed by `EndpointId`.
     endpoint_patterns: Vec<DiurnalPattern>,
     pending: VecDeque<Vm>,
@@ -294,8 +299,12 @@ pub struct ClusterSimulator {
     prev_dc_load: f64,
     /// Observed row power history per row, for the weekly template refinement.
     row_history: Vec<Vec<(SimTime, f64)>>,
-    /// Scratch: SaaS instance count per row (for headroom sharing in reconfiguration).
+    /// SaaS instance count per row (for headroom sharing in reconfiguration), kept
+    /// current on every SaaS placement and retirement.
     saas_per_row: Vec<u32>,
+    /// `InstanceReconfigured` event details, formatted on first use per target profile
+    /// (indexed by sweep slot).
+    reconfigured_detail: Vec<Option<String>>,
     last_refinement: SimTime,
     rng: SimRng,
     next_request_id: u64,
@@ -449,6 +458,7 @@ impl ClusterSimulator {
             .request_fabric
             .map(|fc| RequestFabric::new(config.seed, &catalog, fc, generate_fabric));
         let gpus_per_server = dc.layout().servers()[0].spec.gpus_per_server;
+        let reconfigured_detail = vec![None; profiles.llm().profiles.len()];
         Self {
             timeline,
             rng: SimRng::seed_from(config.seed).derive("cluster-sim"),
@@ -457,6 +467,8 @@ impl ClusterSimulator {
             weather,
             catalog,
             iaas_model,
+            iaas_customer_load: Vec::new(),
+            iaas_wobble: vec![1.0; server_count],
             endpoint_patterns,
             pending,
             registry: InstanceRegistry::default(),
@@ -473,6 +485,7 @@ impl ClusterSimulator {
             prev_dc_load: 0.5,
             row_history: vec![Vec::new(); row_count],
             saas_per_row: vec![0; row_count],
+            reconfigured_detail,
             last_refinement: SimTime::ZERO,
             next_request_id: 0,
             step_input,
@@ -629,9 +642,13 @@ impl ClusterSimulator {
                                 .map(|e| e.default_config)
                                 .unwrap_or_else(InstanceConfig::default_70b);
                             self.registry.insert(vm.id, server, endpoint, default, &self.profiles);
+                            self.saas_per_row[self.profiles.server(server).row.index()] += 1;
                             Some(default)
                         }
-                        VmKind::Iaas { .. } => None,
+                        VmKind::Iaas { .. } => {
+                            self.iaas_wobble[server.index()] = self.iaas_model.vm_wobble(vm.id);
+                            None
+                        }
                     };
                     self.state
                         .place(vm, server, request.predicted_peak_load, config)
@@ -660,6 +677,9 @@ impl ClusterSimulator {
 
     fn retire_vms(&mut self, now: SimTime) {
         for retired in self.state.retire_expired(now) {
+            if retired.vm.kind.is_saas() {
+                self.saas_per_row[self.profiles.server(retired.server).row.index()] -= 1;
+            }
             self.registry.remove(retired.vm.id);
             self.planner
                 .on_remove(retired.server, retired.predicted_peak_load, &self.profiles);
@@ -881,15 +901,6 @@ impl ClusterSimulator {
         }
         let configurator = InstanceConfigurator::new(0.9);
         let power_cap = self.timeline.power_cap_at(now);
-        let layout = self.dc.layout();
-
-        // Count SaaS instances per row to share row headroom.
-        self.saas_per_row.fill(0);
-        for pool in &self.registry.pools {
-            for &server in &pool.server {
-                self.saas_per_row[layout.server(server).row.index()] += 1;
-            }
-        }
 
         for endpoint_index in 0..self.registry.pools.len() {
             for position in 0..self.registry.pools[endpoint_index].len() {
@@ -956,12 +967,19 @@ impl ClusterSimulator {
                         &self.profiles,
                     );
                     self.state.set_config(vm_id, decision.config).expect("placed instance");
+                    let slot = self
+                        .profiles
+                        .profile_slot(&decision.config)
+                        .expect("decisions come from the sweep");
+                    let detail = self.reconfigured_detail[slot]
+                        .get_or_insert_with(|| format!("-> {}", decision.config))
+                        .clone();
                     self.report.events.record_kind(
                         now,
                         EventKind::InstanceReconfigured,
                         self.labels.vm.get_or_insert_with(vm_id.0 as usize, || vm_id.to_string()),
                         downtime,
-                        format!("-> {}", decision.config),
+                        detail,
                     );
                 }
             }
@@ -970,7 +988,18 @@ impl ClusterSimulator {
 
     /// Fills the per-server activity planes for the physics engine in place: each quantum
     /// writes directly into the flat SoA planes, never rebuilding per-server `Vec`s.
+    ///
+    /// IaaS loads reproduce `IaasLoadModel::load_at` bit for bit from one shared load per
+    /// customer per step and the wobble cached when the VM landed, so no server reseeds
+    /// the model's random streams.
     fn fill_activity(&mut self, now: SimTime) {
+        let customers = self.iaas_model.customer_count() as u64;
+        self.iaas_customer_load.clear();
+        self.iaas_customer_load.extend((0..customers).map(|customer| {
+            self.iaas_model
+                .customer_load(IaasCustomerId(customer), now)
+                .expect("customer ids are 0..customer_count()")
+        }));
         let layout = self.dc.layout();
         for server in layout.servers() {
             let gpus = server.spec.gpus_per_server;
@@ -979,8 +1008,19 @@ impl ClusterSimulator {
             match self.state.vm_on(server.id) {
                 None => self.step_input.activity.set_idle(index),
                 Some(placed) => match placed.vm.kind {
-                    VmKind::Iaas { .. } => {
-                        let load = self.iaas_model.load_at(&placed.vm, now);
+                    VmKind::Iaas { customer } => {
+                        // `IaasLoadModel::load_at`, from this step's customer loads.
+                        let shared = usize::try_from(customer.0)
+                            .ok()
+                            .and_then(|c| self.iaas_customer_load.get(c));
+                        let load = if !placed.vm.is_alive_at(now) {
+                            0.0
+                        } else if let Some(&shared) = shared {
+                            (shared * self.iaas_wobble[index]).clamp(0.0, 1.0)
+                        } else {
+                            // Unknown customer: the conservative peak.
+                            1.0
+                        };
                         let activity = self.step_input.activity.server_mut(index);
                         activity.gpu_utilization.fill(load);
                         activity.frequency_scale.fill(carry);
@@ -1391,6 +1431,73 @@ mod tests {
         );
     }
 
+    /// The per-row SaaS counts the configurator shares headroom by match a recount of the
+    /// registry.
+    fn assert_saas_rows_current(sim: &ClusterSimulator) {
+        let mut per_row = vec![0u32; sim.saas_per_row.len()];
+        for pool in &sim.registry.pools {
+            for &server in &pool.server {
+                per_row[sim.dc.layout().server(server).row.index()] += 1;
+            }
+        }
+        assert_eq!(sim.saas_per_row, per_row);
+    }
+
+    #[test]
+    fn churn_keeps_iaas_activity_bit_exact_and_saas_rows_current() {
+        use simkit::time::SimDuration;
+        let mut config = ExperimentConfig::small_smoke_test();
+        config.policy = Policy::Tapas;
+        config.duration = SimTime::from_hours(36);
+        config.step = SimDuration::from_minutes(20);
+        // Short-lived VMs so servers are freed and re-occupied; customers 12 and 13 are
+        // unknown to the 12-customer load model (its conservative fallback).
+        let arrivals = (0..600u64)
+            .map(|i| Vm {
+                id: VmId(i),
+                kind: if i % 4 == 0 {
+                    VmKind::Saas { endpoint: EndpointId(i % 2) }
+                } else {
+                    VmKind::Iaas { customer: IaasCustomerId(i % 14) }
+                },
+                arrival: SimTime::from_minutes(i * 3),
+                lifetime: SimDuration::from_minutes(60 + (i * 37) % 300),
+            })
+            .collect();
+        let mut sim = ClusterSimulator::with_arrivals(config, arrivals);
+        let mut clock = SimClock::new(sim.config.step, sim.config.duration);
+        // Last IaaS VM seen on each server: a different one later means the server was
+        // freed by a retirement and re-occupied.
+        let mut tenant: Vec<Option<VmId>> = vec![None; sim.state.server_count()];
+        let (mut checked, mut reoccupied) = (0usize, 0usize);
+        loop {
+            let now = clock.now();
+            sim.step(now);
+            assert_saas_rows_current(&sim);
+            for placed in sim.state.placed().filter(|p| !p.vm.kind.is_saas()) {
+                let index = placed.server.index();
+                let expected = sim.iaas_model.load_at(&placed.vm, now).to_bits();
+                let plane = sim.step_input.activity.server(index).gpu_utilization;
+                assert!(
+                    plane.iter().all(|u| u.to_bits() == expected),
+                    "{} on {} at {now:?}",
+                    placed.vm.id,
+                    placed.server
+                );
+                checked += 1;
+                if tenant[index].is_some_and(|previous| previous != placed.vm.id) {
+                    reoccupied += 1;
+                }
+                tenant[index] = Some(placed.vm.id);
+            }
+            if clock.tick().is_none() {
+                break;
+            }
+        }
+        assert!(checked > 500, "{checked}");
+        assert!(reoccupied >= 10, "{reoccupied} servers changed IaaS tenant");
+    }
+
     #[test]
     fn registry_tracks_placements_and_retirements() {
         let mut config = ExperimentConfig::small_smoke_test();
@@ -1403,6 +1510,7 @@ mod tests {
             // Registry and cluster state must agree after every step.
             let saas_in_state = sim.state.placed().filter(|p| p.vm.kind.is_saas()).count();
             assert_eq!(sim.registry.instance_count(), saas_in_state);
+            assert_saas_rows_current(&sim);
             for (endpoint_index, pool) in sim.registry.pools.iter().enumerate() {
                 // Every column must stay aligned with the vm column.
                 let n = pool.vm.len();

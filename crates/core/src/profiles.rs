@@ -12,12 +12,14 @@
 //! to the ground-truth simulator models: the controllers only ever see what real profiling
 //! could have measured.
 
+use crate::configurator::SelectionIndex;
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::{AisleId, GpuId, RowId, ServerId};
 use dc_sim::index::OrdinalMap;
 use dc_sim::topology::ServerSpec;
+use llm_sim::config::{FrequencyScale, InstanceConfig, TensorParallelism};
 use llm_sim::hardware::GpuHardware;
-use llm_sim::model::ModelSize;
+use llm_sim::model::{ModelSize, Quantization};
 use llm_sim::pareto::ParetoFrontier;
 use llm_sim::profile::ConfigProfile;
 use serde::{Deserialize, Serialize};
@@ -125,22 +127,47 @@ impl LlmProfiles {
     /// the full configuration space every time.
     #[must_use]
     pub fn shared(gpu: &GpuHardware) -> Arc<Self> {
-        static CACHE: OnceLock<Mutex<HashMap<u64, Arc<LlmProfiles>>>> = OnceLock::new();
+        Self::shared_indexed(gpu).0
+    }
+
+    /// [`Self::shared`] together with the sweep's [`SweepIndex`], built once per process
+    /// and GPU generation like the sweep itself.
+    fn shared_indexed(gpu: &GpuHardware) -> (Arc<Self>, Arc<SweepIndex>) {
+        type SweepCache = Mutex<HashMap<u64, (Arc<LlmProfiles>, Arc<SweepIndex>)>>;
+        static CACHE: OnceLock<SweepCache> = OnceLock::new();
         let key = gpu_fingerprint(gpu);
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().expect("llm profile cache").get(&key) {
-            return Arc::clone(hit);
+        if let Some((llm, index)) = cache.lock().expect("llm profile cache").get(&key) {
+            return (Arc::clone(llm), Arc::clone(index));
         }
         // Profile outside the lock: sweeps are independent and this keeps the critical
         // section tiny.
-        let fresh = Arc::new(Self::profile(gpu));
-        Arc::clone(
-            cache
-                .lock()
-                .expect("llm profile cache")
-                .entry(key)
-                .or_insert(fresh),
-        )
+        let llm = Self::profile(gpu);
+        let index = Arc::new(SweepIndex::build(&llm));
+        let mut cache = cache.lock().expect("llm profile cache");
+        let (llm, index) = cache.entry(key).or_insert((Arc::new(llm), index));
+        (Arc::clone(llm), Arc::clone(index))
+    }
+}
+
+/// The lookup structures over one sweep: the profile-slot table behind
+/// [`ProfileStore::profile_for`] and the configurator's selection index.
+#[derive(Debug)]
+struct SweepIndex {
+    /// Position in `LlmProfiles::profiles` of each profiling-grid point (`None` for grid
+    /// points the sweep skipped because they do not fit in memory).
+    slots: Box<[Option<u16>]>,
+    selection: SelectionIndex,
+}
+
+impl SweepIndex {
+    fn build(llm: &LlmProfiles) -> Self {
+        let mut slots = vec![None; SWEEP_POINTS];
+        for (slot, profile) in llm.profiles.iter().enumerate() {
+            let point = sweep_point(&profile.config).expect("sweep profiles lie on the grid");
+            slots[point] = Some(u16::try_from(slot).expect("sweep fits u16 slots"));
+        }
+        Self { slots: slots.into(), selection: SelectionIndex::build(&llm.profiles) }
     }
 }
 
@@ -167,34 +194,41 @@ fn gpu_fingerprint(gpu: &GpuHardware) -> u64 {
     hash
 }
 
-/// A hashable identity of an [`llm_sim::config::InstanceConfig`], used to index the profile
-/// sweep without scanning it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConfigKey {
-    size: u8,
-    quant: u8,
-    parallelism: u8,
-    batch: u16,
-    frequency_bits: u64,
+/// Number of (model variant, tensor parallelism) classes: configurations of one class
+/// switch between each other online (frequency and batch size), every other change reloads
+/// the model.
+pub(crate) const VARIANT_CLASSES: usize =
+    ModelSize::ALL.len() * Quantization::ALL.len() * TensorParallelism::ALL.len();
+
+/// Points of the full profiling grid (`InstanceConfig::enumerate`): every class at every
+/// sweep batch size and frequency step.
+const SWEEP_POINTS: usize =
+    VARIANT_CLASSES * InstanceConfig::BATCH_SIZES.len() * FrequencyScale::STEPS.len();
+
+/// The (model variant, tensor parallelism) class of a configuration, in
+/// `0..VARIANT_CLASSES`. Every configuration has one, on the sweep or off it.
+pub(crate) fn variant_class(config: &InstanceConfig) -> usize {
+    // Fieldless enums without explicit discriminants: `as usize` is the declaration
+    // position, a bijection onto `0..ALL.len()` (checked by a test).
+    (config.variant.size as usize * Quantization::ALL.len() + config.variant.quantization as usize)
+        * TensorParallelism::ALL.len()
+        + config.parallelism as usize
 }
 
-fn config_key(config: &llm_sim::config::InstanceConfig) -> ConfigKey {
-    let size = ModelSize::ALL
+/// The mixed-radix position of a configuration in the profiling grid, or `None` when its
+/// batch size or frequency is not a sweep step (frequencies compare by bits, so only the
+/// exact step values match).
+fn sweep_point(config: &InstanceConfig) -> Option<usize> {
+    let batch = InstanceConfig::BATCH_SIZES
         .iter()
-        .position(|&s| s == config.variant.size)
-        .unwrap_or(usize::MAX) as u8;
-    let quant = llm_sim::model::Quantization::ALL
-        .iter()
-        .position(|&q| q == config.variant.quantization)
-        .unwrap_or(usize::MAX) as u8;
-    let parallelism = config.parallelism.gpus() as u8;
-    ConfigKey {
-        size,
-        quant,
-        parallelism,
-        batch: config.max_batch_size as u16,
-        frequency_bits: config.frequency.value().to_bits(),
-    }
+        .position(|&b| b == config.max_batch_size)?;
+    let bits = config.frequency.value().to_bits();
+    let frequency = FrequencyScale::STEPS.iter().position(|s| s.to_bits() == bits)?;
+    Some(
+        (variant_class(config) * InstanceConfig::BATCH_SIZES.len() + batch)
+            * FrequencyScale::STEPS.len()
+            + frequency,
+    )
 }
 
 /// Budgets of the rows and aisles (public provisioning data), stored as dense
@@ -217,7 +251,9 @@ pub struct ProfileStore {
     /// Per-server fitted models, indexed by `ServerId::index`.
     pub servers: Vec<ServerProfile>,
     /// LLM configuration profiles and frontiers (shared across stores for one GPU model).
-    pub llm: Arc<LlmProfiles>,
+    /// Private so the index below can never go stale: see [`Self::llm`] and
+    /// [`Self::with_llm_profiles`].
+    llm: Arc<LlmProfiles>,
     /// Row/aisle budgets.
     pub budgets: InfrastructureBudgets,
     /// Weekly-refined row power templates, indexed by [`RowId`] (`None` until the first
@@ -225,8 +261,8 @@ pub struct ProfileStore {
     pub row_templates: OrdinalMap<RowId, Option<PowerTemplate>>,
     /// GPU throttle limit minus a safety margin; the controllers aim to stay below this.
     pub thermal_headroom_target: Celsius,
-    /// Position of each profiled configuration in `llm.profiles`.
-    config_slots: Arc<HashMap<ConfigKey, u32>>,
+    /// Lookup structures over `llm`, shared with it.
+    index: Arc<SweepIndex>,
 }
 
 impl ProfileStore {
@@ -323,24 +359,37 @@ impl ProfileStore {
                 .collect(),
         };
 
-        let llm = LlmProfiles::shared(gpu);
-        let config_slots: Arc<HashMap<ConfigKey, u32>> = Arc::new(
-            llm.profiles
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (config_key(&p.config), i as u32))
-                .collect(),
-        );
+        let (llm, index) = LlmProfiles::shared_indexed(gpu);
         Self {
             servers,
             llm,
-            config_slots,
+            index,
             row_templates: OrdinalMap::filled(layout.rows().len(), None),
             budgets,
             thermal_headroom_target: Celsius::new(
                 layout.servers()[0].spec.gpu_throttle_temp_c - 3.0,
             ),
         }
+    }
+
+    /// Replaces the LLM profiles (e.g. with a re-profiled or hand-edited sweep) and rebuilds
+    /// the indices over them.
+    ///
+    /// # Panics
+    /// Panics if a profile lies off the profiling grid (`InstanceConfig::enumerate`), and,
+    /// naming the configuration, if a profile's goodput or blended server power is not
+    /// finite (the configurator's order would silently mis-rank it).
+    #[must_use]
+    pub fn with_llm_profiles(mut self, llm: Arc<LlmProfiles>) -> Self {
+        self.index = Arc::new(SweepIndex::build(&llm));
+        self.llm = llm;
+        self
+    }
+
+    /// LLM configuration profiles and frontiers.
+    #[must_use]
+    pub fn llm(&self) -> &LlmProfiles {
+        &self.llm
     }
 
     /// Process-wide shared offline profiling.
@@ -407,18 +456,24 @@ impl ProfileStore {
         self.budgets.aisle_airflow.len()
     }
 
-    /// The profile of an instance configuration, if it was part of the sweep (O(1) instead of
-    /// scanning the profile list).
+    /// The profile of an instance configuration, if it was part of the sweep: one
+    /// mixed-radix table read, no hashing and no scan.
     #[must_use]
-    pub fn profile_for(
-        &self,
-        config: &llm_sim::config::InstanceConfig,
-    ) -> Option<&ConfigProfile> {
-        self.config_slots
-            .get(&config_key(config))
-            .map(|&slot| &self.llm.profiles[slot as usize])
+    pub fn profile_for(&self, config: &InstanceConfig) -> Option<&ConfigProfile> {
+        self.profile_slot(config).map(|slot| &self.llm.profiles[slot])
     }
 
+    /// Position of a configuration's profile in `llm().profiles`, if it was part of the
+    /// sweep.
+    #[must_use]
+    pub fn profile_slot(&self, config: &InstanceConfig) -> Option<usize> {
+        self.index.slots[sweep_point(config)?].map(usize::from)
+    }
+
+    /// The configurator's selection index over the sweep.
+    pub(crate) fn selection_index(&self) -> &SelectionIndex {
+        &self.index.selection
+    }
 
     /// Number of profiled servers.
     #[must_use]
@@ -467,9 +522,9 @@ mod tests {
         assert_eq!(store.server_count(), dc.layout().server_count());
         assert_eq!(store.budgets.row_power.len(), dc.layout().rows().len());
         assert_eq!(store.budgets.aisle_airflow.len(), dc.layout().aisles().len());
-        assert!(!store.llm.profiles.is_empty());
-        assert!(!store.llm.frontier.is_empty());
-        assert_eq!(store.llm.frontier_by_model.len(), 3);
+        assert!(!store.llm().profiles.is_empty());
+        assert!(!store.llm().frontier.is_empty());
+        assert_eq!(store.llm().frontier_by_model.len(), 3);
         assert!((store.thermal_headroom_target.value() - 82.0).abs() < 1e-9);
     }
 
@@ -553,6 +608,40 @@ mod tests {
         }
         assert_eq!(profile.predicted_airflow(0.0), spec.idle_airflow);
         assert_eq!(profile.predicted_airflow(1.0), spec.max_airflow);
+    }
+
+    #[test]
+    fn profile_for_finds_exactly_the_sweep_configurations() {
+        let (_, store) = store();
+        for (slot, profile) in store.llm().profiles.iter().enumerate() {
+            assert_eq!(store.profile_slot(&profile.config), Some(slot));
+        }
+        // Every grid point has its own table entry: class and point are bijections.
+        let mut points: Vec<usize> =
+            InstanceConfig::enumerate().iter().filter_map(sweep_point).collect();
+        points.sort_unstable();
+        points.dedup();
+        assert_eq!(points.len(), SWEEP_POINTS);
+        let classes: std::collections::BTreeSet<usize> =
+            InstanceConfig::enumerate().iter().map(variant_class).collect();
+        assert_eq!(classes.len(), VARIANT_CLASSES);
+        assert!(classes.iter().all(|&c| c < VARIANT_CLASSES));
+        // Grid points the sweep skipped (70B FP16 on TP2 does not fit) have no profile.
+        let mut skipped = InstanceConfig::default_70b();
+        skipped.parallelism = TensorParallelism::Tp2;
+        assert!(store.profile_for(&skipped).is_none());
+        let mut unlisted = InstanceConfig::default_70b();
+        unlisted.frequency = FrequencyScale::new(0.9);
+        assert!(store.profile_for(&unlisted).is_none());
+    }
+
+    #[test]
+    fn profile_for_does_not_alias_batch_sizes_past_u16() {
+        let (_, store) = store();
+        let mut config = InstanceConfig::default_70b();
+        assert!(store.profile_for(&config).is_some());
+        config.max_batch_size += 65_536;
+        assert!(store.profile_for(&config).is_none());
     }
 
     #[test]

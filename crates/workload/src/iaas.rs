@@ -7,11 +7,10 @@
 //! synchronized peaks that produce the heavy-tailed row-power distribution of Fig. 10.
 
 use crate::diurnal::DiurnalPattern;
-use crate::vm::{IaasCustomerId, Vm, VmKind};
+use crate::vm::{IaasCustomerId, Vm, VmId, VmKind};
 use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
 use simkit::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Per-customer load behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,9 +22,15 @@ struct CustomerProfile {
 }
 
 /// Generates normalized GPU load for IaaS VMs.
+///
+/// A VM's load is its customer's shared load ([`Self::customer_load`]: diurnal pattern ×
+/// intensity) times its own constant wobble ([`Self::vm_wobble`]), clamped to `[0, 1]`.
+/// A simulator can therefore evaluate the customer loads once per step and the wobble
+/// once per VM, and reproduce [`Self::load_at`] bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IaasLoadModel {
-    profiles: BTreeMap<IaasCustomerId, CustomerProfile>,
+    /// Indexed by customer id: customers are `0..customer_count()`.
+    profiles: Vec<CustomerProfile>,
     seed: u64,
 }
 
@@ -44,7 +49,7 @@ impl IaasLoadModel {
                 };
                 let pattern = base.with_peak_hour(rng.uniform(0.0, 24.0));
                 let intensity = rng.uniform(0.35, 1.0);
-                (IaasCustomerId(c), CustomerProfile { pattern, intensity })
+                CustomerProfile { pattern, intensity }
             })
             .collect();
         Self { profiles, seed }
@@ -54,6 +59,10 @@ impl IaasLoadModel {
     #[must_use]
     pub fn customer_count(&self) -> usize {
         self.profiles.len()
+    }
+
+    fn profile(&self, customer: IaasCustomerId) -> Option<&CustomerProfile> {
+        self.profiles.get(usize::try_from(customer.0).ok()?)
     }
 
     /// Normalized GPU load in `[0, 1]` of an IaaS VM at a point in time.
@@ -69,25 +78,36 @@ impl IaasLoadModel {
             VmKind::Iaas { customer } => customer,
             VmKind::Saas { .. } => return 0.0,
         };
-        let profile = match self.profiles.get(&customer) {
-            Some(p) => p,
+        match self.customer_load(customer, time) {
+            Some(shared) => (shared * self.vm_wobble(vm.id)).clamp(0.0, 1.0),
             // Unknown customer: assume peak load, the conservative choice §4.1 prescribes
             // when historical data is missing.
-            None => return 1.0,
-        };
-        // A small per-VM wobble decorrelates VMs of the same customer without hiding their
-        // shared diurnal phase.
-        let mut vm_rng = SimRng::seed_from(self.seed ^ vm.id.0.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let wobble = vm_rng.uniform(0.9, 1.1);
-        (profile.pattern.load_at(time) * profile.intensity * wobble).clamp(0.0, 1.0)
+            None => 1.0,
+        }
+    }
+
+    /// A customer's shared load at `time` before the per-VM wobble (diurnal pattern ×
+    /// intensity, unclamped), or `None` for an unknown customer. It changes only with the
+    /// pattern's hourly noise and time of day, so one evaluation serves every VM of the
+    /// customer.
+    #[must_use]
+    pub fn customer_load(&self, customer: IaasCustomerId, time: SimTime) -> Option<f64> {
+        self.profile(customer)
+            .map(|profile| profile.pattern.load_at(time) * profile.intensity)
+    }
+
+    /// A VM's constant load multiplier in `[0.9, 1.1)`. The small per-VM wobble decorrelates
+    /// VMs of the same customer without hiding their shared diurnal phase.
+    #[must_use]
+    pub fn vm_wobble(&self, vm: VmId) -> f64 {
+        SimRng::seed_from(self.seed ^ vm.0.wrapping_mul(0x2545_F491_4F6C_DD1D)).uniform(0.9, 1.1)
     }
 
     /// The predicted peak load of a VM (used by the allocator, §4.1): the customer's intensity
     /// at the top of the diurnal cycle, or 1.0 when the customer is unknown.
     #[must_use]
     pub fn predicted_peak(&self, customer: IaasCustomerId) -> f64 {
-        self.profiles
-            .get(&customer)
+        self.profile(customer)
             .map(|p| p.intensity.min(1.0))
             .unwrap_or(1.0)
     }
@@ -96,7 +116,7 @@ impl IaasLoadModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::{VmId, VmKind};
+    use crate::vm::VmKind;
     use simkit::stats;
     use simkit::time::SimDuration;
 

@@ -1,6 +1,7 @@
 //! Seeded corruption property tests for user input: mutated copies of a scenario fleet
-//! config and of the sample request traces must end in `Ok` or a typed error, never a
-//! panic. Mutations are bit flips, truncations and deletions of the checked-in inputs.
+//! config, of the sample request traces, of a serialized run report and of a generated
+//! scenario must end in `Ok` or a typed error, never a panic. Mutations are bit flips,
+//! truncations and deletions of the inputs.
 
 use simkit::rng::SimRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,4 +102,79 @@ fn corrupted_request_traces_end_in_typed_errors() {
         assert!(errors >= CASES / 2, "seed {seed}: {counts:?}");
         assert!(parsed >= CASES / 10, "seed {seed}: {counts:?}");
     }
+}
+
+/// `json` with every non-ASCII character written as a `\uXXXX` escape: the same document,
+/// in the ASCII the mutator needs. (Non-ASCII only occurs inside JSON strings.)
+fn ascii_escaped(json: &str) -> String {
+    json.chars()
+        .map(|c| {
+            if c.is_ascii() {
+                c.to_string()
+            } else {
+                let code = u32::from(c);
+                assert!(code <= 0xFFFF, "escape needs a surrogate pair: {c}");
+                format!("\\u{code:04x}")
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn corrupted_run_reports_end_in_typed_errors() {
+    let mut config = ExperimentConfig::small_smoke_test();
+    config.policy = Policy::Tapas;
+    let report = ClusterSimulator::new(config).run();
+    let original = serde_json::to_string(&report).expect("reports serialize");
+    let json = ascii_escaped(&original);
+    let reparsed = serde_json::from_str::<RunReport>(&json).expect("escaped report parses");
+    assert_eq!(serde_json::to_string(&reparsed).expect("reports serialize"), original);
+    let counts = tally(34, &json, |text| match serde_json::from_str::<RunReport>(text) {
+        Err(_) => 0,
+        Ok(report) => {
+            // A report that parses answers its summary queries without panicking,
+            // whatever values the mutation left in it.
+            let figures = [
+                report.peak_temperature_c(),
+                report.normalized_peak_power(),
+                report.normalized_peak_temperature(),
+                report.thermal_capped_time_fraction(),
+                report.power_capped_time_fraction(),
+                report.slo_attainment(),
+                report.mean_quality(),
+                report.worst_step_slo_violations() as f64,
+            ];
+            let _ = (figures, report.last_stress_event_minute());
+            1
+        }
+    });
+    let [parse_errors, parsed] = counts;
+    // Digit flips inside numbers mostly keep the document well-formed.
+    assert!(parse_errors >= CASES / 10, "{counts:?}");
+    assert!(parsed >= CASES / 4, "{counts:?}");
+}
+
+#[test]
+fn corrupted_generated_scenarios_end_in_typed_errors() {
+    let sites = 4;
+    let duration = SimTime::from_hours(6);
+    let scenario = generate(7, &GeneratorConfig::new(IntensityTier::Adversarial, sites, duration));
+    let json = ascii_escaped(&serde_json::to_string(&scenario).expect("scenarios serialize"));
+    let counts = tally(35, &json, |text| match serde_json::from_str::<Scenario>(text) {
+        Err(_) => 0,
+        Ok(scenario) => match scenario.validate(sites) {
+            Err(_) => 1,
+            Ok(()) => {
+                // A scenario that validates resolves for every site it may target.
+                for site in 0..sites {
+                    let _ = scenario.resolve(site, duration, SimDuration::from_minutes(5), 4);
+                }
+                2
+            }
+        },
+    });
+    let [parse_errors, check_errors, valid] = counts;
+    assert!(parse_errors >= CASES / 4, "{counts:?}");
+    assert!(check_errors >= 10, "{counts:?}");
+    assert!(valid >= CASES / 10, "{counts:?}");
 }
