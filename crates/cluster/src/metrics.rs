@@ -2,7 +2,7 @@
 //! [`FleetReport`] (site vectors in site-ordinal order, mirroring the dense-grid contract).
 
 use serde::{Deserialize, Serialize};
-use simkit::events::{EventKind, EventLog};
+use simkit::events::{EventKind, EventTally};
 use simkit::series::TimeSeries;
 use simkit::stats::Summary;
 use simkit::time::{SimDuration, SimTime};
@@ -305,9 +305,9 @@ impl RequestMetrics {
     }
 }
 
-/// Everything a simulation run records. Its size is bounded by the step count and the
-/// events: per-step series, counters, and the fabric's fixed-bucket histograms. No field
-/// grows with the number of requests or instances.
+/// Everything a simulation run records. Its size is bounded by the step count: per-step
+/// series, counters, the per-kind event tally, and the fabric's fixed-bucket histograms.
+/// No field grows with the number of events, requests or instances.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     /// The policy label the run used.
@@ -330,8 +330,8 @@ pub struct RunReport {
     pub row_power_budget_kw: f64,
     /// GPU throttle temperature (°C), for normalization.
     pub gpu_throttle_temp_c: f64,
-    /// Events recorded during the run (throttling, capping, reconfigurations, …).
-    pub events: EventLog,
+    /// Per-kind tally of the run's events (throttling, capping, reconfigurations, …).
+    pub events: EventTally,
     /// Sum of the result quality of every served instance-step, in recording order.
     pub quality_sum: f64,
     /// Instance-steps summed into `quality_sum`.
@@ -360,7 +360,7 @@ impl RunReport {
             slo_violating_instances: TimeSeries::new("SLO-violating instances"),
             row_power_budget_kw: 0.0,
             gpu_throttle_temp_c: 85.0,
-            events: EventLog::new(),
+            events: EventTally::default(),
             quality_sum: 0.0,
             quality_samples: 0,
             requests_served: 0,
@@ -430,8 +430,8 @@ impl RunReport {
     pub fn last_stress_event_minute(&self) -> Option<u64> {
         [EventKind::ThermalThrottle, EventKind::PowerCap]
             .into_iter()
-            .flat_map(|kind| self.events.of_kind(kind))
-            .map(|event| event.time.as_minutes())
+            .filter_map(|kind| self.events.last(kind))
+            .map(SimTime::as_minutes)
             .max()
     }
 
@@ -636,7 +636,6 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::events::Event;
 
     #[test]
     fn latency_buckets_match_a_linear_edge_scan() {
@@ -704,13 +703,7 @@ mod tests {
             report.saas_utilization.push(t, 0.5);
         }
         report.slo_violating_instances = violating_per_step(&[0.0, 1.0, 0.0, 0.0]);
-        report.events.record(Event {
-            time: SimTime::from_minutes(5),
-            kind: EventKind::ThermalThrottle,
-            entity: "server-1".into(),
-            magnitude: 2.0,
-            detail: String::new(),
-        });
+        report.events.record(EventKind::ThermalThrottle, SimTime::from_minutes(5), 1);
         for quality in [1.0, 1.0, 0.72, 1.0] {
             report.quality_sum += quality;
             report.quality_samples += 1;
@@ -745,13 +738,7 @@ mod tests {
         report.slo_violating_instances = violating_per_step(&[0.0, 0.0, 2.0, 1.0]);
         assert_eq!(report.worst_step_slo_violations(), 2);
         assert_eq!(report.last_stress_event_minute(), Some(5));
-        report.events.record(Event {
-            time: SimTime::from_minutes(15),
-            kind: EventKind::PowerCap,
-            entity: "row-0".into(),
-            magnitude: 1.1,
-            detail: String::new(),
-        });
+        report.events.record(EventKind::PowerCap, SimTime::from_minutes(15), 1);
         assert_eq!(report.last_stress_event_minute(), Some(15));
 
         // Fleet-wide, the sites' per-step counts add up before the worst step is taken:
@@ -796,6 +783,7 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.policy, report.policy);
         assert_eq!(back.requests_served, report.requests_served);
+        assert_eq!(back.events, report.events);
         assert_eq!(back.request_fabric, None);
     }
 

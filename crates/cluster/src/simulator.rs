@@ -28,7 +28,7 @@ use dc_sim::weather::WeatherModel;
 use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
 use llm_sim::request::{CustomerId, InferenceRequest, RequestId};
-use simkit::events::{EventKind, LabelInterner};
+use simkit::events::EventKind;
 use simkit::rng::SimRng;
 use simkit::time::{SimClock, SimTime};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
@@ -247,20 +247,6 @@ fn profile_figures(profiles: &ProfileStore, config: &InstanceConfig) -> (f64, f6
     }
 }
 
-/// Per-entity-class [`LabelInterner`]s for the hot event-recording paths.
-///
-/// Every recorded event names its entity (a VM, GPU, row or aisle); formatting that name
-/// per event allocated a fresh `String` on every throttle/cap/SLO event. Each class keys
-/// its interner by the entity's dense ordinal, so steady-state recording reuses shared
-/// labels and never formats.
-#[derive(Debug, Default, Clone)]
-struct EntityLabels {
-    vm: LabelInterner,
-    gpu: LabelInterner,
-    row: LabelInterner,
-    aisle: LabelInterner,
-}
-
 /// The end-to-end cluster simulator.
 #[derive(Debug, Clone)]
 pub struct ClusterSimulator {
@@ -302,18 +288,11 @@ pub struct ClusterSimulator {
     /// SaaS instance count per row (for headroom sharing in reconfiguration), kept
     /// current on every SaaS placement and retirement.
     saas_per_row: Vec<u32>,
-    /// `InstanceReconfigured` event details, formatted on first use per target profile
-    /// (indexed by sweep slot).
-    reconfigured_detail: Vec<Option<String>>,
     last_refinement: SimTime,
     rng: SimRng,
     next_request_id: u64,
     step_input: StepInput,
     workspace: StepWorkspace,
-    /// Interned entity labels for allocation-free event recording.
-    labels: EntityLabels,
-    /// GPUs per server (for the flat GPU-label ordinal `server * gpus_per_server + slot`).
-    gpus_per_server: usize,
     /// The opt-in per-request serving overlay (None unless the experiment enables it).
     fabric: Option<RequestFabric>,
     /// Scratch: per-endpoint placed-instance counts handed to the fabric each step.
@@ -457,8 +436,6 @@ impl ClusterSimulator {
         let fabric = config
             .request_fabric
             .map(|fc| RequestFabric::new(config.seed, &catalog, fc, generate_fabric));
-        let gpus_per_server = dc.layout().servers()[0].spec.gpus_per_server;
-        let reconfigured_detail = vec![None; profiles.llm().profiles.len()];
         Self {
             timeline,
             rng: SimRng::seed_from(config.seed).derive("cluster-sim"),
@@ -485,13 +462,10 @@ impl ClusterSimulator {
             prev_dc_load: 0.5,
             row_history: vec![Vec::new(); row_count],
             saas_per_row: vec![0; row_count],
-            reconfigured_detail,
             last_refinement: SimTime::ZERO,
             next_request_id: 0,
             step_input,
             workspace,
-            labels: EntityLabels::default(),
-            gpus_per_server,
             fabric,
             fabric_replicas: Vec::new(),
             fabric_pressure: 0.0,
@@ -654,23 +628,9 @@ impl ClusterSimulator {
                         .place(vm, server, request.predicted_peak_load, config)
                         .expect("chosen server is free");
                     self.planner.on_place(server, request.predicted_peak_load, &self.profiles);
-                    self.report.events.record_kind(
-                        now,
-                        EventKind::VmPlaced,
-                        self.labels.vm.get_or_insert_with(vm.id.0 as usize, || vm.id.to_string()),
-                        0.0,
-                        format!("on {server}"),
-                    );
+                    self.report.events.record(EventKind::VmPlaced, now, 1);
                 }
-                None => {
-                    self.report.events.record_kind(
-                        now,
-                        EventKind::VmRejected,
-                        self.labels.vm.get_or_insert_with(vm.id.0 as usize, || vm.id.to_string()),
-                        0.0,
-                        "no feasible server",
-                    );
-                }
+                None => self.report.events.record(EventKind::VmRejected, now, 1),
             }
         }
     }
@@ -683,14 +643,7 @@ impl ClusterSimulator {
             self.registry.remove(retired.vm.id);
             self.planner
                 .on_remove(retired.server, retired.predicted_peak_load, &self.profiles);
-            let vm_id = retired.vm.id;
-            self.report.events.record_kind(
-                now,
-                EventKind::VmRetired,
-                self.labels.vm.get_or_insert_with(vm_id.0 as usize, || vm_id.to_string()),
-                0.0,
-                "",
-            );
+            self.report.events.record(EventKind::VmRetired, now, 1);
         }
     }
 
@@ -967,20 +920,11 @@ impl ClusterSimulator {
                         &self.profiles,
                     );
                     self.state.set_config(vm_id, decision.config).expect("placed instance");
-                    let slot = self
-                        .profiles
-                        .profile_slot(&decision.config)
-                        .expect("decisions come from the sweep");
-                    let detail = self.reconfigured_detail[slot]
-                        .get_or_insert_with(|| format!("-> {}", decision.config))
-                        .clone();
-                    self.report.events.record_kind(
-                        now,
-                        EventKind::InstanceReconfigured,
-                        self.labels.vm.get_or_insert_with(vm_id.0 as usize, || vm_id.to_string()),
-                        downtime,
-                        detail,
+                    assert!(
+                        self.profiles.profile_slot(&decision.config).is_some(),
+                        "decisions come from the sweep"
                     );
+                    self.report.events.record(EventKind::InstanceReconfigured, now, 1);
                 }
             }
         }
@@ -1092,39 +1036,12 @@ impl ClusterSimulator {
             .slo_violating_instances
             .push(now, slo_violating_instances as f64);
 
-        for throttle in &outcome.thermal_throttles {
-            let gpu = throttle.gpu;
-            let ordinal = gpu.server.index() * self.gpus_per_server + gpu.slot;
-            self.report.events.record_kind(
-                now,
-                EventKind::ThermalThrottle,
-                self.labels.gpu.get_or_insert_with(ordinal, || gpu.to_string()),
-                throttle.temperature.value() - self.report.gpu_throttle_temp_c,
-                "",
-            );
-        }
-        for (row, utilization) in outcome.power.rows.iter() {
-            if utilization.is_over_budget() {
-                self.report.events.record_kind(
-                    now,
-                    EventKind::PowerCap,
-                    self.labels.row.get_or_insert_with(row.index(), || row.to_string()),
-                    utilization.utilization,
-                    "",
-                );
-            }
-        }
-        for (aisle, assessment) in outcome.aisle_airflow.iter() {
-            if assessment.is_violated() {
-                self.report.events.record_kind(
-                    now,
-                    EventKind::AirflowViolation,
-                    self.labels.aisle.get_or_insert_with(aisle.index(), || aisle.to_string()),
-                    assessment.utilization,
-                    "",
-                );
-            }
-        }
+        let events = &mut self.report.events;
+        events.record(EventKind::ThermalThrottle, now, outcome.thermal_throttles.len());
+        let over_budget_rows = outcome.power.rows.iter().filter(|(_, u)| u.is_over_budget());
+        events.record(EventKind::PowerCap, now, over_budget_rows.count());
+        let violated_aisles = outcome.aisle_airflow.iter().filter(|(_, a)| a.is_violated());
+        events.record(EventKind::AirflowViolation, now, violated_aisles.count());
 
         // Carry throttling and capping into the next step's effective frequency, and let
         // unaffected servers recover.
@@ -1279,23 +1196,33 @@ mod tests {
             .power_cap(crate::scenario::SiteSelector::All, start, end, 0.05)
             .build()
             .expect("valid scenario");
-        let capped = ClusterSimulator::with_arrivals(
-            ExperimentConfig::small_smoke_test().with_scenario(scenario),
-            Vec::new(),
-        )
-        .run();
+        let config = ExperimentConfig::small_smoke_test().with_scenario(scenario);
+        let mut clock = SimClock::new(config.step, config.duration);
+        let mut sim = ClusterSimulator::with_arrivals(config, Vec::new());
 
-        // The cap binds: over-budget rows are recorded, and only inside the window.
-        let cap_events: Vec<SimTime> = capped
-            .events
-            .of_kind(EventKind::PowerCap)
-            .map(|event| event.time)
-            .collect();
-        assert!(!cap_events.is_empty(), "a 5 % cap must put idle rows over budget");
-        assert!(
-            cap_events.iter().all(|&t| t >= start && t < end),
-            "cap events must be confined to the cap window: {cap_events:?}"
-        );
+        // The cap binds: over-budget rows are recorded, and only inside the window. Each
+        // step's tally is checked: nothing before `start`, nothing new from `end` on.
+        let mut in_window = None;
+        loop {
+            let now = clock.now();
+            sim.step_at(now);
+            let events = &sim.report.events;
+            let caps = (events.count(EventKind::PowerCap), events.last(EventKind::PowerCap));
+            if now < start {
+                assert_eq!(caps.0, 0, "cap event before the window, at {now}");
+            } else if now < end {
+                in_window = Some(caps);
+            } else {
+                assert_eq!(Some(caps), in_window, "cap event after the window, at {now}");
+            }
+            if clock.tick().is_none() {
+                break;
+            }
+        }
+        let (count, last) = in_window.expect("the window lies inside the run");
+        assert!(count > 0, "a 5 % cap must put idle rows over budget");
+        assert!(last.is_some_and(|last| last >= start && last < end), "last cap at {last:?}");
+        let capped = sim.into_report();
 
         // Recovery: the physical trajectory never left the uncapped one (budgets moved,
         // physics did not), so every series matches bit for bit — including after `end`.
@@ -1349,7 +1276,7 @@ mod tests {
         assert!(after > during, "headroom must recover after the window: {during} -> {after}");
         assert!(after > before * 0.8, "recovery must approach the pre-cap level: {before} -> {after}");
 
-        // Once recovered, the run keeps serving and records the cap in its event log.
+        // Once recovered, the run keeps serving and tallies the cap.
         let report = sim.into_report();
         assert!(report.events.count(EventKind::PowerCap) > 0);
         assert!(report.requests_served > 0);

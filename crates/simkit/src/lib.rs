@@ -8,7 +8,7 @@
 //! * [`time`] — a discrete simulation clock with minute resolution, matching the paper's
 //!   telemetry granularity (10-minute sensor averages, 5-minute routing recalculation,
 //!   1-minute real-cluster measurements).
-//! * [`series`] — time series containers and resampling helpers.
+//! * [`series`] — the per-step time series container run reports record into.
 //! * [`stats`] — summary statistics (mean, percentiles, CDFs) used throughout the
 //!   characterization and evaluation figures.
 //! * [`regression`] — linear, polynomial and piecewise-polynomial least-squares fitting.
@@ -16,8 +16,8 @@
 //!   mean absolute error below 1 °C.
 //! * [`rng`] — deterministic, seedable random streams plus the handful of distributions the
 //!   trace generators need (normal, log-normal, exponential, Pareto-like heavy tails).
-//! * [`events`] — a structured event log used by the cluster simulator to record thermal
-//!   and power capping events, with interned entity labels for hot recording paths.
+//! * [`events`] — a fixed-size per-kind tally the cluster simulator records thermal
+//!   throttling, power capping, placement and reconfiguration events into.
 //! * [`queue`] — a deterministic binary-heap [`queue::EventQueue`] over integer
 //!   timestamps with FIFO tie-breaking, the ordering substrate for event-timestamped
 //!   streams such as the request fabric.
@@ -55,7 +55,7 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use events::{EntityLabel, Event, EventKind, EventLog, LabelInterner};
+pub use events::{EventKind, EventTally};
 pub use queue::EventQueue;
 pub use regression::{LinearModel, PiecewisePolynomial, Polynomial};
 pub use rng::SimRng;

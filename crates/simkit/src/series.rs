@@ -1,12 +1,11 @@
 //! Time series containers.
 //!
 //! Experiments record one value per simulation step for each monitored quantity (row power,
-//! maximum GPU temperature, request latency, …). [`TimeSeries`] keeps the `(time, value)`
-//! pairs together with the helpers the figures need: peaks, window maxima, resampling to a
-//! coarser interval and normalization against a provisioned limit.
+//! maximum GPU temperature, …). [`TimeSeries`] keeps the `(time, value)` pairs together
+//! with the whole-series statistics the reports read: peak, trough, mean and summary.
 
 use crate::stats::Summary;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// An append-only series of `(SimTime, f64)` samples with non-decreasing timestamps.
@@ -103,77 +102,6 @@ impl TimeSeries {
     pub fn summary(&self) -> Summary {
         Summary::from_values(&self.values)
     }
-
-    /// Fraction of samples for which `predicate` holds (0 for an empty series).
-    #[must_use]
-    pub fn fraction_where(&self, predicate: impl Fn(f64) -> bool) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|&&v| predicate(v)).count() as f64 / self.values.len() as f64
-    }
-
-    /// Resamples to a coarser interval by taking the maximum within each window.
-    ///
-    /// This mirrors how the paper reports "peak power over 5-minute intervals" (Fig. 19) from
-    /// finer-grained data.
-    #[must_use]
-    pub fn window_max(&self, window: SimDuration) -> TimeSeries {
-        self.resample(window, |values| crate::stats::max(values).unwrap_or(0.0))
-    }
-
-    /// Resamples to a coarser interval by taking the mean within each window.
-    #[must_use]
-    pub fn window_mean(&self, window: SimDuration) -> TimeSeries {
-        self.resample(window, |values| crate::stats::mean(values).unwrap_or(0.0))
-    }
-
-    /// Generic windowed resampling: groups samples into `[k·window, (k+1)·window)` buckets and
-    /// applies `aggregate` to each non-empty bucket. The output sample is timestamped at the
-    /// start of its window.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn resample(&self, window: SimDuration, aggregate: impl Fn(&[f64]) -> f64) -> TimeSeries {
-        assert!(!window.is_zero(), "resample window must be non-zero");
-        let mut out = TimeSeries::new(format!("{}[{}]", self.name, window));
-        if self.is_empty() {
-            return out;
-        }
-        let w = window.as_minutes();
-        let mut bucket_start = self.times[0].as_minutes() / w * w;
-        let mut bucket: Vec<f64> = Vec::new();
-        for (t, v) in self.iter() {
-            let start = t.as_minutes() / w * w;
-            if start != bucket_start && !bucket.is_empty() {
-                out.push(SimTime::from_minutes(bucket_start), aggregate(&bucket));
-                bucket.clear();
-            }
-            bucket_start = start;
-            bucket.push(v);
-        }
-        if !bucket.is_empty() {
-            out.push(SimTime::from_minutes(bucket_start), aggregate(&bucket));
-        }
-        out
-    }
-
-    /// Returns a copy of the series with every value divided by `reference`.
-    ///
-    /// Used to normalize against provisioned maxima, as in "normalized peak power".
-    ///
-    /// # Panics
-    /// Panics if `reference` is zero.
-    #[must_use]
-    pub fn normalized_by(&self, reference: f64) -> TimeSeries {
-        assert!(reference != 0.0, "cannot normalize by zero");
-        let mut out = TimeSeries::new(format!("{} (normalized)", self.name));
-        for (t, v) in self.iter() {
-            out.push(t, v / reference);
-        }
-        out
-    }
 }
 
 impl Extend<(SimTime, f64)> for TimeSeries {
@@ -223,59 +151,6 @@ mod tests {
         let mut s = TimeSeries::new("x");
         s.push(minutes(10), 1.0);
         s.push(minutes(5), 2.0);
-    }
-
-    #[test]
-    fn fraction_where_counts_matching_samples() {
-        let s: TimeSeries = (0..10).map(|i| (minutes(i), f64::from(i as u32))).collect();
-        assert!((s.fraction_where(|v| v >= 5.0) - 0.5).abs() < 1e-12);
-        assert_eq!(TimeSeries::new("empty").fraction_where(|_| true), 0.0);
-    }
-
-    #[test]
-    fn window_max_groups_by_window_start() {
-        let mut s = TimeSeries::new("temp");
-        for m in 0..30 {
-            s.push(minutes(m), f64::from(m as u32 % 7));
-        }
-        let resampled = s.window_max(SimDuration::from_minutes(10));
-        assert_eq!(resampled.len(), 3);
-        assert_eq!(resampled.times()[0], minutes(0));
-        assert_eq!(resampled.times()[1], minutes(10));
-        assert_eq!(resampled.values()[0], 6.0);
-        assert!(resampled.values().iter().all(|&v| v <= 6.0));
-    }
-
-    #[test]
-    fn window_mean_of_constant_series_is_constant() {
-        let s: TimeSeries = (0..60).map(|i| (minutes(i), 4.0)).collect();
-        let resampled = s.window_mean(SimDuration::from_minutes(15));
-        assert_eq!(resampled.len(), 4);
-        assert!(resampled.values().iter().all(|&v| (v - 4.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn resample_handles_gaps() {
-        let mut s = TimeSeries::new("gappy");
-        s.push(minutes(0), 1.0);
-        s.push(minutes(55), 9.0);
-        let resampled = s.window_max(SimDuration::from_minutes(10));
-        assert_eq!(resampled.len(), 2);
-        assert_eq!(resampled.times()[1], minutes(50));
-    }
-
-    #[test]
-    fn normalized_by_scales_values() {
-        let s: TimeSeries = (0..4).map(|i| (minutes(i), f64::from(i as u32) * 25.0)).collect();
-        let norm = s.normalized_by(75.0);
-        assert!((norm.values()[3] - 1.0).abs() < 1e-12);
-        assert!(norm.name().contains("normalized"));
-    }
-
-    #[test]
-    #[should_panic(expected = "normalize by zero")]
-    fn normalize_by_zero_panics() {
-        let _ = TimeSeries::new("x").normalized_by(0.0);
     }
 
     #[test]

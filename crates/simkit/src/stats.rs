@@ -1,4 +1,4 @@
-//! Summary statistics: means, percentiles, histograms and empirical CDFs.
+//! Summary statistics: means, percentiles and empirical CDFs.
 //!
 //! Every evaluation figure in the paper is a distributional summary: P50/P99 row power
 //! (Fig. 10), CDFs of GPU temperature (Fig. 9), prediction-error CDFs (Fig. 14), peak and
@@ -211,87 +211,6 @@ impl Ecdf {
     }
 }
 
-/// A fixed-bin histogram over a closed range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        if value < self.lo {
-            self.below += 1;
-            return;
-        }
-        if value >= self.hi {
-            self.above += 1;
-            return;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let idx = ((value - self.lo) / width) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Total number of observations recorded (including out-of-range ones).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of observations below the histogram range.
-    #[must_use]
-    pub fn below_range(&self) -> u64 {
-        self.below
-    }
-
-    /// Number of observations at or above the upper bound.
-    #[must_use]
-    pub fn above_range(&self) -> u64 {
-        self.above
-    }
-
-    /// Iterates over `(bin_center, count)` pairs.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-    }
-
-    /// Fraction of in-range observations that fall in each bin, as `(bin_center, fraction)`.
-    pub fn normalized(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let in_range = (self.total - self.below - self.above).max(1);
-        self.bins().map(move |(x, c)| (x, c as f64 / in_range as f64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,30 +315,5 @@ mod tests {
         let ecdf = Ecdf::new(&[3.0, 3.0, 3.0]);
         assert_eq!(ecdf.curve(5), vec![(3.0, 1.0)]);
         assert_eq!(ecdf.quantile(0.9), 3.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [-1.0, 0.5, 1.5, 2.5, 9.9, 10.0, 25.0] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.below_range(), 1);
-        assert_eq!(h.above_range(), 2);
-        let bins: Vec<(f64, u64)> = h.bins().collect();
-        assert_eq!(bins.len(), 5);
-        assert_eq!(bins[0], (1.0, 2.0 as u64));
-        assert_eq!(bins[1].1, 1);
-        assert_eq!(bins[4].1, 1);
-        let norm: Vec<(f64, f64)> = h.normalized().collect();
-        let total_frac: f64 = norm.iter().map(|(_, f)| f).sum();
-        assert!((total_frac - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -139,12 +139,21 @@ fn capped_hour_pins_worst_step_slo_and_mean_quality() {
     assert!(report.quality_samples > 0);
 }
 
-/// The report holds per-step series, counters and events, nothing per request or per
-/// instance-step. A latency and a quality sample per served instance-step, plus an event
-/// per degraded or SLO-violating instance-step, put this run at about 160 kB.
+/// The report holds per-step series, counters and a fixed-size event tally, nothing per
+/// event, per request or per instance-step.
 #[test]
 fn capped_hour_report_serializes_within_a_step_bounded_size() {
     let report = capped_real_cluster_hour();
     let json = serde_json::to_string(&report).expect("serialize");
     assert!(json.len() < 40_000, "{} bytes", json.len());
+
+    // The capped hour's events serialize to the same bytes as an empty report's, up to
+    // the decimal width of the tally's numbers.
+    let empty = RunReport::new(&report.policy, report.horizon, report.step);
+    let without_numbers = |report: &RunReport| {
+        let events = serde_json::to_string(&report.events).expect("serialize");
+        events.replace("null", "").replace(|c: char| c.is_ascii_digit(), "")
+    };
+    assert!(report.events.count(simkit::events::EventKind::PowerCap) > 0);
+    assert_eq!(without_numbers(&report), without_numbers(&empty));
 }
