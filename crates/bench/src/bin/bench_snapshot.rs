@@ -26,7 +26,7 @@ use tapas_bench::snapshot::{
 };
 
 const DEFAULT_BENCHES: &str =
-    "router,end_to_end,hierarchy,fleet,scenario,request_fabric,configurator";
+    "router,end_to_end,hierarchy,fleet,scenario,request_fabric,configurator,allocator";
 
 struct Args {
     section: String,

@@ -272,14 +272,17 @@ impl ExperimentConfig {
         self
     }
 
-    /// Validates the request-fabric knobs ([`RequestFabricConfig::check`]) and the
-    /// configuration's scenario (a standalone experiment is site 0 of a 1-site fleet, but
-    /// site-targeted events are allowed here because the config may be the shared base
-    /// of a larger fleet — [`FleetConfig::check`] bounds them).
+    /// Validates the layout ([`LayoutConfig::check`]), the request-fabric knobs
+    /// ([`RequestFabricConfig::check`]) and the configuration's scenario (a standalone
+    /// experiment is site 0 of a 1-site fleet, but site-targeted events are allowed here
+    /// because the config may be the shared base of a larger fleet — [`FleetConfig::check`]
+    /// bounds them).
     ///
     /// # Errors
-    /// Returns the first violated fabric or event invariant as a [`ScenarioError`].
+    /// Returns the first violated layout, fabric or event invariant as a
+    /// [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.layout.check().map_err(|error| ScenarioError::InvalidLayout { site: None, error })?;
         if let Some(fabric) = &self.request_fabric {
             fabric.check()?;
         }
@@ -517,10 +520,11 @@ impl FleetConfig {
         config
     }
 
-    /// Validates the cross-field invariants the simulator relies on: at least one site, a
-    /// positive arrival scale, an in-range pinned site, valid arrival shares under
-    /// [`GeoPolicy::RoundRobin`] (the only policy that consumes them), and the composed
-    /// scenario's event and site-range invariants.
+    /// Validates the cross-field invariants the simulator relies on: at least one site,
+    /// valid base and site layouts ([`LayoutConfig::check`]; the base layout sizes the
+    /// fleet's arrival stream), a positive arrival scale, an in-range pinned site, valid
+    /// arrival shares under [`GeoPolicy::RoundRobin`] (the only policy that consumes
+    /// them), and the composed scenario's event and site-range invariants.
     ///
     /// # Errors
     /// Returns the first violated invariant as a [`ScenarioError`] — the single typed
@@ -528,6 +532,11 @@ impl FleetConfig {
     pub fn check(&self) -> Result<(), ScenarioError> {
         if self.sites.is_empty() {
             return Err(ScenarioError::NoSites);
+        }
+        let layouts = std::iter::once((None, &self.base.layout))
+            .chain(self.sites.iter().enumerate().map(|(site, s)| (Some(site), &s.layout)));
+        for (site, layout) in layouts {
+            layout.check().map_err(|error| ScenarioError::InvalidLayout { site, error })?;
         }
         // NaN must fail too, so test the accepting range rather than its negation.
         if !(self.arrival_scale.is_finite() && self.arrival_scale > 0.0) {
@@ -582,6 +591,7 @@ impl FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::units::{CubicFeetPerMinute, Kilowatts};
 
     #[test]
     fn presets_have_expected_scale() {
@@ -662,6 +672,48 @@ mod tests {
             .build()
             .expect("event invariants hold");
         fleet.check().expect("in-range target is valid");
+    }
+
+    #[test]
+    fn bad_layouts_end_in_typed_errors_naming_the_field() {
+        type Corruption = fn(&mut LayoutConfig);
+        let bad_layouts: [(&str, Corruption); 8] = [
+            ("racks_per_row", |l| l.racks_per_row = 0),
+            ("row_power_provisioning", |l| l.row_power_provisioning = -0.5),
+            ("aisle_airflow_provisioning", |l| l.aisle_airflow_provisioning = f64::NAN),
+            ("ups_power_provisioning", |l| l.ups_power_provisioning = f64::INFINITY),
+            ("server_spec.idle_power", |l| l.server_spec.idle_power = Kilowatts::new(f64::NAN)),
+            ("server_spec.max_airflow", |l| {
+                l.server_spec.max_airflow = CubicFeetPerMinute::new(f64::INFINITY);
+            }),
+            ("server_spec.idle_power", |l| l.server_spec.max_power = Kilowatts::new(1.0)),
+            ("server_spec.gpus_per_server", |l| l.server_spec.gpus_per_server = 0),
+        ];
+        for (field, corrupt) in bad_layouts {
+            let mut config = ExperimentConfig::small_smoke_test();
+            corrupt(&mut config.layout);
+            match config.validate() {
+                Err(ScenarioError::InvalidLayout { site: None, error }) => {
+                    assert_eq!(error.field, field);
+                }
+                other => panic!("{field}: expected an invalid base layout, got {other:?}"),
+            }
+            let mut fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 3);
+            corrupt(&mut fleet.sites[2].layout);
+            let error = fleet.check().unwrap_err();
+            assert!(
+                matches!(
+                    &error,
+                    ScenarioError::InvalidLayout { site: Some(2), error } if error.field == field
+                ),
+                "{field}: {error:?}"
+            );
+            assert!(error.to_string().starts_with("site 2: layout field"), "{error}");
+            let mut fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 2);
+            corrupt(&mut fleet.base.layout);
+            assert!(matches!(fleet.check(), Err(ScenarioError::InvalidLayout { site: None, .. })));
+        }
+        ExperimentConfig::production_week(Policy::Tapas).validate().expect("presets are valid");
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub mod generator;
 use crate::metrics::RunReport;
 use dc_sim::failures::{FailureKind, FailureSchedule, FailureWindow};
 use dc_sim::ids::{AisleId, UpsId};
+use dc_sim::topology::LayoutError;
 use serde::{Deserialize, Serialize};
 use simkit::time::{SimDuration, SimTime};
 use std::fmt;
@@ -327,6 +328,15 @@ pub enum ScenarioError {
         /// The offending multiplier.
         multiplier: f64,
     },
+    /// A layout field fails [`dc_sim::topology::LayoutConfig::check`]: a zero dimension,
+    /// a provisioning fraction that is not finite and positive, or a server specification
+    /// that is not finite or has idle above maximum.
+    InvalidLayout {
+        /// The fleet site whose layout it is, or `None` for the base experiment's layout.
+        site: Option<usize>,
+        /// The offending field, its value and what it must be.
+        error: LayoutError,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -389,6 +399,10 @@ impl fmt::Display for ScenarioError {
                 f,
                 "request-fabric SLO multiplier must be finite and positive, got {multiplier}"
             ),
+            ScenarioError::InvalidLayout { site: Some(site), error } => {
+                write!(f, "site {site}: {error}")
+            }
+            ScenarioError::InvalidLayout { site: None, error } => write!(f, "{error}"),
         }
     }
 }

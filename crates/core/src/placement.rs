@@ -11,7 +11,7 @@
 
 use crate::profiles::{ProfileStore, ServerProfile};
 use crate::state::ClusterState;
-use dc_sim::ids::{RowId, ServerId};
+use dc_sim::ids::{AisleId, RowId, ServerId};
 use dc_sim::topology::Layout;
 use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts};
@@ -56,13 +56,15 @@ fn effective_peak_load(predicted_peak_load: f64) -> f64 {
 }
 
 /// One server's placement constants, gathered from its [`ServerProfile`]
-/// into a flat record so the per-VM scan touches no heap-backed profile data.
+/// into a flat record so the index touches no heap-backed profile data.
 #[derive(Debug, Clone, Copy)]
 struct ServerConstants {
     row: u32,
     aisle: u32,
-    /// Index of the server's hardware class in [`PlacementPlanner::class_servers`].
+    /// Index of the server's hardware class in `PlannerTopology::class_servers`.
     class: u32,
+    /// Index of the server's validator cell in `PlannerTopology::cells`.
+    cell: u32,
     /// Intercept of the fitted worst-GPU temperature model (Eq. 2).
     temp_intercept: f64,
     /// The model's inlet term at the design conditions: inlet coefficient × design inlet.
@@ -132,16 +134,445 @@ fn class_signature(profile: &ServerProfile) -> impl Iterator<Item = u64> + '_ {
     .map(f64::to_bits)
 }
 
-/// Incrementally maintained placement aggregates, dense per-server constants and reusable
-/// scratch buffers.
+/// How many per-load views a [`PlacementPlanner`] caches. The simulator asks for at most
+/// ~14 distinct effective loads (one per IaaS customer intensity, 0.9 for SaaS, 1.0 for a
+/// customer without history), so all of them stay cached; a caller with more evicts the
+/// least recently used view, which is rebuilt, exactly, on its next use.
+const VIEW_CACHE_CAPACITY: usize = 16;
+
+/// One validator cell: the servers of one hardware class in one row and aisle. A server's
+/// validator verdict depends on its cell alone (the row's power, the aisle's airflow and
+/// the class's peak at the VM's load), so a view keeps one verdict per cell.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    row: u32,
+    aisle: u32,
+    class: u32,
+}
+
+/// The load-independent part of the placement index, fixed when the planner is built.
+#[derive(Debug, Clone)]
+struct PlannerTopology {
+    /// Placement constants per server, indexed by `ServerId::index`.
+    servers: Vec<ServerConstants>,
+    /// One representative server per hardware class.
+    class_servers: Vec<ServerId>,
+    cells: Vec<Cell>,
+    /// The cells of each row and of each aisle: the verdicts a place or retire there can
+    /// flip.
+    row_cells: Vec<Vec<u32>>,
+    aisle_cells: Vec<Vec<u32>>,
+    /// Each row's first slot in a view's `row_servers` and `row_pos`, plus one past the
+    /// last row.
+    row_start: Vec<u32>,
+    /// Each row's first word in a [`RankSet`]'s `row_bits`, plus one past the last row.
+    row_word_start: Vec<u32>,
+}
+
+impl PlannerTopology {
+    /// The slots of `row` in a view's `row_servers` and `row_pos`.
+    fn row_slots(&self, row: usize) -> std::ops::Range<usize> {
+        self.row_start[row] as usize..self.row_start[row + 1] as usize
+    }
+
+    /// The words of `row` in a [`RankSet`]'s `row_bits`.
+    fn row_words(&self, row: usize) -> std::ops::Range<usize> {
+        self.row_word_start[row] as usize..self.row_word_start[row + 1] as usize
+    }
+}
+
+/// A set of positions of one [`LoadView`], stored twice: as a bitmap over positions with a
+/// Fenwick tree over its words' popcounts (the k-th member in O(log S)), and as one bitmap
+/// per row over the row's ranks (a row's first member at or after a rank in O(1) words).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RankSet {
+    len: usize,
+    /// Membership bit per position.
+    bits: Vec<u64>,
+    /// Fenwick tree over the popcounts of `bits`' words; node `i` is stored at `i - 1`.
+    counts: Vec<u32>,
+    /// Membership bit per row rank, rows laid out by `PlannerTopology::row_word_start`.
+    row_bits: Vec<u64>,
+}
+
+impl RankSet {
+    fn clear(&mut self, positions: usize, row_words: usize) {
+        self.len = 0;
+        self.bits.clear();
+        self.bits.resize(positions.div_ceil(64), 0);
+        self.counts.clear();
+        self.counts.resize(positions.div_ceil(64), 0);
+        self.row_bits.clear();
+        self.row_bits.resize(row_words, 0);
+    }
+
+    /// Adds a member without updating the counts; [`RankSet::recount`] ends a bulk fill.
+    fn fill(&mut self, pos: usize, row_bit: usize) {
+        self.bits[pos / 64] |= 1 << (pos % 64);
+        self.row_bits[row_bit / 64] |= 1 << (row_bit % 64);
+        self.len += 1;
+    }
+
+    /// Builds the Fenwick tree from the bitmap in O(words).
+    fn recount(&mut self) {
+        for (count, word) in self.counts.iter_mut().zip(&self.bits) {
+            *count = word.count_ones();
+        }
+        let n = self.counts.len();
+        for node in 1..=n {
+            let parent = node + (node & node.wrapping_neg());
+            if parent <= n {
+                self.counts[parent - 1] += self.counts[node - 1];
+            }
+        }
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.bits[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, pos: usize, row_bit: usize) {
+        debug_assert!(!self.contains(pos), "position {pos} is already a member");
+        self.fill(pos, row_bit);
+        let mut node = pos / 64 + 1;
+        while node <= self.counts.len() {
+            self.counts[node - 1] += 1;
+            node += node & node.wrapping_neg();
+        }
+    }
+
+    fn remove(&mut self, pos: usize, row_bit: usize) {
+        debug_assert!(self.contains(pos), "position {pos} is not a member");
+        self.bits[pos / 64] &= !(1 << (pos % 64));
+        self.row_bits[row_bit / 64] &= !(1 << (row_bit % 64));
+        self.len -= 1;
+        let mut node = pos / 64 + 1;
+        while node <= self.counts.len() {
+            self.counts[node - 1] -= 1;
+            node += node & node.wrapping_neg();
+        }
+    }
+
+    /// The position of the member of rank `k` (0-based): a descent of the Fenwick tree to
+    /// the word, then a select inside it.
+    fn select(&self, k: usize) -> usize {
+        debug_assert!(k < self.len, "rank {k} of a {}-member set", self.len);
+        let n = self.counts.len();
+        let (mut words, mut rank) = (0, k as u32);
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = words + step;
+            if next <= n && self.counts[next - 1] <= rank {
+                words = next;
+                rank -= self.counts[next - 1];
+            }
+            step >>= 1;
+        }
+        let mut word = self.bits[words];
+        for _ in 0..rank {
+            word &= word - 1;
+        }
+        words * 64 + word.trailing_zeros() as usize
+    }
+}
+
+/// The first set bit at or after `from` in a row's bitmap words.
+fn first_set_from(words: &[u64], from: usize) -> Option<usize> {
+    let mut index = from / 64;
+    let mut word = *words.get(index)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        index += 1;
+        word = *words.get(index)?;
+    }
+    Some(index * 64 + word.trailing_zeros() as usize)
+}
+
+/// Indices below the server count, in 16 bits when every index fits (up to 65536 servers)
+/// and in 32 bits otherwise: a view's per-server arrays are most of its memory.
+#[derive(Debug, Clone, PartialEq)]
+enum Slots {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::Narrow(Vec::new())
+    }
+}
+
+impl Slots {
+    /// Resets to `len` zeros, able to hold indices below `len`, reusing the allocation when
+    /// the width stays.
+    fn reset(&mut self, len: usize) {
+        match self {
+            Slots::Narrow(v) if len <= 1 << 16 => {
+                v.clear();
+                v.resize(len, 0);
+            }
+            Slots::Wide(v) if len > 1 << 16 => {
+                v.clear();
+                v.resize(len, 0);
+            }
+            _ if len <= 1 << 16 => *self = Slots::Narrow(vec![0; len]),
+            _ => *self = Slots::Wide(vec![0; len]),
+        }
+    }
+
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Slots::Narrow(v) => usize::from(v[i]),
+            Slots::Wide(v) => v[i] as usize,
+        }
+    }
+
+    fn set(&mut self, i: usize, value: usize) {
+        match self {
+            Slots::Narrow(v) => v[i] = value as u16,
+            Slots::Wide(v) => v[i] = value as u32,
+        }
+    }
+
+    /// The first index in `range` whose value fails `pred` (all that pass come first).
+    fn partition_point(
+        &self,
+        range: std::ops::Range<usize>,
+        mut pred: impl FnMut(usize) -> bool,
+    ) -> usize {
+        range.start
+            + match self {
+                Slots::Narrow(v) => v[range].partition_point(|&x| pred(usize::from(x))),
+                Slots::Wide(v) => v[range].partition_point(|&x| pred(x as usize)),
+            }
+    }
+}
+
+/// The placement index at one effective peak load and one pair of safety fractions.
+///
+/// Every server has a static *position*: its rank in the order of estimated peak
+/// temperature at the load, ties broken by server id. The view keeps each row's servers
+/// in position order (a server's index in that list is its *row rank*) with their
+/// positions, the validator verdict of every [`Cell`], and two [`RankSet`]s over
+/// positions: the free servers and the candidates (free servers whose cell passes).
+#[derive(Debug, Clone, Default)]
+struct LoadView {
+    /// Bits of the effective load and of the power and airflow safety fractions.
+    key: [u64; 3],
+    /// The planner's use counter at the view's last use.
+    last_use: u64,
+    /// Every hardware class evaluated at the load.
+    peaks: Vec<ClassPeak>,
+    /// Safety-scaled power budget per row (kW).
+    row_limit_kw: Vec<f64>,
+    /// Safety-scaled airflow provisioning per aisle (CFM).
+    aisle_limit_cfm: Vec<f64>,
+    /// Each row's servers in position order, rows laid out by `PlannerTopology::row_start`.
+    row_servers: Slots,
+    /// The position of each entry of `row_servers`.
+    row_pos: Slots,
+    /// The last SaaS temperature limit asked for (its order bits) and how many positions
+    /// estimate at most that limit.
+    allowed: Option<(u64, usize)>,
+    /// The validator verdict per cell.
+    pass: Vec<bool>,
+    candidates: RankSet,
+    free: RankSet,
+}
+
+impl LoadView {
+    /// Rebuilds the view for `key` (its load and safety fractions) from the planner's
+    /// current aggregates and free set, reusing the view's allocations.
+    ///
+    /// # Panics
+    /// Panics if a server's estimated peak temperature at the load is not finite.
+    fn rebuild(&mut self, key: [u64; 3], planner: &PlacementPlanner, profiles: &ProfileStore) {
+        let topology = &planner.topology;
+        let servers = topology.servers.len();
+        let [load, power_safety, airflow_safety] = key.map(f64::from_bits);
+        self.key = key;
+        self.allowed = None;
+        self.peaks.clear();
+        self.peaks.extend(
+            topology
+                .class_servers
+                .iter()
+                .map(|&server| ClassPeak::at(profiles.server(server), load)),
+        );
+        self.row_limit_kw.clear();
+        self.row_limit_kw
+            .extend(profiles.budgets.row_power.values().map(|b| b.value() * power_safety));
+        self.aisle_limit_cfm.clear();
+        self.aisle_limit_cfm
+            .extend(profiles.budgets.aisle_airflow.values().map(|b| b.value() * airflow_safety));
+        let mut pass = std::mem::take(&mut self.pass);
+        pass.clear();
+        pass.extend(topology.cells.iter().map(|&cell| self.passes(cell, planner)));
+        self.pass = pass;
+
+        let temp_bits: Vec<u64> = (0..servers)
+            .map(|server| {
+                let temp = self.peak_temp_c(topology, server);
+                assert!(
+                    temp.is_finite(),
+                    "server {} has a non-finite estimated peak temperature ({temp} °C at load \
+                     {load}): its profile holds a non-finite value",
+                    ServerId::new(server)
+                );
+                order_bits(temp)
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..servers as u32).collect();
+        order.sort_unstable_by_key(|&server| (temp_bits[server as usize], server));
+
+        let row_words = *topology.row_word_start.last().expect("one entry per row, plus one");
+        self.candidates.clear(servers, row_words as usize);
+        self.free.clear(servers, row_words as usize);
+        self.row_servers.reset(servers);
+        self.row_pos.reset(servers);
+        let mut next_slot = topology.row_start.clone();
+        for (pos, &server) in order.iter().enumerate() {
+            let c = &topology.servers[server as usize];
+            let row = c.row as usize;
+            let slot = next_slot[row] as usize;
+            next_slot[row] += 1;
+            self.row_servers.set(slot, server as usize);
+            self.row_pos.set(slot, pos);
+            if planner.free[server as usize] {
+                let row_bit = topology.row_word_start[row] as usize * 64 + slot
+                    - topology.row_start[row] as usize;
+                self.free.fill(pos, row_bit);
+                if self.pass[c.cell as usize] {
+                    self.candidates.fill(pos, row_bit);
+                }
+            }
+        }
+        self.free.recount();
+        self.candidates.recount();
+    }
+
+    /// [`TapasPlacement::thermal_estimate`] of `server` at the view's load.
+    fn peak_temp_c(&self, topology: &PlannerTopology, server: usize) -> f64 {
+        let c = &topology.servers[server];
+        c.peak_temp_c(self.peaks[c.class as usize].gpu_share_w)
+    }
+
+    /// The validator rule for a cell: its row's power and its aisle's airflow stay within
+    /// the (safety-scaled) provisioning if the VM peaked there.
+    fn passes(&self, cell: Cell, planner: &PlacementPlanner) -> bool {
+        let peak = &self.peaks[cell.class as usize];
+        let (row, aisle) = (cell.row as usize, cell.aisle as usize);
+        let new_row_power = planner.row_power_kw[row] - peak.idle_kw + peak.power_kw;
+        let new_aisle_airflow = planner.aisle_airflow_cfm[aisle] - peak.idle_cfm + peak.airflow_cfm;
+        new_row_power <= self.row_limit_kw[row] && new_aisle_airflow <= self.aisle_limit_cfm[aisle]
+    }
+
+    /// How many positions estimate at most `limit` (°C, not NaN): the SaaS rule's cap on
+    /// positions. Counted per row by binary search and cached per limit.
+    fn allowed(&mut self, topology: &PlannerTopology, limit: f64) -> usize {
+        let bits = order_bits(limit);
+        match self.allowed {
+            Some((cached, allowed)) if cached == bits => allowed,
+            _ => {
+                let allowed = (0..topology.row_start.len() - 1)
+                    .map(|row| {
+                        let slots = topology.row_slots(row);
+                        let start = slots.start;
+                        self.row_servers.partition_point(slots, |server| {
+                            order_bits(self.peak_temp_c(topology, server)) <= bits
+                        }) - start
+                    })
+                    .sum();
+                self.allowed = Some((bits, allowed));
+                allowed
+            }
+        }
+    }
+
+    /// A server's slot in `row_servers` and its bit in the row bitmaps, by binary search of
+    /// its row on the order key.
+    fn locate(&self, topology: &PlannerTopology, server: usize) -> (usize, usize) {
+        let key = |server: usize| order_key(self.peak_temp_c(topology, server), server);
+        let target = key(server);
+        let row = topology.servers[server].row as usize;
+        let slots = topology.row_slots(row);
+        let start = slots.start;
+        let slot = self.row_servers.partition_point(slots, |other| key(other) < target);
+        debug_assert_eq!(self.row_servers.get(slot), server);
+        (slot, topology.row_word_start[row] as usize * 64 + slot - start)
+    }
+
+    /// Applies a change of `server`'s free bit, then re-evaluates the verdicts of the cells
+    /// in its row and aisle, updating the candidates of every cell whose verdict flips.
+    fn update(&mut self, planner: &PlacementPlanner, server: usize, free: bool) {
+        let topology = &planner.topology;
+        let (slot, row_bit) = self.locate(topology, server);
+        let pos = self.row_pos.get(slot);
+        let c = topology.servers[server];
+        let candidate = self.pass[c.cell as usize];
+        if free {
+            self.free.insert(pos, row_bit);
+            if candidate {
+                self.candidates.insert(pos, row_bit);
+            }
+        } else {
+            self.free.remove(pos, row_bit);
+            if candidate {
+                self.candidates.remove(pos, row_bit);
+            }
+        }
+        let touched = topology.row_cells[c.row as usize]
+            .iter()
+            .chain(&topology.aisle_cells[c.aisle as usize]);
+        for &cell in touched {
+            let pass = self.passes(topology.cells[cell as usize], planner);
+            if pass != self.pass[cell as usize] {
+                self.pass[cell as usize] = pass;
+                self.flip_cell(topology, cell, pass);
+            }
+        }
+    }
+
+    /// Adds (`pass`) or removes every free server of `cell` to or from the candidates.
+    fn flip_cell(&mut self, topology: &PlannerTopology, cell: u32, pass: bool) {
+        let row = topology.cells[cell as usize].row as usize;
+        let first_slot = topology.row_start[row] as usize;
+        let words = topology.row_words(row);
+        for index in words.clone() {
+            let mut word = self.free.row_bits[index];
+            while word != 0 {
+                let bit = index * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let slot = first_slot + bit - words.start * 64;
+                if topology.servers[self.row_servers.get(slot)].cell != cell {
+                    continue;
+                }
+                if pass {
+                    self.candidates.insert(self.row_pos.get(slot), bit);
+                } else {
+                    self.candidates.remove(self.row_pos.get(slot), bit);
+                }
+            }
+        }
+    }
+}
+
+/// Incrementally maintained placement aggregates and the placement index over them.
 ///
 /// The TAPAS validator compares each candidate row's/aisle's *predicted peak* power and
-/// airflow against its provisioning. Recomputing those aggregates scans every server per
-/// placement decision; the planner instead carries them as dense vectors updated in O(1) on
-/// every place/retire event the caller reports. It also gathers every per-server constant
-/// of the estimates (row, aisle, hardware class, the temperature model at the design inlet)
-/// from the [`ProfileStore`] it is built with, which must be the store the caller later
-/// passes to [`TapasPlacement::place_with`].
+/// airflow against its provisioning. The planner carries those aggregates as dense vectors
+/// updated in O(1) on every place/retire event the caller reports, and gathers every
+/// per-server constant of the estimates (row, aisle, hardware class, the temperature model
+/// at the design inlet) from the [`ProfileStore`] it is built with, which must be the store
+/// the caller later passes to [`TapasPlacement::place_with`].
+///
+/// On top of them it keeps the placement index: a cache of per-load views (see
+/// [`TapasPlacement::place_with`]), keyed on the effective peak load and the policy's two
+/// safety fractions. A view is built by the first decision that needs it (O(S log S)), not
+/// here. [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`] keep every
+/// cached view current: they flip the server's free bit in each, re-evaluate the verdicts
+/// of the cells in the server's row and aisle, and move the free servers of a cell whose
+/// verdict flips in or out of the candidates. The cache holds 16 views, a fixed capacity;
+/// the least recently used one is evicted, and rebuilt exactly if it is needed again.
 #[derive(Debug, Clone)]
 pub struct PlacementPlanner {
     design: DesignConditions,
@@ -149,24 +580,17 @@ pub struct PlacementPlanner {
     row_power_kw: Vec<f64>,
     /// Predicted peak airflow per aisle (CFM), counting idle airflow for empty servers.
     aisle_airflow_cfm: Vec<f64>,
-    /// Placement constants per server, indexed by `ServerId::index`.
-    servers: Vec<ServerConstants>,
-    /// One representative server per hardware class.
-    class_servers: Vec<ServerId>,
-    /// Scratch: every class evaluated at the VM's predicted peak.
-    class_peaks: Vec<ClassPeak>,
-    /// Scratch: safety-scaled power budget per row (kW).
-    row_limit_kw: Vec<f64>,
-    /// Scratch: safety-scaled airflow provisioning per aisle (CFM).
-    aisle_limit_cfm: Vec<f64>,
-    /// Scratch: weighted IaaS/SaaS balance score per row for the VM being placed.
-    row_balance: Vec<f64>,
-    /// Scratch: one order key per candidate (see [`order_key`]).
-    keys: Vec<u128>,
+    topology: PlannerTopology,
+    /// Whether each server is free, in step with the caller's [`ClusterState`].
+    free: Vec<bool>,
+    views: Vec<LoadView>,
+    /// Use counter stamping the views for least-recently-used eviction.
+    clock: u64,
 }
 
 impl PlacementPlanner {
-    /// Builds the planner from the current cluster state.
+    /// Builds the planner from the current cluster state. No view is built here: each is
+    /// built by the first [`TapasPlacement::place_with`] call that needs it.
     ///
     /// # Panics
     /// Panics if a server's worst-GPU temperature model does not take exactly the two
@@ -195,9 +619,14 @@ impl PlacementPlanner {
             row_power_kw[server.row.index()] += power;
             aisle_airflow_cfm[server.aisle.index()] += airflow;
         }
+        assert!(u32::try_from(profiles.servers.len()).is_ok(), "server ids fit in u32");
         let mut classes: HashMap<Vec<u64>, u32> = HashMap::new();
         let mut class_servers = Vec::new();
         let mut last_class: Option<(u32, ServerId)> = None;
+        let mut cells = Vec::new();
+        let mut row_cells = vec![Vec::new(); layout.rows().len()];
+        let mut aisle_cells = vec![Vec::new(); layout.aisles().len()];
+        let mut row_sizes = vec![0u32; layout.rows().len()];
         let servers = profiles
             .servers
             .iter()
@@ -215,6 +644,22 @@ impl PlacementPlanner {
                     }),
                 };
                 last_class = Some((class, class_servers[class as usize]));
+                let (row, aisle) = (profile.row.index() as u32, profile.aisle.index() as u32);
+                row_sizes[row as usize] += 1;
+                let same_cell = |&&id: &&u32| {
+                    let cell: &Cell = &cells[id as usize];
+                    (cell.aisle, cell.class) == (aisle, class)
+                };
+                let cell = match row_cells[row as usize].iter().find(same_cell) {
+                    Some(&id) => id,
+                    None => {
+                        let id = cells.len() as u32;
+                        cells.push(Cell { row, aisle, class });
+                        row_cells[row as usize].push(id);
+                        aisle_cells[aisle as usize].push(id);
+                        id
+                    }
+                };
                 let &[inlet_coeff, power_coeff] = profile.worst_gpu_temp.coefficients() else {
                     panic!("the worst-GPU temperature model takes [inlet °C, per-GPU power W]");
                 };
@@ -222,26 +667,42 @@ impl PlacementPlanner {
                     .predicted_inlet(design.design_outside_temp, design.design_dc_load)
                     .value();
                 ServerConstants {
-                    row: profile.row.index() as u32,
-                    aisle: profile.aisle.index() as u32,
+                    row,
+                    aisle,
                     class,
+                    cell,
                     temp_intercept: profile.worst_gpu_temp.intercept(),
                     temp_inlet_term: inlet_coeff * design_inlet,
                     temp_power_coeff: power_coeff,
                 }
             })
             .collect();
+        let prefix = |sizes: &mut dyn Iterator<Item = u32>| {
+            std::iter::once(0)
+                .chain(sizes.scan(0, |total, size| {
+                    *total += size;
+                    Some(*total)
+                }))
+                .collect::<Vec<u32>>()
+        };
+        let row_start = prefix(&mut row_sizes.iter().copied());
+        let row_word_start = prefix(&mut row_sizes.iter().map(|&size| size.div_ceil(64)));
         Self {
             design,
             row_power_kw,
             aisle_airflow_cfm,
-            servers,
-            class_servers,
-            class_peaks: Vec::new(),
-            row_limit_kw: Vec::new(),
-            aisle_limit_cfm: Vec::new(),
-            row_balance: Vec::new(),
-            keys: Vec::new(),
+            topology: PlannerTopology {
+                servers,
+                class_servers,
+                cells,
+                row_cells,
+                aisle_cells,
+                row_start,
+                row_word_start,
+            },
+            free: (0..profiles.servers.len()).map(|s| state.is_free(ServerId::new(s))).collect(),
+            views: Vec::new(),
+            clock: 0,
         }
     }
 
@@ -259,6 +720,7 @@ impl PlacementPlanner {
             profile.predicted_power(load).value() - profile.spec.idle_power.value();
         self.aisle_airflow_cfm[profile.aisle.index()] +=
             profile.predicted_airflow(load).value() - profile.spec.idle_airflow.value();
+        self.set_free(server, false);
     }
 
     /// Records that the VM previously placed on `server` (with the given predicted peak)
@@ -275,12 +737,101 @@ impl PlacementPlanner {
             profile.predicted_power(load).value() - profile.spec.idle_power.value();
         self.aisle_airflow_cfm[profile.aisle.index()] -=
             profile.predicted_airflow(load).value() - profile.spec.idle_airflow.value();
+        self.set_free(server, true);
+    }
+
+    /// Flips a server's free bit and brings every cached view up to date with it and with
+    /// the aggregates.
+    fn set_free(&mut self, server: ServerId, free: bool) {
+        let index = server.index();
+        debug_assert_ne!(self.free[index], free, "server {server} reported twice");
+        self.free[index] = free;
+        let mut views = std::mem::take(&mut self.views);
+        for view in &mut views {
+            view.update(self, index, free);
+        }
+        self.views = views;
     }
 
     /// Predicted peak power of a row (kW).
     #[must_use]
     pub fn row_power_kw(&self, row: RowId) -> f64 {
         self.row_power_kw[row.index()]
+    }
+
+    /// Predicted peak airflow of an aisle (CFM).
+    #[must_use]
+    pub fn aisle_airflow_cfm(&self, aisle: AisleId) -> f64 {
+        self.aisle_airflow_cfm[aisle.index()]
+    }
+
+    /// The index of the view for an effective load and a policy's safety fractions,
+    /// built (into a new slot, or over the least recently used view) on a miss.
+    fn view_index(
+        &mut self,
+        load: f64,
+        config: &TapasPlacementConfig,
+        profiles: &ProfileStore,
+    ) -> usize {
+        let key = [
+            load.to_bits(),
+            config.power_safety_fraction.to_bits(),
+            config.airflow_safety_fraction.to_bits(),
+        ];
+        self.clock += 1;
+        let index = match self.views.iter().position(|view| view.key == key) {
+            Some(index) => index,
+            None => {
+                let index = if self.views.len() < VIEW_CACHE_CAPACITY {
+                    self.views.push(LoadView::default());
+                    self.views.len() - 1
+                } else {
+                    (0..self.views.len())
+                        .min_by_key(|&index| self.views[index].last_use)
+                        .expect("the cache is full")
+                };
+                let mut view = std::mem::take(&mut self.views[index]);
+                view.rebuild(key, self, profiles);
+                self.views[index] = view;
+                index
+            }
+        };
+        self.views[index].last_use = self.clock;
+        index
+    }
+
+    /// Checks the planner against `state` and every cached view against a from-scratch
+    /// rebuild at the planner's current aggregates: the free set, and per view the order,
+    /// the row lists, every cell's verdict and the candidate and free sets, exactly.
+    /// Costs one view build per cached view; meant for tests and audits.
+    ///
+    /// # Errors
+    /// Describes the first mismatch.
+    pub fn audit_views(&self, state: &ClusterState, profiles: &ProfileStore) -> Result<(), String> {
+        if let Some(server) =
+            (0..self.free.len()).find(|&s| self.free[s] != state.is_free(ServerId::new(s)))
+        {
+            return Err(format!(
+                "the planner's free bit of server {server} disagrees with the state"
+            ));
+        }
+        for view in &self.views {
+            let mut fresh = LoadView::default();
+            fresh.rebuild(view.key, self, profiles);
+            let load = f64::from_bits(view.key[0]);
+            let checks = [
+                ("row order", view.row_servers == fresh.row_servers),
+                ("positions", view.row_pos == fresh.row_pos),
+                ("cell verdicts", view.pass == fresh.pass),
+                ("candidate count", view.candidates.len == fresh.candidates.len),
+                ("candidate set", view.candidates == fresh.candidates),
+                ("free set", view.free == fresh.free),
+            ];
+            if let Some((what, _)) = checks.iter().find(|(_, same)| !same) {
+                return Err(format!("the view at load {load} has a stale {what}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -295,16 +846,10 @@ fn order_bits(temp: f64) -> u64 {
     }
 }
 
-/// The candidate order key: temperature first, server id on ties. Its unsigned order is
-/// the order of a stable sort by temperature over candidates listed in id order.
-fn order_key(temp: f64, server: usize) -> u128 {
-    assert!(!temp.is_nan(), "finite temperatures");
-    u128::from(order_bits(temp)) << 64 | server as u128
-}
-
-/// The server id of an order key.
-fn key_server(key: u128) -> ServerId {
-    ServerId::new(key as u64 as usize)
+/// A server's position key in a view: temperature first, server id on ties. Its order is
+/// the order of a stable sort by temperature over servers listed in id order.
+fn order_key(temp: f64, server: usize) -> (u64, usize) {
+    (order_bits(temp), server)
 }
 
 /// Tuning parameters of the TAPAS placement policy.
@@ -419,15 +964,33 @@ impl TapasPlacement {
 }
 
 impl TapasPlacement {
-    /// Chooses a server using the planner's aggregates, dense per-server constants and
-    /// scratch buffers: the allocation-free hot path, and TAPAS placement's one entry
-    /// point. The caller keeps `planner` in step with `state` through
-    /// [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`].
+    /// Chooses a server through the planner's index: the allocation-free hot path, and
+    /// TAPAS placement's one entry point. The caller keeps `planner` in step with `state`
+    /// through [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`].
     ///
-    /// One pass over the free servers applies the validator and estimates each survivor's
-    /// peak temperature; two `select_nth_unstable` calls split the candidates into the
-    /// cold/medium/warm terciles; one pass per tercile scores them. That is O(free servers +
-    /// rows) per call, with no sort.
+    /// The order of servers by estimated peak temperature depends only on static
+    /// per-server constants and the VM's effective peak load, so the planner keeps one
+    /// view per load and pair of safety fractions (see [`PlacementPlanner`]): every server's
+    /// position in that order, each row's servers in position order, one validator verdict
+    /// per (row, aisle, hardware class) cell, and the candidates (free servers of passing
+    /// cells) as a bitmap over positions with prefix counts plus one bitmap per row. A
+    /// decision then takes:
+    ///
+    /// * the two tercile cuts as the positions of the candidates of rank ⌈n/3⌉ and
+    ///   ⌈2n/3⌉, by k-th selection over the prefix counts (O(log S));
+    /// * per row, its first candidate in each tercile. A row scores
+    ///   `thermal(tercile) + balance(row)` for every candidate it has in a tercile, so the
+    ///   first one (the smallest key) stands for the rest. A row's first candidate is one
+    ///   bit scan; a later tercile's is searched for (O(log row size)) only if its score
+    ///   could win, which for the default weights means SaaS VMs only; a row whose best
+    ///   possible score is below the best found so far is skipped;
+    /// * the SaaS rule against predicted violations as a cap on positions (how many
+    ///   positions estimate at most the limit, counted once per view and limit); the
+    ///   validator-rejects-all fallback as the same query over the free servers; the
+    ///   coolest-candidate fallback as the smallest first position over the rows.
+    ///
+    /// That is O(log S + rows) per call, plus a view build (O(S log S)) the first time a
+    /// load is seen.
     ///
     /// The result is pinned to [`TapasPlacement::place_with_reference`]: the same server on
     /// every call. The contract that makes this exact is the candidate order, temperature
@@ -435,11 +998,12 @@ impl TapasPlacement {
     /// id order). Tercile ranks, the tie-break between equal scores (the first candidate in
     /// that order wins) and the SaaS fallback (the first candidate overall) all follow it.
     /// Every estimate repeats the reference's floating-point operations in the same order,
-    /// so validator verdicts, temperatures and scores are bit-equal (for non-NaN weights;
-    /// a NaN score has no maximum to agree on).
+    /// so validator verdicts, temperatures and scores are bit-equal (for scores that are
+    /// not NaN; a NaN score has no maximum to agree on).
     ///
     /// # Panics
-    /// Panics if a candidate's estimated temperature is NaN (a NaN-bearing profile).
+    /// Panics if a server's estimated peak temperature at the load is not finite (a
+    /// profile holding a non-finite value).
     #[must_use]
     pub fn place_with(
         &self,
@@ -453,107 +1017,87 @@ impl TapasPlacement {
             return None;
         }
         let peak_load = effective_peak_load(request.predicted_peak_load);
-        let PlacementPlanner {
-            row_power_kw,
-            aisle_airflow_cfm,
-            servers,
-            class_servers,
-            class_peaks,
-            row_limit_kw,
-            aisle_limit_cfm,
-            row_balance,
-            keys,
-            ..
-        } = planner;
-        row_limit_kw.clear();
-        row_limit_kw.extend(
-            profiles
-                .budgets
-                .row_power
-                .values()
-                .map(|b| b.value() * self.config.power_safety_fraction),
-        );
-        aisle_limit_cfm.clear();
-        aisle_limit_cfm.extend(
-            profiles
-                .budgets
-                .aisle_airflow
-                .values()
-                .map(|b| b.value() * self.config.airflow_safety_fraction),
-        );
-        class_peaks.clear();
-        class_peaks.extend(
-            class_servers.iter().map(|&server| ClassPeak::at(profiles.server(server), peak_load)),
-        );
+        let view = planner.view_index(peak_load, &self.config, profiles);
+        let PlacementPlanner { topology, views, .. } = planner;
+        let view = &mut views[view];
+        debug_assert_eq!(view.free.len, state.free_count(), "planner out of step with state");
+        let positions = topology.servers.len();
+        // SaaS VMs must never be placed somewhere that already predicts a violation: only
+        // positions below `allowed` estimate at most the limit.
+        let is_saas = matches!(request.vm.kind, VmKind::Saas { .. });
+        let limit = profiles.thermal_headroom_target.value();
+        let allowed =
+            if is_saas && !limit.is_nan() { view.allowed(topology, limit) } else { positions };
+        let view = &*view;
+        // When the validator rejects every server, fall back to every free server rather
+        // than rejecting outright.
+        let set = if view.candidates.len > 0 { &view.candidates } else { &view.free };
 
-        // Validator rule: keep servers whose row power and aisle airflow stay within the
-        // (safety-scaled) provisioning if the VM peaked there. When it rejects every server,
-        // fall back to every free server rather than rejecting outright.
-        keys.clear();
-        for server in state.free_iter() {
-            let index = server.index();
-            let c = &servers[index];
-            let peak = &class_peaks[c.class as usize];
-            let (row, aisle) = (c.row as usize, c.aisle as usize);
-            let new_row_power = row_power_kw[row] - peak.idle_kw + peak.power_kw;
-            let new_aisle_airflow = aisle_airflow_cfm[aisle] - peak.idle_cfm + peak.airflow_cfm;
-            if new_row_power <= row_limit_kw[row] && new_aisle_airflow <= aisle_limit_cfm[aisle] {
-                keys.push(order_key(c.peak_temp_c(peak.gpu_share_w), index));
-            }
-        }
-        if keys.is_empty() {
-            keys.extend(state.free_iter().map(|s| {
-                let c = &servers[s.index()];
-                let gpu_share_w = class_peaks[c.class as usize].gpu_share_w;
-                order_key(c.peak_temp_c(gpu_share_w), s.index())
-            }));
-        }
-
-        // Thermal terciles by rank: keys[..cold_end] cold, keys[cold_end..warm_start]
-        // medium, keys[warm_start..] warm, each holding exactly the ranks of a full sort.
-        let n = keys.len();
-        let (cold_end, warm_start) = if n <= 1 {
-            (0, n)
+        // Thermal terciles by rank, as position bounds: tercile t holds the members with
+        // positions in bounds[t]..bounds[t + 1], exactly the ranks of a full sort.
+        let n = set.len;
+        let bounds = if n <= 1 {
+            [0, 0, positions, positions]
         } else {
-            let cold_end = n.div_ceil(3);
             let warm_start = (2 * n).div_ceil(3);
-            keys.select_nth_unstable(cold_end);
-            if warm_start < n {
-                keys[cold_end..].select_nth_unstable(warm_start - cold_end);
-            }
-            (cold_end, warm_start)
+            let warm = if warm_start < n { set.select(warm_start) } else { positions };
+            [0, set.select(n.div_ceil(3)), warm, positions]
         };
 
-        // Preference 2 per row: improve the IaaS/SaaS balance of the row.
-        let is_saas = matches!(request.vm.kind, VmKind::Saas { .. });
-        row_balance.clear();
-        row_balance.extend((0..layout.rows().len()).map(|row| {
-            self.config.balance_weight
-                * balance_score(state.row_mix(layout, RowId::new(row)), is_saas)
-        }));
-        // SaaS VMs must never be placed somewhere that already predicts a violation.
-        let limit = profiles.thermal_headroom_target.value();
-        let skip_above = if is_saas && !limit.is_nan() { order_bits(limit) } else { u64::MAX };
+        let thermal =
+            [0, 1, 2].map(|tercile| self.config.thermal_weight * thermal_score(tercile, is_saas));
+        let thermal_max = thermal.into_iter().fold(f64::NEG_INFINITY, f64::max);
 
-        let mut best: Option<(u128, f64)> = None;
-        let segments =
-            [(0, &keys[..cold_end]), (1, &keys[cold_end..warm_start]), (2, &keys[warm_start..])];
-        for (tercile, segment) in segments {
-            let thermal = self.config.thermal_weight * thermal_score(tercile, is_saas);
-            for &key in segment {
-                if (key >> 64) as u64 > skip_above {
+        // The best (score, position, slot): the highest score, the smallest position on
+        // ties.
+        let mut best: Option<(f64, usize, usize)> = None;
+        // The (position, slot) of the coolest member.
+        let mut coolest: Option<(usize, usize)> = None;
+        for row in 0..layout.rows().len() {
+            // Preference 2 per row: improve the IaaS/SaaS balance of the row.
+            let balance = self.config.balance_weight
+                * balance_score(state.row_mix(layout, RowId::new(row)), is_saas);
+            if best.is_some_and(|(score, ..)| thermal_max + balance < score) {
+                continue;
+            }
+            let words = &set.row_bits[topology.row_words(row)];
+            let slots = topology.row_slots(row);
+            let Some(first) = first_set_from(words, 0) else { continue };
+            let slot = slots.start + first;
+            let pos = view.row_pos.get(slot);
+            if coolest.is_none_or(|(coolest, _)| pos < coolest) {
+                coolest = Some((pos, slot));
+            }
+            if pos >= allowed {
+                continue;
+            }
+            // The row's first member stands for its tercile; a later tercile's first
+            // member has a larger position, so it matters only with a higher score.
+            let tercile = bounds[1..3].iter().take_while(|&&bound| bound <= pos).count();
+            let mut row_best = (thermal[tercile] + balance, pos, slot);
+            for later in tercile + 1..3 {
+                let score = thermal[later] + balance;
+                if score <= row_best.0 {
                     continue;
                 }
-                let score = thermal + row_balance[servers[key_server(key).index()].row as usize];
-                match best {
-                    Some((best_key, best_score))
-                        if best_score > score || (best_score == score && best_key < key) => {}
-                    _ => best = Some((key, score)),
+                let from = view.row_pos.partition_point(slots.clone(), |p| p < bounds[later]);
+                if let Some(rank) = first_set_from(words, from - slots.start) {
+                    let pos = view.row_pos.get(slots.start + rank);
+                    if pos < bounds[later + 1] && pos < allowed {
+                        row_best = (score, pos, slots.start + rank);
+                    }
                 }
             }
+            match best {
+                Some((score, pos, _))
+                    if score > row_best.0 || (score == row_best.0 && pos < row_best.1) => {}
+                _ => best = Some(row_best),
+            }
         }
-        // Every candidate predicted a thermal violation for a SaaS VM: pick the coolest.
-        best.map(|(key, _)| key).or_else(|| keys.iter().copied().min()).map(key_server)
+        // Every candidate predicted a thermal violation for a SaaS VM: pick the coolest
+        // (no row was skipped for its score, as nothing had scored).
+        let slot = best.map(|(_, _, slot)| slot).or(coolest.map(|(_, slot)| slot));
+        Some(ServerId::new(view.row_servers.get(slot.expect("a free server is a member"))))
     }
 
     /// The executable reference of [`TapasPlacement::place_with`]: validates every free
@@ -702,10 +1246,11 @@ mod tests {
         let state = ClusterState::new(layout.server_count());
         let policy = TapasPlacement::default();
         let planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
-        assert_eq!(planner.class_servers.len(), 1, "one SKU is one hardware class");
+        let topology = &planner.topology;
+        assert_eq!(topology.class_servers.len(), 1, "one SKU is one hardware class");
         for server in layout.servers() {
-            let c = &planner.servers[server.id.index()];
-            let class = profiles.server(planner.class_servers[c.class as usize]);
+            let c = &topology.servers[server.id.index()];
+            let class = profiles.server(topology.class_servers[c.class as usize]);
             let profile = profiles.server(server.id);
             for step in 0..=20 {
                 let load = f64::from(step) / 20.0;
@@ -736,7 +1281,81 @@ mod tests {
         let mut stable: Vec<usize> = (0..temps.len()).collect();
         stable.sort_by(|&a, &b| temps[a].partial_cmp(&temps[b]).unwrap());
         assert_eq!(by_key, stable);
-        assert_eq!(key_server(order_key(-7.0, 1234)), ServerId::new(1234));
+    }
+
+    #[test]
+    fn rank_set_selects_like_a_sorted_list() {
+        // 300 positions in 5 words; rows of 130 (three row words) and 170 (three).
+        let row_words = [0usize, 3, 6];
+        let row_of = |pos: usize| usize::from(pos >= 130);
+        let row_bit = |pos: usize| {
+            let row = row_of(pos);
+            row_words[row] * 64 + pos - [0, 130][row]
+        };
+        let mut set = RankSet::default();
+        set.clear(300, row_words[2]);
+        let mut members = std::collections::BTreeSet::new();
+        let mut rng = simkit::rng::SimRng::seed_from(5);
+        for step in 0..2000 {
+            let pos = rng.uniform_usize(0, 300);
+            if members.insert(pos) {
+                set.insert(pos, row_bit(pos));
+            } else {
+                members.remove(&pos);
+                set.remove(pos, row_bit(pos));
+            }
+            if step % 400 == 0 {
+                // A bulk fill agrees with the incremental updates.
+                let mut bulk = RankSet::default();
+                bulk.clear(300, row_words[2]);
+                for &pos in &members {
+                    bulk.fill(pos, row_bit(pos));
+                }
+                bulk.recount();
+                assert_eq!(bulk, set);
+            }
+            assert_eq!(set.len, members.len());
+            for (rank, &pos) in members.iter().enumerate() {
+                assert_eq!(set.select(rank), pos, "rank {rank} after step {step}");
+            }
+            for from in [0, 63, 64, 129] {
+                let expected = members.range(from..130).next().copied();
+                let words = &set.row_bits[row_words[0]..row_words[1]];
+                assert_eq!(first_set_from(words, from), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn slots_narrow_up_to_65536_servers_and_widen_beyond() {
+        let mut slots = Slots::default();
+        for len in [10, 1 << 16, (1 << 16) + 1, 10] {
+            slots.reset(len);
+            assert_eq!(matches!(slots, Slots::Narrow(_)), len <= 1 << 16, "{len}");
+            slots.set(len - 1, len - 1);
+            slots.set(0, 1);
+            assert_eq!((slots.get(0), slots.get(len - 1)), (1, len - 1));
+            assert_eq!(slots.partition_point(0..len, |v| v < len - 1), len - 1);
+            assert_eq!(slots.partition_point(0..1, |v| v < 1), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite estimated peak temperature")]
+    fn a_non_finite_profile_is_named_when_its_view_is_built() {
+        let (layout, mut profiles) = setup();
+        let coefficients = profiles.servers[7].worst_gpu_temp.coefficients().to_vec();
+        profiles.servers[7].worst_gpu_temp =
+            simkit::regression::LinearModel::from_coefficients(f64::NAN, coefficients);
+        let state = ClusterState::new(layout.server_count());
+        let mut planner = planner_for(&state, &layout, &profiles);
+        let _ = TapasPlacement::default().place_with(
+            &request(1, false, 0.5),
+            &state,
+            &layout,
+            &profiles,
+            &mut planner,
+        );
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub mod weather;
 pub use engine::{Datacenter, StepInput, StepOutcome};
 pub use ids::{AisleId, GpuId, RackId, RowId, ServerId};
 pub use index::{OrdinalMap, TopologyIndex, TopologyOrdinal};
-pub use topology::{GpuModel, Layout, LayoutConfig, ServerSpec};
+pub use topology::{GpuModel, Layout, LayoutConfig, LayoutError, ServerSpec};
 pub use weather::{Climate, WeatherModel};

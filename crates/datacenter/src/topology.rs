@@ -299,6 +299,25 @@ impl Layout {
     }
 }
 
+/// A [`LayoutConfig`] field that [`LayoutConfig::check`] rejects.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayoutError {
+    /// The offending field, e.g. `racks_per_row` or `server_spec.idle_power`.
+    pub field: &'static str,
+    /// The offending value.
+    pub value: f64,
+    /// What the field must be.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "layout field {} is {}, expected {}", self.field, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 /// Configuration used to construct a [`Layout`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayoutConfig {
@@ -385,10 +404,69 @@ impl LayoutConfig {
         self.aisles * 2 * self.racks_per_row * self.servers_per_rack
     }
 
+    /// Checks what [`LayoutConfig::build`] asserts and what the estimates built on the
+    /// layout need: non-zero dimensions, `pdus_per_ups` and `ahus_per_aisle`, finite
+    /// positive provisioning fractions, a non-zero GPU count, finite power, airflow and
+    /// temperature specifications, and idle power and airflow at most their maxima.
+    ///
+    /// # Errors
+    /// Returns the first offending field.
+    pub fn check(&self) -> Result<(), LayoutError> {
+        let error = |field, value, expected| Err(LayoutError { field, value, expected });
+        let counts = [
+            ("aisles", self.aisles),
+            ("racks_per_row", self.racks_per_row),
+            ("servers_per_rack", self.servers_per_rack),
+            ("pdus_per_ups", self.pdus_per_ups),
+            ("ahus_per_aisle", self.ahus_per_aisle),
+            ("server_spec.gpus_per_server", self.server_spec.gpus_per_server),
+        ];
+        if let Some(&(field, value)) = counts.iter().find(|(_, value)| *value == 0) {
+            return error(field, value as f64, "non-zero");
+        }
+        let fractions = [
+            ("row_power_provisioning", self.row_power_provisioning),
+            ("aisle_airflow_provisioning", self.aisle_airflow_provisioning),
+            ("pdu_power_provisioning", self.pdu_power_provisioning),
+            ("ups_power_provisioning", self.ups_power_provisioning),
+        ];
+        // NaN must fail too, so test the accepting range rather than its negation.
+        if let Some(&(field, value)) =
+            fractions.iter().find(|(_, value)| !(value.is_finite() && *value > 0.0))
+        {
+            return error(field, value, "finite and positive");
+        }
+        let spec = &self.server_spec;
+        let specs = [
+            ("server_spec.idle_power", spec.idle_power.value()),
+            ("server_spec.max_power", spec.max_power.value()),
+            ("server_spec.gpu_max_power", spec.gpu_max_power.value()),
+            ("server_spec.idle_airflow", spec.idle_airflow.value()),
+            ("server_spec.max_airflow", spec.max_airflow.value()),
+            ("server_spec.gpu_throttle_temp_c", spec.gpu_throttle_temp_c),
+            ("server_spec.mem_throttle_temp_c", spec.mem_throttle_temp_c),
+        ];
+        if let Some(&(field, value)) = specs.iter().find(|(_, value)| !value.is_finite()) {
+            return error(field, value, "finite");
+        }
+        if spec.idle_power > spec.max_power {
+            return error("server_spec.idle_power", spec.idle_power.value(), "at most max_power");
+        }
+        if spec.idle_airflow > spec.max_airflow {
+            return error(
+                "server_spec.idle_airflow",
+                spec.idle_airflow.value(),
+                "at most max_airflow",
+            );
+        }
+        Ok(())
+    }
+
     /// Builds the layout.
     ///
     /// # Panics
-    /// Panics if any dimension is zero or any provisioning fraction is non-positive.
+    /// Panics if any dimension is zero or any provisioning fraction is non-positive
+    /// ([`LayoutConfig::check`] reports these, and more, as errors).
     #[must_use]
     pub fn build(&self) -> Layout {
         assert!(
@@ -612,6 +690,69 @@ mod tests {
         let mut cfg = LayoutConfig::small_test_cluster();
         cfg.row_power_provisioning = 0.0;
         let _ = cfg.build();
+    }
+
+    #[test]
+    fn check_names_the_offending_field() {
+        assert_eq!(LayoutConfig::small_test_cluster().check(), Ok(()));
+        assert_eq!(LayoutConfig::production_datacenter().check(), Ok(()));
+        let field = |mutate: &dyn Fn(&mut LayoutConfig)| {
+            let mut cfg = LayoutConfig::small_test_cluster();
+            mutate(&mut cfg);
+            cfg.check().map_err(|e| e.field)
+        };
+        assert_eq!(field(&|c| c.aisles = 0), Err("aisles"));
+        assert_eq!(field(&|c| c.racks_per_row = 0), Err("racks_per_row"));
+        assert_eq!(field(&|c| c.servers_per_rack = 0), Err("servers_per_rack"));
+        assert_eq!(field(&|c| c.pdus_per_ups = 0), Err("pdus_per_ups"));
+        assert_eq!(field(&|c| c.ahus_per_aisle = 0), Err("ahus_per_aisle"));
+        assert_eq!(
+            field(&|c| c.server_spec.gpus_per_server = 0),
+            Err("server_spec.gpus_per_server")
+        );
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(field(&|c| c.row_power_provisioning = bad), Err("row_power_provisioning"));
+            assert_eq!(
+                field(&|c| c.aisle_airflow_provisioning = bad),
+                Err("aisle_airflow_provisioning")
+            );
+            assert_eq!(field(&|c| c.pdu_power_provisioning = bad), Err("pdu_power_provisioning"));
+            assert_eq!(field(&|c| c.ups_power_provisioning = bad), Err("ups_power_provisioning"));
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let kw = Kilowatts::new(bad);
+            let cfm = CubicFeetPerMinute::new(bad);
+            assert_eq!(field(&|c| c.server_spec.idle_power = kw), Err("server_spec.idle_power"));
+            assert_eq!(field(&|c| c.server_spec.max_power = kw), Err("server_spec.max_power"));
+            assert_eq!(
+                field(&|c| c.server_spec.gpu_max_power = kw),
+                Err("server_spec.gpu_max_power")
+            );
+            assert_eq!(
+                field(&|c| c.server_spec.idle_airflow = cfm),
+                Err("server_spec.idle_airflow")
+            );
+            assert_eq!(field(&|c| c.server_spec.max_airflow = cfm), Err("server_spec.max_airflow"));
+            assert_eq!(
+                field(&|c| c.server_spec.gpu_throttle_temp_c = bad),
+                Err("server_spec.gpu_throttle_temp_c")
+            );
+            assert_eq!(
+                field(&|c| c.server_spec.mem_throttle_temp_c = bad),
+                Err("server_spec.mem_throttle_temp_c")
+            );
+        }
+        // Idle above the maximum: negative maxima included.
+        assert_eq!(
+            field(&|c| c.server_spec.idle_power = Kilowatts::new(7.0)),
+            Err("server_spec.idle_power")
+        );
+        assert_eq!(
+            field(&|c| c.server_spec.max_airflow = CubicFeetPerMinute::new(-840.0)),
+            Err("server_spec.idle_airflow")
+        );
+        let error = LayoutConfig { aisles: 0, ..LayoutConfig::small_test_cluster() }.check();
+        assert_eq!(error.unwrap_err().to_string(), "layout field aisles is 0, expected non-zero");
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Differential tests pinning the linear-time TAPAS allocator
-//! (`TapasPlacement::place_with`: dense per-server constants, one validator scan, tercile
-//! selection) to its executable reference (`TapasPlacement::place_with_reference`:
-//! allocating, sort-based, computed from the profile store directly), in the same
-//! driven-from-a-seeded-rng shape as `tests/soa_physics.rs`.
+//! Differential tests pinning the indexed TAPAS allocator (`TapasPlacement::place_with`:
+//! per-load views of the servers in temperature order, per-cell validator verdicts,
+//! tercile cuts by k-th selection) to its executable reference
+//! (`TapasPlacement::place_with_reference`: allocating, sort-based, computed from the
+//! profile store directly), in the same driven-from-a-seeded-rng shape as
+//! `tests/soa_physics.rs`.
 //!
 //! Both paths see the same state and planner aggregates, and the planner is updated after
 //! every pick, so every call of a case checks the next decision of a growing cluster.
-//! Cases cover random layouts (some mixing A100 and H100 racks, so the planner holds
-//! several hardware classes), occupancy and IaaS/SaaS mixes, states with and without the
-//! topology cache, temperature ties (servers sharing one cloned profile, so the server-id
-//! tie-break decides), the last few free servers (tercile edges at n = 1..4), both
-//! fallbacks, and predicted peaks outside `[0, 1]`.
+//! After every update the planner is audited: its aggregates against
+//! `TapasPlacement::predicted_row_power`/`predicted_aisle_airflow`, and every cached view
+//! against a from-scratch rebuild. Cases cover random layouts (some mixing A100 and H100
+//! racks, so the planner holds several hardware classes), rows wider than 64 servers,
+//! occupancy and IaaS/SaaS mixes, states with and without the topology cache, temperature
+//! ties (servers sharing one cloned profile, so the server-id tie-break decides), the last
+//! few free servers (tercile edges at n = 1..4), both fallbacks, SaaS estimates exactly at
+//! the thermal limit, predicted peaks outside `[0, 1]`, one planner shared by policies
+//! with different safety fractions and weights, loads repeated (views reused) and more
+//! distinct loads than the view cache holds (views evicted and rebuilt).
 
 use cluster_sim::experiment::ExperimentConfig;
 use dc_sim::engine::Datacenter;
@@ -118,17 +124,70 @@ fn random_policy(rng: &mut SimRng) -> TapasPlacement {
     TapasPlacement { config }
 }
 
+/// Policies that share one planner: `base` and up to two more with other safety fractions
+/// and weights. They keep `base`'s design conditions, which the planner's estimates fix.
+fn shared_policies(rng: &mut SimRng, base: TapasPlacement) -> Vec<TapasPlacement> {
+    let mut policies = vec![base];
+    for _ in 0..rng.uniform_usize(0, 3) {
+        let mut config = random_policy(rng).config;
+        config.design = base.config.design;
+        policies.push(TapasPlacement { config });
+    }
+    policies
+}
+
+/// `count` predicted peaks for requests to draw from, so views are reused; more than the
+/// planner's view cache holds (16) makes it evict and rebuild.
+fn load_palette(rng: &mut SimRng, count: usize) -> Vec<f64> {
+    (0..count).map(|_| random_load(rng)).collect()
+}
+
+fn relative_gap(a: f64, b: f64) -> f64 {
+    if a == b {
+        0.0
+    } else {
+        (a - b).abs() / a.abs().max(b.abs())
+    }
+}
+
+/// Checks the planner after an update: its row and aisle aggregates against the reference
+/// recomputation (to 1e-9 relative, as the incremental sums add in another order) and
+/// every cached view against a from-scratch rebuild, exactly.
+fn audit(
+    planner: &PlacementPlanner,
+    state: &ClusterState,
+    layout: &Layout,
+    profiles: &ProfileStore,
+    context: &str,
+) {
+    for (row, power) in TapasPlacement::predicted_row_power(state, layout, profiles) {
+        let gap = relative_gap(planner.row_power_kw(row), power.value());
+        assert!(gap <= 1e-9, "{context}: row {row} power off by {gap:e}");
+    }
+    for (aisle, airflow) in TapasPlacement::predicted_aisle_airflow(state, layout, profiles) {
+        let gap = relative_gap(planner.aisle_airflow_cfm(aisle), airflow.value());
+        assert!(gap <= 1e-9, "{context}: aisle {aisle} airflow off by {gap:e}");
+    }
+    if let Err(stale) = planner.audit_views(state, profiles) {
+        panic!("{context}: {stale}");
+    }
+}
+
 /// Places VMs until the cluster is full (retiring one now and then), asserting after every
-/// call that both paths chose the same server. Returns the number of calls.
+/// call that both paths chose the same server and auditing the planner after every update.
+/// Each request picks one of `policies`, which share one planner, and draws its predicted
+/// peak from `loads` most of the time. Returns the number of calls.
 fn drive(
     rng: &mut SimRng,
-    policy: &TapasPlacement,
+    policies: &[TapasPlacement],
+    loads: &[f64],
     layout: &Layout,
     profiles: &ProfileStore,
     state: &mut ClusterState,
-    case: usize,
+    case: &str,
 ) -> usize {
-    let mut planner = PlacementPlanner::new(state, layout, profiles, policy.config.design);
+    let design = policies[0].config.design;
+    let mut planner = PlacementPlanner::new(state, layout, profiles, design);
     let mut placed: Vec<(VmId, ServerId, f64)> =
         state.placed().map(|p| (p.vm.id, p.server, p.predicted_peak_load)).collect();
     let mut next_id = 10_000;
@@ -138,31 +197,52 @@ fn drive(
             let (id, server, load) = placed.swap_remove(rng.uniform_usize(0, placed.len()));
             state.remove(id).unwrap();
             planner.on_remove(server, load, profiles);
+            let context = format!("{case}, retire before call {calls}");
+            audit(&planner, state, layout, profiles, &context);
         }
+        let policy = &policies[rng.uniform_usize(0, policies.len())];
         let saas = rng.chance(0.5);
-        let request =
-            PlacementRequest { vm: vm(next_id, saas), predicted_peak_load: random_load(rng) };
+        let load = if loads.is_empty() || rng.chance(0.2) {
+            random_load(rng)
+        } else {
+            loads[rng.uniform_usize(0, loads.len())]
+        };
+        let request = PlacementRequest { vm: vm(next_id, saas), predicted_peak_load: load };
         next_id += 1;
         let fast = policy.place_with(&request, state, layout, profiles, &mut planner);
         let reference = policy.place_with_reference(&request, state, layout, profiles, &planner);
         assert_eq!(
             fast,
             reference,
-            "case {case}, call {calls}: {} free, SaaS {saas}, load {}",
+            "{case}, call {calls}: {} free, SaaS {saas}, load {load}, {:?}",
             state.free_count(),
-            request.predicted_peak_load
+            policy.config
         );
         calls += 1;
         let server = fast.expect("a free server always yields a placement");
-        let load = request.predicted_peak_load;
         state.place(request.vm, server, load, None).unwrap();
         planner.on_place(server, load, profiles);
+        audit(&planner, state, layout, profiles, &format!("{case}, call {calls}"));
         placed.push((request.vm.id, server, load));
     }
     let full = PlacementRequest { vm: vm(next_id, false), predicted_peak_load: 0.5 };
-    assert_eq!(policy.place_with(&full, state, layout, profiles, &mut planner), None);
-    assert_eq!(policy.place_with_reference(&full, state, layout, profiles, &planner), None);
+    for policy in policies {
+        assert_eq!(policy.place_with(&full, state, layout, profiles, &mut planner), None);
+        assert_eq!(policy.place_with_reference(&full, state, layout, profiles, &planner), None);
+    }
     calls
+}
+
+/// Fills `state` to a random occupancy with random kinds and predicted peaks.
+fn occupy(rng: &mut SimRng, state: &mut ClusterState, occupancy: f64) {
+    for server in 0..state.server_count() {
+        if rng.chance(occupancy) {
+            let load = random_load(rng);
+            state
+                .place(vm(server as u64, rng.chance(0.5)), ServerId::new(server), load, None)
+                .unwrap();
+        }
+    }
 }
 
 #[test]
@@ -191,18 +271,108 @@ fn fast_path_matches_reference_on_random_clusters() {
             ClusterState::new(servers)
         };
         let occupancy = rng.uniform(0.0, 0.9);
-        for server in 0..servers {
-            if rng.chance(occupancy) {
-                let load = random_load(&mut rng);
-                state
-                    .place(vm(server as u64, rng.chance(0.5)), ServerId::new(server), load, None)
-                    .unwrap();
-            }
-        }
-        let policy = random_policy(&mut rng);
-        total_calls += drive(&mut rng, &policy, &layout, &profiles, &mut state, case);
+        occupy(&mut rng, &mut state, occupancy);
+        let base = random_policy(&mut rng);
+        let policies = shared_policies(&mut rng, base);
+        let palette = rng.uniform_usize(0, 25);
+        let loads = load_palette(&mut rng, palette);
+        let case = format!("case {case}");
+        total_calls += drive(&mut rng, &policies, &loads, &layout, &profiles, &mut state, &case);
     }
     assert!(total_calls > 200, "too few placement calls checked: {total_calls}");
+}
+
+/// Rows of 68 and 130 servers: each row's bitmaps span two or three words.
+#[test]
+fn wide_rows_match_reference() {
+    let mut rng = SimRng::seed_from(0x3C3C);
+    for (racks_per_row, servers_per_rack) in [(17, 4), (26, 5)] {
+        let layout = LayoutConfig {
+            aisles: 1,
+            racks_per_row,
+            servers_per_rack,
+            ..LayoutConfig::real_cluster_two_rows()
+        }
+        .build();
+        let profiles = profile(&layout, rng.next_u64());
+        let mut state = ClusterState::with_layout(&layout);
+        occupy(&mut rng, &mut state, 0.3);
+        let policies = shared_policies(&mut rng, TapasPlacement::default());
+        let loads = load_palette(&mut rng, 6);
+        let case = format!("{} servers per row", racks_per_row * servers_per_rack);
+        let calls = drive(&mut rng, &policies, &loads, &layout, &profiles, &mut state, &case);
+        assert!(calls > 90, "{case}: {calls} calls");
+    }
+}
+
+/// One planner shared by policies with different safety fractions and weights, cycling
+/// through more distinct loads than its view cache holds (so every view is evicted and
+/// rebuilt), then repeating a few (so views are reused).
+#[test]
+fn shared_planner_and_view_cache_match_reference() {
+    let layout = LayoutConfig::real_cluster_two_rows().build();
+    let profiles = profile(&layout, 9);
+    let configs = [(0.97, 0.97, 1.0, 0.5), (0.6, 0.9, 0.3, 1.5), (0.9, 0.55, 2.0, 0.0)];
+    let policies: Vec<TapasPlacement> = configs
+        .into_iter()
+        .map(|(power, airflow, thermal_weight, balance_weight)| TapasPlacement {
+            config: TapasPlacementConfig {
+                power_safety_fraction: power,
+                airflow_safety_fraction: airflow,
+                thermal_weight,
+                balance_weight,
+                ..Default::default()
+            },
+        })
+        .collect();
+    let mut state = ClusterState::with_layout(&layout);
+    let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policies[0].config.design);
+    let cycle: Vec<f64> = (0..20).map(|i| 0.3 + 0.035 * f64::from(i)).collect();
+    let repeated = [0.45, 0.9, 0.45];
+    let loads = cycle.iter().chain(&cycle).chain(repeated.iter().cycle().take(30));
+    for (call, &load) in loads.enumerate() {
+        let policy = &policies[call % policies.len()];
+        let request =
+            PlacementRequest { vm: vm(call as u64, call % 3 == 0), predicted_peak_load: load };
+        let fast = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
+        let reference = policy.place_with_reference(&request, &state, &layout, &profiles, &planner);
+        assert_eq!(fast, reference, "call {call}, load {load}, {:?}", policy.config);
+        let server = fast.unwrap();
+        state.place(request.vm, server, load, None).unwrap();
+        planner.on_place(server, load, &profiles);
+        audit(&planner, &state, &layout, &profiles, &format!("call {call}"));
+    }
+}
+
+/// SaaS requests whose estimates straddle `thermal_headroom_target` exactly: the limit is
+/// set to one server's estimate at the request's load, so servers at the limit stay
+/// allowed and the next warmer ones do not; tied profiles put several servers on it.
+#[test]
+fn saas_limit_straddling_estimates_match_reference() {
+    let layout = LayoutConfig::real_cluster_two_rows().build();
+    let mut profiles = profile(&layout, 11);
+    clone_models(&mut profiles, 5, &[17, 23, 41, 60]);
+    let policy = TapasPlacement::default();
+    for (load, pivot) in [(0.9, 5), (0.6, 30), (1.0, 0), (0.2, 79)] {
+        let estimate = policy.thermal_estimate(&profiles, ServerId::new(pivot), load);
+        profiles.thermal_headroom_target = estimate;
+        let mut state = ClusterState::with_layout(&layout);
+        let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
+        let mut call = 0;
+        while state.free_count() > 0 {
+            let saas = call % 4 != 3;
+            let request = PlacementRequest { vm: vm(call, saas), predicted_peak_load: load };
+            let fast = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
+            let reference =
+                policy.place_with_reference(&request, &state, &layout, &profiles, &planner);
+            assert_eq!(fast, reference, "limit {estimate} at load {load}, call {call}");
+            let server = fast.unwrap();
+            state.place(request.vm, server, load, None).unwrap();
+            planner.on_place(server, load, &profiles);
+            call += 1;
+        }
+        audit(&planner, &state, &layout, &profiles, &format!("limit {estimate}"));
+    }
 }
 
 #[test]
@@ -257,11 +427,10 @@ fn tercile_edges_and_fallbacks_match_reference() {
     }
 }
 
-/// Replays the t = 0 wave of the paper's 1040-server week (the simulator's step-0 inputs:
-/// its stream, its predicted peaks, a topology-cached state) through both paths.
-#[test]
-fn production_week_wave_matches_reference_on_every_call() {
-    let config = ExperimentConfig::production_week(Policy::Tapas);
+/// Replays the t = 0 wave of `config` (the simulator's step-0 inputs: its stream, its
+/// predicted peaks, a topology-cached state) through both paths, auditing the planner
+/// every `audit_every` calls. Returns the number of calls.
+fn replay_wave(config: &ExperimentConfig, audit_every: usize) -> usize {
     let dc = Datacenter::new(config.layout.build(), config.seed);
     let layout = dc.layout();
     let profiles = ProfileStore::offline_profiling_shared(&dc, &GpuHardware::a100());
@@ -288,6 +457,29 @@ fn production_week_wave_matches_reference_on_every_call() {
             state.place(vm, server, predicted_peak_load, None).unwrap();
             planner.on_place(server, predicted_peak_load, &profiles);
         }
+        if calls % audit_every == 0 {
+            audit(&planner, &state, layout, &profiles, &format!("call {calls}"));
+        }
     }
+    calls
+}
+
+/// The t = 0 wave of the paper's 1040-server week.
+#[test]
+fn production_week_wave_matches_reference_on_every_call() {
+    let calls = replay_wave(&ExperimentConfig::production_week(Policy::Tapas), 100);
     assert!(calls > 900, "the wave should place ~92 % of 1040 servers, got {calls} calls");
+}
+
+/// The t = 0 wave of the benchmark's 10240-server day (the 1040-server week widened to 128
+/// aisles, seed 7): ~9421 picks. The reference sorts every free server per call, too slow
+/// for an unoptimized build, so it runs on request:
+/// `cargo test --release --test placement_reference -- --include-ignored`.
+#[test]
+#[ignore = "slow: the reference costs ~1 ms per pick at 10240 servers in a release build"]
+fn hyperscale_day_wave_matches_reference_on_every_call() {
+    let mut config = ExperimentConfig::production_week(Policy::Tapas).with_seed(7);
+    config.layout.aisles = 128;
+    let calls = replay_wave(&config, 1000);
+    assert!(calls > 9000, "the wave should place ~92 % of 10240 servers, got {calls} calls");
 }
