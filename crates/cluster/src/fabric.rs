@@ -19,8 +19,12 @@
 //!    order, the same order a binary heap with a FIFO tie-break would pop them in. The
 //!    buffer is a flat `Vec` drained by a cursor: a push appends and notes whether it
 //!    broke time order, and a drain sorts the undrained tail only if one did (once per
-//!    generated step; never for a cell inbox, which the fleet fills in time order).
-//!    Storage is reused across steps, so a steady-state step allocates nothing.
+//!    generated step; never for a cell inbox, which the fleet fills in time order). The
+//!    sort is a stable LSD radix sort on `time − min`, one byte per pass (two passes for
+//!    a one-minute step's millisecond offsets); stability alone keeps push order among
+//!    equal times, so no push rank is stored. Spans of 2²⁴ ms or more (arbitrary trace
+//!    timestamps) fall back to a stable comparison sort. Storage, radix scratch
+//!    included, is reused across steps, so a steady-state step allocates nothing.
 //! 3. **Serving** ([`RequestFabric`]) — per endpoint, an aggregate continuous-batching
 //!    scheduler ([`llm_sim::batch::BatchScheduler`]) whose replica count tracks the
 //!    endpoint's placed instances and whose admission is bounded by KV-cache occupancy
@@ -35,12 +39,13 @@
 //! `parallel` fleet execution see identical event sequences.
 
 use crate::experiment::RequestFabricConfig;
-use crate::metrics::RequestMetrics;
+use crate::metrics::{RequestMetrics, SloThresholds};
 use crate::scenario::ResolvedTimeline;
 use llm_sim::batch::{BatchCompletion, BatchScheduler, SchedulerFaults};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::perf::PerfModel;
 use llm_sim::request::RequestShape;
+use simkit::profile::{StepPhase, StepProfile};
 use simkit::queue::EventQueue;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
@@ -66,24 +71,26 @@ pub struct FabricRequest {
     pub output_tokens: u32,
 }
 
-/// One buffered arrival. `rank` is the push index since the buffer was last emptied; it
-/// breaks timestamp ties in push order under an unstable sort (which, unlike a stable
-/// one, needs no scratch allocation). The request is flattened so the slot stays 32 bytes.
-#[derive(Debug, Clone, Copy)]
+/// One buffered arrival, the request flattened beside its timestamp (32 bytes).
+#[derive(Debug, Clone, Copy, Default)]
 struct Arrival {
     time_ms: u64,
     id: u64,
     endpoint: u32,
     prompt_tokens: u32,
     output_tokens: u32,
-    rank: u32,
 }
 
+/// Radix passes of one byte each cover time spans below `2^(8 × RADIX_PASSES)` ms;
+/// wider spans take the comparison sort.
+const RADIX_PASSES: usize = 3;
+
 /// A time-ordered arrival buffer: the fabric's replacement for an event heap on the
-/// serving path. Pushes append; [`ArrivalBuffer::drain_before`] sorts the undrained tail
-/// by `(time, push order)` only if some push arrived out of time order, visits the due
-/// prefix and advances a cursor. The drain order is exactly a FIFO-tie-break heap's, and
-/// the storage is reused once every buffered arrival has been drained.
+/// serving path. Pushes append; [`ArrivalBuffer::drain_before`] stably sorts the
+/// undrained tail by time only if some push arrived out of time order, visits the due
+/// prefix and advances a cursor. The undrained tail is always in push order among equal
+/// times, so the drain order is exactly a FIFO-tie-break heap's. The storage is reused
+/// once every buffered arrival has been drained.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalBuffer {
     arrivals: Vec<Arrival>,
@@ -91,6 +98,8 @@ pub struct ArrivalBuffer {
     cursor: usize,
     /// Set when a push was earlier than its predecessor: the tail needs a sort.
     out_of_order: bool,
+    /// The radix sort's second buffer (only its length is ever grown).
+    scratch: Vec<Arrival>,
 }
 
 impl ArrivalBuffer {
@@ -113,22 +122,17 @@ impl ArrivalBuffer {
     }
 
     /// Buffers `request` at `time_ms`. Among equal timestamps, earlier pushes drain first.
-    ///
-    /// # Panics
-    /// Panics if 2³² arrivals are buffered at once.
     pub fn push(&mut self, time_ms: u64, request: FabricRequest) {
         // The last slot is always undrained: a fully drained buffer is emptied.
         if self.arrivals.last().is_some_and(|last| time_ms < last.time_ms) {
             self.out_of_order = true;
         }
-        let rank = u32::try_from(self.arrivals.len()).expect("fewer than 2^32 arrivals");
         self.arrivals.push(Arrival {
             time_ms,
             id: request.id,
             endpoint: request.endpoint,
             prompt_tokens: request.prompt_tokens,
             output_tokens: request.output_tokens,
-            rank,
         });
     }
 
@@ -161,10 +165,52 @@ impl ArrivalBuffer {
         Ok(())
     }
 
-    /// Sorts the undrained tail by `(time, push order)` if a push broke time order.
+    /// Stably sorts the undrained tail by time if a push broke time order: an LSD radix
+    /// sort on `time − min`, one byte per pass and only as many passes as the span
+    /// needs, or a stable comparison sort for spans of `2^24` ms and more.
     fn sort_pending(&mut self) {
-        if std::mem::take(&mut self.out_of_order) {
-            self.arrivals[self.cursor..].sort_unstable_by_key(|a| (a.time_ms, a.rank));
+        if !std::mem::take(&mut self.out_of_order) {
+            return;
+        }
+        let pending = &mut self.arrivals[self.cursor..];
+        let (min, max) = pending
+            .iter()
+            .fold((u64::MAX, 0), |(min, max), a| (min.min(a.time_ms), max.max(a.time_ms)));
+        let span = max - min;
+        let passes = (1..=RADIX_PASSES).find(|&passes| span >> (8 * passes) == 0);
+        let Some(passes) = passes else {
+            pending.sort_by_key(|a| a.time_ms);
+            return;
+        };
+        let mut counts = [[0usize; 256]; RADIX_PASSES];
+        for a in pending.iter() {
+            let key = a.time_ms - min;
+            for (pass, count) in counts.iter_mut().enumerate().take(passes) {
+                count[(key >> (8 * pass)) as usize & 0xff] += 1;
+            }
+        }
+        if self.scratch.len() < pending.len() {
+            self.scratch.resize(pending.len(), Arrival::default());
+        }
+        let scratch = &mut self.scratch[..pending.len()];
+        for (pass, count) in counts.iter_mut().enumerate().take(passes) {
+            // Counts become each digit's first output index.
+            let mut next = 0;
+            for slot in count.iter_mut() {
+                let n = *slot;
+                *slot = next;
+                next += n;
+            }
+            let (from, to): (&[Arrival], &mut [Arrival]) =
+                if pass % 2 == 0 { (pending, scratch) } else { (scratch, pending) };
+            for a in from {
+                let digit = ((a.time_ms - min) >> (8 * pass)) as usize & 0xff;
+                to[count[digit]] = *a;
+                count[digit] += 1;
+            }
+        }
+        if passes % 2 == 1 {
+            pending.copy_from_slice(scratch);
         }
     }
 
@@ -319,9 +365,9 @@ pub struct RequestFabric {
     generator: Option<FabricGenerator>,
     queue: ArrivalBuffer,
     schedulers: Vec<BatchScheduler>,
-    /// Unloaded analytic `(TTFT, TBT)` targets in seconds per endpoint — the `1×` point
-    /// of the SLO attainment curves.
-    targets: Vec<(f64, f64)>,
+    /// Per endpoint, the SLO thresholds built from its unloaded analytic `(TTFT, TBT)`
+    /// targets — the `1×` point of the attainment curves — and the headline multiplier.
+    thresholds: Vec<SloThresholds>,
     /// Last step's KV/backlog pressure per endpoint, blended into the endpoint pool's
     /// demand pressure by the simulator.
     pressures: Vec<f64>,
@@ -332,6 +378,9 @@ pub struct RequestFabric {
     /// Scratch: each scheduler's fault counters at the start of the current step, to
     /// convert lifetime counters into this-window deltas for the pressure signal.
     fault_marks: Vec<SchedulerFaults>,
+    /// Wall-clock time per serving phase (filled only after
+    /// [`RequestFabric::enable_phase_profile`]; never part of the metrics).
+    profile: StepProfile,
 }
 
 impl RequestFabric {
@@ -385,12 +434,26 @@ impl RequestFabric {
             queue: ArrivalBuffer::new(),
             pressures: vec![0.0; schedulers.len()],
             schedulers,
-            targets,
+            thresholds: targets
+                .iter()
+                .map(|&(ttft_s, tbt_s)| SloThresholds::new(ttft_s, tbt_s, config.slo_multiplier))
+                .collect(),
             metrics: RequestMetrics::new(),
             slo_multiplier: config.slo_multiplier,
             completions: Vec::new(),
             fault_marks: Vec::new(),
+            profile: StepProfile::default(),
         }
+    }
+
+    /// Starts timing the fabric's phases (generate, offer, advance, record).
+    pub(crate) fn enable_phase_profile(&mut self) {
+        self.profile.enable();
+    }
+
+    /// Wall-clock time per phase since profiling was enabled.
+    pub(crate) fn phase_profile(&self) -> &StepProfile {
+        &self.profile
     }
 
     /// Preloads a parsed request trace as the fabric's stream (replay mode). Records
@@ -418,10 +481,12 @@ impl RequestFabric {
         timeline: &ResolvedTimeline,
     ) {
         if let Some(generator) = self.generator.as_mut() {
+            let mark = self.profile.mark();
             let queue = &mut self.queue;
             generator.generate_with(now, step, timeline, |time_ms, request| {
                 queue.push(time_ms, request);
             });
+            self.profile.lap(StepPhase::FabricGenerate, mark);
         }
     }
 
@@ -433,6 +498,7 @@ impl RequestFabric {
     /// unplaced endpoint queues instead of vanishing).
     pub fn serve_step(&mut self, now: SimTime, step: SimDuration, replicas: &[u32]) {
         let end_ms = (now.as_minutes() + step.as_minutes()) * MS_PER_MINUTE;
+        let mut mark = self.profile.mark();
         self.fault_marks.clear();
         for (ordinal, scheduler) in self.schedulers.iter_mut().enumerate() {
             let count = replicas.get(ordinal).copied().unwrap_or(0);
@@ -455,18 +521,19 @@ impl RequestFabric {
                 );
             }
         });
-        let headline = self.slo_multiplier;
+        mark = self.profile.lap(StepPhase::Offer, mark);
         for ordinal in 0..self.schedulers.len() {
             self.completions.clear();
             self.schedulers[ordinal].advance_to(end_ms, &mut self.completions);
-            let (ttft_target_s, tbt_target_s) = self.targets[ordinal];
+            mark = self.profile.lap(StepPhase::Advance, mark);
+            let thresholds = &self.thresholds[ordinal];
             for done in &self.completions {
-                let ttft_ms = done.ttft_ms() as f64;
-                let tbt_ms = done.mean_tbt_ms();
-                self.metrics.record(ttft_ms, tbt_ms, ttft_target_s, tbt_target_s);
-                let met_headline = ttft_ms <= headline * ttft_target_s * 1000.0
-                    && (tbt_ms <= 0.0 || tbt_ms <= headline * tbt_target_s * 1000.0);
-                self.metrics.record_tokens(done.output_tokens as u64, met_headline);
+                self.metrics.record(
+                    thresholds,
+                    done.ttft_ms() as f64,
+                    done.mean_tbt_ms(),
+                    done.output_tokens as u64,
+                );
             }
             self.schedulers[ordinal].note_pressure_window();
             // KV/backlog pressure alone under-reports saturation once deadline shedding
@@ -476,9 +543,9 @@ impl RequestFabric {
             // signal so saturation stays visible — past 1.0, fleet request routing
             // diverts new arrivals away from the site. Failure-free windows have zero
             // distress, leaving the legacy signal untouched.
-            let mark = self.fault_marks[ordinal];
+            let before = self.fault_marks[ordinal];
             let faults = self.schedulers[ordinal].faults();
-            let lost = (faults.shed - mark.shed) + (faults.preemptions - mark.preemptions);
+            let lost = (faults.shed - before.shed) + (faults.preemptions - before.preemptions);
             let mut pressure = self.schedulers[ordinal].pressure();
             if lost > 0 {
                 let outcomes = lost + self.completions.len() as u64;
@@ -486,6 +553,7 @@ impl RequestFabric {
                 pressure = pressure.max(1.0 + distress.min(0.5));
             }
             self.pressures[ordinal] = pressure;
+            mark = self.profile.lap(StepPhase::Record, mark);
         }
     }
 

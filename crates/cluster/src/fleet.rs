@@ -28,6 +28,7 @@ use crate::fabric::{ArrivalBuffer, FabricGenerator, MS_PER_MINUTE};
 use crate::metrics::{FleetReport, RunReport};
 use crate::scenario::ResolvedTimeline;
 use crate::simulator::ClusterSimulator;
+use simkit::profile::{StepPhase, StepProfile};
 use simkit::time::{SimClock, SimTime};
 use std::collections::VecDeque;
 use tapas::geo::{GeoPlacement, SiteSignals};
@@ -61,6 +62,9 @@ pub struct FleetSimulator {
     /// Round-robin splitter for per-request routing — a separate instance from the VM
     /// splitter so request traffic never perturbs the VM round-robin phase.
     request_splitter: WeightedSplitter,
+    /// Wall-clock time of the fleet-level fabric phases (filled only after
+    /// [`Self::enable_phase_profile`]; never part of the report).
+    profile: StepProfile,
 }
 
 impl FleetSimulator {
@@ -114,6 +118,7 @@ impl FleetSimulator {
             fabric_generator,
             fabric_queue: ArrivalBuffer::new(),
             base_timeline,
+            profile: StepProfile::default(),
             cells,
             config,
         }
@@ -164,6 +169,27 @@ impl FleetSimulator {
         &self.signals
     }
 
+    /// Starts filling the phase profile: the fleet's fabric generation and handoff, and
+    /// in every cell the fabric's offer, advance and record phases and the rest of the
+    /// cell step. Profiling reads the clock only; it changes no simulated value.
+    pub fn enable_phase_profile(&mut self) {
+        self.profile.enable();
+        for cell in &mut self.cells {
+            cell.enable_phase_profile();
+        }
+    }
+
+    /// Wall-clock nanoseconds per step phase since [`Self::enable_phase_profile`], cell
+    /// phases summed over sites; the step count is the fleet's.
+    #[must_use]
+    pub fn phase_profile(&self) -> StepProfile {
+        let mut profile = self.profile;
+        for cell in &self.cells {
+            profile.add_phases(&cell.phase_profile());
+        }
+        profile
+    }
+
     /// Advances the whole fleet by one step at simulated time `now`.
     pub fn step(&mut self, now: SimTime) {
         // 0. Inject the step's exogenous grid prices from the cells' resolved timelines
@@ -203,11 +229,13 @@ impl FleetSimulator {
         //     (in millisecond-timestamp order, FIFO on ties) into the cells' inboxes.
         //     Routing happens before the cells step, so serial and `parallel` execution
         //     see identical per-cell event sequences.
+        let mut mark = self.profile.mark();
         if let Some(generator) = self.fabric_generator.as_mut() {
             let queue = &mut self.fabric_queue;
             generator.generate_with(now, self.config.base.step, &self.base_timeline, |t, r| {
                 queue.push(t, r);
             });
+            mark = self.profile.lap(StepPhase::FabricGenerate, mark);
         }
         if !self.fabric_queue.is_empty() {
             let end_ms =
@@ -232,6 +260,7 @@ impl FleetSimulator {
                 };
                 cells[site].deliver_request(time_ms, request);
             });
+            self.profile.lap(StepPhase::FabricHandoff, mark);
         }
 
         // 2. Step every cell (the outer across-datacenter parallel dimension).
@@ -243,6 +272,7 @@ impl FleetSimulator {
             *signal = cell.site_signals();
             signal.grid_price_per_mwh = cell.timeline().grid_price_at(now);
         }
+        self.profile.count_step();
     }
 
     /// Runs the whole fleet experiment and returns the fleet report.

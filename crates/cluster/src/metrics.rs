@@ -22,6 +22,45 @@ pub const LATENCY_BUCKET_EDGES_MS: [u64; 23] = [
 /// headline SLO (5× unloaded latency) is one of the sampled points.
 pub const SLO_CURVE_MULTIPLIERS: [f64; 8] = [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0];
 
+/// One endpoint's SLO latency thresholds in milliseconds, built once per endpoint from
+/// its unloaded targets so recording a completion multiplies nothing: one threshold per
+/// [`SLO_CURVE_MULTIPLIERS`] entry (`m × target_ms`, non-decreasing in `m`) and the
+/// headline thresholds the goodput split is judged against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SloThresholds {
+    /// `SLO_CURVE_MULTIPLIERS[i] ×` the TTFT target.
+    ttft_ms: [f64; SLO_CURVE_MULTIPLIERS.len()],
+    /// `SLO_CURVE_MULTIPLIERS[i] ×` the TBT target.
+    tbt_ms: [f64; SLO_CURVE_MULTIPLIERS.len()],
+    /// The headline multiplier × the TTFT target.
+    headline_ttft_ms: f64,
+    /// The headline multiplier × the TBT target.
+    headline_tbt_ms: f64,
+}
+
+impl SloThresholds {
+    /// Thresholds for unloaded `(TTFT, TBT)` targets in seconds (from the perf model) and
+    /// the headline SLO multiplier. A target that is not positive is floored at
+    /// `f64::MIN_POSITIVE` ms for the curves.
+    #[must_use]
+    pub fn new(ttft_target_s: f64, tbt_target_s: f64, headline: f64) -> Self {
+        let ttft_target_ms = (ttft_target_s * 1000.0).max(f64::MIN_POSITIVE);
+        let tbt_target_ms = (tbt_target_s * 1000.0).max(f64::MIN_POSITIVE);
+        Self {
+            ttft_ms: SLO_CURVE_MULTIPLIERS.map(|multiplier| multiplier * ttft_target_ms),
+            tbt_ms: SLO_CURVE_MULTIPLIERS.map(|multiplier| multiplier * tbt_target_ms),
+            headline_ttft_ms: headline * ttft_target_s * 1000.0,
+            headline_tbt_ms: headline * tbt_target_s * 1000.0,
+        }
+    }
+}
+
+/// Index of the first threshold `sample` meets (`len` when it meets none, as NaN does).
+/// The thresholds ascend, so the sample meets every later one too.
+fn first_met(sample: f64, thresholds: &[f64]) -> usize {
+    thresholds.iter().position(|&threshold| sample <= threshold).unwrap_or(thresholds.len())
+}
+
 /// A fixed-edge latency histogram over [`LATENCY_BUCKET_EDGES_MS`] (the last bucket is
 /// the overflow bucket), plus a running sum for means.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,16 +85,28 @@ impl LatencyHistogram {
         Self { counts: vec![0; LATENCY_BUCKET_EDGES_MS.len() + 1], sum_ms: 0.0 }
     }
 
+    /// The bucket of a sample: the first edge at or above it. The edges are the powers
+    /// of two `2^0 ..= 2^22`, so for a sample above 1 ms that is `2^⌈log₂ sample⌉`, read
+    /// off the float's exponent and mantissa. NaN is at or below no edge, so it
+    /// overflows.
+    fn bucket(sample_ms: f64) -> usize {
+        const OVERFLOW: usize = LATENCY_BUCKET_EDGES_MS.len();
+        const TOP_EDGE: f64 = LATENCY_BUCKET_EDGES_MS[OVERFLOW - 1] as f64;
+        if sample_ms.is_nan() || sample_ms > TOP_EDGE {
+            return OVERFLOW;
+        }
+        if sample_ms <= 1.0 {
+            return 0;
+        }
+        let bits = sample_ms.to_bits();
+        let floor_log2 = ((bits >> 52) & 0x7ff) as usize - 1023;
+        let fraction = bits & ((1 << 52) - 1);
+        floor_log2 + usize::from(fraction != 0)
+    }
+
     /// Records one sample (milliseconds).
     pub fn record(&mut self, sample_ms: f64) {
-        // First edge at or above the sample (the edges ascend); NaN is at or below no
-        // edge, so it overflows.
-        let bucket = if sample_ms.is_nan() {
-            LATENCY_BUCKET_EDGES_MS.len()
-        } else {
-            LATENCY_BUCKET_EDGES_MS.partition_point(|&edge| (edge as f64) < sample_ms)
-        };
-        self.counts[bucket] += 1;
+        self.counts[Self::bucket(sample_ms)] += 1;
         self.sum_ms += sample_ms.max(0.0);
     }
 
@@ -215,36 +266,37 @@ impl RequestMetrics {
         }
     }
 
-    /// Records one completed request against its endpoint's unloaded latency targets
-    /// (seconds, from the perf model). Requests with a single output token have no TBT;
-    /// they count as meeting any TBT multiplier.
+    /// Records one completed request against its endpoint's thresholds: the TTFT and
+    /// TBT histograms, each attainment curve from its first met multiplier on, and the
+    /// output tokens into the goodput split. Requests with a single output token have no
+    /// TBT (`mean_tbt_ms` 0); they count as meeting any TBT multiplier.
     pub fn record(
         &mut self,
+        thresholds: &SloThresholds,
         ttft_ms: f64,
         mean_tbt_ms: f64,
-        ttft_target_s: f64,
-        tbt_target_s: f64,
+        output_tokens: u64,
     ) {
         self.completed += 1;
         self.ttft.record(ttft_ms);
         if mean_tbt_ms > 0.0 {
             self.tbt.record(mean_tbt_ms);
         }
-        let ttft_target_ms = (ttft_target_s * 1000.0).max(f64::MIN_POSITIVE);
-        let tbt_target_ms = (tbt_target_s * 1000.0).max(f64::MIN_POSITIVE);
-        for (i, &multiplier) in SLO_CURVE_MULTIPLIERS.iter().enumerate() {
-            let ttft_ok = ttft_ms <= multiplier * ttft_target_ms;
-            let tbt_ok = mean_tbt_ms <= 0.0 || mean_tbt_ms <= multiplier * tbt_target_ms;
-            if ttft_ok {
-                self.ttft_curve[i] += 1;
-            }
-            if tbt_ok {
-                self.tbt_curve[i] += 1;
-            }
-            if ttft_ok && tbt_ok {
-                self.joint_curve[i] += 1;
-            }
+        let ttft_from = first_met(ttft_ms, &thresholds.ttft_ms);
+        let tbt_from =
+            if mean_tbt_ms <= 0.0 { 0 } else { first_met(mean_tbt_ms, &thresholds.tbt_ms) };
+        for count in &mut self.ttft_curve[ttft_from..] {
+            *count += 1;
         }
+        for count in &mut self.tbt_curve[tbt_from..] {
+            *count += 1;
+        }
+        for count in &mut self.joint_curve[ttft_from.max(tbt_from)..] {
+            *count += 1;
+        }
+        let met_headline = ttft_ms <= thresholds.headline_ttft_ms
+            && (mean_tbt_ms <= 0.0 || mean_tbt_ms <= thresholds.headline_tbt_ms);
+        self.record_tokens(output_tokens, met_headline);
     }
 
     /// SLO attainment (fraction of completed requests meeting both TTFT and TBT) at the
@@ -791,9 +843,10 @@ mod tests {
     fn request_metrics_histograms_curves_and_merge() {
         let mut metrics = RequestMetrics::new();
         // Targets: TTFT 100 ms, TBT 10 ms. A fast, a mid and a slow request.
-        metrics.record(80.0, 9.0, 0.1, 0.01);
-        metrics.record(250.0, 18.0, 0.1, 0.01);
-        metrics.record(2500.0, 300.0, 0.1, 0.01);
+        let targets = SloThresholds::new(0.1, 0.01, 5.0);
+        metrics.record(&targets, 80.0, 9.0, 0);
+        metrics.record(&targets, 250.0, 18.0, 0);
+        metrics.record(&targets, 2500.0, 300.0, 0);
         assert_eq!(metrics.completed, 3);
         assert_eq!(metrics.ttft.total(), 3);
         assert!((metrics.ttft.mean_ms() - (80.0 + 250.0 + 2500.0) / 3.0).abs() < 1e-9);
@@ -809,7 +862,7 @@ mod tests {
         assert_eq!(metrics.ttft.quantile_edge_ms(0.99), 4096);
         // Single-token requests have no TBT and meet any TBT multiplier.
         let mut single = RequestMetrics::new();
-        single.record(80.0, 0.0, 0.1, 0.01);
+        single.record(&targets, 80.0, 0.0, 0);
         assert_eq!(single.tbt.total(), 0);
         assert!((single.attainment_at(1.0) - 1.0).abs() < 1e-12);
         // Merge is lossless counter addition.
@@ -826,7 +879,7 @@ mod tests {
     #[test]
     fn lifecycle_block_round_trips_and_merges_losslessly() {
         let mut metrics = RequestMetrics::new();
-        metrics.record(80.0, 9.0, 0.1, 0.01);
+        metrics.record(&SloThresholds::new(0.1, 0.01, 5.0), 80.0, 9.0, 0);
         metrics.lifecycle.arrived = 5;
         metrics.lifecycle.in_flight_at_horizon = 4;
         metrics.record_tokens(120, true);
@@ -861,7 +914,7 @@ mod tests {
     fn fabric_reports_round_trip_and_aggregate_fleet_wide() {
         let mut report = report_with_data();
         let mut metrics = RequestMetrics::new();
-        metrics.record(120.0, 12.0, 0.1, 0.01);
+        metrics.record(&SloThresholds::new(0.1, 0.01, 5.0), 120.0, 12.0, 0);
         report.request_fabric = Some(metrics.clone());
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"request_fabric\":{"));

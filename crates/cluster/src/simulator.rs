@@ -29,6 +29,7 @@ use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
 use llm_sim::request::{CustomerId, InferenceRequest, RequestId};
 use simkit::events::EventKind;
+use simkit::profile::{StepPhase, StepProfile};
 use simkit::rng::SimRng;
 use simkit::time::{SimClock, SimTime};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
@@ -302,6 +303,9 @@ pub struct ClusterSimulator {
     /// [`SiteSignals::request_pressure`] so fleet request routing diverts away from
     /// sites whose schedulers are saturated (e.g. under replica failures).
     fabric_pressure: f64,
+    /// Wall-clock time of the step outside the fabric's own phases (filled only after
+    /// [`Self::enable_phase_profile`]; never part of the report).
+    profile: StepProfile,
     report: RunReport,
 }
 
@@ -392,6 +396,7 @@ impl ClusterSimulator {
         let layout = config.layout.build();
         let dc = Datacenter::new(layout, config.seed);
         let profiles = ProfileStore::offline_profiling_shared(&dc, &GpuHardware::a100());
+        profiles.check().unwrap_or_else(|error| panic!("{error}"));
         let state = ClusterState::with_layout(dc.layout());
         let weather = WeatherModel::new(config.climate, config.seed);
 
@@ -469,6 +474,7 @@ impl ClusterSimulator {
             fabric,
             fabric_replicas: Vec::new(),
             fabric_pressure: 0.0,
+            profile: StepProfile::default(),
             report,
             dc,
             config,
@@ -520,6 +526,27 @@ impl ClusterSimulator {
     /// Advances the cell by one step (the fleet step loop's per-site entry point).
     pub(crate) fn step_at(&mut self, now: SimTime) {
         self.step(now);
+    }
+
+    /// Starts filling the cell's phase profile (its fabric's phases included).
+    pub(crate) fn enable_phase_profile(&mut self) {
+        self.profile.enable();
+        if let Some(fabric) = self.fabric.as_mut() {
+            fabric.enable_phase_profile();
+        }
+    }
+
+    /// The cell's phase profile: the fabric's phases plus the rest of each step.
+    pub(crate) fn phase_profile(&self) -> StepProfile {
+        let mut profile = self.profile;
+        if let Some(fabric) = &self.fabric {
+            profile.add_phases(fabric.phase_profile());
+        }
+        profile
+    }
+
+    fn fabric_profile_ns(&self) -> u64 {
+        self.fabric.as_ref().map_or(0, |fabric| fabric.phase_profile().total_ns())
     }
 
     /// This site's current scheduling signals, summarized from the last step's dense
@@ -996,8 +1023,21 @@ impl ClusterSimulator {
         }
     }
 
-    /// One simulation step.
+    /// One simulation step, timed into the phase profile when it is enabled: the
+    /// fabric charges its own phases, the remainder is [`StepPhase::CellRest`].
     fn step(&mut self, now: SimTime) {
+        let Some(start) = self.profile.mark() else {
+            self.step_body(now);
+            return;
+        };
+        let fabric_before = self.fabric_profile_ns();
+        self.step_body(now);
+        let total = start.elapsed().as_nanos() as u64;
+        let fabric = self.fabric_profile_ns() - fabric_before;
+        self.profile.add(StepPhase::CellRest, total.saturating_sub(fabric));
+    }
+
+    fn step_body(&mut self, now: SimTime) {
         // Scenario weather episodes overlay the climate trace additively (the neutral
         // offset 0.0 leaves the legacy trace bit-identical).
         let outside = Celsius::new(

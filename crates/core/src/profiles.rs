@@ -94,6 +94,114 @@ impl ServerProfile {
         let load = load.clamp(0.0, 1.0);
         self.spec.idle_airflow + (self.spec.max_airflow - self.spec.idle_airflow) * load
     }
+
+    /// Checks that every fitted value is finite and that the worst-GPU temperature model
+    /// takes the two features of Eq. 2.
+    ///
+    /// # Errors
+    /// Returns the first problem found, naming this server and the model.
+    pub fn check(&self) -> Result<(), ProfileError> {
+        let server = self.server;
+        let inlet = &self.inlet_vs_outside;
+        let inlet_values = inlet.breakpoints().iter().chain(
+            inlet.segments().iter().flat_map(|segment| segment.coefficients()),
+        );
+        let gpu = &self.worst_gpu_temp;
+        let intercept = gpu.intercept();
+        let gpu_values = std::iter::once(&intercept).chain(gpu.coefficients());
+        non_finite(server, ProfileModel::InletVsOutside, inlet_values)?;
+        non_finite(
+            server,
+            ProfileModel::InletLoadSensitivity,
+            [&self.inlet_load_sensitivity_c],
+        )?;
+        non_finite(server, ProfileModel::WorstGpuTemp, gpu_values)?;
+        if gpu.coefficients().len() != 2 {
+            return Err(ProfileError::GpuModelFeatures {
+                server,
+                features: gpu.coefficients().len(),
+            });
+        }
+        non_finite(server, ProfileModel::PowerCurve, self.power_curve.coefficients())
+    }
+}
+
+/// The fitted model of a [`ServerProfile`] a [`ProfileError`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProfileModel {
+    /// `inlet_vs_outside` (Eq. 1): a breakpoint or a segment coefficient.
+    InletVsOutside,
+    /// `inlet_load_sensitivity_c`.
+    InletLoadSensitivity,
+    /// `worst_gpu_temp` (Eq. 2): the intercept or a coefficient.
+    WorstGpuTemp,
+    /// `power_curve` (Eq. 4): a coefficient.
+    PowerCurve,
+}
+
+impl ProfileModel {
+    /// The field name.
+    fn name(self) -> &'static str {
+        match self {
+            ProfileModel::InletVsOutside => "inlet_vs_outside",
+            ProfileModel::InletLoadSensitivity => "inlet_load_sensitivity_c",
+            ProfileModel::WorstGpuTemp => "worst_gpu_temp",
+            ProfileModel::PowerCurve => "power_curve",
+        }
+    }
+}
+
+/// A server profile the controllers cannot use, naming the server and the model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ProfileError {
+    /// A fitted model holds a non-finite value.
+    NonFinite {
+        /// The profiled server.
+        server: ServerId,
+        /// The model holding the value.
+        model: ProfileModel,
+        /// The first non-finite value found.
+        value: f64,
+    },
+    /// The worst-GPU temperature model does not take the two features
+    /// `[inlet °C, per-GPU power W]` of Eq. 2.
+    GpuModelFeatures {
+        /// The profiled server.
+        server: ServerId,
+        /// The model's feature count.
+        features: usize,
+    },
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileError::NonFinite { server, model, value } => write!(
+                f,
+                "server {server}: its fitted {} model holds a non-finite value ({value})",
+                model.name()
+            ),
+            ProfileError::GpuModelFeatures { server, features } => write!(
+                f,
+                "server {server}: its worst_gpu_temp model takes {features} features, not \
+                 [inlet °C, per-GPU power W]"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProfileError {}
+
+/// The first non-finite value of `model`, as an error naming `server`.
+fn non_finite<'a>(
+    server: ServerId,
+    model: ProfileModel,
+    values: impl IntoIterator<Item = &'a f64>,
+) -> Result<(), ProfileError> {
+    match values.into_iter().find(|value| !value.is_finite()) {
+        Some(&value) => Err(ProfileError::NonFinite { server, model, value }),
+        None => Ok(()),
+    }
 }
 
 /// LLM configuration profiles and the Pareto frontiers derived from them.
@@ -372,6 +480,16 @@ impl ProfileStore {
         }
     }
 
+    /// Checks every server profile (see [`ServerProfile::check`]), so a hand-built or
+    /// edited store with a non-finite fitted value fails with an error naming the server
+    /// and the model instead of panicking deep inside placement.
+    ///
+    /// # Errors
+    /// Returns the first server's problem, in server order.
+    pub fn check(&self) -> Result<(), ProfileError> {
+        self.servers.iter().try_for_each(ServerProfile::check)
+    }
+
     /// Replaces the LLM profiles (e.g. with a re-profiled or hand-edited sweep) and rebuilds
     /// the indices over them.
     ///
@@ -514,6 +632,41 @@ mod tests {
         let dc = Datacenter::new(LayoutConfig::small_test_cluster().build(), 42);
         let store = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
         (dc, store)
+    }
+
+    #[test]
+    fn check_names_the_server_and_model_of_a_non_finite_coefficient() {
+        let (_, mut corrupt) = store();
+        assert_eq!(corrupt.check(), Ok(()));
+        let coefficients = corrupt.servers[7].worst_gpu_temp.coefficients().to_vec();
+        corrupt.servers[7].worst_gpu_temp = LinearModel::from_coefficients(f64::NAN, coefficients);
+        let error = corrupt.check().expect_err("a NaN intercept fails the check");
+        assert!(matches!(
+            error,
+            ProfileError::NonFinite { server, model: ProfileModel::WorstGpuTemp, value }
+                if server == ServerId::new(7) && value.is_nan()
+        ));
+        assert!(error.to_string().contains("worst_gpu_temp"), "{error}");
+
+        let (_, mut corrupt) = store();
+        corrupt.servers[3].power_curve = Polynomial::from_coefficients(vec![1.0, f64::INFINITY]);
+        corrupt.servers[5].inlet_load_sensitivity_c = f64::NAN;
+        assert_eq!(
+            corrupt.check(),
+            Err(ProfileError::NonFinite {
+                server: ServerId::new(3),
+                model: ProfileModel::PowerCurve,
+                value: f64::INFINITY,
+            }),
+            "the first server in order is reported"
+        );
+
+        let (_, mut corrupt) = store();
+        corrupt.servers[2].worst_gpu_temp = LinearModel::from_coefficients(40.0, vec![1.0]);
+        assert_eq!(
+            corrupt.check(),
+            Err(ProfileError::GpuModelFeatures { server: ServerId::new(2), features: 1 })
+        );
     }
 
     #[test]

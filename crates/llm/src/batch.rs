@@ -18,21 +18,54 @@
 //! **Event-cost iterations.** Every running sequence produces exactly one token per
 //! iteration, so its progress is a function of one global counter: a sequence admitted
 //! when the counter read `admit_iter` has generated `iterations − admit_iter` tokens and
-//! finishes in iteration `admit_iter + output_tokens − 1`. [`BatchScheduler::advance_to`]
-//! keeps those finish iterations in a min-heap and never walks the batch: an iteration
-//! costs the roofline time arithmetic, one heap peek and — only when the queue front is
-//! ready — admission; each admission or completion adds O(log n). Completions within one
-//! iteration are emitted in exactly the order of a front-to-back walk that
-//! `swap_remove`s each finisher (a finisher pulled in from the tail is met next, at the
-//! freed position), because downstream latency sums are order-dependent f64 sums.
-//! [`BatchScheduler::advance_to_reference`] is that walk, kept as the differential
+//! finishes in iteration `admit_iter + output_tokens − 1`. A finish time is therefore an
+//! iteration number, and [`BatchScheduler::advance_to`] files each running sequence in a
+//! *finish-iteration ring*: [`FINISH_RING`] buckets indexed by `finish mod FINISH_RING`,
+//! each an intrusive doubly linked list of batch slots, plus a bitmap of the occupied
+//! buckets. A slot keeps its exact finish, so an output longer than the ring shares a
+//! bucket with nearer finishes and is merely revisited once per lap; preemption unlinks
+//! its victim in O(1). The batch itself is never walked.
+//!
+//! **Quiet runs.** Between events the scheduler runs whole stretches of iterations in a
+//! tight loop: iterations in which admission cannot act (the batch is full, the queue
+//! front is not ready yet, or it does not fit and is not yet past its shedding deadline)
+//! and whose finish bucket is empty. Such an iteration admits nothing and completes
+//! nothing, so the running set — and with it the per-replica batch — is fixed, and
+//! `kv_in_use` grows by exactly the batch size per iteration: the mean context
+//! `kv_in_use / n` grows by exactly one, so the division becomes an increment. Each
+//! quiet iteration still times itself through the same iteration-time helper as a full
+//! one (its own `ceil`), so the clock is bit-identical. A quiet run ends at the deadline,
+//! at the admission wake-up time (the front's ready time, or its shed time) or at the
+//! next occupied bucket, found from the bitmap; the iteration there takes the full path.
+//!
+//! Completions within one iteration are emitted in exactly the order of a front-to-back
+//! walk that `swap_remove`s each finisher (a finisher pulled in from the tail is met
+//! next, at the freed position), because downstream latency sums are order-dependent f64
+//! sums. [`BatchScheduler::advance_to_reference`] is that walk, kept as the differential
 //! reference (`tests/batch_reference.rs`).
 
 use crate::config::InstanceConfig;
 use crate::hardware::GpuHardware;
 use crate::perf::{PerfModel, StepModel};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+
+/// Buckets of the finish-iteration ring (a power of two: the default
+/// `RequestShape::max_total_tokens`, so a default-shaped output never laps the ring).
+pub const FINISH_RING: usize = 8192;
+
+const RING_MASK: u64 = FINISH_RING as u64 - 1;
+
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// `x.ceil() as u64` — saturating, NaN to 0 — without the `ceil` call that baseline
+/// x86-64 code makes (`roundsd` needs SSE4.1): truncate, then add one when truncation
+/// dropped a fraction. Exact: below 2⁵³ the truncation and its `f64` are exact, above it
+/// every `f64` is an integer, and the cast saturates like the `ceil` path's.
+fn ceil_to_u64(x: f64) -> u64 {
+    let truncated = x as u64;
+    if (truncated as f64) < x { truncated.saturating_add(1) } else { truncated }
+}
 
 /// KV-cache capacity in tokens of one replica: the HBM left after weights are resident
 /// (with a 10 % activation margin), divided by the per-token KV footprint.
@@ -111,8 +144,96 @@ struct Active {
     /// `Vec::swap_remove` order cannot provide.
     seq: u64,
     attempts: u32,
-    /// Stable handle for the finish heap; `slot_pos[slot]` is the index in `running`.
+    /// Stable handle in the finish ring; `slots[slot].pos` is the index in `running`.
     slot: u32,
+}
+
+/// A batch slot: where its sequence sits in `running`, and its place in the finish ring.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The exact finish iteration (the ring bucket is this modulo [`FINISH_RING`]).
+    finish: u64,
+    pos: u32,
+    next: u32,
+    prev: u32,
+}
+
+/// The finish-iteration ring: one intrusive slot list per bucket and a bitmap of the
+/// non-empty buckets (32 KiB + 1 KiB, allocated at the first admission so a scheduler
+/// that never serves costs nothing).
+#[derive(Debug, Clone, Default)]
+struct FinishRing {
+    heads: Box<[u32]>,
+    occupied: Box<[u64]>,
+}
+
+impl FinishRing {
+
+    fn bucket(iteration: u64) -> usize {
+        (iteration & RING_MASK) as usize
+    }
+
+    fn is_occupied(&self, bucket: usize) -> bool {
+        self.occupied[bucket / 64] & (1 << (bucket % 64)) != 0
+    }
+
+    /// Links `slot` at the head of its finish bucket.
+    fn insert(&mut self, slots: &mut [Slot], slot: u32) {
+        if self.heads.is_empty() {
+            self.heads = vec![NIL; FINISH_RING].into_boxed_slice();
+            self.occupied = vec![0; FINISH_RING / 64].into_boxed_slice();
+        }
+        let bucket = Self::bucket(slots[slot as usize].finish);
+        let head = self.heads[bucket];
+        slots[slot as usize].next = head;
+        slots[slot as usize].prev = NIL;
+        if head == NIL {
+            self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        } else {
+            slots[head as usize].prev = slot;
+        }
+        self.heads[bucket] = slot;
+    }
+
+    /// Unlinks `slot` from its finish bucket.
+    fn remove(&mut self, slots: &mut [Slot], slot: u32) {
+        let Slot { finish, next, prev, .. } = slots[slot as usize];
+        if prev == NIL {
+            let bucket = Self::bucket(finish);
+            self.heads[bucket] = next;
+            if next == NIL {
+                self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+            }
+        } else {
+            slots[prev as usize].next = next;
+        }
+        if next != NIL {
+            slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Iterations from `iteration` to the first one whose bucket is occupied (0 when its
+    /// own is), or `None` when the ring is empty.
+    fn distance_to_occupied(&self, iteration: u64) -> Option<u64> {
+        let start = Self::bucket(iteration);
+        let words = self.occupied.len();
+        let first_word = start / 64;
+        // The start word's bits from `start` up, then every word in ring order, ending
+        // with the start word again (its low bits are the wrap-around).
+        let high = self.occupied[first_word] & (u64::MAX << (start % 64));
+        if high != 0 {
+            return Some((first_word * 64 + high.trailing_zeros() as usize - start) as u64);
+        }
+        for step in 1..=words {
+            let word = (first_word + step) % words;
+            let bits = self.occupied[word];
+            if bits != 0 {
+                let bucket = word * 64 + bits.trailing_zeros() as usize;
+                return Some(((bucket + FINISH_RING - start) % FINISH_RING) as u64);
+            }
+        }
+        None
+    }
 }
 
 /// Fault-tolerance counters a scheduler accumulates over its lifetime: preemption and
@@ -166,10 +287,10 @@ pub struct BatchScheduler {
     running: Vec<Active>,
     /// Iterations run so far (each produces one token per running sequence).
     iterations: u64,
-    /// `(finish iteration, slot)` of every running sequence, earliest first.
-    finish_heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Position in `running` of the sequence holding each slot.
-    slot_pos: Vec<u32>,
+    /// Every running sequence's slot, filed by finish iteration.
+    ring: FinishRing,
+    /// Per slot: position in `running` and finish-ring links.
+    slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Scratch: positions of the sequences finishing in the current iteration.
     finishing: Vec<u32>,
@@ -208,8 +329,8 @@ impl BatchScheduler {
             queue: VecDeque::new(),
             running: Vec::new(),
             iterations: 0,
-            finish_heap: BinaryHeap::new(),
-            slot_pos: Vec::new(),
+            ring: FinishRing::default(),
+            slots: Vec::new(),
             free_slots: Vec::new(),
             finishing: Vec::new(),
             now_ms: 0,
@@ -375,7 +496,6 @@ impl BatchScheduler {
                 .map(|(index, _)| index)
                 .expect("running is non-empty");
             let victim = self.remove_running(victim_index);
-            self.finish_heap.retain(|&Reverse((_, slot))| slot != victim.slot);
             let generated = (self.iterations - victim.admit_iter) as usize;
             self.kv_in_use -= victim.prompt_tokens + generated;
             self.kv_committed -= victim.prompt_tokens + victim.output_tokens;
@@ -474,12 +594,13 @@ impl BatchScheduler {
             let seq = self.admission_seq;
             self.admission_seq += 1;
             let slot = self.free_slots.pop().unwrap_or_else(|| {
-                self.slot_pos.push(0);
-                (self.slot_pos.len() - 1) as u32
+                self.slots.push(Slot { finish: 0, pos: 0, next: NIL, prev: NIL });
+                (self.slots.len() - 1) as u32
             });
-            self.slot_pos[slot as usize] = self.running.len() as u32;
-            self.finish_heap
-                .push(Reverse((self.iterations + front.output_tokens as u64 - 1, slot)));
+            let entry = &mut self.slots[slot as usize];
+            entry.pos = self.running.len() as u32;
+            entry.finish = self.iterations + front.output_tokens as u64 - 1;
+            self.ring.insert(&mut self.slots, slot);
             self.running.push(Active {
                 tag: front.tag,
                 prompt_tokens: front.prompt_tokens,
@@ -496,13 +617,14 @@ impl BatchScheduler {
     }
 
     /// Removes the sequence at `index` from the running batch (`swap_remove`: the tail
-    /// sequence takes its place) and releases its slot. The caller owns the victim's heap
-    /// entry and KV accounting.
+    /// sequence takes its place), unlinks it from the finish ring and releases its slot.
+    /// The caller owns the victim's KV accounting.
     fn remove_running(&mut self, index: usize) -> Active {
         let removed = self.running.swap_remove(index);
         if let Some(moved) = self.running.get(index) {
-            self.slot_pos[moved.slot as usize] = index as u32;
+            self.slots[moved.slot as usize].pos = index as u32;
         }
+        self.ring.remove(&mut self.slots, removed.slot);
         self.free_slots.push(removed.slot);
         removed
     }
@@ -525,6 +647,26 @@ impl BatchScheduler {
         });
     }
 
+    /// Duration of one iteration in whole milliseconds (at least 1): the prefill of
+    /// `admitted_prompt_tokens` newly admitted prompt tokens, then one decode step for a
+    /// per-replica batch of `batch` sequences at mean context `mean_context`. Replicas
+    /// split the batch evenly, so the aggregate iteration time is the per-replica
+    /// share's time. Full and quiet iterations both time themselves here.
+    fn iteration_ms(
+        &self,
+        admitted_prompt_tokens: usize,
+        batch: usize,
+        mean_context: usize,
+    ) -> u64 {
+        let prefill_s = if admitted_prompt_tokens > 0 {
+            self.step.prefill_time_s(self.per_replica(admitted_prompt_tokens))
+        } else {
+            0.0
+        };
+        let decode_s = self.step.decode_step_time_s(batch, mean_context.max(1));
+        ceil_to_u64((prefill_s + decode_s) * 1000.0).max(1)
+    }
+
     /// Admits what fits, then runs the part of one scheduler iteration both serving
     /// paths share: the clock advances by the iteration time, every running sequence's
     /// new token is charged to `kv_in_use`, and the iteration counter ticks. Returns the
@@ -543,24 +685,69 @@ impl BatchScheduler {
             };
             return None;
         }
-
-        // Prefill newly admitted prompts, then one decode step for the whole running
-        // batch. Replicas split the batch evenly, so the aggregate iteration time is the
-        // per-replica share's time.
-        let prefill_s = if admitted_prompt_tokens > 0 {
-            self.step.prefill_time_s(self.per_replica(admitted_prompt_tokens))
-        } else {
-            0.0
-        };
-        let mean_context = (self.kv_in_use / self.running.len()).max(1);
-        let decode_s =
-            self.step.decode_step_time_s(self.per_replica(self.running.len()), mean_context);
-        let iteration_ms = (((prefill_s + decode_s) * 1000.0).ceil() as u64).max(1);
-        self.now_ms += iteration_ms;
+        let batch = self.running.len();
+        self.now_ms += self.iteration_ms(
+            admitted_prompt_tokens,
+            self.per_replica(batch),
+            self.kv_in_use / batch,
+        );
         // Every running sequence produces one token (+1 KV token each).
-        self.kv_in_use += self.running.len();
+        self.kv_in_use += batch;
         self.iterations += 1;
         Some(admitted_from)
+    }
+
+    /// The clock reading from which `admit` can act, short of a completion: the front's
+    /// ready time if it is not ready; if it is ready, now when it fits and otherwise its
+    /// shed time (at or before now when it is sheddable already). `u64::MAX` if the batch
+    /// is full, the queue is empty, or the ready front does not fit and shedding is off.
+    fn admission_wake_ms(&self) -> u64 {
+        if self.running.len() >= self.max_batch() {
+            return u64::MAX;
+        }
+        let Some(front) = self.queue.front() else { return u64::MAX };
+        if front.ready_ms > self.now_ms {
+            return front.ready_ms;
+        }
+        if self.kv_committed + front.prompt_tokens + front.output_tokens
+            <= self.admission_capacity()
+        {
+            return self.now_ms;
+        }
+        if self.shed_deadline_ms > 0 {
+            (front.arrival_ms + self.shed_deadline_ms).saturating_add(1)
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Runs the quiet iterations ahead (see the module docs): while the clock is before
+    /// both `deadline_ms` and the admission wake-up time and the next iteration's finish
+    /// bucket is empty, an iteration only advances the clock, the counter and
+    /// `kv_in_use`. The running set is fixed throughout, so the batch is hoisted and the
+    /// mean context is an increment.
+    fn quiet_run(&mut self, deadline_ms: u64) {
+        let batch = self.running.len();
+        if batch == 0 {
+            return;
+        }
+        let limit_ms = deadline_ms.min(self.admission_wake_ms());
+        if self.now_ms >= limit_ms {
+            return;
+        }
+        let Some(quiet) = self.ring.distance_to_occupied(self.iterations) else { return };
+        let per_replica = self.per_replica(batch);
+        let mut context = self.kv_in_use / batch;
+        let mut now_ms = self.now_ms;
+        let mut ran = 0;
+        while ran < quiet && now_ms < limit_ms {
+            now_ms += self.iteration_ms(0, per_replica, context);
+            context += 1;
+            ran += 1;
+        }
+        self.now_ms = now_ms;
+        self.iterations += ran;
+        self.kv_in_use += batch * ran as usize;
     }
 
     /// Advances the scheduler to `deadline_ms`, appending finished requests to `out`.
@@ -570,10 +757,15 @@ impl BatchScheduler {
     /// A deadline at or before the current clock (the previous window overshot past it)
     /// is a no-op.
     ///
-    /// An iteration touches only the sequences it admits or completes (see the module
-    /// docs); the result is identical to [`Self::advance_to_reference`].
+    /// An iteration touches only the sequences it admits or completes, and quiet runs
+    /// skip admission altogether (see the module docs); the result is identical to
+    /// [`Self::advance_to_reference`].
     pub fn advance_to(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
         while self.now_ms < deadline_ms {
+            self.quiet_run(deadline_ms);
+            if self.now_ms >= deadline_ms {
+                break;
+            }
             let Some(admitted_from) = self.begin_iteration(deadline_ms) else { continue };
             let now_ms = self.now_ms;
             for seq in &mut self.running[admitted_from..] {
@@ -582,28 +774,27 @@ impl BatchScheduler {
 
             // Sequences whose finish iteration is the one that just ran complete and
             // evict their whole footprint.
-            if self
-                .finish_heap
-                .peek()
-                .is_some_and(|&Reverse((finish, _))| finish < self.iterations)
-            {
+            if self.ring.is_occupied(FinishRing::bucket(self.iterations - 1)) {
                 self.complete_finished(out);
             }
         }
     }
 
-    /// Completes every sequence whose finish iteration has run, in the reference walk's
-    /// order: ascending position, except that when `swap_remove` pulls a finisher in from
-    /// the tail, it lands on the freed position and the walk meets it next.
+    /// Completes every sequence whose finish iteration is the one that just ran, in the
+    /// reference walk's order: ascending position, except that when `swap_remove` pulls
+    /// a finisher in from the tail, it lands on the freed position and the walk meets it
+    /// next. Bucket entries with a later finish (an output longer than the ring) stay.
     fn complete_finished(&mut self, out: &mut Vec<BatchCompletion>) {
+        let finished = self.iterations - 1;
         let mut finishing = std::mem::take(&mut self.finishing);
         finishing.clear();
-        while let Some(&Reverse((finish, slot))) = self.finish_heap.peek() {
-            if finish >= self.iterations {
-                break;
+        let mut slot = self.ring.heads[FinishRing::bucket(finished)];
+        while slot != NIL {
+            let entry = self.slots[slot as usize];
+            if entry.finish == finished {
+                finishing.push(entry.pos);
             }
-            self.finish_heap.pop();
-            finishing.push(self.slot_pos[slot as usize]);
+            slot = entry.next;
         }
         finishing.sort_unstable();
         let (mut next, mut end) = (0, finishing.len());
@@ -642,15 +833,6 @@ impl BatchScheduler {
                     index += 1;
                 }
             }
-            // Keep the finish heap in step with the batch: drop the entries of the
-            // sequences this iteration completed.
-            while self
-                .finish_heap
-                .peek()
-                .is_some_and(|&Reverse((finish, _))| finish < self.iterations)
-            {
-                self.finish_heap.pop();
-            }
         }
     }
 }
@@ -661,6 +843,37 @@ mod tests {
 
     fn scheduler(replicas: usize) -> BatchScheduler {
         BatchScheduler::new(InstanceConfig::default_70b(), &GpuHardware::a100(), replicas)
+    }
+
+    #[test]
+    fn ceil_to_u64_matches_the_ceil_cast() {
+        let mut samples = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            -0.3,
+            -7.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            u64::MAX as f64,
+            (1u64 << 53) as f64,
+            (1u64 << 63) as f64,
+        ];
+        for whole in [1.0, 2.0, 17.0, 999.0, 4_503_599_627_370_495.0, 9.0e15, 1.0e19] {
+            samples.extend([whole, f64::next_up(whole), f64::next_down(whole), whole + 0.5]);
+        }
+        let mut x = 1.0e-3;
+        while x < 1.0e21 {
+            samples.extend([x, x * 1.000_001, x * 0.999_999]);
+            x *= 1.37;
+        }
+        for sample in samples {
+            assert_eq!(ceil_to_u64(sample), sample.ceil() as u64, "{sample:e}");
+        }
     }
 
     #[test]

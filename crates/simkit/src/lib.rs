@@ -21,6 +21,8 @@
 //! * [`queue`] — a deterministic binary-heap [`queue::EventQueue`] over integer
 //!   timestamps with FIFO tie-breaking, the ordering substrate for event-timestamped
 //!   streams such as the request fabric.
+//! * [`profile`] — [`profile::StepProfile`], wall-clock nanoseconds per step phase, filled
+//!   only when a simulator's profiling is switched on and never part of a report.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod events;
+pub mod profile;
 pub mod queue;
 pub mod regression;
 pub mod rng;
@@ -56,6 +59,7 @@ pub mod time;
 pub mod units;
 
 pub use events::{EventKind, EventTally};
+pub use profile::{StepPhase, StepProfile};
 pub use queue::EventQueue;
 pub use regression::{LinearModel, PiecewisePolynomial, Polynomial};
 pub use rng::SimRng;

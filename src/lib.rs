@@ -36,7 +36,9 @@ pub mod prelude {
     };
     pub use cluster_sim::fabric::{ArrivalBuffer, FabricGenerator, FabricRequest, RequestFabric};
     pub use cluster_sim::fleet::FleetSimulator;
-    pub use cluster_sim::metrics::{FleetReport, LatencyHistogram, RequestMetrics, RunReport};
+    pub use cluster_sim::metrics::{
+        FleetReport, LatencyHistogram, RequestMetrics, RunReport, SloThresholds,
+    };
     pub use cluster_sim::scenario::generator::{generate, GeneratorConfig, IntensityTier};
     pub use cluster_sim::scenario::{
         energy_cost_usd, fleet_energy_cost_usd, ResolvedTimeline, Scenario, ScenarioBuilder,

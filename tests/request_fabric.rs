@@ -1,5 +1,7 @@
 //! Request-fabric integration tests: event-queue ordering against a reference model, the
-//! arrival buffer against the event queue, KV-cache admission invariants, fabric-enabled fleet determinism, trace replay through
+//! arrival buffer against the event queue and against a stable-sorted `Vec` in every
+//! radix-pass class, completion recording against the per-multiplier loop it replaced,
+//! KV-cache admission invariants, fabric-enabled fleet determinism, trace replay through
 //! both encodings, and a pinned golden metrics artifact.
 //!
 //! Regenerate the golden file after an intentional format change with:
@@ -169,6 +171,200 @@ fn arrival_buffer_drains_exactly_like_the_event_queue() {
     for (what, count) in floors {
         assert!(count >= 100, "only {count} {what}");
     }
+}
+
+/// Replays random pushes and drains into an [`ArrivalBuffer`] and into a plain `Vec`
+/// that is stably sorted by time before every drain (ties keep push order), with the
+/// pending span — what the buffer's radix sort keys on — drawn from each pass class:
+/// one byte, two bytes, three bytes, and `2^24` or more (the comparison-sort fallback).
+/// Timestamps sit on a large base so only the span, not the magnitude, picks the class.
+#[test]
+fn arrival_buffer_matches_a_stable_sorted_vec_in_every_radix_class() {
+    const CLASSES: [(u64, u64); 4] =
+        [(1, 1 << 8), (1 << 8, 1 << 16), (1 << 16, 1 << 24), (1 << 24, 1 << 40)];
+    let mut rng = SimRng::seed_from(2027).derive("arrival-buffer-radix");
+    // Per class: drains that sorted a tail of that span, and tied timestamps drained.
+    let mut sorted_spans = [0usize; CLASSES.len()];
+    let mut ties = 0usize;
+    let mut partial_drains = 0usize;
+    for case in 0..240 {
+        let (low, high) = CLASSES[case % CLASSES.len()];
+        let base = rng.uniform_usize(0, 1 << 40) as u64;
+        let mut buffer = ArrivalBuffer::new();
+        let mut reference: Vec<(u64, FabricRequest)> = Vec::new();
+        let mut id = 0u64;
+        for _ in 0..rng.uniform_usize(2, 12) {
+            // A burst spanning [low, high) from its first timestamp, with repeats.
+            let span = rng.uniform_usize(low as usize, high as usize) as u64;
+            let start = base + rng.uniform_usize(0, 1_000) as u64;
+            let mut previous = start;
+            for index in 0..rng.uniform_usize(1, 300) {
+                let time = match (index, rng.uniform_usize(0, 4)) {
+                    (0, _) => start,
+                    (1, _) => start + span,
+                    (_, 0) => previous,
+                    _ => start + rng.uniform_usize(0, span as usize + 1) as u64,
+                };
+                let request = FabricRequest {
+                    id,
+                    endpoint: rng.uniform_usize(0, 4) as u32,
+                    prompt_tokens: rng.uniform_usize(1, 4096) as u32,
+                    output_tokens: rng.uniform_usize(1, 512) as u32,
+                };
+                buffer.push(time, request);
+                reference.push((time, request));
+                previous = time;
+                id += 1;
+            }
+            if rng.chance(0.5) {
+                continue;
+            }
+            // Drain part of the pending range: before a pending time, just past one, or
+            // everything.
+            let out_of_order = reference.windows(2).any(|pair| pair[1].0 < pair[0].0);
+            let (min, max) = reference
+                .iter()
+                .fold((u64::MAX, 0), |(min, max), &(time, _)| (min.min(time), max.max(time)));
+            if out_of_order {
+                let class = CLASSES.iter().position(|&(_, top)| max - min < top).unwrap_or(3);
+                sorted_spans[class] += 1;
+            }
+            reference.sort_by_key(|&(time, _)| time);
+            let pick = reference[rng.uniform_usize(0, reference.len())].0;
+            let end_ms = match rng.uniform_usize(0, 3) {
+                0 => pick,
+                1 => pick + 1,
+                _ => u64::MAX,
+            };
+            let due = reference.partition_point(|&(time, _)| time < end_ms);
+            ties += reference[..due].windows(2).filter(|pair| pair[0].0 == pair[1].0).count();
+            if due < reference.len() {
+                partial_drains += 1;
+            }
+            let mut drained = Vec::new();
+            buffer.drain_before(end_ms, |time, request| drained.push((time, request)));
+            assert_eq!(drained, reference[..due], "case {case}: drain before {end_ms}");
+            reference.drain(..due);
+            assert_eq!(buffer.len(), reference.len(), "case {case}: pending count");
+        }
+        reference.sort_by_key(|&(time, _)| time);
+        let mut drained = Vec::new();
+        buffer.drain_before(u64::MAX, |time, request| drained.push((time, request)));
+        assert_eq!(drained, reference, "case {case}: final drain");
+        assert!(buffer.is_empty());
+    }
+    for (class, &count) in sorted_spans.iter().enumerate() {
+        assert!(count >= 20, "only {count} sorted tails in span class {class}");
+    }
+    assert!(ties >= 1_000, "only {ties} tied timestamps drained");
+    assert!(partial_drains >= 100, "only {partial_drains} partial drains");
+}
+
+// --- Completion recording ------------------------------------------------------------
+
+/// The per-completion recording loop `RequestMetrics::record` replaced, kept here as the
+/// reference: 16 products and an edge search per completion, the histogram bucket by a
+/// binary search over the edges.
+fn record_by_the_multiplier_loop(
+    metrics: &mut RequestMetrics,
+    targets: (f64, f64),
+    headline: f64,
+    (ttft_ms, mean_tbt_ms, output_tokens): (f64, f64, u64),
+) {
+    let record_sample = |histogram: &mut LatencyHistogram, sample_ms: f64| {
+        let edges = &tapas_repro::cluster_sim::metrics::LATENCY_BUCKET_EDGES_MS;
+        let bucket = if sample_ms.is_nan() {
+            edges.len()
+        } else {
+            edges.partition_point(|&edge| (edge as f64) < sample_ms)
+        };
+        histogram.counts[bucket] += 1;
+        histogram.sum_ms += sample_ms.max(0.0);
+    };
+    let (ttft_target_s, tbt_target_s) = targets;
+    metrics.completed += 1;
+    record_sample(&mut metrics.ttft, ttft_ms);
+    if mean_tbt_ms > 0.0 {
+        record_sample(&mut metrics.tbt, mean_tbt_ms);
+    }
+    let ttft_target_ms = (ttft_target_s * 1000.0).max(f64::MIN_POSITIVE);
+    let tbt_target_ms = (tbt_target_s * 1000.0).max(f64::MIN_POSITIVE);
+    let multipliers = tapas_repro::cluster_sim::metrics::SLO_CURVE_MULTIPLIERS;
+    for (i, &multiplier) in multipliers.iter().enumerate() {
+        let ttft_ok = ttft_ms <= multiplier * ttft_target_ms;
+        let tbt_ok = mean_tbt_ms <= 0.0 || mean_tbt_ms <= multiplier * tbt_target_ms;
+        if ttft_ok {
+            metrics.ttft_curve[i] += 1;
+        }
+        if tbt_ok {
+            metrics.tbt_curve[i] += 1;
+        }
+        if ttft_ok && tbt_ok {
+            metrics.joint_curve[i] += 1;
+        }
+    }
+    let met_headline = ttft_ms <= headline * ttft_target_s * 1000.0
+        && (mean_tbt_ms <= 0.0 || mean_tbt_ms <= headline * tbt_target_s * 1000.0);
+    metrics.record_tokens(output_tokens, met_headline);
+}
+
+/// Threshold-set recording against the multiplier loop, at the boundaries: samples at
+/// exactly `m × target` (and one ulp either side) for every curve multiplier and the
+/// headline, 0 ms, single-token outputs (no TBT), NaN and infinities, and degenerate
+/// targets. Curves, histograms, the bits of `sum_ms` and the goodput split must be equal.
+#[test]
+fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
+    let multipliers = tapas_repro::cluster_sim::metrics::SLO_CURVE_MULTIPLIERS;
+    let target_pairs =
+        [(0.137, 0.0213), (0.25, 0.05), (1e-9, 1e-12), (0.0, -1.0), (f64::NAN, 0.02)];
+    let mut rng = SimRng::seed_from(2028).derive("slo-recording");
+    let mut boundary_samples = 0;
+    for &targets in &target_pairs {
+        for headline in [5.0, 2.0, 7.5] {
+            let thresholds = SloThresholds::new(targets.0, targets.1, headline);
+            let (mut fast, mut reference) = (RequestMetrics::new(), RequestMetrics::new());
+            let mut edges = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, 3.0];
+            for multiplier in multipliers.iter().chain([&headline]) {
+                for target_s in [targets.0, targets.1] {
+                    let at = multiplier * (target_s * 1000.0).max(f64::MIN_POSITIVE);
+                    let headline_at = headline * target_s * 1000.0;
+                    edges.extend([at, at.next_down(), at.next_up(), headline_at]);
+                }
+            }
+            let mut samples = Vec::new();
+            for &ttft in &edges {
+                for &tbt in &edges {
+                    samples.push((ttft, tbt, rng.uniform_usize(1, 500) as u64));
+                    boundary_samples += 1;
+                }
+                // A single-token output has no TBT.
+                samples.push((ttft, 0.0, 1));
+            }
+            for _ in 0..500 {
+                samples.push((
+                    rng.uniform_usize(0, 20_000) as f64,
+                    rng.uniform(0.0, 400.0),
+                    rng.uniform_usize(1, 900) as u64,
+                ));
+            }
+            for &sample in &samples {
+                fast.record(&thresholds, sample.0, sample.1, sample.2);
+                record_by_the_multiplier_loop(&mut reference, targets, headline, sample);
+            }
+            let context = format!("targets {targets:?}, headline {headline}");
+            assert_eq!(fast.completed, reference.completed, "{context}");
+            assert_eq!(fast.ttft_curve, reference.ttft_curve, "{context}");
+            assert_eq!(fast.tbt_curve, reference.tbt_curve, "{context}");
+            assert_eq!(fast.joint_curve, reference.joint_curve, "{context}");
+            assert_eq!(fast.ttft.counts, reference.ttft.counts, "{context}");
+            assert_eq!(fast.tbt.counts, reference.tbt.counts, "{context}");
+            assert_eq!(fast.ttft.sum_ms.to_bits(), reference.ttft.sum_ms.to_bits(), "{context}");
+            assert_eq!(fast.tbt.sum_ms.to_bits(), reference.tbt.sum_ms.to_bits(), "{context}");
+            assert_eq!(fast.lifecycle, reference.lifecycle, "{context}");
+            assert!(fast.lifecycle.goodput_tokens > 0 || targets.0.is_nan(), "{context}");
+        }
+    }
+    assert!(boundary_samples > 10_000, "boundary samples: {boundary_samples}");
 }
 
 /// A trace with out-of-order records and timestamp ties between different shapes on one
