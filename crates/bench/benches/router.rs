@@ -134,7 +134,7 @@ fn bench_router(c: &mut Criterion) {
     c.bench_function("routing_tapas_keyed_100_instances", |b| {
         b.iter(|| {
             let choice = tapas.route_keyed(
-                black_box(&fixed_request),
+                black_box(fixed_request.customer),
                 black_box(&view),
                 &keys,
                 &endpoint.recent,
@@ -175,13 +175,12 @@ fn bench_router(c: &mut Criterion) {
                     tapas.fill_route_keys(&endpoint.view(), &flags, &mut keys);
                 }
                 quantum = (quantum + 1) % quanta;
-                let customer = rng.next_u64() % CUSTOMERS;
-                let request = request(customer);
-                let choice = tapas.route_keyed(&request, &endpoint.view(), &keys, &endpoint.recent);
+                let customer = CustomerId(rng.next_u64() % CUSTOMERS);
+                let choice = tapas.route_keyed(customer, &endpoint.view(), &keys, &endpoint.recent);
                 let Some(index) = choice else { return choice };
                 endpoint.outstanding[index] += 1;
                 endpoint.utilization[index] = (endpoint.utilization[index] + 0.02).min(1.5);
-                endpoint.recent.push(index, CustomerId(customer));
+                endpoint.recent.push(index, customer);
                 let risky = tapas.candidate_risk(
                     endpoint.server[index],
                     endpoint.utilization[index],

@@ -133,10 +133,13 @@ fn report(merged: &[BenchResult]) {
     }
 }
 
-fn load_document(path: &PathBuf) -> Result<Value, String> {
+/// The baseline document's text and its parse.
+fn load_document(path: &PathBuf) -> Result<(String, Value), String> {
     let contents = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&contents).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+    let document = serde_json::from_str(&contents)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    Ok((contents, document))
 }
 
 fn main() {
@@ -157,7 +160,7 @@ fn main() {
         // the CI log.
         let section_name = args.against.as_deref().unwrap_or(&args.section);
         let recorded = match load_document(&args.out)
-            .and_then(|doc| doc.get(section_name).cloned().map_err(|e| e.to_string()))
+            .and_then(|(_, doc)| doc.get(section_name).cloned().map_err(|e| e.to_string()))
         {
             Ok(recorded) => recorded,
             Err(message) => {
@@ -196,16 +199,16 @@ fn main() {
     // A missing baseline file bootstraps from an empty document (the tool maintains the
     // file, so it must be able to create it); an unparseable one is still a hard error —
     // silently clobbering a corrupted baseline would destroy the recorded history.
-    let mut document = if args.out.exists() {
+    let document = if args.out.exists() {
         match load_document(&args.out) {
-            Ok(document) => document,
+            Ok((document, _)) => document,
             Err(message) => {
                 eprintln!("bench_snapshot: {message}");
                 std::process::exit(1);
             }
         }
     } else {
-        Value::Map(Vec::new())
+        String::from("{}\n")
     };
     let merged = match measure(&args) {
         Ok(merged) => merged,
@@ -216,18 +219,14 @@ fn main() {
     };
     report(&merged);
     let section = section_value(&merged, args.note.as_deref());
-    if let Err(message) = upsert_section(&mut document, &args.section, section) {
-        eprintln!("bench_snapshot: {message}");
-        std::process::exit(1);
-    }
-    let json = match serde_json::to_string_pretty(&document) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("bench_snapshot: cannot serialize document: {err}");
+    let updated = match upsert_section(&document, &args.section, &section) {
+        Ok(updated) => updated,
+        Err(message) => {
+            eprintln!("bench_snapshot: {message}");
             std::process::exit(1);
         }
     };
-    if let Err(err) = std::fs::write(&args.out, json + "\n") {
+    if let Err(err) = std::fs::write(&args.out, updated) {
         eprintln!("bench_snapshot: cannot write {}: {err}", args.out.display());
         std::process::exit(1);
     }

@@ -10,6 +10,7 @@
 //! perf-regression check: warn, don't fail).
 
 use serde::Value;
+use std::ops::Range;
 
 /// One benchmark's measurement (per-iteration nanoseconds).
 #[derive(Debug, Clone, PartialEq)]
@@ -80,20 +81,104 @@ fn round1(value: f64) -> f64 {
     (value * 10.0).round() / 10.0
 }
 
-/// Inserts or replaces a named section in the baseline document, preserving the order of
-/// existing keys (a replaced section stays where it was; a new one is appended).
+/// Inserts or replaces a named section in the baseline document's text, preserving the
+/// order of existing keys (a replaced section stays where it was; a new one is appended).
+///
+/// Only the named section's text changes: every other byte of the document is kept. A
+/// parse-and-reserialize round trip would not do that, because the JSON writer prints an
+/// integral float such as `1.0` as `1`.
 ///
 /// # Errors
-/// Returns an error if the document is not a JSON map.
-pub fn upsert_section(document: &mut Value, section: &str, value: Value) -> Result<(), String> {
-    let Value::Map(entries) = document else {
-        return Err(format!("baseline document must be a JSON map, got {}", document.kind()));
-    };
-    match entries.iter_mut().find(|(key, _)| key == section) {
-        Some((_, existing)) => *existing = value,
-        None => entries.push((section.to_string(), value)),
+/// Returns an error if the document does not parse or is not a JSON map.
+pub fn upsert_section(document: &str, section: &str, value: &Value) -> Result<String, String> {
+    let parsed: Value = serde_json::from_str(document).map_err(|e| e.to_string())?;
+    if !matches!(parsed, Value::Map(_)) {
+        return Err(format!("baseline document must be a JSON map, got {}", parsed.kind()));
     }
-    Ok(())
+    let rendered = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())?
+        .replace('\n', "\n  ");
+    let (entries, close) = top_level_entries(document);
+    let (at, inserted) = match entries.iter().find(|(key, _)| key == section) {
+        Some((_, span)) => (span.clone(), rendered),
+        None => {
+            let key = serde_json::to_string(section).map_err(|e| e.to_string())?;
+            match entries.last() {
+                Some((_, last)) => (last.end..last.end, format!(",\n  {key}: {rendered}")),
+                None => (close..close, format!("\n  {key}: {rendered}\n")),
+            }
+        }
+    };
+    Ok(format!("{}{inserted}{}", &document[..at.start], &document[at.end..]))
+}
+
+/// The top-level entries of a JSON map's text, as `(key, value byte range)`, and the offset
+/// of its closing brace. The text must already have parsed as a map.
+fn top_level_entries(text: &str) -> (Vec<(String, Range<usize>)>, usize) {
+    let bytes = text.as_bytes();
+    let mut entries = Vec::new();
+    let mut at = skip_whitespace(bytes, skip_whitespace(bytes, 0) + 1);
+    while bytes[at] != b'}' {
+        let key_end = skip_string(bytes, at);
+        let key = serde_json::from_str(&text[at..key_end]).expect("the text parsed");
+        let start = skip_whitespace(bytes, skip_whitespace(bytes, key_end) + 1);
+        let end = skip_value(bytes, start);
+        entries.push((key, start..end));
+        at = skip_whitespace(bytes, end);
+        if bytes[at] == b',' {
+            at = skip_whitespace(bytes, at + 1);
+        }
+    }
+    (entries, at)
+}
+
+fn skip_whitespace(bytes: &[u8], mut at: usize) -> usize {
+    while bytes[at].is_ascii_whitespace() {
+        at += 1;
+    }
+    at
+}
+
+/// The offset just past the string literal opening at `at`.
+fn skip_string(bytes: &[u8], mut at: usize) -> usize {
+    at += 1;
+    while bytes[at] != b'"' {
+        at += if bytes[at] == b'\\' { 2 } else { 1 };
+    }
+    at + 1
+}
+
+/// The offset just past the JSON value starting at `at`.
+fn skip_value(bytes: &[u8], mut at: usize) -> usize {
+    match bytes[at] {
+        b'"' => skip_string(bytes, at),
+        b'{' | b'[' => {
+            let mut depth = 0usize;
+            loop {
+                match bytes[at] {
+                    b'"' => {
+                        at = skip_string(bytes, at);
+                        continue;
+                    }
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return at + 1;
+                        }
+                    }
+                    _ => {}
+                }
+                at += 1;
+            }
+        }
+        _ => {
+            while !matches!(bytes[at], b',' | b'}' | b']') && !bytes[at].is_ascii_whitespace() {
+                at += 1;
+            }
+            at
+        }
+    }
 }
 
 /// One soft-check finding: a benchmark whose current best min exceeds the recorded min
@@ -187,20 +272,41 @@ not json
 
     #[test]
     fn upsert_replaces_in_place_and_appends_new() {
-        let mut doc: Value = serde_json::from_str(
-            "{\"description\":\"d\",\"old\":{\"a\":{\"min_ns\":1.0}},\"tail\":1}",
-        )
-        .unwrap();
-        upsert_section(&mut doc, "old", section_value(&[result("a", 2.0, 3.0)], None))
+        let doc = "{\"description\":\"d\",\"old\":{\"a\":{\"min_ns\":1.0}},\"tail\":1}";
+        let doc = upsert_section(doc, "old", &section_value(&[result("a", 2.0, 3.0)], None))
             .unwrap();
-        upsert_section(&mut doc, "fresh", section_value(&[result("b", 4.0, 5.0)], None))
+        let doc = upsert_section(&doc, "fresh", &section_value(&[result("b", 4.0, 5.0)], None))
             .unwrap();
-        let Value::Map(entries) = &doc else { panic!("map") };
+        let Value::Map(entries) = serde_json::from_str(&doc).unwrap() else { panic!("map") };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["description", "old", "tail", "fresh"]);
-        let json = serde_json::to_string(&doc).unwrap();
-        assert!(json.contains("\"old\":{\"a\":{\"min_ns\":2"));
-        assert!(upsert_section(&mut Value::Bool(true), "x", Value::Null).is_err());
+        assert!(doc.contains("\"old\":{\n    \"a\": {\n      \"min_ns\": 2"), "{doc}");
+        assert!(upsert_section("true", "x", &Value::Null).is_err());
+        assert!(upsert_section("{\"x\":", "x", &Value::Null).is_err());
+        let empty = upsert_section("{}\n", "x", &Value::Map(Vec::new())).unwrap();
+        let empty: Value = serde_json::from_str(&empty).unwrap();
+        assert_eq!(empty.get("x").unwrap(), &Value::Map(Vec::new()));
+    }
+
+    #[test]
+    fn upsert_keeps_every_other_section_byte_for_byte() {
+        // An untouched section holds integral floats and a string with braces and escapes.
+        let doc = concat!(
+            "{\n  \"kept\": {\n    \"a\": {\n      \"min_ns\": 1.0,\n",
+            "      \"note\": \"x}, \\\"y\\\"\"\n    }\n  },\n",
+            "  \"old\": [1.0, {\"b\": 2.0}],\n  \"tail\": 3.0\n}\n"
+        );
+        let section = section_value(&[result("c", 7.0, 8.0)], None);
+        let replaced = upsert_section(doc, "old", &section).unwrap();
+        let (head, rest) = doc.split_once("[1.0, {\"b\": 2.0}]").unwrap();
+        assert!(replaced.starts_with(head), "{replaced}");
+        assert!(replaced.ends_with(rest), "{replaced}");
+        let appended = upsert_section(doc, "new", &section).unwrap();
+        assert!(appended.starts_with(doc.trim_end_matches("\n}\n")), "{appended}");
+        assert!(appended.ends_with("\n}\n"), "{appended}");
+        for text in [&replaced, &appended] {
+            assert!(text.contains("\"min_ns\": 1.0,") && text.contains("\"tail\": 3.0"), "{text}");
+        }
     }
 
     #[test]

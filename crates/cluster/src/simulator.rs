@@ -10,24 +10,26 @@
 //!
 //! The simulator owns an `InstanceRegistry`: a per-endpoint struct-of-arrays store of every
 //! SaaS instance's runtime state (utilization, outstanding requests, recent customers,
-//! configuration, cached profile figures). The registry is updated in place on VM
-//! place/retire/reconfigure and mutated per routing quantum through the index the router
-//! returns, so routing never rebuilds or clones snapshot lists. All carry-over state
-//! (row power, aisle airflow, carry-over frequencies, row histories) lives in dense vectors
-//! indexed by the id newtypes, the physics engine runs through a persistent
-//! [`StepWorkspace`] whose telemetry grids (`TempGrid`, per-level `OrdinalMap`s) are
-//! ordinal-aligned with those vectors, and metric recording walks the grids without any
-//! map lookups — the steady-state step loop is allocation-free end to end.
+//! configuration, cached profile figures), indexed by the server each instance runs on.
+//! The registry is updated in place on VM place/retire/reconfigure and mutated per routing
+//! quantum through the index the router returns, so routing never rebuilds or clones
+//! snapshot lists. All carry-over state (row power, aisle airflow, carry-over frequencies,
+//! row histories) lives in dense vectors indexed by the id newtypes, the physics engine
+//! runs through a persistent [`StepWorkspace`] whose telemetry grids (`TempGrid`,
+//! per-level `OrdinalMap`s) are ordinal-aligned with those vectors, and metric recording
+//! walks the grids without any map lookups — the steady-state step loop is
+//! allocation-free end to end.
 
 use crate::experiment::{ExperimentConfig, RequestFabricConfig};
 use crate::fabric::{FabricRequest, RequestFabric};
 use crate::metrics::RunReport;
 use crate::scenario::ResolvedTimeline;
 use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
+use dc_sim::ids::ServerId;
 use dc_sim::weather::WeatherModel;
 use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
-use llm_sim::request::{CustomerId, InferenceRequest, RequestId};
+use llm_sim::request::CustomerId;
 use simkit::events::EventKind;
 use simkit::profile::{StepPhase, StepProfile};
 use simkit::rng::SimRng;
@@ -43,7 +45,7 @@ use tapas::routing::{
     BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
     RouterScratch, RoutingContext, TapasRouter,
 };
-use tapas::state::{ClusterState, VmSlotMap};
+use tapas::state::ClusterState;
 use workload::diurnal::DiurnalPattern;
 use workload::endpoints::{EndpointCatalog, EndpointId};
 use workload::iaas::IaasLoadModel;
@@ -67,7 +69,7 @@ const FALLBACK_GOODPUT: f64 = 1000.0;
 #[derive(Debug, Clone, Default)]
 struct EndpointPool {
     vm: Vec<VmId>,
-    server: Vec<dc_sim::ids::ServerId>,
+    server: Vec<ServerId>,
     outstanding: Vec<u32>,
     utilization: Vec<f64>,
     in_transition: Vec<bool>,
@@ -121,26 +123,36 @@ impl EndpointPool {
     }
 }
 
+/// `InstanceRegistry::position` entry of a server that hosts no SaaS instance.
+const NO_INSTANCE: u32 = u32::MAX;
+
 /// The simulator's persistent, incrementally updated store of SaaS instance runtime state.
-#[derive(Debug, Clone, Default)]
+///
+/// An instance's endpoint is its VM's `VmKind::Saas { endpoint }`; its place in that
+/// endpoint's pool is looked up by the server it runs on.
+#[derive(Debug, Clone)]
 pub(crate) struct InstanceRegistry {
     pools: Vec<EndpointPool>,
-    endpoint_of: VmSlotMap,
-    position_of: VmSlotMap,
-    total: usize,
+    /// Position in its endpoint's pool of the instance on each server ([`NO_INSTANCE`] on
+    /// free and IaaS servers).
+    position: Vec<u32>,
 }
 
 impl InstanceRegistry {
-    fn lookup(&self, vm: VmId) -> Option<(usize, usize)> {
-        let endpoint = self.endpoint_of.get(vm)? as usize;
-        let position = self.position_of.get(vm)? as usize;
-        Some((endpoint, position))
+    fn new(server_count: usize) -> Self {
+        Self { pools: Vec::new(), position: vec![NO_INSTANCE; server_count] }
+    }
+
+    /// The pool position of the instance on `server`, if one runs there.
+    fn position(&self, server: ServerId) -> Option<usize> {
+        let position = self.position[server.index()];
+        (position != NO_INSTANCE).then_some(position as usize)
     }
 
     fn insert(
         &mut self,
         vm: VmId,
-        server: dc_sim::ids::ServerId,
+        server: ServerId,
         endpoint: EndpointId,
         config: InstanceConfig,
         profiles: &ProfileStore,
@@ -150,7 +162,7 @@ impl InstanceRegistry {
             self.pools.resize_with(index + 1, EndpointPool::default);
         }
         let pool = &mut self.pools[index];
-        let position = pool.len();
+        self.position[server.index()] = pool.len() as u32;
         pool.vm.push(vm);
         pool.server.push(server);
         pool.outstanding.push(0);
@@ -165,42 +177,34 @@ impl InstanceRegistry {
         pool.transition_until.push(None);
         pool.offered.push(0.0);
         pool.pressure.push(0.0);
-        self.endpoint_of.insert(vm, index as u32);
-        self.position_of.insert(vm, position as u32);
-        self.total += 1;
     }
 
-    fn remove(&mut self, vm: VmId) {
-        let Some((endpoint, position)) = self.lookup(vm) else {
-            return;
-        };
-        self.endpoint_of.remove(vm);
-        self.position_of.remove(vm);
-        let pool = &mut self.pools[endpoint];
+    fn remove(&mut self, server: ServerId, endpoint: EndpointId) {
+        let position = self.position(server).expect("every placed SaaS VM is registered");
+        self.position[server.index()] = NO_INSTANCE;
+        let pool = &mut self.pools[endpoint.0 as usize];
         pool.swap_remove(position);
-        if let Some(&moved) = pool.vm.get(position) {
-            self.position_of.insert(moved, position as u32);
+        if let Some(&moved) = pool.server.get(position) {
+            self.position[moved.index()] = position as u32;
         }
-        self.total -= 1;
     }
 
     fn set_config(
         &mut self,
-        vm: VmId,
+        endpoint: usize,
+        position: usize,
         config: InstanceConfig,
         transition_until: Option<SimTime>,
         profiles: &ProfileStore,
     ) {
-        if let Some((endpoint, position)) = self.lookup(vm) {
-            let pool = &mut self.pools[endpoint];
-            pool.config[position] = config;
-            let (goodput, sat_util, boundedness) = profile_figures(profiles, &config);
-            pool.goodput[position] = goodput;
-            pool.sat_util[position] = sat_util;
-            pool.boundedness[position] = boundedness;
-            if transition_until.is_some() {
-                pool.transition_until[position] = transition_until;
-            }
+        let pool = &mut self.pools[endpoint];
+        pool.config[position] = config;
+        let (goodput, sat_util, boundedness) = profile_figures(profiles, &config);
+        pool.goodput[position] = goodput;
+        pool.sat_util[position] = sat_util;
+        pool.boundedness[position] = boundedness;
+        if transition_until.is_some() {
+            pool.transition_until[position] = transition_until;
         }
     }
 
@@ -215,14 +219,9 @@ impl InstanceRegistry {
         }
     }
 
-    /// Total number of registered instances (used by consistency checks).
-    #[cfg(test)]
-    fn instance_count(&self) -> usize {
-        self.total
-    }
-
     fn mean_utilization(&self) -> f64 {
-        if self.total == 0 {
+        let count: usize = self.pools.iter().map(EndpointPool::len).sum();
+        if count == 0 {
             return 0.0;
         }
         let sum: f64 = self
@@ -230,7 +229,7 @@ impl InstanceRegistry {
             .iter()
             .flat_map(|pool| pool.utilization.iter())
             .sum();
-        sum / self.total as f64
+        sum / count as f64
     }
 }
 
@@ -286,12 +285,8 @@ pub struct ClusterSimulator {
     prev_dc_load: f64,
     /// Observed row power history per row, for the weekly template refinement.
     row_history: Vec<Vec<(SimTime, f64)>>,
-    /// SaaS instance count per row (for headroom sharing in reconfiguration), kept
-    /// current on every SaaS placement and retirement.
-    saas_per_row: Vec<u32>,
     last_refinement: SimTime,
     rng: SimRng,
-    next_request_id: u64,
     step_input: StepInput,
     workspace: StepWorkspace,
     /// The opt-in per-request serving overlay (None unless the experiment enables it).
@@ -453,7 +448,7 @@ impl ClusterSimulator {
             iaas_wobble: vec![1.0; server_count],
             endpoint_patterns,
             pending,
-            registry: InstanceRegistry::default(),
+            registry: InstanceRegistry::new(server_count),
             planner,
             tapas_placement,
             router_tapas,
@@ -466,9 +461,7 @@ impl ClusterSimulator {
             carryover_next: vec![1.0; server_count],
             prev_dc_load: 0.5,
             row_history: vec![Vec::new(); row_count],
-            saas_per_row: vec![0; row_count],
             last_refinement: SimTime::ZERO,
-            next_request_id: 0,
             step_input,
             workspace,
             fabric,
@@ -643,7 +636,6 @@ impl ClusterSimulator {
                                 .map(|e| e.default_config)
                                 .unwrap_or_else(InstanceConfig::default_70b);
                             self.registry.insert(vm.id, server, endpoint, default, &self.profiles);
-                            self.saas_per_row[self.profiles.server(server).row.index()] += 1;
                             Some(default)
                         }
                         VmKind::Iaas { .. } => {
@@ -664,10 +656,9 @@ impl ClusterSimulator {
 
     fn retire_vms(&mut self, now: SimTime) {
         for retired in self.state.retire_expired(now) {
-            if retired.vm.kind.is_saas() {
-                self.saas_per_row[self.profiles.server(retired.server).row.index()] -= 1;
+            if let VmKind::Saas { endpoint } = retired.vm.kind {
+                self.registry.remove(retired.server, endpoint);
             }
-            self.registry.remove(retired.vm.id);
             self.planner
                 .on_remove(retired.server, retired.predicted_peak_load, &self.profiles);
             self.report.events.record(EventKind::VmRetired, now, 1);
@@ -735,17 +726,9 @@ impl ClusterSimulator {
             let requests_per_quantum = total_requests / quanta as f64;
             for _ in 0..quanta {
                 let customer = CustomerId(self.rng.next_u64() % endpoint.customers.max(1));
-                let request = InferenceRequest {
-                    id: RequestId(self.next_request_id),
-                    customer,
-                    arrival: now,
-                    prompt_tokens: 512,
-                    output_tokens: 200,
-                };
-                self.next_request_id += 1;
                 let choice = if routing_enabled {
                     self.router_tapas.route_keyed(
-                        &request,
+                        customer,
                         &pool.view(),
                         &self.route_keys,
                         &pool.recent,
@@ -912,8 +895,8 @@ impl ClusterSimulator {
                 let headroom = row_budget * 0.97 - row_now;
                 let current_power = profile.predicted_power(utilization);
                 let max_server_power = if headroom.value() >= 0.0 {
-                    let share =
-                        headroom / self.saas_per_row[row.index()].max(1) as f64;
+                    let saas_in_row = self.state.row_mix(self.dc.layout(), row).1;
+                    let share = headroom / saas_in_row.max(1) as f64;
                     Kilowatts::new((current_power + share).value().max(0.3))
                 } else {
                     // Over budget (deep power cap or a demand spike): scale every
@@ -941,7 +924,8 @@ impl ClusterSimulator {
                     let transition_until =
                         (downtime > 0.0).then(|| now + self.config.step);
                     self.registry.set_config(
-                        vm_id,
+                        endpoint_index,
+                        position,
                         decision.config,
                         transition_until,
                         &self.profiles,
@@ -997,13 +981,12 @@ impl ClusterSimulator {
                         activity.frequency_scale.fill(carry);
                         *activity.memory_boundedness = 0.5;
                     }
-                    VmKind::Saas { .. } => {
-                        let Some((endpoint, position)) = self.registry.lookup(placed.vm.id)
-                        else {
-                            self.step_input.activity.set_idle(index);
-                            continue;
-                        };
-                        let pool = &self.registry.pools[endpoint];
+                    VmKind::Saas { endpoint } => {
+                        let position = self
+                            .registry
+                            .position(server.id)
+                            .expect("every placed SaaS VM is registered");
+                        let pool = &self.registry.pools[endpoint.0 as usize];
                         let config = &pool.config[position];
                         let active_gpus = config.parallelism.gpus().min(gpus);
                         let util =
@@ -1398,16 +1381,33 @@ mod tests {
         );
     }
 
-    /// The per-row SaaS counts the configurator shares headroom by match a recount of the
-    /// registry.
-    fn assert_saas_rows_current(sim: &ClusterSimulator) {
-        let mut per_row = vec![0u32; sim.saas_per_row.len()];
-        for pool in &sim.registry.pools {
-            for &server in &pool.server {
-                per_row[sim.dc.layout().server(server).row.index()] += 1;
+    /// The registry is the one copy of the placed SaaS instances: the state's per-row SaaS
+    /// counts (the configurator's headroom share) equal a recount of its pools, its
+    /// per-server position index round-trips every pool entry, and every other server
+    /// reads the sentinel.
+    fn assert_registry_current(sim: &ClusterSimulator) {
+        let layout = sim.dc.layout();
+        let mut per_row = vec![0usize; layout.rows().len()];
+        let mut indexed = vec![false; layout.server_count()];
+        for (endpoint, pool) in sim.registry.pools.iter().enumerate() {
+            for (position, (&vm, &server)) in pool.vm.iter().zip(&pool.server).enumerate() {
+                per_row[layout.server(server).row.index()] += 1;
+                assert_eq!(sim.registry.position(server), Some(position), "{vm} on {server}");
+                let placed = sim.state.vm_on(server).expect("an instance's server is occupied");
+                assert_eq!(placed.vm.id, vm);
+                assert_eq!(placed.vm.kind.endpoint(), Some(EndpointId(endpoint as u64)));
+                indexed[server.index()] = true;
             }
         }
-        assert_eq!(sim.saas_per_row, per_row);
+        for row in layout.rows() {
+            assert_eq!(sim.state.row_mix(layout, row.id).1, per_row[row.id.index()], "{}", row.id);
+        }
+        for server in layout.servers() {
+            if !indexed[server.id.index()] {
+                assert_eq!(sim.registry.position(server.id), None, "{}", server.id);
+                assert!(sim.state.vm_on(server.id).is_none_or(|p| !p.vm.kind.is_saas()));
+            }
+        }
     }
 
     #[test]
@@ -1440,7 +1440,7 @@ mod tests {
         loop {
             let now = clock.now();
             sim.step(now);
-            assert_saas_rows_current(&sim);
+            assert_registry_current(&sim);
             for placed in sim.state.placed().filter(|p| !p.vm.kind.is_saas()) {
                 let index = placed.server.index();
                 let expected = sim.iaas_model.load_at(&placed.vm, now).to_bits();
@@ -1467,18 +1467,48 @@ mod tests {
 
     #[test]
     fn registry_tracks_placements_and_retirements() {
+        use simkit::time::SimDuration;
+        use std::collections::HashMap;
         let mut config = ExperimentConfig::small_smoke_test();
         config.policy = Policy::Tapas;
-        let mut sim = ClusterSimulator::new(config);
+        config.endpoint_count = 3;
+        config.duration = SimTime::from_hours(24);
+        config.step = SimDuration::from_minutes(10);
+        // Mostly SaaS VMs over three endpoints, short-lived so that instances retire from
+        // the middle of their pools and the swap-remove moves another one into the gap.
+        let arrivals = (0..150u64)
+            .map(|i| Vm {
+                id: VmId(i),
+                kind: if i % 4 == 3 {
+                    VmKind::Iaas { customer: IaasCustomerId(i % 12) }
+                } else {
+                    VmKind::Saas { endpoint: EndpointId(i % 3) }
+                },
+                arrival: SimTime::from_minutes(i * 9),
+                lifetime: SimDuration::from_minutes(30 + (i * 53) % 150),
+            })
+            .collect();
+        let mut sim = ClusterSimulator::with_arrivals(config, arrivals);
         let mut clock = SimClock::new(sim.config.step, sim.config.duration);
+        let mut positions: HashMap<VmId, usize> = HashMap::new();
+        let (mut retired, mut moved) = (0usize, 0usize);
         loop {
             let now = clock.now();
             sim.step(now);
             // Registry and cluster state must agree after every step.
             let saas_in_state = sim.state.placed().filter(|p| p.vm.kind.is_saas()).count();
-            assert_eq!(sim.registry.instance_count(), saas_in_state);
-            assert_saas_rows_current(&sim);
-            for (endpoint_index, pool) in sim.registry.pools.iter().enumerate() {
+            let registered: usize = sim.registry.pools.iter().map(EndpointPool::len).sum();
+            assert_eq!(registered, saas_in_state);
+            assert_registry_current(&sim);
+            let previous = std::mem::take(&mut positions);
+            for pool in &sim.registry.pools {
+                for (position, &vm) in pool.vm.iter().enumerate() {
+                    moved += usize::from(previous.get(&vm).is_some_and(|&p| p != position));
+                    positions.insert(vm, position);
+                }
+            }
+            retired += previous.keys().filter(|vm| !positions.contains_key(vm)).count();
+            for pool in &sim.registry.pools {
                 // Every column must stay aligned with the vm column.
                 let n = pool.vm.len();
                 assert_eq!(pool.server.len(), n);
@@ -1492,18 +1522,13 @@ mod tests {
                 assert_eq!(pool.boundedness.len(), n);
                 assert_eq!(pool.transition_until.len(), n);
                 assert_eq!(pool.offered.len(), n);
-                for (position, &vm) in pool.vm.iter().enumerate() {
-                    assert_eq!(
-                        sim.registry.lookup(vm),
-                        Some((endpoint_index, position)),
-                        "index maps must stay consistent"
-                    );
-                    assert_eq!(sim.state.server_of(vm), Some(pool.server[position]));
-                }
+                assert_eq!(pool.pressure.len(), n);
             }
             if clock.tick().is_none() {
                 break;
             }
         }
+        assert!(retired >= 50, "only {retired} SaaS retirements");
+        assert!(moved >= 25, "only {moved} instances moved by a swap-remove");
     }
 }

@@ -826,21 +826,22 @@ impl TapasRouter {
 
     /// Hot-path routing over per-step cached keys: the simulator's entry point.
     ///
-    /// Returns what [`Self::route_prescored`] returns for the same candidates and flags
-    /// whenever `keys` and `recent` are current: the candidate maximizing `(available, safe,
-    /// score, smaller vm id)`, the first in candidate order among equal keys. It compares
-    /// two candidates: the tree root under its plain score, and the best of the request
-    /// customer's holders whose affinity score differs from their plain score, under their
-    /// affinity score. That is exact because no score is below the plain score: a candidate
-    /// that is not such a holder scores its plain score, and the root's plain key bounds
-    /// every plain key. The cost is O(holders), with no pass over the pool.
+    /// Returns what [`Self::route_prescored`] returns for a request from `customer` over the
+    /// same candidates and flags whenever `keys` and `recent` are current: the candidate
+    /// maximizing `(available, safe, score, smaller vm id)`, the first in candidate order
+    /// among equal keys. It compares two candidates: the tree root under its plain score,
+    /// and the best of the customer's holders whose affinity score differs from their plain
+    /// score, under their affinity score. That is exact because no score is below the
+    /// plain score: a candidate that is not such a holder scores its plain score, and the
+    /// root's plain key bounds every plain key. The cost is O(holders), with no pass over
+    /// the pool.
     ///
     /// # Panics
     /// Panics if `keys` or `recent` was not filled for exactly this candidate list.
     #[must_use]
     pub fn route_keyed(
         &self,
-        request: &InferenceRequest,
+        customer: CustomerId,
         view: &CandidateView<'_>,
         keys: &RouteKeys,
         recent: &RecentIndex,
@@ -852,7 +853,7 @@ impl TapasRouter {
         );
         let root = *keys.tree.get(1)? as usize;
         let mut best = (&keys.keys[root], keys.keys[root].plain, root);
-        for &(position, _) in recent.holders(request.customer) {
+        for &(position, _) in recent.holders(customer) {
             let index = position as usize;
             let key = &keys.keys[index];
             // Past the knee the window cannot matter.

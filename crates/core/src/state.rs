@@ -11,14 +11,14 @@
 //! tree: a dense server arena (`Vec<Option<PlacedVm>>` indexed by [`ServerId::index`]), a
 //! dense `VmId → server` slot index ([`VmSlotMap`]), a free-server bitmap for O(words)
 //! first-fit queries, and — when built [`ClusterState::with_layout`] — cached per-row
-//! IaaS/SaaS counts and per-endpoint instance lists maintained incrementally on every
-//! place/remove.
+//! IaaS/SaaS counts maintained incrementally on every place/remove. Which SaaS instances
+//! serve an endpoint is not kept here: the cluster simulator's instance registry holds
+//! that one membership.
 
-use dc_sim::ids::{AisleId, RowId, ServerId};
+use dc_sim::ids::{RowId, ServerId};
 use dc_sim::topology::Layout;
 use llm_sim::config::InstanceConfig;
 use serde::{Deserialize, Serialize};
-use workload::endpoints::EndpointId;
 use workload::vm::{Vm, VmId, VmKind};
 
 /// A VM placed on a server.
@@ -191,13 +191,11 @@ impl FreeSet {
     }
 }
 
-/// Cached topology indices enabling O(1) row-mix and per-endpoint queries.
+/// Cached topology indices enabling O(1) row-mix queries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct TopologyCache {
     /// Row index per server.
     row_of: Vec<u32>,
-    /// Aisle index per server.
-    aisle_of: Vec<u32>,
     /// `(iaas, saas)` VM counts per row, maintained incrementally.
     row_mix: Vec<(u32, u32)>,
 }
@@ -209,8 +207,6 @@ pub struct ClusterState {
     by_vm: VmSlotMap,
     free: FreeSet,
     topology: Option<TopologyCache>,
-    /// VM ids per endpoint (SaaS only), maintained incrementally; indexed by endpoint id.
-    endpoint_vms: Vec<Vec<VmId>>,
 }
 
 impl ClusterState {
@@ -222,7 +218,6 @@ impl ClusterState {
             by_vm: VmSlotMap::new(),
             free: FreeSet::all_free(server_count),
             topology: None,
-            endpoint_vms: Vec::new(),
         }
     }
 
@@ -233,7 +228,6 @@ impl ClusterState {
         let mut state = Self::new(layout.server_count());
         state.topology = Some(TopologyCache {
             row_of: layout.servers().iter().map(|s| s.row.index() as u32).collect(),
-            aisle_of: layout.servers().iter().map(|s| s.aisle.index() as u32).collect(),
             row_mix: vec![(0, 0); layout.rows().len()],
         });
         state
@@ -297,46 +291,15 @@ impl ClusterState {
         self.occupancy.iter().filter_map(|slot| slot.as_ref())
     }
 
-    /// SaaS VM ids of an endpoint, in placement order (empty for unknown endpoints).
-    #[must_use]
-    pub fn endpoint_instances(&self, endpoint: EndpointId) -> &[VmId] {
-        self.endpoint_vms
-            .get(endpoint.0 as usize)
-            .map_or(&[], Vec::as_slice)
-    }
-
-    fn track_place(&mut self, vm: &Vm, server: ServerId) {
-        if let Some(topology) = &mut self.topology {
-            let row = topology.row_of[server.index()] as usize;
-            match vm.kind {
-                VmKind::Iaas { .. } => topology.row_mix[row].0 += 1,
-                VmKind::Saas { .. } => topology.row_mix[row].1 += 1,
-            }
-        }
-        if let VmKind::Saas { endpoint } = vm.kind {
-            let index = endpoint.0 as usize;
-            if index >= self.endpoint_vms.len() {
-                self.endpoint_vms.resize_with(index + 1, Vec::new);
-            }
-            self.endpoint_vms[index].push(vm.id);
-        }
-    }
-
-    fn track_remove(&mut self, vm: &Vm, server: ServerId) {
-        if let Some(topology) = &mut self.topology {
-            let row = topology.row_of[server.index()] as usize;
-            match vm.kind {
-                VmKind::Iaas { .. } => topology.row_mix[row].0 -= 1,
-                VmKind::Saas { .. } => topology.row_mix[row].1 -= 1,
-            }
-        }
-        if let VmKind::Saas { endpoint } = vm.kind {
-            if let Some(members) = self.endpoint_vms.get_mut(endpoint.0 as usize) {
-                if let Some(position) = members.iter().position(|&id| id == vm.id) {
-                    members.remove(position);
-                }
-            }
-        }
+    /// The cached row-mix count a VM on `server` belongs to (`None` without cached
+    /// topology).
+    fn row_count(&mut self, vm: &Vm, server: ServerId) -> Option<&mut u32> {
+        let topology = self.topology.as_mut()?;
+        let mix = &mut topology.row_mix[topology.row_of[server.index()] as usize];
+        Some(match vm.kind {
+            VmKind::Iaas { .. } => &mut mix.0,
+            VmKind::Saas { .. } => &mut mix.1,
+        })
     }
 
     /// Places a VM on a server.
@@ -360,7 +323,9 @@ impl ClusterState {
             Some(PlacedVm { vm, server, predicted_peak_load, config });
         self.by_vm.insert(vm.id, server.index() as u32);
         self.free.clear(server.index());
-        self.track_place(&vm, server);
+        if let Some(count) = self.row_count(&vm, server) {
+            *count += 1;
+        }
         Ok(())
     }
 
@@ -374,7 +339,9 @@ impl ClusterState {
             .take()
             .expect("occupancy consistent with index");
         self.free.set(slot as usize);
-        self.track_remove(&placed.vm, placed.server);
+        if let Some(count) = self.row_count(&placed.vm, placed.server) {
+            *count -= 1;
+        }
         Ok(placed)
     }
 
@@ -413,26 +380,6 @@ impl ClusterState {
         (iaas, saas)
     }
 
-    /// VMs placed in an aisle.
-    #[must_use]
-    pub fn vms_in_aisle(&self, layout: &Layout, aisle: AisleId) -> Vec<&PlacedVm> {
-        layout.aisles()[aisle.index()]
-            .servers
-            .iter()
-            .filter_map(|&s| self.vm_on(s))
-            .collect()
-    }
-
-    /// VMs placed in a row.
-    #[must_use]
-    pub fn vms_in_row(&self, layout: &Layout, row: RowId) -> Vec<&PlacedVm> {
-        layout.rows()[row.index()]
-            .servers
-            .iter()
-            .filter_map(|&s| self.vm_on(s))
-            .collect()
-    }
-
     /// Retires every VM whose lifetime has expired at `now`, returning the retired VMs.
     pub fn retire_expired(&mut self, now: simkit::time::SimTime) -> Vec<PlacedVm> {
         let mut retired = Vec::new();
@@ -445,7 +392,9 @@ impl ClusterState {
                 let placed = self.occupancy[slot].take().expect("checked above");
                 self.by_vm.remove(placed.vm.id);
                 self.free.set(slot);
-                self.track_remove(&placed.vm, placed.server);
+                if let Some(count) = self.row_count(&placed.vm, placed.server) {
+                    *count -= 1;
+                }
                 retired.push(placed);
             }
         }
@@ -528,8 +477,6 @@ mod tests {
         assert_eq!((iaas, saas), (1, 1));
         let (iaas1, saas1) = state.row_mix(&layout, RowId::new(1));
         assert_eq!((iaas1, saas1), (1, 0));
-        assert_eq!(state.vms_in_row(&layout, RowId::new(0)).len(), 2);
-        assert_eq!(state.vms_in_aisle(&layout, AisleId::new(0)).len(), 3);
     }
 
     #[test]
@@ -547,19 +494,6 @@ mod tests {
         for row in layout.rows() {
             assert_eq!(cached.row_mix(&layout, row.id), scanned.row_mix(&layout, row.id));
         }
-    }
-
-    #[test]
-    fn endpoint_instances_track_saas_membership() {
-        let layout = LayoutConfig::small_test_cluster().build();
-        let mut state = ClusterState::with_layout(&layout);
-        state.place(vm(1, true), ServerId::new(0), 0.5, None).unwrap();
-        state.place(vm(2, true), ServerId::new(1), 0.5, None).unwrap();
-        state.place(vm(3, false), ServerId::new(2), 0.5, None).unwrap();
-        assert_eq!(state.endpoint_instances(EndpointId(0)), &[VmId(1), VmId(2)]);
-        assert!(state.endpoint_instances(EndpointId(9)).is_empty());
-        state.remove(VmId(1)).unwrap();
-        assert_eq!(state.endpoint_instances(EndpointId(0)), &[VmId(2)]);
     }
 
     #[test]

@@ -183,8 +183,7 @@ fn profiles_respect_hardware_envelope() {
 
 /// The dense, index-based [`ClusterState`] must agree with a naive `BTreeMap` reference
 /// model over any randomized sequence of place/retire/reconfigure operations: same
-/// occupancy, same `VmId → server` mapping, same ordered free list, same per-row mix and
-/// the same per-endpoint instance membership.
+/// occupancy, same `VmId → server` mapping, same ordered free list and same per-row mix.
 #[test]
 fn dense_state_matches_btreemap_reference_model() {
     use std::collections::BTreeMap;
@@ -283,17 +282,6 @@ fn dense_state_matches_btreemap_reference_model() {
                     }
                 }
                 assert_eq!(dense.row_mix(&layout, row.id), (iaas, saas), "case {case}");
-            }
-            for endpoint in 0..3u64 {
-                let expected: Vec<VmId> = reference
-                    .iter()
-                    .filter(|(_, e)| e.kind.endpoint() == Some(EndpointId(endpoint)))
-                    .map(|(&id, _)| id)
-                    .collect();
-                let mut actual: Vec<VmId> =
-                    dense.endpoint_instances(EndpointId(endpoint)).to_vec();
-                actual.sort_unstable();
-                assert_eq!(actual, expected, "case {case}");
             }
         }
     }

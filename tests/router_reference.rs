@@ -270,7 +270,7 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
                 };
                 next_id += 1;
                 let expected = router.route_prescored(&request, &pool.view(), &flags);
-                let keyed = router.route_keyed(&request, &pool.view(), &keys, &pool.recent);
+                let keyed = router.route_keyed(customer, &pool.view(), &keys, &pool.recent);
                 assert_eq!(
                     keyed,
                     expected,
@@ -330,14 +330,7 @@ fn keyed_router_handles_an_empty_pool() {
     let pool = Pool::default();
     let mut keys = RouteKeys::default();
     router.fill_route_keys(&pool.view(), &[], &mut keys);
-    let request = InferenceRequest {
-        id: RequestId(0),
-        customer: CustomerId(1),
-        arrival: SimTime::ZERO,
-        prompt_tokens: 512,
-        output_tokens: 200,
-    };
-    assert_eq!(router.route_keyed(&request, &pool.view(), &keys, &pool.recent), None);
+    assert_eq!(router.route_keyed(CustomerId(1), &pool.view(), &keys, &pool.recent), None);
 }
 
 #[test]
