@@ -21,7 +21,7 @@ use crate::cooling::gpu::{GpuThermalCoefficients, GpuThermalModel, TempGrid};
 use crate::cooling::inlet::{InletCurve, InletModel};
 use crate::failures::FailureState;
 use crate::ids::{AisleId, GpuId, RowId, ServerId};
-use crate::index::{is_contiguous_run, OrdinalMap, TopologyIndex};
+use crate::index::{OrdinalMap, TopologyIndex};
 use crate::power::hierarchy::{CapacityState, PowerAssessment, PowerHierarchy};
 use crate::power::server::{ServerPowerModel, ServerPowerTerms};
 use crate::topology::{Layout, ServerSpec};
@@ -279,12 +279,6 @@ impl StepOutcome {
         self.gpu_temps.max_gpu()
     }
 
-    /// The hottest GPU-memory temperature across the datacenter.
-    #[must_use]
-    pub fn max_mem_temp(&self) -> Celsius {
-        self.gpu_temps.max_mem()
-    }
-
     /// The peak row power.
     #[must_use]
     pub fn peak_row_power(&self) -> Kilowatts {
@@ -300,12 +294,6 @@ impl StepOutcome {
     #[must_use]
     pub fn throttled_gpu_count(&self) -> usize {
         self.thermal_throttles.len()
-    }
-
-    /// Returns `true` if any aisle violates its airflow provisioning.
-    #[must_use]
-    pub fn any_airflow_violation(&self) -> bool {
-        self.aisle_airflow.values().any(AisleAirflowAssessment::is_violated)
     }
 }
 
@@ -336,27 +324,7 @@ pub struct Datacenter {
     hierarchy: PowerHierarchy,
     /// Per-row kernel plans: hoisted spec-derived constants, frozen at construction.
     row_plans: Vec<RowPlan>,
-    /// Per-aisle contiguous server spans for the dense demand reduction.
-    aisle_spans: Vec<AisleSpan>,
     fingerprint: u64,
-}
-
-/// Per-aisle `[start, end)` server-index span when the aisle's member list is an
-/// ascending contiguous run (the layout builder's invariant) — the aisle demand then
-/// reduces over a dense slice of the airflow plane. `None` falls back to the id walk.
-type AisleSpan = Option<std::ops::Range<usize>>;
-
-fn aisle_spans(layout: &Layout) -> Vec<AisleSpan> {
-    layout
-        .aisles()
-        .iter()
-        .map(|aisle| {
-            (is_contiguous_run(&aisle.servers) && !aisle.servers.is_empty()).then(|| {
-                let start = aisle.servers[0].index();
-                start..start + aisle.servers.len()
-            })
-        })
-        .collect()
 }
 
 /// Per-row kernel plan. Built once in [`Datacenter::with_models`]: the aisle the row draws
@@ -439,7 +407,6 @@ impl Datacenter {
         let topology = Arc::new(TopologyIndex::from_layout(&layout));
         let fingerprint = Self::fingerprint_of(&layout, &models, seed);
         let row_plans = row_plans(&layout, &models.airflow, &models.power);
-        let aisle_spans = aisle_spans(&layout);
         Self {
             layout,
             topology,
@@ -449,7 +416,6 @@ impl Datacenter {
             power_model: models.power,
             hierarchy,
             row_plans,
-            aisle_spans,
             fingerprint,
         }
     }
@@ -578,9 +544,10 @@ impl Datacenter {
     /// Evaluates one step into a reusable workspace (allocation-free after the first step).
     ///
     /// Per-server physics (airflow, power split, GPU temperatures, throttle detection) runs
-    /// on contiguous per-row slices; with the `parallel` feature enabled and a large enough
-    /// cluster, rows are processed concurrently with identical results (all reductions happen
-    /// in fixed row order).
+    /// in one serial sweep over contiguous per-row slices: the power pass in row order, the
+    /// thermal pass in reverse row order, and every cross-row reduction (datacenter load,
+    /// throttle concatenation) in row order, matching the FP order of
+    /// [`crate::kernel_reference::evaluate_scalar`].
     ///
     /// # Panics
     /// Panics if `input.activity` does not have exactly one entry per server, or if a
@@ -607,86 +574,47 @@ impl Datacenter {
         let (utilization_all, frequency_all, boundedness_all) = input.activity.planes();
 
         // 1. Per-server loads, airflow demand and power, processed per contiguous row slice.
-        let threads = physics_threads(workspace.thread_limit);
-        let parallel = parallel_active(server_count, row_ranges.len(), threads);
-        if parallel {
-            topology.balanced_row_chunks_into(threads, &mut workspace.row_chunks);
-        }
         {
             let outcome = &mut workspace.outcome;
-            let row_chunks = &workspace.row_chunks;
             // The junction plane doubles as the per-GPU power staging area: this pass
             // writes watts into it, the thermal pass transforms them to temperatures in
             // place. One plane streamed twice beats two planes streamed once each.
-            let (power_stage_all, _) = outcome.gpu_temps.kernel_planes_mut();
-            let mut airflow_rest = outcome.server_airflow.as_mut_slice();
-            let mut power_rest = outcome.server_power.as_mut_slice();
-            let mut power_stage_rest = power_stage_all;
-            let mut load_rest = workspace.row_load.as_mut_slice();
-            let mut tasks: Vec<RowPowerTask<'_>> = Vec::new();
-            if parallel {
-                tasks.reserve(row_ranges.len());
-            }
+            let (power_stage, _) = outcome.gpu_temps.kernel_planes_mut();
             for (row, range) in row_ranges.iter().enumerate() {
-                let row_len = range.end - range.start;
-                let gpu_window =
-                    gpu_offsets[range.start] as usize..gpu_offsets[range.end] as usize;
-                let gpu_len = gpu_window.end - gpu_window.start;
-                let (airflow, rest) = airflow_rest.split_at_mut(row_len);
-                airflow_rest = rest;
-                let (power, rest) = power_rest.split_at_mut(row_len);
-                power_rest = rest;
-                let (power_stage, rest) = power_stage_rest.split_at_mut(gpu_len);
-                power_stage_rest = rest;
-                let (load, rest) = load_rest.split_at_mut(1);
-                load_rest = rest;
-                let mut task = RowPowerTask {
+                let gpus = gpu_offsets[range.start] as usize..gpu_offsets[range.end] as usize;
+                RowPowerKernel {
                     plan: &self.row_plans[row],
                     servers: &servers[range.clone()],
-                    utilization: &utilization_all[gpu_window.clone()],
-                    frequency: &frequency_all[gpu_window],
-                    airflow,
-                    power,
-                    power_stage,
-                    row_load: &mut load[0],
-                };
-                if parallel {
-                    tasks.push(task);
-                } else {
-                    task.run(&self.airflow_model, &self.power_model);
+                    utilization: &utilization_all[gpus.clone()],
+                    frequency: &frequency_all[gpus.clone()],
+                    airflow: &mut outcome.server_airflow[range.clone()],
+                    power: &mut outcome.server_power[range.clone()],
+                    power_stage: &mut power_stage[gpus],
+                    row_load: &mut workspace.row_load[row],
                 }
+                .run(&self.airflow_model, &self.power_model);
             }
-            run_row_tasks(&mut tasks, row_chunks.iter().copied(), |task| {
-                task.run(&self.airflow_model, &self.power_model);
-            });
         }
-        // Fixed-order reduction keeps the total identical with and without `parallel`.
+        // Per-row sums reduced in row order (the reference's FP order).
         let total_load: f64 = workspace.row_load.iter().sum();
         let datacenter_load =
             if server_count > 0 { total_load / server_count as f64 } else { 0.0 };
         workspace.outcome.datacenter_load = datacenter_load;
 
         // 2. Aisle airflow assessment and recirculation penalties, written into the
-        // pre-sized per-aisle grid.
+        // pre-sized per-aisle grid. Every aisle is a contiguous server span (asserted by
+        // the topology), so its demand reduces over a dense window of the airflow plane:
+        // the same elements in the same order as the reference's id walk.
         for aisle in self.layout.aisles() {
             let fraction = input
                 .failures
                 .aisle_airflow_fraction(aisle.id, aisle.ahu_count);
-            let server_airflow = &workspace.outcome.server_airflow;
-            let assessment = match &self.aisle_spans[aisle.id.index()] {
-                // Dense reduction over the aisle's contiguous window (bit-identical to
-                // the id walk: same elements, same order).
-                Some(span) => {
-                    let demand: CubicFeetPerMinute =
-                        server_airflow[span.clone()].iter().copied().sum();
-                    self.airflow_model.assess_aisle_demand(aisle, demand, fraction)
-                }
-                None => self.airflow_model.assess_aisle(
-                    aisle,
-                    |s: ServerId| server_airflow[s.index()],
-                    fraction,
-                ),
-            };
+            let demand: CubicFeetPerMinute = workspace.outcome.server_airflow
+                [topology.aisle_range(aisle.id)]
+                .iter()
+                .copied()
+                .sum();
+            let assessment = self.airflow_model.assess_aisle_demand(aisle, demand, fraction);
             workspace.aisle_penalty[aisle.id.index()] = assessment.recirculation_penalty_c;
             workspace.outcome.aisle_airflow[aisle.id] = assessment;
         }
@@ -702,61 +630,33 @@ impl Datacenter {
         let coeffs = *self.gpu_model.coefficients();
         {
             let outcome = &mut workspace.outcome;
-            let row_chunks = &workspace.row_chunks;
             let (gpu_plane, mem_offsets_plane) = outcome.gpu_temps.kernel_planes_mut();
-            let mut inlet_rest = outcome.inlet_temps.as_mut_slice();
-            let mut gpu_rest = gpu_plane;
-            let mut mem_rest = mem_offsets_plane;
-            let mut throttles_rest = workspace.row_throttles.as_mut_slice();
-            let mut tasks: Vec<RowThermalTask<'_>> = Vec::new();
-            if parallel {
-                tasks.reserve(row_ranges.len());
-            }
             // Rows run in *reverse* ordinal order: the power pass above finished at the
             // last row, so on sites too large for cache the thermal pass starts on the
-            // still-resident tail of the staged power plane and zigzags back (row tasks
-            // own disjoint windows and every cross-row reduction happens after both
-            // passes, so processing order cannot affect results).
+            // still-resident tail of the staged power plane and zigzags back. Each row
+            // owns disjoint windows and stages its throttles in its own buffer, so the
+            // processing order cannot affect results.
             for (row, range) in row_ranges.iter().enumerate().rev() {
-                let row_len = range.end - range.start;
-                let gpu_start = gpu_offsets[range.start] as usize;
-                let gpu_end = gpu_offsets[range.end] as usize;
-                let gpu_len = gpu_end - gpu_start;
-                let (rest, inlets) = inlet_rest.split_at_mut(inlet_rest.len() - row_len);
-                inlet_rest = rest;
-                let (rest, gpu_c) = gpu_rest.split_at_mut(gpu_rest.len() - gpu_len);
-                gpu_rest = rest;
-                let (rest, mem_offsets) = mem_rest.split_at_mut(mem_rest.len() - row_len);
-                mem_rest = rest;
-                let (rest, throttles) = throttles_rest.split_at_mut(throttles_rest.len() - 1);
-                throttles_rest = rest;
-                let mut task = RowThermalTask {
+                let gpus = gpu_offsets[range.start] as usize..gpu_offsets[range.end] as usize;
+                RowThermalKernel {
                     plan: &self.row_plans[row],
                     servers: &servers[range.clone()],
                     row_start: range.start,
                     memory_boundedness: &boundedness_all[range.clone()],
                     spatial: &spatial_all[range.clone()],
-                    thermal_offsets: &thermal_offsets_all[gpu_start..gpu_end],
+                    thermal_offsets: &thermal_offsets_all[gpus.clone()],
                     aisle_penalty: &workspace.aisle_penalty,
                     inlet_base,
                     load_term,
-                    inlets,
-                    gpu_c,
-                    mem_offsets,
-                    throttles: &mut throttles[0],
-                };
-                if parallel {
-                    tasks.push(task);
-                } else {
-                    task.run(&coeffs);
+                    inlets: &mut outcome.inlet_temps[range.clone()],
+                    gpu_c: &mut gpu_plane[gpus],
+                    mem_offsets: &mut mem_offsets_plane[range.clone()],
+                    throttles: &mut workspace.row_throttles[row],
                 }
+                .run(&coeffs);
             }
-            // The tasks were staged tail-first, so the chunk walk reverses too — every
-            // chunk still covers the same contiguous row range as in the power pass.
-            run_row_tasks(&mut tasks, row_chunks.iter().rev().copied(), |task| {
-                task.run(&coeffs);
-            });
         }
+        // Throttles concatenate in row order, which is the reference's server order.
         workspace.outcome.thermal_throttles.clear();
         for row in &mut workspace.row_throttles {
             workspace.outcome.thermal_throttles.append(row);
@@ -809,13 +709,6 @@ pub struct StepWorkspace {
     /// Reusable power-capacity state derived from the step's failures.
     capacity: CapacityState,
     hierarchy_scratch: crate::power::hierarchy::HierarchyScratch,
-    /// Optional cap on intra-site worker threads (`parallel` feature). `None` uses the
-    /// machine's available parallelism; `Some(1)` forces the serial inline path. Results
-    /// are bit-identical for every value — the digest tests pin this.
-    thread_limit: Option<std::num::NonZeroUsize>,
-    /// Reused chunk table for the intra-site row sharding: rows per contiguous chunk,
-    /// balanced by server count (see [`TopologyIndex::balanced_row_chunks_into`]).
-    row_chunks: Vec<usize>,
 }
 
 impl StepWorkspace {
@@ -825,8 +718,8 @@ impl StepWorkspace {
     /// [`Datacenter::topology`] so the handle is shared instead of rebuilt.
     ///
     /// # Panics
-    /// Panics if the layout's rows are not contiguous server-index ranges (the builder
-    /// always produces contiguous rows).
+    /// Panics if the layout's rows or aisles are not contiguous server-index ranges (the
+    /// builder always produces contiguous ones).
     #[must_use]
     pub fn new(layout: &Layout) -> Self {
         Self::for_topology(Arc::new(TopologyIndex::from_layout(layout)))
@@ -859,8 +752,6 @@ impl StepWorkspace {
             row_throttles: vec![Vec::new(); topology.row_count()],
             capacity: CapacityState::healthy(),
             hierarchy_scratch: crate::power::hierarchy::HierarchyScratch::default(),
-            thread_limit: None,
-            row_chunks: Vec::new(),
             topology,
         }
     }
@@ -869,21 +760,6 @@ impl StepWorkspace {
     #[must_use]
     pub fn topology(&self) -> &Arc<TopologyIndex> {
         &self.topology
-    }
-
-    /// Caps how many scoped worker threads the intra-site row sharding may use (only
-    /// meaningful with the `parallel` feature). `None` restores the default (the
-    /// machine's available parallelism); `Some(1)` forces the serial inline path.
-    /// Outcomes are bit-identical for every limit — chunks cover contiguous row ranges
-    /// and all cross-row reductions happen in fixed row order after the sharded passes.
-    pub fn set_thread_limit(&mut self, limit: Option<std::num::NonZeroUsize>) {
-        self.thread_limit = limit;
-    }
-
-    /// The current intra-site thread cap (see [`Self::set_thread_limit`]).
-    #[must_use]
-    pub fn thread_limit(&self) -> Option<std::num::NonZeroUsize> {
-        self.thread_limit
     }
 
     fn reset(&mut self, layout: &Layout) {
@@ -1028,7 +904,7 @@ fn power_lanes(
     (gpu_sum, mean_load)
 }
 
-struct RowPowerTask<'a> {
+struct RowPowerKernel<'a> {
     plan: &'a RowPlan,
     servers: &'a [crate::topology::Server],
     /// The row's window of the flat utilization plane (validated against the topology's
@@ -1044,7 +920,7 @@ struct RowPowerTask<'a> {
     row_load: &'a mut f64,
 }
 
-impl RowPowerTask<'_> {
+impl RowPowerKernel<'_> {
     fn run(&mut self, airflow_model: &AirflowModel, power_model: &ServerPowerModel) {
         match self.plan.uniform {
             Some(terms) => self.run_uniform(&terms),
@@ -1205,7 +1081,7 @@ fn collect_throttles(
     }
 }
 
-struct RowThermalTask<'a> {
+struct RowThermalKernel<'a> {
     plan: &'a RowPlan,
     servers: &'a [crate::topology::Server],
     /// Ordinal of the row's first server (fast path reconstructs `ServerId`s from it).
@@ -1230,7 +1106,7 @@ struct RowThermalTask<'a> {
     throttles: &'a mut Vec<ThermalThrottleDirective>,
 }
 
-impl RowThermalTask<'_> {
+impl RowThermalKernel<'_> {
     fn run(&mut self, coeffs: &GpuThermalCoefficients) {
         self.throttles.clear();
         match self.plan.uniform {
@@ -1304,82 +1180,6 @@ impl RowThermalTask<'_> {
     }
 }
 
-/// Minimum cluster size below which per-row threading costs more than it saves.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_SERVERS: usize = 256;
-
-/// The worker-thread budget for intra-site row sharding: the workspace's explicit limit
-/// when set (the digest tests force 1, 2 and N), otherwise the machine's available
-/// parallelism.
-#[cfg(feature = "parallel")]
-fn physics_threads(limit: Option<std::num::NonZeroUsize>) -> usize {
-    limit
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-}
-
-#[cfg(not(feature = "parallel"))]
-fn physics_threads(_limit: Option<std::num::NonZeroUsize>) -> usize {
-    1
-}
-
-/// Returns `true` when per-row tasks should be dispatched to threads. Always `false`
-/// without the `parallel` feature; with it, requires a large enough cluster, at least two
-/// worker threads and at least two rows. When this returns `false`, rows are processed
-/// inline in row order with no task staging at all.
-#[cfg(feature = "parallel")]
-fn parallel_active(server_count: usize, row_count: usize, threads: usize) -> bool {
-    server_count >= PARALLEL_MIN_SERVERS && threads >= 2 && row_count >= 2
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_active(_server_count: usize, _row_count: usize, _threads: usize) -> bool {
-    false
-}
-
-/// Runs staged per-row tasks concurrently, one scoped thread per pre-balanced chunk of
-/// contiguous rows (only called with a non-empty task list when [`parallel_active`]
-/// returned `true`; `chunks` yields each chunk's task count and must sum to
-/// `tasks.len()`). Each task owns disjoint output slices, and every cross-row reduction
-/// downstream happens in fixed row order after the sharded passes, so results are
-/// bit-identical with and without threads — for any thread count.
-#[cfg(feature = "parallel")]
-fn run_row_tasks<T: Send>(
-    tasks: &mut [T],
-    chunks: impl Iterator<Item = usize>,
-    run: impl Fn(&mut T) + Sync,
-) {
-    if tasks.is_empty() {
-        return;
-    }
-    let run = &run;
-    std::thread::scope(|scope| {
-        let mut rest = tasks;
-        for len in chunks {
-            let (group, tail) = rest.split_at_mut(len);
-            rest = tail;
-            if group.is_empty() {
-                continue;
-            }
-            scope.spawn(move || {
-                for task in group {
-                    run(task);
-                }
-            });
-        }
-        debug_assert!(rest.is_empty(), "row chunks must cover every staged task");
-    });
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_row_tasks<T>(tasks: &mut [T], _chunks: impl Iterator<Item = usize>, run: impl Fn(&mut T)) {
-    for task in tasks {
-        run(task);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1399,7 +1199,7 @@ mod tests {
         assert!(outcome.max_gpu_temp().value() < 55.0);
         assert!(!outcome.power.any_over_budget());
         assert!(outcome.thermal_throttles.is_empty());
-        assert!(!outcome.any_airflow_violation());
+        assert!(!outcome.aisle_airflow.values().any(AisleAirflowAssessment::is_violated));
         assert_eq!(outcome.datacenter_load, 0.0);
         assert_eq!(outcome.inlet_temps.len(), 80);
         assert_eq!(outcome.gpu_temps.server_count(), 80);
@@ -1433,7 +1233,7 @@ mod tests {
         assert!(outcome.max_gpu_temp().value() > 70.0);
         // Memory runs hotter than the GPU under the default 0.5 boundedness? Not necessarily,
         // but it must be within a few degrees.
-        assert!((outcome.max_mem_temp().value() - outcome.max_gpu_temp().value()).abs() < 6.0);
+        assert!((outcome.gpu_temps.max_mem().value() - outcome.max_gpu_temp().value()).abs() < 6.0);
     }
 
     #[test]

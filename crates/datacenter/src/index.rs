@@ -3,10 +3,10 @@
 //! Every physical entity already carries a dense index in its id newtype
 //! ([`ServerId::index`] and friends). A [`TopologyIndex`] freezes those ordinals for one
 //! datacenter — entity counts, the server-major GPU offset table and the contiguous
-//! per-row server ranges — so per-step telemetry can live in flat vectors instead of tree
-//! maps. [`OrdinalMap`] is the id-keyed dense container those telemetry types use: an
-//! ordinal-indexed `Vec` with map-like (`get`/`iter`) accessors so call sites read like
-//! the `BTreeMap`s they replace while costing an array index.
+//! per-row and per-aisle server ranges — so per-step telemetry can live in flat vectors
+//! instead of tree maps. [`OrdinalMap`] is the id-keyed dense container those telemetry
+//! types use: an ordinal-indexed `Vec` with map-like (`get`/`iter`) accessors so call
+//! sites read like the `BTreeMap`s they replace while costing an array index.
 //!
 //! The index is a *handle*, not a global: a future fleet layer holds one per datacenter
 //! and telemetry types stay valid against the index that shaped them.
@@ -195,9 +195,9 @@ impl<K, V: Deserialize> Deserialize for OrdinalMap<K, V> {
 }
 
 /// Returns `true` when `ids` is an ascending, contiguous ordinal run — the layout
-/// builder's invariant for row and aisle member lists. The dense-slice fast paths
-/// (hierarchy row draws, aisle demand) reduce over `[first, first + len)` windows only
-/// when this holds, which keeps their sums bit-identical to the id-list walks.
+/// builder's invariant for row and aisle member lists. Dense-slice reductions over
+/// `[first, first + len)` windows (hierarchy row draws, aisle demand) are bit-identical
+/// to the id-list walks exactly when this holds.
 #[must_use]
 pub fn is_contiguous_run<K: TopologyOrdinal>(ids: &[K]) -> bool {
     ids.windows(2).all(|w| w[1].ordinal() == w[0].ordinal() + 1)
@@ -206,9 +206,9 @@ pub fn is_contiguous_run<K: TopologyOrdinal>(ids: &[K]) -> bool {
 /// Frozen ordinal geometry of one datacenter, built once from its [`Layout`].
 ///
 /// Holds the entity counts and the stride tables (server-major GPU offsets, contiguous
-/// per-row server ranges) that shape every dense telemetry grid. Cheap to clone behind an
-/// `Arc`; the engine, its workspaces and any fleet-level aggregation share one handle per
-/// datacenter.
+/// per-row and per-aisle server ranges) that shape every dense telemetry grid. Cheap to
+/// clone behind an `Arc`; the engine, its workspaces and any fleet-level aggregation share
+/// one handle per datacenter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyIndex {
     server_count: usize,
@@ -221,14 +221,24 @@ pub struct TopologyIndex {
     gpu_offsets: Vec<u32>,
     /// Contiguous `[start, end)` server-index range per row, in row-ordinal order.
     row_ranges: Vec<Range<usize>>,
+    /// Contiguous `[start, end)` server-index range per aisle, in aisle-ordinal order.
+    aisle_ranges: Vec<Range<usize>>,
+}
+
+/// The `[start, end)` server-index span of a row's or aisle's member list, which must be
+/// an ascending contiguous run.
+fn server_span(servers: &[ServerId], level: &str) -> Range<usize> {
+    assert!(is_contiguous_run(servers), "{level} must cover contiguous server-index ranges");
+    let start = servers.first().map_or(0, |s| s.index());
+    start..start + servers.len()
 }
 
 impl TopologyIndex {
     /// Freezes the ordinal geometry of a layout.
     ///
     /// # Panics
-    /// Panics if the layout's rows are not contiguous server-index ranges (the builder
-    /// always produces contiguous rows).
+    /// Panics if the layout's rows or aisles are not ascending contiguous server-index
+    /// runs (the builder always produces contiguous ones).
     #[must_use]
     pub fn from_layout(layout: &Layout) -> Self {
         let server_count = layout.server_count();
@@ -240,20 +250,9 @@ impl TopologyIndex {
                 .expect("per-server GPU count fits in u32");
             gpu_offsets.push(total_gpus);
         }
-        let row_ranges: Vec<Range<usize>> = layout
-            .rows()
-            .iter()
-            .map(|row| {
-                let start = row.servers.iter().map(|s| s.index()).min().unwrap_or(0);
-                let end = row.servers.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-                assert_eq!(
-                    end - start,
-                    row.servers.len(),
-                    "rows must cover contiguous server-index ranges"
-                );
-                start..end
-            })
-            .collect();
+        let row_ranges = layout.rows().iter().map(|r| server_span(&r.servers, "rows")).collect();
+        let aisle_ranges =
+            layout.aisles().iter().map(|a| server_span(&a.servers, "aisles")).collect();
         Self {
             server_count,
             row_count: layout.rows().len(),
@@ -263,6 +262,7 @@ impl TopologyIndex {
             ups_count: layout.upses().len(),
             gpu_offsets,
             row_ranges,
+            aisle_ranges,
         }
     }
 
@@ -325,16 +325,6 @@ impl TopologyIndex {
         start..end
     }
 
-    /// Number of GPUs in one server.
-    ///
-    /// # Panics
-    /// Panics if the server ordinal is out of range.
-    #[must_use]
-    pub fn gpus_of(&self, server: ServerId) -> usize {
-        let range = self.gpu_range(server);
-        range.end - range.start
-    }
-
     /// The flat (server-major) ordinal of one GPU.
     ///
     /// # Panics
@@ -362,57 +352,13 @@ impl TopologyIndex {
         self.row_ranges[row.index()].clone()
     }
 
-    /// The contiguous window of one row in the flat server-major GPU planes: because rows
-    /// cover contiguous server ranges, every row also covers one contiguous GPU range. The
-    /// engine's row kernels split every per-GPU plane (power, temperatures, throttle
-    /// scratch) along these windows.
+    /// The contiguous server-index range of one aisle.
     ///
     /// # Panics
-    /// Panics if the row ordinal is out of range.
+    /// Panics if the aisle ordinal is out of range.
     #[must_use]
-    pub fn row_gpu_range(&self, row: RowId) -> Range<usize> {
-        let servers = &self.row_ranges[row.index()];
-        self.gpu_offsets[servers.start] as usize..self.gpu_offsets[servers.end] as usize
-    }
-
-    /// Partition the row sweep into at most `parts` chunks of *contiguous* rows, balanced
-    /// by server count (rows can be ragged, so balancing on row count alone would skew
-    /// the work). `out` receives the per-chunk row counts in row-ordinal order; the counts
-    /// are all non-zero and sum to `row_count`. Intra-site parallel streaming shards on
-    /// these chunks: because each chunk is a contiguous row range and directives are
-    /// merged back in row order, the sharded sweep is bit-identical to the serial one.
-    pub fn balanced_row_chunks_into(&self, parts: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let rows = self.row_ranges.len();
-        if rows == 0 {
-            return;
-        }
-        let parts = parts.clamp(1, rows);
-        let total_servers = self.server_count;
-        let mut row = 0usize;
-        let mut remaining = total_servers;
-        for part in 0..parts {
-            let start = row;
-            if part + 1 == parts {
-                row = rows;
-            } else {
-                let target = remaining.div_ceil(parts - part);
-                let mut taken = 0usize;
-                while row < rows && (taken < target || row == start) {
-                    taken += self.row_ranges[row].len();
-                    row += 1;
-                }
-                remaining -= taken;
-            }
-            if row > start {
-                out.push(row - start);
-            }
-        }
-        debug_assert_eq!(
-            out.iter().sum::<usize>(),
-            rows,
-            "row chunks must cover every row exactly once"
-        );
+    pub fn aisle_range(&self, aisle: AisleId) -> Range<usize> {
+        self.aisle_ranges[aisle.index()].clone()
     }
 }
 
@@ -447,7 +393,7 @@ mod tests {
         let index = TopologyIndex::from_layout(&layout);
         assert_eq!(index.gpu_offsets().len(), layout.server_count() + 1);
         for server in layout.servers() {
-            assert_eq!(index.gpus_of(server.id), server.spec.gpus_per_server);
+            assert_eq!(index.gpu_range(server.id).len(), server.spec.gpus_per_server);
             let flat = index.gpu_flat_index(GpuId::new(server.id, 0));
             assert_eq!(flat, index.gpu_range(server.id).start);
         }
@@ -456,15 +402,6 @@ mod tests {
             8 + 3,
             "second server's slot 3 sits after the first server's 8 GPUs"
         );
-        // Row GPU windows line up with the per-server prefix sums.
-        for row in layout.rows() {
-            let servers = index.row_range(row.id);
-            let gpus = index.row_gpu_range(row.id);
-            let expected: usize =
-                servers.clone().map(|s| index.gpus_of(ServerId::new(s))).sum();
-            assert_eq!(gpus.end - gpus.start, expected);
-            assert_eq!(gpus.start, index.gpu_range(ServerId::new(servers.start)).start);
-        }
     }
 
     #[test]
@@ -484,26 +421,39 @@ mod tests {
         assert!(!is_contiguous_run(&[ServerId::new(4), ServerId::new(3)]));
     }
 
+    /// Every aisle the builder produces — uniform layouts of each preset and a ragged
+    /// mixed-spec remap — is one ascending contiguous span matching its member list.
     #[test]
-    fn balanced_row_chunks_cover_rows_and_balance_servers() {
-        let layout = LayoutConfig::production_datacenter().build();
-        let index = TopologyIndex::from_layout(&layout);
-        let rows = index.row_ranges().len();
-        let mut chunks = Vec::new();
-        for parts in [1, 2, 3, rows, rows + 5, 64] {
-            index.balanced_row_chunks_into(parts, &mut chunks);
-            assert!(!chunks.is_empty());
-            assert!(chunks.len() <= parts.min(rows));
-            assert!(chunks.iter().all(|&len| len > 0));
-            assert_eq!(chunks.iter().sum::<usize>(), rows);
+    fn aisles_are_contiguous_spans_of_their_members() {
+        let ragged = LayoutConfig::production_datacenter().build().map_server_specs(|s| {
+            let mut spec = s.spec;
+            spec.gpus_per_server = 1 + s.id.index() % 8;
+            spec
+        });
+        for layout in [
+            LayoutConfig::small_test_cluster().build(),
+            LayoutConfig::real_cluster_two_rows().build(),
+            LayoutConfig::production_datacenter().build(),
+            ragged,
+        ] {
+            let index = TopologyIndex::from_layout(&layout);
+            let mut covered = 0;
+            for aisle in layout.aisles() {
+                let span = index.aisle_range(aisle.id);
+                let members: Vec<usize> = aisle.servers.iter().map(|s| s.index()).collect();
+                assert!(!members.is_empty());
+                assert_eq!(members, span.clone().collect::<Vec<_>>());
+                assert_eq!(span.start, covered, "aisles tile the server indices in order");
+                covered = span.end;
+            }
+            assert_eq!(covered, layout.server_count());
         }
-        // Two-way split of a uniform layout lands within one row of even.
-        index.balanced_row_chunks_into(2, &mut chunks);
-        assert_eq!(chunks.len(), 2);
-        assert!(chunks[0].abs_diff(chunks[1]) <= 1);
-        // parts = 0 behaves like 1 (single serial chunk).
-        index.balanced_row_chunks_into(0, &mut chunks);
-        assert_eq!(chunks, vec![rows]);
+    }
+
+    #[test]
+    #[should_panic(expected = "aisles must cover contiguous server-index ranges")]
+    fn non_contiguous_aisle_panics() {
+        let _ = server_span(&[ServerId::new(0), ServerId::new(2)], "aisles");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! executable form of the engine's **FP-order contract**: the structure-of-arrays,
 //! row-batched kernels in [`crate::engine`] must produce bit-identical results to this
 //! scalar walk for *any* layout — homogeneous rows (the fast path), mixed-spec and ragged
-//! rows (the general path), any climate, any load, with and without threads.
+//! rows (the general path), any climate, any load.
 //!
 //! The contract pins three accumulation orders that are easy to break silently:
 //!

@@ -276,12 +276,6 @@ impl Layout {
         self.servers.iter().map(|s| s.spec.gpus_per_server).sum()
     }
 
-    /// Maximum possible aggregate server power (all servers at TDP).
-    #[must_use]
-    pub fn total_max_power(&self) -> Kilowatts {
-        self.servers.iter().map(|s| s.spec.max_power).sum()
-    }
-
     /// Returns the layout with every server's spec replaced by `f(server)` — the entry
     /// point for mixed fleets (e.g. H100 rows inside an A100 site) and for differential
     /// tests that need ragged GPU counts or mixed-spec rows, which exercise the physics
@@ -672,7 +666,8 @@ mod tests {
     #[test]
     fn total_max_power_is_sum_of_tdps() {
         let layout = LayoutConfig::small_test_cluster().build();
-        assert!((layout.total_max_power().value() - 8.0 * 6.5).abs() < 1e-9);
+        let tdp_sum: Kilowatts = layout.servers().iter().map(|s| s.spec.max_power).sum();
+        assert!((tdp_sum.value() - 8.0 * 6.5).abs() < 1e-9);
         assert!(layout.datacenter_power_budget().value() > 0.0);
     }
 

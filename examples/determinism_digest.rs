@@ -4,12 +4,12 @@
 //! (heatwave + UPS failure + grid-price spike composed via `ScenarioBuilder`).
 //!
 //! CI runs this example twice — once with and once without the `parallel` feature — and
-//! diffs the output: identical digests prove that per-row threaded physics *and* the
-//! fleet's outer across-datacenter threading produce bit-identical results, both in the
-//! aggregated reports and in the raw per-step telemetry. The single-datacenter layout is
-//! sized above the engine's parallel threshold (256 servers) so the threaded row path
-//! actually executes when the feature is on; the fleet run uses three cells so the outer
-//! dimension dispatches one scoped thread per datacenter.
+//! diffs the output against each other and against `tests/golden/determinism_digest.txt`:
+//! identical digests prove that the fleet's across-datacenter threading (the one parallel
+//! lane) produces bit-identical results, both in the aggregated reports and in the raw
+//! per-step telemetry. The fleet runs use three cells so the `parallel` build dispatches
+//! one scoped thread per datacenter; the single-datacenter physics step and report run
+//! one serial row sweep in every build.
 
 use tapas_repro::prelude::*;
 
@@ -25,7 +25,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn main() {
-    // 4 aisles × 2 rows × 10 racks × 4 servers = 320 servers (above the parallel threshold).
+    // 4 aisles × 2 rows × 10 racks × 4 servers = 320 servers.
     let mut config = ExperimentConfig::production_week(Policy::Tapas);
     config.layout.aisles = 4;
     config.duration = SimTime::from_hours(4);

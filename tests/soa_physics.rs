@@ -181,29 +181,3 @@ fn uniform_and_mixed_rows_agree_with_reference() {
         }
     }
 }
-
-/// Intra-site sharding must be byte-identical to the serial sweep for *any* thread count:
-/// the row sweep is chunked on contiguous row ranges and directives merge in row order,
-/// so forcing 1, 2, 3 and 8 threads over a site large enough to activate the parallel
-/// path (≥256 servers) must serialize to exactly the same bytes. On default builds the
-/// forced limits degrade to the serial path, so this holds trivially; under the
-/// `parallel` feature it spawns real scoped threads even on a single-CPU host.
-#[test]
-fn forced_thread_counts_are_byte_identical() {
-    let mut config = LayoutConfig::production_datacenter();
-    config.aisles = 4; // 320 servers — past the parallel-activation floor.
-    let layout = config.build();
-    let dc = Datacenter::new(layout, 11);
-    let mut rng = SimRng::seed_from(1313).derive("soa-physics-threads");
-    let input = random_input(&mut rng, &dc, Celsius::new(41.0));
-
-    let serial = serde_json::to_string(&dc.evaluate(&input)).expect("serialize serial");
-    for threads in [1usize, 2, 3, 8] {
-        let mut workspace = StepWorkspace::for_topology(Arc::clone(dc.topology()));
-        workspace.set_thread_limit(std::num::NonZeroUsize::new(threads));
-        dc.evaluate_into(&input, &mut workspace);
-        let sharded =
-            serde_json::to_string(&workspace.outcome).expect("serialize sharded");
-        assert_eq!(serial, sharded, "{threads}-thread sweep diverged from serial");
-    }
-}
