@@ -45,7 +45,7 @@ struct Endpoint {
 
 impl Endpoint {
     fn new(count: usize, server_count: usize, rng: &mut SimRng) -> Self {
-        let mut recent = RecentIndex::default();
+        let mut recent = RecentIndex::new(CUSTOMERS);
         for _ in 0..count {
             let mut window = RecentWindow::new();
             for _ in 0..RECENT_WINDOW {

@@ -1,33 +1,25 @@
-//! Where a whole fabric run spends its time, measured inside the program.
+//! Where a whole benchmark run spends its time, measured inside the program.
 //!
-//! Builds the `fabric80_day` benchmark workload (80 servers, one day at one-minute steps,
-//! the request fabric at its default full rate), switches on the simulator's phase
+//! Builds one of the four benchmark workloads (the configurations are the benchmark's
+//! own, read from `perfbench/src/workloads.rs`), switches on the simulator's phase
 //! profile, runs every step and prints one row per phase: milliseconds, share of the run
 //! and microseconds per step. The profile reads the clock only; the run is the same run
 //! the benchmark times. The config fingerprint (FNV-1a of the configuration's JSON) is
 //! printed so the run can be matched to a benchmark manifest line.
 //!
 //! ```text
-//! cargo run --release -p tapas-bench --bin profile_run -- [--seed 7]
+//! cargo run --release -p tapas-bench --bin profile_run -- [--workload fabric80_day] [--seed 7]
 //! ```
 
-use cluster_sim::experiment::{ExperimentConfig, FleetConfig, RequestFabricConfig};
 use cluster_sim::fleet::FleetSimulator;
 use simkit::profile::StepPhase;
-use simkit::time::{SimClock, SimTime};
+use simkit::time::SimClock;
 use std::process::ExitCode;
 use std::time::Instant;
-use tapas::policy::Policy;
 
-/// The `fabric80_day` workload at `seed`.
-fn fabric80_day(seed: u64) -> FleetConfig {
-    FleetConfig::single_site(
-        ExperimentConfig::real_cluster_hour(Policy::Tapas)
-            .with_seed(seed)
-            .with_duration(SimTime::from_days(1))
-            .with_request_fabric(RequestFabricConfig::default()),
-    )
-}
+#[path = "../../../../perfbench/src/workloads.rs"]
+#[allow(dead_code)]
+mod workloads;
 
 /// FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -36,8 +28,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn parse_seed() -> Result<u64, String> {
-    let mut seed = 7;
+/// `(workload, seed)` from the command line.
+fn parse_args() -> Result<(String, u64), String> {
+    let (mut workload, mut seed) = (String::from("fabric80_day"), 7);
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -45,26 +38,32 @@ fn parse_seed() -> Result<u64, String> {
                 let value = args.next().ok_or("--seed requires a value")?;
                 seed = value.parse().map_err(|_| format!("bad --seed {value:?}"))?;
             }
+            "--workload" => {
+                workload = args.next().ok_or("--workload requires a value")?;
+                if !workloads::WORKLOADS.contains(&workload.as_str()) {
+                    return Err(format!(
+                        "unknown workload {workload:?} (one of {})",
+                        workloads::WORKLOADS.join(", ")
+                    ));
+                }
+            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    Ok(seed)
+    Ok((workload, seed))
 }
 
 fn main() -> ExitCode {
-    let seed = match parse_seed() {
-        Ok(seed) => seed,
+    let (workload, seed) = match parse_args() {
+        Ok(args) => args,
         Err(error) => {
             eprintln!("profile_run: {error}");
             return ExitCode::from(2);
         }
     };
-    let config = fabric80_day(seed);
+    let config = workloads::config(&workload, seed).expect("the workload name was checked");
     let json = serde_json::to_string(&config).expect("configurations serialize");
-    println!(
-        "workload=fabric80_day seed={seed} config=0x{:016x}",
-        fnv1a(json.as_bytes())
-    );
+    println!("workload={workload} seed={seed} config=0x{:016x}", fnv1a(json.as_bytes()));
 
     let mut sim = FleetSimulator::new(config.clone());
     sim.enable_phase_profile();
@@ -88,10 +87,7 @@ fn main() -> ExitCode {
             ns as f64 / 1e3 / steps as f64
         );
     };
-    println!(
-        "{:<16} {:>10} {:>7} {:>10}",
-        "phase", "ms", "share", "us/step"
-    );
+    println!("{:<16} {:>10} {:>7} {:>10}", "phase", "ms", "share", "us/step");
     for phase in StepPhase::ALL {
         row(phase.label(), profile.ns(phase));
     }

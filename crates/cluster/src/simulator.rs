@@ -25,7 +25,7 @@ use crate::fabric::{FabricRequest, RequestFabric};
 use crate::metrics::RunReport;
 use crate::scenario::ResolvedTimeline;
 use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
-use dc_sim::ids::ServerId;
+use dc_sim::ids::{RowId, ServerId};
 use dc_sim::weather::WeatherModel;
 use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
@@ -37,13 +37,14 @@ use simkit::time::{SimClock, SimTime};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 use tapas::configurator::{InstanceConfigurator, InstanceLimits};
 use tapas::geo::SiteSignals;
 use tapas::placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
-    RouterScratch, RoutingContext, TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RiskRow,
+    RouteKeys, RouterScratch, RoutingContext, TapasRouter,
 };
 use tapas::state::ClusterState;
 use workload::diurnal::DiurnalPattern;
@@ -66,7 +67,7 @@ const FALLBACK_GOODPUT: f64 = 1000.0;
 ///
 /// Column `i` across all vectors describes one instance. The router consumes the columns
 /// directly as a [`CandidateView`]; per-quantum updates mutate them in place.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct EndpointPool {
     vm: Vec<VmId>,
     server: Vec<ServerId>,
@@ -91,6 +92,25 @@ struct EndpointPool {
 }
 
 impl EndpointPool {
+    /// An empty pool whose requests come from customer ids `0..customers`.
+    fn new(customers: u64) -> Self {
+        Self {
+            vm: Vec::new(),
+            server: Vec::new(),
+            outstanding: Vec::new(),
+            utilization: Vec::new(),
+            in_transition: Vec::new(),
+            recent: RecentIndex::new(customers),
+            config: Vec::new(),
+            goodput: Vec::new(),
+            sat_util: Vec::new(),
+            boundedness: Vec::new(),
+            transition_until: Vec::new(),
+            offered: Vec::new(),
+            pressure: Vec::new(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.vm.len()
     }
@@ -156,10 +176,15 @@ impl InstanceRegistry {
         endpoint: EndpointId,
         config: InstanceConfig,
         profiles: &ProfileStore,
+        catalog: &EndpointCatalog,
     ) {
         let index = endpoint.0 as usize;
-        if index >= self.pools.len() {
-            self.pools.resize_with(index + 1, EndpointPool::default);
+        while self.pools.len() <= index {
+            // A pool's recent index covers the ids its quanta draw, `0..customers.max(1)`;
+            // an endpoint outside the catalog is never routed and indexes no customer.
+            let id = EndpointId(self.pools.len() as u64);
+            let bound = catalog.get(id).map_or(0, |endpoint| endpoint.customers.max(1));
+            self.pools.push(EndpointPool::new(bound));
         }
         let pool = &mut self.pools[index];
         self.position[server.index()] = pool.len() as u32;
@@ -247,6 +272,60 @@ fn profile_figures(profiles: &ProfileStore, config: &InstanceConfig) -> (f64, f6
     }
 }
 
+/// One row's power envelope for a configurator step: the capped budget's headroom over
+/// the row's current draw, shared evenly among the row's SaaS instances, or, when the row
+/// is over its capped budget, the factor that scales every instance's draw back to it.
+#[derive(Debug, Clone, Copy)]
+struct RowEnvelope {
+    /// `capped budget × 0.97 − current draw`.
+    headroom: Kilowatts,
+    /// `headroom` per SaaS instance of the row.
+    share: Kilowatts,
+    /// `(capped budget × 0.97) / current draw`, used when `headroom` is negative.
+    scale: f64,
+}
+
+impl RowEnvelope {
+    fn new(capped_budget: Kilowatts, row_now: Kilowatts, saas_in_row: usize) -> Self {
+        let headroom = capped_budget * 0.97 - row_now;
+        Self {
+            headroom,
+            share: headroom / saas_in_row.max(1) as f64,
+            scale: (capped_budget * 0.97).value() / row_now.value(),
+        }
+    }
+
+    /// The server power an instance drawing `current_power` may plan for.
+    fn max_server_power(&self, current_power: Kilowatts) -> Kilowatts {
+        if self.headroom.value() >= 0.0 {
+            Kilowatts::new((current_power + self.share).value().max(0.3))
+        } else {
+            // Over budget (deep power cap or a demand spike): scale every instance's
+            // envelope proportionally to its current draw instead of subtracting the same
+            // absolute deficit from each — uniform subtraction zeroes the smallest
+            // instances first and collapses their SLOs while large ones barely notice.
+            Kilowatts::new((current_power.value() * self.scale).max(0.3))
+        }
+    }
+}
+
+/// The configurator's limits for an instance at `utilization` on the server of `risk`, in
+/// the row of `envelope`: the per-GPU power that keeps the hottest GPU at `thermal_target`
+/// at the step's predicted inlet, and the row's share of server power.
+fn instance_limits(
+    risk: &RiskRow,
+    envelope: &RowEnvelope,
+    thermal_target: Celsius,
+    utilization: f64,
+    demand_tokens_per_s: f64,
+) -> InstanceLimits {
+    InstanceLimits {
+        max_gpu_power: Watts::new(risk.gpu_power_budget(thermal_target).value().max(1.0)),
+        max_server_power: envelope.max_server_power(risk.predicted_power(utilization)),
+        demand_tokens_per_s,
+    }
+}
+
 /// The end-to-end cluster simulator.
 #[derive(Debug, Clone)]
 pub struct ClusterSimulator {
@@ -280,6 +359,8 @@ pub struct ClusterSimulator {
     /// Per-step TAPAS risk flags and decision keys of the endpoint being routed.
     risk_flags: Vec<bool>,
     route_keys: RouteKeys,
+    /// Per-step power envelope of every row, indexed by `RowId::index`.
+    row_envelopes: Vec<RowEnvelope>,
     carryover_freq: Vec<f64>,
     carryover_next: Vec<f64>,
     prev_dc_load: f64,
@@ -457,6 +538,7 @@ impl ClusterSimulator {
             router_scratch: RouterScratch::default(),
             risk_flags: Vec::new(),
             route_keys: RouteKeys::default(),
+            row_envelopes: Vec::new(),
             carryover_freq: vec![1.0; server_count],
             carryover_next: vec![1.0; server_count],
             prev_dc_load: 0.5,
@@ -635,7 +717,14 @@ impl ClusterSimulator {
                                 .get(endpoint)
                                 .map(|e| e.default_config)
                                 .unwrap_or_else(InstanceConfig::default_70b);
-                            self.registry.insert(vm.id, server, endpoint, default, &self.profiles);
+                            self.registry.insert(
+                                vm.id,
+                                server,
+                                endpoint,
+                                default,
+                                &self.profiles,
+                                &self.catalog,
+                            );
                             Some(default)
                         }
                         VmKind::Iaas { .. } => {
@@ -724,8 +813,10 @@ impl ClusterSimulator {
             }
             let quanta = (pool.len() * 2).clamp(1, 64);
             let requests_per_quantum = total_requests / quanta as f64;
+            let outstanding_per_quantum = requests_per_quantum.ceil() as u32;
+            let customers = endpoint.customers.max(1);
             for _ in 0..quanta {
-                let customer = CustomerId(self.rng.next_u64() % endpoint.customers.max(1));
+                let customer = CustomerId(self.rng.next_u64() % customers);
                 let choice = if routing_enabled {
                     self.router_tapas.route_keyed(
                         customer,
@@ -740,7 +831,7 @@ impl ClusterSimulator {
                 // Update the live columns so subsequent quanta see the added load (both the
                 // outstanding count and the utilization the quantum will cause).
                 pool.offered[index] += requests_per_quantum;
-                pool.outstanding[index] += requests_per_quantum.ceil() as u32;
+                pool.outstanding[index] += outstanding_per_quantum;
                 let goodput = if pool.goodput[index].is_nan() {
                     FALLBACK_GOODPUT
                 } else {
@@ -858,66 +949,55 @@ impl ClusterSimulator {
     }
 
     /// Reconfigures SaaS instances within their thermal/power headroom (§4.3).
-    fn reconfigure_instances(&mut self, now: SimTime, outside: Celsius) {
+    ///
+    /// An instance's thermal limit reads its server's [`RiskRow`] from the router's
+    /// per-step scratch, built under the same outside temperature and datacenter load the
+    /// configurator plans against, and its power limit reads its row's [`RowEnvelope`],
+    /// built once per row per step.
+    fn reconfigure_instances(&mut self, now: SimTime) {
         if !self.config.policy.config_enabled() {
             return;
         }
         let configurator = InstanceConfigurator::new(0.9);
+        // An active power cap shrinks the budget the configurator plans against, so the
+        // TAPAS response to a cap window is proactive reconfiguration rather than
+        // reactive throttling (×1.0 outside cap windows is bit-identical).
         let power_cap = self.timeline.power_cap_at(now);
+        let layout = self.dc.layout();
+        self.row_envelopes.clear();
+        self.row_envelopes.extend((0..self.profiles.row_count()).map(|ordinal| {
+            let row = RowId::new(ordinal);
+            RowEnvelope::new(
+                self.profiles.row_budget(row) * power_cap,
+                self.routing_context.row_power[ordinal],
+                self.state.row_mix(layout, row).1,
+            )
+        }));
+        let thermal_target = self.profiles.thermal_headroom_target;
 
         for endpoint_index in 0..self.registry.pools.len() {
             for position in 0..self.registry.pools[endpoint_index].len() {
                 let pool = &self.registry.pools[endpoint_index];
                 let vm_id = pool.vm[position];
-                let server = pool.server[position];
                 let current_config = pool.config[position];
-                let utilization = pool.utilization[position];
+                let goodput = if pool.goodput[position].is_nan() {
+                    FALLBACK_GOODPUT
+                } else {
+                    pool.goodput[position]
+                };
                 // Demand pressure is the unclamped utilization: identical to
                 // `utilization` below 1.0, above it it keeps signalling the surplus so
                 // the configurator upsizes under surges instead of mistaking a
                 // saturated instance for one that exactly meets its demand.
-                let pressure = pool.pressure[position];
-                let cached_goodput = pool.goodput[position];
-                let profile = self.profiles.server(server);
-                let row = profile.row;
-
-                // Thermal headroom -> per-GPU power budget.
-                let inlet = profile.predicted_inlet(outside, self.prev_dc_load);
-                let max_gpu_power =
-                    profile.gpu_power_budget(inlet, self.profiles.thermal_headroom_target);
-
-                // Row power headroom -> per-instance server power budget. An active
-                // power cap shrinks the budget the configurator plans against, so the
-                // TAPAS response to a cap window is proactive reconfiguration rather
-                // than reactive throttling (×1.0 outside cap windows is bit-identical).
-                let row_budget = self.profiles.row_budget(row) * power_cap;
-                let row_now = self.routing_context.row_power[row.index()];
-                let headroom = row_budget * 0.97 - row_now;
-                let current_power = profile.predicted_power(utilization);
-                let max_server_power = if headroom.value() >= 0.0 {
-                    let saas_in_row = self.state.row_mix(self.dc.layout(), row).1;
-                    let share = headroom / saas_in_row.max(1) as f64;
-                    Kilowatts::new((current_power + share).value().max(0.3))
-                } else {
-                    // Over budget (deep power cap or a demand spike): scale every
-                    // instance's envelope proportionally to its current draw instead of
-                    // subtracting the same absolute deficit from each — uniform
-                    // subtraction zeroes the smallest instances first and collapses
-                    // their SLOs while large ones barely notice.
-                    let scale = (row_budget * 0.97).value() / row_now.value();
-                    Kilowatts::new((current_power.value() * scale).max(0.3))
-                };
-
-                let goodput = if cached_goodput.is_nan() {
-                    FALLBACK_GOODPUT
-                } else {
-                    cached_goodput
-                };
-                let limits = InstanceLimits {
-                    max_gpu_power: Watts::new(max_gpu_power.value().max(1.0)),
-                    max_server_power,
-                    demand_tokens_per_s: pressure * goodput,
-                };
+                let demand = pool.pressure[position] * goodput;
+                let utilization = pool.utilization[position];
+                let risk = self.router_scratch.risk_row(
+                    pool.server[position],
+                    &self.profiles,
+                    &self.prepared_routing,
+                );
+                let envelope = &self.row_envelopes[risk.row().index()];
+                let limits = instance_limits(risk, envelope, thermal_target, utilization, demand);
                 let decision = configurator.select(&current_config, &limits, &self.profiles);
                 if decision.config != current_config {
                     let downtime = decision.cost.downtime_seconds();
@@ -1006,21 +1086,11 @@ impl ClusterSimulator {
         }
     }
 
-    /// One simulation step, timed into the phase profile when it is enabled: the
-    /// fabric charges its own phases, the remainder is [`StepPhase::CellRest`].
+    /// One simulation step. With the phase profile enabled, each stage is lapped into its
+    /// [`StepPhase`] at the call boundaries; the fabric charges its own phases, and the
+    /// rest of its call is charged to [`StepPhase::Offer`].
     fn step(&mut self, now: SimTime) {
-        let Some(start) = self.profile.mark() else {
-            self.step_body(now);
-            return;
-        };
-        let fabric_before = self.fabric_profile_ns();
-        self.step_body(now);
-        let total = start.elapsed().as_nanos() as u64;
-        let fabric = self.fabric_profile_ns() - fabric_before;
-        self.profile.add(StepPhase::CellRest, total.saturating_sub(fabric));
-    }
-
-    fn step_body(&mut self, now: SimTime) {
+        let mut mark = self.profile.mark();
         // Scenario weather episodes overlay the climate trace additively (the neutral
         // offset 0.0 leaves the legacy trace bit-identical).
         let outside = Celsius::new(
@@ -1028,11 +1098,23 @@ impl ClusterSimulator {
         );
         self.retire_vms(now);
         self.place_pending_vms(now);
+        mark = self.profile.lap(StepPhase::RetirePlace, mark);
         let slo_violating_instances = self.route_requests(now, outside);
+        mark = self.profile.lap(StepPhase::Route, mark);
+        let fabric_before = self.fabric_profile_ns();
         self.step_fabric(now);
-        self.reconfigure_instances(now, outside);
+        if let Some(since) = mark {
+            let lap_end = Instant::now();
+            let elapsed = lap_end.duration_since(since).as_nanos() as u64;
+            let fabric = self.fabric_profile_ns() - fabric_before;
+            self.profile.add(StepPhase::Offer, elapsed.saturating_sub(fabric));
+            mark = Some(lap_end);
+        }
+        self.reconfigure_instances(now);
+        mark = self.profile.lap(StepPhase::Configure, mark);
 
         self.fill_activity(now);
+        mark = self.profile.lap(StepPhase::Fill, mark);
         self.step_input.outside_temp = outside;
         // The resolved timeline holds the scenario's failure windows; the step's power
         // cap rides along the same way (1.0 outside cap windows keeps the engine's
@@ -1040,6 +1122,14 @@ impl ClusterSimulator {
         self.timeline.failures().state_into(now, &mut self.step_input.failures);
         self.step_input.power_cap = self.timeline.power_cap_at(now);
         self.dc.evaluate_into(&self.step_input, &mut self.workspace);
+        mark = self.profile.lap(StepPhase::Physics, mark);
+        self.record_step(now, slo_violating_instances);
+        self.profile.lap(StepPhase::RecordStep, mark);
+    }
+
+    /// Records the step's series and events, carries throttling, capping and the
+    /// infrastructure state into the next step, and runs the weekly template refinement.
+    fn record_step(&mut self, now: SimTime, slo_violating_instances: u64) {
         let outcome = &self.workspace.outcome;
 
         // Record metrics.
@@ -1408,6 +1498,129 @@ mod tests {
                 assert!(sim.state.vm_on(server.id).is_none_or(|p| !p.vm.kind.is_saas()));
             }
         }
+    }
+
+    /// The configurator's limits for instance `position` of pool `endpoint`, built from the
+    /// server's profile per instance, as the configurator did before it shared the router's
+    /// risk rows.
+    fn per_instance_limits(
+        sim: &ClusterSimulator,
+        (endpoint, position): (usize, usize),
+        (outside, power_cap, thermal_target): (Celsius, f64, Celsius),
+    ) -> InstanceLimits {
+        let pool = &sim.registry.pools[endpoint];
+        let profile = sim.profiles.server(pool.server[position]);
+        let row = profile.row;
+        let inlet = profile.predicted_inlet(outside, sim.prev_dc_load);
+        let max_gpu_power = profile.gpu_power_budget(inlet, thermal_target);
+        let row_budget = sim.profiles.row_budget(row) * power_cap;
+        let row_now = sim.routing_context.row_power[row.index()];
+        let headroom = row_budget * 0.97 - row_now;
+        let current_power = profile.predicted_power(pool.utilization[position]);
+        let max_server_power = if headroom.value() >= 0.0 {
+            let saas_in_row = sim.state.row_mix(sim.dc.layout(), row).1;
+            let share = headroom / saas_in_row.max(1) as f64;
+            Kilowatts::new((current_power + share).value().max(0.3))
+        } else {
+            let scale = (row_budget * 0.97).value() / row_now.value();
+            Kilowatts::new((current_power.value() * scale).max(0.3))
+        };
+        let goodput = if pool.goodput[position].is_nan() {
+            FALLBACK_GOODPUT
+        } else {
+            pool.goodput[position]
+        };
+        InstanceLimits {
+            max_gpu_power: Watts::new(max_gpu_power.value().max(1.0)),
+            max_server_power,
+            demand_tokens_per_s: pool.pressure[position] * goodput,
+        }
+    }
+
+    #[test]
+    fn shared_risk_rows_give_the_per_instance_configurator_limits() {
+        let mut sim = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas));
+        let mut clock = SimClock::new(sim.config.step, sim.config.duration);
+        let (mut compared, mut over_budget, mut gpu_floored) = (0usize, 0usize, 0usize);
+        loop {
+            let now = clock.now();
+            sim.step(now);
+            // A step's routing context as `route_requests` prepares it, with the rows of
+            // every other instance already built by the router. The last context's thermal
+            // target is below the inlet, so its per-GPU budgets hit the 1 W floor.
+            let target = sim.profiles.thermal_headroom_target;
+            let contexts =
+                [(18.0, 1.0, target), (41.0, 0.6, target), (30.0, 0.05, Celsius::new(25.0))];
+            for (outside, power_cap, thermal_target) in contexts {
+                let outside = Celsius::new(outside);
+                sim.routing_context.outside_temp = outside;
+                sim.routing_context.dc_load = sim.prev_dc_load;
+                sim.prepared_routing.refresh(
+                    &sim.routing_context,
+                    &sim.router_tapas.config,
+                    &sim.profiles,
+                );
+                sim.router_scratch.begin_step(sim.profiles.server_count());
+                let instances: Vec<(usize, usize)> = (0..sim.registry.pools.len())
+                    .flat_map(|e| (0..sim.registry.pools[e].len()).map(move |p| (e, p)))
+                    .collect();
+                for &(endpoint, position) in instances.iter().step_by(2) {
+                    let server = sim.registry.pools[endpoint].server[position];
+                    let _ = sim.router_tapas.candidate_risk(
+                        server,
+                        0.5,
+                        &sim.profiles,
+                        &sim.prepared_routing,
+                        &mut sim.router_scratch,
+                    );
+                }
+                let layout = sim.dc.layout();
+                let envelopes: Vec<RowEnvelope> = (0..sim.profiles.row_count())
+                    .map(|ordinal| {
+                        let row = RowId::new(ordinal);
+                        RowEnvelope::new(
+                            sim.profiles.row_budget(row) * power_cap,
+                            sim.routing_context.row_power[ordinal],
+                            sim.state.row_mix(layout, row).1,
+                        )
+                    })
+                    .collect();
+                for &(endpoint, position) in &instances {
+                    let context = (outside, power_cap, thermal_target);
+                    let expected = per_instance_limits(&sim, (endpoint, position), context);
+                    let pool = &sim.registry.pools[endpoint];
+                    let (server, utilization) = (pool.server[position], pool.utilization[position]);
+                    let demand = expected.demand_tokens_per_s;
+                    let risk = *sim.router_scratch.risk_row(
+                        server,
+                        &sim.profiles,
+                        &sim.prepared_routing,
+                    );
+                    let envelope = &envelopes[risk.row().index()];
+                    let limits =
+                        instance_limits(&risk, envelope, thermal_target, utilization, demand);
+                    let bits = |l: &InstanceLimits| {
+                        [
+                            l.max_gpu_power.value().to_bits(),
+                            l.max_server_power.value().to_bits(),
+                            l.demand_tokens_per_s.to_bits(),
+                        ]
+                    };
+                    assert_eq!(bits(&limits), bits(&expected), "{server} at {now:?}");
+                    compared += 1;
+                    over_budget += usize::from(envelope.headroom.value() < 0.0);
+                    gpu_floored += usize::from(limits.max_gpu_power.value() == 1.0);
+                }
+            }
+            if clock.tick().is_none() {
+                break;
+            }
+        }
+        assert!(compared > 5000, "only {compared} instances compared");
+        assert!(over_budget > 2000, "only {over_budget} instances in over-budget rows");
+        let with_headroom = compared - over_budget;
+        assert!(with_headroom > 2000, "only {with_headroom} instances in rows with headroom");
+        assert!(gpu_floored > 1000, "only {gpu_floored} per-GPU budgets at the floor");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{
-    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RouteKeys,
-    RouterScratch, RoutingContext, TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RiskRow,
+    RouteKeys, RouterScratch, RoutingContext, TapasRouter,
 };
 pub use state::{ClusterState, PlacedVm, VmSlotMap};

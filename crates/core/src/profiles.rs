@@ -95,8 +95,9 @@ impl ServerProfile {
         self.spec.idle_airflow + (self.spec.max_airflow - self.spec.idle_airflow) * load
     }
 
-    /// Checks that every fitted value is finite and that the worst-GPU temperature model
-    /// takes the two features of Eq. 2.
+    /// Checks that every fitted value is finite, that the worst-GPU temperature model
+    /// takes the two features of Eq. 2 and that the power curve is of degree 2 (the shape
+    /// the router's prepared risk rows hold inline).
     ///
     /// # Errors
     /// Returns the first problem found, naming this server and the model.
@@ -122,7 +123,14 @@ impl ServerProfile {
                 features: gpu.coefficients().len(),
             });
         }
-        non_finite(server, ProfileModel::PowerCurve, self.power_curve.coefficients())
+        non_finite(server, ProfileModel::PowerCurve, self.power_curve.coefficients())?;
+        if self.power_curve.degree() != 2 {
+            return Err(ProfileError::PowerCurveDegree {
+                server,
+                degree: self.power_curve.degree(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -171,6 +179,13 @@ pub enum ProfileError {
         /// The model's feature count.
         features: usize,
     },
+    /// The power curve (Eq. 4) is not the degree-2 polynomial offline profiling fits.
+    PowerCurveDegree {
+        /// The profiled server.
+        server: ServerId,
+        /// The curve's degree.
+        degree: usize,
+    },
 }
 
 impl std::fmt::Display for ProfileError {
@@ -185,6 +200,10 @@ impl std::fmt::Display for ProfileError {
                 f,
                 "server {server}: its worst_gpu_temp model takes {features} features, not \
                  [inlet °C, per-GPU power W]"
+            ),
+            ProfileError::PowerCurveDegree { server, degree } => write!(
+                f,
+                "server {server}: its power_curve model is of degree {degree}, not 2"
             ),
         }
     }
@@ -666,6 +685,17 @@ mod tests {
         assert_eq!(
             corrupt.check(),
             Err(ProfileError::GpuModelFeatures { server: ServerId::new(2), features: 1 })
+        );
+
+        let (_, mut corrupt) = store();
+        corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0]);
+        let error = corrupt.check().expect_err("a linear power curve fails the check");
+        assert_eq!(error, ProfileError::PowerCurveDegree { server: ServerId::new(4), degree: 1 });
+        assert!(error.to_string().contains("power_curve"), "{error}");
+        corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(
+            corrupt.check(),
+            Err(ProfileError::PowerCurveDegree { server: ServerId::new(4), degree: 3 })
         );
     }
 

@@ -14,29 +14,31 @@
 //!
 //! The simulator routes millions of request quanta per experiment. Every entry point works
 //! on a [`CandidateView`] (a struct-of-arrays view of an endpoint's instances maintained
-//! incrementally by the caller) with a [`PreparedRoutingContext`] that
-//! pre-computes per-row/per-aisle headrooms and memoizes per-server inlet predictions in a
-//! [`RouterScratch`], and returns a candidate *index* so the caller can update its registry
-//! in O(1).
+//! incrementally by the caller) with a [`PreparedRoutingContext`] that pre-computes
+//! per-row/per-aisle headrooms, and returns a candidate *index* so the caller can update
+//! its registry in O(1). A [`RouterScratch`] holds one [`RiskRow`] per server the step
+//! reads, built on its first read: the fitted models the risk filter reads, with the
+//! step's predicted inlet folded into its Eq. 2 term, inline, evaluated in the profile's
+//! own operations and order so every flag is the reference's bit for bit. The instance
+//! configurator reads the same rows.
 //!
 //! [`TapasRouter::route_keyed`] is the simulator's decision. It reads per-candidate keys
 //! ([`RouteKeys`]) cached once per step and refreshed for the one candidate each quantum
 //! loads, with a tournament tree over them that holds the best candidate by plain
-//! (no-affinity) score. A [`RecentIndex`] keeps the pool's recent-customer windows and maps
-//! each customer to the positions whose window holds it, so a decision weighs the tree root
-//! against the request customer's holders only: O(log pool + holders) per quantum instead
-//! of a pass over the pool. [`TapasRouter::route_prescored`], a four-tier scan over the
-//! pool, is its reference; both choose the candidate maximizing `(available, safe, score,
-//! smaller vm id)`. [`BaselineRouter::route_view`] is the simulator's baseline decision,
-//! with [`BaselineRouter::route_candidates`] as its reference.
+//! (no-affinity) score. A [`RecentIndex`] keeps the pool's recent-customer windows and
+//! threads every window slot into its customer's list, headed from a dense table indexed
+//! by customer id, so a decision weighs the tree root against the request customer's
+//! holders only: O(log pool + holders) per quantum instead of a pass over the pool, and a
+//! routed quantum allocates nothing. [`TapasRouter::route_prescored`], a four-tier scan
+//! over the pool, is its reference; both choose the candidate maximizing `(available,
+//! safe, score, smaller vm id)`. [`BaselineRouter::route_view`] is the simulator's
+//! baseline decision, with [`BaselineRouter::route_candidates`] as its reference.
 
 use crate::profiles::ProfileStore;
-use dc_sim::ids::ServerId;
+use dc_sim::ids::{RowId, ServerId};
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
-use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use workload::vm::VmId;
 
 /// Length of the per-instance recent-customer window used for KV-affinity scoring.
@@ -110,27 +112,128 @@ impl RecentWindow {
     }
 }
 
-/// A pool's recent-customer windows plus an inverted index from each customer to the
-/// positions whose window holds it.
+/// End-of-list marker of the [`RecentIndex`] slot lists.
+const NIL: u32 = u32::MAX;
+
+/// The two links that thread one window slot into its customer's list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    next: u32,
+    prev: u32,
+}
+
+/// Per-customer doubly linked lists over window slots: `head[c]` is customer `c`'s first
+/// slot, and `links[s]` holds slot `s`'s neighbours ([`NIL`] ends a list).
+#[derive(Debug, Clone)]
+struct SlotLists {
+    links: Vec<Link>,
+    head: Vec<u32>,
+}
+
+impl SlotLists {
+    /// The `head` index of `customer`.
+    ///
+    /// # Panics
+    /// Panics, naming the id and the bound, if the id is outside the index's bound.
+    #[inline]
+    fn index(&self, customer: CustomerId) -> usize {
+        match usize::try_from(customer.0) {
+            Ok(index) if index < self.head.len() => index,
+            _ => customer_out_of_bound(customer, self.head.len()),
+        }
+    }
+
+    /// Puts `slot` at the front of `customer`'s list.
+    #[inline]
+    fn link(&mut self, slot: usize, customer: usize) {
+        let first = self.head[customer];
+        self.links[slot] = Link { next: first, prev: NIL };
+        if first != NIL {
+            self.links[first as usize].prev = slot as u32;
+        }
+        self.head[customer] = slot as u32;
+    }
+
+    /// Takes `slot` out of `customer`'s list.
+    #[inline]
+    fn unlink(&mut self, slot: usize, customer: usize) {
+        let Link { next, prev } = self.links[slot];
+        if prev == NIL {
+            self.head[customer] = next;
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.links[next as usize].prev = prev;
+        }
+    }
+
+    /// Moves `customer`'s list entry from slot `from` to slot `to`, keeping its place in
+    /// the list. Moving a window's slots one after another is exact even when they
+    /// neighbour each other: each move leaves the neighbours pointing at the new slot.
+    fn relink(&mut self, from: usize, to: usize, customer: usize) {
+        let link = self.links[from];
+        self.links[to] = link;
+        if link.prev == NIL {
+            self.head[customer] = to as u32;
+        } else {
+            self.links[link.prev as usize].next = to as u32;
+        }
+        if link.next != NIL {
+            self.links[link.next as usize].prev = to as u32;
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn customer_out_of_bound(customer: CustomerId, bound: usize) -> ! {
+    panic!("customer id {} is outside the recent index's bound {bound}", customer.0)
+}
+
+/// A pool's recent-customer windows plus, per customer, the window slots that hold it.
 ///
-/// The index is exact: after every operation, `holders(c)` lists each position whose window
-/// holds `c`, once, with the number of window entries equal to `c`. It is what lets
-/// [`TapasRouter::route_keyed`] visit only the candidates a request has affinity with.
-#[derive(Debug, Clone, Default)]
+/// Entry `k` of window `position` is slot `position × RECENT_WINDOW + k`. Every occupied
+/// slot is threaded into its customer's doubly linked list, and a dense head table indexed
+/// by customer id starts each list, so every operation costs O(1) per slot it touches and
+/// none allocates once the pool has reached its size. The index is exact: after every
+/// operation, [`Self::holders`] yields each position once per entry of its window equal to
+/// the customer. It is what lets [`TapasRouter::route_keyed`] visit only the candidates a
+/// request has affinity with.
+#[derive(Debug, Clone)]
 pub struct RecentIndex {
     windows: Vec<RecentWindow>,
-    holders: HashMap<u64, Vec<(u32, u32)>, BuildHasherDefault<CustomerHasher>>,
-    /// Emptied holder lists, kept for reuse so customers entering and leaving the index do
-    /// not allocate.
-    spare: Vec<Vec<(u32, u32)>>,
+    lists: SlotLists,
 }
 
 impl RecentIndex {
+    /// An empty index for customer ids `0..customers`.
+    ///
+    /// # Panics
+    /// Panics if `customers` does not fit in `usize`.
+    #[must_use]
+    pub fn new(customers: u64) -> Self {
+        let bound = usize::try_from(customers).expect("the customer bound fits in usize");
+        Self { windows: Vec::new(), lists: SlotLists { links: Vec::new(), head: vec![NIL; bound] } }
+    }
+
     /// Appends `window` as the last position, indexing its contents.
+    ///
+    /// # Panics
+    /// Panics if a customer in `window` is outside the bound, or if the pool's slots
+    /// would not fit in `u32` links.
     pub fn add(&mut self, window: RecentWindow) {
-        let position = position_u32(self.windows.len());
+        let base = self.lists.links.len();
+        assert!(
+            u32::try_from(base + RECENT_WINDOW).is_ok_and(|end| end < NIL),
+            "pool slots fit in u32 links"
+        );
         for &customer in window.customers() {
-            self.increment(customer, position);
+            self.lists.index(customer);
+        }
+        self.lists.links.resize(base + RECENT_WINDOW, Link { next: NIL, prev: NIL });
+        for (k, customer) in window.customers().iter().enumerate() {
+            self.lists.link(base + k, customer.0 as usize);
         }
         self.windows.push(window);
     }
@@ -138,17 +241,23 @@ impl RecentIndex {
     /// Records `customer` in the window at `position` (see [`RecentWindow::push`]).
     ///
     /// # Panics
-    /// Panics if `position` is out of range.
+    /// Panics if `position` is out of range or `customer` is outside the bound.
+    #[inline]
     pub fn push(&mut self, position: usize, customer: CustomerId) {
-        let evicted = self.windows[position].push(customer);
+        let index = self.lists.index(customer);
+        let window = &mut self.windows[position];
+        // The ring entry the push writes: the next free one, or the oldest once full.
+        let k = if window.len() < RECENT_WINDOW { window.len() } else { usize::from(window.head) };
+        let evicted = window.push(customer);
         if evicted == Some(customer) {
             return;
         }
-        let position = position_u32(position);
-        self.increment(customer, position);
+        let slot = position * RECENT_WINDOW + k;
         if let Some(evicted) = evicted {
-            self.decrement(evicted, position);
+            // Every entry passed the bound check on its way in.
+            self.lists.unlink(slot, evicted.0 as usize);
         }
+        self.lists.link(slot, index);
     }
 
     /// Removes the window at `position`, moving the last window into its place (the
@@ -159,26 +268,33 @@ impl RecentIndex {
     pub fn swap_remove(&mut self, position: usize) {
         let last = self.windows.len() - 1;
         let removed = self.windows.swap_remove(position);
-        let (position, last) = (position_u32(position), position_u32(last));
-        for &customer in removed.customers() {
-            self.decrement(customer, position);
+        for (k, customer) in removed.customers().iter().enumerate() {
+            self.lists.unlink(position * RECENT_WINDOW + k, customer.0 as usize);
         }
         if position != last {
-            // The moved window's entries are renamed; a repeated customer's entry is
-            // renamed on its first occurrence and not found again.
-            for &customer in self.windows[position as usize].customers() {
-                let list = self.holders.get_mut(&customer.0).expect("window entries are indexed");
-                if let Some(entry) = list.iter_mut().find(|entry| entry.0 == last) {
-                    entry.0 = position;
-                }
+            for (k, customer) in self.windows[position].customers().iter().enumerate() {
+                let (from, to) = (last * RECENT_WINDOW + k, position * RECENT_WINDOW + k);
+                self.lists.relink(from, to, customer.0 as usize);
             }
         }
+        self.lists.links.truncate(last * RECENT_WINDOW);
     }
 
-    /// `(position, occurrences)` for every window holding `customer`, in no fixed order.
-    #[must_use]
-    pub fn holders(&self, customer: CustomerId) -> &[(u32, u32)] {
-        self.holders.get(&customer.0).map_or(&[], Vec::as_slice)
+    /// The position of every window holding `customer`, once per entry equal to it, in no
+    /// fixed order.
+    ///
+    /// # Panics
+    /// Panics if `customer` is outside the bound.
+    #[inline]
+    pub fn holders(&self, customer: CustomerId) -> impl Iterator<Item = usize> + '_ {
+        let mut slot = self.lists.head[self.lists.index(customer)];
+        std::iter::from_fn(move || {
+            (slot != NIL).then(|| {
+                let at = slot as usize;
+                slot = self.lists.links[at].next;
+                at / RECENT_WINDOW
+            })
+        })
     }
 
     /// The windows, indexed by position.
@@ -186,55 +302,10 @@ impl RecentIndex {
     pub fn windows(&self) -> &[RecentWindow] {
         &self.windows
     }
-
-    fn increment(&mut self, customer: CustomerId, position: u32) {
-        let list =
-            self.holders.entry(customer.0).or_insert_with(|| self.spare.pop().unwrap_or_default());
-        match list.iter_mut().find(|entry| entry.0 == position) {
-            Some(entry) => entry.1 += 1,
-            None => list.push((position, 1)),
-        }
-    }
-
-    fn decrement(&mut self, customer: CustomerId, position: u32) {
-        let list = self.holders.get_mut(&customer.0).expect("window entries are indexed");
-        let at =
-            list.iter().position(|entry| entry.0 == position).expect("window entries are indexed");
-        list[at].1 -= 1;
-        if list[at].1 == 0 {
-            list.swap_remove(at);
-            if list.is_empty() {
-                self.spare.extend(self.holders.remove(&customer.0));
-            }
-        }
-    }
 }
 
 fn position_u32(position: usize) -> u32 {
     u32::try_from(position).expect("pool positions fit in u32")
-}
-
-/// A one-multiply hasher for `u64` customer ids: the folded 128-bit product with a 64-bit
-/// odd constant, so both the low (bucket) and high (tag) bits depend on every input bit.
-#[derive(Debug, Clone, Copy, Default)]
-struct CustomerHasher(u64);
-
-impl Hasher for CustomerHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// Customer ids hash through `write_u64`; other input is folded in byte by byte.
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(self.0 ^ u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        let product = u128::from(value) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
 }
 
 /// The infrastructure state the router consults (recomputed every few minutes, §4.2).
@@ -399,9 +470,9 @@ impl Default for TapasRouterConfig {
 /// Per-step pre-computation for the TAPAS risk filter.
 ///
 /// Row and aisle headrooms collapse the budget comparison to one subtraction per candidate,
-/// and per-server inlet predictions are memoized in the [`RouterScratch`] so each server's
-/// piecewise-polynomial inlet model is evaluated at most once per step regardless of how many
-/// quanta route to instances on it.
+/// and each server's [`RiskRow`] in the [`RouterScratch`] carries its predicted inlet's
+/// Eq. 2 term, so the piecewise-polynomial inlet model is evaluated at most once per
+/// server per step regardless of how many quanta route to instances on it.
 #[derive(Debug, Clone)]
 pub struct PreparedRoutingContext {
     outside_temp: Celsius,
@@ -463,18 +534,171 @@ impl PreparedRoutingContext {
     }
 }
 
-/// Reusable per-step buffers for the routing hot path.
+/// One server's fitted models as the risk filter and the configurator read them, prepared
+/// for one step by [`RouterScratch::risk_row`].
+///
+/// It holds the Eq. 2 intercept, its inlet term at the step's predicted inlet and its
+/// per-GPU power coefficient, the GPU power and throttle limits, the degree-2 power curve,
+/// the airflow line and the server's row and aisle, inline, so a risk check reads one
+/// contiguous row instead of following the [`crate::profiles::ServerProfile`]'s model
+/// vectors. Every method repeats the profile's operations in the profile's order
+/// (`LinearModel::predict`'s sum, `Polynomial::evaluate`'s Horner fold), so each result
+/// is bit-identical to the profile's.
+#[derive(Debug, Clone, Copy)]
+pub struct RiskRow {
+    /// Eq. 2: the intercept, the inlet coefficient times the step's predicted inlet (°C),
+    /// and the per-GPU power coefficient.
+    gpu_intercept: f64,
+    gpu_inlet_term: f64,
+    gpu_power_coeff: f64,
+    /// Maximum power of one GPU (W).
+    gpu_max_power_w: f64,
+    /// GPU throttle temperature (°C).
+    throttle_c: f64,
+    /// Server power (kW) vs load, ascending degree.
+    power_curve: [f64; 3],
+    max_power_kw: f64,
+    idle_airflow_cfm: f64,
+    /// `max_airflow − idle_airflow` (CFM).
+    airflow_span_cfm: f64,
+    row: u32,
+    aisle: u32,
+}
+
+impl RiskRow {
+    /// Prepares `server`'s row under the prepared context's outside temperature and load.
+    ///
+    /// # Panics
+    /// Panics if the server's worst-GPU model does not take the two Eq. 2 features or its
+    /// power curve is not of degree 2 (both are [`ProfileStore::check`] errors).
+    #[inline(never)]
+    fn build(
+        profiles: &ProfileStore,
+        server: ServerId,
+        prepared: &PreparedRoutingContext,
+    ) -> Self {
+        let profile = profiles.server(server);
+        let model = &profile.worst_gpu_temp;
+        let (&[gpu_inlet_coeff, gpu_power_coeff], &[c0, c1, c2]) =
+            (model.coefficients(), profile.power_curve.coefficients())
+        else {
+            panic!("server {server}: its profile fails ProfileStore::check");
+        };
+        let spec = &profile.spec;
+        let inlet = profile.predicted_inlet(prepared.outside_temp, prepared.dc_load);
+        Self {
+            gpu_intercept: model.intercept(),
+            gpu_inlet_term: gpu_inlet_coeff * inlet.value(),
+            gpu_power_coeff,
+            gpu_max_power_w: spec.gpu_max_power.to_watts().value(),
+            throttle_c: spec.gpu_throttle_temp_c,
+            power_curve: [c0, c1, c2],
+            max_power_kw: spec.max_power.value(),
+            idle_airflow_cfm: spec.idle_airflow.value(),
+            airflow_span_cfm: (spec.max_airflow - spec.idle_airflow).value(),
+            row: position_u32(profile.row.index()),
+            aisle: position_u32(profile.aisle.index()),
+        }
+    }
+
+    /// The server's row.
+    #[must_use]
+    pub fn row(&self) -> RowId {
+        RowId::new(self.row as usize)
+    }
+
+    /// [`crate::profiles::ServerProfile::gpu_power_budget`] at the step's predicted inlet.
+    #[must_use]
+    pub fn gpu_power_budget(&self, limit: Celsius) -> Watts {
+        let base = self.gpu_intercept + self.gpu_inlet_term;
+        Watts::new(((limit.value() - base) / self.gpu_power_coeff.max(1e-6)).max(0.0))
+    }
+
+    /// [`crate::profiles::ServerProfile::predicted_power`].
+    #[must_use]
+    #[inline]
+    pub fn predicted_power(&self, load: f64) -> Kilowatts {
+        let load = load.clamp(0.0, 1.0);
+        let curve = self.power_curve.iter().rev().fold(0.0, |acc, &c| acc * load + c);
+        Kilowatts::new(curve.clamp(0.0, self.max_power_kw))
+    }
+
+    /// [`crate::profiles::ServerProfile::predicted_airflow`] (CFM) at a `load` already
+    /// clamped to `[0, 1]`.
+    #[inline]
+    fn predicted_airflow(&self, load: f64) -> f64 {
+        self.idle_airflow_cfm + self.airflow_span_cfm * load
+    }
+
+    /// Whether routing another request here risks one of the three operational limits:
+    /// the test reference `is_risky_with_inlet` at the step's predicted inlet, in its
+    /// operations and order.
+    #[inline]
+    fn is_risky(
+        &self,
+        config: &TapasRouterConfig,
+        utilization: f64,
+        row_headroom_kw: f64,
+        aisle_headroom_cfm: f64,
+    ) -> bool {
+        let next_util = (utilization + config.marginal_utilization).clamp(0.0, 1.0);
+        let gpu_power = self.gpu_max_power_w * (0.15 + 0.85 * next_util);
+        let terms = [self.gpu_inlet_term, self.gpu_power_coeff * gpu_power];
+        let predicted_temp = self.gpu_intercept + terms.iter().sum::<f64>();
+        if predicted_temp > self.throttle_c - config.thermal_margin_c {
+            return true;
+        }
+        let utilization = utilization.clamp(0.0, 1.0);
+        let marginal_power =
+            (self.predicted_power(next_util) - self.predicted_power(utilization)).value();
+        if marginal_power > row_headroom_kw {
+            return true;
+        }
+        let marginal_airflow =
+            self.predicted_airflow(next_util) - self.predicted_airflow(utilization);
+        marginal_airflow > aisle_headroom_cfm
+    }
+}
+
+/// Reusable per-step buffers for the routing hot path: a [`RiskRow`] for every server the
+/// step reads, built on its first read.
 #[derive(Debug, Default, Clone)]
 pub struct RouterScratch {
-    /// Memoized per-server predicted inlet (°C); NaN marks "not yet computed this step".
-    inlet_c: Vec<f64>,
+    /// Per server, the position of its row in `rows` ([`NIL`] until the step reads it).
+    slots: Vec<u32>,
+    /// The step's rows, in the order their servers were first read.
+    rows: Vec<RiskRow>,
 }
 
 impl RouterScratch {
-    /// Resets the memo for a new step.
+    /// Starts a new step: every server's row is rebuilt on its first read.
     pub fn begin_step(&mut self, server_count: usize) {
-        self.inlet_c.clear();
-        self.inlet_c.resize(server_count, f64::NAN);
+        self.slots.clear();
+        self.slots.resize(server_count, NIL);
+        self.rows.clear();
+        // One allocation for any step; only the rows a step writes become resident.
+        self.rows.reserve_exact(server_count);
+    }
+
+    /// `server`'s risk row for this step, built from its profile and the prepared
+    /// context on the step's first read. The configurator reads the same row, so the
+    /// predicted inlet is evaluated once per server per step.
+    ///
+    /// # Panics
+    /// Panics if [`Self::begin_step`] was not called with a count covering `server`.
+    #[inline]
+    pub fn risk_row(
+        &mut self,
+        server: ServerId,
+        profiles: &ProfileStore,
+        prepared: &PreparedRoutingContext,
+    ) -> &RiskRow {
+        let slot = &mut self.slots[server.index()];
+        if *slot == NIL {
+            *slot = position_u32(self.rows.len());
+            self.rows.push(RiskRow::build(profiles, server, prepared));
+        }
+        &self.rows[*slot as usize]
     }
 }
 
@@ -574,46 +798,6 @@ pub struct TapasRouter {
 
 
 impl TapasRouter {
-    /// Returns `true` if routing another request to this instance risks violating one of the
-    /// three operational limits. `inlet` is the server's predicted inlet temperature.
-    fn is_risky_with_inlet(
-        &self,
-        server: ServerId,
-        utilization: f64,
-        inlet: Celsius,
-        profiles: &ProfileStore,
-        row_headroom_kw: f64,
-        aisle_headroom_cfm: f64,
-    ) -> bool {
-        let profile = profiles.server(server);
-
-        // Server-level thermal risk (Eq. 2 with the current inlet estimate).
-        let next_util = (utilization + self.config.marginal_utilization).clamp(0.0, 1.0);
-        let gpu_max = profile.spec.gpu_max_power.to_watts().value();
-        let gpu_power = simkit::units::Watts::new(gpu_max * (0.15 + 0.85 * next_util));
-        let predicted_temp = profile.predicted_worst_gpu_temp(inlet, gpu_power);
-        let limit = profile.spec.gpu_throttle_temp_c - self.config.thermal_margin_c;
-        if predicted_temp.value() > limit {
-            return true;
-        }
-
-        // Row-level power risk (Eq. 4).
-        let marginal_power = profile.predicted_power(next_util)
-            - profile.predicted_power(utilization.clamp(0.0, 1.0));
-        if marginal_power.value() > row_headroom_kw {
-            return true;
-        }
-
-        // Aisle-level airflow risk (Eq. 3).
-        let marginal_airflow = profile.predicted_airflow(next_util)
-            - profile.predicted_airflow(utilization.clamp(0.0, 1.0));
-        if marginal_airflow.value() > aisle_headroom_cfm {
-            return true;
-        }
-
-        false
-    }
-
     /// Scores an eligible candidate; higher is better. `affinity` is evaluated lazily so the
     /// recent-customer window is only scanned for instances below the concentration knee.
     fn score(
@@ -720,25 +904,14 @@ impl TapasRouter {
         utilization: f64,
         profiles: &ProfileStore,
         prepared: &PreparedRoutingContext,
-        inlet_memo: &mut [f64],
+        scratch: &mut RouterScratch,
     ) -> bool {
-        let slot = &mut inlet_memo[server.index()];
-        if slot.is_nan() {
-            *slot = profiles
-                .server(server)
-                .predicted_inlet(prepared.outside_temp, prepared.dc_load)
-                .value();
-        }
-        let inlet = Celsius::new(*slot);
-        let profile = profiles.server(server);
-        let router = TapasRouter { config: *config };
-        router.is_risky_with_inlet(
-            server,
+        let row = scratch.risk_row(server, profiles, prepared);
+        row.is_risky(
+            config,
             utilization,
-            inlet,
-            profiles,
-            prepared.row_headroom_kw[profile.row.index()],
-            prepared.aisle_headroom_cfm[profile.aisle.index()],
+            prepared.row_headroom_kw[row.row as usize],
+            prepared.aisle_headroom_cfm[row.aisle as usize],
         )
     }
 
@@ -753,17 +926,11 @@ impl TapasRouter {
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
     ) -> bool {
-        Self::risk_with_memo(
-            &self.config,
-            server,
-            utilization,
-            profiles,
-            prepared,
-            &mut scratch.inlet_c,
-        )
+        Self::risk_with_memo(&self.config, server, utilization, profiles, prepared, scratch)
     }
 
-    /// Fills `flags[i] = risky(candidate i)` for every candidate, reusing the scratch memo.
+    /// Fills `flags[i] = risky(candidate i)` for every candidate, reusing the scratch's
+    /// risk rows.
     pub fn fill_risk_flags(
         &self,
         view: &CandidateView<'_>,
@@ -781,7 +948,7 @@ impl TapasRouter {
                 utilization,
                 profiles,
                 prepared,
-                &mut scratch.inlet_c,
+                scratch,
             ));
         }
     }
@@ -853,8 +1020,7 @@ impl TapasRouter {
         );
         let root = *keys.tree.get(1)? as usize;
         let mut best = (&keys.keys[root], keys.keys[root].plain, root);
-        for &(position, _) in recent.holders(customer) {
-            let index = position as usize;
+        for index in recent.holders(customer) {
             let key = &keys.keys[index];
             // Past the knee the window cannot matter.
             if key.affinity != key.plain && beats((key, key.affinity, index), best) {
@@ -1115,6 +1281,129 @@ mod tests {
         let instances = pool(&[(1, 0, 1, 0.5), (2, 40, 3, 0.4)]);
         assert!(instances.route_tapas(&router, &request(0), &profiles, &ctx).is_some());
         assert!(instances.route_baseline().is_some());
+    }
+
+    /// Returns `true` if routing another request to an instance on `server` at
+    /// `utilization` risks violating one of the three operational limits, read from the
+    /// server's profile; `inlet` is its predicted inlet temperature. The reference for
+    /// [`RiskRow`]'s predicate, which the router evaluates instead.
+    fn is_risky_with_inlet(
+        router: &TapasRouter,
+        server: ServerId,
+        utilization: f64,
+        inlet: Celsius,
+        profiles: &ProfileStore,
+        row_headroom_kw: f64,
+        aisle_headroom_cfm: f64,
+    ) -> bool {
+        let profile = profiles.server(server);
+
+        // Server-level thermal risk (Eq. 2 with the current inlet estimate).
+        let next_util = (utilization + router.config.marginal_utilization).clamp(0.0, 1.0);
+        let gpu_max = profile.spec.gpu_max_power.to_watts().value();
+        let gpu_power = Watts::new(gpu_max * (0.15 + 0.85 * next_util));
+        let predicted_temp = profile.predicted_worst_gpu_temp(inlet, gpu_power);
+        let limit = profile.spec.gpu_throttle_temp_c - router.config.thermal_margin_c;
+        if predicted_temp.value() > limit {
+            return true;
+        }
+
+        // Row-level power risk (Eq. 4).
+        let marginal_power = profile.predicted_power(next_util)
+            - profile.predicted_power(utilization.clamp(0.0, 1.0));
+        if marginal_power.value() > row_headroom_kw {
+            return true;
+        }
+
+        // Aisle-level airflow risk (Eq. 3).
+        let marginal_airflow = profile.predicted_airflow(next_util)
+            - profile.predicted_airflow(utilization.clamp(0.0, 1.0));
+        if marginal_airflow.value() > aisle_headroom_cfm {
+            return true;
+        }
+
+        false
+    }
+
+    #[test]
+    fn risk_rows_match_the_profile_reference_bit_for_bit() {
+        let dc = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
+        let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
+        let mut router = TapasRouter::default();
+        let knee = router.config.concentration_knee;
+        let target = profiles.thermal_headroom_target;
+        let mut scratch = RouterScratch::default();
+        // Outcomes seen: [safe, risky].
+        let mut outcomes = [0usize; 2];
+        // Two steps on one scratch: the second must rebuild every row for its context.
+        for (outside, dc_load) in [(15.0, 0.3), (38.0, 0.9)] {
+            let context =
+                RoutingContext::uniform(&profiles, Celsius::new(outside), dc_load, 0.5, 0.5);
+            let prepared = PreparedRoutingContext::new(&context, &router.config, &profiles);
+            scratch.begin_step(profiles.server_count());
+            for profile in &profiles.servers {
+                let server = profile.server;
+                let inlet = profile.predicted_inlet(Celsius::new(outside), dc_load);
+                let row = *scratch.risk_row(server, &profiles, &prepared);
+                assert_eq!(row.row(), profile.row);
+                // The target, and a limit below the inlet that floors the budget at zero.
+                for limit in [target, Celsius::new(20.0)] {
+                    assert_eq!(
+                        row.gpu_power_budget(limit).value().to_bits(),
+                        profile.gpu_power_budget(inlet, limit).value().to_bits()
+                    );
+                }
+                for utilization in [-0.1, 0.0, knee, 0.95, 1.0, 1.5] {
+                    assert_eq!(
+                        row.predicted_power(utilization).value().to_bits(),
+                        profile.predicted_power(utilization).value().to_bits()
+                    );
+                    // Each predicate's marginal term, from the profile.
+                    let next = (utilization + router.config.marginal_utilization).clamp(0.0, 1.0);
+                    let now = utilization.clamp(0.0, 1.0);
+                    let power = (profile.predicted_power(next) - profile.predicted_power(now))
+                        .value();
+                    let airflow =
+                        (profile.predicted_airflow(next) - profile.predicted_airflow(now)).value();
+                    let gpu_max = profile.spec.gpu_max_power.to_watts().value();
+                    let gpu_power = Watts::new(gpu_max * (0.15 + 0.85 * next));
+                    let temp = profile.predicted_worst_gpu_temp(inlet, gpu_power).value();
+                    let margin = profile.spec.gpu_throttle_temp_c - temp;
+                    let around = |x: f64| [x.next_down(), x, x.next_up()];
+                    for thermal_margin in [3.0].into_iter().chain(around(margin)) {
+                        router.config.thermal_margin_c = thermal_margin;
+                        for row_headroom in around(power).into_iter().chain([f64::INFINITY]) {
+                            for aisle_headroom in around(airflow).into_iter().chain([f64::INFINITY])
+                            {
+                                let expected = is_risky_with_inlet(
+                                    &router,
+                                    server,
+                                    utilization,
+                                    inlet,
+                                    &profiles,
+                                    row_headroom,
+                                    aisle_headroom,
+                                );
+                                let risky = row.is_risky(
+                                    &router.config,
+                                    utilization,
+                                    row_headroom,
+                                    aisle_headroom,
+                                );
+                                assert_eq!(
+                                    risky, expected,
+                                    "server {server}, utilization {utilization}, margin \
+                                     {thermal_margin}, headrooms {row_headroom} kW / \
+                                     {aisle_headroom} CFM"
+                                );
+                                outcomes[usize::from(expected)] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 10_000), "outcomes {outcomes:?}");
     }
 
     #[test]

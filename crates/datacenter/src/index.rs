@@ -227,7 +227,10 @@ pub struct TopologyIndex {
 
 /// The `[start, end)` server-index span of a row's or aisle's member list, which must be
 /// an ascending contiguous run.
-fn server_span(servers: &[ServerId], level: &str) -> Range<usize> {
+///
+/// # Panics
+/// Panics, naming the `level`, if the list is not an ascending contiguous run.
+pub(crate) fn server_span(servers: &[ServerId], level: &str) -> Range<usize> {
     assert!(is_contiguous_run(servers), "{level} must cover contiguous server-index ranges");
     let start = servers.first().map_or(0, |s| s.index());
     start..start + servers.len()
@@ -454,6 +457,12 @@ mod tests {
     #[should_panic(expected = "aisles must cover contiguous server-index ranges")]
     fn non_contiguous_aisle_panics() {
         let _ = server_span(&[ServerId::new(0), ServerId::new(2)], "aisles");
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must cover contiguous server-index ranges")]
+    fn permuted_row_panics() {
+        let _ = server_span(&[ServerId::new(1), ServerId::new(0)], "rows");
     }
 
     #[test]

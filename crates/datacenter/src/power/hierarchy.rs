@@ -11,7 +11,7 @@
 //! control loop performs no per-step map allocation.
 
 use crate::ids::{PduId, RowId, ServerId, UpsId};
-use crate::index::{is_contiguous_run, OrdinalMap};
+use crate::index::{server_span, OrdinalMap};
 use crate::topology::Layout;
 use serde::{Deserialize, Serialize};
 use simkit::units::Kilowatts;
@@ -264,12 +264,10 @@ pub struct PowerHierarchy {
     layout_pdus: Vec<(PduId, Vec<RowId>, Kilowatts, UpsId)>,
     layout_upses: Vec<(UpsId, Vec<PduId>, Kilowatts)>,
     datacenter_budget: Kilowatts,
-    /// Per-row `[start, end)` server-index spans, populated only when every row's member
-    /// list is an ascending contiguous index run (the layout builder's invariant). Row
-    /// draws then reduce over dense `server_power` slices — same elements in the same
-    /// order, so sums are bit-identical to the id-list walk — instead of gathering
-    /// through the id vectors. Empty when any row is irregular (the general walk is the
-    /// fallback).
+    /// Per-row `[start, end)` server-index spans: every row's member list is an ascending
+    /// contiguous index run (the layout builder's invariant, asserted at construction),
+    /// so row draws reduce over dense `server_power` slices — the members in member
+    /// order — instead of gathering through the id vectors.
     row_span_start: Vec<u32>,
     row_span_end: Vec<u32>,
 }
@@ -277,21 +275,21 @@ pub struct PowerHierarchy {
 
 impl PowerHierarchy {
     /// Builds the hierarchy view from a layout.
+    ///
+    /// # Panics
+    /// Panics if a row is not an ascending contiguous server-index run (the layout
+    /// builder always produces contiguous ones), as `TopologyIndex::from_layout` does.
     #[must_use]
     pub fn from_layout(layout: &Layout) -> Self {
-        let contiguous = layout.rows().iter().all(|r| is_contiguous_run(&r.servers));
-        let (row_span_start, row_span_end) = if contiguous {
-            layout
-                .rows()
-                .iter()
-                .map(|r| {
-                    let start = r.servers.first().map_or(0, |s| s.index() as u32);
-                    (start, start + r.servers.len() as u32)
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (row_span_start, row_span_end) = layout
+            .rows()
+            .iter()
+            .map(|r| {
+                let span = server_span(&r.servers, "rows");
+                let bound = |index: usize| u32::try_from(index).expect("server ids fit in u32");
+                (bound(span.start), bound(span.end))
+            })
+            .unzip();
         let hierarchy = Self {
             layout_rows: layout
                 .rows()
@@ -390,23 +388,11 @@ impl PowerHierarchy {
         scratch.caps.clear();
         scratch.caps.resize(server_power.len(), 1.0);
 
-        if self.row_span_start.is_empty() && !self.layout_rows.is_empty() {
-            for (row_id, servers, budget, _) in &self.layout_rows {
-                let draw: Kilowatts =
-                    servers.iter().map(|s| server_power[s.index()]).sum();
-                out.rows[*row_id] =
-                    LevelUtilization::new(draw, *budget * capacity.row(*row_id));
-            }
-        } else {
-            // Contiguous fast path: one dense slice reduction per row (same elements,
-            // same order, bit-identical sums).
-            for (i, (row_id, _, budget, _)) in self.layout_rows.iter().enumerate() {
-                let span =
-                    self.row_span_start[i] as usize..self.row_span_end[i] as usize;
-                let draw: Kilowatts = server_power[span].iter().copied().sum();
-                out.rows[*row_id] =
-                    LevelUtilization::new(draw, *budget * capacity.row(*row_id));
-            }
+        // One dense slice reduction per row: its members, in member order.
+        for (i, (row_id, _, budget, _)) in self.layout_rows.iter().enumerate() {
+            let span = self.row_span_start[i] as usize..self.row_span_end[i] as usize;
+            let draw: Kilowatts = server_power[span].iter().copied().sum();
+            out.rows[*row_id] = LevelUtilization::new(draw, *budget * capacity.row(*row_id));
         }
 
         for (pdu_id, member_rows, budget, _) in &self.layout_pdus {

@@ -19,26 +19,42 @@ pub enum StepPhase {
     FabricGenerate,
     /// Fleet level: ordering the step's arrivals and routing each into a cell inbox.
     FabricHandoff,
-    /// Cell level: draining the inbox into the per-endpoint schedulers.
+    /// Cell level: draining the inbox into the per-endpoint schedulers, with the cell's
+    /// own share of the fabric step (replica counts, pressure blending).
     Offer,
     /// Cell level: the schedulers' serving iterations (`advance_to`).
     Advance,
     /// Cell level: recording completions into the request metrics.
     Record,
-    /// Cell level: the rest of the cell step (placement, routing, configurator,
-    /// activity fill, physics, recording of the step series).
-    CellRest,
+    /// Cell level: retiring expired VMs and placing the pending ones.
+    RetirePlace,
+    /// Cell level: routing the step's request quanta across the SaaS instances.
+    Route,
+    /// Cell level: the instance configurator.
+    Configure,
+    /// Cell level: filling the per-server activity planes.
+    Fill,
+    /// Cell level: the thermal and power physics step.
+    Physics,
+    /// Cell level: recording the step's series and events and carrying state into the
+    /// next step.
+    RecordStep,
 }
 
 impl StepPhase {
     /// Every phase, in table order.
-    pub const ALL: [StepPhase; 6] = [
+    pub const ALL: [StepPhase; 11] = [
         StepPhase::FabricGenerate,
         StepPhase::FabricHandoff,
         StepPhase::Offer,
         StepPhase::Advance,
         StepPhase::Record,
-        StepPhase::CellRest,
+        StepPhase::RetirePlace,
+        StepPhase::Route,
+        StepPhase::Configure,
+        StepPhase::Fill,
+        StepPhase::Physics,
+        StepPhase::RecordStep,
     ];
 
     /// Short column label.
@@ -50,7 +66,12 @@ impl StepPhase {
             StepPhase::Offer => "offer",
             StepPhase::Advance => "advance",
             StepPhase::Record => "record",
-            StepPhase::CellRest => "cell rest",
+            StepPhase::RetirePlace => "retire+place",
+            StepPhase::Route => "route",
+            StepPhase::Configure => "configure",
+            StepPhase::Fill => "fill",
+            StepPhase::Physics => "physics",
+            StepPhase::RecordStep => "record step",
         }
     }
 }

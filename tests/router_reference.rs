@@ -8,9 +8,10 @@
 //! instances retire (`swap_remove`) and new ones join before the keys are refilled. Cases
 //! cover pool sizes 1–512, utilizations at 0, at the knee, past it and at 1.5, score ties
 //! between shuffled (and occasionally repeated) VM ids, pools that are wholly in transition
-//! or wholly risky, dense and random 64-bit customer ids, and windows wrapped many times
-//! with repeated customers. Model tests hold `RecentWindow` to a 32-entry `VecDeque` and
-//! `RecentIndex` to a brute-force scan of its windows.
+//! or wholly risky, dense customer ids and sparse ones over the whole `0..bound` range of
+//! the pool's index (always including `bound − 1`), and windows wrapped many times with
+//! repeated customers. Model tests hold `RecentWindow` to a 32-entry `VecDeque` and
+//! `RecentIndex` to a brute-force scan of its windows, and an id at the bound panics.
 
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::ServerId;
@@ -33,7 +34,6 @@ const CASES: usize = 160;
 const MAX_POOL: usize = 512;
 
 /// One endpoint's instances as the simulator's struct-of-arrays columns.
-#[derive(Default)]
 struct Pool {
     vm: Vec<VmId>,
     server: Vec<ServerId>,
@@ -46,6 +46,19 @@ struct Pool {
 }
 
 impl Pool {
+    /// An empty pool whose customers are `0..bound`.
+    fn new(bound: u64) -> Self {
+        Self {
+            vm: Vec::new(),
+            server: Vec::new(),
+            outstanding: Vec::new(),
+            utilization: Vec::new(),
+            in_transition: Vec::new(),
+            recent: RecentIndex::new(bound),
+            capacity: Vec::new(),
+        }
+    }
+
     fn view(&self) -> CandidateView<'_> {
         CandidateView {
             vm: &self.vm,
@@ -86,6 +99,8 @@ enum RiskSource {
 struct Shape {
     servers: usize,
     knee: f64,
+    /// The recent index's bound: every customer id is below it.
+    bound: u64,
     customers: Vec<u64>,
     /// A few shared (outstanding, utilization) classes, so many candidates tie on score.
     classes: Vec<(u32, f64)>,
@@ -141,7 +156,7 @@ fn random_pool(rng: &mut SimRng, size: usize, shape: &Shape) -> Pool {
             }
         }
     }
-    let mut pool = Pool::default();
+    let mut pool = Pool::new(shape.bound);
     for id in vm {
         add_instance(&mut pool, rng, shape, id);
     }
@@ -170,12 +185,31 @@ fn churn(pool: &mut Pool, rng: &mut SimRng, shape: &Shape, next_vm: &mut u64) {
     }
 }
 
-fn random_customers(rng: &mut SimRng) -> Vec<u64> {
+/// `count` customer ids spread over `0..bound`, always including `bound − 1`.
+fn sparse_customers(rng: &mut SimRng, count: usize, bound: u64) -> Vec<u64> {
+    let mut customers: Vec<u64> = (1..count).map(|_| rng.next_u64() % bound).collect();
+    customers.push(bound - 1);
+    customers
+}
+
+/// A case's `(bound, customers)`: one customer, dense ids filling the bound, or sparse
+/// ids over a bound up to the catalog's largest endpoint and well past it.
+fn random_customers(rng: &mut SimRng) -> (u64, Vec<u64>) {
     match rng.uniform_usize(0, 4) {
-        0 => vec![3],
-        1 => (0..rng.uniform_usize(2, 60) as u64).collect(),
-        2 => (0..rng.uniform_usize(60, 3000) as u64).collect(),
-        _ => (0..rng.uniform_usize(1, 200)).map(|_| rng.next_u64()).collect(),
+        0 => (4, vec![3]),
+        1 => {
+            let bound = rng.uniform_usize(2, 60) as u64;
+            (bound, (0..bound).collect())
+        }
+        2 => {
+            let bound = rng.uniform_usize(60, 3000) as u64;
+            (bound, (0..bound).collect())
+        }
+        _ => {
+            let bound = [5100, 200_000][rng.uniform_usize(0, 2)];
+            let count = rng.uniform_usize(1, 200);
+            (bound, sparse_customers(rng, count, bound))
+        }
     }
 }
 
@@ -216,10 +250,12 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
             _ => rng.uniform_usize(1, 121),
         };
         let classes = rng.uniform_usize(1, 5);
+        let (bound, customers) = random_customers(&mut rng);
         let shape = Shape {
             servers: profiles.server_count(),
             knee,
-            customers: random_customers(&mut rng),
+            bound,
+            customers,
             classes: (0..classes)
                 .map(|_| (rng.uniform_usize(0, 4) as u32, random_utilization(&mut rng, knee)))
                 .collect(),
@@ -327,7 +363,7 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
 #[test]
 fn keyed_router_handles_an_empty_pool() {
     let router = TapasRouter::default();
-    let pool = Pool::default();
+    let pool = Pool::new(1);
     let mut keys = RouteKeys::default();
     router.fill_route_keys(&pool.view(), &[], &mut keys);
     assert_eq!(router.route_keyed(CustomerId(1), &pool.view(), &keys, &pool.recent), None);
@@ -374,14 +410,15 @@ fn recent_window_matches_a_bounded_deque() {
     }
 }
 
-/// `(position, occurrences)` of `customer` in every window, from a scan.
-fn scanned_holders(windows: &[RecentWindow], customer: CustomerId) -> Vec<(u32, u32)> {
+/// The position of every window holding `customer`, once per entry equal to it, sorted,
+/// from a scan.
+fn scanned_holders(windows: &[RecentWindow], customer: CustomerId) -> Vec<usize> {
     windows
         .iter()
         .enumerate()
-        .filter_map(|(position, window)| {
+        .flat_map(|(position, window)| {
             let count = window.customers().iter().filter(|&&c| c == customer).count();
-            (count > 0).then_some((position as u32, count as u32))
+            std::iter::repeat_n(position, count)
         })
         .collect()
 }
@@ -391,15 +428,20 @@ fn recent_index_matches_a_brute_force_scan() {
     let mut rng = SimRng::seed_from(17).derive("recent-index-model");
     let (mut removed_last, mut removed_repeating, mut evicted_self) = (0usize, 0usize, 0usize);
     for case in 0..96 {
-        // Dense ids in even cases, random 64-bit ids in odd ones; few customers make
-        // repeats and self-evictions common.
+        // Dense ids filling the bound in even cases, sparse ids over a wider bound in odd
+        // ones; few customers make repeats and self-evictions common.
         let count = [1, 2, 5, 40][rng.uniform_usize(0, 4)];
-        let customers: Vec<u64> = if case % 2 == 0 {
-            (0..count as u64).collect()
+        let (bound, customers) = if case % 2 == 0 {
+            (count as u64, (0..count as u64).collect::<Vec<u64>>())
         } else {
-            (0..count).map(|_| rng.next_u64()).collect()
+            let bound = [count as u64 + 1, 64, 5100][rng.uniform_usize(0, 3)];
+            (bound, sparse_customers(&mut rng, count, bound))
         };
-        let mut index = RecentIndex::default();
+        // Every id the case holds, the bound's ends, and a few ids no window holds.
+        let mut probes = customers.clone();
+        probes.extend([0, bound - 1]);
+        probes.extend((0..4).map(|_| rng.next_u64() % bound));
+        let mut index = RecentIndex::new(bound);
         // Each window's contents as a multiset, moved the way `swap_remove` moves them.
         let mut model: Vec<Vec<u64>> = Vec::new();
         for _ in 0..rng.uniform_usize(50, 400) {
@@ -444,9 +486,9 @@ fn recent_index_matches_a_brute_force_scan() {
                 expected.sort_unstable();
                 assert_eq!(held, expected, "case {case}: window contents");
             }
-            for &customer in customers.iter().chain([&u64::MAX]) {
+            for &customer in &probes {
                 let customer = CustomerId(customer);
-                let mut holders = index.holders(customer).to_vec();
+                let mut holders: Vec<usize> = index.holders(customer).collect();
                 holders.sort_unstable();
                 assert_eq!(
                     holders,
@@ -459,4 +501,35 @@ fn recent_index_matches_a_brute_force_scan() {
     assert!(removed_last > 100, "only {removed_last} removals of the last position");
     assert!(removed_repeating > 100, "only {removed_repeating} removals of repeating windows");
     assert!(evicted_self > 100, "only {evicted_self} self-evictions");
+}
+
+/// An index over `0..40` holding one window of customer 39.
+fn index_with_bound_40() -> RecentIndex {
+    let mut index = RecentIndex::new(40);
+    let mut window = RecentWindow::new();
+    window.push(CustomerId(39));
+    index.add(window);
+    index.push(0, CustomerId(39));
+    assert_eq!(index.holders(CustomerId(39)).count(), 2);
+    index
+}
+
+#[test]
+#[should_panic(expected = "customer id 40 is outside the recent index's bound 40")]
+fn pushing_a_customer_at_the_bound_panics() {
+    index_with_bound_40().push(0, CustomerId(40));
+}
+
+#[test]
+#[should_panic(expected = "customer id 40 is outside the recent index's bound 40")]
+fn asking_for_holders_at_the_bound_panics() {
+    let _ = index_with_bound_40().holders(CustomerId(40));
+}
+
+#[test]
+#[should_panic(expected = "customer id 40 is outside the recent index's bound 40")]
+fn adding_a_window_with_a_customer_at_the_bound_panics() {
+    let mut window = RecentWindow::new();
+    window.push(CustomerId(40));
+    index_with_bound_40().add(window);
 }
