@@ -169,8 +169,8 @@ impl FleetSimulator {
         &self.signals
     }
 
-    /// Starts filling the phase profile: the fleet's fabric generation and handoff, and
-    /// in every cell the fabric's offer, advance and record phases and the rest of the
+    /// Starts filling the phase profile: the fleet's own routing and signal refresh and its
+    /// fabric generation and handoff, and in every cell the fabric's offer, advance and record phases and the rest of the
     /// cell step. Profiling reads the clock only; it changes no simulated value.
     pub fn enable_phase_profile(&mut self) {
         self.profile.enable();
@@ -192,6 +192,7 @@ impl FleetSimulator {
 
     /// Advances the whole fleet by one step at simulated time `now`.
     pub fn step(&mut self, now: SimTime) {
+        let mut mark = self.profile.mark();
         // 0. Inject the step's exogenous grid prices from the cells' resolved timelines
         //    (telemetry fields keep the values of the previous step). With a
         //    price-event-free scenario every site pays the base price, the router's
@@ -224,12 +225,12 @@ impl FleetSimulator {
             self.routed[site] += 1;
             self.cells[site].enqueue(vm);
         }
+        mark = self.profile.lap(StepPhase::Fleet, mark);
 
         // 1b. Generate this step's fabric requests fleet-wide and route them per request
         //     (in millisecond-timestamp order, FIFO on ties) into the cells' inboxes.
         //     Routing happens before the cells step, so serial and `parallel` execution
         //     see identical per-cell event sequences.
-        let mut mark = self.profile.mark();
         if let Some(generator) = self.fabric_generator.as_mut() {
             let queue = &mut self.fabric_queue;
             generator.generate_with(now, self.config.base.step, &self.base_timeline, |t, r| {
@@ -263,8 +264,10 @@ impl FleetSimulator {
             self.profile.lap(StepPhase::FabricHandoff, mark);
         }
 
-        // 2. Step every cell (the outer across-datacenter parallel dimension).
+        // 2. Step every cell (the outer across-datacenter parallel dimension). The cells
+        //    profile their own phases.
         step_cells(&mut self.cells, now);
+        let mark = self.profile.mark();
 
         // 3. Refresh the per-site signals in fixed site order. Cells report price-less
         //    telemetry; the step's exogenous price is re-read from the timelines.
@@ -272,6 +275,7 @@ impl FleetSimulator {
             *signal = cell.site_signals();
             signal.grid_price_per_mwh = cell.timeline().grid_price_at(now);
         }
+        self.profile.lap(StepPhase::Fleet, mark);
         self.profile.count_step();
     }
 

@@ -44,7 +44,7 @@ use tapas::placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
     BaselineRouter, CandidateView, PreparedRoutingContext, RecentIndex, RecentWindow, RiskRow,
-    RouteKeys, RouterScratch, RoutingContext, TapasRouter,
+    RouteKeys, RoutingContext, TapasRouter,
 };
 use tapas::state::ClusterState;
 use workload::diurnal::DiurnalPattern;
@@ -89,6 +89,9 @@ struct EndpointPool {
     /// saturated at 1.5. Equals `utilization` below 1.0, but keeps signalling excess
     /// demand above it so the configurator can upsize during surges.
     pressure: Vec<f64>,
+    /// The server's fitted models, copied when the instance is registered and prepared
+    /// for the step's weather and load by [`InstanceRegistry::begin_step`].
+    risk: Vec<RiskRow>,
 }
 
 impl EndpointPool {
@@ -108,6 +111,7 @@ impl EndpointPool {
             transition_until: Vec::new(),
             offered: Vec::new(),
             pressure: Vec::new(),
+            risk: Vec::new(),
         }
     }
 
@@ -140,6 +144,7 @@ impl EndpointPool {
         self.transition_until.swap_remove(index);
         self.offered.swap_remove(index);
         self.pressure.swap_remove(index);
+        self.risk.swap_remove(index);
     }
 }
 
@@ -202,6 +207,7 @@ impl InstanceRegistry {
         pool.transition_until.push(None);
         pool.offered.push(0.0);
         pool.pressure.push(0.0);
+        pool.risk.push(RiskRow::of(profiles.server(server)));
     }
 
     fn remove(&mut self, server: ServerId, endpoint: EndpointId) {
@@ -233,13 +239,15 @@ impl InstanceRegistry {
         }
     }
 
-    /// Refreshes per-step flags and resets offered-load accumulators.
-    fn begin_step(&mut self, now: SimTime) {
+    /// Refreshes per-step flags, resets offered-load accumulators and prepares every
+    /// risk row for the step's outside temperature and datacenter load.
+    fn begin_step(&mut self, now: SimTime, outside: Celsius, dc_load: f64) {
         for pool in &mut self.pools {
             for i in 0..pool.len() {
                 pool.in_transition[i] =
                     pool.transition_until[i].map(|until| until > now).unwrap_or(false);
                 pool.offered[i] = 0.0;
+                pool.risk[i].prepare(outside, dc_load);
             }
         }
     }
@@ -355,7 +363,6 @@ pub struct ClusterSimulator {
     /// over from the previous step's physics outcome.
     routing_context: RoutingContext,
     prepared_routing: PreparedRoutingContext,
-    router_scratch: RouterScratch,
     /// Per-step TAPAS risk flags and decision keys of the endpoint being routed.
     risk_flags: Vec<bool>,
     route_keys: RouteKeys,
@@ -535,7 +542,6 @@ impl ClusterSimulator {
             router_tapas,
             routing_context,
             prepared_routing,
-            router_scratch: RouterScratch::default(),
             risk_flags: Vec::new(),
             route_keys: RouteKeys::default(),
             row_envelopes: Vec::new(),
@@ -770,8 +776,7 @@ impl ClusterSimulator {
             &self.router_tapas.config,
             &self.profiles,
         );
-        self.router_scratch.begin_step(self.profiles.server_count());
-        self.registry.begin_step(now);
+        self.registry.begin_step(now, outside, self.prev_dc_load);
         let routing_enabled = self.config.policy.routing_enabled();
         let step_seconds = step_minutes * 60.0;
 
@@ -798,12 +803,13 @@ impl ClusterSimulator {
             // once per endpoint per step; each quantum then refreshes only the key of the
             // instance it loaded.
             if routing_enabled {
-                self.router_tapas.fill_risk_flags(
-                    &pool.view(),
-                    &self.profiles,
-                    &self.prepared_routing,
-                    &mut self.router_scratch,
-                    &mut self.risk_flags,
+                let (router, prepared) = (&self.router_tapas, &self.prepared_routing);
+                self.risk_flags.clear();
+                self.risk_flags.extend(
+                    pool.risk
+                        .iter()
+                        .zip(&pool.utilization)
+                        .map(|(row, &utilization)| router.row_risk(row, utilization, prepared)),
                 );
                 self.router_tapas.fill_route_keys(
                     &pool.view(),
@@ -843,12 +849,10 @@ impl ClusterSimulator {
                     (pool.utilization[index] + requests_per_quantum / capacity).min(1.5);
                 pool.recent.push(index, customer);
                 if routing_enabled {
-                    let risky = self.router_tapas.candidate_risk(
-                        pool.server[index],
+                    let risky = self.router_tapas.row_risk(
+                        &pool.risk[index],
                         pool.utilization[index],
-                        &self.profiles,
                         &self.prepared_routing,
-                        &mut self.router_scratch,
                     );
                     self.router_tapas.refresh_route_key(
                         &pool.view(),
@@ -950,10 +954,9 @@ impl ClusterSimulator {
 
     /// Reconfigures SaaS instances within their thermal/power headroom (§4.3).
     ///
-    /// An instance's thermal limit reads its server's [`RiskRow`] from the router's
-    /// per-step scratch, built under the same outside temperature and datacenter load the
-    /// configurator plans against, and its power limit reads its row's [`RowEnvelope`],
-    /// built once per row per step.
+    /// An instance's thermal limit reads its [`RiskRow`], prepared by the registry's
+    /// `begin_step` under the same outside temperature and datacenter load the router read,
+    /// and its power limit reads its row's [`RowEnvelope`], built once per row per step.
     fn reconfigure_instances(&mut self, now: SimTime) {
         if !self.config.policy.config_enabled() {
             return;
@@ -991,11 +994,7 @@ impl ClusterSimulator {
                 // saturated instance for one that exactly meets its demand.
                 let demand = pool.pressure[position] * goodput;
                 let utilization = pool.utilization[position];
-                let risk = self.router_scratch.risk_row(
-                    pool.server[position],
-                    &self.profiles,
-                    &self.prepared_routing,
-                );
+                let risk = &pool.risk[position];
                 let envelope = &self.row_envelopes[risk.row().index()];
                 let limits = instance_limits(risk, envelope, thermal_target, utilization, demand);
                 let decision = configurator.select(&current_config, &limits, &self.profiles);
@@ -1086,16 +1085,18 @@ impl ClusterSimulator {
         }
     }
 
+    /// The outside temperature at `now`: scenario weather episodes overlay the climate
+    /// trace additively (the neutral offset 0.0 leaves the legacy trace bit-identical).
+    fn outside_temp(&mut self, now: SimTime) -> Celsius {
+        Celsius::new(self.weather.outside_temp(now).value() + self.timeline.temp_offset_at(now))
+    }
+
     /// One simulation step. With the phase profile enabled, each stage is lapped into its
     /// [`StepPhase`] at the call boundaries; the fabric charges its own phases, and the
     /// rest of its call is charged to [`StepPhase::Offer`].
     fn step(&mut self, now: SimTime) {
         let mut mark = self.profile.mark();
-        // Scenario weather episodes overlay the climate trace additively (the neutral
-        // offset 0.0 leaves the legacy trace bit-identical).
-        let outside = Celsius::new(
-            self.weather.outside_temp(now).value() + self.timeline.temp_offset_at(now),
-        );
+        let outside = self.outside_temp(now);
         self.retire_vms(now);
         self.place_pending_vms(now);
         mark = self.profile.lap(StepPhase::RetirePlace, mark);
@@ -1471,11 +1472,25 @@ mod tests {
         );
     }
 
-    /// The registry is the one copy of the placed SaaS instances: the state's per-row SaaS
-    /// counts (the configurator's headroom share) equal a recount of its pools, its
-    /// per-server position index round-trips every pool entry, and every other server
-    /// reads the sentinel.
-    fn assert_registry_current(sim: &ClusterSimulator) {
+    /// Steps the simulator at `now` and checks that the registry is the one copy of the
+    /// placed SaaS instances: the state's per-row SaaS counts (the configurator's headroom
+    /// share) equal a recount of its pools, its per-server position index round-trips every
+    /// pool entry, every other server reads the sentinel, and every instance's risk row is
+    /// a fresh [`RiskRow::of`] its server prepared for the step (so each row moved with its
+    /// instance through every swap-remove). Returns the number of rows checked.
+    fn step_and_check_registry(sim: &mut ClusterSimulator, now: SimTime) -> usize {
+        // The step prepares its rows under the carried-over load, which it then replaces.
+        let (outside, dc_load) = (sim.outside_temp(now), sim.prev_dc_load);
+        sim.step(now);
+        let mut rows = 0;
+        for pool in &sim.registry.pools {
+            for (row, &server) in pool.risk.iter().zip(&pool.server) {
+                let mut fresh = RiskRow::of(sim.profiles.server(server));
+                fresh.prepare(outside, dc_load);
+                assert_eq!(format!("{row:?}"), format!("{fresh:?}"), "{server} at {now:?}");
+                rows += 1;
+            }
+        }
         let layout = sim.dc.layout();
         let mut per_row = vec![0usize; layout.rows().len()];
         let mut indexed = vec![false; layout.server_count()];
@@ -1498,11 +1513,12 @@ mod tests {
                 assert!(sim.state.vm_on(server.id).is_none_or(|p| !p.vm.kind.is_saas()));
             }
         }
+        rows
     }
 
     /// The configurator's limits for instance `position` of pool `endpoint`, built from the
-    /// server's profile per instance, as the configurator did before it shared the router's
-    /// risk rows.
+    /// server's profile per instance, as the configurator did before it read the
+    /// registry's risk rows.
     fn per_instance_limits(
         sim: &ClusterSimulator,
         (endpoint, position): (usize, usize),
@@ -1545,34 +1561,17 @@ mod tests {
         loop {
             let now = clock.now();
             sim.step(now);
-            // A step's routing context as `route_requests` prepares it, with the rows of
-            // every other instance already built by the router. The last context's thermal
-            // target is below the inlet, so its per-GPU budgets hit the 1 W floor.
+            // The registry's rows prepared as `begin_step` prepares them, under three
+            // contexts. The last context's thermal target is below the inlet, so its
+            // per-GPU budgets hit the 1 W floor.
             let target = sim.profiles.thermal_headroom_target;
             let contexts =
                 [(18.0, 1.0, target), (41.0, 0.6, target), (30.0, 0.05, Celsius::new(25.0))];
             for (outside, power_cap, thermal_target) in contexts {
                 let outside = Celsius::new(outside);
-                sim.routing_context.outside_temp = outside;
-                sim.routing_context.dc_load = sim.prev_dc_load;
-                sim.prepared_routing.refresh(
-                    &sim.routing_context,
-                    &sim.router_tapas.config,
-                    &sim.profiles,
-                );
-                sim.router_scratch.begin_step(sim.profiles.server_count());
-                let instances: Vec<(usize, usize)> = (0..sim.registry.pools.len())
-                    .flat_map(|e| (0..sim.registry.pools[e].len()).map(move |p| (e, p)))
-                    .collect();
-                for &(endpoint, position) in instances.iter().step_by(2) {
-                    let server = sim.registry.pools[endpoint].server[position];
-                    let _ = sim.router_tapas.candidate_risk(
-                        server,
-                        0.5,
-                        &sim.profiles,
-                        &sim.prepared_routing,
-                        &mut sim.router_scratch,
-                    );
+                let dc_load = sim.prev_dc_load;
+                for row in sim.registry.pools.iter_mut().flat_map(|pool| &mut pool.risk) {
+                    row.prepare(outside, dc_load);
                 }
                 let layout = sim.dc.layout();
                 let envelopes: Vec<RowEnvelope> = (0..sim.profiles.row_count())
@@ -1585,31 +1584,29 @@ mod tests {
                         )
                     })
                     .collect();
-                for &(endpoint, position) in &instances {
-                    let context = (outside, power_cap, thermal_target);
-                    let expected = per_instance_limits(&sim, (endpoint, position), context);
-                    let pool = &sim.registry.pools[endpoint];
-                    let (server, utilization) = (pool.server[position], pool.utilization[position]);
-                    let demand = expected.demand_tokens_per_s;
-                    let risk = *sim.router_scratch.risk_row(
-                        server,
-                        &sim.profiles,
-                        &sim.prepared_routing,
-                    );
-                    let envelope = &envelopes[risk.row().index()];
-                    let limits =
-                        instance_limits(&risk, envelope, thermal_target, utilization, demand);
-                    let bits = |l: &InstanceLimits| {
-                        [
-                            l.max_gpu_power.value().to_bits(),
-                            l.max_server_power.value().to_bits(),
-                            l.demand_tokens_per_s.to_bits(),
-                        ]
-                    };
-                    assert_eq!(bits(&limits), bits(&expected), "{server} at {now:?}");
-                    compared += 1;
-                    over_budget += usize::from(envelope.headroom.value() < 0.0);
-                    gpu_floored += usize::from(limits.max_gpu_power.value() == 1.0);
+                for (endpoint, pool) in sim.registry.pools.iter().enumerate() {
+                    for position in 0..pool.len() {
+                        let context = (outside, power_cap, thermal_target);
+                        let expected = per_instance_limits(&sim, (endpoint, position), context);
+                        let risk = &pool.risk[position];
+                        let envelope = &envelopes[risk.row().index()];
+                        let utilization = pool.utilization[position];
+                        let demand = expected.demand_tokens_per_s;
+                        let limits =
+                            instance_limits(risk, envelope, thermal_target, utilization, demand);
+                        let bits = |l: &InstanceLimits| {
+                            [
+                                l.max_gpu_power.value().to_bits(),
+                                l.max_server_power.value().to_bits(),
+                                l.demand_tokens_per_s.to_bits(),
+                            ]
+                        };
+                        let server = pool.server[position];
+                        assert_eq!(bits(&limits), bits(&expected), "{server} at {now:?}");
+                        compared += 1;
+                        over_budget += usize::from(envelope.headroom.value() < 0.0);
+                        gpu_floored += usize::from(limits.max_gpu_power.value() == 1.0);
+                    }
                 }
             }
             if clock.tick().is_none() {
@@ -1649,11 +1646,10 @@ mod tests {
         // Last IaaS VM seen on each server: a different one later means the server was
         // freed by a retirement and re-occupied.
         let mut tenant: Vec<Option<VmId>> = vec![None; sim.state.server_count()];
-        let (mut checked, mut reoccupied) = (0usize, 0usize);
+        let (mut checked, mut reoccupied, mut rows) = (0usize, 0usize, 0usize);
         loop {
             let now = clock.now();
-            sim.step(now);
-            assert_registry_current(&sim);
+            rows += step_and_check_registry(&mut sim, now);
             for placed in sim.state.placed().filter(|p| !p.vm.kind.is_saas()) {
                 let index = placed.server.index();
                 let expected = sim.iaas_model.load_at(&placed.vm, now).to_bits();
@@ -1676,6 +1672,7 @@ mod tests {
         }
         assert!(checked > 500, "{checked}");
         assert!(reoccupied >= 10, "{reoccupied} servers changed IaaS tenant");
+        assert!(rows >= 50, "only {rows} risk rows checked");
     }
 
     #[test]
@@ -1707,12 +1704,11 @@ mod tests {
         let (mut retired, mut moved) = (0usize, 0usize);
         loop {
             let now = clock.now();
-            sim.step(now);
+            step_and_check_registry(&mut sim, now);
             // Registry and cluster state must agree after every step.
             let saas_in_state = sim.state.placed().filter(|p| p.vm.kind.is_saas()).count();
             let registered: usize = sim.registry.pools.iter().map(EndpointPool::len).sum();
             assert_eq!(registered, saas_in_state);
-            assert_registry_current(&sim);
             let previous = std::mem::take(&mut positions);
             for pool in &sim.registry.pools {
                 for (position, &vm) in pool.vm.iter().enumerate() {
@@ -1736,6 +1732,7 @@ mod tests {
                 assert_eq!(pool.transition_until.len(), n);
                 assert_eq!(pool.offered.len(), n);
                 assert_eq!(pool.pressure.len(), n);
+                assert_eq!(pool.risk.len(), n);
             }
             if clock.tick().is_none() {
                 break;

@@ -29,6 +29,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 use workload::prediction::PowerTemplate;
 
+/// The breakpoints (°C outside) of the inlet model offline profiling fits (Eq. 1): three
+/// degree-1 segments, the one shape [`ServerProfile::check`] accepts.
+pub const INLET_BREAKPOINTS_C: [f64; 4] = [-10.0, 15.0, 25.0, 45.0];
+
 /// Per-server fitted thermal and power models.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerProfile {
@@ -95,9 +99,9 @@ impl ServerProfile {
         self.spec.idle_airflow + (self.spec.max_airflow - self.spec.idle_airflow) * load
     }
 
-    /// Checks that every fitted value is finite, that the worst-GPU temperature model
-    /// takes the two features of Eq. 2 and that the power curve is of degree 2 (the shape
-    /// the router's prepared risk rows hold inline).
+    /// Checks that every fitted value is finite, that the inlet model is three segments of
+    /// degree 1, that the worst-GPU temperature model takes the two features of Eq. 2 and
+    /// that the power curve is of degree 2 (the shapes the router's risk rows hold inline).
     ///
     /// # Errors
     /// Returns the first problem found, naming this server and the model.
@@ -111,6 +115,16 @@ impl ServerProfile {
         let intercept = gpu.intercept();
         let gpu_values = std::iter::once(&intercept).chain(gpu.coefficients());
         non_finite(server, ProfileModel::InletVsOutside, inlet_values)?;
+        let segments = inlet.segments().len();
+        let degree = inlet
+            .segments()
+            .iter()
+            .map(Polynomial::degree)
+            .find(|&degree| degree != 1)
+            .unwrap_or(1);
+        if segments != INLET_BREAKPOINTS_C.len() - 1 || degree != 1 {
+            return Err(ProfileError::InletShape { server, segments, degree });
+        }
         non_finite(
             server,
             ProfileModel::InletLoadSensitivity,
@@ -171,6 +185,15 @@ pub enum ProfileError {
         /// The first non-finite value found.
         value: f64,
     },
+    /// The inlet model (Eq. 1) is not the three degree-1 segments offline profiling fits.
+    InletShape {
+        /// The profiled server.
+        server: ServerId,
+        /// The model's segment count.
+        segments: usize,
+        /// The degree of its first segment not of degree 1 (1 when every segment is).
+        degree: usize,
+    },
     /// The worst-GPU temperature model does not take the two features
     /// `[inlet °C, per-GPU power W]` of Eq. 2.
     GpuModelFeatures {
@@ -195,6 +218,11 @@ impl std::fmt::Display for ProfileError {
                 f,
                 "server {server}: its fitted {} model holds a non-finite value ({value})",
                 model.name()
+            ),
+            ProfileError::InletShape { server, segments, degree } => write!(
+                f,
+                "server {server}: its inlet_vs_outside model is {segments} segments (one of \
+                 degree {degree}), not 3 segments of degree 1"
             ),
             ProfileError::GpuModelFeatures { server, features } => write!(
                 f,
@@ -414,7 +442,7 @@ impl ProfileStore {
                 })
                 .collect();
             let inlet_vs_outside =
-                PiecewisePolynomial::fit(&inlet_samples, &[-10.0, 15.0, 25.0, 45.0], 1)
+                PiecewisePolynomial::fit(&inlet_samples, &INLET_BREAKPOINTS_C, 1)
                     .expect("inlet profiling fit");
             let low = dc
                 .inlet_model()
@@ -696,6 +724,31 @@ mod tests {
         assert_eq!(
             corrupt.check(),
             Err(ProfileError::PowerCurveDegree { server: ServerId::new(4), degree: 3 })
+        );
+    }
+
+    #[test]
+    fn check_rejects_an_inlet_model_of_another_shape() {
+        let segment = |coefficients: &[f64]| Polynomial::from_coefficients(coefficients.to_vec());
+        let (_, mut corrupt) = store();
+        corrupt.servers[6].inlet_vs_outside = PiecewisePolynomial::from_segments(
+            vec![-10.0, 20.0, 45.0],
+            vec![segment(&[18.0, 0.2]), segment(&[20.0, 0.3])],
+        )
+        .expect("valid segments");
+        let error = corrupt.check().expect_err("two segments fail the check");
+        assert_eq!(error, ProfileError::InletShape { server: ServerId::new(6), segments: 2, degree: 1 });
+        assert!(error.to_string().contains("inlet_vs_outside"), "{error}");
+
+        let (_, mut corrupt) = store();
+        corrupt.servers[1].inlet_vs_outside = PiecewisePolynomial::from_segments(
+            INLET_BREAKPOINTS_C.to_vec(),
+            vec![segment(&[18.0, 0.2]), segment(&[20.0, 0.3, 0.01]), segment(&[21.0, 0.4])],
+        )
+        .expect("valid segments");
+        assert_eq!(
+            corrupt.check(),
+            Err(ProfileError::InletShape { server: ServerId::new(1), segments: 3, degree: 2 })
         );
     }
 

@@ -16,11 +16,14 @@
 //! on a [`CandidateView`] (a struct-of-arrays view of an endpoint's instances maintained
 //! incrementally by the caller) with a [`PreparedRoutingContext`] that pre-computes
 //! per-row/per-aisle headrooms, and returns a candidate *index* so the caller can update
-//! its registry in O(1). A [`RouterScratch`] holds one [`RiskRow`] per server the step
-//! reads, built on its first read: the fitted models the risk filter reads, with the
-//! step's predicted inlet folded into its Eq. 2 term, inline, evaluated in the profile's
-//! own operations and order so every flag is the reference's bit for bit. The instance
-//! configurator reads the same rows.
+//! its registry in O(1). The risk filter reads a [`RiskRow`] per candidate: the fitted
+//! models of its server, inline, copied once when the caller registers the instance
+//! ([`RiskRow::of`]) and refreshed once per step for the weather and load
+//! ([`RiskRow::prepare`]), evaluated in the profile's own operations and order so every
+//! flag is the reference's bit for bit; [`TapasRouter::row_risk`] is the predicate. The
+//! simulator keeps the rows as a registry column next to the candidate columns, and the
+//! instance configurator reads the same rows. Callers without such a column read rows
+//! through a [`RouterScratch`].
 //!
 //! [`TapasRouter::route_keyed`] is the simulator's decision. It reads per-candidate keys
 //! ([`RouteKeys`]) cached once per step and refreshed for the one candidate each quantum
@@ -34,10 +37,11 @@
 //! safe, score, smaller vm id)`. [`BaselineRouter::route_view`] is the simulator's
 //! baseline decision, with [`BaselineRouter::route_candidates`] as its reference.
 
-use crate::profiles::ProfileStore;
+use crate::profiles::{ProfileStore, ServerProfile};
 use dc_sim::ids::{RowId, ServerId};
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
+use simkit::regression::Polynomial;
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use workload::vm::VmId;
 
@@ -469,10 +473,11 @@ impl Default for TapasRouterConfig {
 
 /// Per-step pre-computation for the TAPAS risk filter.
 ///
-/// Row and aisle headrooms collapse the budget comparison to one subtraction per candidate,
-/// and each server's [`RiskRow`] in the [`RouterScratch`] carries its predicted inlet's
-/// Eq. 2 term, so the piecewise-polynomial inlet model is evaluated at most once per
-/// server per step regardless of how many quanta route to instances on it.
+/// Row and aisle headrooms collapse the budget comparison to one subtraction per candidate.
+/// The step's outside temperature and load are what a [`RouterScratch`] prepares its
+/// [`RiskRow`]s under; a caller that keeps its own rows prepares them with the same two
+/// values, so the piecewise-polynomial inlet model is evaluated once per row per step
+/// regardless of how many quanta route to instances on it.
 #[derive(Debug, Clone)]
 pub struct PreparedRoutingContext {
     outside_temp: Celsius,
@@ -534,23 +539,32 @@ impl PreparedRoutingContext {
     }
 }
 
-/// One server's fitted models as the risk filter and the configurator read them, prepared
-/// for one step by [`RouterScratch::risk_row`].
+/// One server's fitted models as the risk filter and the configurator read them.
 ///
-/// It holds the Eq. 2 intercept, its inlet term at the step's predicted inlet and its
-/// per-GPU power coefficient, the GPU power and throttle limits, the degree-2 power curve,
-/// the airflow line and the server's row and aisle, inline, so a risk check reads one
-/// contiguous row instead of following the [`crate::profiles::ServerProfile`]'s model
-/// vectors. Every method repeats the profile's operations in the profile's order
-/// (`LinearModel::predict`'s sum, `Polynomial::evaluate`'s Horner fold), so each result
-/// is bit-identical to the profile's.
+/// [`Self::of`] copies, inline, the Eq. 1 inlet model (its four breakpoints, three
+/// degree-1 segments and load sensitivity), the Eq. 2 intercept and coefficients, the GPU
+/// power and throttle limits, the degree-2 power curve, the airflow line and the server's
+/// row and aisle, so a risk check reads one contiguous 192-byte row instead of following
+/// the [`crate::profiles::ServerProfile`]'s model vectors. The models do not change during
+/// a run, so a row is built once per instance; [`Self::prepare`] refreshes the one term
+/// that depends on the step's weather and load, the inlet coefficient times the predicted
+/// inlet. Every method repeats the profile's operations in the profile's order
+/// (`PiecewisePolynomial::evaluate`'s clamp and segment choice, `Polynomial::evaluate`'s
+/// Horner fold, `LinearModel::predict`'s sum), so each result is bit-identical to the
+/// profile's.
 #[derive(Debug, Clone, Copy)]
 pub struct RiskRow {
-    /// Eq. 2: the intercept, the inlet coefficient times the step's predicted inlet (°C),
-    /// and the per-GPU power coefficient.
+    /// Eq. 2: the intercept, the inlet coefficient, the inlet coefficient times the
+    /// prepared step's predicted inlet (°C), and the per-GPU power coefficient.
     gpu_intercept: f64,
+    gpu_inlet_coeff: f64,
     gpu_inlet_term: f64,
     gpu_power_coeff: f64,
+    /// Eq. 1: segment boundaries (°C outside), per-segment `[c₀, c₁]`, and the inlet °C
+    /// added per unit of datacenter load.
+    inlet_breakpoints: [f64; 4],
+    inlet_segments: [[f64; 2]; 3],
+    inlet_load_sensitivity_c: f64,
     /// Maximum power of one GPU (W).
     gpu_max_power_w: f64,
     /// GPU throttle temperature (°C).
@@ -566,30 +580,42 @@ pub struct RiskRow {
 }
 
 impl RiskRow {
-    /// Prepares `server`'s row under the prepared context's outside temperature and load.
+    /// The static part of a server's row; its inlet term is NaN until [`Self::prepare`].
     ///
     /// # Panics
-    /// Panics if the server's worst-GPU model does not take the two Eq. 2 features or its
-    /// power curve is not of degree 2 (both are [`ProfileStore::check`] errors).
-    #[inline(never)]
-    fn build(
-        profiles: &ProfileStore,
-        server: ServerId,
-        prepared: &PreparedRoutingContext,
-    ) -> Self {
-        let profile = profiles.server(server);
-        let model = &profile.worst_gpu_temp;
-        let (&[gpu_inlet_coeff, gpu_power_coeff], &[c0, c1, c2]) =
-            (model.coefficients(), profile.power_curve.coefficients())
+    /// Panics, naming the server, if its inlet model is not three degree-1 segments, its
+    /// worst-GPU model does not take the two Eq. 2 features or its power curve is not of
+    /// degree 2 (all [`crate::profiles::ProfileStore::check`] errors).
+    #[must_use]
+    pub fn of(profile: &ServerProfile) -> Self {
+        let inlet = &profile.inlet_vs_outside;
+        let (
+            &[gpu_inlet_coeff, gpu_power_coeff],
+            &[c0, c1, c2],
+            &[b0, b1, b2, b3],
+            [s0, s1, s2],
+        ) = (
+            profile.worst_gpu_temp.coefficients(),
+            profile.power_curve.coefficients(),
+            inlet.breakpoints(),
+            inlet.segments(),
+        )
         else {
-            panic!("server {server}: its profile fails ProfileStore::check");
+            panic!("server {}: its profile fails ProfileStore::check", profile.server);
+        };
+        let segment = |polynomial: &Polynomial| match *polynomial.coefficients() {
+            [a0, a1] => [a0, a1],
+            _ => panic!("server {}: its profile fails ProfileStore::check", profile.server),
         };
         let spec = &profile.spec;
-        let inlet = profile.predicted_inlet(prepared.outside_temp, prepared.dc_load);
         Self {
-            gpu_intercept: model.intercept(),
-            gpu_inlet_term: gpu_inlet_coeff * inlet.value(),
+            gpu_intercept: profile.worst_gpu_temp.intercept(),
+            gpu_inlet_coeff,
+            gpu_inlet_term: f64::NAN,
             gpu_power_coeff,
+            inlet_breakpoints: [b0, b1, b2, b3],
+            inlet_segments: [segment(s0), segment(s1), segment(s2)],
+            inlet_load_sensitivity_c: profile.inlet_load_sensitivity_c,
             gpu_max_power_w: spec.gpu_max_power.to_watts().value(),
             throttle_c: spec.gpu_throttle_temp_c,
             power_curve: [c0, c1, c2],
@@ -601,13 +627,35 @@ impl RiskRow {
         }
     }
 
+    /// Sets the inlet term to the inlet coefficient times
+    /// [`ServerProfile::predicted_inlet`]`(outside, dc_load)`, in that method's operations:
+    /// the clamp to `[b₀, b₃]`, `segment_index`'s comparisons (after the clamp `x < b₀`
+    /// never holds, and a NaN takes the last segment as there), the Horner fold from `0.0`,
+    /// then the clamped load delta.
+    #[inline]
+    pub fn prepare(&mut self, outside: Celsius, dc_load: f64) {
+        let [b0, b1, b2, b3] = self.inlet_breakpoints;
+        let x = outside.value().clamp(b0, b3);
+        let segment = if x < b1 {
+            0
+        } else if x < b2 {
+            1
+        } else {
+            2
+        };
+        let at_reference =
+            self.inlet_segments[segment].iter().rev().fold(0.0, |acc, &c| acc * x + c);
+        let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.inlet_load_sensitivity_c;
+        self.gpu_inlet_term = self.gpu_inlet_coeff * (at_reference + load_delta);
+    }
+
     /// The server's row.
     #[must_use]
     pub fn row(&self) -> RowId {
         RowId::new(self.row as usize)
     }
 
-    /// [`crate::profiles::ServerProfile::gpu_power_budget`] at the step's predicted inlet.
+    /// [`crate::profiles::ServerProfile::gpu_power_budget`] at the prepared predicted inlet.
     #[must_use]
     pub fn gpu_power_budget(&self, limit: Celsius) -> Watts {
         let base = self.gpu_intercept + self.gpu_inlet_term;
@@ -631,7 +679,7 @@ impl RiskRow {
     }
 
     /// Whether routing another request here risks one of the three operational limits:
-    /// the test reference `is_risky_with_inlet` at the step's predicted inlet, in its
+    /// the test reference `is_risky_with_inlet` at the prepared predicted inlet, in its
     /// operations and order.
     #[inline]
     fn is_risky(
@@ -660,8 +708,8 @@ impl RiskRow {
     }
 }
 
-/// Reusable per-step buffers for the routing hot path: a [`RiskRow`] for every server the
-/// step reads, built on its first read.
+/// Per-server [`RiskRow`]s for callers that keep no row per candidate (benches and
+/// replays): each step, a server's row is built and prepared on its first read.
 #[derive(Debug, Default, Clone)]
 pub struct RouterScratch {
     /// Per server, the position of its row in `rows` ([`NIL`] until the step reads it).
@@ -680,9 +728,8 @@ impl RouterScratch {
         self.rows.reserve_exact(server_count);
     }
 
-    /// `server`'s risk row for this step, built from its profile and the prepared
-    /// context on the step's first read. The configurator reads the same row, so the
-    /// predicted inlet is evaluated once per server per step.
+    /// `server`'s risk row for this step: [`RiskRow::of`] its profile, prepared under the
+    /// prepared context's outside temperature and load, on the step's first read.
     ///
     /// # Panics
     /// Panics if [`Self::begin_step`] was not called with a count covering `server`.
@@ -696,7 +743,9 @@ impl RouterScratch {
         let slot = &mut self.slots[server.index()];
         if *slot == NIL {
             *slot = position_u32(self.rows.len());
-            self.rows.push(RiskRow::build(profiles, server, prepared));
+            let mut row = RiskRow::of(profiles.server(server));
+            row.prepare(prepared.outside_temp, prepared.dc_load);
+            self.rows.push(row);
         }
         &self.rows[*slot as usize]
     }
@@ -897,26 +946,28 @@ impl TapasRouter {
         chosen.map(|b| b.index)
     }
 
+    /// Whether routing another request to an instance at `utilization` on `row`'s server
+    /// risks one of the three operational limits, against the prepared step's row and
+    /// aisle headrooms. `row` must be prepared for the same step.
+    #[must_use]
     #[inline]
-    fn risk_with_memo(
-        config: &TapasRouterConfig,
-        server: ServerId,
+    pub fn row_risk(
+        &self,
+        row: &RiskRow,
         utilization: f64,
-        profiles: &ProfileStore,
         prepared: &PreparedRoutingContext,
-        scratch: &mut RouterScratch,
     ) -> bool {
-        let row = scratch.risk_row(server, profiles, prepared);
         row.is_risky(
-            config,
+            &self.config,
             utilization,
             prepared.row_headroom_kw[row.row as usize],
             prepared.aisle_headroom_cfm[row.aisle as usize],
         )
     }
 
-    /// Evaluates the risk filter for one candidate (used to refresh a cached flag after the
-    /// caller mutated that candidate's utilization).
+    /// [`Self::row_risk`] for one candidate on `server`, reading its row from `scratch`
+    /// (used to refresh a cached flag after the caller mutated that candidate's
+    /// utilization).
     #[must_use]
     pub fn candidate_risk(
         &self,
@@ -926,11 +977,11 @@ impl TapasRouter {
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
     ) -> bool {
-        Self::risk_with_memo(&self.config, server, utilization, profiles, prepared, scratch)
+        self.row_risk(scratch.risk_row(server, profiles, prepared), utilization, prepared)
     }
 
-    /// Fills `flags[i] = risky(candidate i)` for every candidate, reusing the scratch's
-    /// risk rows.
+    /// Fills `flags[i] = risky(candidate i)` for every candidate, reading each server's
+    /// row from `scratch`.
     pub fn fill_risk_flags(
         &self,
         view: &CandidateView<'_>,
@@ -942,14 +993,7 @@ impl TapasRouter {
         flags.clear();
         flags.reserve(view.vm.len());
         for (&server, &utilization) in view.server.iter().zip(view.utilization) {
-            flags.push(Self::risk_with_memo(
-                &self.config,
-                server,
-                utilization,
-                profiles,
-                prepared,
-                scratch,
-            ));
+            flags.push(self.candidate_risk(server, utilization, profiles, prepared, scratch));
         }
     }
 
@@ -1404,6 +1448,41 @@ mod tests {
             }
         }
         assert!(outcomes.iter().all(|&n| n > 10_000), "outcomes {outcomes:?}");
+    }
+
+    #[test]
+    fn prepared_inlet_terms_match_the_profile_bit_for_bit() {
+        let dc = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
+        let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
+        // Each breakpoint and its neighbours one ulp away, then past both clamps.
+        let outsides: Vec<f64> = crate::profiles::INLET_BREAKPOINTS_C
+            .iter()
+            .flat_map(|&b| [b.next_down(), b, b.next_up()])
+            .chain([f64::NEG_INFINITY, -40.0, 20.0, 60.0, f64::INFINITY])
+            .collect();
+        let mut segments_seen = [0usize; 3];
+        for profile in &profiles.servers {
+            let breakpoints = profile.inlet_vs_outside.breakpoints();
+            assert_eq!(breakpoints, crate::profiles::INLET_BREAKPOINTS_C);
+            let coefficient = profile.worst_gpu_temp.coefficients()[0];
+            let mut row = RiskRow::of(profile);
+            for &outside in &outsides {
+                let clamped = outside.clamp(breakpoints[0], breakpoints[3]);
+                let segment = breakpoints[1..].iter().take_while(|&&b| clamped >= b).count();
+                segments_seen[segment.min(2)] += 1;
+                for dc_load in [-0.1, 0.0, 0.5, 1.0, 1.3] {
+                    row.prepare(Celsius::new(outside), dc_load);
+                    let inlet = profile.predicted_inlet(Celsius::new(outside), dc_load);
+                    assert_eq!(
+                        row.gpu_inlet_term.to_bits(),
+                        (coefficient * inlet.value()).to_bits(),
+                        "{}, outside {outside}, load {dc_load}",
+                        profile.server
+                    );
+                }
+            }
+        }
+        assert!(segments_seen.iter().all(|&n| n > 1000), "segments seen {segments_seen:?}");
     }
 
     #[test]

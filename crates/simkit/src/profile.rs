@@ -15,6 +15,9 @@ use std::time::Instant;
 /// The phases a simulation step is split into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPhase {
+    /// Fleet level: injecting the step's grid prices, routing its VM arrivals across sites
+    /// and refreshing the per-site signals after the cells step.
+    Fleet,
     /// Fleet level: generating the step's request-fabric arrivals.
     FabricGenerate,
     /// Fleet level: ordering the step's arrivals and routing each into a cell inbox.
@@ -43,7 +46,8 @@ pub enum StepPhase {
 
 impl StepPhase {
     /// Every phase, in table order.
-    pub const ALL: [StepPhase; 11] = [
+    pub const ALL: [StepPhase; 12] = [
+        StepPhase::Fleet,
         StepPhase::FabricGenerate,
         StepPhase::FabricHandoff,
         StepPhase::Offer,
@@ -61,6 +65,7 @@ impl StepPhase {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
+            StepPhase::Fleet => "fleet",
             StepPhase::FabricGenerate => "fabric generate",
             StepPhase::FabricHandoff => "fabric handoff",
             StepPhase::Offer => "offer",
