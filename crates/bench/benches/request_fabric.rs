@@ -3,15 +3,18 @@
 //! KV-bounded batch serving riding on the full simulation step), and the
 //! continuous-batching scheduler in isolation (offer + drain of a fixed request batch —
 //! the per-request hot path — and a deep batch drained by the event-cost path and by its
-//! per-sequence reference).
+//! per-sequence reference), plus the stream's generation cost: one minute of an 80-server
+//! site's requests and the two draws each request is made of.
 
 use cluster_sim::experiment::{ExperimentConfig, FleetConfig, RequestFabricConfig};
+use cluster_sim::fabric::FabricGenerator;
 use cluster_sim::fleet::FleetSimulator;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use llm_sim::batch::BatchScheduler;
 use llm_sim::config::InstanceConfig;
 use llm_sim::hardware::GpuHardware;
-use simkit::time::SimTime;
+use simkit::rng::SimRng;
+use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use tapas::policy::Policy;
 
@@ -65,6 +68,36 @@ fn bench_request_fabric(c: &mut Criterion) {
     let fleet = primed(16);
     c.bench_function("fabric_step_16_sites", |b| {
         b.iter_batched(|| fleet.clone(), step_window, BatchSize::LargeInput)
+    });
+
+    // Generation alone: one midday minute of the fabric80_day stream (80 servers,
+    // `rate_scale` 1.0, ~5020 requests), regenerated each iteration so every iteration
+    // draws the same Poisson mean. The sink folds every field, so no draw is dead code.
+    let mut base = ExperimentConfig::real_cluster_hour(Policy::Tapas);
+    base.duration = SimTime::from_hours(24);
+    let mut generator =
+        FabricGenerator::new(base.seed, &base.endpoint_catalog(), RequestFabricConfig::default());
+    let timeline = base.resolved_timeline();
+    let (noon, minute) = (SimTime::from_hours(12), SimDuration::from_minutes(1));
+    c.bench_function("fabric_generate_1_site_minute", |b| {
+        b.iter(|| {
+            let mut fold = 0u64;
+            generator.generate_with(noon, minute, &timeline, |time_ms, request| {
+                let tokens = u64::from(request.prompt_tokens) << 32
+                    | u64::from(request.output_tokens);
+                fold = fold.rotate_left(5) ^ time_ms ^ tokens;
+            });
+            black_box(fold)
+        })
+    });
+
+    // The draws a request is made of: a raw word (its offset's uniform integer) and a
+    // log-normal (its prompt and output lengths).
+    let mut rng = SimRng::seed_from(7).derive("request-fabric");
+    c.bench_function("simrng_next_u64", |b| b.iter(|| black_box(rng.next_u64())));
+    let (mu, sigma) = (512f64.ln(), 0.9);
+    c.bench_function("simrng_log_normal", |b| {
+        b.iter(|| black_box(rng.log_normal(black_box(mu), black_box(sigma))))
     });
 
     // The scheduler alone: offer 512 requests and drain them to completion — the

@@ -317,6 +317,8 @@ impl FabricGenerator {
         let step_minutes = step.as_minutes();
         let step_ms = step_minutes * MS_PER_MINUTE;
         let start_ms = now.as_minutes() * MS_PER_MINUTE;
+        let prompt_mu = self.shape.median_prompt_tokens.ln();
+        let output_mu = self.shape.median_output_tokens.ln();
         for (ordinal, endpoint) in self.endpoints.iter_mut().enumerate() {
             let id = workload::endpoints::EndpointId(ordinal as u64);
             let rate_per_minute = endpoint.peak_requests_per_minute
@@ -332,12 +334,12 @@ impl FabricGenerator {
                 let offset_ms = endpoint.rng.uniform_usize(0, step_ms as usize) as u64;
                 let prompt = endpoint
                     .rng
-                    .log_normal(self.shape.median_prompt_tokens.ln(), self.shape.prompt_sigma)
+                    .log_normal(prompt_mu, self.shape.prompt_sigma)
                     .round()
                     .max(1.0) as usize;
                 let output = endpoint
                     .rng
-                    .log_normal(self.shape.median_output_tokens.ln(), self.shape.output_sigma)
+                    .log_normal(output_mu, self.shape.output_sigma)
                     .round()
                     .max(1.0) as usize;
                 let (prompt, output) = self.shape.clamp(prompt, output);

@@ -1741,4 +1741,114 @@ mod tests {
         assert!(retired >= 50, "only {retired} SaaS retirements");
         assert!(moved >= 25, "only {moved} instances moved by a swap-remove");
     }
+
+    /// The quantum loop of [`ClusterSimulator::route_requests`] without route keys or
+    /// risk rows: every quantum's risk flags come fresh from `fill_risk_flags` over the
+    /// current columns and its pick from `route_prescored`, with the same draws and column
+    /// updates. Returns the number of quanta routed and how many saw both risky and safe
+    /// candidates.
+    fn route_quanta_prescored(
+        sim: &mut ClusterSimulator,
+        now: SimTime,
+        outside: Celsius,
+    ) -> (usize, usize) {
+        use llm_sim::request::{InferenceRequest, RequestId};
+        use tapas::routing::RouterScratch;
+        sim.routing_context.outside_temp = outside;
+        sim.routing_context.dc_load = sim.prev_dc_load;
+        let config = &sim.router_tapas.config;
+        sim.prepared_routing.refresh(&sim.routing_context, config, &sim.profiles);
+        sim.registry.begin_step(now, outside, sim.prev_dc_load);
+        let mut scratch = RouterScratch::default();
+        scratch.begin_step(sim.profiles.server_count());
+        let mut flags = Vec::new();
+        let step_minutes = sim.config.step.as_minutes() as f64;
+        let step_seconds = step_minutes * 60.0;
+        let (mut routed, mut mixed) = (0, 0);
+        for endpoint in sim.catalog.endpoints() {
+            let pattern = &sim.endpoint_patterns[endpoint.id.0 as usize];
+            let total_requests = endpoint.peak_requests_per_minute
+                * pattern.load_at(now)
+                * sim.timeline.demand_scale_at(now, endpoint.id)
+                * step_minutes;
+            let pool = &mut sim.registry.pools[endpoint.id.0 as usize];
+            if total_requests <= 0.0 || pool.len() == 0 {
+                continue;
+            }
+            let quanta = (pool.len() * 2).clamp(1, 64);
+            let requests_per_quantum = total_requests / quanta as f64;
+            for _ in 0..quanta {
+                let customer = CustomerId(sim.rng.next_u64() % endpoint.customers.max(1));
+                let (router, prepared) = (&sim.router_tapas, &sim.prepared_routing);
+                let view = pool.view();
+                router.fill_risk_flags(&view, &sim.profiles, prepared, &mut scratch, &mut flags);
+                let request = InferenceRequest {
+                    id: RequestId(routed as u64),
+                    customer,
+                    arrival: now,
+                    prompt_tokens: 512,
+                    output_tokens: 200,
+                };
+                let index = router
+                    .route_prescored(&request, &view, &flags)
+                    .expect("a non-empty pool always routes");
+                pool.offered[index] += requests_per_quantum;
+                pool.outstanding[index] += requests_per_quantum.ceil() as u32;
+                let goodput = if pool.goodput[index].is_nan() {
+                    FALLBACK_GOODPUT
+                } else {
+                    pool.goodput[index]
+                };
+                let capacity = (goodput * step_seconds / MEAN_TOKENS_PER_REQUEST).max(1.0);
+                pool.utilization[index] =
+                    (pool.utilization[index] + requests_per_quantum / capacity).min(1.5);
+                pool.recent.push(index, customer);
+                routed += 1;
+                mixed += usize::from(flags.contains(&true) && flags.contains(&false));
+            }
+        }
+        (routed, mixed)
+    }
+
+    #[test]
+    fn keyed_quantum_routing_matches_the_prescored_reference() {
+        let mut sim = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas));
+        let mut clock = SimClock::new(sim.config.step, sim.config.duration);
+        let (mut quanta, mut split) = (0, 0);
+        loop {
+            let now = clock.now();
+            // One row at its routing budget each step, alternating, so the risk flags split
+            // by row and a pick's refreshed flag depends on whose risk row it reads.
+            let row = now.as_minutes() as usize % sim.profiles.row_count();
+            let fraction = sim.router_tapas.config.row_power_risk_fraction;
+            let budget = sim.profiles.row_budget(RowId::new(row)).value() * fraction;
+            sim.routing_context.row_power[row] = Kilowatts::new(budget);
+            let mut reference = sim.clone();
+            sim.step(now);
+            let outside = reference.outside_temp(now);
+            reference.retire_vms(now);
+            reference.place_pending_vms(now);
+            let (routed, mixed) = route_quanta_prescored(&mut reference, now, outside);
+            quanta += routed;
+            split += mixed;
+            // Each quantum's pick adds to its instance's offered load and pushes its
+            // customer into the instance's recent window, so equal columns mean each
+            // instance took the same quanta, for the same customers, in the same order.
+            for (pool, expected) in sim.registry.pools.iter().zip(&reference.registry.pools) {
+                let bits = |p: &EndpointPool| p.offered.iter().map(|o| o.to_bits()).collect();
+                let offered: Vec<u64> = bits(pool);
+                assert_eq!(offered, bits(expected), "offered load at {now:?}");
+                assert_eq!(
+                    format!("{:?}", pool.recent.windows()),
+                    format!("{:?}", expected.recent.windows()),
+                    "recent windows at {now:?}"
+                );
+            }
+            if clock.tick().is_none() {
+                break;
+            }
+        }
+        assert!(quanta > 5000, "only {quanta} quanta compared");
+        assert!(split > quanta / 4, "only {split} of {quanta} quanta saw mixed risk flags");
+    }
 }

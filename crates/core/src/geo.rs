@@ -6,8 +6,8 @@
 //! shift load away from sites in a power or thermal emergency. This module is the
 //! decision core: it consumes one [`SiteSignals`] per datacenter — a fixed-size summary a
 //! fleet step loop refreshes from the dense per-step telemetry grids — and returns a site
-//! ordinal per arrival. It holds no per-site maps and allocates nothing after
-//! [`GeoPlacement::begin_step`] has sized its per-site scratch once.
+//! ordinal per arrival. It holds no per-site maps and allocates nothing once its per-site
+//! scratch is sized (the first [`GeoPlacement::begin_step`] and request pick).
 
 use serde::{Deserialize, Serialize};
 
@@ -156,6 +156,51 @@ pub struct GeoPlacement {
     /// Latched once any site ever crossed request saturation: request routing stays in
     /// failover spread for the rest of the run (see [`GeoPlacement::choose_request`]).
     request_failover: bool,
+    /// `true` while `request_sites`/`request_cells` hold the step's prepared request
+    /// routing; [`GeoPlacement::begin_step`] and [`GeoPlacement::set_request_capacity`]
+    /// clear it, and the next [`GeoPlacement::choose_request`] rebuilds them.
+    request_prepared: bool,
+    /// Preference mode, per site: the step's score constants, request total and cached
+    /// score.
+    request_sites: Vec<RequestSite>,
+    /// Failover mode, per `(site, endpoint)` cell (same layout as `request_assigned`):
+    /// the step's share weight and the cached deficit.
+    request_cells: Vec<RequestCell>,
+    /// The signals the step's first [`GeoPlacement::choose_request`] read; the step's
+    /// later calls must pass equal signals (checked in debug builds).
+    step_signals: Vec<SiteSignals>,
+}
+
+/// One site's prepared preference-mode request score: its
+/// [`GeoPlacement::score_terms`] and request burst.
+#[derive(Debug, Clone, Copy)]
+struct RequestSite {
+    base: f64,
+    emergency: f64,
+    price: f64,
+    /// The burst charge's divisor: `free_servers.max(1) × REQUESTS_PER_SERVER_SLOT`.
+    burst_divisor: f64,
+    /// Requests routed to the site so far this step, across all endpoints.
+    total: u32,
+    /// The score at `total`.
+    score: f64,
+}
+
+impl RequestSite {
+    fn score(&self) -> f64 {
+        let burst = f64::from(self.total) / self.burst_divisor;
+        self.base - burst - self.emergency - self.price
+    }
+}
+
+/// One `(site, endpoint)` cell's prepared failover-spread state.
+#[derive(Debug, Clone, Copy)]
+struct RequestCell {
+    /// The step's share weight: capacity (or `1.0` when the endpoint has no reported
+    /// instances anywhere) over `1 + REQUEST_SATURATION_PENALTY × over_pressure`.
+    weight: f64,
+    /// `(assigned + 1) / weight` at the cell's current count.
+    deficit: f64,
 }
 
 impl Default for GeoPlacement {
@@ -175,6 +220,10 @@ impl GeoPlacement {
             request_capacity: Vec::new(),
             request_endpoints: 1,
             request_failover: false,
+            request_prepared: false,
+            request_sites: Vec::new(),
+            request_cells: Vec::new(),
+            step_signals: Vec::new(),
         }
     }
 
@@ -194,6 +243,8 @@ impl GeoPlacement {
         self.request_assigned.fill(0);
         self.request_capacity.resize(cells, 0);
         self.request_capacity.fill(0);
+        self.request_prepared = false;
+        self.step_signals.clear();
     }
 
     /// Publishes one site's effective per-endpoint serving capacity (placed fabric
@@ -207,6 +258,7 @@ impl GeoPlacement {
         {
             self.request_capacity[base + endpoint] = count;
         }
+        self.request_prepared = false;
     }
 
     /// Picks the site for the next arrival. Deterministic: ties break toward the lowest
@@ -220,23 +272,7 @@ impl GeoPlacement {
     pub fn choose(&mut self, signals: &[SiteSignals]) -> usize {
         assert!(!signals.is_empty(), "geo placement needs at least one site");
         assert_eq!(signals.len(), self.assigned.len(), "begin_step must size the scratch");
-        let max_headroom = signals
-            .iter()
-            .map(|s| s.power_headroom_kw)
-            .fold(0.0, f64::max)
-            .max(1.0);
-        // The price term normalizes over the fleet's current price spread: with uniform
-        // prices the spread is zero and the term vanishes entirely, keeping price-less
-        // fleets bit-identical to the pre-price scoring.
-        let min_price = signals
-            .iter()
-            .map(|s| s.grid_price_per_mwh)
-            .fold(f64::INFINITY, f64::min);
-        let price_span = signals
-            .iter()
-            .map(|s| s.grid_price_per_mwh)
-            .fold(f64::NEG_INFINITY, f64::max)
-            - min_price;
+        let scale = ScoreScale::of(signals);
         let any_capacity = signals
             .iter()
             .zip(&self.assigned)
@@ -252,11 +288,8 @@ impl GeoPlacement {
             // Charge the site for arrivals already routed to it this step, relative to
             // its remaining capacity, so bursts spread across comparable sites.
             let burst = f64::from(assigned) / f64::from(signal.free_servers.max(1));
-            let mut score = self.score(signal, burst, max_headroom);
-            if price_span > 0.0 {
-                score -= self.config.price_weight
-                    * ((signal.grid_price_per_mwh - min_price) / price_span);
-            }
+            let (base, emergency, price) = self.score_terms(signal, &scale);
+            let score = base - burst - emergency - price;
             if score > best_score {
                 best_score = score;
                 best = site;
@@ -292,64 +325,105 @@ impl GeoPlacement {
     /// is observable). With uniform capacity and every site saturated the weights
     /// collapse to uniform and the spread degrades gracefully to an even split.
     ///
+    /// The per-step work happens once: the step's first call (and the first after a
+    /// [`GeoPlacement::set_request_capacity`]) prepares each site's score constants or
+    /// each cell's failover weight from the current counters, and a pick then scans
+    /// `signals.len()` cached scores or deficits and refreshes only the chosen one. So
+    /// `signals` must not change between two [`GeoPlacement::begin_step`] calls (debug
+    /// builds assert it).
+    ///
     /// # Panics
     /// Panics if `signals` is empty, its length differs from the `begin_step` size, or
     /// `endpoint` is at or beyond the declared endpoint count.
     #[must_use]
     pub fn choose_request(&mut self, signals: &[SiteSignals], endpoint: usize) -> usize {
+        assert!(
+            endpoint < self.request_endpoints,
+            "endpoint {endpoint} beyond the declared {} endpoints",
+            self.request_endpoints
+        );
+        if !self.request_prepared {
+            self.prepare_requests(signals);
+        }
+        debug_assert!(self.step_signals == signals, "signals changed within a step");
+        if self.request_failover {
+            return self.choose_request_failover(endpoint);
+        }
+        let mut best = 0usize;
+        let mut best_score = f64::NEG_INFINITY;
+        for (site, prepared) in self.request_sites.iter().enumerate() {
+            if prepared.score > best_score {
+                best_score = prepared.score;
+                best = site;
+            }
+        }
+        self.request_assigned[best * self.request_endpoints + endpoint] += 1;
+        let chosen = &mut self.request_sites[best];
+        chosen.total += 1;
+        chosen.score = chosen.score();
+        best
+    }
+
+    /// Builds the step's request-routing state from `signals` and the current counters:
+    /// latches failover on the first saturated site, then prepares either the failover
+    /// cells or the preference sites.
+    fn prepare_requests(&mut self, signals: &[SiteSignals]) {
         assert!(!signals.is_empty(), "geo placement needs at least one site");
         assert_eq!(
             signals.len() * self.request_endpoints,
             self.request_assigned.len(),
             "begin_step must size the scratch"
         );
-        assert!(
-            endpoint < self.request_endpoints,
-            "endpoint {endpoint} beyond the declared {} endpoints",
-            self.request_endpoints
-        );
+        if self.step_signals.is_empty() {
+            self.step_signals.extend_from_slice(signals);
+        }
+        self.request_prepared = true;
         if self.request_failover || signals.iter().any(|s| s.request_pressure > 1.0) {
             self.request_failover = true;
-            return self.choose_request_failover(signals, endpoint);
+            self.prepare_failover(signals);
+            return;
         }
-        let max_headroom = signals
-            .iter()
-            .map(|s| s.power_headroom_kw)
-            .fold(0.0, f64::max)
-            .max(1.0);
-        let min_price = signals
-            .iter()
-            .map(|s| s.grid_price_per_mwh)
-            .fold(f64::INFINITY, f64::min);
-        let price_span = signals
-            .iter()
-            .map(|s| s.grid_price_per_mwh)
-            .fold(f64::NEG_INFINITY, f64::max)
-            - min_price;
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (site, signal) in signals.iter().enumerate() {
-            let burst = f64::from(self.site_request_total(site))
-                / (f64::from(signal.free_servers.max(1)) * REQUESTS_PER_SERVER_SLOT);
-            let mut score = self.score(signal, burst, max_headroom);
-            if price_span > 0.0 {
-                score -= self.config.price_weight
-                    * ((signal.grid_price_per_mwh - min_price) / price_span);
-            }
-            if score > best_score {
-                best_score = score;
-                best = site;
-            }
+        let scale = ScoreScale::of(signals);
+        let endpoints = self.request_endpoints;
+        self.request_sites.clear();
+        for (signal, assigned) in signals.iter().zip(self.request_assigned.chunks_exact(endpoints))
+        {
+            let (base, emergency, price) = self.score_terms(signal, &scale);
+            let mut site = RequestSite {
+                base,
+                emergency,
+                price,
+                burst_divisor: f64::from(signal.free_servers.max(1)) * REQUESTS_PER_SERVER_SLOT,
+                total: assigned.iter().sum(),
+                score: 0.0,
+            };
+            site.score = site.score();
+            self.request_sites.push(site);
         }
-        self.request_assigned[best * self.request_endpoints + endpoint] += 1;
-        best
     }
 
-    /// Requests routed to `site` so far this step, across all endpoints (the burst
-    /// charge of preference-mode request routing).
-    fn site_request_total(&self, site: usize) -> u32 {
-        let base = site * self.request_endpoints;
-        self.request_assigned[base..base + self.request_endpoints].iter().sum()
+    /// Prepares the failover spread's per-cell weights and deficits (see
+    /// [`GeoPlacement::choose_request_failover`]).
+    fn prepare_failover(&mut self, signals: &[SiteSignals]) {
+        let endpoints = self.request_endpoints;
+        let unset = RequestCell { weight: 0.0, deficit: 0.0 };
+        self.request_cells.resize(signals.len() * endpoints, unset);
+        for endpoint in 0..endpoints {
+            let instances_known = (0..signals.len())
+                .any(|site| self.request_capacity[site * endpoints + endpoint] > 0);
+            for (site, signal) in signals.iter().enumerate() {
+                let cell = site * endpoints + endpoint;
+                let capacity = if instances_known {
+                    f64::from(self.request_capacity[cell])
+                } else {
+                    1.0
+                };
+                let over = (signal.request_pressure - 1.0).max(0.0);
+                let weight = capacity / (1.0 + REQUEST_SATURATION_PENALTY * over);
+                let deficit = (f64::from(self.request_assigned[cell]) + 1.0) / weight;
+                self.request_cells[cell] = RequestCell { weight, deficit };
+            }
+        }
     }
 
     /// Failover spread: weighted deficit round-robin over the step's per-endpoint
@@ -364,49 +438,78 @@ impl GeoPlacement {
     /// with no reported instances anywhere fall back to uniform capacity weights. The
     /// split is volume-independent (shares, not scores, so it holds at any step's
     /// request rate) and deterministic: ties break toward the lowest site ordinal.
-    fn choose_request_failover(&mut self, signals: &[SiteSignals], endpoint: usize) -> usize {
-        let instances_known = (0..signals.len())
-            .any(|site| self.request_capacity[site * self.request_endpoints + endpoint] > 0);
+    fn choose_request_failover(&mut self, endpoint: usize) -> usize {
+        let endpoints = self.request_endpoints;
         let mut best = 0usize;
         let mut best_deficit = f64::INFINITY;
-        for (site, signal) in signals.iter().enumerate() {
-            let cell = site * self.request_endpoints + endpoint;
-            let capacity = if instances_known {
-                f64::from(self.request_capacity[cell])
-            } else {
-                1.0
-            };
-            let over = (signal.request_pressure - 1.0).max(0.0);
-            let weight = capacity / (1.0 + REQUEST_SATURATION_PENALTY * over);
-            let deficit = (f64::from(self.request_assigned[cell]) + 1.0) / weight;
-            if deficit < best_deficit {
-                best_deficit = deficit;
+        for (site, cell) in self.request_cells[endpoint..].iter().step_by(endpoints).enumerate() {
+            if cell.deficit < best_deficit {
+                best_deficit = cell.deficit;
                 best = site;
             }
         }
-        self.request_assigned[best * self.request_endpoints + endpoint] += 1;
+        let index = best * endpoints + endpoint;
+        self.request_assigned[index] += 1;
+        let cell = &mut self.request_cells[index];
+        cell.deficit = (f64::from(self.request_assigned[index]) + 1.0) / cell.weight;
         best
     }
 
-    /// The score of one site (higher is better), given its pre-computed burst charge.
-    fn score(&self, signal: &SiteSignals, burst: f64, max_headroom: f64) -> f64 {
+    /// One site's score terms: the score (higher is better) is `base − burst − emergency
+    /// − price` for the caller's burst charge, with `base = power_weight × headroom +
+    /// thermal_weight × thermal − load_weight × load`. A term that does not apply is
+    /// `0.0`, which subtracts bit-identically to no term (`x − 0.0 == x` for every `x`).
+    fn score_terms(&self, signal: &SiteSignals, scale: &ScoreScale) -> (f64, f64, f64) {
         let c = &self.config;
-        let headroom = (signal.power_headroom_kw / max_headroom).clamp(0.0, 1.0);
-        let thermal =
-            (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
-        let mut score = c.power_weight * headroom + c.thermal_weight * thermal
-            - c.load_weight * signal.dc_load
-            - burst;
-        if signal.in_emergency() {
-            score -= c.emergency_penalty;
-        }
-        score
+        let headroom = (signal.power_headroom_kw / scale.max_headroom).clamp(0.0, 1.0);
+        let thermal = (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
+        let base = c.power_weight * headroom + c.thermal_weight * thermal
+            - c.load_weight * signal.dc_load;
+        let emergency = if signal.in_emergency() { c.emergency_penalty } else { 0.0 };
+        let price = if scale.price_span > 0.0 {
+            c.price_weight * ((signal.grid_price_per_mwh - scale.min_price) / scale.price_span)
+        } else {
+            0.0
+        };
+        (base, emergency, price)
+    }
+}
+
+/// The fleet-wide normalizers of one set of signals.
+struct ScoreScale {
+    /// The largest power headroom, at least 1 kW.
+    max_headroom: f64,
+    /// The cheapest site's price.
+    min_price: f64,
+    /// The price spread. With uniform prices it is zero and the price term vanishes
+    /// entirely, keeping price-less fleets bit-identical to the pre-price scoring.
+    price_span: f64,
+}
+
+impl ScoreScale {
+    fn of(signals: &[SiteSignals]) -> Self {
+        let max_headroom = signals
+            .iter()
+            .map(|s| s.power_headroom_kw)
+            .fold(0.0, f64::max)
+            .max(1.0);
+        let min_price = signals
+            .iter()
+            .map(|s| s.grid_price_per_mwh)
+            .fold(f64::INFINITY, f64::min);
+        let price_span = signals
+            .iter()
+            .map(|s| s.grid_price_per_mwh)
+            .fold(f64::NEG_INFINITY, f64::max)
+            - min_price;
+        Self { max_headroom, min_price, price_span }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::rng::SimRng;
 
     fn comfortable(headroom: f64, slack: f64, load: f64) -> SiteSignals {
         SiteSignals {
@@ -689,6 +792,208 @@ mod tests {
         geo.begin_step(3);
         let same = comfortable(100.0, 20.0, 0.5);
         assert_eq!(geo.choose_request(&[same, same, same], 0), 0);
+    }
+
+    /// Each site's request score as `choose_request` computed it before the per-step
+    /// preparation: every per-step constant and the O(sites × endpoints) burst sum
+    /// recomputed per call.
+    fn reference_scores(geo: &GeoPlacement, signals: &[SiteSignals]) -> Vec<f64> {
+        let endpoints = geo.request_endpoints;
+        let max_headroom = signals
+            .iter()
+            .map(|s| s.power_headroom_kw)
+            .fold(0.0, f64::max)
+            .max(1.0);
+        let min_price = signals
+            .iter()
+            .map(|s| s.grid_price_per_mwh)
+            .fold(f64::INFINITY, f64::min);
+        let price_span = signals
+            .iter()
+            .map(|s| s.grid_price_per_mwh)
+            .fold(f64::NEG_INFINITY, f64::max)
+            - min_price;
+        let mut scores = Vec::new();
+        for (site, signal) in signals.iter().enumerate() {
+            let base = site * endpoints;
+            let total: u32 = geo.request_assigned[base..base + endpoints].iter().sum();
+            let burst = f64::from(total)
+                / (f64::from(signal.free_servers.max(1)) * REQUESTS_PER_SERVER_SLOT);
+            let c = &geo.config;
+            let headroom = (signal.power_headroom_kw / max_headroom).clamp(0.0, 1.0);
+            let thermal = (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
+            let mut score = c.power_weight * headroom + c.thermal_weight * thermal
+                - c.load_weight * signal.dc_load
+                - burst;
+            if signal.in_emergency() {
+                score -= c.emergency_penalty;
+            }
+            if price_span > 0.0 {
+                score -= geo.config.price_weight
+                    * ((signal.grid_price_per_mwh - min_price) / price_span);
+            }
+            scores.push(score);
+        }
+        scores
+    }
+
+    /// Each site's failover deficit for `endpoint`, per call as before the preparation.
+    fn reference_deficits(
+        geo: &GeoPlacement,
+        signals: &[SiteSignals],
+        endpoint: usize,
+    ) -> Vec<f64> {
+        let endpoints = geo.request_endpoints;
+        let instances_known = (0..signals.len())
+            .any(|site| geo.request_capacity[site * endpoints + endpoint] > 0);
+        let mut deficits = Vec::new();
+        for (site, signal) in signals.iter().enumerate() {
+            let cell = site * endpoints + endpoint;
+            let capacity = if instances_known {
+                f64::from(geo.request_capacity[cell])
+            } else {
+                1.0
+            };
+            let over = (signal.request_pressure - 1.0).max(0.0);
+            let weight = capacity / (1.0 + REQUEST_SATURATION_PENALTY * over);
+            deficits.push((f64::from(geo.request_assigned[cell]) + 1.0) / weight);
+        }
+        deficits
+    }
+
+    /// `choose_request`'s per-call body before the preparation, over the two references.
+    fn reference_choose_request(
+        geo: &mut GeoPlacement,
+        signals: &[SiteSignals],
+        endpoint: usize,
+    ) -> usize {
+        if geo.request_failover || signals.iter().any(|s| s.request_pressure > 1.0) {
+            geo.request_failover = true;
+        }
+        let mut best = 0usize;
+        if geo.request_failover {
+            let mut best_deficit = f64::INFINITY;
+            let deficits = reference_deficits(geo, signals, endpoint);
+            for (site, deficit) in deficits.into_iter().enumerate() {
+                if deficit < best_deficit {
+                    best_deficit = deficit;
+                    best = site;
+                }
+            }
+        } else {
+            let mut best_score = f64::NEG_INFINITY;
+            for (site, score) in reference_scores(geo, signals).into_iter().enumerate() {
+                if score > best_score {
+                    best_score = score;
+                    best = site;
+                }
+            }
+        }
+        geo.request_assigned[best * geo.request_endpoints + endpoint] += 1;
+        best
+    }
+
+    /// Asserts that every cached score (or, once latched, every cached deficit) equals
+    /// the per-call reference's value bit for bit at the current counters.
+    fn assert_caches_match(geo: &GeoPlacement, signals: &[SiteSignals], context: &str) {
+        fn bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
+            values.map(f64::to_bits).collect()
+        }
+        if geo.request_failover {
+            let endpoints = geo.request_endpoints;
+            for endpoint in 0..endpoints {
+                let cached = geo.request_cells[endpoint..].iter().step_by(endpoints);
+                assert_eq!(
+                    bits(cached.map(|cell| cell.deficit)),
+                    bits(reference_deficits(geo, signals, endpoint).into_iter()),
+                    "{context}: deficits of endpoint {endpoint}"
+                );
+            }
+        } else {
+            assert_eq!(
+                bits(geo.request_sites.iter().map(|site| site.score)),
+                bits(reference_scores(geo, signals).into_iter()),
+                "{context}: scores"
+            );
+        }
+    }
+
+    fn random_signals(rng: &mut SimRng, sites: usize, saturation: bool) -> Vec<SiteSignals> {
+        let one = 1.0f64;
+        // Pressures at, just under and (once saturation may engage) just over 1.0.
+        let pressures = [0.0, 0.6, one, f64::from_bits(one.to_bits() - 1)];
+        let saturated = [f64::from_bits(one.to_bits() + 1), 1.2, 1.5];
+        let uniform_price = rng.chance(0.5);
+        (0..sites)
+            .map(|_| SiteSignals {
+                power_headroom_kw: if rng.chance(0.1) { 0.0 } else { rng.uniform(0.0, 500.0) },
+                worst_power_utilization: rng.uniform(0.3, 1.1),
+                thermal_slack_c: rng.uniform(-5.0, 40.0),
+                dc_load: rng.uniform(0.0, 1.0),
+                free_servers: if rng.chance(0.25) { 0 } else { rng.uniform_usize(1, 200) as u32 },
+                throttled_gpus: u32::from(rng.chance(0.15)),
+                capped_servers: u32::from(rng.chance(0.15)),
+                grid_price_per_mwh: if uniform_price { 90.0 } else { rng.uniform(20.0, 300.0) },
+                request_pressure: if saturation && rng.chance(0.3) {
+                    saturated[rng.uniform_usize(0, saturated.len())]
+                } else {
+                    pressures[rng.uniform_usize(0, pressures.len())]
+                },
+            })
+            .collect()
+    }
+
+    fn random_capacity(rng: &mut SimRng, endpoints: usize) -> Vec<u32> {
+        // Rows shorter than the endpoint count leave the tail columns at zero.
+        let len = rng.uniform_usize(0, endpoints + 1);
+        (0..len)
+            .map(|_| if rng.chance(0.4) { 0 } else { rng.uniform_usize(1, 5) as u32 })
+            .collect()
+    }
+
+    #[test]
+    fn prepared_request_routing_matches_the_per_call_reference() {
+        let mut rng = SimRng::seed_from(28);
+        let mut latched = 0;
+        for trial in 0..300 {
+            let sites = rng.uniform_usize(1, 9);
+            let endpoints = rng.uniform_usize(1, 7);
+            let mut fast = GeoPlacement::default();
+            fast.set_request_endpoints(endpoints);
+            let mut reference = fast.clone();
+            // Saturation may first appear mid-run, so the latch engages between steps.
+            let saturation_from = rng.uniform_usize(0, 8);
+            for step in 0..6 {
+                let signals = random_signals(&mut rng, sites, step >= saturation_from);
+                fast.begin_step(sites);
+                reference.begin_step(sites);
+                // All-zero capacity columns some steps, mixed ones otherwise.
+                if rng.chance(0.7) {
+                    for site in 0..sites {
+                        let row = random_capacity(&mut rng, endpoints);
+                        fast.set_request_capacity(site, &row);
+                        reference.set_request_capacity(site, &row);
+                    }
+                }
+                for pick in 0..rng.uniform_usize(0, 300) {
+                    if rng.chance(0.02) {
+                        let site = rng.uniform_usize(0, sites);
+                        let row = random_capacity(&mut rng, endpoints);
+                        fast.set_request_capacity(site, &row);
+                        reference.set_request_capacity(site, &row);
+                    }
+                    let endpoint = rng.uniform_usize(0, endpoints);
+                    let expected = reference_choose_request(&mut reference, &signals, endpoint);
+                    let context = format!("trial {trial} step {step} pick {pick}");
+                    assert_eq!(fast.choose_request(&signals, endpoint), expected, "{context}");
+                    assert_eq!(fast.request_assigned, reference.request_assigned, "{context}");
+                    assert_eq!(fast.request_failover, reference.request_failover, "{context}");
+                    assert_caches_match(&fast, &signals, &context);
+                }
+            }
+            latched += usize::from(fast.request_failover);
+        }
+        assert!((50..250).contains(&latched), "both modes exercised: {latched} latched");
     }
 
     #[test]

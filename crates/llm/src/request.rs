@@ -73,6 +73,7 @@ impl RequestShape {
     /// Scales `(prompt, output)` down proportionally if their sum exceeds
     /// `max_total_tokens`, keeping each at least one token.
     #[must_use]
+    #[inline]
     pub fn clamp(&self, prompt: usize, output: usize) -> (usize, usize) {
         let max_total = self.max_total_tokens;
         let total = prompt + output;
