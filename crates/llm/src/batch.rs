@@ -32,17 +32,34 @@
 //! and whose finish bucket is empty. Such an iteration admits nothing and completes
 //! nothing, so the running set — and with it the per-replica batch — is fixed, and
 //! `kv_in_use` grows by exactly the batch size per iteration: the mean context
-//! `kv_in_use / n` grows by exactly one, so the division becomes an increment. Each
-//! quiet iteration still times itself through the same iteration-time helper as a full
-//! one (its own `ceil`), so the clock is bit-identical. A quiet run ends at the deadline,
-//! at the admission wake-up time (the front's ready time, or its shed time) or at the
-//! next occupied bucket, found from the bitmap; the iteration there takes the full path.
+//! `kv_in_use / n` grows by exactly one, so the division becomes an increment. A quiet
+//! run ends at the deadline, at the admission wake-up time (the front's ready time, or its
+//! shed time) or at the next occupied bucket, found from the bitmap; the iteration there
+//! takes the full path.
+//!
+//! **The iteration clock's span table.** A decode-only iteration (one that admits
+//! nothing) takes `iteration_ms(0, b, c)` milliseconds for per-replica batch `b` at mean
+//! context `c`. For a fixed `b` that value never decreases as `c` grows: every step of
+//! the calculation — `b·c`, `× kv_bytes`, `+ weights`, `÷ bandwidth`, `max` with the
+//! compute time, `× 1000`, the `ceil` and the floor of 1 — is monotone in its operand,
+//! and IEEE rounding to nearest never reverses an order. So the contexts that share one
+//! value form an interval, and each scheduler keeps one exact span `(lo, hi, ms)` per
+//! `b`: every context in `lo..=hi` takes `ms`. A lookup outside the stored span (a miss)
+//! times `c` directly, then finds the interval's ends by galloping outward and bisecting
+//! with the same formula. The table depends only on the scheduler's fixed step model, so
+//! it is never invalidated; it allocates at its first miss. Full iterations that admit
+//! nothing read it, and a quiet run becomes closed-form: inside one span it runs
+//! `r = min(quiet left, hi − c + 1, ⌈(limit − now) / ms⌉)` iterations at once,
+//! `now += r·ms` and `c += r` — the per-iteration loop stops at the first `k` with
+//! `now + k·ms ≥ limit`, which is that ceiling. Admitting iterations keep the direct
+//! formula (prefill and decode round together), so the clock is bit-identical.
 //!
 //! Completions within one iteration are emitted in exactly the order of a front-to-back
 //! walk that `swap_remove`s each finisher (a finisher pulled in from the tail is met
 //! next, at the freed position), because downstream latency sums are order-dependent f64
 //! sums. [`BatchScheduler::advance_to_reference`] is that walk, kept as the differential
-//! reference (`tests/batch_reference.rs`).
+//! reference (`tests/batch_reference.rs`); it times every iteration with the direct
+//! formula, so it checks the span table too.
 
 use crate::config::InstanceConfig;
 use crate::hardware::GpuHardware;
@@ -65,6 +82,103 @@ const NIL: u32 = u32::MAX;
 fn ceil_to_u64(x: f64) -> u64 {
     let truncated = x as u64;
     if (truncated as f64) < x { truncated.saturating_add(1) } else { truncated }
+}
+
+/// Duration of one iteration in whole milliseconds (at least 1): the prefill of
+/// `prefill_tokens` per-replica prompt tokens, then one decode step for a per-replica
+/// batch of `batch` sequences at mean context `mean_context`. Replicas split the work
+/// evenly, so the aggregate iteration time is the per-replica share's time.
+fn iteration_ms(step: &StepModel, prefill_tokens: usize, batch: usize, mean_context: usize) -> u64 {
+    let prefill_s = if prefill_tokens > 0 { step.prefill_time_s(prefill_tokens) } else { 0.0 };
+    let decode_s = step.decode_step_time_s(batch, mean_context.max(1));
+    ceil_to_u64((prefill_s + decode_s) * 1000.0).max(1)
+}
+
+/// The contexts `lo..=hi` at which a decode-only iteration of one per-replica batch size
+/// takes `ms` milliseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    lo: usize,
+    hi: usize,
+    ms: u64,
+}
+
+/// A span no context falls in (`lo > hi`).
+const NO_SPAN: Span = Span { lo: usize::MAX, hi: 0, ms: 0 };
+
+/// The iteration clock's exact span table (see the module docs): per per-replica batch
+/// size, the last span a lookup landed in.
+#[derive(Debug, Clone)]
+struct SpanTable {
+    spans: Vec<Span>,
+    /// Batch sizes the first miss sizes the table for (`max_batch_size + 1`).
+    batch_sizes: usize,
+}
+
+impl SpanTable {
+    fn new(max_batch_size: usize) -> Self {
+        Self { spans: Vec::new(), batch_sizes: max_batch_size + 1 }
+    }
+
+    /// The decode-only iteration time of per-replica batch `batch` at mean context
+    /// `context`, and the last context that shares it: equal to `iteration_ms(step, 0,
+    /// batch, context)`.
+    #[inline]
+    fn span(&mut self, step: &StepModel, batch: usize, context: usize) -> (u64, usize) {
+        if let Some(span) = self.spans.get(batch) {
+            if span.lo <= context && context <= span.hi {
+                return (span.ms, span.hi);
+            }
+        }
+        self.miss(step, batch, context)
+    }
+
+    /// Times `context` directly, finds its span's ends by galloping outward and
+    /// bisecting, and stores the span for `batch`.
+    #[cold]
+    fn miss(&mut self, step: &StepModel, batch: usize, context: usize) -> (u64, usize) {
+        let ms = iteration_ms(step, 0, batch, context);
+        let same = |c: usize| iteration_ms(step, 0, batch, c) == ms;
+        let hi = edge(context, same, usize::saturating_add);
+        let lo = edge(context, same, usize::saturating_sub);
+        if self.spans.len() <= batch {
+            self.spans.resize(self.batch_sizes.max(batch + 1), NO_SPAN);
+        }
+        self.spans[batch] = Span { lo, hi, ms };
+        (ms, hi)
+    }
+}
+
+/// The farthest context from `from` in the direction `toward` (saturating add or sub)
+/// at which `same` still holds, given that `same(from)` does and that `same` holds on one
+/// interval: gallop with doubling strides to the first failing probe, then bisect.
+fn edge(
+    from: usize,
+    same: impl Fn(usize) -> bool,
+    toward: impl Fn(usize, usize) -> usize,
+) -> usize {
+    let (mut good, mut stride) = (from, 1);
+    let mut bad = loop {
+        let probe = toward(good, stride);
+        if probe == good {
+            // Saturated at the end of the domain, which still shares the value.
+            return good;
+        }
+        if !same(probe) {
+            break probe;
+        }
+        good = probe;
+        stride = stride.saturating_mul(2);
+    };
+    while good.abs_diff(bad) > 1 {
+        let mid = good.min(bad) + good.abs_diff(bad) / 2;
+        if same(mid) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    good
 }
 
 /// KV-cache capacity in tokens of one replica: the HBM left after weights are resident
@@ -278,6 +392,8 @@ pub struct BatchScheduler {
     perf: PerfModel,
     /// `perf`'s step formulas for `config`, built once (an iteration times one of each).
     step: StepModel,
+    /// Decode-only iteration times of `step`, by per-replica batch size.
+    spans: SpanTable,
     kv_capacity_per_replica: usize,
     replicas: usize,
     kv_in_use: usize,
@@ -321,6 +437,7 @@ impl BatchScheduler {
             config,
             perf,
             step: perf.step_model(&config),
+            spans: SpanTable::new(config.max_batch_size),
             kv_capacity_per_replica: kv_capacity_tokens(&config, gpu),
             replicas: replicas.max(1),
             kv_in_use: 0,
@@ -647,26 +764,6 @@ impl BatchScheduler {
         });
     }
 
-    /// Duration of one iteration in whole milliseconds (at least 1): the prefill of
-    /// `admitted_prompt_tokens` newly admitted prompt tokens, then one decode step for a
-    /// per-replica batch of `batch` sequences at mean context `mean_context`. Replicas
-    /// split the batch evenly, so the aggregate iteration time is the per-replica
-    /// share's time. Full and quiet iterations both time themselves here.
-    fn iteration_ms(
-        &self,
-        admitted_prompt_tokens: usize,
-        batch: usize,
-        mean_context: usize,
-    ) -> u64 {
-        let prefill_s = if admitted_prompt_tokens > 0 {
-            self.step.prefill_time_s(self.per_replica(admitted_prompt_tokens))
-        } else {
-            0.0
-        };
-        let decode_s = self.step.decode_step_time_s(batch, mean_context.max(1));
-        ceil_to_u64((prefill_s + decode_s) * 1000.0).max(1)
-    }
-
     /// Admits what fits, then runs the part of one scheduler iteration both serving
     /// paths share: the clock advances by the iteration time, every running sequence's
     /// new token is charged to `kv_in_use`, and the iteration counter ticks. Returns the
@@ -675,7 +772,10 @@ impl BatchScheduler {
     /// backoff re-delivery for a requeued victim) or the deadline, whichever is earlier.
     /// A ready front is always consumed by `admit` (admitted, shed or dropped), so a
     /// jump target is strictly in the future — no livelock.
-    fn begin_iteration(&mut self, deadline_ms: u64) -> Option<usize> {
+    ///
+    /// An iteration that admits nothing reads its time from the span table when
+    /// `use_spans` is set; otherwise every iteration takes the direct formula.
+    fn begin_iteration(&mut self, deadline_ms: u64, use_spans: bool) -> Option<usize> {
         let admitted_from = self.running.len();
         let admitted_prompt_tokens = self.admit();
         if self.running.is_empty() {
@@ -686,11 +786,15 @@ impl BatchScheduler {
             return None;
         }
         let batch = self.running.len();
-        self.now_ms += self.iteration_ms(
-            admitted_prompt_tokens,
-            self.per_replica(batch),
-            self.kv_in_use / batch,
-        );
+        let (per_replica, context) = (self.per_replica(batch), self.kv_in_use / batch);
+        self.now_ms += if admitted_prompt_tokens > 0 {
+            let prefill = self.per_replica(admitted_prompt_tokens);
+            iteration_ms(&self.step, prefill, per_replica, context)
+        } else if use_spans {
+            self.spans.span(&self.step, per_replica, context).0
+        } else {
+            iteration_ms(&self.step, 0, per_replica, context)
+        };
         // Every running sequence produces one token (+1 KV token each).
         self.kv_in_use += batch;
         self.iterations += 1;
@@ -725,7 +829,8 @@ impl BatchScheduler {
     /// both `deadline_ms` and the admission wake-up time and the next iteration's finish
     /// bucket is empty, an iteration only advances the clock, the counter and
     /// `kv_in_use`. The running set is fixed throughout, so the batch is hoisted and the
-    /// mean context is an increment.
+    /// mean context is an increment, and each span of the span table runs in closed form
+    /// (see the module docs).
     fn quiet_run(&mut self, deadline_ms: u64) {
         let batch = self.running.len();
         if batch == 0 {
@@ -741,9 +846,13 @@ impl BatchScheduler {
         let mut now_ms = self.now_ms;
         let mut ran = 0;
         while ran < quiet && now_ms < limit_ms {
-            now_ms += self.iteration_ms(0, per_replica, context);
-            context += 1;
-            ran += 1;
+            let (ms, hi) = self.spans.span(&self.step, per_replica, context);
+            let run = (quiet - ran)
+                .min(((hi - context) as u64).saturating_add(1))
+                .min((limit_ms - now_ms).div_ceil(ms));
+            now_ms += run * ms;
+            context += run as usize;
+            ran += run;
         }
         self.now_ms = now_ms;
         self.iterations += ran;
@@ -766,7 +875,7 @@ impl BatchScheduler {
             if self.now_ms >= deadline_ms {
                 break;
             }
-            let Some(admitted_from) = self.begin_iteration(deadline_ms) else { continue };
+            let Some(admitted_from) = self.begin_iteration(deadline_ms, true) else { continue };
             let now_ms = self.now_ms;
             for seq in &mut self.running[admitted_from..] {
                 seq.first_token_ms = Some(now_ms);
@@ -813,11 +922,12 @@ impl BatchScheduler {
 
     /// Reference for [`Self::advance_to`], for tests and benches, not for serving: every
     /// iteration visits every running sequence, stamps its first token, and
-    /// `swap_remove`s it once it has generated its whole output. Admission, preemption
-    /// and iteration time are the same code as the serving path's.
+    /// `swap_remove`s it once it has generated its whole output. Admission and preemption
+    /// are the same code as the serving path's; every iteration is timed by the direct
+    /// formula, never the span table.
     pub fn advance_to_reference(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
         while self.now_ms < deadline_ms {
-            if self.begin_iteration(deadline_ms).is_none() {
+            if self.begin_iteration(deadline_ms, false).is_none() {
                 continue;
             }
             let now_ms = self.now_ms;
@@ -874,6 +984,49 @@ mod tests {
         for sample in samples {
             assert_eq!(ceil_to_u64(sample), sample.ceil() as u64, "{sample:e}");
         }
+    }
+
+    /// For every step model the configuration space holds (an endpoint's default
+    /// configuration can be any of them) and every per-replica batch size its
+    /// configurations allow, a context sweep reads the span table at each context: the
+    /// lookup equals the direct formula, and each span it stores is tight — the contexts
+    /// just outside it time differently.
+    #[test]
+    fn span_table_matches_the_direct_formula_and_stores_tight_spans() {
+        let perf = PerfModel::new(GpuHardware::a100());
+        let mut models: Vec<(StepModel, usize)> = Vec::new();
+        let stock = [InstanceConfig::default_70b(), InstanceConfig::small_fallback()];
+        for config in InstanceConfig::enumerate().into_iter().chain(stock) {
+            let step = perf.step_model(&config);
+            match models.iter_mut().find(|(model, _)| *model == step) {
+                Some((_, max_batch)) => *max_batch = (*max_batch).max(config.max_batch_size),
+                None => models.push((step, config.max_batch_size)),
+            }
+        }
+        let mut misses = 0;
+        for (step, max_batch) in &models {
+            let mut table = SpanTable::new(*max_batch);
+            for batch in 1..=*max_batch {
+                let mut checked = NO_SPAN;
+                for context in 0..20_000 {
+                    let direct = iteration_ms(step, 0, batch, context);
+                    let (ms, hi) = table.span(step, batch, context);
+                    let span = table.spans[batch];
+                    assert_eq!((ms, hi), (direct, span.hi), "{step:?} b={batch} c={context}");
+                    assert!(span.lo <= context && context <= span.hi);
+                    if span != checked {
+                        misses += 1;
+                        if span.lo > 0 {
+                            assert_ne!(iteration_ms(step, 0, batch, span.lo - 1), ms);
+                        }
+                        assert_ne!(iteration_ms(step, 0, batch, span.hi + 1), ms);
+                        checked = span;
+                    }
+                }
+            }
+        }
+        // The sweep crosses many spans per batch size, so edges were really searched.
+        assert!(misses > 100 * models.len(), "{misses} spans over {} models", models.len());
     }
 
     #[test]
