@@ -3,8 +3,9 @@
 //! KV-bounded batch serving riding on the full simulation step), and the
 //! continuous-batching scheduler in isolation (offer + drain of a fixed request batch —
 //! the per-request hot path — and a deep batch drained by the event-cost path and by its
-//! per-sequence reference), plus the stream's generation cost: one minute of an 80-server
-//! site's requests and the two draws each request is made of.
+//! per-sequence reference, and a saturated minute of serving), plus the stream's
+//! generation cost: one minute of an 80-server site's requests and the draws each request
+//! is made of.
 
 use cluster_sim::experiment::{ExperimentConfig, FleetConfig, RequestFabricConfig};
 use cluster_sim::fabric::FabricGenerator;
@@ -99,6 +100,9 @@ fn bench_request_fabric(c: &mut Criterion) {
     c.bench_function("simrng_log_normal", |b| {
         b.iter(|| black_box(rng.log_normal(black_box(mu), black_box(sigma))))
     });
+    c.bench_function("simrng_log_normal_ziggurat", |b| {
+        b.iter(|| black_box(rng.log_normal_ziggurat(black_box(mu), black_box(sigma))))
+    });
 
     // The scheduler alone: offer 512 requests and drain them to completion — the
     // KV-admission and batching hot path with no simulation step around it.
@@ -151,9 +155,40 @@ fn bench_request_fabric(c: &mut Criterion) {
     });
 }
 
+/// Requests offered to the saturated scheduler: two minutes of arrivals, every 40 ms.
+const SATURATED_OFFERS: u64 = 3_000;
+
+fn bench_saturated_minute(c: &mut Criterion) {
+    // One endpoint's scheduler (4 replicas, 256 decode slots) under a backlog: arrivals
+    // with uniform prompt lengths and long uniform outputs (512–2559 tokens) come faster
+    // than they complete, primed one minute in so every slot is taken, then one minute of
+    // serving. A completion frees a slot about every six iterations, so most iterations
+    // admit nothing: the full iterations and quiet runs the iteration clock times.
+    let gpu = GpuHardware::a100();
+    let mut rng = SimRng::seed_from(7);
+    let mut primed = BatchScheduler::new(InstanceConfig::default_70b(), &gpu, 4);
+    for i in 0..SATURATED_OFFERS {
+        primed.offer(i, 64 + rng.uniform_usize(0, 1024), 512 + rng.uniform_usize(0, 2048), i * 40);
+    }
+    let mut completions = Vec::new();
+    primed.advance_to(60_000, &mut completions);
+    assert!(primed.queue_len() > 0, "the backlog must outlast the primed minute");
+    c.bench_function("batch_scheduler_saturated_minute", |b| {
+        b.iter_batched(
+            || primed.clone(),
+            |mut scheduler| {
+                completions.clear();
+                scheduler.advance_to(120_000, &mut completions);
+                black_box(completions.len())
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_request_fabric
+    targets = bench_request_fabric, bench_saturated_minute
 }
 criterion_main!(benches);
