@@ -100,9 +100,6 @@ fn bench_request_fabric(c: &mut Criterion) {
     c.bench_function("simrng_log_normal", |b| {
         b.iter(|| black_box(rng.log_normal(black_box(mu), black_box(sigma))))
     });
-    c.bench_function("simrng_log_normal_ziggurat", |b| {
-        b.iter(|| black_box(rng.log_normal_ziggurat(black_box(mu), black_box(sigma))))
-    });
 
     // The scheduler alone: offer 512 requests and drain them to completion — the
     // KV-admission and batching hot path with no simulation step around it.

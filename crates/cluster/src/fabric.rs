@@ -707,6 +707,141 @@ mod tests {
         );
     }
 
+    /// The generator as it drew before the ziggurat: [`FabricGenerator::generate_with`]'s
+    /// body with each token length's normal from Box–Muller ([`SimRng::normal`]), kept as
+    /// the distribution reference.
+    fn generate_box_muller(
+        generator: &mut FabricGenerator,
+        now: SimTime,
+        step: SimDuration,
+        timeline: &ResolvedTimeline,
+        mut sink: impl FnMut(u64, FabricRequest),
+    ) {
+        let step_minutes = step.as_minutes();
+        let step_ms = step_minutes * MS_PER_MINUTE;
+        let start_ms = now.as_minutes() * MS_PER_MINUTE;
+        let prompt_mu = generator.shape.median_prompt_tokens.ln();
+        let output_mu = generator.shape.median_output_tokens.ln();
+        for (ordinal, endpoint) in generator.endpoints.iter_mut().enumerate() {
+            let id = workload::endpoints::EndpointId(ordinal as u64);
+            let rate_per_minute = endpoint.peak_requests_per_minute
+                * endpoint.pattern.load_at(now)
+                * timeline.demand_scale_at(now, id)
+                * generator.config.rate_scale;
+            let mean = rate_per_minute * step_minutes as f64;
+            if mean <= 0.0 {
+                continue;
+            }
+            let count = endpoint.rng.poisson(mean);
+            for _ in 0..count {
+                let offset_ms = endpoint.rng.uniform_usize(0, step_ms as usize) as u64;
+                let prompt = endpoint
+                    .rng
+                    .normal(prompt_mu, generator.shape.prompt_sigma)
+                    .exp()
+                    .round()
+                    .max(1.0) as usize;
+                let output = endpoint
+                    .rng
+                    .normal(output_mu, generator.shape.output_sigma)
+                    .exp()
+                    .round()
+                    .max(1.0) as usize;
+                let (prompt, output) = generator.shape.clamp(prompt, output);
+                sink(
+                    start_ms + offset_ms,
+                    FabricRequest {
+                        id: generator.next_id,
+                        endpoint: ordinal as u32,
+                        prompt_tokens: prompt as u32,
+                        output_tokens: output as u32,
+                    },
+                );
+                generator.next_id += 1;
+            }
+        }
+    }
+
+    /// What one generator produced over many steps.
+    #[derive(Default)]
+    struct StreamSample {
+        /// Requests per step.
+        counts: Vec<f64>,
+        prompts: Vec<u32>,
+        outputs: Vec<u32>,
+        /// Requests `RequestShape::clamp` truncated: a clamped request sums to exactly
+        /// the maximum, an unclamped one all but never does.
+        truncated: usize,
+    }
+
+    impl StreamSample {
+        fn push(&mut self, request: &FabricRequest) {
+            self.prompts.push(request.prompt_tokens);
+            self.outputs.push(request.output_tokens);
+            let total = (request.prompt_tokens + request.output_tokens) as usize;
+            if total == RequestShape::default().max_total_tokens {
+                self.truncated += 1;
+            }
+        }
+
+        fn moments(&self) -> (f64, f64) {
+            let n = self.counts.len() as f64;
+            let mean = self.counts.iter().sum::<f64>() / n;
+            let variance = self.counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            (mean, variance)
+        }
+    }
+
+    fn quantile(values: &mut [u32], p: f64) -> f64 {
+        values.sort_unstable();
+        f64::from(values[(p * values.len() as f64) as usize])
+    }
+
+    /// The ziggurat generator against the Box–Muller one over 50 seeds of
+    /// `real_cluster_hour` (an hour of one-minute steps at a tenth of the calibrated
+    /// rate, ~6·10⁵ requests each): the per-step request count's mean and variance, the
+    /// p10 / p50 / p90 / p99 prompt and output lengths, and the truncated share agree
+    /// within a few standard errors of their difference.
+    #[test]
+    fn ziggurat_generator_matches_the_box_muller_generator_in_distribution() {
+        let (mut ziggurat, mut box_muller) = (StreamSample::default(), StreamSample::default());
+        let step = SimDuration::from_minutes(1);
+        for seed in 0..50 {
+            let mut base = ExperimentConfig::real_cluster_hour(tapas::policy::Policy::Tapas);
+            base.seed = seed;
+            let fabric = RequestFabricConfig { rate_scale: 0.1, ..RequestFabricConfig::default() };
+            let timeline = base.resolved_timeline();
+            let mut generator = FabricGenerator::new(seed, &base.endpoint_catalog(), fabric);
+            let mut reference = generator.clone();
+            for minute in 0..60 {
+                let now = SimTime::from_minutes(minute);
+                let before = ziggurat.prompts.len();
+                generator.generate_with(now, step, &timeline, |_, request| ziggurat.push(&request));
+                ziggurat.counts.push((ziggurat.prompts.len() - before) as f64);
+                let before = box_muller.prompts.len();
+                generate_box_muller(&mut reference, now, step, &timeline, |_, request| {
+                    box_muller.push(&request);
+                });
+                box_muller.counts.push((box_muller.prompts.len() - before) as f64);
+            }
+        }
+        let close = |what: &str, got: f64, want: f64, tolerance: f64| {
+            assert!((got / want - 1.0).abs() < tolerance, "{what}: {got} vs {want}");
+        };
+        let ((mean, variance), (want_mean, want_variance)) =
+            (ziggurat.moments(), box_muller.moments());
+        close("count mean", mean, want_mean, 0.01);
+        close("count variance", variance, want_variance, 0.05);
+        for (p, tolerance) in [(0.1, 0.015), (0.5, 0.015), (0.9, 0.015), (0.99, 0.03)] {
+            let (a, b) = (&mut ziggurat.prompts, &mut box_muller.prompts);
+            close(&format!("prompt p{p}"), quantile(a, p), quantile(b, p), tolerance);
+            let (a, b) = (&mut ziggurat.outputs, &mut box_muller.outputs);
+            close(&format!("output p{p}"), quantile(a, p), quantile(b, p), tolerance);
+        }
+        let share = |sample: &StreamSample| sample.truncated as f64 / sample.prompts.len() as f64;
+        close("truncated share", share(&ziggurat), share(&box_muller), 0.2);
+    }
+
     #[test]
     fn fabric_serves_generated_traffic_and_records_metrics() {
         let catalog = catalog();
