@@ -850,6 +850,7 @@ impl BatchScheduler {
             let run = (quiet - ran)
                 .min(((hi - context) as u64).saturating_add(1))
                 .min((limit_ms - now_ms).div_ceil(ms));
+            debug_assert!(run > 0, "a quiet run must make progress");
             now_ms += run * ms;
             context += run as usize;
             ran += run;

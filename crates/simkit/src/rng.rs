@@ -133,8 +133,8 @@ impl SimRng {
             if layer == 0 {
                 return self.ziggurat_tail(u < 0.0);
             }
-            let height = ZIG_F[layer + 1]
-                + (ZIG_F[layer] - ZIG_F[layer + 1]) * self.inner.gen::<f64>();
+            let height =
+                ZIG_F[layer + 1] + (ZIG_F[layer] - ZIG_F[layer + 1]) * self.inner.gen::<f64>();
             if height < (-0.5 * x * x).exp() {
                 return x;
             }
@@ -249,6 +249,7 @@ const ZIG_R: f64 = 3.654152885361009;
 /// `ZIG_X[i + 1] = √(−2 ln(V / ZIG_X[i] + f(ZIG_X[i])))` and `ZIG_X[256] = 0`; computed at
 /// 60 significant digits and rounded once to `f64`. Layer `i` is the rectangle of width
 /// `ZIG_X[i]` between heights `ZIG_F[i]` and `ZIG_F[i + 1]`.
+#[rustfmt::skip]
 const ZIG_X: [f64; 257] = [
     3.910757959524916, 3.654152885361009, 3.449278298561431, 3.3202447338398255,
     3.2245750520478014, 3.147889289518001, 3.0835261320021434, 3.0278377917695933,
@@ -316,6 +317,7 @@ const ZIG_X: [f64; 257] = [
     0.37512133287838056, 0.33573751921442524, 0.2861745917920725, 0.2152418959848817, 0.0,
 ];
 /// `ZIG_F[i] = f(ZIG_X[i])`, the density height at each layer edge (`ZIG_F[256] = 1`).
+#[rustfmt::skip]
 const ZIG_F: [f64; 257] = [
     0.00047746776460938755, 0.0012602859304985975, 0.002609072746102163,
     0.0040379725933630305, 0.005522403299250998, 0.007050875471373227, 0.008616582769398732,
