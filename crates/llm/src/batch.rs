@@ -787,13 +787,11 @@ impl BatchScheduler {
         }
         let batch = self.running.len();
         let (per_replica, context) = (self.per_replica(batch), self.kv_in_use / batch);
-        self.now_ms += if admitted_prompt_tokens > 0 {
-            let prefill = self.per_replica(admitted_prompt_tokens);
-            iteration_ms(&self.step, prefill, per_replica, context)
-        } else if use_spans {
+        self.now_ms += if admitted_prompt_tokens == 0 && use_spans {
             self.spans.span(&self.step, per_replica, context).0
         } else {
-            iteration_ms(&self.step, 0, per_replica, context)
+            let prefill = self.per_replica(admitted_prompt_tokens);
+            iteration_ms(&self.step, prefill, per_replica, context)
         };
         // Every running sequence produces one token (+1 KV token each).
         self.kv_in_use += batch;
