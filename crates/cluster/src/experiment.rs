@@ -339,14 +339,14 @@ impl ExperimentConfig {
     }
 
     /// Generates the VM arrival stream (initial population followed by the sorted arrival
-    /// process), scaled by `scale` for fleets of several sites. `scale = 1.0` reproduces
-    /// the single-datacenter stream bit for bit, which is what keeps a pinned 1-site fleet
-    /// digest-identical to [`crate::simulator::ClusterSimulator`].
+    /// process), scaled by `scale` for fleets of several sites. `scale = 1.0` is the
+    /// single-datacenter stream, so a multi-site fleet pinned to site 0 at that scale
+    /// reproduces the single-site run of its site 0 bit for bit.
     ///
     /// Together with [`Self::endpoint_catalog`] this is the single shared
     /// workload-generation path — `catalog` must come from that method on the *same*
     /// configuration (replayed external traces enter through
-    /// [`crate::simulator::ClusterSimulator::with_arrivals`] instead).
+    /// [`crate::fleet::FleetSimulator::with_arrivals`] instead).
     #[must_use]
     pub fn vm_stream(&self, catalog: &EndpointCatalog, scale: f64) -> Vec<Vm> {
         assert!(scale > 0.0, "arrival scale must be positive");
@@ -439,8 +439,8 @@ const EVALUATION_CLIMATES: [ClimatePreset; 3] =
     [("hot", Climate::hot), ("temperate", Climate::temperate), ("cold", Climate::cold)];
 
 impl FleetConfig {
-    /// Expresses a single-datacenter experiment as a 1-site fleet. Running it produces a
-    /// site report bit-identical to `ClusterSimulator::new(base).run()`.
+    /// Expresses a single-datacenter experiment as a 1-site fleet pinned to site 0: the
+    /// fleet `ClusterSimulator::new(base).run()` runs.
     #[must_use]
     pub fn single_site(base: ExperimentConfig) -> Self {
         let site = SiteConfig {

@@ -33,10 +33,10 @@
 //!    histograms and SLO-multiplier attainment curves against the endpoint's *unloaded*
 //!    analytic latencies (the paper's SLO sits at the 5× point of that curve).
 //!
-//! A fleet routes the generated stream per-request across sites
-//! ([`tapas::geo::GeoPlacement::choose_request`]) before cells step, then delivers into
-//! per-cell inboxes — cells never generate their own fabric traffic, so serial and
-//! `parallel` fleet execution see identical event sequences.
+//! Every run is a fleet ([`crate::fleet::FleetSimulator`]; a single-site run is a pinned
+//! one-site fleet). The fleet generates or replays the one stream, routes it per request
+//! across sites ([`tapas::geo::GeoPlacement::choose_request`]) before the cells step, then
+//! delivers into per-cell inboxes: a cell never generates its own fabric traffic.
 
 use crate::experiment::RequestFabricConfig;
 use crate::metrics::{RequestMetrics, SloThresholds};
@@ -362,9 +362,7 @@ impl FabricGenerator {
 /// scheduler per endpoint, and the per-request metrics block.
 #[derive(Debug, Clone)]
 pub struct RequestFabric {
-    /// Self-generating mode (single-datacenter runs). Fleet cells leave this `None` and
-    /// receive their stream through [`RequestFabric::deliver`].
-    generator: Option<FabricGenerator>,
+    /// The inbox the fleet delivers into ([`RequestFabric::deliver`]).
     queue: ArrivalBuffer,
     schedulers: Vec<BatchScheduler>,
     /// Per endpoint, the SLO thresholds built from its unloaded analytic `(TTFT, TBT)`
@@ -386,16 +384,22 @@ pub struct RequestFabric {
 }
 
 impl RequestFabric {
-    /// Builds the serving fabric for a site. `generate` wires in a local
-    /// [`FabricGenerator`] (single-datacenter mode); fleet cells pass `false` and get
-    /// their stream delivered by the fleet loop.
+    /// Builds the serving fabric for a site; its stream is delivered by the fleet loop.
+    ///
+    /// `seed` is unused and `generate` must be `false`: both remain only for the
+    /// benchmark's fabric replay, which still calls this signature, and go once that
+    /// replay is retired.
+    ///
+    /// # Panics
+    /// Panics if `generate` is `true` (a site fabric has no generator of its own).
     #[must_use]
     pub fn new(
-        seed: u64,
+        _seed: u64,
         catalog: &EndpointCatalog,
         config: RequestFabricConfig,
         generate: bool,
     ) -> Self {
+        assert!(!generate, "a site fabric has no generator: the fleet delivers its stream");
         let gpu = GpuHardware::a100();
         let perf = PerfModel::new(gpu);
         let targets: Vec<(f64, f64)> = catalog
@@ -432,7 +436,6 @@ impl RequestFabric {
             })
             .collect();
         Self {
-            generator: generate.then(|| FabricGenerator::new(seed, catalog, config)),
             queue: ArrivalBuffer::new(),
             pressures: vec![0.0; schedulers.len()],
             schedulers,
@@ -458,38 +461,9 @@ impl RequestFabric {
         &self.profile
     }
 
-    /// Preloads a parsed request trace as the fabric's stream (replay mode). Records
-    /// may come in any timestamp order; ties replay in record order. Fails with
-    /// [`TraceError::UnknownEndpoint`] if a record names an endpoint outside the
-    /// catalog, before anything is enqueued.
-    ///
-    /// # Errors
-    /// Returns the first out-of-catalog endpoint as a typed error.
-    pub fn load_trace(&mut self, records: &[TraceRecord]) -> Result<(), TraceError> {
-        self.queue.load_trace(records, self.schedulers.len())
-    }
-
     /// Delivers one fleet-routed request into the site's inbox.
     pub fn deliver(&mut self, time_ms: u64, request: FabricRequest) {
         self.queue.push(time_ms, request);
-    }
-
-    /// Generates the step's local stream (no-op for fleet cells, which have no
-    /// generator — their stream arrives through [`RequestFabric::deliver`]).
-    pub fn generate_step(
-        &mut self,
-        now: SimTime,
-        step: SimDuration,
-        timeline: &ResolvedTimeline,
-    ) {
-        if let Some(generator) = self.generator.as_mut() {
-            let mark = self.profile.mark();
-            let queue = &mut self.queue;
-            generator.generate_with(now, step, timeline, |time_ms, request| {
-                queue.push(time_ms, request);
-            });
-            self.profile.lap(StepPhase::FabricGenerate, mark);
-        }
     }
 
     /// Serves the step: drains arrivals due in `[now, now + step)` into the per-endpoint
@@ -846,13 +820,14 @@ mod tests {
     fn fabric_serves_generated_traffic_and_records_metrics() {
         let catalog = catalog();
         let timeline = timeline();
+        let mut generator = FabricGenerator::new(42, &catalog, RequestFabricConfig::default());
         let mut fabric =
-            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), true);
+            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
         let replicas = vec![2u32; catalog.len()];
         for minute in (0..120).step_by(5) {
             let now = SimTime::from_minutes(minute);
             let step = SimDuration::from_minutes(5);
-            fabric.generate_step(now, step, &timeline);
+            generator.generate_with(now, step, &timeline, |t, r| fabric.deliver(t, r));
             fabric.serve_step(now, step, &replicas);
         }
         let metrics = fabric.metrics();
@@ -863,10 +838,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a site fabric has no generator")]
+    fn a_self_generating_site_fabric_is_rejected() {
+        let _ = RequestFabric::new(42, &catalog(), RequestFabricConfig::default(), true);
+    }
+
+    #[test]
     fn trace_replay_validates_endpoints_before_enqueueing() {
         let catalog = catalog();
-        let mut fabric =
-            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
+        let mut buffer = ArrivalBuffer::new();
         let bad = vec![TraceRecord {
             timestamp_ms: 0,
             endpoint: catalog.len() as u64 + 5,
@@ -874,14 +854,18 @@ mod tests {
             output_tokens: 16,
         }];
         assert_eq!(
-            fabric.load_trace(&bad),
+            buffer.load_trace(&bad, catalog.len()),
             Err(TraceError::UnknownEndpoint { endpoint: catalog.len() as u64 + 5 })
         );
+        assert!(buffer.is_empty());
         let good = vec![
             TraceRecord { timestamp_ms: 0, endpoint: 0, prompt_tokens: 128, output_tokens: 16 },
             TraceRecord { timestamp_ms: 900, endpoint: 1, prompt_tokens: 64, output_tokens: 8 },
         ];
-        fabric.load_trace(&good).expect("in-catalog endpoints load");
+        buffer.load_trace(&good, catalog.len()).expect("in-catalog endpoints load");
+        let mut fabric =
+            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
+        buffer.drain_before(MS_PER_MINUTE, |t, r| fabric.deliver(t, r));
         fabric.serve_step(SimTime::ZERO, SimDuration::from_minutes(5), &[1, 1]);
         assert_eq!(fabric.metrics().completed, 2);
     }

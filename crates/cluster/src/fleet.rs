@@ -13,11 +13,12 @@
 //!    ([`tapas::geo::GeoPlacement`] over the per-site [`SiteSignals`] refreshed from the
 //!    previous step's telemetry — power headroom, thermal slack, load, emergencies — plus
 //!    the current step's grid price, weighed across the fleet's price spread).
-//! 2. **Cell stepping** — advance every cell one step. Cells are independent within a
-//!    step, so with the `parallel` feature they run on scoped threads (the outer
-//!    across-datacenter parallel dimension) with bit-identical results.
+//! 2. **Cell stepping** — advance every cell one step, in site order.
 //! 3. **Signal refresh** — summarize each cell's dense telemetry grids into its
 //!    [`SiteSignals`] slot, in fixed site order.
+//!
+//! Every run goes through this loop: [`ClusterSimulator::run`] is site 0 of a pinned
+//! one-site fleet ([`FleetConfig::single_site`]).
 //!
 //! The steady-state fleet loop allocates no maps: the stream is a `VecDeque`, signals and
 //! routing counters live in pre-sized site-ordinal vectors, and each cell's step loop is
@@ -75,12 +76,39 @@ impl FleetSimulator {
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         config.check().unwrap_or_else(|error| panic!("{error}"));
+        let cells: Vec<ClusterSimulator> = (0..config.sites.len())
+            .map(|site| ClusterSimulator::new(config.site_experiment(site)))
+            .collect();
+        Self::with_cells(config, cells)
+    }
+
+    /// Builds a fleet that replays an externally supplied VM arrival trace instead of
+    /// generating one — the trace-ingestion hook for real workloads. `arrivals` must be
+    /// sorted by non-decreasing arrival time (the order [`ExperimentConfig::vm_stream`]
+    /// produces); they are routed across sites exactly like generated arrivals.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails [`FleetConfig::check`].
+    ///
+    /// [`ExperimentConfig::vm_stream`]: crate::experiment::ExperimentConfig::vm_stream
+    #[must_use]
+    pub fn with_arrivals(config: FleetConfig, arrivals: Vec<Vm>) -> Self {
+        debug_assert!(
+            arrivals.windows(2).all(|pair| pair[0].arrival <= pair[1].arrival),
+            "replayed arrival traces must be sorted by arrival time"
+        );
+        let mut fleet = Self::new(config);
+        fleet.stream = arrivals.into();
+        fleet
+    }
+
+    /// Builds the fleet around already-built cells (one per site, in site order): the
+    /// fleet-wide VM and fabric streams, the signals and the splitters. The configuration
+    /// is not re-checked, so a single-site run accepts every configuration its cell does.
+    pub(crate) fn with_cells(config: FleetConfig, cells: Vec<ClusterSimulator>) -> Self {
         let catalog = config.base.endpoint_catalog();
         let stream: VecDeque<Vm> =
             config.base.vm_stream(&catalog, config.arrival_scale).into();
-        let cells: Vec<ClusterSimulator> = (0..config.sites.len())
-            .map(|site| ClusterSimulator::fleet_cell(config.site_experiment(site)))
-            .collect();
         // Each cell already resolved its site view of the scenario into a dense
         // timeline; grid prices are read from there rather than resolved a second time.
         let mut signals: Vec<SiteSignals> =
@@ -97,9 +125,7 @@ impl FleetSimulator {
         };
         let routed = vec![0; cells.len()];
         // The fabric stream is generated once fleet-wide, from the base seed and base
-        // catalog, and scaled with the fleet's arrival scale exactly like the VM stream
-        // (for a single-site fleet both scales are 1.0 and the stream is bit-identical
-        // to the one a standalone simulator generates for itself).
+        // catalog, and scaled with the fleet's arrival scale exactly like the VM stream.
         let fabric_generator = config.base.request_fabric.map(|mut fabric_config| {
             fabric_config.rate_scale *= config.arrival_scale;
             FabricGenerator::new(config.base.seed, &catalog, fabric_config)
@@ -229,8 +255,6 @@ impl FleetSimulator {
 
         // 1b. Generate this step's fabric requests fleet-wide and route them per request
         //     (in millisecond-timestamp order, FIFO on ties) into the cells' inboxes.
-        //     Routing happens before the cells step, so serial and `parallel` execution
-        //     see identical per-cell event sequences.
         if let Some(generator) = self.fabric_generator.as_mut() {
             let queue = &mut self.fabric_queue;
             generator.generate_with(now, self.config.base.step, &self.base_timeline, |t, r| {
@@ -264,9 +288,10 @@ impl FleetSimulator {
             self.profile.lap(StepPhase::FabricHandoff, mark);
         }
 
-        // 2. Step every cell (the outer across-datacenter parallel dimension). The cells
-        //    profile their own phases.
-        step_cells(&mut self.cells, now);
+        // 2. Step every cell in site order. The cells profile their own phases.
+        for cell in &mut self.cells {
+            cell.step(now);
+        }
         let mark = self.profile.mark();
 
         // 3. Refresh the per-site signals in fixed site order. Cells report price-less
@@ -299,41 +324,6 @@ impl FleetSimulator {
             vms_routed: self.routed,
             emergency_diversions: self.emergency_diversions,
         }
-    }
-}
-
-/// Steps every cell once. With the `parallel` feature and at least two cells and cores,
-/// cells run on scoped threads; cells are fully independent within a step (routing
-/// happened before, signal refresh happens after, in fixed site order), so the result is
-/// bit-identical to the serial order.
-#[cfg(feature = "parallel")]
-fn step_cells(cells: &mut [ClusterSimulator], now: SimTime) {
-    let threads =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cells.len() < 2 || threads < 2 {
-        for cell in cells {
-            cell.step_at(now);
-        }
-        return;
-    }
-    // Chunk cells across at most `threads` workers so large fleets don't oversubscribe
-    // the scheduler with one thread per datacenter.
-    let chunk = cells.len().div_ceil(threads.min(cells.len()));
-    std::thread::scope(|scope| {
-        for group in cells.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for cell in group {
-                    cell.step_at(now);
-                }
-            });
-        }
-    });
-}
-
-#[cfg(not(feature = "parallel"))]
-fn step_cells(cells: &mut [ClusterSimulator], now: SimTime) {
-    for cell in cells {
-        cell.step_at(now);
     }
 }
 
@@ -403,19 +393,6 @@ mod tests {
         // The untouched sites still simulate (idle physics) but serve nothing.
         assert_eq!(report.sites[0].requests_served, 0);
         assert!(report.sites[1].requests_served > 0);
-    }
-
-    #[test]
-    fn single_site_fleet_wraps_the_plain_simulator() {
-        let base = ExperimentConfig::small_smoke_test();
-        let fleet = FleetSimulator::new(FleetConfig::single_site(base.clone())).run();
-        let single = ClusterSimulator::new(base).run();
-        assert_eq!(
-            serde_json::to_string(&fleet.sites[0]).expect("serialize"),
-            serde_json::to_string(&single).expect("serialize"),
-            "a 1-site fleet must reproduce the single-datacenter run bit for bit"
-        );
-        assert_eq!(fleet.total_requests_served(), single.requests_served);
     }
 
     #[test]

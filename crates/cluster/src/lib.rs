@@ -12,11 +12,11 @@
 //!   curves, infrastructure failures, demand shaping) with per-site targeting, a fluent
 //!   [`scenario::ScenarioBuilder`], typed [`scenario::ScenarioError`] validation, and
 //!   dense per-step resolution ([`scenario::ResolvedTimeline`]).
-//! * [`simulator`] — the step loop: VM arrivals/retirements and placement, endpoint request
-//!   routing, instance configuration, IaaS load replay, physics evaluation, throttling/capping
-//!   bookkeeping and weekly profile refinement.
-//! * [`fleet`] — the fleet step loop: N datacenter cells under distinct climates, with
-//!   geo-aware arrival splitting and an across-datacenter parallel dimension.
+//! * [`simulator`] — one datacenter cell's step: VM arrivals/retirements and placement,
+//!   endpoint request routing, instance configuration, IaaS load replay, physics
+//!   evaluation, throttling/capping bookkeeping and weekly profile refinement.
+//! * [`fleet`] — the run loop: N datacenter cells under distinct climates, with geo-aware
+//!   arrival splitting (a single-site run is a pinned one-site fleet).
 //! * [`fabric`] — the opt-in request fabric: an event-timestamped (millisecond) fleet-wide
 //!   inference-request stream, geo-routed per request and admitted into per-endpoint
 //!   continuous-batching schedulers under KV-cache occupancy constraints, yielding

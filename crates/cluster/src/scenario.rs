@@ -18,7 +18,7 @@
 //!   per-site targeting; they are the only way an experiment injects a failure.
 //! * **Demand shaping** — multiplicative surges on SaaS request rates, fleet-wide or per
 //!   endpoint (trace replay enters through
-//!   [`crate::simulator::ClusterSimulator::with_arrivals`]).
+//!   [`crate::fleet::FleetSimulator::with_arrivals`]).
 //! * **Power caps** — operator directives (modeled on rack-level power-cap operators)
 //!   that clamp every row and UPS budget of the targeted site(s) to a fraction of
 //!   provisioned capacity for a window. Unlike failures, a cap is not an outage: the

@@ -1,4 +1,5 @@
-//! The discrete-time cluster simulation loop.
+//! One datacenter's discrete-time simulation step; the run loop that drives it is the
+//! fleet's ([`crate::fleet`]), for a single site too.
 //!
 //! One step (1–10 simulated minutes) performs, in order: VM retirements and placements,
 //! endpoint request routing, instance reconfiguration, IaaS load replay, datacenter physics
@@ -20,8 +21,9 @@
 //! walks the grids without any map lookups — the steady-state step loop is
 //! allocation-free end to end.
 
-use crate::experiment::{ExperimentConfig, RequestFabricConfig};
+use crate::experiment::{ExperimentConfig, FleetConfig};
 use crate::fabric::{FabricRequest, RequestFabric};
+use crate::fleet::FleetSimulator;
 use crate::metrics::RunReport;
 use crate::scenario::ResolvedTimeline;
 use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
@@ -33,7 +35,7 @@ use llm_sim::request::CustomerId;
 use simkit::events::EventKind;
 use simkit::profile::{StepPhase, StepProfile};
 use simkit::rng::SimRng;
-use simkit::time::{SimClock, SimTime};
+use simkit::time::SimTime;
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -50,7 +52,6 @@ use tapas::state::ClusterState;
 use workload::diurnal::DiurnalPattern;
 use workload::endpoints::{EndpointCatalog, EndpointId};
 use workload::iaas::IaasLoadModel;
-use workload::trace::{TraceError, TraceRecord};
 use workload::vm::{IaasCustomerId, Vm, VmId, VmKind};
 
 /// Mean tokens processed per request (prompt + output) used to convert request rates into
@@ -334,7 +335,8 @@ fn instance_limits(
     }
 }
 
-/// The end-to-end cluster simulator.
+/// One datacenter of the end-to-end simulation: the cell a [`FleetSimulator`] steps per
+/// site, and a single-site run through [`Self::run`].
 #[derive(Debug, Clone)]
 pub struct ClusterSimulator {
     config: ExperimentConfig,
@@ -393,89 +395,21 @@ pub struct ClusterSimulator {
 }
 
 impl ClusterSimulator {
-    /// Builds a simulator for an experiment configuration, generating its own VM arrival
-    /// stream.
+    /// Builds one datacenter cell for an experiment configuration: an empty VM arrival
+    /// queue and, if the experiment opts in, a request fabric whose stream is delivered
+    /// from outside. [`Self::run`] drives it as site 0 of a pinned one-site fleet, which
+    /// generates both streams.
     ///
     /// # Panics
     /// Panics with the [`crate::scenario::ScenarioError`]'s message if the composed
     /// scenario fails [`ExperimentConfig::validate`].
     #[must_use]
     pub fn new(config: ExperimentConfig) -> Self {
-        let catalog = config.endpoint_catalog();
-        let pending: VecDeque<Vm> = config.vm_stream(&catalog, 1.0).into();
-        Self::build(config, catalog, pending, true)
-    }
-
-    /// Builds a fleet cell: identical to [`Self::new`] except that the arrival queue
-    /// starts empty — the fleet step loop generates the stream once fleet-wide and feeds
-    /// each cell its routed share through [`Self::enqueue`].
-    #[must_use]
-    pub(crate) fn fleet_cell(config: ExperimentConfig) -> Self {
-        let catalog = config.endpoint_catalog();
-        // Fleet cells never self-generate fabric traffic: the fleet loop generates the
-        // stream once fleet-wide and routes per request into each cell's inbox.
-        Self::build(config, catalog, VecDeque::new(), false)
-    }
-
-    /// Builds a simulator that replays an externally supplied VM arrival trace instead
-    /// of generating one — the trace-ingestion hook for real workloads. `arrivals` must
-    /// be sorted by non-decreasing arrival time (the order
-    /// [`ExperimentConfig::vm_stream`] produces).
-    ///
-    /// # Panics
-    /// Panics with the [`crate::scenario::ScenarioError`]'s message if the composed
-    /// scenario fails [`ExperimentConfig::validate`].
-    #[must_use]
-    pub fn with_arrivals(config: ExperimentConfig, arrivals: Vec<Vm>) -> Self {
-        debug_assert!(
-            arrivals.windows(2).all(|pair| pair[0].arrival <= pair[1].arrival),
-            "replayed arrival traces must be sorted by arrival time"
-        );
-        let catalog = config.endpoint_catalog();
-        Self::build(config, catalog, arrivals.into(), true)
-    }
-
-    /// Builds a simulator that replays an externally supplied *request* trace through the
-    /// request fabric (the inference-side trace-ingestion hook, mirroring
-    /// [`Self::with_arrivals`] on the VM side). The fabric is enabled with its default
-    /// configuration if the experiment did not opt in explicitly; the VM arrival stream
-    /// is still generated as in [`Self::new`] so the trace has instances to land on.
-    ///
-    /// # Errors
-    /// Returns [`TraceError::UnknownEndpoint`] if a record names an endpoint outside the
-    /// experiment's catalog.
-    ///
-    /// # Panics
-    /// Panics with the [`crate::scenario::ScenarioError`]'s message if the composed
-    /// scenario fails [`ExperimentConfig::validate`].
-    pub fn with_request_trace(
-        mut config: ExperimentConfig,
-        records: &[TraceRecord],
-    ) -> Result<Self, TraceError> {
-        if config.request_fabric.is_none() {
-            config.request_fabric = Some(RequestFabricConfig::default());
-        }
-        let catalog = config.endpoint_catalog();
-        let pending: VecDeque<Vm> = config.vm_stream(&catalog, 1.0).into();
-        let mut sim = Self::build(config, catalog, pending, false);
-        sim.fabric
-            .as_mut()
-            .expect("request_fabric was just enabled")
-            .load_trace(records)?;
-        Ok(sim)
-    }
-
-    fn build(
-        config: ExperimentConfig,
-        catalog: EndpointCatalog,
-        pending: VecDeque<Vm>,
-        generate_fabric: bool,
-    ) -> Self {
-        // Scenarios reach here from three entry points (generated stream, replayed
-        // trace, fleet cell); deserialized or hand-mutated ones may have skipped
+        // Deserialized or hand-mutated scenarios may have skipped
         // `ScenarioBuilder::build`, so the event invariants are (re-)checked before
         // resolution can bake e.g. a NaN delta into the dense timeline.
         config.validate().unwrap_or_else(|error| panic!("{error}"));
+        let catalog = config.endpoint_catalog();
         let layout = config.layout.build();
         let dc = Datacenter::new(layout, config.seed);
         let profiles = ProfileStore::offline_profiling_shared(&dc, &GpuHardware::a100());
@@ -523,7 +457,7 @@ impl ClusterSimulator {
         let timeline = config.resolved_timeline();
         let fabric = config
             .request_fabric
-            .map(|fc| RequestFabric::new(config.seed, &catalog, fc, generate_fabric));
+            .map(|fc| RequestFabric::new(config.seed, &catalog, fc, false));
         Self {
             timeline,
             rng: SimRng::seed_from(config.seed).derive("cluster-sim"),
@@ -535,7 +469,7 @@ impl ClusterSimulator {
             iaas_customer_load: Vec::new(),
             iaas_wobble: vec![1.0; server_count],
             endpoint_patterns,
-            pending,
+            pending: VecDeque::new(),
             registry: InstanceRegistry::new(server_count),
             planner,
             tapas_placement,
@@ -562,30 +496,13 @@ impl ClusterSimulator {
         }
     }
 
-    /// The profile store (exposed for tests and examples).
+    /// Runs the whole experiment as site 0 of a pinned one-site fleet and returns the
+    /// site's report.
     #[must_use]
-    pub fn profiles(&self) -> &ProfileStore {
-        &self.profiles
-    }
-
-    /// The datacenter under simulation.
-    #[must_use]
-    pub fn datacenter(&self) -> &Datacenter {
-        &self.dc
-    }
-
-    /// Runs the whole experiment and returns the report.
-    #[must_use]
-    pub fn run(mut self) -> RunReport {
-        let mut clock = SimClock::new(self.config.step, self.config.duration);
-        loop {
-            let now = clock.now();
-            self.step(now);
-            if clock.tick().is_none() {
-                break;
-            }
-        }
-        self.into_report()
+    pub fn run(self) -> RunReport {
+        let config = FleetConfig::single_site(self.config.clone());
+        let mut report = FleetSimulator::with_cells(config, vec![self]).run();
+        report.sites.pop().expect("a one-site fleet reports one site")
     }
 
     /// Queues a fleet-routed VM arrival. Arrivals must be enqueued in the same
@@ -602,11 +519,6 @@ impl ClusterSimulator {
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.deliver(time_ms, request);
         }
-    }
-
-    /// Advances the cell by one step (the fleet step loop's per-site entry point).
-    pub(crate) fn step_at(&mut self, now: SimTime) {
-        self.step(now);
     }
 
     /// Starts filling the cell's phase profile (its fabric's phases included).
@@ -913,8 +825,8 @@ impl ClusterSimulator {
     }
 
     /// Advances the request fabric by one step (no-op unless the experiment enabled it):
-    /// generates the step's arrivals (single-site mode), admits and serves them through
-    /// the per-endpoint continuous-batching schedulers, and blends the fabric's
+    /// admits the step's delivered arrivals and serves them through the per-endpoint
+    /// continuous-batching schedulers, and blends the fabric's
     /// KV/backlog pressure into the endpoint pools' demand pressure so the instance
     /// configurator reacts to request-level congestion, not just aggregate rates.
     fn step_fabric(&mut self, now: SimTime) {
@@ -934,7 +846,6 @@ impl ClusterSimulator {
             self.fabric_replicas.push(placed.saturating_sub(failed));
         }
         let fabric = self.fabric.as_mut().expect("checked above");
-        fabric.generate_step(now, self.config.step, &self.timeline);
         fabric.serve_step(now, self.config.step, &self.fabric_replicas);
         self.fabric_pressure = 0.0;
         for (ordinal, pool) in self.registry.pools.iter_mut().enumerate() {
@@ -1091,10 +1002,11 @@ impl ClusterSimulator {
         Celsius::new(self.weather.outside_temp(now).value() + self.timeline.temp_offset_at(now))
     }
 
-    /// One simulation step. With the phase profile enabled, each stage is lapped into its
-    /// [`StepPhase`] at the call boundaries; the fabric charges its own phases, and the
-    /// rest of its call is charged to [`StepPhase::Offer`].
-    fn step(&mut self, now: SimTime) {
+    /// Advances the cell by one step (the fleet step loop's per-site entry point). With
+    /// the phase profile enabled, each stage is lapped into its [`StepPhase`] at the call
+    /// boundaries; the fabric charges its own phases, and the rest of its call is charged
+    /// to [`StepPhase::Offer`].
+    pub(crate) fn step(&mut self, now: SimTime) {
         let mut mark = self.profile.mark();
         let outside = self.outside_temp(now);
         self.retire_vms(now);
@@ -1211,8 +1123,43 @@ impl ClusterSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentConfig;
+    use crate::experiment::RequestFabricConfig;
+    use simkit::time::SimClock;
     use tapas::policy::Policy;
+
+    /// A cell to step by hand, fed `arrivals` up front (the fleet feeds them step by step;
+    /// the cell places only those already due either way).
+    fn cell_with(config: ExperimentConfig, arrivals: Vec<Vm>) -> ClusterSimulator {
+        let mut sim = ClusterSimulator::new(config);
+        arrivals.into_iter().for_each(|vm| sim.enqueue(vm));
+        sim
+    }
+
+    /// A cell to step by hand, fed its experiment's generated VM stream.
+    fn cell(config: ExperimentConfig) -> ClusterSimulator {
+        let stream = config.vm_stream(&config.endpoint_catalog(), 1.0);
+        cell_with(config, stream)
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Pins the serialized report of a single-site run, fabric off and on, to digests read
+    /// before single-site runs went through the fleet loop.
+    #[test]
+    fn single_site_run_reports_are_pinned() {
+        let digest = |config: ExperimentConfig| {
+            let report = ClusterSimulator::new(config).run();
+            fnv1a(serde_json::to_string(&report).expect("serialize").as_bytes())
+        };
+        let plain = ExperimentConfig::small_smoke_test();
+        assert_eq!(digest(plain.clone()), 0x9c60_7ecb_1a76_30f5);
+        let fabric = plain.with_request_fabric(RequestFabricConfig::default());
+        assert_eq!(digest(fabric), 0x5942_9e02_884a_d217);
+    }
 
     #[test]
     fn smoke_test_runs_and_records_metrics() {
@@ -1303,23 +1250,22 @@ mod tests {
         // no control-loop feedback, which makes the recovery assertion exact: once the
         // window closes every recorded sample must be bit-identical to the uncapped
         // run — the pre-cap digest trajectory, not merely "close to it".
-        let uncapped =
-            ClusterSimulator::with_arrivals(ExperimentConfig::small_smoke_test(), Vec::new())
-                .run();
+        let idle = FleetConfig::single_site(ExperimentConfig::small_smoke_test());
+        let uncapped = FleetSimulator::with_arrivals(idle, Vec::new()).run().sites.remove(0);
         let scenario = Scenario::builder()
             .power_cap(crate::scenario::SiteSelector::All, start, end, 0.05)
             .build()
             .expect("valid scenario");
         let config = ExperimentConfig::small_smoke_test().with_scenario(scenario);
         let mut clock = SimClock::new(config.step, config.duration);
-        let mut sim = ClusterSimulator::with_arrivals(config, Vec::new());
+        let mut sim = ClusterSimulator::new(config);
 
         // The cap binds: over-budget rows are recorded, and only inside the window. Each
         // step's tally is checked: nothing before `start`, nothing new from `end` on.
         let mut in_window = None;
         loop {
             let now = clock.now();
-            sim.step_at(now);
+            sim.step(now);
             let events = &sim.report.events;
             let caps = (events.count(EventKind::PowerCap), events.last(EventKind::PowerCap));
             if now < start {
@@ -1357,7 +1303,7 @@ mod tests {
             .power_cap(crate::scenario::SiteSelector::All, start, end, 0.4)
             .build()
             .expect("valid scenario");
-        let mut sim = ClusterSimulator::new(config.with_scenario(scenario));
+        let mut sim = cell(config.with_scenario(scenario));
 
         // Step through the run recording the router-visible power headroom.
         let mut headroom = Vec::new();
@@ -1367,7 +1313,7 @@ mod tests {
         );
         loop {
             let now = clock.now();
-            sim.step_at(now);
+            sim.step(now);
             headroom.push((now, sim.site_signals().power_headroom_kw));
             if clock.tick().is_none() {
                 break;
@@ -1463,7 +1409,8 @@ mod tests {
         let config = ExperimentConfig::small_smoke_test();
         let catalog = config.endpoint_catalog();
         let trace = config.vm_stream(&catalog, 1.0);
-        let replayed = ClusterSimulator::with_arrivals(config.clone(), trace).run();
+        let fleet = FleetConfig::single_site(config.clone());
+        let replayed = FleetSimulator::with_arrivals(fleet, trace).run().sites.remove(0);
         let generated = ClusterSimulator::new(config).run();
         assert_eq!(
             serde_json::to_string(&replayed).expect("serialize"),
@@ -1555,7 +1502,7 @@ mod tests {
 
     #[test]
     fn shared_risk_rows_give_the_per_instance_configurator_limits() {
-        let mut sim = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas));
+        let mut sim = cell(ExperimentConfig::real_cluster_hour(Policy::Tapas));
         let mut clock = SimClock::new(sim.config.step, sim.config.duration);
         let (mut compared, mut over_budget, mut gpu_floored) = (0usize, 0usize, 0usize);
         loop {
@@ -1641,7 +1588,7 @@ mod tests {
                 lifetime: SimDuration::from_minutes(60 + (i * 37) % 300),
             })
             .collect();
-        let mut sim = ClusterSimulator::with_arrivals(config, arrivals);
+        let mut sim = cell_with(config, arrivals);
         let mut clock = SimClock::new(sim.config.step, sim.config.duration);
         // Last IaaS VM seen on each server: a different one later means the server was
         // freed by a retirement and re-occupied.
@@ -1698,7 +1645,7 @@ mod tests {
                 lifetime: SimDuration::from_minutes(30 + (i * 53) % 150),
             })
             .collect();
-        let mut sim = ClusterSimulator::with_arrivals(config, arrivals);
+        let mut sim = cell_with(config, arrivals);
         let mut clock = SimClock::new(sim.config.step, sim.config.duration);
         let mut positions: HashMap<VmId, usize> = HashMap::new();
         let (mut retired, mut moved) = (0usize, 0usize);
@@ -1812,7 +1759,7 @@ mod tests {
 
     #[test]
     fn keyed_quantum_routing_matches_the_prescored_reference() {
-        let mut sim = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas));
+        let mut sim = cell(ExperimentConfig::real_cluster_hour(Policy::Tapas));
         let mut clock = SimClock::new(sim.config.step, sim.config.duration);
         let (mut quanta, mut split) = (0, 0);
         loop {

@@ -8,7 +8,7 @@
 //!
 //! * the request fabric replays records directly (each record is one
 //!   `InferenceRequest`-shaped event), and
-//! * `ClusterSimulator::with_arrivals` takes a VM arrival stream, which
+//! * `FleetSimulator::with_arrivals` takes a VM arrival stream, which
 //!   [`vm_arrivals_from_trace`] synthesizes by mapping each record's endpoint activity
 //!   onto SaaS VM arrivals.
 //!
@@ -217,7 +217,7 @@ fn push_record(
 }
 
 /// Synthesizes a VM arrival stream from a request trace for
-/// `ClusterSimulator::with_arrivals`: the first request each endpoint receives spawns
+/// `FleetSimulator::with_arrivals`: the first request each endpoint receives spawns
 /// one SaaS VM for that endpoint (arrival rounded down to the trace minute, living for
 /// `lifetime`), mirroring how capacity follows traffic in the studied clusters. Records
 /// stay time-sorted, so the resulting stream is time-sorted too.

@@ -1,6 +1,5 @@
 //! Fleet-layer integration tests: multi-datacenter simulations with per-site climates,
-//! geo-aware arrival splitting, and the equivalences that pin the fleet refactor to the
-//! single-datacenter simulator.
+//! geo-aware arrival splitting, and a pinned multi-site fleet against the single-site run.
 
 use tapas_repro::prelude::*;
 

@@ -19,6 +19,15 @@ fn fabric_smoke() -> ExperimentConfig {
         .with_request_fabric(RequestFabricConfig::default())
 }
 
+/// Replays a request trace through a single-site run (a pinned one-site fleet).
+fn replay_single_site(
+    config: ExperimentConfig,
+    records: &[TraceRecord],
+) -> Result<RunReport, TraceError> {
+    let fleet = FleetSimulator::with_request_trace(FleetConfig::single_site(config), records)?;
+    Ok(fleet.run().sites.remove(0))
+}
+
 // --- EventQueue ordering -----------------------------------------------------------
 
 /// Reference model: a stable sort by timestamp preserves push order among equal
@@ -392,9 +401,8 @@ fn shuffled_trace_and_its_stable_sort() -> (Vec<TraceRecord>, Vec<TraceRecord>) 
 fn out_of_order_trace_replays_like_its_stable_sort() {
     let (shuffled, sorted) = shuffled_trace_and_its_stable_sort();
     let replay = |records: &[TraceRecord]| {
-        let report = ClusterSimulator::with_request_trace(fabric_smoke(), records)
-            .expect("trace endpoints are in the smoke catalog")
-            .run();
+        let report = replay_single_site(fabric_smoke(), records)
+            .expect("trace endpoints are in the smoke catalog");
         serde_json::to_string(&report).expect("serialize")
     };
     assert_eq!(replay(&shuffled), replay(&sorted));
@@ -574,18 +582,6 @@ fn fabric_enabled_three_site_fleet_is_byte_identical_across_same_seed_runs() {
 }
 
 #[test]
-fn single_site_fabric_fleet_wraps_the_plain_simulator() {
-    let base = fabric_smoke();
-    let fleet = FleetSimulator::new(FleetConfig::single_site(base.clone())).run();
-    let single = ClusterSimulator::new(base).run();
-    assert_eq!(
-        serde_json::to_string(&fleet.sites[0]).expect("serialize"),
-        serde_json::to_string(&single).expect("serialize"),
-        "a 1-site fabric fleet must reproduce the single-datacenter run bit for bit"
-    );
-}
-
-#[test]
 fn disabling_the_fabric_leaves_reports_free_of_request_metrics() {
     let report = ClusterSimulator::new(ExperimentConfig::small_smoke_test()).run();
     assert!(report.request_fabric.is_none());
@@ -601,13 +597,10 @@ fn csv_and_jsonl_replays_are_byte_identical_and_complete_every_request() {
     let jsonl = parse_jsonl(SAMPLE_JSONL).expect("sample JSONL parses");
     assert_eq!(csv, jsonl, "the two sample encodings carry the same records");
 
-    let from_csv = ClusterSimulator::with_request_trace(ExperimentConfig::small_smoke_test(), &csv)
-        .expect("trace endpoints are in the smoke catalog")
-        .run();
-    let from_jsonl =
-        ClusterSimulator::with_request_trace(ExperimentConfig::small_smoke_test(), &jsonl)
-            .expect("trace endpoints are in the smoke catalog")
-            .run();
+    let from_csv = replay_single_site(ExperimentConfig::small_smoke_test(), &csv)
+        .expect("trace endpoints are in the smoke catalog");
+    let from_jsonl = replay_single_site(ExperimentConfig::small_smoke_test(), &jsonl)
+        .expect("trace endpoints are in the smoke catalog");
     assert_eq!(
         serde_json::to_string(&from_csv).expect("serialize"),
         serde_json::to_string(&from_jsonl).expect("serialize"),
@@ -629,11 +622,11 @@ fn trace_replay_rejects_unknown_endpoints_with_a_typed_error() {
     let mut records = parse_csv(SAMPLE_CSV).expect("sample CSV parses");
     records[0].endpoint = 99;
     records.sort_by_key(|r| r.timestamp_ms);
-    let err = ClusterSimulator::with_request_trace(ExperimentConfig::small_smoke_test(), &records)
+    let err = replay_single_site(ExperimentConfig::small_smoke_test(), &records)
         .expect_err("endpoint 99 is not in the smoke catalog");
     assert_eq!(err, TraceError::UnknownEndpoint { endpoint: 99 });
     let fleet_err = FleetSimulator::with_request_trace(
-        FleetConfig::single_site(ExperimentConfig::small_smoke_test()),
+        FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 3),
         &records,
     )
     .map(|_| ())
