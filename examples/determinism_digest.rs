@@ -3,13 +3,11 @@
 //! 3-datacenter fleet run's serialized `FleetReport`, and of a scenario-driven fleet run
 //! (heatwave + UPS failure + grid-price spike composed via `ScenarioBuilder`).
 //!
-//! CI runs this example twice — once with and once without the `parallel` feature — and
-//! diffs the output against each other and against `tests/golden/determinism_digest.txt`:
-//! identical digests prove that the fleet's across-datacenter threading (the one parallel
-//! lane) produces bit-identical results, both in the aggregated reports and in the raw
-//! per-step telemetry. The fleet runs use three cells so the `parallel` build dispatches
-//! one scoped thread per datacenter; the single-datacenter physics step and report run
-//! one serial row sweep in every build.
+//! CI runs this example in the default build and under `-C target-feature=+avx2,+fma`
+//! and diffs both outputs against `tests/golden/determinism_digest.txt`: identical
+//! digests show that the simulation is bit-identical across runs and codegen, both in
+//! the aggregated reports and in the raw per-step telemetry. Every run, the
+//! single-datacenter one included, is a fleet stepping its cells serially in site order.
 
 use tapas_repro::prelude::*;
 
@@ -46,8 +44,8 @@ fn main() {
     println!("requests-served: {}", report.requests_served);
     println!("peak-temp-milli-c: {}", (report.peak_temperature_c() * 1000.0).round());
 
-    // A 3-datacenter fleet under cycling climates: covers the geo routing stage, the
-    // per-site weather/physics seeds and the outer across-datacenter parallel dimension.
+    // A 3-datacenter fleet under cycling climates: covers the geo routing stage and the
+    // per-site weather/physics seeds.
     let fleet_base = ExperimentConfig::real_cluster_hour(Policy::Tapas)
         .with_duration(SimTime::from_hours(3))
         .with_step(SimDuration::from_minutes(5));
@@ -61,7 +59,7 @@ fn main() {
     // The same fleet under a composed scenario (heatwave + UPS failure + price spike):
     // covers dense scenario resolution, the weather overlay and demand-shaping paths in
     // every cell, and the price term of the geo score — all of which must also be
-    // bit-identical across feature builds.
+    // bit-identical across builds.
     let scenario = Scenario::builder()
         .weather(0, SimTime::ZERO, SimTime::from_hours(3), 12.0)
         .grid_price_spike(0, SimTime::ZERO, SimTime::from_hours(3), 320.0)
@@ -84,7 +82,7 @@ fn main() {
 
     // A *generated* adversarial scenario (every event family, including operator power
     // caps) through the same 3-site fleet: covers the seeded generator and the power-cap
-    // budget-clamp hot path, which must also be bit-identical across feature builds.
+    // budget-clamp hot path, which must also be bit-identical across builds.
     let generated = generate(
         2025,
         &GeneratorConfig {
@@ -110,7 +108,9 @@ fn main() {
     // The same 3-site fleet with the request fabric enabled: covers the fleet-wide
     // event-timestamped request stream, per-request geo routing before the cells step,
     // KV-bounded continuous batching in every cell, and the per-request TTFT/TBT metric
-    // blocks — all of which must also be bit-identical across feature builds.
+    // blocks — all of which must also be bit-identical across builds. The whole joint
+    // attainment curve is printed: its low multipliers move with a latency or
+    // scheduling change that leaves the 5× point at 100%.
     let fabric_base = ExperimentConfig::real_cluster_hour(Policy::Tapas)
         .with_duration(SimTime::from_hours(3))
         .with_step(SimDuration::from_minutes(5))
@@ -124,17 +124,19 @@ fn main() {
     println!("fabric-fleet-digest: {:#018x}", fnv1a(fabric_json.as_bytes()));
     let fabric_metrics = fabric_fleet.request_fabric().expect("fabric ran on every site");
     println!("fabric-requests-completed: {}", fabric_metrics.completed);
-    println!(
-        "fabric-slo-attainment-5x-milli: {}",
-        (fabric_metrics.attainment_at(5.0) * 1000.0).round()
-    );
+    let curve: Vec<u64> = fabric_metrics
+        .attainment_curve()
+        .iter()
+        .map(|fraction| (fraction * 1000.0).round() as u64)
+        .collect();
+    println!("fabric-slo-attainment-curve-milli: {curve:?}");
 
     // A generated adversarial scenario *with replica failures* over a fabric-enabled
     // fleet, at full demand with deadline shedding on: covers the request-lifecycle
     // fault path end to end — replica-kill windows shrinking effective serving
     // capacity, LIFO preemption and eviction when the KV commitment no longer fits,
     // deterministic backoff re-delivery, deadline shedding and the lifecycle fault
-    // counters — which must all be bit-identical across feature builds too.
+    // counters — which must all be bit-identical across builds too.
     let chaos_base = ExperimentConfig::real_cluster_hour(Policy::Tapas)
         .with_duration(SimTime::from_hours(3))
         .with_step(SimDuration::from_minutes(5))
@@ -171,7 +173,7 @@ fn main() {
 
 fn serde_json_digest(report: &RunReport) -> u64 {
     // The report serializes deterministically (shortest-round-trip float formatting), so
-    // the digest is stable across runs, builds and feature sets.
+    // the digest is stable across runs and builds.
     let json = serde_json::to_string(report).expect("serializable report");
     fnv1a(json.as_bytes())
 }
