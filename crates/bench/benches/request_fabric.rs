@@ -32,12 +32,14 @@ fn fabric_base(rate_scale: f64) -> ExperimentConfig {
 /// Consecutive one-minute steps per timed iteration of the `fabric_step_*` benches.
 const WINDOW_STEPS: u64 = 10;
 
-/// A fabric fleet primed past its placement wave (steps at minutes 0 and 1).
+/// A fabric fleet primed past its placement wave (steps at minutes 0 and 1), at the
+/// benchmark's `fabric80_day` rate per site (`rate_scale` 1.0; the evaluation fleet scales
+/// the stream by its site count), where most scheduler iterations are full, not quiet.
 fn primed(sites: usize) -> FleetSimulator {
     let config = if sites == 1 {
-        FleetConfig::single_site(fabric_base(0.05))
+        FleetConfig::single_site(fabric_base(1.0))
     } else {
-        FleetConfig::evaluation(fabric_base(0.05), sites)
+        FleetConfig::evaluation(fabric_base(1.0), sites)
     };
     let mut sim = FleetSimulator::new(config);
     sim.step(SimTime::ZERO);
