@@ -292,6 +292,8 @@ impl FabricGenerator {
     }
 
     /// Pushes the step's requests into `queue`; see [`FabricGenerator::generate_with`].
+    /// The simulator does not call it (the fleet buffers through `generate_with`); it
+    /// stays for the benchmark's fabric replay, which still calls it.
     pub fn generate_step(
         &mut self,
         now: SimTime,

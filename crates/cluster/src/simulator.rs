@@ -405,9 +405,9 @@ impl ClusterSimulator {
     /// scenario fails [`ExperimentConfig::validate`].
     #[must_use]
     pub fn new(config: ExperimentConfig) -> Self {
-        // Deserialized or hand-mutated scenarios may have skipped
-        // `ScenarioBuilder::build`, so the event invariants are (re-)checked before
-        // resolution can bake e.g. a NaN delta into the dense timeline.
+        // Deserialized or hand-mutated scenarios may have skipped `ScenarioBuilder::build`,
+        // so the event invariants are (re-)checked before resolution can bake e.g. a NaN
+        // delta into the dense timeline.
         config.validate().unwrap_or_else(|error| panic!("{error}"));
         let catalog = config.endpoint_catalog();
         let layout = config.layout.build();
@@ -826,9 +826,9 @@ impl ClusterSimulator {
 
     /// Advances the request fabric by one step (no-op unless the experiment enabled it):
     /// admits the step's delivered arrivals and serves them through the per-endpoint
-    /// continuous-batching schedulers, and blends the fabric's
-    /// KV/backlog pressure into the endpoint pools' demand pressure so the instance
-    /// configurator reacts to request-level congestion, not just aggregate rates.
+    /// continuous-batching schedulers, and blends the fabric's KV/backlog pressure into
+    /// the endpoint pools' demand pressure so the instance configurator reacts to
+    /// request-level congestion, not just aggregate rates.
     fn step_fabric(&mut self, now: SimTime) {
         if self.fabric.is_none() {
             return;
