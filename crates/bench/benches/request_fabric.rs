@@ -115,7 +115,7 @@ fn bench_request_fabric(c: &mut Criterion) {
                 scheduler.offer(i, 512, 128, i * 40);
             }
             completions.clear();
-            scheduler.advance_to(u64::MAX / 2, &mut completions);
+            scheduler.advance_to(u64::MAX / 2, |done| completions.push(done));
             black_box(completions.len())
         })
     });
@@ -135,7 +135,7 @@ fn bench_request_fabric(c: &mut Criterion) {
             deep,
             |mut scheduler| {
                 completions.clear();
-                scheduler.advance_to(u64::MAX / 2, &mut completions);
+                scheduler.advance_to(u64::MAX / 2, |done| completions.push(done));
                 black_box(completions.len())
             },
             BatchSize::LargeInput,
@@ -170,14 +170,14 @@ fn bench_saturated_minute(c: &mut Criterion) {
         primed.offer(i, 64 + rng.uniform_usize(0, 1024), 512 + rng.uniform_usize(0, 2048), i * 40);
     }
     let mut completions = Vec::new();
-    primed.advance_to(60_000, &mut completions);
+    primed.advance_to(60_000, |done| completions.push(done));
     assert!(primed.queue_len() > 0, "the backlog must outlast the primed minute");
     c.bench_function("batch_scheduler_saturated_minute", |b| {
         b.iter_batched(
             || primed.clone(),
             |mut scheduler| {
                 completions.clear();
-                scheduler.advance_to(120_000, &mut completions);
+                scheduler.advance_to(120_000, |done| completions.push(done));
                 black_box(completions.len())
             },
             BatchSize::LargeInput,

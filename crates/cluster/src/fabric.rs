@@ -19,7 +19,9 @@
 //!    order, the same order a binary heap with a FIFO tie-break would pop them in. The
 //!    buffer is a flat `Vec` drained by a cursor: a push appends and notes whether it
 //!    broke time order, and a drain sorts the undrained tail only if one did (once per
-//!    generated step; never for a cell inbox, which the fleet fills in time order). The
+//!    generated step, or once for a whole replayed trace). There is one buffer, the
+//!    fleet's: its drain hands requests to the sites in time order, and a site passes
+//!    each straight to its endpoint's scheduler queue, which is already in order. The
 //!    sort is a stable LSD radix sort on `time − min`, one byte per pass (two passes for
 //!    a one-minute step's millisecond offsets); stability alone keeps push order among
 //!    equal times, so no push rank is stored. Spans of 2²⁴ ms or more (arbitrary trace
@@ -29,19 +31,29 @@
 //!    scheduler ([`llm_sim::batch::BatchScheduler`]) whose replica count tracks the
 //!    endpoint's placed instances and whose admission is bounded by KV-cache occupancy
 //!    (prompt pinned at admission, +1 token per sequence per decode iteration, eviction
-//!    on completion). Completions feed [`crate::metrics::RequestMetrics`]: TTFT/TBT
+//!    on completion). Each completion is recorded into
+//!    [`crate::metrics::RequestMetrics`] as the scheduler completes it: TTFT/TBT
 //!    histograms and SLO-multiplier attainment curves against the endpoint's *unloaded*
 //!    analytic latencies (the paper's SLO sits at the 5× point of that curve).
 //!
 //! Every run is a fleet ([`crate::fleet::FleetSimulator`]; a single-site run is a pinned
 //! one-site fleet). The fleet generates or replays the one stream, routes it per request
 //! across sites ([`tapas::geo::GeoPlacement::choose_request`]) before the cells step, then
-//! delivers into per-cell inboxes: a cell never generates its own fabric traffic.
+//! delivers each request into its site's scheduler queue: a cell never generates its own
+//! fabric traffic.
+//!
+//! A request is held in one place per stage: the fleet's arrival buffer, its scheduler's
+//! queue, its batch slot. [`RequestFabric::deliver`] offers a request to its scheduler at
+//! once, so the requests delivered before a [`RequestFabric::serve_step`] must all be due
+//! inside the window that step serves, in time order — the fleet's drain of one step's
+//! arrivals is. Offering them before `serve_step` applies the step's replica counts is
+//! exact: a downsize's preemption puts its victims at the queue front, offers go to the
+//! back, and nothing reads the queues in between.
 
 use crate::experiment::RequestFabricConfig;
 use crate::metrics::{RequestMetrics, SloThresholds};
 use crate::scenario::ResolvedTimeline;
-use llm_sim::batch::{BatchCompletion, BatchScheduler, SchedulerFaults};
+use llm_sim::batch::{BatchScheduler, SchedulerFaults};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::perf::PerfModel;
 use llm_sim::request::RequestShape;
@@ -360,12 +372,11 @@ impl FabricGenerator {
     }
 }
 
-/// One site's serving side of the request fabric: the inbox arrival buffer, one batch
-/// scheduler per endpoint, and the per-request metrics block.
+/// One site's serving side of the request fabric: one batch scheduler per endpoint and
+/// the per-request metrics block.
 #[derive(Debug, Clone)]
 pub struct RequestFabric {
-    /// The inbox the fleet delivers into ([`RequestFabric::deliver`]).
-    queue: ArrivalBuffer,
+    /// Per endpoint; [`RequestFabric::deliver`] queues into them directly.
     schedulers: Vec<BatchScheduler>,
     /// Per endpoint, the SLO thresholds built from its unloaded analytic `(TTFT, TBT)`
     /// targets — the `1×` point of the attainment curves — and the headline multiplier.
@@ -375,8 +386,6 @@ pub struct RequestFabric {
     pressures: Vec<f64>,
     metrics: RequestMetrics,
     slo_multiplier: f64,
-    /// Scratch for completions drained per endpoint per step.
-    completions: Vec<BatchCompletion>,
     /// Scratch: each scheduler's fault counters at the start of the current step, to
     /// convert lifetime counters into this-window deltas for the pressure signal.
     fault_marks: Vec<SchedulerFaults>,
@@ -438,7 +447,6 @@ impl RequestFabric {
             })
             .collect();
         Self {
-            queue: ArrivalBuffer::new(),
             pressures: vec![0.0; schedulers.len()],
             schedulers,
             thresholds: targets
@@ -447,13 +455,12 @@ impl RequestFabric {
                 .collect(),
             metrics: RequestMetrics::new(),
             slo_multiplier: config.slo_multiplier,
-            completions: Vec::new(),
             fault_marks: Vec::new(),
             profile: StepProfile::default(),
         }
     }
 
-    /// Starts timing the fabric's phases (generate, offer, advance, record).
+    /// Starts timing the fabric's phases (offer, advance, record).
     pub(crate) fn enable_phase_profile(&mut self) {
         self.profile.enable();
     }
@@ -463,22 +470,38 @@ impl RequestFabric {
         &self.profile
     }
 
-    /// Delivers one fleet-routed request into the site's inbox.
+    /// Offers one fleet-routed request to its endpoint's scheduler (a request for an
+    /// endpoint the site does not know is dropped uncounted). Requests must be delivered
+    /// in timestamp order, and each must be due before the end of the window the next
+    /// [`Self::serve_step`] serves (see the module docs).
     pub fn deliver(&mut self, time_ms: u64, request: FabricRequest) {
-        self.queue.push(time_ms, request);
+        if let Some(scheduler) = self.schedulers.get_mut(request.endpoint as usize) {
+            self.metrics.lifecycle.arrived += 1;
+            scheduler.offer(
+                request.id,
+                request.prompt_tokens as usize,
+                request.output_tokens as usize,
+                time_ms,
+            );
+        }
     }
 
-    /// Serves the step: drains arrivals due in `[now, now + step)` into the per-endpoint
-    /// schedulers (in global timestamp order), advances every scheduler to the step end,
-    /// records completions against the endpoint's unloaded targets, and refreshes the
-    /// per-endpoint pressure signals. `replicas[e]` is endpoint `e`'s currently placed
-    /// instance count (zero keeps the scheduler at one virtual replica so traffic to an
-    /// unplaced endpoint queues instead of vanishing).
+    /// Serves the step `[now, now + step)`: rescales every scheduler to its endpoint's
+    /// replicas, advances it to the step end, recording each completion against the
+    /// endpoint's unloaded targets as it completes, refreshes the per-endpoint pressure
+    /// signals, and folds the step's completions into the attainment curves.
+    /// `replicas[e]` is endpoint `e`'s currently placed instance count (zero keeps the
+    /// scheduler at one virtual replica so traffic to an unplaced endpoint queues instead
+    /// of vanishing). The step's arrivals were delivered beforehand ([`Self::deliver`]).
     pub fn serve_step(&mut self, now: SimTime, step: SimDuration, replicas: &[u32]) {
         let end_ms = (now.as_minutes() + step.as_minutes()) * MS_PER_MINUTE;
         let mut mark = self.profile.mark();
         self.fault_marks.clear();
         for (ordinal, scheduler) in self.schedulers.iter_mut().enumerate() {
+            debug_assert!(
+                scheduler.latest_queued_arrival_ms().is_none_or(|arrival| arrival < end_ms),
+                "a request was delivered for a later window than the one served"
+            );
             let count = replicas.get(ordinal).copied().unwrap_or(0);
             // Mark fault counters before the resize: a shrink below the KV commitment
             // or the surviving decode slots preempts immediately, and those preemptions
@@ -486,33 +509,20 @@ impl RequestFabric {
             self.fault_marks.push(scheduler.faults());
             scheduler.set_replicas(count.max(1) as usize);
         }
-        let schedulers = &mut self.schedulers;
-        let lifecycle = &mut self.metrics.lifecycle;
-        self.queue.drain_before(end_ms, |time_ms, request| {
-            if let Some(scheduler) = schedulers.get_mut(request.endpoint as usize) {
-                lifecycle.arrived += 1;
-                scheduler.offer(
-                    request.id,
-                    request.prompt_tokens as usize,
-                    request.output_tokens as usize,
-                    time_ms,
-                );
-            }
-        });
         mark = self.profile.lap(StepPhase::Offer, mark);
         for ordinal in 0..self.schedulers.len() {
-            self.completions.clear();
-            self.schedulers[ordinal].advance_to(end_ms, &mut self.completions);
-            mark = self.profile.lap(StepPhase::Advance, mark);
-            let thresholds = &self.thresholds[ordinal];
-            for done in &self.completions {
-                self.metrics.record(
+            let (thresholds, metrics) = (&self.thresholds[ordinal], &mut self.metrics);
+            let mut completed = 0u64;
+            self.schedulers[ordinal].advance_to(end_ms, |done| {
+                completed += 1;
+                metrics.record(
                     thresholds,
                     done.ttft_ms() as f64,
                     done.mean_tbt_ms(),
                     done.output_tokens as u64,
                 );
-            }
+            });
+            mark = self.profile.lap(StepPhase::Advance, mark);
             self.schedulers[ordinal].note_pressure_window();
             // KV/backlog pressure alone under-reports saturation once deadline shedding
             // is active: sheds keep the queue short, so occupancy looks healthy while
@@ -526,13 +536,15 @@ impl RequestFabric {
             let lost = (faults.shed - before.shed) + (faults.preemptions - before.preemptions);
             let mut pressure = self.schedulers[ordinal].pressure();
             if lost > 0 {
-                let outcomes = lost + self.completions.len() as u64;
+                let outcomes = lost + completed;
                 let distress = lost as f64 / outcomes as f64;
                 pressure = pressure.max(1.0 + distress.min(0.5));
             }
             self.pressures[ordinal] = pressure;
             mark = self.profile.lap(StepPhase::Record, mark);
         }
+        self.metrics.fold_curves();
+        self.profile.lap(StepPhase::Record, mark);
     }
 
     /// Endpoint `e`'s KV/backlog pressure after the last served step (`0.0` for unknown
@@ -542,7 +554,7 @@ impl RequestFabric {
         self.pressures.get(endpoint).copied().unwrap_or(0.0)
     }
 
-    /// The metrics recorded so far.
+    /// The metrics recorded so far (current after every [`Self::serve_step`]).
     #[must_use]
     pub fn metrics(&self) -> &RequestMetrics {
         &self.metrics
@@ -826,10 +838,15 @@ mod tests {
         let mut fabric =
             RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
         let replicas = vec![2u32; catalog.len()];
+        // The generator emits endpoint by endpoint, not in time order: the buffer sorts
+        // each step's arrivals before they are delivered, as the fleet's does.
+        let mut arrivals = ArrivalBuffer::new();
         for minute in (0..120).step_by(5) {
             let now = SimTime::from_minutes(minute);
             let step = SimDuration::from_minutes(5);
-            generator.generate_with(now, step, &timeline, |t, r| fabric.deliver(t, r));
+            generator.generate_with(now, step, &timeline, |t, r| arrivals.push(t, r));
+            let end_ms = (minute + 5) * MS_PER_MINUTE;
+            arrivals.drain_before(end_ms, |t, r| fabric.deliver(t, r));
             fabric.serve_step(now, step, &replicas);
         }
         let metrics = fabric.metrics();

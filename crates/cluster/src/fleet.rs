@@ -51,8 +51,8 @@ pub struct FleetSimulator {
     /// VM arrivals routed to each site so far.
     routed: Vec<u64>,
     emergency_diversions: u64,
-    /// Fleet-wide request-fabric generator (None unless the base experiment opts in, or
-    /// when a replayed trace preloaded the queue instead).
+    /// Fleet-wide request-fabric generator (None unless the base experiment opts in, and
+    /// never built when a replayed trace preloaded the queue instead).
     fabric_generator: Option<FabricGenerator>,
     /// The fleet-wide fabric stream, drained by millisecond timestamp (FIFO on ties).
     fabric_queue: ArrivalBuffer,
@@ -75,11 +75,16 @@ impl FleetSimulator {
     /// Panics if the configuration fails [`FleetConfig::check`].
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
+        let cells = Self::checked_cells(&config);
+        Self::with_cells(config, cells, None, None)
+    }
+
+    /// Checks the configuration and builds one cell per site, in site order.
+    fn checked_cells(config: &FleetConfig) -> Vec<ClusterSimulator> {
         config.check().unwrap_or_else(|error| panic!("{error}"));
-        let cells: Vec<ClusterSimulator> = (0..config.sites.len())
+        (0..config.sites.len())
             .map(|site| ClusterSimulator::new(config.site_experiment(site)))
-            .collect();
-        Self::with_cells(config, cells)
+            .collect()
     }
 
     /// Builds a fleet that replays an externally supplied VM arrival trace instead of
@@ -97,18 +102,25 @@ impl FleetSimulator {
             arrivals.windows(2).all(|pair| pair[0].arrival <= pair[1].arrival),
             "replayed arrival traces must be sorted by arrival time"
         );
-        let mut fleet = Self::new(config);
-        fleet.stream = arrivals.into();
-        fleet
+        let cells = Self::checked_cells(&config);
+        Self::with_cells(config, cells, Some(arrivals), None)
     }
 
     /// Builds the fleet around already-built cells (one per site, in site order): the
-    /// fleet-wide VM and fabric streams, the signals and the splitters. The configuration
-    /// is not re-checked, so a single-site run accepts every configuration its cell does.
-    pub(crate) fn with_cells(config: FleetConfig, cells: Vec<ClusterSimulator>) -> Self {
+    /// fleet-wide VM and fabric streams, the signals and the splitters. `arrivals`
+    /// replaces the generated VM stream and `trace` the generated fabric stream; a stream
+    /// is generated only when none is supplied. The configuration is not re-checked, so a
+    /// single-site run accepts every configuration its cell does.
+    pub(crate) fn with_cells(
+        config: FleetConfig,
+        cells: Vec<ClusterSimulator>,
+        arrivals: Option<Vec<Vm>>,
+        trace: Option<ArrivalBuffer>,
+    ) -> Self {
         let catalog = config.base.endpoint_catalog();
-        let stream: VecDeque<Vm> =
-            config.base.vm_stream(&catalog, config.arrival_scale).into();
+        let stream: VecDeque<Vm> = arrivals
+            .unwrap_or_else(|| config.base.vm_stream(&catalog, config.arrival_scale))
+            .into();
         // Each cell already resolved its site view of the scenario into a dense
         // timeline; grid prices are read from there rather than resolved a second time.
         let mut signals: Vec<SiteSignals> =
@@ -126,10 +138,16 @@ impl FleetSimulator {
         let routed = vec![0; cells.len()];
         // The fabric stream is generated once fleet-wide, from the base seed and base
         // catalog, and scaled with the fleet's arrival scale exactly like the VM stream.
-        let fabric_generator = config.base.request_fabric.map(|mut fabric_config| {
-            fabric_config.rate_scale *= config.arrival_scale;
-            FabricGenerator::new(config.base.seed, &catalog, fabric_config)
-        });
+        let (fabric_generator, fabric_queue) = match trace {
+            Some(trace) => (None, trace),
+            None => {
+                let generator = config.base.request_fabric.map(|mut fabric_config| {
+                    fabric_config.rate_scale *= config.arrival_scale;
+                    FabricGenerator::new(config.base.seed, &catalog, fabric_config)
+                });
+                (generator, ArrivalBuffer::new())
+            }
+        };
         let base_timeline = config.base.resolved_timeline();
         let mut geo = GeoPlacement::default();
         geo.set_request_endpoints(catalog.len());
@@ -142,7 +160,7 @@ impl FleetSimulator {
             routed,
             emergency_diversions: 0,
             fabric_generator,
-            fabric_queue: ArrivalBuffer::new(),
+            fabric_queue,
             base_timeline,
             profile: StepProfile::default(),
             cells,
@@ -169,12 +187,10 @@ impl FleetSimulator {
         if config.base.request_fabric.is_none() {
             config.base.request_fabric = Some(RequestFabricConfig::default());
         }
-        let mut queue = ArrivalBuffer::new();
-        queue.load_trace(records, config.base.endpoint_catalog().len())?;
-        let mut fleet = Self::new(config);
-        fleet.fabric_generator = None;
-        fleet.fabric_queue = queue;
-        Ok(fleet)
+        let mut trace = ArrivalBuffer::new();
+        trace.load_trace(records, config.base.endpoint_catalog().len())?;
+        let cells = Self::checked_cells(&config);
+        Ok(Self::with_cells(config, cells, None, Some(trace)))
     }
 
     /// The fleet configuration.
@@ -195,9 +211,10 @@ impl FleetSimulator {
         &self.signals
     }
 
-    /// Starts filling the phase profile: the fleet's own routing and signal refresh and its
-    /// fabric generation and handoff, and in every cell the fabric's offer, advance and record phases and the rest of the
-    /// cell step. Profiling reads the clock only; it changes no simulated value.
+    /// Starts filling the phase profile: the fleet's own routing and signal refresh, its
+    /// fabric generation and handoff (which offers each request to its scheduler), and in
+    /// every cell the fabric's offer, advance and record phases and the rest of the cell
+    /// step. Profiling reads the clock only; it changes no simulated value.
     pub fn enable_phase_profile(&mut self) {
         self.profile.enable();
         for cell in &mut self.cells {
@@ -254,7 +271,9 @@ impl FleetSimulator {
         mark = self.profile.lap(StepPhase::Fleet, mark);
 
         // 1b. Generate this step's fabric requests fleet-wide and route them per request
-        //     (in millisecond-timestamp order, FIFO on ties) into the cells' inboxes.
+        //     (in millisecond-timestamp order, FIFO on ties) straight into the cells'
+        //     per-endpoint scheduler queues: everything drained here is due inside the
+        //     step the cells are about to serve.
         if let Some(generator) = self.fabric_generator.as_mut() {
             let queue = &mut self.fabric_queue;
             generator.generate_with(now, self.config.base.step, &self.base_timeline, |t, r| {

@@ -55,10 +55,39 @@ impl SloThresholds {
     }
 }
 
+/// Bins of a curve's first-met index: one per [`SLO_CURVE_MULTIPLIERS`] entry, and one for
+/// samples that meet none.
+const CURVE_BINS: usize = SLO_CURVE_MULTIPLIERS.len() + 1;
+
+/// Completions recorded since the last [`RequestMetrics::fold_curves`], counted per curve
+/// by the index of the first multiplier they met.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CurveBins {
+    ttft: [u64; CURVE_BINS],
+    tbt: [u64; CURVE_BINS],
+    joint: [u64; CURVE_BINS],
+}
+
+impl CurveBins {
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in [
+            (&mut self.ttft, &other.ttft),
+            (&mut self.tbt, &other.tbt),
+            (&mut self.joint, &other.joint),
+        ] {
+            for (mine, theirs) in mine.iter_mut().zip(theirs) {
+                *mine += theirs;
+            }
+        }
+    }
+}
+
 /// Index of the first threshold `sample` meets (`len` when it meets none, as NaN does).
-/// The thresholds ascend, so the sample meets every later one too.
-fn first_met(sample: f64, thresholds: &[f64]) -> usize {
-    thresholds.iter().position(|&threshold| sample <= threshold).unwrap_or(thresholds.len())
+/// The thresholds ascend and none is NaN, so the ones a number misses are a prefix and
+/// the index is their count, taken without a branch per threshold.
+fn first_met(sample: f64, thresholds: &[f64; SLO_CURVE_MULTIPLIERS.len()]) -> usize {
+    let missed = thresholds.iter().filter(|&&threshold| threshold < sample).count();
+    if sample.is_nan() { thresholds.len() } else { missed }
 }
 
 /// A fixed-edge latency histogram over [`LATENCY_BUCKET_EDGES_MS`] (the last bucket is
@@ -214,6 +243,13 @@ impl LifecycleMetrics {
 /// SLO attainment curves sampled at [`SLO_CURVE_MULTIPLIERS`]. Sites merge losslessly
 /// (fixed bucket edges, cumulative curve counters), which is how the fleet-level curves
 /// are produced.
+///
+/// [`Self::record`] counts a completion in one bin per curve (its first met multiplier)
+/// instead of in every curve entry from there on; [`Self::fold_curves`] adds the bins'
+/// running sums into the curves. Everything but the curves is current after `record`;
+/// the curves, and what reads them ([`Self::attainment_at`], [`Self::attainment_curve`],
+/// equality, serialization), after the fold. The request fabric folds at the end of every
+/// served step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestMetrics {
     /// Requests that ran to completion.
@@ -234,6 +270,10 @@ pub struct RequestMetrics {
     /// Request-lifecycle accounting (arrivals, preemptions, wasted work, shed/timeout
     /// outcomes, goodput split).
     pub lifecycle: LifecycleMetrics,
+    /// Completions recorded but not yet folded into the curves (never serialized: a
+    /// folded block has none).
+    #[serde(skip)]
+    pending: CurveBins,
 }
 
 impl Default for RequestMetrics {
@@ -254,6 +294,7 @@ impl RequestMetrics {
             tbt_curve: vec![0; SLO_CURVE_MULTIPLIERS.len()],
             joint_curve: vec![0; SLO_CURVE_MULTIPLIERS.len()],
             lifecycle: LifecycleMetrics::default(),
+            pending: CurveBins::default(),
         }
     }
 
@@ -267,9 +308,10 @@ impl RequestMetrics {
     }
 
     /// Records one completed request against its endpoint's thresholds: the TTFT and
-    /// TBT histograms, each attainment curve from its first met multiplier on, and the
-    /// output tokens into the goodput split. Requests with a single output token have no
-    /// TBT (`mean_tbt_ms` 0); they count as meeting any TBT multiplier.
+    /// TBT histograms, each attainment curve's first met multiplier (counted into the
+    /// curve from there on at the next [`Self::fold_curves`]), and the output tokens into
+    /// the goodput split. Requests with a single output token have no TBT (`mean_tbt_ms`
+    /// 0); they count as meeting any TBT multiplier.
     pub fn record(
         &mut self,
         thresholds: &SloThresholds,
@@ -285,18 +327,30 @@ impl RequestMetrics {
         let ttft_from = first_met(ttft_ms, &thresholds.ttft_ms);
         let tbt_from =
             if mean_tbt_ms <= 0.0 { 0 } else { first_met(mean_tbt_ms, &thresholds.tbt_ms) };
-        for count in &mut self.ttft_curve[ttft_from..] {
-            *count += 1;
-        }
-        for count in &mut self.tbt_curve[tbt_from..] {
-            *count += 1;
-        }
-        for count in &mut self.joint_curve[ttft_from.max(tbt_from)..] {
-            *count += 1;
-        }
+        self.pending.ttft[ttft_from] += 1;
+        self.pending.tbt[tbt_from] += 1;
+        self.pending.joint[ttft_from.max(tbt_from)] += 1;
         let met_headline = ttft_ms <= thresholds.headline_ttft_ms
             && (mean_tbt_ms <= 0.0 || mean_tbt_ms <= thresholds.headline_tbt_ms);
         self.record_tokens(output_tokens, met_headline);
+    }
+
+    /// Adds the completions recorded since the last fold into the attainment curves: a
+    /// completion first met at multiplier index `i` counts in every curve entry from `i`
+    /// on, so entry `i` gains the running sum of the bins up to `i`.
+    pub fn fold_curves(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        for (curve, bins) in [
+            (&mut self.ttft_curve, pending.ttft),
+            (&mut self.tbt_curve, pending.tbt),
+            (&mut self.joint_curve, pending.joint),
+        ] {
+            let mut met = 0;
+            for (count, bin) in curve.iter_mut().zip(bins) {
+                met += bin;
+                *count += met;
+            }
+        }
     }
 
     /// SLO attainment (fraction of completed requests meeting both TTFT and TBT) at the
@@ -325,7 +379,8 @@ impl RequestMetrics {
             .collect()
     }
 
-    /// Merges another site's metrics into this one (lossless: fixed edges, counters).
+    /// Merges another site's metrics into this one (lossless: fixed edges, counters;
+    /// `other`'s unfolded completions stay unfolded here).
     pub fn merge(&mut self, other: &Self) {
         self.completed += other.completed;
         self.ttft.merge(&other.ttft);
@@ -340,6 +395,7 @@ impl RequestMetrics {
             *mine += theirs;
         }
         self.lifecycle.merge(&other.lifecycle);
+        self.pending.merge(&other.pending);
     }
 
     /// One-line textual summary (used by examples and the fabric smoke output).
@@ -847,6 +903,7 @@ mod tests {
         metrics.record(&targets, 80.0, 9.0, 0);
         metrics.record(&targets, 250.0, 18.0, 0);
         metrics.record(&targets, 2500.0, 300.0, 0);
+        metrics.fold_curves();
         assert_eq!(metrics.completed, 3);
         assert_eq!(metrics.ttft.total(), 3);
         assert!((metrics.ttft.mean_ms() - (80.0 + 250.0 + 2500.0) / 3.0).abs() < 1e-9);
@@ -863,6 +920,7 @@ mod tests {
         // Single-token requests have no TBT and meet any TBT multiplier.
         let mut single = RequestMetrics::new();
         single.record(&targets, 80.0, 0.0, 0);
+        single.fold_curves();
         assert_eq!(single.tbt.total(), 0);
         assert!((single.attainment_at(1.0) - 1.0).abs() < 1e-12);
         // Merge is lossless counter addition.
@@ -871,6 +929,14 @@ mod tests {
         assert_eq!(merged.completed, 4);
         assert_eq!(merged.joint_curve[0], 2);
         assert!(merged.one_liner().contains("requests=4"));
+        // A recorded completion reaches the curves at the fold, and the bins are never
+        // serialized.
+        let mut unfolded = RequestMetrics::new();
+        unfolded.record(&targets, 80.0, 9.0, 0);
+        assert_eq!((unfolded.completed, unfolded.joint_curve[0]), (1, 0));
+        assert!(!serde_json::to_string(&unfolded).unwrap().contains("pending"));
+        unfolded.fold_curves();
+        assert_eq!(unfolded.joint_curve, vec![1; SLO_CURVE_MULTIPLIERS.len()]);
         // Empty metrics default to full attainment.
         assert!((RequestMetrics::new().attainment_at(5.0) - 1.0).abs() < 1e-12);
         assert_eq!(RequestMetrics::new().ttft.quantile_edge_ms(0.99), 0);
@@ -891,6 +957,7 @@ mod tests {
         metrics.lifecycle.timeouts = 1;
         metrics.lifecycle.shed = 3;
         metrics.record_tokens(40, false);
+        metrics.fold_curves();
         let json = serde_json::to_string(&metrics).unwrap();
         assert!(json.contains("\"lifecycle\":{\"arrived\":5,"), "{json}");
         let back: RequestMetrics = serde_json::from_str(&json).unwrap();
@@ -915,6 +982,7 @@ mod tests {
         let mut report = report_with_data();
         let mut metrics = RequestMetrics::new();
         metrics.record(&SloThresholds::new(0.1, 0.01, 5.0), 120.0, 12.0, 0);
+        metrics.fold_curves();
         report.request_fabric = Some(metrics.clone());
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"request_fabric\":{"));

@@ -501,7 +501,7 @@ impl ClusterSimulator {
     #[must_use]
     pub fn run(self) -> RunReport {
         let config = FleetConfig::single_site(self.config.clone());
-        let mut report = FleetSimulator::with_cells(config, vec![self]).run();
+        let mut report = FleetSimulator::with_cells(config, vec![self], None, None).run();
         report.sites.pop().expect("a one-site fleet reports one site")
     }
 
@@ -511,10 +511,10 @@ impl ClusterSimulator {
         self.pending.push_back(vm);
     }
 
-    /// Delivers a fleet-routed fabric request into this cell's inbox (no-op unless the
-    /// cell's experiment enabled the fabric). The inbox is an arrival buffer that drains
-    /// by millisecond timestamp, so delivery order only tie-breaks among equal
-    /// timestamps; in-order delivery (the fleet's) never needs a sort.
+    /// Delivers a fleet-routed fabric request straight into its endpoint's scheduler queue
+    /// (no-op unless the cell's experiment enabled the fabric). The fleet delivers in
+    /// timestamp order, and only requests due inside the step the cell serves next
+    /// ([`RequestFabric::deliver`]).
     pub(crate) fn deliver_request(&mut self, time_ms: u64, request: FabricRequest) {
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.deliver(time_ms, request);

@@ -231,11 +231,12 @@ impl BatchCompletion {
     }
 }
 
+/// A queued request (40 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     tag: u64,
-    prompt_tokens: usize,
-    output_tokens: usize,
+    prompt_tokens: u32,
+    output_tokens: u32,
     arrival_ms: u64,
     /// Earliest admission time: equals `arrival_ms` for fresh requests, or the
     /// deterministic backoff re-delivery time for preempted requeues.
@@ -244,22 +245,39 @@ struct Pending {
     attempts: u32,
 }
 
+/// A running sequence (56 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Active {
     tag: u64,
-    prompt_tokens: usize,
-    output_tokens: usize,
+    prompt_tokens: u32,
+    output_tokens: u32,
     /// The scheduler's iteration counter at admission: the sequence has generated
     /// `iterations − admit_iter` tokens.
     admit_iter: u64,
     arrival_ms: u64,
-    first_token_ms: Option<u64>,
+    /// Stamped at the end of the admitting iteration, which produces the first token
+    /// (`0` until then).
+    first_token_ms: u64,
     /// Monotone admission ordinal; preemption evicts the highest (LIFO), which
     /// `Vec::swap_remove` order cannot provide.
     seq: u64,
     attempts: u32,
     /// Stable handle in the finish ring; `slots[slot].pos` is the index in `running`.
     slot: u32,
+}
+
+impl Pending {
+    /// Prompt plus output tokens: the KV the request commits once admitted.
+    fn footprint(&self) -> usize {
+        self.prompt_tokens as usize + self.output_tokens as usize
+    }
+}
+
+impl Active {
+    /// Prompt plus output tokens: the KV committed to the sequence.
+    fn footprint(&self) -> usize {
+        self.prompt_tokens as usize + self.output_tokens as usize
+    }
 }
 
 /// A batch slot: where its sequence sits in `running`, and its place in the finish ring.
@@ -614,11 +632,12 @@ impl BatchScheduler {
                 .expect("running is non-empty");
             let victim = self.remove_running(victim_index);
             let generated = (self.iterations - victim.admit_iter) as usize;
-            self.kv_in_use -= victim.prompt_tokens + generated;
-            self.kv_committed -= victim.prompt_tokens + victim.output_tokens;
+            let resident = victim.prompt_tokens as usize + generated;
+            self.kv_in_use -= resident;
+            self.kv_committed -= victim.footprint();
             self.faults.preemptions += 1;
-            self.faults.evicted_tokens += (victim.prompt_tokens + generated) as u64;
-            self.faults.wasted_prefill_tokens += victim.prompt_tokens as u64;
+            self.faults.evicted_tokens += resident as u64;
+            self.faults.wasted_prefill_tokens += u64::from(victim.prompt_tokens);
             self.faults.wasted_decode_tokens += generated as u64;
             let attempts = victim.attempts + 1;
             if attempts > self.max_retries {
@@ -627,7 +646,7 @@ impl BatchScheduler {
             }
             self.faults.retries += 1;
             let backoff = self.backoff_base_ms << (attempts - 1).min(MAX_BACKOFF_SHIFT);
-            self.queued_tokens += victim.prompt_tokens + victim.output_tokens;
+            self.queued_tokens += victim.footprint();
             // Victims are evicted newest-first and each goes to the queue front, so the
             // requeued block ends up oldest-first — the queue stays arrival-ordered.
             self.queue.push_front(Pending {
@@ -642,22 +661,32 @@ impl BatchScheduler {
     }
 
     /// Enqueues a request. `arrival_ms` must be non-decreasing across calls — the fabric
-    /// drains its event queue in timestamp order, which guarantees it.
+    /// hands requests over in timestamp order, which guarantees it.
+    ///
+    /// # Panics
+    /// Panics if a token count does not fit in a `u32`.
     pub fn offer(&mut self, tag: u64, prompt_tokens: usize, output_tokens: usize, arrival_ms: u64) {
         debug_assert!(
             self.queue.back().is_none_or(|p| p.arrival_ms <= arrival_ms),
             "requests must be offered in arrival order"
         );
-        let output_tokens = output_tokens.max(1);
-        self.queued_tokens += prompt_tokens + output_tokens;
-        self.queue.push_back(Pending {
+        let request = Pending {
             tag,
-            prompt_tokens,
-            output_tokens,
+            prompt_tokens: u32::try_from(prompt_tokens).expect("prompt length fits in u32"),
+            output_tokens: u32::try_from(output_tokens.max(1)).expect("output length fits in u32"),
             arrival_ms,
             ready_ms: arrival_ms,
             attempts: 0,
-        });
+        };
+        self.queued_tokens += request.footprint();
+        self.queue.push_back(request);
+    }
+
+    /// Arrival time of the latest request waiting for admission (`None` with an empty
+    /// queue). Every queued request arrived at or before it.
+    #[must_use]
+    pub fn latest_queued_arrival_ms(&self) -> Option<u64> {
+        self.queue.back().map(|p| p.arrival_ms)
     }
 
     fn max_batch(&self) -> usize {
@@ -675,13 +704,17 @@ impl BatchScheduler {
     /// requests that can never fit the current capacity are dropped as timeouts rather
     /// than blocking the queue forever.
     fn admit(&mut self) -> usize {
+        let max_batch = self.max_batch();
+        // The budget depends on whether the batch is empty: it is re-read after the
+        // admission that fills an empty batch, and nothing else here changes it.
+        let mut capacity = self.admission_capacity();
         let mut admitted_prompt_tokens = 0;
-        while self.running.len() < self.max_batch() {
+        while self.running.len() < max_batch {
             let Some(front) = self.queue.front().copied() else { break };
             if front.ready_ms > self.now_ms {
                 break;
             }
-            let footprint = front.prompt_tokens + front.output_tokens;
+            let footprint = front.footprint();
             if self.shed_deadline_ms > 0
                 && self.now_ms > front.arrival_ms + self.shed_deadline_ms
             {
@@ -690,7 +723,7 @@ impl BatchScheduler {
                 self.faults.shed += 1;
                 continue;
             }
-            if self.kv_committed + footprint > self.admission_capacity() {
+            if self.kv_committed + footprint > capacity {
                 if self.running.is_empty() && footprint > self.kv_capacity() {
                     // Larger than the whole (possibly downsized) cache: it can never be
                     // admitted, so drop it as a timeout instead of stalling the queue.
@@ -706,8 +739,8 @@ impl BatchScheduler {
             self.kv_committed += footprint;
             // Incremental accounting: the prompt is pinned now, decode tokens as they
             // are produced. A requeued victim re-prefills from scratch here.
-            self.kv_in_use += front.prompt_tokens;
-            admitted_prompt_tokens += front.prompt_tokens;
+            self.kv_in_use += front.prompt_tokens as usize;
+            admitted_prompt_tokens += front.prompt_tokens as usize;
             let seq = self.admission_seq;
             self.admission_seq += 1;
             let slot = self.free_slots.pop().unwrap_or_else(|| {
@@ -716,7 +749,7 @@ impl BatchScheduler {
             });
             let entry = &mut self.slots[slot as usize];
             entry.pos = self.running.len() as u32;
-            entry.finish = self.iterations + front.output_tokens as u64 - 1;
+            entry.finish = self.iterations + u64::from(front.output_tokens) - 1;
             self.ring.insert(&mut self.slots, slot);
             self.running.push(Active {
                 tag: front.tag,
@@ -724,11 +757,14 @@ impl BatchScheduler {
                 output_tokens: front.output_tokens,
                 admit_iter: self.iterations,
                 arrival_ms: front.arrival_ms,
-                first_token_ms: None,
+                first_token_ms: 0,
                 seq,
                 attempts: front.attempts,
                 slot,
             });
+            if self.running.len() == 1 {
+                capacity = self.admission_capacity();
+            }
         }
         admitted_prompt_tokens
     }
@@ -747,19 +783,19 @@ impl BatchScheduler {
     }
 
     /// Completes the sequence at `index` at the current time: evicts its footprint and
-    /// appends its completion to `out`.
-    fn complete(&mut self, index: usize, out: &mut Vec<BatchCompletion>) {
+    /// hands its completion to `done`.
+    fn complete(&mut self, index: usize, done: &mut impl FnMut(BatchCompletion)) {
         let seq = self.remove_running(index);
-        let footprint = seq.prompt_tokens + seq.output_tokens;
+        let footprint = seq.footprint();
         self.kv_in_use -= footprint;
         self.kv_committed -= footprint;
         self.completed_total += 1;
-        out.push(BatchCompletion {
+        done(BatchCompletion {
             tag: seq.tag,
-            prompt_tokens: seq.prompt_tokens,
-            output_tokens: seq.output_tokens,
+            prompt_tokens: seq.prompt_tokens as usize,
+            output_tokens: seq.output_tokens as usize,
             arrival_ms: seq.arrival_ms,
-            first_token_ms: seq.first_token_ms.expect("stamped in its first iteration"),
+            first_token_ms: seq.first_token_ms,
             finish_ms: self.now_ms,
         });
     }
@@ -811,9 +847,7 @@ impl BatchScheduler {
         if front.ready_ms > self.now_ms {
             return front.ready_ms;
         }
-        if self.kv_committed + front.prompt_tokens + front.output_tokens
-            <= self.admission_capacity()
-        {
+        if self.kv_committed + front.footprint() <= self.admission_capacity() {
             return self.now_ms;
         }
         if self.shed_deadline_ms > 0 {
@@ -858,7 +892,9 @@ impl BatchScheduler {
         self.kv_in_use += batch * ran as usize;
     }
 
-    /// Advances the scheduler to `deadline_ms`, appending finished requests to `out`.
+    /// Advances the scheduler to `deadline_ms`, handing each finished request to `done`
+    /// as it completes (a caller that wants them collected passes
+    /// `|completion| out.push(completion)`).
     ///
     /// The final iteration may overshoot the deadline (iterations are atomic); the clock
     /// carries across calls, so the next window resumes exactly where this one stopped.
@@ -868,7 +904,7 @@ impl BatchScheduler {
     /// An iteration touches only the sequences it admits or completes, and quiet runs
     /// skip admission altogether (see the module docs); the result is identical to
     /// [`Self::advance_to_reference`].
-    pub fn advance_to(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
+    pub fn advance_to(&mut self, deadline_ms: u64, mut done: impl FnMut(BatchCompletion)) {
         while self.now_ms < deadline_ms {
             self.quiet_run(deadline_ms);
             if self.now_ms >= deadline_ms {
@@ -877,13 +913,13 @@ impl BatchScheduler {
             let Some(admitted_from) = self.begin_iteration(deadline_ms, true) else { continue };
             let now_ms = self.now_ms;
             for seq in &mut self.running[admitted_from..] {
-                seq.first_token_ms = Some(now_ms);
+                seq.first_token_ms = now_ms;
             }
 
             // Sequences whose finish iteration is the one that just ran complete and
             // evict their whole footprint.
             if self.ring.is_occupied(FinishRing::bucket(self.iterations - 1)) {
-                self.complete_finished(out);
+                self.complete_finished(&mut done);
             }
         }
     }
@@ -892,11 +928,20 @@ impl BatchScheduler {
     /// reference walk's order: ascending position, except that when `swap_remove` pulls
     /// a finisher in from the tail, it lands on the freed position and the walk meets it
     /// next. Bucket entries with a later finish (an output longer than the ring) stay.
-    fn complete_finished(&mut self, out: &mut Vec<BatchCompletion>) {
+    fn complete_finished(&mut self, done: &mut impl FnMut(BatchCompletion)) {
         let finished = self.iterations - 1;
+        let head = self.ring.heads[FinishRing::bucket(finished)];
+        let first = self.slots[head as usize];
+        if first.next == NIL {
+            // A bucket of one: its sequence finishes now unless it is a lap away.
+            if first.finish == finished {
+                self.complete(first.pos as usize, done);
+            }
+            return;
+        }
         let mut finishing = std::mem::take(&mut self.finishing);
         finishing.clear();
-        let mut slot = self.ring.heads[FinishRing::bucket(finished)];
+        let mut slot = head;
         while slot != NIL {
             let entry = self.slots[slot as usize];
             if entry.finish == finished {
@@ -914,17 +959,18 @@ impl BatchScheduler {
             } else {
                 next += 1;
             }
-            self.complete(index, out);
+            self.complete(index, done);
         }
         self.finishing = finishing;
     }
 
     /// Reference for [`Self::advance_to`], for tests and benches, not for serving: every
-    /// iteration visits every running sequence, stamps its first token, and
-    /// `swap_remove`s it once it has generated its whole output. Admission and preemption
-    /// are the same code as the serving path's; every iteration is timed by the direct
-    /// formula, never the span table.
+    /// iteration visits every running sequence, stamps the first token of those it just
+    /// admitted, and `swap_remove`s each once it has generated its whole output, appending
+    /// the completions to `out`. Admission and preemption are the same code as the serving
+    /// path's; every iteration is timed by the direct formula, never the span table.
     pub fn advance_to_reference(&mut self, deadline_ms: u64, out: &mut Vec<BatchCompletion>) {
+        let mut done = |completion| out.push(completion);
         while self.now_ms < deadline_ms {
             if self.begin_iteration(deadline_ms, false).is_none() {
                 continue;
@@ -933,11 +979,11 @@ impl BatchScheduler {
             let mut index = 0;
             while index < self.running.len() {
                 let seq = &mut self.running[index];
-                if seq.first_token_ms.is_none() {
-                    seq.first_token_ms = Some(now_ms);
+                if seq.admit_iter + 1 == self.iterations {
+                    seq.first_token_ms = now_ms;
                 }
-                if self.iterations - seq.admit_iter >= seq.output_tokens as u64 {
-                    self.complete(index, out);
+                if self.iterations - seq.admit_iter >= u64::from(seq.output_tokens) {
+                    self.complete(index, &mut done);
                 } else {
                     index += 1;
                 }
@@ -1047,7 +1093,7 @@ mod tests {
             s.offer(i, 64, 128, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(30_000, &mut out);
+        s.advance_to(30_000, |done| out.push(done));
         let served: usize = out.iter().map(|done| done.output_tokens).sum();
         let throughput = served as f64 / 30.0;
         assert!(
@@ -1063,7 +1109,7 @@ mod tests {
             let mut s = scheduler(1);
             s.offer(0, 256, 64, 0);
             let mut out = Vec::new();
-            s.advance_to(60_000, &mut out);
+            s.advance_to(60_000, |done| out.push(done));
             assert_eq!(out.len(), 1);
             out[0].latency_ms()
         };
@@ -1072,7 +1118,7 @@ mod tests {
             s.offer(i, 256, 64, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(120_000, &mut out);
+        s.advance_to(120_000, |done| out.push(done));
         assert_eq!(out.len(), 16);
         let slowest = out.iter().map(BatchCompletion::latency_ms).max().unwrap();
         assert!(
@@ -1087,7 +1133,7 @@ mod tests {
             let mut s = BatchScheduler::new(config, &GpuHardware::a100(), 1);
             s.offer(0, 512, 128, 0);
             let mut out = Vec::new();
-            s.advance_to(60_000, &mut out);
+            s.advance_to(60_000, |done| out.push(done));
             assert_eq!(out.len(), 1);
             out[0].latency_ms()
         };
@@ -1098,7 +1144,7 @@ mod tests {
     fn idle_scheduler_jumps_to_the_deadline() {
         let mut s = scheduler(1);
         let mut out = Vec::new();
-        s.advance_to(10_000, &mut out);
+        s.advance_to(10_000, |done| out.push(done));
         assert!(out.is_empty());
         assert_eq!(s.now_ms(), 10_000);
         assert_eq!(s.kv_in_use(), 0);
@@ -1109,7 +1155,7 @@ mod tests {
         let mut s = scheduler(1);
         s.offer(7, 512, 64, 1_000);
         let mut out = Vec::new();
-        s.advance_to(60_000, &mut out);
+        s.advance_to(60_000, |done| out.push(done));
         assert_eq!(out.len(), 1);
         let done = out[0];
         assert_eq!(done.tag, 7);
@@ -1145,7 +1191,7 @@ mod tests {
         while s.completed_total() < count {
             window += 1;
             assert!(window < 50_000, "scheduler failed to drain the backlog");
-            s.advance_to(window * 500, &mut out);
+            s.advance_to(window * 500, |done| out.push(done));
             assert!(s.kv_in_use() <= s.kv_capacity(), "occupancy exceeded capacity");
             assert!(s.kv_committed() <= s.kv_capacity(), "commitment exceeded capacity");
             if s.kv_in_use() > prev_in_use && prev_in_use > 0 {
@@ -1169,7 +1215,7 @@ mod tests {
             s.offer(i, 256, 32, i * 50);
         }
         let mut out = Vec::new();
-        s.advance_to(600_000, &mut out);
+        s.advance_to(600_000, |done| out.push(done));
         assert_eq!(out.len(), 40);
         assert_eq!(s.kv_in_use(), 0);
         assert_eq!(s.kv_committed(), 0);
@@ -1186,7 +1232,7 @@ mod tests {
             }
             let mut out = Vec::new();
             for window in 1..=20u64 {
-                s.advance_to(window * 5_000, &mut out);
+                s.advance_to(window * 5_000, |done| out.push(done));
             }
             out
         };
@@ -1201,7 +1247,7 @@ mod tests {
                 s.offer(i, 512, 128, 0);
             }
             let mut out = Vec::new();
-            s.advance_to(3_600_000, &mut out);
+            s.advance_to(3_600_000, |done| out.push(done));
             assert_eq!(out.len(), 128);
             out.iter().map(|c| c.finish_ms).max().unwrap()
         };
@@ -1216,7 +1262,7 @@ mod tests {
             s.offer(i, 2_000, 200, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(600_000, &mut out);
+        s.advance_to(600_000, |done| out.push(done));
         let first = out.iter().find(|c| c.tag == 0).expect("first request completes");
         let ttfts: Vec<u64> = out.iter().map(|c| c.ttft_ms()).collect();
         let worst = *ttfts.iter().max().unwrap();
@@ -1241,7 +1287,7 @@ mod tests {
             s.offer(i, 4_000, 100, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(2_000, &mut out);
+        s.advance_to(2_000, |done| out.push(done));
         assert!(s.running_len() > 0);
         s.set_replicas(1);
         // Satellite fix: the shrink may no longer strand `kv_committed` above the new
@@ -1256,7 +1302,7 @@ mod tests {
         let faults = s.faults();
         assert_eq!(faults.preemptions, faults.retries + faults.timeouts);
         assert_eq!(faults.wasted_prefill_tokens, faults.preemptions * 4_000);
-        s.advance_to(3_600_000, &mut out);
+        s.advance_to(3_600_000, |done| out.push(done));
         // A single shrink preempts each victim at most once, well inside the retry
         // budget: nothing times out and every request still completes.
         assert_eq!(s.faults().timeouts, 0);
@@ -1277,7 +1323,7 @@ mod tests {
         }
         let mut out = Vec::new();
         // One iteration admits the whole burst (8 footprints fit 4 replicas).
-        s.advance_to(1, &mut out);
+        s.advance_to(1, |done| out.push(done));
         let running_before = s.running_len();
         assert!(running_before >= 4, "expected a loaded batch, got {running_before}");
         s.set_replicas(1);
@@ -1289,7 +1335,7 @@ mod tests {
             8 - faults.timeouts as usize,
             "no request vanishes"
         );
-        s.advance_to(10_000_000, &mut out);
+        s.advance_to(10_000_000, |done| out.push(done));
         assert_eq!(out.len() as u64 + s.faults().timeouts, 8);
         for done in &out {
             // Requeue never resets `arrival_ms`: every request arrived at 0, so a
@@ -1315,7 +1361,7 @@ mod tests {
         let mut out = Vec::new();
         // The long prefill dominates the first iteration; step past a few decodes.
         while s.kv_in_use() < 2 * prompt + 8 {
-            s.advance_to(s.now_ms() + 1, &mut out);
+            s.advance_to(s.now_ms() + 1, |done| out.push(done));
         }
         assert_eq!(s.running_len(), 2);
         let generated = (s.kv_in_use() - 2 * prompt) / 2;
@@ -1338,23 +1384,23 @@ mod tests {
             s.offer(i, prompt, 400, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(500, &mut out);
+        s.advance_to(500, |done| out.push(done));
         assert_eq!(s.running_len(), 2);
         // Two shrinks in a row preempt the newer sequence twice; the second eviction
         // exceeds max_retries = 1 and drops it as a timeout.
         s.set_replicas(1);
         assert_eq!(s.faults().preemptions, 1);
         assert_eq!(s.faults().retries, 1);
-        s.advance_to(s.now_ms() + 200, &mut out);
+        s.advance_to(s.now_ms() + 200, |done| out.push(done));
         s.set_replicas(2);
-        s.advance_to(s.now_ms() + 2_000, &mut out);
+        s.advance_to(s.now_ms() + 2_000, |done| out.push(done));
         assert!(s.running_len() >= 1);
         s.set_replicas(1);
         let faults = s.faults();
         if faults.preemptions >= 2 {
             assert_eq!(faults.timeouts, 1, "second eviction exhausts the budget");
         }
-        s.advance_to(10_000_000, &mut out);
+        s.advance_to(10_000_000, |done| out.push(done));
         assert_eq!(
             out.len() as u64 + s.faults().timeouts,
             2,
@@ -1371,7 +1417,7 @@ mod tests {
             s.offer(i, 2_000, 300, 0);
         }
         let mut out = Vec::new();
-        s.advance_to(3_600_000, &mut out);
+        s.advance_to(3_600_000, |done| out.push(done));
         let faults = s.faults();
         assert!(faults.shed > 0, "the overload must shed late requests");
         assert_eq!(
@@ -1405,7 +1451,7 @@ mod tests {
         while s.queue_len() > 0 || s.running_len() > 0 {
             window += 1;
             assert!(window < 100_000, "drain stalled");
-            s.advance_to(window * 60_000, &mut drained);
+            s.advance_to(window * 60_000, |done| drained.push(done));
         }
         s.note_pressure_window();
         assert_eq!(s.degrade_level(), 3, "pressure cleared, one notch back");
@@ -1418,7 +1464,7 @@ mod tests {
             s.offer(i, 256, 32, i * 50);
         }
         let mut out = Vec::new();
-        s.advance_to(600_000, &mut out);
+        s.advance_to(600_000, |done| out.push(done));
         assert_eq!(out.len(), 40);
         assert_eq!(s.faults(), SchedulerFaults::default());
     }
@@ -1427,8 +1473,8 @@ mod tests {
     fn past_deadlines_are_no_ops() {
         let mut s = scheduler(1);
         let mut out = Vec::new();
-        s.advance_to(1_000, &mut out);
-        s.advance_to(500, &mut out);
+        s.advance_to(1_000, |done| out.push(done));
+        s.advance_to(500, |done| out.push(done));
         assert_eq!(s.now_ms(), 1_000);
     }
 }

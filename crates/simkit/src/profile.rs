@@ -20,14 +20,17 @@ pub enum StepPhase {
     Fleet,
     /// Fleet level: generating the step's request-fabric arrivals.
     FabricGenerate,
-    /// Fleet level: ordering the step's arrivals and routing each into a cell inbox.
+    /// Fleet level: ordering the step's arrivals, routing each to a site and offering it
+    /// to its endpoint's scheduler there.
     FabricHandoff,
-    /// Cell level: draining the inbox into the per-endpoint schedulers, with the cell's
-    /// own share of the fabric step (replica counts, pressure blending).
+    /// Cell level: rescaling the per-endpoint schedulers to the step's replicas, with the
+    /// cell's own share of the fabric step (replica counts, pressure blending).
     Offer,
-    /// Cell level: the schedulers' serving iterations (`advance_to`).
+    /// Cell level: the schedulers' serving iterations (`advance_to`), which record each
+    /// completion into the request metrics as it completes.
     Advance,
-    /// Cell level: recording completions into the request metrics.
+    /// Cell level: the per-endpoint pressure and distress update and the step's fold of
+    /// the attainment curves.
     Record,
     /// Cell level: retiring expired VMs and placing the pending ones.
     RetirePlace,

@@ -134,7 +134,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             deadline.max(now) + rng.uniform_usize(1, 3_000) as u64
         };
         let before = fast_out.len();
-        fast.advance_to(deadline, &mut fast_out);
+        fast.advance_to(deadline, |done| fast_out.push(done));
         reference.advance_to_reference(deadline, &mut reference_out);
         let context = format!("seed {seed} window {window} deadline {deadline}");
         assert_eq!(fast_out, reference_out, "completions: {context}");
@@ -150,7 +150,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     fast.set_replicas(max_replicas);
     reference.set_replicas(max_replicas);
     let drain = fast.now_ms() + 3_600_000;
-    fast.advance_to(drain, &mut fast_out);
+    fast.advance_to(drain, |done| fast_out.push(done));
     reference.advance_to_reference(drain, &mut reference_out);
     assert_eq!(fast_out, reference_out, "completions: seed {seed} drain");
     assert_same(&fast, &reference, &format!("seed {seed} drain"));
@@ -195,7 +195,7 @@ fn one_iteration_completing_interleaved_finishers_keeps_walk_order() {
     }
     let mut reference = fast.clone();
     let (mut fast_out, mut reference_out) = (Vec::new(), Vec::new());
-    fast.advance_to(60_000, &mut fast_out);
+    fast.advance_to(60_000, |done| fast_out.push(done));
     reference.advance_to_reference(60_000, &mut reference_out);
     assert_eq!(fast_out.len(), 12);
     assert_eq!(fast_out, reference_out);
@@ -214,7 +214,7 @@ fn advance_both(
     outputs: &mut (Vec<BatchCompletion>, Vec<BatchCompletion>),
     context: &str,
 ) {
-    fast.advance_to(deadline, &mut outputs.0);
+    fast.advance_to(deadline, |done| outputs.0.push(done));
     reference.advance_to_reference(deadline, &mut outputs.1);
     assert_eq!(outputs.0, outputs.1, "completions: {context}");
     assert_same(fast, reference, context);
@@ -416,7 +416,7 @@ fn a_ready_front_that_does_not_fit_wakes_at_its_shed_time() {
         let mut out = Vec::new();
         (0..200)
             .map(|_| {
-                probe.advance_to(probe.now_ms() + 1, &mut out);
+                probe.advance_to(probe.now_ms() + 1, |done| out.push(done));
                 probe.now_ms()
             })
             .collect()
@@ -460,4 +460,105 @@ fn a_ready_front_that_does_not_fit_wakes_at_its_shed_time() {
     }
     assert_eq!(unfit_front_sheds, 8, "every case sheds the unfit front mid-decode");
     assert_eq!(exact_wakeups, 4);
+}
+
+/// The request fabric offers a step's arrivals before it applies the step's replica
+/// counts. That order is exact: a downsize's preemption puts its victims at the queue
+/// front while offers go to the back, so both orders build the same queue. Over random
+/// streams with long prompts (shrinks preempt), retry budgets 0–3 (requeues with backoff,
+/// and timeouts) and shedding on and off, one scheduler takes each window's offers before
+/// the resize and its clone after it; the completions (order included) and the state
+/// must agree after every resize and every window.
+#[test]
+fn offers_before_a_downsize_equal_offers_after_it() {
+    let mut coverage = Coverage::default();
+    let mut retries = 0;
+    let mut mixed_windows = 0;
+    for seed in 0..CASES / 2 {
+        let mut rng = SimRng::seed_from(seed).derive("offer-order");
+        let config = if rng.chance(0.5) {
+            InstanceConfig::default_70b()
+        } else {
+            InstanceConfig::small_fallback()
+        };
+        let max_replicas = 5;
+        let mut first = BatchScheduler::new(config, &GpuHardware::a100(), max_replicas);
+        let shed_deadline_ms =
+            if rng.chance(0.3) { rng.uniform_usize(200, 4_000) as u64 } else { 0 };
+        let max_retries = rng.uniform_usize(0, 4) as u32;
+        first.set_fault_policy(shed_deadline_ms, max_retries, rng.uniform_usize(1, 400) as u64);
+        let mut then = first.clone();
+        let long_prompt = BatchScheduler::new(config, &GpuHardware::a100(), 1).kv_capacity() / 6;
+        let (mut first_out, mut then_out) = (Vec::new(), Vec::new());
+        let mut tag = 0u64;
+        let mut window_end = 0u64;
+        let mut replicas = max_replicas;
+        for window in 0..rng.uniform_usize(4, 14) {
+            // The window's arrivals, in time order and inside the window, as the fleet
+            // delivers them.
+            let window_start = window_end;
+            window_end += rng.uniform_usize(200, 3_000) as u64;
+            let mut offers: Vec<(u64, usize, usize, u64)> = (0..rng.uniform_usize(0, 60))
+                .map(|_| {
+                    let prompt = if rng.chance(0.2) {
+                        rng.uniform_usize(long_prompt / 2, long_prompt + 1)
+                    } else {
+                        rng.uniform_usize(0, 600)
+                    };
+                    let arrival = rng.uniform_usize(window_start as usize, window_end as usize);
+                    (0, prompt, rng.uniform_usize(1, 60), arrival as u64)
+                })
+                .collect();
+            offers.sort_by_key(|offer| offer.3);
+            for offer in &mut offers {
+                offer.0 = tag;
+                tag += 1;
+            }
+            // Mostly downsizes, so victims and fresh offers meet in one queue.
+            replicas = if rng.chance(0.6) {
+                rng.uniform_usize(1, replicas.max(2))
+            } else {
+                rng.uniform_usize(1, max_replicas + 1)
+            };
+            let preempted = first.faults().preemptions;
+            for &(tag, prompt, output, arrival) in &offers {
+                first.offer(tag, prompt, output, arrival);
+            }
+            first.set_replicas(replicas);
+            then.set_replicas(replicas);
+            for &(tag, prompt, output, arrival) in &offers {
+                then.offer(tag, prompt, output, arrival);
+            }
+            let context = format!("seed {seed} window {window}");
+            assert_same(&first, &then, &format!("{context} offers and resize"));
+            if first.faults().preemptions > preempted && !offers.is_empty() {
+                mixed_windows += 1;
+            }
+            first.advance_to(window_end, |done| first_out.push(done));
+            then.advance_to(window_end, |done| then_out.push(done));
+            assert_eq!(first_out, then_out, "completions: {context}");
+            assert_same(&first, &then, &context);
+            first.note_pressure_window();
+            then.note_pressure_window();
+        }
+        first.set_replicas(max_replicas);
+        then.set_replicas(max_replicas);
+        let drain = first.now_ms() + 3_600_000;
+        first.advance_to(drain, |done| first_out.push(done));
+        then.advance_to(drain, |done| then_out.push(done));
+        assert_eq!(first_out, then_out, "completions: seed {seed} drain");
+        assert_same(&first, &then, &format!("seed {seed} drain"));
+        let faults = first.faults();
+        coverage.completions += first_out.len() as u64;
+        coverage.preemptions += faults.preemptions;
+        coverage.timeouts += faults.timeouts;
+        coverage.shed += faults.shed;
+        retries += faults.retries;
+    }
+    assert!(coverage.completions > 5_000, "completions: {}", coverage.completions);
+    assert!(coverage.preemptions > 50, "preemptions: {}", coverage.preemptions);
+    assert!(retries > 30, "requeues: {retries}");
+    assert!(coverage.timeouts > 5, "timeouts: {}", coverage.timeouts);
+    assert!(coverage.shed > 10, "shed: {}", coverage.shed);
+    assert!(mixed_windows > 30, "windows whose resize preempted beside offers: {mixed_windows}");
 }

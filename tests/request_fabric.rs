@@ -321,6 +321,11 @@ fn record_by_the_multiplier_loop(
 /// exactly `m × target` (and one ulp either side) for every curve multiplier and the
 /// headline, 0 ms, single-token outputs (no TBT), NaN and infinities, and degenerate
 /// targets. Curves, histograms, the bits of `sum_ms` and the goodput split must be equal.
+///
+/// Recording counts first-met bins that `fold_curves` adds into the curves, so the binned
+/// path is checked three ways: folded once at the end, folded every few dozen samples
+/// (one fold per served step), and split across two sites that fold at different points
+/// and merge while one still holds unfolded completions.
 #[test]
 fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
     let multipliers = tapas_repro::cluster_sim::metrics::SLO_CURVE_MULTIPLIERS;
@@ -332,6 +337,8 @@ fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
         for headline in [5.0, 2.0, 7.5] {
             let thresholds = SloThresholds::new(targets.0, targets.1, headline);
             let (mut fast, mut reference) = (RequestMetrics::new(), RequestMetrics::new());
+            let mut stepped = RequestMetrics::new();
+            let mut sites = [RequestMetrics::new(), RequestMetrics::new()];
             let mut edges = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, 3.0];
             for multiplier in multipliers.iter().chain([&headline]) {
                 for target_s in [targets.0, targets.1] {
@@ -356,11 +363,39 @@ fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
                     rng.uniform_usize(1, 900) as u64,
                 ));
             }
-            for &sample in &samples {
+            for (index, &sample) in samples.iter().enumerate() {
                 fast.record(&thresholds, sample.0, sample.1, sample.2);
+                stepped.record(&thresholds, sample.0, sample.1, sample.2);
+                sites[index % 2].record(&thresholds, sample.0, sample.1, sample.2);
                 record_by_the_multiplier_loop(&mut reference, targets, headline, sample);
+                if index % 37 == 36 {
+                    stepped.fold_curves();
+                    sites[0].fold_curves();
+                }
+                if index % 53 == 52 {
+                    sites[1].fold_curves();
+                }
             }
+            fast.fold_curves();
+            stepped.fold_curves();
+            sites[0].fold_curves();
+            let mut merged = sites[0].clone();
+            merged.merge(&sites[1]);
+            merged.fold_curves();
             let context = format!("targets {targets:?}, headline {headline}");
+            // Histogram sums are merged site by site, so their bits are compared only for
+            // the single-site blocks below.
+            for (path, binned) in [("stepped", &stepped), ("merged", &merged)] {
+                let context = format!("{path}: {context}");
+                assert_eq!(binned.completed, reference.completed, "{context}");
+                assert_eq!(binned.ttft_curve, reference.ttft_curve, "{context}");
+                assert_eq!(binned.tbt_curve, reference.tbt_curve, "{context}");
+                assert_eq!(binned.joint_curve, reference.joint_curve, "{context}");
+                assert_eq!(binned.ttft.counts, reference.ttft.counts, "{context}");
+                assert_eq!(binned.tbt.counts, reference.tbt.counts, "{context}");
+                assert_eq!(binned.lifecycle, reference.lifecycle, "{context}");
+            }
+            assert_eq!(stepped, fast, "{context}");
             assert_eq!(fast.completed, reference.completed, "{context}");
             assert_eq!(fast.ttft_curve, reference.ttft_curve, "{context}");
             assert_eq!(fast.tbt_curve, reference.tbt_curve, "{context}");
@@ -448,7 +483,7 @@ fn kv_occupancy_never_exceeds_committed_nor_capacity() {
         }
         let deadline = (window + 1) * 500 + arrival.saturating_sub(arrival % 500);
         completions.clear();
-        scheduler.advance_to(deadline, &mut completions);
+        scheduler.advance_to(deadline, |done| completions.push(done));
         completed += completions.len() as u64;
         assert!(
             scheduler.kv_in_use() <= scheduler.kv_committed(),
@@ -522,7 +557,7 @@ fn kv_invariants_hold_under_randomized_replica_churn() {
 
         now += 500;
         completions.clear();
-        scheduler.advance_to(now, &mut completions);
+        scheduler.advance_to(now, |done| completions.push(done));
         assert_kv_invariants(&scheduler, &format!("window {window} after advance"));
         for done in &completions {
             assert_eq!(
