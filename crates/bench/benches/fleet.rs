@@ -34,14 +34,14 @@ fn step_window(mut sim: FleetSimulator) -> FleetSimulator {
 
 fn bench_fleet(c: &mut Criterion) {
     // Four 80-server datacenters under cycling climates: one iteration is a window of
-    // steady-state steps (route arrivals, step every cell, refresh signals).
+    // steady-state steps (fill the headroom signals, route arrivals, step every cell).
     let four = primed(4);
     c.bench_function("fleet_step_4_datacenters", |b| {
         b.iter_batched(|| four.clone(), step_window, BatchSize::LargeInput)
     });
 
     // The same window across sixteen 80-server datacenters: the fleet-scale point of the
-    // physics scale series (geo split + 16 cell steps + signal refresh per step).
+    // physics scale series (signal fill + geo split + 16 cell steps per step).
     let sixteen = primed(16);
     c.bench_function("fleet_step_16_datacenters", |b| {
         b.iter_batched(|| sixteen.clone(), step_window, BatchSize::LargeInput)

@@ -385,7 +385,6 @@ pub struct RequestFabric {
     /// demand pressure by the simulator.
     pressures: Vec<f64>,
     metrics: RequestMetrics,
-    slo_multiplier: f64,
     /// Scratch: each scheduler's fault counters at the start of the current step, to
     /// convert lifetime counters into this-window deltas for the pressure signal.
     fault_marks: Vec<SchedulerFaults>,
@@ -454,7 +453,6 @@ impl RequestFabric {
                 .map(|&(ttft_s, tbt_s)| SloThresholds::new(ttft_s, tbt_s, config.slo_multiplier))
                 .collect(),
             metrics: RequestMetrics::new(),
-            slo_multiplier: config.slo_multiplier,
             fault_marks: Vec::new(),
             profile: StepProfile::default(),
         }
@@ -558,12 +556,6 @@ impl RequestFabric {
     #[must_use]
     pub fn metrics(&self) -> &RequestMetrics {
         &self.metrics
-    }
-
-    /// The headline SLO multiplier attainment is quoted at.
-    #[must_use]
-    pub fn slo_multiplier(&self) -> f64 {
-        self.slo_multiplier
     }
 
     /// Takes the metrics block out of the fabric (end-of-run report assembly),

@@ -5,17 +5,19 @@
 //! plus the geo placement stage that splits each step's VM arrivals across sites. One
 //! fleet step performs, in order:
 //!
-//! 0. **Price injection** — write each site's exogenous grid price for this step (dense
-//!    per-site curves resolved once from the scenario) into its [`SiteSignals`] slot.
+//! 0. **Signals** (headroom routing only) — fill each site's [`SiteSignals`] slot, in
+//!    site order, from the previous step's telemetry (power headroom, thermal slack,
+//!    load, emergencies) and the current step's grid price off the cell's resolved
+//!    timeline, and reset the geo router's per-step scratch. Pinned and round-robin
+//!    fleets read no signals, so they compute none.
 //! 1. **Arrival routing** — pop the arrivals due this step from the fleet-wide stream (in
 //!    arrival order) and assign each to a site: pinned, weighted round-robin
 //!    ([`workload::arrivals::WeightedSplitter`]) or TAPAS geo routing
-//!    ([`tapas::geo::GeoPlacement`] over the per-site [`SiteSignals`] refreshed from the
-//!    previous step's telemetry — power headroom, thermal slack, load, emergencies — plus
-//!    the current step's grid price, weighed across the fleet's price spread).
+//!    ([`tapas::geo::GeoPlacement`] over the step's signals, with the grid price weighed
+//!    across the fleet's price spread). Fabric requests are routed the same way.
 //! 2. **Cell stepping** — advance every cell one step, in site order.
-//! 3. **Signal refresh** — summarize each cell's dense telemetry grids into its
-//!    [`SiteSignals`] slot, in fixed site order.
+//!
+//! [`FleetSimulator::signals`] computes the signals a step left behind on demand.
 //!
 //! Every run goes through this loop: [`ClusterSimulator::run`] is site 0 of a pinned
 //! one-site fleet ([`FleetConfig::single_site`]).
@@ -44,8 +46,11 @@ pub struct FleetSimulator {
     cells: Vec<ClusterSimulator>,
     /// Fleet-wide arrival stream, sorted by arrival time.
     stream: VecDeque<Vm>,
-    /// Per-site signals, refreshed after every step (site ordinal = index).
+    /// Per-site signals of the current step (site ordinal = index), filled at the top of
+    /// every headroom-routed step and never written under the other policies.
     signals: Vec<SiteSignals>,
+    /// The time of the last step ([`SimTime::ZERO`] before the first).
+    last_step: SimTime,
     geo: GeoPlacement,
     splitter: WeightedSplitter,
     /// VM arrivals routed to each site so far.
@@ -121,13 +126,6 @@ impl FleetSimulator {
         let stream: VecDeque<Vm> = arrivals
             .unwrap_or_else(|| config.base.vm_stream(&catalog, config.arrival_scale))
             .into();
-        // Each cell already resolved its site view of the scenario into a dense
-        // timeline; grid prices are read from there rather than resolved a second time.
-        let mut signals: Vec<SiteSignals> =
-            cells.iter().map(ClusterSimulator::site_signals).collect();
-        for (signal, cell) in signals.iter_mut().zip(&cells) {
-            signal.grid_price_per_mwh = cell.timeline().grid_price_at(SimTime::ZERO);
-        }
         // Shares are only meaningful (and only validated) under round-robin; other
         // policies get a uniform splitter that is never consulted.
         let shares: Vec<f64> = if config.geo == GeoPolicy::RoundRobin {
@@ -156,7 +154,8 @@ impl FleetSimulator {
             splitter: WeightedSplitter::new(&shares),
             request_splitter: WeightedSplitter::new(&shares),
             stream,
-            signals,
+            signals: Vec::new(),
+            last_step: SimTime::ZERO,
             routed,
             emergency_diversions: 0,
             fabric_generator,
@@ -205,13 +204,17 @@ impl FleetSimulator {
         self.cells.len()
     }
 
-    /// The current per-site signals (exposed for tests and examples).
+    /// Each site's signals as the last step left them, priced at that step (cold-start
+    /// telemetry before the first step), computed on demand for tests and traces.
     #[must_use]
-    pub fn signals(&self) -> &[SiteSignals] {
-        &self.signals
+    pub fn signals(&self) -> Vec<SiteSignals> {
+        self.cells
+            .iter()
+            .map(|cell| cell.site_signals(self.last_step))
+            .collect()
     }
 
-    /// Starts filling the phase profile: the fleet's own routing and signal refresh, its
+    /// Starts filling the phase profile: the fleet's own signals and routing, its
     /// fabric generation and handoff (which offers each request to its scheduler), and in
     /// every cell the fabric's offer, advance and record phases and the rest of the cell
     /// step. Profiling reads the clock only; it changes no simulated value.
@@ -236,17 +239,22 @@ impl FleetSimulator {
     /// Advances the whole fleet by one step at simulated time `now`.
     pub fn step(&mut self, now: SimTime) {
         let mut mark = self.profile.mark();
-        // 0. Inject the step's exogenous grid prices from the cells' resolved timelines
-        //    (telemetry fields keep the values of the previous step). With a
-        //    price-event-free scenario every site pays the base price, the router's
-        //    price spread is zero, and routing is bit-identical to a fleet without the
-        //    price signal.
-        for (signal, cell) in self.signals.iter_mut().zip(&self.cells) {
-            signal.grid_price_per_mwh = cell.timeline().grid_price_at(now);
+        // 0. Headroom routing reads the previous step's telemetry at this step's grid
+        //    price, and each site's effective per-endpoint serving capacity (also from
+        //    the previous step) for the request failover spread. With a price-event-free
+        //    scenario every site pays the base price, the router's price spread is zero,
+        //    and routing is bit-identical to a fleet without the price signal.
+        if self.config.geo == GeoPolicy::Headroom {
+            self.signals.clear();
+            self.signals
+                .extend(self.cells.iter().map(|cell| cell.site_signals(now)));
+            self.geo.begin_step(self.cells.len());
+            for (site, cell) in self.cells.iter().enumerate() {
+                self.geo.set_request_capacity(site, cell.fabric_effective_replicas());
+            }
         }
 
-        // 1. Route this step's arrivals using the signals of the previous step.
-        self.geo.begin_step(self.cells.len());
+        // 1. Route this step's arrivals.
         while let Some(front) = self.stream.front() {
             if front.arrival > now {
                 break;
@@ -285,11 +293,6 @@ impl FleetSimulator {
             let end_ms =
                 (now.as_minutes() + self.config.base.step.as_minutes()) * MS_PER_MINUTE;
             let geo_policy = self.config.geo;
-            // Publish each site's effective per-endpoint serving capacity (from the
-            // previous step, like every other routing signal) for the failover spread.
-            for (site, cell) in self.cells.iter().enumerate() {
-                self.geo.set_request_capacity(site, cell.fabric_effective_replicas());
-            }
             let cells = &mut self.cells;
             let signals = &self.signals;
             let geo = &mut self.geo;
@@ -311,15 +314,7 @@ impl FleetSimulator {
         for cell in &mut self.cells {
             cell.step(now);
         }
-        let mark = self.profile.mark();
-
-        // 3. Refresh the per-site signals in fixed site order. Cells report price-less
-        //    telemetry; the step's exogenous price is re-read from the timelines.
-        for (signal, cell) in self.signals.iter_mut().zip(&self.cells) {
-            *signal = cell.site_signals();
-            signal.grid_price_per_mwh = cell.timeline().grid_price_at(now);
-        }
-        self.profile.lap(StepPhase::Fleet, mark);
+        self.last_step = now;
         self.profile.count_step();
     }
 

@@ -14,7 +14,7 @@
 //!   dense per-step resolution ([`scenario::ResolvedTimeline`]).
 //! * [`simulator`] — one datacenter cell's step: VM arrivals/retirements and placement,
 //!   endpoint request routing, instance configuration, IaaS load replay, physics
-//!   evaluation, throttling/capping bookkeeping and weekly profile refinement.
+//!   evaluation and throttling/capping bookkeeping.
 //! * [`fleet`] — the run loop: N datacenter cells under distinct climates, with geo-aware
 //!   arrival splitting (a single-site run is a pinned one-site fleet).
 //! * [`fabric`] — the opt-in request fabric: an event-timestamped (millisecond) fleet-wide

@@ -14,9 +14,9 @@
 //! configuration, cached profile figures), indexed by the server each instance runs on.
 //! The registry is updated in place on VM place/retire/reconfigure and mutated per routing
 //! quantum through the index the router returns, so routing never rebuilds or clones
-//! snapshot lists. All carry-over state (row power, aisle airflow, carry-over frequencies,
-//! row histories) lives in dense vectors indexed by the id newtypes, the physics engine
-//! runs through a persistent [`StepWorkspace`] whose telemetry grids (`TempGrid`,
+//! snapshot lists. All carry-over state (row power, aisle airflow, carry-over frequencies)
+//! lives in dense vectors indexed by the id newtypes, the physics engine runs through a
+//! persistent [`StepWorkspace`] whose telemetry grids (`TempGrid`,
 //! per-level `OrdinalMap`s) are ordinal-aligned with those vectors, and metric recording
 //! walks the grids without any map lookups — the steady-state step loop is
 //! allocation-free end to end.
@@ -373,9 +373,6 @@ pub struct ClusterSimulator {
     carryover_freq: Vec<f64>,
     carryover_next: Vec<f64>,
     prev_dc_load: f64,
-    /// Observed row power history per row, for the weekly template refinement.
-    row_history: Vec<Vec<(SimTime, f64)>>,
-    last_refinement: SimTime,
     rng: SimRng,
     step_input: StepInput,
     workspace: StepWorkspace,
@@ -482,8 +479,6 @@ impl ClusterSimulator {
             carryover_freq: vec![1.0; server_count],
             carryover_next: vec![1.0; server_count],
             prev_dc_load: 0.5,
-            row_history: vec![Vec::new(); row_count],
-            last_refinement: SimTime::ZERO,
             step_input,
             workspace,
             fabric,
@@ -542,12 +537,14 @@ impl ClusterSimulator {
         self.fabric.as_ref().map_or(0, |fabric| fabric.phase_profile().total_ns())
     }
 
-    /// This site's current scheduling signals, summarized from the last step's dense
-    /// telemetry grids. Before the first step (no telemetry yet) the site reports
-    /// cold-start signals: fully free, full row budget as headroom, no emergencies.
-    pub(crate) fn site_signals(&self) -> SiteSignals {
+    /// This site's scheduling signals at `now`: the grid price `now` pays on the cell's
+    /// resolved timeline, and the telemetry of the last recorded step. Before the first
+    /// step (no telemetry yet) the site reports cold-start telemetry: fully free, full
+    /// row budget as headroom, no emergencies.
+    pub(crate) fn site_signals(&self, now: SimTime) -> SiteSignals {
         let free_servers = self.state.free_count() as u32;
-        if self.report.max_gpu_temp.is_empty() {
+        let grid_price_per_mwh = self.timeline.grid_price_at(now);
+        let Some((_, max_gpu_temp)) = self.report.max_gpu_temp.last() else {
             let provisioned: f64 = self
                 .dc
                 .layout()
@@ -555,19 +552,21 @@ impl ClusterSimulator {
                 .iter()
                 .map(|row| row.power_budget.value())
                 .sum();
-            return SiteSignals::cold_start(free_servers, provisioned);
-        }
+            return SiteSignals {
+                grid_price_per_mwh,
+                ..SiteSignals::cold_start(free_servers, provisioned)
+            };
+        };
         let outcome = &self.workspace.outcome;
         SiteSignals {
             power_headroom_kw: outcome.power.total_row_headroom().value(),
             worst_power_utilization: outcome.power.worst_level_utilization(),
-            thermal_slack_c: self.report.gpu_throttle_temp_c - outcome.max_gpu_temp().value(),
+            thermal_slack_c: self.report.gpu_throttle_temp_c - max_gpu_temp,
             dc_load: outcome.datacenter_load,
             free_servers,
             throttled_gpus: outcome.thermal_throttles.len() as u32,
             capped_servers: outcome.power.capping.len() as u32,
-            // Grid price is exogenous (scenario-resolved); the fleet injects it.
-            grid_price_per_mwh: 0.0,
+            grid_price_per_mwh,
             request_pressure: self.fabric_pressure,
         }
     }
@@ -588,12 +587,6 @@ impl ClusterSimulator {
             self.report.request_fabric = Some(fabric.take_metrics());
         }
         self.report
-    }
-
-    /// The cell's resolved scenario timeline (the fleet reads per-site grid prices from
-    /// here instead of resolving the scenario a second time).
-    pub(crate) fn timeline(&self) -> &ResolvedTimeline {
-        &self.timeline
     }
 
     /// Predicted peak mean-GPU load for a VM (from the customer's or endpoint's history).
@@ -662,14 +655,14 @@ impl ClusterSimulator {
     }
 
     fn retire_vms(&mut self, now: SimTime) {
-        for retired in self.state.retire_expired(now) {
+        self.state.retire_expired(now, |retired| {
             if let VmKind::Saas { endpoint } = retired.vm.kind {
                 self.registry.remove(retired.server, endpoint);
             }
             self.planner
                 .on_remove(retired.server, retired.predicted_peak_load, &self.profiles);
             self.report.events.record(EventKind::VmRetired, now, 1);
-        }
+        });
     }
 
     /// Routes this step's requests for every endpoint, updating instance utilization and
@@ -1040,8 +1033,8 @@ impl ClusterSimulator {
         self.profile.lap(StepPhase::RecordStep, mark);
     }
 
-    /// Records the step's series and events, carries throttling, capping and the
-    /// infrastructure state into the next step, and runs the weekly template refinement.
+    /// Records the step's series and events, and carries throttling, capping and the
+    /// infrastructure state into the next step.
     fn record_step(&mut self, now: SimTime, slo_violating_instances: u64) {
         let outcome = &self.workspace.outcome;
 
@@ -1101,22 +1094,6 @@ impl ClusterSimulator {
             *carry = assessment.demand;
         }
         self.prev_dc_load = outcome.datacenter_load;
-
-        // Weekly refinement of the row power templates (§4.5). The history is accumulated
-        // directly in row-ordinal order, so the refinement consumes it without any
-        // per-step or per-week map rebuilds.
-        for (history, utilization) in
-            self.row_history.iter_mut().zip(outcome.power.rows.values())
-        {
-            history.push((now, utilization.draw.value()));
-        }
-        if (now - self.last_refinement).as_days() >= 7.0 {
-            Arc::make_mut(&mut self.profiles).refine_row_templates(&self.row_history);
-            for samples in &mut self.row_history {
-                samples.clear();
-            }
-            self.last_refinement = now;
-        }
     }
 }
 
@@ -1159,6 +1136,40 @@ mod tests {
         assert_eq!(digest(plain.clone()), 0x9c60_7ecb_1a76_30f5);
         let fabric = plain.with_request_fabric(RequestFabricConfig::default());
         assert_eq!(digest(fabric), 0x5942_9e02_884a_d217);
+    }
+
+    /// Pins the serialized report and VM split of a three-site headroom-routed TAPAS fleet
+    /// with the request fabric on and a grid-price spike on site 1, to values read before
+    /// the fleet computed site signals only on headroom steps. The second run adds a
+    /// replica outage and deadline shedding on site 0, which latches the request router
+    /// into its failover spread, so the pin covers the per-endpoint serving capacities too.
+    #[test]
+    fn headroom_fleet_reports_are_pinned() {
+        let run = |failover: bool| {
+            let mut scenario = crate::scenario::Scenario::builder().grid_price_spike(
+                1,
+                SimTime::from_minutes(30),
+                SimTime::from_minutes(90),
+                400.0,
+            );
+            if failover {
+                let (start, end) = (SimTime::from_minutes(20), SimTime::from_minutes(80));
+                scenario = scenario.fail_replicas(0, start, end, None, 8);
+            }
+            let fabric = RequestFabricConfig {
+                deadline_shedding: failover,
+                ..RequestFabricConfig::default()
+            };
+            let mut base = ExperimentConfig::small_smoke_test()
+                .with_request_fabric(fabric)
+                .with_scenario(scenario.build().expect("valid scenario"));
+            base.policy = Policy::Tapas;
+            let report = FleetSimulator::new(FleetConfig::evaluation(base, 3)).run();
+            let json = serde_json::to_string(&report).expect("serialize");
+            (report.vms_routed, fnv1a(json.as_bytes()))
+        };
+        assert_eq!(run(false), (vec![8, 7, 8], 0x51b3_b5d8_b315_fbba));
+        assert_eq!(run(true), (vec![8, 7, 8], 0x4d3a_412d_7035_2850));
     }
 
     #[test]
@@ -1314,7 +1325,7 @@ mod tests {
         loop {
             let now = clock.now();
             sim.step(now);
-            headroom.push((now, sim.site_signals().power_headroom_kw));
+            headroom.push((now, sim.site_signals(now).power_headroom_kw));
             if clock.tick().is_none() {
                 break;
             }

@@ -2,8 +2,7 @@
 //!
 //! This crate is the reproduction of the paper's contribution: the TAPAS framework (§4).
 //! TAPAS extends a conventional cloud LLM-inference cluster with three thermal- and
-//! power-aware mechanisms, all driven by offline-profiled models and weekly-refined
-//! predictions:
+//! power-aware mechanisms, all driven by offline-profiled models:
 //!
 //! 1. **Workload placement** ([`placement`]) — the per-cluster VM allocator filters out
 //!    aisles/rows whose predicted peak airflow/power a new VM would violate, steers IaaS VMs

@@ -5,8 +5,10 @@
 //! inlet-temperature response to outside temperature and datacenter load, (2) the GPU
 //! temperature response to inlet temperature and GPU power, (3) the fan airflow curve and
 //! (4) the power-load curve. When a new LLM is onboarded it also profiles every instance
-//! configuration (the sweep of `llm-sim::profile`). During regular operation the predictions
-//! of row and VM power are refined weekly from observed telemetry using percentile templates.
+//! configuration (the sweep of `llm-sim::profile`). The paper also refines row power
+//! predictions weekly from observed telemetry with percentile templates; that refinement is
+//! not modelled, because placement here predicts from per-VM peaks and design conditions,
+//! so the store is never mutated during a run.
 //!
 //! The store deliberately contains *fitted* models (via `simkit::regression`), not references
 //! to the ground-truth simulator models: the controllers only ever see what real profiling
@@ -27,7 +29,6 @@ use simkit::regression::{LinearModel, PiecewisePolynomial, Polynomial};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
-use workload::prediction::PowerTemplate;
 
 /// The breakpoints (°C outside) of the inlet model offline profiling fits (Eq. 1): three
 /// degree-1 segments, the one shape [`ServerProfile::check`] accepts.
@@ -411,9 +412,6 @@ pub struct ProfileStore {
     llm: Arc<LlmProfiles>,
     /// Row/aisle budgets.
     pub budgets: InfrastructureBudgets,
-    /// Weekly-refined row power templates, indexed by [`RowId`] (`None` until the first
-    /// refinement of that row).
-    pub row_templates: OrdinalMap<RowId, Option<PowerTemplate>>,
     /// GPU throttle limit minus a safety margin; the controllers aim to stay below this.
     pub thermal_headroom_target: Celsius,
     /// Lookup structures over `llm`, shared with it.
@@ -519,7 +517,6 @@ impl ProfileStore {
             servers,
             llm,
             index,
-            row_templates: OrdinalMap::filled(layout.rows().len(), None),
             budgets,
             thermal_headroom_target: Celsius::new(
                 layout.servers()[0].spec.gpu_throttle_temp_c - 3.0,
@@ -645,35 +642,12 @@ impl ProfileStore {
     pub fn server_count(&self) -> usize {
         self.servers.len()
     }
-
-    /// The weekly refinement step (§4.5): fits a conservative P99 template per row from the
-    /// previous week's observed row power. `history` is indexed by row ordinal (the shape
-    /// the simulator accumulates); rows with no samples keep their previous template.
-    pub fn refine_row_templates(&mut self, history: &[Vec<(simkit::time::SimTime, f64)>]) {
-        for (ordinal, samples) in history.iter().enumerate() {
-            if !samples.is_empty() {
-                self.row_templates[RowId::new(ordinal)] =
-                    Some(PowerTemplate::fit(workload::prediction::TemplateKind::P99, samples));
-            }
-        }
-    }
-
-    /// Predicted peak power of a row: the refined template's weekly peak when available,
-    /// otherwise the provisioned budget (the conservative assumption of §4.1).
-    #[must_use]
-    pub fn predicted_row_peak(&self, row: RowId) -> Kilowatts {
-        match self.row_templates.get(row).and_then(Option::as_ref) {
-            Some(template) => Kilowatts::new(template.predicted_peak()),
-            None => self.budgets.row_power.get(row).copied().unwrap_or(Kilowatts::ZERO),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dc_sim::topology::LayoutConfig;
-    use simkit::time::SimTime;
 
     fn store() -> (Datacenter, ProfileStore) {
         let dc = Datacenter::new(LayoutConfig::small_test_cluster().build(), 42);
@@ -878,22 +852,5 @@ mod tests {
         assert!(store.profile_for(&config).is_some());
         config.max_batch_size += 65_536;
         assert!(store.profile_for(&config).is_none());
-    }
-
-    #[test]
-    fn row_peak_prediction_prefers_refined_templates() {
-        let (_, mut store) = store();
-        let row = RowId::new(0);
-        let budget = store.budgets.row_power[row];
-        assert_eq!(store.predicted_row_peak(row), budget);
-        // Refine with a row-ordinal-indexed history peaking at half the budget for row 0.
-        let history: Vec<(SimTime, f64)> = (0..7 * 24)
-            .map(|h| (SimTime::from_hours(h), budget.value() * 0.5))
-            .collect();
-        store.refine_row_templates(&[history]);
-        let refined = store.predicted_row_peak(row);
-        assert!((refined.value() - budget.value() * 0.5).abs() < 1e-6);
-        // Rows without history keep the conservative budget.
-        assert_eq!(store.predicted_row_peak(RowId::new(1)), store.budgets.row_power[RowId::new(1)]);
     }
 }

@@ -380,9 +380,13 @@ impl ClusterState {
         (iaas, saas)
     }
 
-    /// Retires every VM whose lifetime has expired at `now`, returning the retired VMs.
-    pub fn retire_expired(&mut self, now: simkit::time::SimTime) -> Vec<PlacedVm> {
-        let mut retired = Vec::new();
+    /// Retires every VM whose lifetime has expired at `now`, handing each retired VM to
+    /// `retired` in server order.
+    pub fn retire_expired(
+        &mut self,
+        now: simkit::time::SimTime,
+        mut retired: impl FnMut(PlacedVm),
+    ) {
         for slot in 0..self.occupancy.len() {
             let expired = match &self.occupancy[slot] {
                 Some(p) => !p.vm.is_alive_at(now) && p.vm.departure() <= now,
@@ -395,10 +399,9 @@ impl ClusterState {
                 if let Some(count) = self.row_count(&placed.vm, placed.server) {
                     *count -= 1;
                 }
-                retired.push(placed);
+                retired(placed);
             }
         }
-        retired
     }
 }
 
@@ -519,7 +522,8 @@ mod tests {
         short.lifetime = SimDuration::from_hours(1);
         state.place(short, ServerId::new(0), 0.5, None).unwrap();
         state.place(vm(2, true), ServerId::new(1), 0.5, None).unwrap();
-        let retired = state.retire_expired(SimTime::from_hours(2));
+        let mut retired = Vec::new();
+        state.retire_expired(SimTime::from_hours(2), |placed| retired.push(placed));
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].vm.id, VmId(1));
         assert_eq!(state.placed_count(), 1);

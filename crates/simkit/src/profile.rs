@@ -15,8 +15,8 @@ use std::time::Instant;
 /// The phases a simulation step is split into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPhase {
-    /// Fleet level: injecting the step's grid prices, routing its VM arrivals across sites
-    /// and refreshing the per-site signals after the cells step.
+    /// Fleet level: filling the per-site signals (headroom routing only) and routing the
+    /// step's VM arrivals across sites.
     Fleet,
     /// Fleet level: generating the step's request-fabric arrivals.
     FabricGenerate,

@@ -324,9 +324,9 @@ fn arrival_stream_fits_the_cluster() {
     let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
     let mut placed = 0;
     for vm in generator.generate(&catalog) {
-        for retired in state.retire_expired(vm.arrival) {
+        state.retire_expired(vm.arrival, |retired| {
             planner.on_remove(retired.server, retired.predicted_peak_load, &profiles);
-        }
+        });
         let request = PlacementRequest { vm, predicted_peak_load: 0.8 };
         let chosen = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
         if let Some(server) = chosen {
