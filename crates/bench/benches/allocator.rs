@@ -23,9 +23,13 @@ fn vm(id: u64, saas: bool) -> Vm {
     Vm {
         id: VmId(id),
         kind: if saas {
-            VmKind::Saas { endpoint: EndpointId(0) }
+            VmKind::Saas {
+                endpoint: EndpointId(0),
+            }
         } else {
-            VmKind::Iaas { customer: IaasCustomerId(0) }
+            VmKind::Iaas {
+                customer: IaasCustomerId(0),
+            }
         },
         arrival: SimTime::ZERO,
         lifetime: SimDuration::from_days(14),
@@ -38,18 +42,31 @@ fn bench_allocator(c: &mut Criterion) {
     let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
     let mut state = ClusterState::new(layout.server_count());
     for i in 0..50u64 {
-        state.place(vm(i, i % 2 == 0), ServerId::new(i as usize), 0.8, None).unwrap();
+        state
+            .place(vm(i, i % 2 == 0), ServerId::new(i as usize), 0.8, None)
+            .unwrap();
     }
-    let request = PlacementRequest { vm: vm(999, true), predicted_peak_load: 0.85 };
+    let request = PlacementRequest {
+        vm: vm(999, true),
+        predicted_peak_load: 0.85,
+    };
 
-    c.bench_function("placement_baseline", |b| b.iter(|| black_box(&state).first_free()));
+    c.bench_function("placement_baseline", |b| {
+        b.iter(|| black_box(&state).first_free())
+    });
     // A decision from a cold start: the planner build (O(servers)) is part of the timed work.
     c.bench_function("placement_tapas_80_servers", |b| {
         b.iter(|| {
             let policy = TapasPlacement::default();
             let mut planner =
                 PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
-            policy.place_with(black_box(&request), &state, &layout, &profiles, &mut planner)
+            policy.place_with(
+                black_box(&request),
+                &state,
+                &layout,
+                &profiles,
+                &mut planner,
+            )
         })
     });
 }
@@ -90,7 +107,9 @@ fn place_wave(
     let policy = TapasPlacement::default();
     for request in requests {
         if let Some(server) = policy.place_with(request, &state, layout, profiles, &mut planner) {
-            state.place(request.vm, server, request.predicted_peak_load, None).unwrap();
+            state
+                .place(request.vm, server, request.predicted_peak_load, None)
+                .unwrap();
             planner.on_place(server, request.predicted_peak_load, profiles);
         }
     }
@@ -100,9 +119,10 @@ fn place_wave(
 fn bench_placement_wave(c: &mut Criterion) {
     let mut group = c.benchmark_group("allocator");
     group.sample_size(3);
-    for (aisles, name) in
-        [(13, "placement_wave_1040_servers"), (128, "placement_wave_10240_servers")]
-    {
+    for (aisles, name) in [
+        (13, "placement_wave_1040_servers"),
+        (128, "placement_wave_10240_servers"),
+    ] {
         let (dc, profiles, requests) = production_wave(aisles);
         let layout = dc.layout();
         let fresh = || {

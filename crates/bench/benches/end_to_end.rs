@@ -4,9 +4,9 @@
 //! (128 aisles), and a 102400-server hyperscale site (1280 aisles) proving the SoA
 //! activity-plane kernels hold their ns/server price at DRAM-streaming scale.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use cluster_sim::experiment::ExperimentConfig;
 use cluster_sim::simulator::ClusterSimulator;
+use criterion::{criterion_group, criterion_main, Criterion};
 use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
 use dc_sim::topology::LayoutConfig;
 use simkit::units::Celsius;
@@ -27,8 +27,16 @@ fn bench_end_to_end(c: &mut Criterion) {
     // Scale series: the same steady-state step at 80 servers (the paper's real-cluster
     // experiment), 1040 servers (the Fig. 19 datacenter) and 10240 servers (128 aisles),
     // for the ns/server trajectory.
-    physics_step_bench(c, "physics_step_80_servers", &LayoutConfig::real_cluster_two_rows());
-    physics_step_bench(c, "physics_step_1040_servers", &LayoutConfig::production_datacenter());
+    physics_step_bench(
+        c,
+        "physics_step_80_servers",
+        &LayoutConfig::real_cluster_two_rows(),
+    );
+    physics_step_bench(
+        c,
+        "physics_step_1040_servers",
+        &LayoutConfig::production_datacenter(),
+    );
     let mut huge = LayoutConfig::production_datacenter();
     huge.aisles = 128; // 128 aisles x 2 rows x 10 racks x 4 servers = 10240 servers
     physics_step_bench(c, "physics_step_10240_servers", &huge);

@@ -56,13 +56,13 @@ fn bench_hierarchy(c: &mut Criterion) {
                     violated += 1;
                 }
             }
-            for (carry, utilization) in
-                row_power_carry.iter_mut().zip(outcome.power.rows.values())
+            for (carry, utilization) in row_power_carry.iter_mut().zip(outcome.power.rows.values())
             {
                 *carry = utilization.draw;
             }
-            for (carry, assessment) in
-                aisle_airflow_carry.iter_mut().zip(outcome.aisle_airflow.values())
+            for (carry, assessment) in aisle_airflow_carry
+                .iter_mut()
+                .zip(outcome.aisle_airflow.values())
             {
                 *carry = assessment.demand;
             }

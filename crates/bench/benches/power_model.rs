@@ -12,19 +12,28 @@ fn bench_power_model(c: &mut Criterion) {
     let spec = ServerSpec::dgx_a100();
 
     c.bench_function("server_power_eval", |b| {
-        b.iter(|| dc.power_model().server_power(black_box(&spec), black_box(0.73)))
+        b.iter(|| {
+            dc.power_model()
+                .server_power(black_box(&spec), black_box(0.73))
+        })
     });
 
     let server_power = vec![Kilowatts::new(5.1); dc.layout().server_count()];
     let capacity = CapacityState::healthy();
     c.bench_function("hierarchy_assess_80_servers", |b| {
-        b.iter(|| dc.hierarchy().assess(black_box(&server_power), black_box(&capacity)))
+        b.iter(|| {
+            dc.hierarchy()
+                .assess(black_box(&server_power), black_box(&capacity))
+        })
     });
 
     let big = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
     let big_power = vec![Kilowatts::new(5.1); big.layout().server_count()];
     c.bench_function("hierarchy_assess_1040_servers", |b| {
-        b.iter(|| big.hierarchy().assess(black_box(&big_power), black_box(&capacity)))
+        b.iter(|| {
+            big.hierarchy()
+                .assess(black_box(&big_power), black_box(&capacity))
+        })
     });
 }
 

@@ -78,16 +78,19 @@ fn bench_request_fabric(c: &mut Criterion) {
     // draws the same Poisson mean. The sink folds every field, so no draw is dead code.
     let mut base = ExperimentConfig::real_cluster_hour(Policy::Tapas);
     base.duration = SimTime::from_hours(24);
-    let mut generator =
-        FabricGenerator::new(base.seed, &base.endpoint_catalog(), RequestFabricConfig::default());
+    let mut generator = FabricGenerator::new(
+        base.seed,
+        &base.endpoint_catalog(),
+        RequestFabricConfig::default(),
+    );
     let timeline = base.resolved_timeline();
     let (noon, minute) = (SimTime::from_hours(12), SimDuration::from_minutes(1));
     c.bench_function("fabric_generate_1_site_minute", |b| {
         b.iter(|| {
             let mut fold = 0u64;
             generator.generate_with(noon, minute, &timeline, |time_ms, request| {
-                let tokens = u64::from(request.prompt_tokens) << 32
-                    | u64::from(request.output_tokens);
+                let tokens =
+                    u64::from(request.prompt_tokens) << 32 | u64::from(request.output_tokens);
                 fold = fold.rotate_left(5) ^ time_ms ^ tokens;
             });
             black_box(fold)
@@ -167,11 +170,19 @@ fn bench_saturated_minute(c: &mut Criterion) {
     let mut rng = SimRng::seed_from(7);
     let mut primed = BatchScheduler::new(InstanceConfig::default_70b(), &gpu, 4);
     for i in 0..SATURATED_OFFERS {
-        primed.offer(i, 64 + rng.uniform_usize(0, 1024), 512 + rng.uniform_usize(0, 2048), i * 40);
+        primed.offer(
+            i,
+            64 + rng.uniform_usize(0, 1024),
+            512 + rng.uniform_usize(0, 2048),
+            i * 40,
+        );
     }
     let mut completions = Vec::new();
     primed.advance_to(60_000, |done| completions.push(done));
-    assert!(primed.queue_len() > 0, "the backlog must outlast the primed minute");
+    assert!(
+        primed.queue_len() > 0,
+        "the backlog must outlast the primed minute"
+    );
     c.bench_function("batch_scheduler_saturated_minute", |b| {
         b.iter_batched(
             || primed.clone(),

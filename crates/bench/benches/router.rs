@@ -58,11 +58,15 @@ impl Endpoint {
             }
             recent.add(window);
         }
-        let server: Vec<ServerId> =
-            (0..count).map(|i| ServerId::new(i * 7 % server_count)).collect();
+        let server: Vec<ServerId> = (0..count)
+            .map(|i| ServerId::new(i * 7 % server_count))
+            .collect();
         Self {
             vm: (0..count as u64).map(VmId).collect(),
-            risk: server.iter().map(|&s| RiskRow::of(profiles.server(s))).collect(),
+            risk: server
+                .iter()
+                .map(|&s| RiskRow::of(profiles.server(s)))
+                .collect(),
             server,
             outstanding: (0..count).map(|i| (i % 9) as u32).collect(),
             utilization: (0..count).map(|i| (i % 10) as f64 / 10.0).collect(),
@@ -170,8 +174,11 @@ fn bench_router(c: &mut Criterion) {
                 &endpoint.recent,
             );
             if let Some(index) = choice {
-                let risky =
-                    tapas.row_risk(&endpoint.risk[index], endpoint.utilization[index], &prepared);
+                let risky = tapas.row_risk(
+                    &endpoint.risk[index],
+                    endpoint.utilization[index],
+                    &prepared,
+                );
                 tapas.refresh_route_key(&view, index, risky, &mut keys);
             }
             choice
@@ -200,8 +207,11 @@ fn bench_router(c: &mut Criterion) {
                 endpoint.outstanding[index] += 1;
                 endpoint.utilization[index] = (endpoint.utilization[index] + 0.02).min(1.5);
                 endpoint.recent.push(index, customer);
-                let risky =
-                    tapas.row_risk(&endpoint.risk[index], endpoint.utilization[index], &prepared);
+                let risky = tapas.row_risk(
+                    &endpoint.risk[index],
+                    endpoint.utilization[index],
+                    &prepared,
+                );
                 tapas.refresh_route_key(&endpoint.view(), index, risky, &mut keys);
                 choice
             })

@@ -19,7 +19,12 @@ fn week_scenario() -> Scenario {
         .fail_ups(2, SimTime::from_hours(50), SimTime::from_hours(53), 0.75)
         .fail_ahus(0, 1, 1, SimTime::from_hours(60), SimTime::from_hours(62))
         .surge(SimTime::from_days(4), SimTime::from_days(5), 1.8)
-        .endpoint_ramp(EndpointId(3), SimTime::from_days(5), SimTime::from_days(6), 2.5);
+        .endpoint_ramp(
+            EndpointId(3),
+            SimTime::from_days(5),
+            SimTime::from_days(6),
+            2.5,
+        );
     // Cheap overnight windows, one per day.
     for day in 0..7u64 {
         builder = builder.grid_price(

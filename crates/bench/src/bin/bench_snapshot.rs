@@ -21,8 +21,7 @@ use serde::Value;
 use std::path::PathBuf;
 use std::process::Command;
 use tapas_bench::snapshot::{
-    compare_against, merge_best, parse_criterion_out, section_value, upsert_section,
-    BenchResult,
+    compare_against, merge_best, parse_criterion_out, section_value, upsert_section, BenchResult,
 };
 
 const DEFAULT_BENCHES: &str =
@@ -52,9 +51,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--section" => args.section = value("--section")?,
             "--runs" => {
@@ -105,8 +102,8 @@ fn run_bench(bench: &str, out_file: &PathBuf) -> Result<(), String> {
 fn measure(args: &Args) -> Result<Vec<BenchResult>, String> {
     let mut runs = Vec::with_capacity(args.runs);
     for run in 0..args.runs {
-        let out_file = std::env::temp_dir()
-            .join(format!("criterion-out-{}-{run}.jsonl", std::process::id()));
+        let out_file =
+            std::env::temp_dir().join(format!("criterion-out-{}-{run}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&out_file);
         for bench in &args.benches {
             run_bench(bench, &out_file)?;
@@ -117,7 +114,12 @@ fn measure(args: &Args) -> Result<Vec<BenchResult>, String> {
         if results.is_empty() {
             return Err(format!("run {run} produced no parseable results"));
         }
-        println!("[bench_snapshot] run {}/{}: {} results", run + 1, args.runs, results.len());
+        println!(
+            "[bench_snapshot] run {}/{}: {} results",
+            run + 1,
+            args.runs,
+            results.len()
+        );
         runs.push(results);
         let _ = std::fs::remove_file(&out_file);
     }

@@ -30,7 +30,12 @@ fn main() {
             .step_by(5)
             .map(|t| {
                 let outside = simkit::units::Celsius::new(f64::from(t));
-                (f64::from(t), dc.inlet_model().inlet_temp(server, outside, 0.5, 0.0).value())
+                (
+                    f64::from(t),
+                    dc.inlet_model()
+                        .inlet_temp(server, outside, 0.5, 0.0)
+                        .value(),
+                )
             })
             .collect();
         print_series(&format!("server {} inlet vs outside", i + 1), &points);
@@ -53,5 +58,11 @@ fn main() {
     }
     println!("\npaper: inlet follows outside; floor ≈18 °C below 15 °C outside; servers differ by a ~2 °C offset.");
 
-    write_json("fig02_03_inlet_vs_outside", &Fig0203Output { regression, timeline });
+    write_json(
+        "fig02_03_inlet_vs_outside",
+        &Fig0203Output {
+            regression,
+            timeline,
+        },
+    );
 }

@@ -22,19 +22,27 @@ fn main() {
     let outside = Celsius::new(28.0);
 
     let inlet = |server: dc_sim::ids::ServerId| {
-        dc.inlet_model().inlet_temp(server, outside, 0.6, 0.0).value()
+        dc.inlet_model()
+            .inlet_temp(server, outside, 0.6, 0.0)
+            .value()
     };
 
     let mut by_row: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
     let mut by_rack_pos: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
     let mut by_height: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
     for server in dc.layout().servers() {
-        by_row.entry(server.row.index()).or_default().push(inlet(server.id));
+        by_row
+            .entry(server.row.index())
+            .or_default()
+            .push(inlet(server.id));
         by_rack_pos
             .entry(server.rack_position_in_row)
             .or_default()
             .push(inlet(server.id));
-        by_height.entry(server.height_in_rack).or_default().push(inlet(server.id));
+        by_height
+            .entry(server.height_in_rack)
+            .or_default()
+            .push(inlet(server.id));
     }
 
     let mut stats = Vec::new();

@@ -26,18 +26,35 @@ fn main() {
             .step_by(5)
             .map(|t| {
                 let outside = Celsius::new(f64::from(t));
-                (f64::from(t), dc.inlet_model().inlet_temp(server, outside, load, 0.0).value())
+                (
+                    f64::from(t),
+                    dc.inlet_model()
+                        .inlet_temp(server, outside, load, 0.0)
+                        .value(),
+                )
             })
             .collect();
         print_series(&format!("load {:.0} %", load * 100.0), &series);
         by_load.push((load, series));
     }
-    let idle = dc.inlet_model().inlet_temp(server, Celsius::new(35.0), 0.0, 0.0).value();
-    let busy = dc.inlet_model().inlet_temp(server, Celsius::new(35.0), 1.0, 0.0).value();
+    let idle = dc
+        .inlet_model()
+        .inlet_temp(server, Celsius::new(35.0), 0.0, 0.0)
+        .value();
+    let busy = dc
+        .inlet_model()
+        .inlet_temp(server, Celsius::new(35.0), 1.0, 0.0)
+        .value();
     println!(
         "\nAt 35 °C outside the inlet rises {:.1} °C from idle to full load (paper: ≈2 °C).",
         busy - idle
     );
 
-    write_json("fig05_inlet_vs_load", &Fig05Output { by_load, load_delta_at_35c: busy - idle });
+    write_json(
+        "fig05_inlet_vs_load",
+        &Fig05Output {
+            by_load,
+            load_delta_at_35c: busy - idle,
+        },
+    );
 }

@@ -29,19 +29,21 @@ fn main() {
     let mut errors = Vec::new();
     for inlet in [18.0, 22.0, 26.0, 30.0] {
         for power in [60.0, 200.0, 300.0, 400.0, 500.0, 600.0] {
-            let temps = dc.gpu_model().temperatures(
-                gpu,
-                Celsius::new(inlet),
-                Watts::new(power),
-                0.6,
-            );
+            let temps =
+                dc.gpu_model()
+                    .temperatures(gpu, Celsius::new(inlet), Watts::new(power), 0.6);
             samples.push((power, inlet, temps.gpu.value(), temps.memory.value()));
             // Fitted model error against the worst GPU of the server (the paper's regression
             // achieves < 1 °C MAE).
             let worst = (0..8)
                 .map(|slot| {
                     dc.gpu_model()
-                        .temperatures(GpuId::new(server, slot), Celsius::new(inlet), Watts::new(power), 0.6)
+                        .temperatures(
+                            GpuId::new(server, slot),
+                            Celsius::new(inlet),
+                            Watts::new(power),
+                            0.6,
+                        )
                         .gpu
                         .value()
                 })
@@ -67,5 +69,11 @@ fn main() {
         )],
     );
 
-    write_json("fig06_07_gpu_temp_model", &Fig0607Output { samples, regression_mae_c: mae });
+    write_json(
+        "fig06_07_gpu_temp_model",
+        &Fig0607Output {
+            samples,
+            regression_mae_c: mae,
+        },
+    );
 }

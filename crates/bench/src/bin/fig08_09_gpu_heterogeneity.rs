@@ -39,12 +39,13 @@ fn main() {
             per_slot[slot].push(t);
             all_temps.push(t);
         }
-        spreads.push(
-            simkit::stats::max(&temps).unwrap() - simkit::stats::min(&temps).unwrap(),
-        );
+        spreads.push(simkit::stats::max(&temps).unwrap() - simkit::stats::min(&temps).unwrap());
     }
 
-    let per_slot_median: Vec<f64> = per_slot.iter().map(|v| Summary::from_values(v).p50).collect();
+    let per_slot_median: Vec<f64> = per_slot
+        .iter()
+        .map(|v| Summary::from_values(v).p50)
+        .collect();
     let output = Fig0809Output {
         per_slot_median_c: per_slot_median.clone(),
         within_server_spread_p99_c: simkit::stats::percentile(&spreads, 99.0).unwrap(),
@@ -60,14 +61,19 @@ fn main() {
         .collect();
     rows.push((
         "P99 within-server spread".to_string(),
-        format!("{:.1} °C (paper: up to ≈10 °C)", output.within_server_spread_p99_c),
+        format!(
+            "{:.1} °C (paper: up to ≈10 °C)",
+            output.within_server_spread_p99_c
+        ),
     ));
     rows.push((
         "datacenter-wide range".to_string(),
         format!("{:.1} °C (paper: > 20 °C)", output.datacenter_range_c),
     ));
     print_table("Per-slot GPU temperature at identical load", &rows);
-    println!("\npaper: even-numbered GPUs (closer to the inlet) run cooler than odd-numbered ones.");
+    println!(
+        "\npaper: even-numbered GPUs (closer to the inlet) run cooler than odd-numbered ones."
+    );
 
     write_json("fig08_09_gpu_heterogeneity", &output);
 }

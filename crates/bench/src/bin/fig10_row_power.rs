@@ -88,7 +88,10 @@ fn main() {
             ("rows measured".to_string(), format!("{}", p99s.len())),
             (
                 "median row draws less P99 power than the hottest row by".to_string(),
-                format!("{:.1} % (paper: ≈28 % for 50 % of rows)", output.p50_row_vs_max_pct),
+                format!(
+                    "{:.1} % (paper: ≈28 % for 50 % of rows)",
+                    output.p50_row_vs_max_pct
+                ),
             ),
         ],
     );

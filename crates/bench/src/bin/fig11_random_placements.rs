@@ -52,13 +52,43 @@ fn main() {
     print_table(
         "Placement distribution",
         &[
-            ("placements evaluated".to_string(), format!("{}", output.samples_evaluated)),
-            ("peak GPU temperature P50".to_string(), format!("{:.1} °C", output.temp_p50_c)),
-            ("peak GPU temperature P99".to_string(), format!("{:.1} °C", output.temp_p99_c)),
-            ("peak GPU temperature worst".to_string(), format!("{:.1} °C (paper: worst > 85 °C, typical ≈ 72 °C)", output.temp_p100_c)),
-            ("peak row power P50".to_string(), format!("{:.1} kW", output.power_p50_kw)),
-            ("peak row power worst/best".to_string(), format!("{:.2}× (paper: worst ≈ +27 % over best)", output.worst_over_best_power)),
-            ("temp/power correlation".to_string(), format!("{:.3} (paper: no correlation)", output.temperature_power_correlation)),
+            (
+                "placements evaluated".to_string(),
+                format!("{}", output.samples_evaluated),
+            ),
+            (
+                "peak GPU temperature P50".to_string(),
+                format!("{:.1} °C", output.temp_p50_c),
+            ),
+            (
+                "peak GPU temperature P99".to_string(),
+                format!("{:.1} °C", output.temp_p99_c),
+            ),
+            (
+                "peak GPU temperature worst".to_string(),
+                format!(
+                    "{:.1} °C (paper: worst > 85 °C, typical ≈ 72 °C)",
+                    output.temp_p100_c
+                ),
+            ),
+            (
+                "peak row power P50".to_string(),
+                format!("{:.1} kW", output.power_p50_kw),
+            ),
+            (
+                "peak row power worst/best".to_string(),
+                format!(
+                    "{:.2}× (paper: worst ≈ +27 % over best)",
+                    output.worst_over_best_power
+                ),
+            ),
+            (
+                "temp/power correlation".to_string(),
+                format!(
+                    "{:.3} (paper: no correlation)",
+                    output.temperature_power_correlation
+                ),
+            ),
         ],
     );
 

@@ -18,12 +18,18 @@ struct Fig12Output {
 fn main() {
     header("Figure 12: VM lifetimes and VMs per SaaS endpoint");
     let mut generator = VmArrivalGenerator::new(ArrivalConfig::evaluation_week(1000), 42);
-    let lifetimes: Vec<f64> = (0..20_000).map(|_| generator.draw_lifetime().as_days()).collect();
+    let lifetimes: Vec<f64> = (0..20_000)
+        .map(|_| generator.draw_lifetime().as_days())
+        .collect();
     let over_two_weeks =
         lifetimes.iter().filter(|&&d| d >= 14.0).count() as f64 / lifetimes.len() as f64;
 
     let catalog = EndpointCatalog::production_shaped(400, 10.0, 42);
-    let sizes: Vec<f64> = catalog.endpoints().iter().map(|e| e.vm_count as f64).collect();
+    let sizes: Vec<f64> = catalog
+        .endpoints()
+        .iter()
+        .map(|e| e.vm_count as f64)
+        .collect();
     let total_vms: f64 = sizes.iter().sum();
     let in_large: f64 = sizes.iter().filter(|&&s| s >= 100.0).sum();
 
@@ -39,11 +45,17 @@ fn main() {
         &[
             (
                 "VMs living longer than two weeks".to_string(),
-                format!("{:.1} % (paper: > 60 %)", output.fraction_over_two_weeks * 100.0),
+                format!(
+                    "{:.1} % (paper: > 60 %)",
+                    output.fraction_over_two_weeks * 100.0
+                ),
             ),
             (
                 "share of SaaS VMs in endpoints with ≥100 VMs".to_string(),
-                format!("{:.1} % (paper: ≈50 %)", output.vm_share_in_large_endpoints * 100.0),
+                format!(
+                    "{:.1} % (paper: ≈50 %)",
+                    output.vm_share_in_large_endpoints * 100.0
+                ),
             ),
         ],
     );

@@ -22,7 +22,9 @@ fn main() {
     let model = IaasLoadModel::new(40, 42);
     let vm = Vm {
         id: VmId(0),
-        kind: VmKind::Iaas { customer: IaasCustomerId(3) },
+        kind: VmKind::Iaas {
+            customer: IaasCustomerId(3),
+        },
         arrival: SimTime::ZERO,
         lifetime: simkit::time::SimDuration::from_days(60),
     };
@@ -41,7 +43,10 @@ fn main() {
     let row_raw: Vec<f64> = (0..28 * 24)
         .map(|h| {
             let t = SimTime::from_hours(h);
-            patterns.iter().map(|p| 1.6 + 4.9 * p.load_at(t)).sum::<f64>()
+            patterns
+                .iter()
+                .map(|p| 1.6 + 4.9 * p.load_at(t))
+                .sum::<f64>()
         })
         .collect();
     let row_max = simkit::stats::max(&row_raw).unwrap();
@@ -56,10 +61,16 @@ fn main() {
     for ((d, load), (_, power)) in vm_load.iter().zip(row_power.iter()).take(72).step_by(3) {
         println!("{d:5.2}, {load:5.2}, {power:5.2}");
     }
-    println!("\npaper: both the VM load and the row power show a distinctly periodic diurnal pattern.");
+    println!(
+        "\npaper: both the VM load and the row power show a distinctly periodic diurnal pattern."
+    );
 
     write_json(
         "fig13_diurnal_load",
-        &Fig13Output { vm_load, row_power, peak_to_trough_ratio: row_max / row_min },
+        &Fig13Output {
+            vm_load,
+            row_power,
+            peak_to_trough_ratio: row_max / row_min,
+        },
     );
 }

@@ -35,8 +35,14 @@ fn two_weeks(vms: usize, seed: u64) -> (WeekSeries, WeekSeries) {
         let base: f64 = patterns.iter().map(|p| 1.6 + 4.9 * p.load_at(t)).sum();
         (t, base + rng.normal(0.0, 0.05 * base))
     };
-    let week1 = (0..7 * 1440).step_by(10).map(|m| sample(m, &mut rng)).collect();
-    let week2 = (7 * 1440..14 * 1440).step_by(10).map(|m| sample(m, &mut rng)).collect();
+    let week1 = (0..7 * 1440)
+        .step_by(10)
+        .map(|m| sample(m, &mut rng))
+        .collect();
+    let week2 = (7 * 1440..14 * 1440)
+        .step_by(10)
+        .map(|m| sample(m, &mut rng))
+        .collect();
     (week1, week2)
 }
 
@@ -72,11 +78,17 @@ fn main() {
         &[
             (
                 "row-hours within ±10 % (P50 template)".to_string(),
-                format!("{:.1} % (paper: most row-hours)", output.row_within_10pct * 100.0),
+                format!(
+                    "{:.1} % (paper: most row-hours)",
+                    output.row_within_10pct * 100.0
+                ),
             ),
             (
                 "row-hours under-predicted by the P99 template".to_string(),
-                format!("{:.1} % (paper: < 4 %)", output.p99_underprediction_fraction * 100.0),
+                format!(
+                    "{:.1} % (paper: < 4 %)",
+                    output.p99_underprediction_fraction * 100.0
+                ),
             ),
             (
                 "customer-hours under-predicted (P90 / P99)".to_string(),

@@ -55,14 +55,20 @@ fn main() {
                 on_frontier,
             });
         }
-        let frontier_points = rows.iter().filter(|r| r.model == size.to_string() && r.on_frontier).count();
+        let frontier_points = rows
+            .iter()
+            .filter(|r| r.model == size.to_string() && r.on_frontier)
+            .count();
         println!(
             "{size}: {} configurations profiled, {frontier_points} on the Pareto frontier",
             rows.iter().filter(|r| r.model == size.to_string()).count()
         );
     }
 
-    println!("\n{:<12} {:>12} {:>12} {:>12} {:>9}  frontier", "model", "norm.goodput", "norm.temp", "norm.power", "quality");
+    println!(
+        "\n{:<12} {:>12} {:>12} {:>12} {:>9}  frontier",
+        "model", "norm.goodput", "norm.temp", "norm.power", "quality"
+    );
     for r in rows.iter().filter(|r| r.on_frontier) {
         println!(
             "{:<12} {:>12.3} {:>12.3} {:>12.3} {:>9.3}  {}",

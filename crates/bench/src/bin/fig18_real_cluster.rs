@@ -24,7 +24,8 @@ struct Fig18Output {
 
 fn main() {
     header("Figure 18: peak row power over 1 hour, Baseline vs TAPAS (real-cluster replay)");
-    let baseline = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Baseline)).run();
+    let baseline =
+        ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Baseline)).run();
     let tapas = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas)).run();
 
     let series = |report: &cluster_sim::metrics::RunReport| -> Vec<(u64, f64)> {
@@ -39,15 +40,30 @@ fn main() {
     print_table(
         "Peak row power (kW)",
         &[
-            ("Baseline peak".to_string(), format!("{:.1}", baseline.peak_row_power_kw())),
-            ("TAPAS peak".to_string(), format!("{:.1}", tapas.peak_row_power_kw())),
-            ("Peak reduction".to_string(), format!("{reduction:.1} % (paper: ≈ −20 %)")),
+            (
+                "Baseline peak".to_string(),
+                format!("{:.1}", baseline.peak_row_power_kw()),
+            ),
+            (
+                "TAPAS peak".to_string(),
+                format!("{:.1}", tapas.peak_row_power_kw()),
+            ),
+            (
+                "Peak reduction".to_string(),
+                format!("{reduction:.1} % (paper: ≈ −20 %)"),
+            ),
             (
                 "Baseline SLO attainment".to_string(),
                 format!("{:.3}", baseline.slo_attainment()),
             ),
-            ("TAPAS SLO attainment".to_string(), format!("{:.3}", tapas.slo_attainment())),
-            ("TAPAS mean quality".to_string(), format!("{:.3}", tapas.mean_quality())),
+            (
+                "TAPAS SLO attainment".to_string(),
+                format!("{:.3}", tapas.slo_attainment()),
+            ),
+            (
+                "TAPAS mean quality".to_string(),
+                format!("{:.3}", tapas.mean_quality()),
+            ),
         ],
     );
     println!("\nminute, baseline_kw, tapas_kw");

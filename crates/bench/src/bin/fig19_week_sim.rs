@@ -41,15 +41,17 @@ fn main() {
     let full = full_scale_requested();
     header(&format!(
         "Figure 19: max temperature and peak row power over {} (Baseline vs TAPAS)",
-        if full { "1 week, ~1000 servers" } else { "2 days, 80 servers (quick mode)" }
+        if full {
+            "1 week, ~1000 servers"
+        } else {
+            "2 days, 80 servers (quick mode)"
+        }
     ));
     let baseline = ClusterSimulator::new(config(Policy::Baseline, full)).run();
     let tapas = ClusterSimulator::new(config(Policy::Tapas, full)).run();
 
-    let temp_reduction =
-        percent_change(baseline.peak_temperature_c(), tapas.peak_temperature_c());
-    let power_reduction =
-        percent_change(baseline.peak_row_power_kw(), tapas.peak_row_power_kw());
+    let temp_reduction = percent_change(baseline.peak_temperature_c(), tapas.peak_temperature_c());
+    let power_reduction = percent_change(baseline.peak_row_power_kw(), tapas.peak_row_power_kw());
 
     print_table(
         "Week-long simulation",
@@ -58,7 +60,10 @@ fn main() {
                 "Baseline max temperature".to_string(),
                 format!("{:.1} °C", baseline.peak_temperature_c()),
             ),
-            ("TAPAS max temperature".to_string(), format!("{:.1} °C", tapas.peak_temperature_c())),
+            (
+                "TAPAS max temperature".to_string(),
+                format!("{:.1} °C", tapas.peak_temperature_c()),
+            ),
             (
                 "Max temperature reduction".to_string(),
                 format!("{temp_reduction:.1} % (paper: ≈ −15 %)"),
@@ -67,13 +72,22 @@ fn main() {
                 "Baseline peak row power".to_string(),
                 format!("{:.1} kW", baseline.peak_row_power_kw()),
             ),
-            ("TAPAS peak row power".to_string(), format!("{:.1} kW", tapas.peak_row_power_kw())),
+            (
+                "TAPAS peak row power".to_string(),
+                format!("{:.1} kW", tapas.peak_row_power_kw()),
+            ),
             (
                 "Peak power reduction".to_string(),
                 format!("{power_reduction:.1} % (paper: ≈ −24 %)"),
             ),
-            ("Baseline mean quality".to_string(), format!("{:.3}", baseline.mean_quality())),
-            ("TAPAS mean quality".to_string(), format!("{:.3}", tapas.mean_quality())),
+            (
+                "Baseline mean quality".to_string(),
+                format!("{:.3}", baseline.mean_quality()),
+            ),
+            (
+                "TAPAS mean quality".to_string(),
+                format!("{:.3}", tapas.mean_quality()),
+            ),
         ],
     );
 

@@ -43,7 +43,9 @@ fn main() {
             t.power_capped_fraction * 100.0
         );
     }
-    println!("\npaper: Baseline capping grows quickly beyond 20 %; TAPAS stays below 0.7 % up to 40 %.");
+    println!(
+        "\npaper: Baseline capping grows quickly beyond 20 %; TAPAS stays below 0.7 % up to 40 %."
+    );
 
     write_json("fig21_oversubscription", &Fig21Output { baseline, tapas });
 }

@@ -17,6 +17,7 @@ use simkit::time::SimClock;
 use std::process::ExitCode;
 use std::time::Instant;
 
+#[rustfmt::skip]
 #[path = "../../../../perfbench/src/workloads.rs"]
 #[allow(dead_code)]
 mod workloads;
@@ -63,7 +64,10 @@ fn main() -> ExitCode {
     };
     let config = workloads::config(&workload, seed).expect("the workload name was checked");
     let json = serde_json::to_string(&config).expect("configurations serialize");
-    println!("workload={workload} seed={seed} config=0x{:016x}", fnv1a(json.as_bytes()));
+    println!(
+        "workload={workload} seed={seed} config=0x{:016x}",
+        fnv1a(json.as_bytes())
+    );
 
     let mut sim = FleetSimulator::new(config.clone());
     sim.enable_phase_profile();
@@ -87,7 +91,10 @@ fn main() -> ExitCode {
             ns as f64 / 1e3 / steps as f64
         );
     };
-    println!("{:<16} {:>10} {:>7} {:>10}", "phase", "ms", "share", "us/step");
+    println!(
+        "{:<16} {:>10} {:>7} {:>10}",
+        "phase", "ms", "share", "us/step"
+    );
     for phase in StepPhase::ALL {
         row(phase.label(), profile.ns(phase));
     }

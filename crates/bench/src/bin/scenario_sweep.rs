@@ -15,9 +15,7 @@
 //! Flags: `--smoke` (CI-sized: 2 seeds, adversarial tier only, tiny cluster),
 //! `--full` (8 seeds, 1-day horizon); the default is 3 seeds × 3 tiers at 12 hours.
 
-use cluster_sim::experiment::{
-    ExperimentConfig, FleetConfig, GeoPolicy, RequestFabricConfig,
-};
+use cluster_sim::experiment::{ExperimentConfig, FleetConfig, GeoPolicy, RequestFabricConfig};
 use cluster_sim::fleet::FleetSimulator;
 use cluster_sim::scenario::generator::{generate, GeneratorConfig, IntensityTier};
 use cluster_sim::scenario::{energy_cost_usd, fleet_energy_cost_usd, Scenario};
@@ -59,12 +57,7 @@ struct SweepRecord {
 }
 
 impl SweepRecord {
-    fn panic_row(
-        tier: &'static str,
-        seed: u64,
-        world: &'static str,
-        policy: String,
-    ) -> Self {
+    fn panic_row(tier: &'static str, seed: u64, world: &'static str, policy: String) -> Self {
         Self {
             tier,
             seed,
@@ -136,7 +129,10 @@ fn run_single(
     policy: Policy,
     scenario: &Scenario,
 ) -> SweepRecord {
-    let config = base.clone().with_policy(policy).with_scenario(scenario.clone());
+    let config = base
+        .clone()
+        .with_policy(policy)
+        .with_scenario(scenario.clone());
     let timeline = config.resolved_timeline();
     let outcome = catch_unwind(AssertUnwindSafe(|| ClusterSimulator::new(config).run()));
     let Ok(report) = outcome else {
@@ -150,8 +146,7 @@ fn run_single(
         panicked: false,
         throttle_events: report.events.count(EventKind::ThermalThrottle),
         cap_events: report.events.count(EventKind::PowerCap),
-        capped_minutes: report.power_capped_time_fraction()
-            * report.horizon.as_minutes() as f64,
+        capped_minutes: report.power_capped_time_fraction() * report.horizon.as_minutes() as f64,
         worst_step_slo: report.worst_step_slo_violations(),
         recovery_minutes: recovery_minutes(report.last_stress_event_minute(), scenario),
         slo_attainment: report.slo_attainment(),
@@ -177,11 +172,8 @@ fn run_fleet(
         GeoPolicy::RoundRobin => "round-robin".to_string(),
         GeoPolicy::Headroom => "headroom".to_string(),
     };
-    let config = FleetConfig::evaluation(
-        base.clone().with_scenario(scenario.clone()),
-        FLEET_SITES,
-    )
-    .with_geo(geo);
+    let config = FleetConfig::evaluation(base.clone().with_scenario(scenario.clone()), FLEET_SITES)
+        .with_geo(geo);
     let cost_config = config.clone();
     let outcome = catch_unwind(AssertUnwindSafe(|| FleetSimulator::new(config).run()));
     let Ok(report) = outcome else {
@@ -246,7 +238,9 @@ fn run_fabric(
     let Ok(report) = outcome else {
         return SweepRecord::panic_row(tier, seed, "fabric", label.to_string());
     };
-    let metrics = report.request_fabric().expect("fabric world always runs the fabric");
+    let metrics = report
+        .request_fabric()
+        .expect("fabric world always runs the fabric");
     let lifecycle = metrics.lifecycle;
     SweepRecord {
         tier,
@@ -306,9 +300,17 @@ fn main() {
             ExperimentConfig::small_smoke_test(),
         )
     } else {
-        let horizon = if full { SimTime::from_days(1) } else { SimTime::from_hours(12) };
+        let horizon = if full {
+            SimTime::from_days(1)
+        } else {
+            SimTime::from_hours(12)
+        };
         (
-            if full { (1..=8).collect() } else { vec![1, 2, 3] },
+            if full {
+                (1..=8).collect()
+            } else {
+                vec![1, 2, 3]
+            },
             &IntensityTier::ALL,
             ExperimentConfig::medium(Policy::Baseline).with_duration(horizon),
         )
@@ -334,8 +336,7 @@ fn main() {
                 },
             );
             for policy in [Policy::Baseline, Policy::Tapas] {
-                let record =
-                    run_single(tier.label(), seed, &base, policy, &single_scenario);
+                let record = run_single(tier.label(), seed, &base, policy, &single_scenario);
                 println!("{}", record.line());
                 records.push(record);
             }
@@ -440,8 +441,11 @@ fn main() {
     }
 
     let worst_tier = tiers.last().expect("at least one tier").label();
-    let worst: Vec<SweepRecord> =
-        records.iter().filter(|r| r.tier == worst_tier).cloned().collect();
+    let worst: Vec<SweepRecord> = records
+        .iter()
+        .filter(|r| r.tier == worst_tier)
+        .cloned()
+        .collect();
     let baseline_throttle = mean_of(&worst, "single", "Baseline", |r| r.throttle_events as f64);
     let tapas_throttle = mean_of(&worst, "single", "TAPAS", |r| r.throttle_events as f64);
     let baseline_slo = mean_of(&worst, "single", "Baseline", |r| r.worst_step_slo as f64);

@@ -78,7 +78,14 @@ fn main() {
 
     println!(
         "{:<14} {:<18} {:>9} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "knob", "change", "goodput%", "prefill GPU%", "decode GPU%", "prefill srv%", "decode srv%", "quality%"
+        "knob",
+        "change",
+        "goodput%",
+        "prefill GPU%",
+        "decode GPU%",
+        "prefill srv%",
+        "decode srv%",
+        "quality%"
     );
     for r in &rows {
         println!(

@@ -42,8 +42,14 @@ fn main() {
     let start = SimTime::from_hours(6);
     let end = SimTime::from_hours(9);
     let drills = [
-        ("power emergency (hours 6-9)", Scenario::power_emergency(start, end)),
-        ("thermal emergency (hours 6-9)", Scenario::thermal_emergency(start, end)),
+        (
+            "power emergency (hours 6-9)",
+            Scenario::power_emergency(start, end),
+        ),
+        (
+            "thermal emergency (hours 6-9)",
+            Scenario::thermal_emergency(start, end),
+        ),
     ];
     println!("\nEnd-to-end scenario drills (12 h, two rows of 80 servers):");
     for (label, scenario) in drills {

@@ -70,7 +70,10 @@ pub fn section_value(results: &[BenchResult], note: Option<&str>) -> Value {
             result.name.clone(),
             Value::Map(vec![
                 (String::from("min_ns"), Value::F64(round1(result.min_ns))),
-                (String::from("median_ns"), Value::F64(round1(result.median_ns))),
+                (
+                    String::from("median_ns"),
+                    Value::F64(round1(result.median_ns)),
+                ),
             ]),
         ));
     }
@@ -93,7 +96,10 @@ fn round1(value: f64) -> f64 {
 pub fn upsert_section(document: &str, section: &str, value: &Value) -> Result<String, String> {
     let parsed: Value = serde_json::from_str(document).map_err(|e| e.to_string())?;
     if !matches!(parsed, Value::Map(_)) {
-        return Err(format!("baseline document must be a JSON map, got {}", parsed.kind()));
+        return Err(format!(
+            "baseline document must be a JSON map, got {}",
+            parsed.kind()
+        ));
     }
     let rendered = serde_json::to_string_pretty(value)
         .map_err(|e| e.to_string())?
@@ -109,7 +115,11 @@ pub fn upsert_section(document: &str, section: &str, value: &Value) -> Result<St
             }
         }
     };
-    Ok(format!("{}{inserted}{}", &document[..at.start], &document[at.end..]))
+    Ok(format!(
+        "{}{inserted}{}",
+        &document[..at.start],
+        &document[at.end..]
+    ))
 }
 
 /// The top-level entries of a JSON map's text, as `(key, value byte range)`, and the offset
@@ -232,7 +242,11 @@ mod tests {
     use super::*;
 
     fn result(name: &str, min: f64, median: f64) -> BenchResult {
-        BenchResult { name: name.to_string(), min_ns: min, median_ns: median }
+        BenchResult {
+            name: name.to_string(),
+            min_ns: min,
+            median_ns: median,
+        }
     }
 
     #[test]
@@ -267,20 +281,32 @@ not json
         let section = section_value(&[result("a", 90.05, 120.0)], Some("note text"));
         let json = serde_json::to_string(&section).unwrap();
         assert!(json.contains("\"note\":\"note text\""));
-        assert!(json.contains("\"min_ns\":90.1"), "rounded to one decimal: {json}");
+        assert!(
+            json.contains("\"min_ns\":90.1"),
+            "rounded to one decimal: {json}"
+        );
     }
 
     #[test]
     fn upsert_replaces_in_place_and_appends_new() {
         let doc = "{\"description\":\"d\",\"old\":{\"a\":{\"min_ns\":1.0}},\"tail\":1}";
-        let doc = upsert_section(doc, "old", &section_value(&[result("a", 2.0, 3.0)], None))
-            .unwrap();
-        let doc = upsert_section(&doc, "fresh", &section_value(&[result("b", 4.0, 5.0)], None))
-            .unwrap();
-        let Value::Map(entries) = serde_json::from_str(&doc).unwrap() else { panic!("map") };
+        let doc =
+            upsert_section(doc, "old", &section_value(&[result("a", 2.0, 3.0)], None)).unwrap();
+        let doc = upsert_section(
+            &doc,
+            "fresh",
+            &section_value(&[result("b", 4.0, 5.0)], None),
+        )
+        .unwrap();
+        let Value::Map(entries) = serde_json::from_str(&doc).unwrap() else {
+            panic!("map")
+        };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["description", "old", "tail", "fresh"]);
-        assert!(doc.contains("\"old\":{\n    \"a\": {\n      \"min_ns\": 2"), "{doc}");
+        assert!(
+            doc.contains("\"old\":{\n    \"a\": {\n      \"min_ns\": 2"),
+            "{doc}"
+        );
         assert!(upsert_section("true", "x", &Value::Null).is_err());
         assert!(upsert_section("{\"x\":", "x", &Value::Null).is_err());
         let empty = upsert_section("{}\n", "x", &Value::Map(Vec::new())).unwrap();
@@ -302,10 +328,16 @@ not json
         assert!(replaced.starts_with(head), "{replaced}");
         assert!(replaced.ends_with(rest), "{replaced}");
         let appended = upsert_section(doc, "new", &section).unwrap();
-        assert!(appended.starts_with(doc.trim_end_matches("\n}\n")), "{appended}");
+        assert!(
+            appended.starts_with(doc.trim_end_matches("\n}\n")),
+            "{appended}"
+        );
         assert!(appended.ends_with("\n}\n"), "{appended}");
         for text in [&replaced, &appended] {
-            assert!(text.contains("\"min_ns\": 1.0,") && text.contains("\"tail\": 3.0"), "{text}");
+            assert!(
+                text.contains("\"min_ns\": 1.0,") && text.contains("\"tail\": 3.0"),
+                "{text}"
+            );
         }
     }
 
@@ -316,8 +348,8 @@ not json
             Some("baseline"),
         );
         let current = vec![
-            result("fast", 140.0, 150.0),  // 1.4x: within a 1.5x tolerance
-            result("slow", 260.0, 280.0),  // 2.6x: flagged
+            result("fast", 140.0, 150.0),    // 1.4x: within a 1.5x tolerance
+            result("slow", 260.0, 280.0),    // 2.6x: flagged
             result("unknown", 999.0, 999.0), // not recorded: ignored
         ];
         let regressions = compare_against(&recorded, &current, 1.5);

@@ -69,10 +69,14 @@ impl RequestFabricConfig {
     /// for a non-positive or non-finite SLO multiplier.
     pub fn check(&self) -> Result<(), ScenarioError> {
         if !(self.rate_scale >= 0.0 && self.rate_scale <= Self::MAX_RATE_SCALE) {
-            return Err(ScenarioError::InvalidRateScale { scale: self.rate_scale });
+            return Err(ScenarioError::InvalidRateScale {
+                scale: self.rate_scale,
+            });
         }
         if !(self.slo_multiplier.is_finite() && self.slo_multiplier > 0.0) {
-            return Err(ScenarioError::InvalidSloMultiplier { multiplier: self.slo_multiplier });
+            return Err(ScenarioError::InvalidSloMultiplier {
+                multiplier: self.slo_multiplier,
+            });
         }
         Ok(())
     }
@@ -282,7 +286,9 @@ impl ExperimentConfig {
     /// Returns the first violated layout, fabric or event invariant as a
     /// [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.layout.check().map_err(|error| ScenarioError::InvalidLayout { site: None, error })?;
+        self.layout
+            .check()
+            .map_err(|error| ScenarioError::InvalidLayout { site: None, error })?;
         if let Some(fabric) = &self.request_fabric {
             fabric.check()?;
         }
@@ -293,7 +299,8 @@ impl ExperimentConfig {
     /// runs under, viewed as site 0.
     #[must_use]
     pub fn resolved_timeline(&self) -> ResolvedTimeline {
-        self.scenario.resolve(0, self.duration, self.step, self.endpoint_count.max(1))
+        self.scenario
+            .resolve(0, self.duration, self.step, self.endpoint_count.max(1))
     }
 
     /// Adds extra servers beyond the provisioned budgets to model oversubscription (Fig. 21):
@@ -327,9 +334,8 @@ impl ExperimentConfig {
     /// the catalog shape to catch drift.
     #[must_use]
     pub fn endpoint_catalog(&self) -> EndpointCatalog {
-        let saas_target =
-            (self.server_count() as f64 * self.initial_occupancy * self.saas_fraction)
-                .round() as usize;
+        let saas_target = (self.server_count() as f64 * self.initial_occupancy * self.saas_fraction)
+            .round() as usize;
         EndpointCatalog::evaluation(
             self.endpoint_count.max(1),
             self.requests_per_vm_per_minute,
@@ -435,8 +441,11 @@ pub struct FleetConfig {
 type ClimatePreset = (&'static str, fn() -> Climate);
 
 /// The climate presets `FleetConfig::evaluation` cycles through, with their name suffixes.
-const EVALUATION_CLIMATES: [ClimatePreset; 3] =
-    [("hot", Climate::hot), ("temperate", Climate::temperate), ("cold", Climate::cold)];
+const EVALUATION_CLIMATES: [ClimatePreset; 3] = [
+    ("hot", Climate::hot),
+    ("temperate", Climate::temperate),
+    ("cold", Climate::cold),
+];
 
 impl FleetConfig {
     /// Expresses a single-datacenter experiment as a 1-site fleet pinned to site 0: the
@@ -450,7 +459,12 @@ impl FleetConfig {
             seed: base.seed,
             arrival_share: 1.0,
         };
-        Self { base, sites: vec![site], geo: GeoPolicy::Pinned(0), arrival_scale: 1.0 }
+        Self {
+            base,
+            sites: vec![site],
+            geo: GeoPolicy::Pinned(0),
+            arrival_scale: 1.0,
+        }
     }
 
     /// An evaluation fleet of `site_count` copies of `base`'s layout spread across the
@@ -533,14 +547,22 @@ impl FleetConfig {
         if self.sites.is_empty() {
             return Err(ScenarioError::NoSites);
         }
-        let layouts = std::iter::once((None, &self.base.layout))
-            .chain(self.sites.iter().enumerate().map(|(site, s)| (Some(site), &s.layout)));
+        let layouts = std::iter::once((None, &self.base.layout)).chain(
+            self.sites
+                .iter()
+                .enumerate()
+                .map(|(site, s)| (Some(site), &s.layout)),
+        );
         for (site, layout) in layouts {
-            layout.check().map_err(|error| ScenarioError::InvalidLayout { site, error })?;
+            layout
+                .check()
+                .map_err(|error| ScenarioError::InvalidLayout { site, error })?;
         }
         // NaN must fail too, so test the accepting range rather than its negation.
         if !(self.arrival_scale.is_finite() && self.arrival_scale > 0.0) {
-            return Err(ScenarioError::NonPositiveArrivalScale { scale: self.arrival_scale });
+            return Err(ScenarioError::NonPositiveArrivalScale {
+                scale: self.arrival_scale,
+            });
         }
         if let Some(fabric) = &self.base.request_fabric {
             fabric.check()?;
@@ -585,7 +607,6 @@ impl FleetConfig {
     pub fn site_timeline(&self, site: usize) -> ResolvedTimeline {
         self.site_experiment(site).resolved_timeline()
     }
-
 }
 
 #[cfg(test)]
@@ -596,9 +617,18 @@ mod tests {
     #[test]
     fn presets_have_expected_scale() {
         assert_eq!(ExperimentConfig::small_smoke_test().server_count(), 8);
-        assert_eq!(ExperimentConfig::real_cluster_hour(Policy::Tapas).server_count(), 80);
-        assert_eq!(ExperimentConfig::production_week(Policy::Tapas).server_count(), 1040);
-        assert_eq!(ExperimentConfig::medium(Policy::Baseline).policy, Policy::Baseline);
+        assert_eq!(
+            ExperimentConfig::real_cluster_hour(Policy::Tapas).server_count(),
+            80
+        );
+        assert_eq!(
+            ExperimentConfig::production_week(Policy::Tapas).server_count(),
+            1040
+        );
+        assert_eq!(
+            ExperimentConfig::medium(Policy::Baseline).policy,
+            Policy::Baseline
+        );
     }
 
     #[test]
@@ -652,7 +682,10 @@ mod tests {
             .with_geo(GeoPolicy::Pinned(3))
             .check()
             .unwrap_err();
-        assert_eq!(error, ScenarioError::PinnedSiteOutOfRange { site: 3, sites: 1 });
+        assert_eq!(
+            error,
+            ScenarioError::PinnedSiteOutOfRange { site: 3, sites: 1 }
+        );
         assert!(error.to_string().contains("out of range"));
     }
 
@@ -665,7 +698,11 @@ mod tests {
             .expect("event invariants hold");
         assert_eq!(
             fleet.check().unwrap_err(),
-            ScenarioError::SiteOutOfRange { event: 0, site: 5, sites: 2 }
+            ScenarioError::SiteOutOfRange {
+                event: 0,
+                site: 5,
+                sites: 2
+            }
         );
         fleet.base.scenario = Scenario::builder()
             .grid_price(1, SimTime::ZERO, SimTime::from_hours(1), 200.0)
@@ -679,15 +716,27 @@ mod tests {
         type Corruption = fn(&mut LayoutConfig);
         let bad_layouts: [(&str, Corruption); 8] = [
             ("racks_per_row", |l| l.racks_per_row = 0),
-            ("row_power_provisioning", |l| l.row_power_provisioning = -0.5),
-            ("aisle_airflow_provisioning", |l| l.aisle_airflow_provisioning = f64::NAN),
-            ("ups_power_provisioning", |l| l.ups_power_provisioning = f64::INFINITY),
-            ("server_spec.idle_power", |l| l.server_spec.idle_power = Kilowatts::new(f64::NAN)),
+            ("row_power_provisioning", |l| {
+                l.row_power_provisioning = -0.5
+            }),
+            ("aisle_airflow_provisioning", |l| {
+                l.aisle_airflow_provisioning = f64::NAN
+            }),
+            ("ups_power_provisioning", |l| {
+                l.ups_power_provisioning = f64::INFINITY
+            }),
+            ("server_spec.idle_power", |l| {
+                l.server_spec.idle_power = Kilowatts::new(f64::NAN)
+            }),
             ("server_spec.max_airflow", |l| {
                 l.server_spec.max_airflow = CubicFeetPerMinute::new(f64::INFINITY);
             }),
-            ("server_spec.idle_power", |l| l.server_spec.max_power = Kilowatts::new(1.0)),
-            ("server_spec.gpus_per_server", |l| l.server_spec.gpus_per_server = 0),
+            ("server_spec.idle_power", |l| {
+                l.server_spec.max_power = Kilowatts::new(1.0)
+            }),
+            ("server_spec.gpus_per_server", |l| {
+                l.server_spec.gpus_per_server = 0
+            }),
         ];
         for (field, corrupt) in bad_layouts {
             let mut config = ExperimentConfig::small_smoke_test();
@@ -708,12 +757,20 @@ mod tests {
                 ),
                 "{field}: {error:?}"
             );
-            assert!(error.to_string().starts_with("site 2: layout field"), "{error}");
+            assert!(
+                error.to_string().starts_with("site 2: layout field"),
+                "{error}"
+            );
             let mut fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 2);
             corrupt(&mut fleet.base.layout);
-            assert!(matches!(fleet.check(), Err(ScenarioError::InvalidLayout { site: None, .. })));
+            assert!(matches!(
+                fleet.check(),
+                Err(ScenarioError::InvalidLayout { site: None, .. })
+            ));
         }
-        ExperimentConfig::production_week(Policy::Tapas).validate().expect("presets are valid");
+        ExperimentConfig::production_week(Policy::Tapas)
+            .validate()
+            .expect("presets are valid");
     }
 
     #[test]
@@ -728,10 +785,16 @@ mod tests {
 
     /// `value` with one top-level map key removed (the removal must happen).
     fn without_key(mut value: serde::Value, key: &str) -> serde::Value {
-        let serde::Value::Map(entries) = &mut value else { panic!("expected a map") };
+        let serde::Value::Map(entries) = &mut value else {
+            panic!("expected a map")
+        };
         let before = entries.len();
         entries.retain(|(name, _)| name != key);
-        assert_eq!(entries.len(), before - 1, "`{key}` must be present to strip");
+        assert_eq!(
+            entries.len(),
+            before - 1,
+            "`{key}` must be present to strip"
+        );
         value
     }
 
@@ -741,8 +804,8 @@ mod tests {
         // artifact without `arrivals_per_day` or `scenario` is an error, never a default.
         let config = ExperimentConfig::small_smoke_test();
         for key in ["arrivals_per_day", "scenario"] {
-            let json = serde_json::to_string(&without_key(config.to_value(), key))
-                .expect("serialize");
+            let json =
+                serde_json::to_string(&without_key(config.to_value(), key)).expect("serialize");
             let error = serde_json::from_str::<ExperimentConfig>(&json).unwrap_err();
             assert!(error.to_string().contains(key), "{key}: {error}");
         }
@@ -767,9 +830,11 @@ mod tests {
 
     #[test]
     fn enabled_fabric_round_trips_through_json() {
-        let config = ExperimentConfig::small_smoke_test().with_request_fabric(
-            RequestFabricConfig { rate_scale: 2.5, ..RequestFabricConfig::default() },
-        );
+        let config =
+            ExperimentConfig::small_smoke_test().with_request_fabric(RequestFabricConfig {
+                rate_scale: 2.5,
+                ..RequestFabricConfig::default()
+            });
         let json = serde_json::to_string(&config).expect("serialize");
         assert!(
             json.ends_with(
@@ -784,14 +849,13 @@ mod tests {
 
     #[test]
     fn fault_policy_knobs_always_serialize_and_round_trip() {
-        let config = ExperimentConfig::small_smoke_test().with_request_fabric(
-            RequestFabricConfig {
+        let config =
+            ExperimentConfig::small_smoke_test().with_request_fabric(RequestFabricConfig {
                 deadline_shedding: true,
                 max_retries: 5,
                 backoff_base_ms: 128,
                 ..RequestFabricConfig::default()
-            },
-        );
+            });
         let json = serde_json::to_string(&config).expect("serialize");
         assert!(
             json.ends_with(
@@ -805,8 +869,8 @@ mod tests {
         // The knobs are written at their defaults too, so each one is required on load.
         let fabric = RequestFabricConfig::default().to_value();
         for key in ["deadline_shedding", "max_retries", "backoff_base_ms"] {
-            let error = RequestFabricConfig::from_value(&without_key(fabric.clone(), key))
-                .unwrap_err();
+            let error =
+                RequestFabricConfig::from_value(&without_key(fabric.clone(), key)).unwrap_err();
             assert!(error.to_string().contains(key), "{key}: {error}");
         }
     }
@@ -837,7 +901,9 @@ mod tests {
         config.validate().expect("valid config");
         // Occupancy is clamped like the saas fraction.
         assert_eq!(
-            ExperimentConfig::small_smoke_test().with_initial_occupancy(1.7).initial_occupancy,
+            ExperimentConfig::small_smoke_test()
+                .with_initial_occupancy(1.7)
+                .initial_occupancy,
             1.0
         );
     }
@@ -867,7 +933,13 @@ mod tests {
             .with_geo(GeoPolicy::RoundRobin);
         fleet.sites[0].arrival_share = -1.0;
         let error = fleet.check().unwrap_err();
-        assert_eq!(error, ScenarioError::InvalidArrivalShare { site: 0, share: -1.0 });
+        assert_eq!(
+            error,
+            ScenarioError::InvalidArrivalShare {
+                site: 0,
+                share: -1.0
+            }
+        );
         assert!(error.to_string().contains("finite and non-negative"));
     }
 
@@ -884,7 +956,10 @@ mod tests {
         fleet.sites[0].arrival_share = 0.0;
         fleet.check().expect("one positive share is enough");
         fleet.sites[1].arrival_share = 0.0;
-        assert_eq!(fleet.check().unwrap_err(), ScenarioError::NoPositiveArrivalShare);
+        assert_eq!(
+            fleet.check().unwrap_err(),
+            ScenarioError::NoPositiveArrivalShare
+        );
     }
 
     /// Checks that `fabric` fails both entry points (a standalone experiment's
@@ -901,20 +976,27 @@ mod tests {
     }
 
     fn fabric(rate_scale: f64, slo_multiplier: f64) -> RequestFabricConfig {
-        RequestFabricConfig { rate_scale, slo_multiplier, ..RequestFabricConfig::default() }
+        RequestFabricConfig {
+            rate_scale,
+            slo_multiplier,
+            ..RequestFabricConfig::default()
+        }
     }
 
     #[test]
     fn nan_rate_scale_is_rejected() {
-        assert_fabric_rejected(fabric(f64::NAN, 5.0), |e| {
-            matches!(e, ScenarioError::InvalidRateScale { scale } if scale.is_nan())
-        });
+        assert_fabric_rejected(
+            fabric(f64::NAN, 5.0),
+            |e| matches!(e, ScenarioError::InvalidRateScale { scale } if scale.is_nan()),
+        );
     }
 
     #[test]
     fn infinite_rate_scale_is_rejected() {
         assert_fabric_rejected(fabric(f64::INFINITY, 5.0), |e| {
-            *e == ScenarioError::InvalidRateScale { scale: f64::INFINITY }
+            *e == ScenarioError::InvalidRateScale {
+                scale: f64::INFINITY,
+            }
         });
     }
 
@@ -927,15 +1009,18 @@ mod tests {
 
     #[test]
     fn nan_slo_multiplier_is_rejected() {
-        assert_fabric_rejected(fabric(1.0, f64::NAN), |e| {
-            matches!(e, ScenarioError::InvalidSloMultiplier { multiplier } if multiplier.is_nan())
-        });
+        assert_fabric_rejected(
+            fabric(1.0, f64::NAN),
+            |e| matches!(e, ScenarioError::InvalidSloMultiplier { multiplier } if multiplier.is_nan()),
+        );
     }
 
     #[test]
     fn infinite_slo_multiplier_is_rejected() {
         assert_fabric_rejected(fabric(1.0, f64::INFINITY), |e| {
-            *e == ScenarioError::InvalidSloMultiplier { multiplier: f64::INFINITY }
+            *e == ScenarioError::InvalidSloMultiplier {
+                multiplier: f64::INFINITY,
+            }
         });
     }
 
@@ -965,7 +1050,9 @@ mod tests {
             let config = ExperimentConfig::small_smoke_test()
                 .with_request_fabric(fabric(rate_scale, slo_multiplier));
             config.validate().expect("in-range knobs are valid");
-            FleetConfig::evaluation(config, 2).check().expect("in-range knobs are valid");
+            FleetConfig::evaluation(config, 2)
+                .check()
+                .expect("in-range knobs are valid");
         }
         ExperimentConfig::small_smoke_test()
             .with_request_fabric(fabric(ceiling, 5.0))
@@ -978,14 +1065,22 @@ mod tests {
         let mut fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 2);
         fleet.arrival_scale = f64::INFINITY;
         let error = fleet.check().unwrap_err();
-        assert_eq!(error, ScenarioError::NonPositiveArrivalScale { scale: f64::INFINITY });
+        assert_eq!(
+            error,
+            ScenarioError::NonPositiveArrivalScale {
+                scale: f64::INFINITY
+            }
+        );
         assert!(error.to_string().contains("finite and positive"));
     }
 
     #[test]
     fn rate_scale_above_the_ceiling_is_rejected() {
         // A huge finite scale would never finish generating a step.
-        for scale in [1e12, RequestFabricConfig::MAX_RATE_SCALE * (1.0 + f64::EPSILON)] {
+        for scale in [
+            1e12,
+            RequestFabricConfig::MAX_RATE_SCALE * (1.0 + f64::EPSILON),
+        ] {
             assert_fabric_rejected(fabric(scale, 5.0), |e| {
                 *e == ScenarioError::InvalidRateScale { scale }
             });
@@ -1003,7 +1098,10 @@ mod tests {
         );
         fleet.base.validate().expect("the base alone is valid");
         assert_eq!(fleet.arrival_scale, 4.0);
-        assert_eq!(fleet.check().unwrap_err(), ScenarioError::InvalidRateScale { scale: 2000.0 });
+        assert_eq!(
+            fleet.check().unwrap_err(),
+            ScenarioError::InvalidRateScale { scale: 2000.0 }
+        );
         // Exactly at the ceiling passes.
         fleet.arrival_scale = 2.0;
         fleet.check().expect("a product at the ceiling is valid");
@@ -1021,7 +1119,9 @@ mod tests {
         fleet.base.validate().expect("the base alone is valid");
         assert_eq!(
             fleet.check().unwrap_err(),
-            ScenarioError::InvalidRateScale { scale: f64::INFINITY }
+            ScenarioError::InvalidRateScale {
+                scale: f64::INFINITY
+            }
         );
     }
 
@@ -1033,14 +1133,22 @@ mod tests {
             site.arrival_share = 0.0;
         }
         fleet.check().expect("headroom ignores shares");
-        fleet.clone().with_geo(GeoPolicy::Pinned(0)).check().expect("pinned ignores shares");
+        fleet
+            .clone()
+            .with_geo(GeoPolicy::Pinned(0))
+            .check()
+            .expect("pinned ignores shares");
     }
 
     #[test]
     fn fleet_config_round_trips_through_json() {
-        for geo in [GeoPolicy::Pinned(1), GeoPolicy::RoundRobin, GeoPolicy::Headroom] {
-            let fleet = FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 3)
-                .with_geo(geo);
+        for geo in [
+            GeoPolicy::Pinned(1),
+            GeoPolicy::RoundRobin,
+            GeoPolicy::Headroom,
+        ] {
+            let fleet =
+                FleetConfig::evaluation(ExperimentConfig::small_smoke_test(), 3).with_geo(geo);
             let json = serde_json::to_string(&fleet).expect("serialize");
             let back: FleetConfig = serde_json::from_str(&json).expect("deserialize");
             assert_eq!(back, fleet);
@@ -1057,7 +1165,10 @@ mod tests {
         let again = config.vm_stream(&catalog, 1.0);
         assert_eq!(single, again, "stream generation must be deterministic");
         let tripled = config.vm_stream(&catalog, 3.0);
-        assert!(tripled.len() > single.len() * 2, "scale must grow the stream");
+        assert!(
+            tripled.len() > single.len() * 2,
+            "scale must grow the stream"
+        );
     }
 
     #[test]

@@ -136,7 +136,11 @@ impl ArrivalBuffer {
     /// Buffers `request` at `time_ms`. Among equal timestamps, earlier pushes drain first.
     pub fn push(&mut self, time_ms: u64, request: FabricRequest) {
         // The last slot is always undrained: a fully drained buffer is emptied.
-        if self.arrivals.last().is_some_and(|last| time_ms < last.time_ms) {
+        if self
+            .arrivals
+            .last()
+            .is_some_and(|last| time_ms < last.time_ms)
+        {
             self.out_of_order = true;
         }
         self.arrivals.push(Arrival {
@@ -159,7 +163,9 @@ impl ArrivalBuffer {
         endpoints: usize,
     ) -> Result<(), TraceError> {
         if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints as u64) {
-            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
+            return Err(TraceError::UnknownEndpoint {
+                endpoint: bad.endpoint,
+            });
         }
         self.arrivals.reserve(records.len());
         for (line, record) in records.iter().enumerate() {
@@ -185,9 +191,9 @@ impl ArrivalBuffer {
             return;
         }
         let pending = &mut self.arrivals[self.cursor..];
-        let (min, max) = pending
-            .iter()
-            .fold((u64::MAX, 0), |(min, max), a| (min.min(a.time_ms), max.max(a.time_ms)));
+        let (min, max) = pending.iter().fold((u64::MAX, 0), |(min, max), a| {
+            (min.min(a.time_ms), max.max(a.time_ms))
+        });
         let span = max - min;
         let passes = (1..=RADIX_PASSES).find(|&passes| span >> (8 * passes) == 0);
         let Some(passes) = passes else {
@@ -213,8 +219,11 @@ impl ArrivalBuffer {
                 *slot = next;
                 next += n;
             }
-            let (from, to): (&[Arrival], &mut [Arrival]) =
-                if pass % 2 == 0 { (pending, scratch) } else { (scratch, pending) };
+            let (from, to): (&[Arrival], &mut [Arrival]) = if pass % 2 == 0 {
+                (pending, scratch)
+            } else {
+                (scratch, pending)
+            };
             for a in from {
                 let digit = ((a.time_ms - min) >> (8 * pass)) as usize & 0xff;
                 to[count[digit]] = *a;
@@ -294,7 +303,12 @@ impl FabricGenerator {
                 rng: fabric_root.derive(&format!("endpoint-{}", endpoint.id.0)),
             })
             .collect();
-        Self { config, shape: RequestShape::default(), endpoints, next_id: 0 }
+        Self {
+            config,
+            shape: RequestShape::default(),
+            endpoints,
+            next_id: 0,
+        }
     }
 
     /// Requests generated so far.
@@ -313,7 +327,9 @@ impl FabricGenerator {
         timeline: &ResolvedTimeline,
         queue: &mut EventQueue<FabricRequest>,
     ) {
-        self.generate_with(now, step, timeline, |time_ms, request| queue.push(time_ms, request));
+        self.generate_with(now, step, timeline, |time_ms, request| {
+            queue.push(time_ms, request)
+        });
     }
 
     /// Hands the step's requests (arrivals in `[now, now + step)`, millisecond
@@ -409,7 +425,10 @@ impl RequestFabric {
         config: RequestFabricConfig,
         generate: bool,
     ) -> Self {
-        assert!(!generate, "a site fabric has no generator: the fleet delivers its stream");
+        assert!(
+            !generate,
+            "a site fabric has no generator: the fleet delivers its stream"
+        );
         let gpu = GpuHardware::a100();
         let perf = PerfModel::new(gpu);
         let targets: Vec<(f64, f64)> = catalog
@@ -497,7 +516,9 @@ impl RequestFabric {
         self.fault_marks.clear();
         for (ordinal, scheduler) in self.schedulers.iter_mut().enumerate() {
             debug_assert!(
-                scheduler.latest_queued_arrival_ms().is_none_or(|arrival| arrival < end_ms),
+                scheduler
+                    .latest_queued_arrival_ms()
+                    .is_none_or(|arrival| arrival < end_ms),
                 "a request was delivered for a later window than the one served"
             );
             let count = replicas.get(ordinal).copied().unwrap_or(0);
@@ -617,14 +638,20 @@ mod tests {
         };
         let events = run();
         assert!(!events.is_empty(), "the smoke catalog generates traffic");
-        assert!(events.windows(2).all(|p| p[0].0 <= p[1].0), "drained in time order");
+        assert!(
+            events.windows(2).all(|p| p[0].0 <= p[1].0),
+            "drained in time order"
+        );
         assert!(events.iter().all(|(t, _)| *t < 15 * MS_PER_MINUTE));
         let shape = RequestShape::default();
         assert!(events.iter().all(|(_, r)| {
             let total = r.prompt_tokens as usize + r.output_tokens as usize;
             r.prompt_tokens >= 1 && r.output_tokens >= 1 && total <= shape.max_total_tokens
         }));
-        let prompts: Vec<f64> = events.iter().map(|(_, r)| f64::from(r.prompt_tokens)).collect();
+        let prompts: Vec<f64> = events
+            .iter()
+            .map(|(_, r)| f64::from(r.prompt_tokens))
+            .collect();
         let median = simkit::stats::percentile(&prompts, 50.0).unwrap();
         assert!(
             (median - shape.median_prompt_tokens).abs() < 0.15 * shape.median_prompt_tokens,
@@ -640,7 +667,12 @@ mod tests {
     #[test]
     fn arrival_buffer_reuses_its_storage_across_steps() {
         let mut buffer = ArrivalBuffer::new();
-        let request = FabricRequest { id: 0, endpoint: 0, prompt_tokens: 1, output_tokens: 1 };
+        let request = FabricRequest {
+            id: 0,
+            endpoint: 0,
+            prompt_tokens: 1,
+            output_tokens: 1,
+        };
         let step = |buffer: &mut ArrivalBuffer| {
             for time_ms in (0..500u64).rev() {
                 buffer.push(time_ms, request);
@@ -654,7 +686,11 @@ mod tests {
         for _ in 0..5 {
             step(&mut buffer);
             assert!(buffer.is_empty());
-            assert_eq!(buffer.arrivals.capacity(), high_water, "a drained buffer is reused");
+            assert_eq!(
+                buffer.arrivals.capacity(),
+                high_water,
+                "a drained buffer is reused"
+            );
         }
     }
 
@@ -664,7 +700,10 @@ mod tests {
             let mut generator = FabricGenerator::new(
                 42,
                 &catalog(),
-                RequestFabricConfig { rate_scale: scale, ..RequestFabricConfig::default() },
+                RequestFabricConfig {
+                    rate_scale: scale,
+                    ..RequestFabricConfig::default()
+                },
             );
             let mut queue = EventQueue::new();
             let timeline = timeline();
@@ -789,7 +828,10 @@ mod tests {
         for seed in 0..50 {
             let mut base = ExperimentConfig::real_cluster_hour(tapas::policy::Policy::Tapas);
             base.seed = seed;
-            let fabric = RequestFabricConfig { rate_scale: 0.1, ..RequestFabricConfig::default() };
+            let fabric = RequestFabricConfig {
+                rate_scale: 0.1,
+                ..RequestFabricConfig::default()
+            };
             let timeline = base.resolved_timeline();
             let mut generator = FabricGenerator::new(seed, &base.endpoint_catalog(), fabric);
             let mut reference = generator.clone();
@@ -797,16 +839,23 @@ mod tests {
                 let now = SimTime::from_minutes(minute);
                 let before = ziggurat.prompts.len();
                 generator.generate_with(now, step, &timeline, |_, request| ziggurat.push(&request));
-                ziggurat.counts.push((ziggurat.prompts.len() - before) as f64);
+                ziggurat
+                    .counts
+                    .push((ziggurat.prompts.len() - before) as f64);
                 let before = box_muller.prompts.len();
                 generate_box_muller(&mut reference, now, step, &timeline, |_, request| {
                     box_muller.push(&request);
                 });
-                box_muller.counts.push((box_muller.prompts.len() - before) as f64);
+                box_muller
+                    .counts
+                    .push((box_muller.prompts.len() - before) as f64);
             }
         }
         let close = |what: &str, got: f64, want: f64, tolerance: f64| {
-            assert!((got / want - 1.0).abs() < tolerance, "{what}: {got} vs {want}");
+            assert!(
+                (got / want - 1.0).abs() < tolerance,
+                "{what}: {got} vs {want}"
+            );
         };
         let ((mean, variance), (want_mean, want_variance)) =
             (ziggurat.moments(), box_muller.moments());
@@ -814,9 +863,19 @@ mod tests {
         close("count variance", variance, want_variance, 0.05);
         for (p, tolerance) in [(0.1, 0.015), (0.5, 0.015), (0.9, 0.015), (0.99, 0.03)] {
             let (a, b) = (&mut ziggurat.prompts, &mut box_muller.prompts);
-            close(&format!("prompt p{p}"), quantile(a, p), quantile(b, p), tolerance);
+            close(
+                &format!("prompt p{p}"),
+                quantile(a, p),
+                quantile(b, p),
+                tolerance,
+            );
             let (a, b) = (&mut ziggurat.outputs, &mut box_muller.outputs);
-            close(&format!("output p{p}"), quantile(a, p), quantile(b, p), tolerance);
+            close(
+                &format!("output p{p}"),
+                quantile(a, p),
+                quantile(b, p),
+                tolerance,
+            );
         }
         let share = |sample: &StreamSample| sample.truncated as f64 / sample.prompts.len() as f64;
         close("truncated share", share(&ziggurat), share(&box_muller), 0.2);
@@ -827,8 +886,7 @@ mod tests {
         let catalog = catalog();
         let timeline = timeline();
         let mut generator = FabricGenerator::new(42, &catalog, RequestFabricConfig::default());
-        let mut fabric =
-            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
+        let mut fabric = RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
         let replicas = vec![2u32; catalog.len()];
         // The generator emits endpoint by endpoint, not in time order: the buffer sorts
         // each step's arrivals before they are delivered, as the fleet's does.
@@ -842,7 +900,10 @@ mod tests {
             fabric.serve_step(now, step, &replicas);
         }
         let metrics = fabric.metrics();
-        assert!(metrics.completed > 0, "two hours of traffic must complete requests");
+        assert!(
+            metrics.completed > 0,
+            "two hours of traffic must complete requests"
+        );
         assert!(metrics.ttft.total() == metrics.completed);
         assert!(metrics.attainment_at(5.0) > 0.0);
         assert!((0..catalog.len()).any(|e| fabric.pressure(e) > 0.0));
@@ -866,16 +927,29 @@ mod tests {
         }];
         assert_eq!(
             buffer.load_trace(&bad, catalog.len()),
-            Err(TraceError::UnknownEndpoint { endpoint: catalog.len() as u64 + 5 })
+            Err(TraceError::UnknownEndpoint {
+                endpoint: catalog.len() as u64 + 5
+            })
         );
         assert!(buffer.is_empty());
         let good = vec![
-            TraceRecord { timestamp_ms: 0, endpoint: 0, prompt_tokens: 128, output_tokens: 16 },
-            TraceRecord { timestamp_ms: 900, endpoint: 1, prompt_tokens: 64, output_tokens: 8 },
+            TraceRecord {
+                timestamp_ms: 0,
+                endpoint: 0,
+                prompt_tokens: 128,
+                output_tokens: 16,
+            },
+            TraceRecord {
+                timestamp_ms: 900,
+                endpoint: 1,
+                prompt_tokens: 64,
+                output_tokens: 8,
+            },
         ];
-        buffer.load_trace(&good, catalog.len()).expect("in-catalog endpoints load");
-        let mut fabric =
-            RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
+        buffer
+            .load_trace(&good, catalog.len())
+            .expect("in-catalog endpoints load");
+        let mut fabric = RequestFabric::new(42, &catalog, RequestFabricConfig::default(), false);
         buffer.drain_before(MS_PER_MINUTE, |t, r| fabric.deliver(t, r));
         fabric.serve_step(SimTime::ZERO, SimDuration::from_minutes(5), &[1, 1]);
         assert_eq!(fabric.metrics().completed, 2);

@@ -104,7 +104,9 @@ impl FleetSimulator {
     #[must_use]
     pub fn with_arrivals(config: FleetConfig, arrivals: Vec<Vm>) -> Self {
         debug_assert!(
-            arrivals.windows(2).all(|pair| pair[0].arrival <= pair[1].arrival),
+            arrivals
+                .windows(2)
+                .all(|pair| pair[0].arrival <= pair[1].arrival),
             "replayed arrival traces must be sorted by arrival time"
         );
         let cells = Self::checked_cells(&config);
@@ -250,7 +252,8 @@ impl FleetSimulator {
                 .extend(self.cells.iter().map(|cell| cell.site_signals(now)));
             self.geo.begin_step(self.cells.len());
             for (site, cell) in self.cells.iter().enumerate() {
-                self.geo.set_request_capacity(site, cell.fabric_effective_replicas());
+                self.geo
+                    .set_request_capacity(site, cell.fabric_effective_replicas());
             }
         }
 
@@ -290,8 +293,7 @@ impl FleetSimulator {
             mark = self.profile.lap(StepPhase::FabricGenerate, mark);
         }
         if !self.fabric_queue.is_empty() {
-            let end_ms =
-                (now.as_minutes() + self.config.base.step.as_minutes()) * MS_PER_MINUTE;
+            let end_ms = (now.as_minutes() + self.config.base.step.as_minutes()) * MS_PER_MINUTE;
             let geo_policy = self.config.geo;
             let cells = &mut self.cells;
             let signals = &self.signals;
@@ -301,9 +303,7 @@ impl FleetSimulator {
                 let site = match geo_policy {
                     GeoPolicy::Pinned(site) => site,
                     GeoPolicy::RoundRobin => request_splitter.next_site(),
-                    GeoPolicy::Headroom => {
-                        geo.choose_request(signals, request.endpoint as usize)
-                    }
+                    GeoPolicy::Headroom => geo.choose_request(signals, request.endpoint as usize),
                 };
                 cells[site].deliver_request(time_ms, request);
             });
@@ -329,8 +329,11 @@ impl FleetSimulator {
                 break;
             }
         }
-        let sites: Vec<RunReport> =
-            self.cells.into_iter().map(ClusterSimulator::into_report).collect();
+        let sites: Vec<RunReport> = self
+            .cells
+            .into_iter()
+            .map(ClusterSimulator::into_report)
+            .collect();
         FleetReport {
             geo: self.config.geo.label(),
             site_names: self.config.sites.iter().map(|s| s.name.clone()).collect(),
@@ -365,9 +368,16 @@ mod tests {
             assert!(site.peak_temperature_c() > 20.0);
         }
         // The fleet-sized stream spreads across every site.
-        assert!(report.vms_routed.iter().all(|&n| n > 0), "{:?}", report.vms_routed);
+        assert!(
+            report.vms_routed.iter().all(|&n| n > 0),
+            "{:?}",
+            report.vms_routed
+        );
         assert!(report.total_requests_served() > 0);
-        assert!(report.sites.iter().any(|s| s.events.count(EventKind::VmPlaced) > 0));
+        assert!(report
+            .sites
+            .iter()
+            .any(|s| s.events.count(EventKind::VmPlaced) > 0));
     }
 
     #[test]
@@ -399,8 +409,7 @@ mod tests {
 
     #[test]
     fn pinned_geo_routes_everything_to_one_site() {
-        let report =
-            FleetSimulator::new(smoke_fleet(3).with_geo(GeoPolicy::Pinned(1))).run();
+        let report = FleetSimulator::new(smoke_fleet(3).with_geo(GeoPolicy::Pinned(1))).run();
         assert_eq!(report.vms_routed[0], 0);
         assert_eq!(report.vms_routed[2], 0);
         assert!(report.vms_routed[1] > 0);
@@ -423,7 +432,10 @@ mod tests {
     fn fleet_signals_reflect_site_state_after_a_step() {
         let mut sim = FleetSimulator::new(smoke_fleet(3));
         let cold: Vec<u32> = sim.signals().iter().map(|s| s.free_servers).collect();
-        assert!(cold.iter().all(|&f| f == 8), "all sites start fully free: {cold:?}");
+        assert!(
+            cold.iter().all(|&f| f == 8),
+            "all sites start fully free: {cold:?}"
+        );
         sim.step(SimTime::ZERO);
         let signals = sim.signals();
         assert_eq!(signals.len(), 3);
@@ -449,8 +461,10 @@ mod tests {
     #[should_panic(expected = "rate scale must be in [0, 1000], got NaN")]
     fn nan_fabric_rate_fails_the_config_check_not_the_generator() {
         let mut fleet = smoke_fleet(2);
-        fleet.base.request_fabric =
-            Some(RequestFabricConfig { rate_scale: f64::NAN, ..RequestFabricConfig::default() });
+        fleet.base.request_fabric = Some(RequestFabricConfig {
+            rate_scale: f64::NAN,
+            ..RequestFabricConfig::default()
+        });
         let _ = FleetSimulator::new(fleet);
     }
 

@@ -12,8 +12,8 @@ use simkit::time::{SimDuration, SimTime};
 /// implicit overflow bucket. Fixed edges keep recorded artifacts comparable across runs
 /// and trivially mergeable across sites.
 pub const LATENCY_BUCKET_EDGES_MS: [u64; 23] = [
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
-    131_072, 262_144, 524_288, 1_048_576, 2_097_152, 4_194_304,
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131_072,
+    262_144, 524_288, 1_048_576, 2_097_152, 4_194_304,
 ];
 
 /// SLO multipliers at which the attainment curves are sampled. A request counts toward
@@ -86,8 +86,15 @@ impl CurveBins {
 /// The thresholds ascend and none is NaN, so the ones a number misses are a prefix and
 /// the index is their count, taken without a branch per threshold.
 fn first_met(sample: f64, thresholds: &[f64; SLO_CURVE_MULTIPLIERS.len()]) -> usize {
-    let missed = thresholds.iter().filter(|&&threshold| threshold < sample).count();
-    if sample.is_nan() { thresholds.len() } else { missed }
+    let missed = thresholds
+        .iter()
+        .filter(|&&threshold| threshold < sample)
+        .count();
+    if sample.is_nan() {
+        thresholds.len()
+    } else {
+        missed
+    }
 }
 
 /// A fixed-edge latency histogram over [`LATENCY_BUCKET_EDGES_MS`] (the last bucket is
@@ -111,7 +118,10 @@ impl LatencyHistogram {
     /// An empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        Self { counts: vec![0; LATENCY_BUCKET_EDGES_MS.len() + 1], sum_ms: 0.0 }
+        Self {
+            counts: vec![0; LATENCY_BUCKET_EDGES_MS.len() + 1],
+            sum_ms: 0.0,
+        }
     }
 
     /// The bucket of a sample: the first edge at or above it. The edges are the powers
@@ -149,7 +159,11 @@ impl LatencyHistogram {
     #[must_use]
     pub fn mean_ms(&self) -> f64 {
         let total = self.total();
-        if total == 0 { 0.0 } else { self.sum_ms / total as f64 }
+        if total == 0 {
+            0.0
+        } else {
+            self.sum_ms / total as f64
+        }
     }
 
     /// The upper bucket edge (ms) below which at least `quantile` (in `[0, 1]`) of the
@@ -325,8 +339,11 @@ impl RequestMetrics {
             self.tbt.record(mean_tbt_ms);
         }
         let ttft_from = first_met(ttft_ms, &thresholds.ttft_ms);
-        let tbt_from =
-            if mean_tbt_ms <= 0.0 { 0 } else { first_met(mean_tbt_ms, &thresholds.tbt_ms) };
+        let tbt_from = if mean_tbt_ms <= 0.0 {
+            0
+        } else {
+            first_met(mean_tbt_ms, &thresholds.tbt_ms)
+        };
         self.pending.ttft[ttft_from] += 1;
         self.pending.tbt[tbt_from] += 1;
         self.pending.joint[ttft_from.max(tbt_from)] += 1;
@@ -519,7 +536,8 @@ impl RunReport {
     /// Fraction of steps during which at least one power-hierarchy level was capped.
     #[must_use]
     pub fn power_capped_time_fraction(&self) -> f64 {
-        self.events.fraction_of_time(EventKind::PowerCap, self.horizon, self.step)
+        self.events
+            .fraction_of_time(EventKind::PowerCap, self.horizon, self.step)
     }
 
     /// Largest number of SLO-violating instances in any single step — the "worst-step
@@ -633,13 +651,19 @@ impl FleetReport {
     /// Thermal throttle events summed over sites.
     #[must_use]
     pub fn thermal_throttle_events(&self) -> usize {
-        self.sites.iter().map(|s| s.events.count(EventKind::ThermalThrottle)).sum()
+        self.sites
+            .iter()
+            .map(|s| s.events.count(EventKind::ThermalThrottle))
+            .sum()
     }
 
     /// Power capping events summed over sites.
     #[must_use]
     pub fn power_cap_events(&self) -> usize {
-        self.sites.iter().map(|s| s.events.count(EventKind::PowerCap)).sum()
+        self.sites
+            .iter()
+            .map(|s| s.events.count(EventKind::PowerCap))
+            .sum()
     }
 
     /// Site-minutes spent with at least one power-capped hierarchy level, summed over
@@ -666,10 +690,18 @@ impl FleetReport {
     /// index before the worst step is taken.
     #[must_use]
     pub fn worst_step_slo_violations(&self) -> usize {
-        let steps = self.sites.iter().map(|s| s.slo_violating_instances.len()).max().unwrap_or(0);
+        let steps = self
+            .sites
+            .iter()
+            .map(|s| s.slo_violating_instances.len())
+            .max()
+            .unwrap_or(0);
         (0..steps)
             .map(|step| {
-                let counts = self.sites.iter().map(|s| s.slo_violating_instances.values());
+                let counts = self
+                    .sites
+                    .iter()
+                    .map(|s| s.slo_violating_instances.values());
                 counts.filter_map(|values| values.get(step)).sum::<f64>()
             })
             .fold(0.0, f64::max) as usize
@@ -678,13 +710,19 @@ impl FleetReport {
     /// Minute of the last thermal-throttle or power-cap event across the fleet, if any.
     #[must_use]
     pub fn last_stress_event_minute(&self) -> Option<u64> {
-        self.sites.iter().filter_map(RunReport::last_stress_event_minute).max()
+        self.sites
+            .iter()
+            .filter_map(RunReport::last_stress_event_minute)
+            .max()
     }
 
     /// The hottest GPU temperature any site reached.
     #[must_use]
     pub fn peak_temperature_c(&self) -> f64 {
-        self.sites.iter().map(RunReport::peak_temperature_c).fold(0.0, f64::max)
+        self.sites
+            .iter()
+            .map(RunReport::peak_temperature_c)
+            .fold(0.0, f64::max)
     }
 
     /// Mean result quality across every instance-step the fleet served.
@@ -707,7 +745,9 @@ impl FleetReport {
         let mut merged: Option<RequestMetrics> = None;
         for site in &self.sites {
             if let Some(metrics) = &site.request_fabric {
-                merged.get_or_insert_with(RequestMetrics::new).merge(metrics);
+                merged
+                    .get_or_insert_with(RequestMetrics::new)
+                    .merge(metrics);
             }
         }
         merged
@@ -780,7 +820,11 @@ mod tests {
         for sample in samples {
             let mut histogram = LatencyHistogram::new();
             histogram.record(sample);
-            let bucket = histogram.counts.iter().position(|&count| count == 1).unwrap();
+            let bucket = histogram
+                .counts
+                .iter()
+                .position(|&count| count == 1)
+                .unwrap();
             assert_eq!(bucket, linear(sample), "sample {sample}");
             let sum = 0.0 + sample.max(0.0);
             assert_eq!(histogram.sum_ms.to_bits(), sum.to_bits(), "sum {sample}");
@@ -811,7 +855,9 @@ mod tests {
             report.saas_utilization.push(t, 0.5);
         }
         report.slo_violating_instances = violating_per_step(&[0.0, 1.0, 0.0, 0.0]);
-        report.events.record(EventKind::ThermalThrottle, SimTime::from_minutes(5), 1);
+        report
+            .events
+            .record(EventKind::ThermalThrottle, SimTime::from_minutes(5), 1);
         for quality in [1.0, 1.0, 0.72, 1.0] {
             report.quality_sum += quality;
             report.quality_samples += 1;
@@ -846,7 +892,9 @@ mod tests {
         report.slo_violating_instances = violating_per_step(&[0.0, 0.0, 2.0, 1.0]);
         assert_eq!(report.worst_step_slo_violations(), 2);
         assert_eq!(report.last_stress_event_minute(), Some(5));
-        report.events.record(EventKind::PowerCap, SimTime::from_minutes(15), 1);
+        report
+            .events
+            .record(EventKind::PowerCap, SimTime::from_minutes(15), 1);
         assert_eq!(report.last_stress_event_minute(), Some(15));
 
         // Fleet-wide, the sites' per-step counts add up before the worst step is taken:
@@ -866,7 +914,11 @@ mod tests {
 
     #[test]
     fn empty_report_defaults() {
-        let report = RunReport::new("Baseline", SimTime::from_hours(1), SimDuration::from_minutes(5));
+        let report = RunReport::new(
+            "Baseline",
+            SimTime::from_hours(1),
+            SimDuration::from_minutes(5),
+        );
         assert_eq!(report.peak_temperature_c(), 0.0);
         assert_eq!(report.normalized_peak_power(), 0.0);
         assert_eq!(report.slo_attainment(), 1.0);
@@ -887,7 +939,10 @@ mod tests {
     fn serde_round_trip() {
         let report = report_with_data();
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.ends_with("\"request_fabric\":null}"), "every key is written");
+        assert!(
+            json.ends_with("\"request_fabric\":null}"),
+            "every key is written"
+        );
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.policy, report.policy);
         assert_eq!(back.requests_served, report.requests_served);
@@ -934,7 +989,9 @@ mod tests {
         let mut unfolded = RequestMetrics::new();
         unfolded.record(&targets, 80.0, 9.0, 0);
         assert_eq!((unfolded.completed, unfolded.joint_curve[0]), (1, 0));
-        assert!(!serde_json::to_string(&unfolded).unwrap().contains("pending"));
+        assert!(!serde_json::to_string(&unfolded)
+            .unwrap()
+            .contains("pending"));
         unfolded.fold_curves();
         assert_eq!(unfolded.joint_curve, vec![1; SLO_CURVE_MULTIPLIERS.len()]);
         // Empty metrics default to full attainment.

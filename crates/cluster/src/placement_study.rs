@@ -36,7 +36,12 @@ pub struct PlacementStudy {
 
 impl Default for PlacementStudy {
     fn default() -> Self {
-        Self { vm_count: 60, samples: 1000, outside_temp_c: 32.0, seed: 42 }
+        Self {
+            vm_count: 60,
+            samples: 1000,
+            outside_temp_c: 32.0,
+            seed: 42,
+        }
     }
 }
 
@@ -54,9 +59,7 @@ impl PlacementStudy {
         let vm_count = self.vm_count.min(server_count);
 
         // Heterogeneous per-VM loads: some VMs run hot, some are light.
-        let vm_loads: Vec<f64> = (0..vm_count)
-            .map(|_| rng.uniform(0.45, 1.0))
-            .collect();
+        let vm_loads: Vec<f64> = (0..vm_count).map(|_| rng.uniform(0.45, 1.0)).collect();
 
         (0..self.samples)
             .map(|_| {
@@ -111,7 +114,13 @@ mod tests {
     use simkit::stats;
 
     fn samples() -> Vec<PlacementSample> {
-        PlacementStudy { vm_count: 60, samples: 120, outside_temp_c: 32.0, seed: 7 }.run()
+        PlacementStudy {
+            vm_count: 60,
+            samples: 120,
+            outside_temp_c: 32.0,
+            seed: 7,
+        }
+        .run()
     }
 
     #[test]
@@ -135,14 +144,25 @@ mod tests {
     fn temperature_and_power_are_weakly_correlated() {
         let samples = samples();
         let corr = PlacementStudy::temperature_power_correlation(&samples);
-        assert!(corr.abs() < 0.5, "Fig. 11b: placements show no strong correlation, got {corr}");
+        assert!(
+            corr.abs() < 0.5,
+            "Fig. 11b: placements show no strong correlation, got {corr}"
+        );
         assert_eq!(PlacementStudy::temperature_power_correlation(&[]), 0.0);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = PlacementStudy { samples: 10, ..PlacementStudy::default() }.run();
-        let b = PlacementStudy { samples: 10, ..PlacementStudy::default() }.run();
+        let a = PlacementStudy {
+            samples: 10,
+            ..PlacementStudy::default()
+        }
+        .run();
+        let b = PlacementStudy {
+            samples: 10,
+            ..PlacementStudy::default()
+        }
+        .run();
         assert_eq!(a, b);
     }
 }

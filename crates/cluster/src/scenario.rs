@@ -344,7 +344,10 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::NoSites => write!(f, "a fleet needs at least one site"),
             ScenarioError::PinnedSiteOutOfRange { site, sites } => {
-                write!(f, "pinned site {site} out of range for a {sites}-site fleet")
+                write!(
+                    f,
+                    "pinned site {site} out of range for a {sites}-site fleet"
+                )
             }
             ScenarioError::NonPositiveArrivalScale { scale } => {
                 write!(f, "arrival scale must be finite and positive, got {scale}")
@@ -361,12 +364,18 @@ impl fmt::Display for ScenarioError {
                 "event {event} targets site {site}, out of range for a {sites}-site fleet"
             ),
             ScenarioError::EmptyWindow { event } => {
-                write!(f, "event {event} has an empty window (start must precede end)")
+                write!(
+                    f,
+                    "event {event} has an empty window (start must precede end)"
+                )
             }
             ScenarioError::NonFiniteWeatherDelta { event } => {
                 write!(f, "event {event} has a non-finite temperature delta")
             }
-            ScenarioError::InvalidPrice { event: Some(event), price } => {
+            ScenarioError::InvalidPrice {
+                event: Some(event),
+                price,
+            } => {
                 write!(f, "event {event} has an invalid grid price {price}")
             }
             ScenarioError::InvalidPrice { event: None, price } => {
@@ -388,7 +397,10 @@ impl fmt::Display for ScenarioError {
                 "event {event} has an invalid demand multiplier {multiplier}"
             ),
             ScenarioError::NoFailedReplicas { event } => {
-                write!(f, "event {event} is a replica failure that kills zero replicas")
+                write!(
+                    f,
+                    "event {event} is a replica failure that kills zero replicas"
+                )
             }
             ScenarioError::InvalidRateScale { scale } => write!(
                 f,
@@ -399,7 +411,10 @@ impl fmt::Display for ScenarioError {
                 f,
                 "request-fabric SLO multiplier must be finite and positive, got {multiplier}"
             ),
-            ScenarioError::InvalidLayout { site: Some(site), error } => {
+            ScenarioError::InvalidLayout {
+                site: Some(site),
+                error,
+            } => {
                 write!(f, "site {site}: {error}")
             }
             ScenarioError::InvalidLayout { site: None, error } => write!(f, "{error}"),
@@ -422,7 +437,10 @@ pub struct Scenario {
 
 impl Default for Scenario {
     fn default() -> Self {
-        Self { base_grid_price_per_mwh: DEFAULT_GRID_PRICE_PER_MWH, events: Vec::new() }
+        Self {
+            base_grid_price_per_mwh: DEFAULT_GRID_PRICE_PER_MWH,
+            events: Vec::new(),
+        }
     }
 }
 
@@ -430,7 +448,9 @@ impl Scenario {
     /// Starts a fluent scenario builder.
     #[must_use]
     pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder { scenario: Scenario::default() }
+        ScenarioBuilder {
+            scenario: Scenario::default(),
+        }
     }
 
     /// Returns `true` when the scenario has no events (the legacy, event-free shape).
@@ -516,7 +536,9 @@ impl Scenario {
                         }
                     }
                     FailureKind::CoolingDeviceFailure { capacity_fraction }
-                    | FailureKind::UpsFailure { capacity_fraction, .. } => {
+                    | FailureKind::UpsFailure {
+                        capacity_fraction, ..
+                    } => {
                         if !capacity_fraction.is_finite()
                             || capacity_fraction <= 0.0
                             || capacity_fraction > 1.0
@@ -637,7 +659,9 @@ impl Scenario {
                         *slot = slot.min(fraction);
                     }
                 }
-                ScenarioEvent::ReplicaFailure { endpoint, replicas, .. } => {
+                ScenarioEvent::ReplicaFailure {
+                    endpoint, replicas, ..
+                } => {
                     timeline.replica_failures.push(ReplicaFailureWindow {
                         start,
                         end,
@@ -645,7 +669,11 @@ impl Scenario {
                         replicas,
                     });
                 }
-                ScenarioEvent::Surge { endpoint, multiplier, .. } => match endpoint {
+                ScenarioEvent::Surge {
+                    endpoint,
+                    multiplier,
+                    ..
+                } => match endpoint {
                     None => {
                         for slot in &mut timeline.demand_scale[range] {
                             *slot *= multiplier;
@@ -669,7 +697,6 @@ impl Scenario {
         }
         timeline
     }
-
 }
 
 /// Number of step samples a `[0, duration]` run records (the step loop includes both the
@@ -791,7 +818,10 @@ impl ScenarioBuilder {
             site: site.into(),
             start,
             end,
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction,
+            },
         });
         self
     }
@@ -829,7 +859,10 @@ impl ScenarioBuilder {
             site: site.into(),
             start,
             end,
-            kind: FailureKind::AhuFailure { aisle: AisleId::new(aisle), failed_units },
+            kind: FailureKind::AhuFailure {
+                aisle: AisleId::new(aisle),
+                failed_units,
+            },
         });
         self
     }
@@ -1040,9 +1073,7 @@ impl ResolvedTimeline {
     pub fn failed_replicas_at(&self, now: SimTime, endpoint: EndpointId) -> u32 {
         self.replica_failures
             .iter()
-            .filter(|w| {
-                now >= w.start && now < w.end && w.endpoint.is_none_or(|id| id == endpoint)
-            })
+            .filter(|w| now >= w.start && now < w.end && w.endpoint.is_none_or(|id| id == endpoint))
             .map(|w| w.replicas)
             .sum()
     }
@@ -1091,7 +1122,12 @@ mod tests {
     }
 
     fn resolve(scenario: &Scenario, site: usize) -> ResolvedTimeline {
-        scenario.resolve(site, SimTime::from_hours(2), SimDuration::from_minutes(5), 4)
+        scenario.resolve(
+            site,
+            SimTime::from_hours(2),
+            SimDuration::from_minutes(5),
+            4,
+        )
     }
 
     #[test]
@@ -1100,7 +1136,10 @@ mod tests {
         assert_eq!(timeline.step_count(), 25);
         for minutes in [0u64, 5, 60, 120, 500] {
             assert_eq!(timeline.temp_offset_at(t(minutes)), 0.0);
-            assert_eq!(timeline.grid_price_at(t(minutes)), DEFAULT_GRID_PRICE_PER_MWH);
+            assert_eq!(
+                timeline.grid_price_at(t(minutes)),
+                DEFAULT_GRID_PRICE_PER_MWH
+            );
             assert_eq!(timeline.demand_scale_at(t(minutes), EndpointId(0)), 1.0);
         }
         assert!(timeline.failures().windows().is_empty());
@@ -1122,7 +1161,11 @@ mod tests {
         assert_eq!(timeline.temp_offset_at(t(60)), 0.0);
         // Half-open window: a step landing exactly on `end` is outside.
         let other_site = resolve(&scenario, 1);
-        assert_eq!(other_site.temp_offset_at(t(30)), 8.0, "site 1 skips the Site(0) event");
+        assert_eq!(
+            other_site.temp_offset_at(t(30)),
+            8.0,
+            "site 1 skips the Site(0) event"
+        );
     }
 
     #[test]
@@ -1166,19 +1209,21 @@ mod tests {
             .fail_ahus(0, 1, 2, t(10), t(40))
             .build()
             .expect("valid");
-        let timeline =
-            scenario.resolve(0, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
+        let timeline = scenario.resolve(0, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
         assert_eq!(timeline.failures().windows().len(), 3);
         let state = timeline.failures().state_at(t(15));
         assert!((state.global_cooling_fraction - 0.9).abs() < 1e-12);
         assert_eq!(state.failed_upses().len(), 1);
         assert_eq!(state.failed_ahus().len(), 1);
         // Each window ends on schedule.
-        assert!(timeline.failures().state_at(t(25)).failed_upses().is_empty());
+        assert!(timeline
+            .failures()
+            .state_at(t(25))
+            .failed_upses()
+            .is_empty());
         assert_eq!(timeline.failures().state_at(t(25)).failed_ahus().len(), 1);
         // Site 1 sees only the fleet-wide windows.
-        let other =
-            scenario.resolve(1, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
+        let other = scenario.resolve(1, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
         assert_eq!(other.failures().windows().len(), 2);
     }
 
@@ -1193,9 +1238,17 @@ mod tests {
         let timeline = resolve(&scenario, 0);
         assert_eq!(timeline.power_cap_at(t(0)), 1.0);
         assert_eq!(timeline.power_cap_at(t(10)), 0.8);
-        assert_eq!(timeline.power_cap_at(t(30)), 0.6, "most restrictive cap wins");
+        assert_eq!(
+            timeline.power_cap_at(t(30)),
+            0.6,
+            "most restrictive cap wins"
+        );
         assert_eq!(timeline.power_cap_at(t(40)), 0.6);
-        assert_eq!(timeline.power_cap_at(t(45)), 0.8, "0.9 is weaker than the 0.8 backdrop");
+        assert_eq!(
+            timeline.power_cap_at(t(45)),
+            0.8,
+            "0.9 is weaker than the 0.8 backdrop"
+        );
         assert_eq!(timeline.power_cap_at(t(60)), 1.0, "half-open window");
         assert_eq!(timeline.power_caps().len(), timeline.step_count());
         // Site 1 only sees the fleet-wide cap.
@@ -1224,7 +1277,11 @@ mod tests {
             3,
             "overlapping windows sum and endpoint targeting filters"
         );
-        assert_eq!(timeline.failed_replicas_at(t(40), EndpointId(1)), 0, "half-open window");
+        assert_eq!(
+            timeline.failed_replicas_at(t(40), EndpointId(1)),
+            0,
+            "half-open window"
+        );
         // Site 1 sees its own window but not site 0's endpoint-targeted one.
         let other = resolve(&scenario, 1);
         assert_eq!(other.failed_replicas_at(t(25), EndpointId(1)), 6);
@@ -1238,7 +1295,10 @@ mod tests {
         let zero = Scenario::builder()
             .fail_replicas(SiteSelector::All, t(0), t(30), None, 0)
             .build();
-        assert_eq!(zero.unwrap_err(), ScenarioError::NoFailedReplicas { event: 0 });
+        assert_eq!(
+            zero.unwrap_err(),
+            ScenarioError::NoFailedReplicas { event: 0 }
+        );
         let message = ScenarioError::NoFailedReplicas { event: 3 }.to_string();
         assert!(message.contains("zero replicas"), "{message}");
     }
@@ -1246,8 +1306,9 @@ mod tests {
     #[test]
     fn power_cap_fractions_are_validated() {
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let result =
-                Scenario::builder().power_cap(SiteSelector::All, t(0), t(30), bad).build();
+            let result = Scenario::builder()
+                .power_cap(SiteSelector::All, t(0), t(30), bad)
+                .build();
             match result.unwrap_err() {
                 ScenarioError::InvalidPowerCapFraction { event: 0, fraction } => {
                     assert!(fraction.is_nan() || fraction == bad);
@@ -1268,10 +1329,17 @@ mod tests {
             .expect("event invariants hold");
         assert_eq!(
             scenario.validate(2).unwrap_err(),
-            ScenarioError::SiteOutOfRange { event: 0, site: 3, sites: 2 }
+            ScenarioError::SiteOutOfRange {
+                event: 0,
+                site: 3,
+                sites: 2
+            }
         );
-        let message = ScenarioError::InvalidPowerCapFraction { event: 2, fraction: 1.5 }
-            .to_string();
+        let message = ScenarioError::InvalidPowerCapFraction {
+            event: 2,
+            fraction: 1.5,
+        }
+        .to_string();
         assert!(message.contains("power-cap fraction"), "{message}");
     }
 
@@ -1295,33 +1363,53 @@ mod tests {
     #[test]
     fn validation_rejects_bad_events_with_typed_errors() {
         let empty_window = Scenario::builder().surge(t(30), t(30), 2.0).build();
-        assert_eq!(empty_window.unwrap_err(), ScenarioError::EmptyWindow { event: 0 });
+        assert_eq!(
+            empty_window.unwrap_err(),
+            ScenarioError::EmptyWindow { event: 0 }
+        );
 
         let bad_multiplier = Scenario::builder().surge(t(0), t(30), 0.0).build();
         assert_eq!(
             bad_multiplier.unwrap_err(),
-            ScenarioError::InvalidMultiplier { event: 0, multiplier: 0.0 }
+            ScenarioError::InvalidMultiplier {
+                event: 0,
+                multiplier: 0.0
+            }
         );
 
-        let bad_fraction =
-            Scenario::builder().fail_ups(SiteSelector::All, t(0), t(30), 1.5).build();
+        let bad_fraction = Scenario::builder()
+            .fail_ups(SiteSelector::All, t(0), t(30), 1.5)
+            .build();
         assert_eq!(
             bad_fraction.unwrap_err(),
-            ScenarioError::InvalidCapacityFraction { event: 0, fraction: 1.5 }
+            ScenarioError::InvalidCapacityFraction {
+                event: 0,
+                fraction: 1.5
+            }
         );
 
         let bad_price = Scenario::builder().base_grid_price(-1.0).build();
         assert_eq!(
             bad_price.unwrap_err(),
-            ScenarioError::InvalidPrice { event: None, price: -1.0 }
+            ScenarioError::InvalidPrice {
+                event: None,
+                price: -1.0
+            }
         );
 
-        let bad_delta =
-            Scenario::builder().weather(SiteSelector::All, t(0), t(30), f64::NAN).build();
-        assert_eq!(bad_delta.unwrap_err(), ScenarioError::NonFiniteWeatherDelta { event: 0 });
+        let bad_delta = Scenario::builder()
+            .weather(SiteSelector::All, t(0), t(30), f64::NAN)
+            .build();
+        assert_eq!(
+            bad_delta.unwrap_err(),
+            ScenarioError::NonFiniteWeatherDelta { event: 0 }
+        );
 
         let no_units = Scenario::builder().fail_ahus(0, 0, 0, t(0), t(30)).build();
-        assert_eq!(no_units.unwrap_err(), ScenarioError::NoFailedUnits { event: 0 });
+        assert_eq!(
+            no_units.unwrap_err(),
+            ScenarioError::NoFailedUnits { event: 0 }
+        );
     }
 
     #[test]
@@ -1333,7 +1421,11 @@ mod tests {
         assert!(scenario.validate(3).is_ok());
         assert_eq!(
             scenario.validate(2).unwrap_err(),
-            ScenarioError::SiteOutOfRange { event: 0, site: 2, sites: 2 }
+            ScenarioError::SiteOutOfRange {
+                event: 0,
+                site: 2,
+                sites: 2
+            }
         );
         // Errors render as readable text.
         let message = scenario.validate(2).unwrap_err().to_string();
@@ -1388,8 +1480,12 @@ mod tests {
             .grid_price(SiteSelector::All, t(30), t(45), 200.0)
             .build()
             .expect("valid");
-        let timeline =
-            scenario.resolve(0, SimTime::from_minutes(30), SimDuration::from_minutes(15), 1);
+        let timeline = scenario.resolve(
+            0,
+            SimTime::from_minutes(30),
+            SimDuration::from_minutes(15),
+            1,
+        );
         // 1 MWh-equivalent pricing: (1000 kW × 0.25 h × $100 + same + 2000 × 0.25 × $200) / 1000.
         let cost = energy_cost_usd(&report, &timeline);
         assert!((cost - (25.0 + 25.0 + 100.0)).abs() < 1e-9, "cost {cost}");

@@ -40,8 +40,11 @@ pub enum IntensityTier {
 
 impl IntensityTier {
     /// All tiers, mild to adversarial.
-    pub const ALL: [IntensityTier; 3] =
-        [IntensityTier::Mild, IntensityTier::Severe, IntensityTier::Adversarial];
+    pub const ALL: [IntensityTier; 3] = [
+        IntensityTier::Mild,
+        IntensityTier::Severe,
+        IntensityTier::Adversarial,
+    ];
 
     /// A short display label.
     #[must_use]
@@ -72,7 +75,12 @@ impl GeneratorConfig {
     /// default 4-endpoint catalog of the experiment presets.
     #[must_use]
     pub fn new(tier: IntensityTier, sites: usize, duration: SimTime) -> Self {
-        Self { tier, sites, duration, endpoints: 4 }
+        Self {
+            tier,
+            sites,
+            duration,
+            endpoints: 4,
+        }
     }
 }
 
@@ -202,9 +210,15 @@ fn clamp_fraction(fraction: f64) -> f64 {
 /// (in debug builds only, as a backstop) a generated event fails validation.
 #[must_use]
 pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
-    assert!(config.sites > 0, "scenario generation needs at least one site");
+    assert!(
+        config.sites > 0,
+        "scenario generation needs at least one site"
+    );
     let duration_minutes = config.duration.as_minutes();
-    assert!(duration_minutes >= 2, "scenario generation needs a horizon of >= 2 minutes");
+    assert!(
+        duration_minutes >= 2,
+        "scenario generation needs a horizon of >= 2 minutes"
+    );
     let p = params(config.tier);
     let root = SimRng::seed_from(seed);
     let mut events: Vec<ScenarioEvent> = Vec::new();
@@ -214,8 +228,17 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
     for _ in 0..count(&mut rng, p.weather_events) {
         let (start, end) = window(&mut rng, duration_minutes, p.window_frac);
         let magnitude = rng.uniform(p.weather_delta_c.0, p.weather_delta_c.1);
-        let delta_c = if rng.chance(p.cold_snap_chance) { -magnitude } else { magnitude };
-        events.push(ScenarioEvent::Weather { site: selector(&mut rng, config.sites), start, end, delta_c });
+        let delta_c = if rng.chance(p.cold_snap_chance) {
+            -magnitude
+        } else {
+            magnitude
+        };
+        events.push(ScenarioEvent::Weather {
+            site: selector(&mut rng, config.sites),
+            start,
+            end,
+            delta_c,
+        });
     }
 
     // Grid-price spikes (overlaps overwrite; later events win, as resolution defines).
@@ -223,7 +246,12 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
     for _ in 0..count(&mut rng, p.price_events) {
         let (start, end) = window(&mut rng, duration_minutes, p.window_frac);
         let price_per_mwh = rng.uniform(p.price_per_mwh.0, p.price_per_mwh.1);
-        events.push(ScenarioEvent::GridPrice { site: selector(&mut rng, config.sites), start, end, price_per_mwh });
+        events.push(ScenarioEvent::GridPrice {
+            site: selector(&mut rng, config.sites),
+            start,
+            end,
+            price_per_mwh,
+        });
     }
 
     // Infrastructure failures: UPS, cooling-device and single-aisle AHU outages. The
@@ -240,13 +268,26 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
             selector(&mut rng, config.sites)
         };
         let kind = match rng.weighted_index(&[3.0, 2.0, 1.0]) {
-            0 => FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: fraction },
-            1 => FailureKind::CoolingDeviceFailure { capacity_fraction: fraction },
+            0 => FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: fraction,
+            },
+            1 => FailureKind::CoolingDeviceFailure {
+                capacity_fraction: fraction,
+            },
             // Aisle 0 exists in every layout; a single failed unit keeps the outage
             // valid regardless of the aisle's AHU provisioning.
-            _ => FailureKind::AhuFailure { aisle: AisleId::new(0), failed_units: 1 },
+            _ => FailureKind::AhuFailure {
+                aisle: AisleId::new(0),
+                failed_units: 1,
+            },
         };
-        events.push(ScenarioEvent::Failure { site, start, end, kind });
+        events.push(ScenarioEvent::Failure {
+            site,
+            start,
+            end,
+            kind,
+        });
     }
 
     // Operator power-cap directives (min-composed at resolution when they overlap).
@@ -254,7 +295,12 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
     for _ in 0..count(&mut rng, p.cap_events) {
         let (start, end) = window(&mut rng, duration_minutes, p.window_frac);
         let fraction = clamp_fraction(rng.uniform(p.cap_fraction.0, p.cap_fraction.1));
-        events.push(ScenarioEvent::PowerCap { site: selector(&mut rng, config.sites), start, end, fraction });
+        events.push(ScenarioEvent::PowerCap {
+            site: selector(&mut rng, config.sites),
+            start,
+            end,
+            fraction,
+        });
     }
 
     // Demand shaping: site-wide surges plus per-endpoint ramps.
@@ -264,7 +310,13 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
         let multiplier = rng.uniform(p.surge_multiplier.0, p.surge_multiplier.1);
         let endpoint = (config.endpoints > 0 && rng.chance(p.ramp_chance))
             .then(|| EndpointId(rng.uniform_usize(0, config.endpoints) as u64));
-        events.push(ScenarioEvent::Surge { site: selector(&mut rng, config.sites), start, end, endpoint, multiplier });
+        events.push(ScenarioEvent::Surge {
+            site: selector(&mut rng, config.sites),
+            start,
+            end,
+            endpoint,
+            multiplier,
+        });
     }
 
     // Serving-replica outages feeding the request fabric's preemption path. The family
@@ -286,8 +338,10 @@ pub fn generate(seed: u64, config: &GeneratorConfig) -> Scenario {
     }
 
     let mut rng = root.derive("generator.price.base");
-    let scenario =
-        Scenario { base_grid_price_per_mwh: rng.uniform(30.0, 60.0), events };
+    let scenario = Scenario {
+        base_grid_price_per_mwh: rng.uniform(30.0, 60.0),
+        events,
+    };
     debug_assert!(
         scenario.validate(config.sites).is_ok(),
         "generated scenarios must be valid by construction: {:?}",
@@ -416,7 +470,10 @@ mod tests {
     fn single_site_worlds_only_target_all() {
         for seed in 0..20 {
             let scenario = generate(seed, &config(IntensityTier::Severe, 1));
-            assert!(scenario.events.iter().all(|e| e.site() == SiteSelector::All));
+            assert!(scenario
+                .events
+                .iter()
+                .all(|e| e.site() == SiteSelector::All));
         }
     }
 
@@ -426,6 +483,9 @@ mod tests {
         let step = simkit::time::SimDuration::from_minutes(10);
         let timeline = scenario.resolve(0, SimTime::from_days(2), step, 4);
         assert!(timeline.power_caps().iter().all(|&f| f > 0.0 && f <= 1.0));
-        assert!(timeline.grid_prices().iter().all(|&p| p.is_finite() && p >= 0.0));
+        assert!(timeline
+            .grid_prices()
+            .iter()
+            .all(|&p| p.is_finite() && p >= 0.0));
     }
 }

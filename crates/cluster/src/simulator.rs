@@ -166,7 +166,10 @@ pub(crate) struct InstanceRegistry {
 
 impl InstanceRegistry {
     fn new(server_count: usize) -> Self {
-        Self { pools: Vec::new(), position: vec![NO_INSTANCE; server_count] }
+        Self {
+            pools: Vec::new(),
+            position: vec![NO_INSTANCE; server_count],
+        }
     }
 
     /// The pool position of the instance on `server`, if one runs there.
@@ -189,7 +192,9 @@ impl InstanceRegistry {
             // A pool's recent index covers the ids its quanta draw, `0..customers.max(1)`;
             // an endpoint outside the catalog is never routed and indexes no customer.
             let id = EndpointId(self.pools.len() as u64);
-            let bound = catalog.get(id).map_or(0, |endpoint| endpoint.customers.max(1));
+            let bound = catalog
+                .get(id)
+                .map_or(0, |endpoint| endpoint.customers.max(1));
             self.pools.push(EndpointPool::new(bound));
         }
         let pool = &mut self.pools[index];
@@ -212,7 +217,9 @@ impl InstanceRegistry {
     }
 
     fn remove(&mut self, server: ServerId, endpoint: EndpointId) {
-        let position = self.position(server).expect("every placed SaaS VM is registered");
+        let position = self
+            .position(server)
+            .expect("every placed SaaS VM is registered");
         self.position[server.index()] = NO_INSTANCE;
         let pool = &mut self.pools[endpoint.0 as usize];
         pool.swap_remove(position);
@@ -245,8 +252,9 @@ impl InstanceRegistry {
     fn begin_step(&mut self, now: SimTime, outside: Celsius, dc_load: f64) {
         for pool in &mut self.pools {
             for i in 0..pool.len() {
-                pool.in_transition[i] =
-                    pool.transition_until[i].map(|until| until > now).unwrap_or(false);
+                pool.in_transition[i] = pool.transition_until[i]
+                    .map(|until| until > now)
+                    .unwrap_or(false);
                 pool.offered[i] = 0.0;
                 pool.risk[i].prepare(outside, dc_load);
             }
@@ -438,8 +446,12 @@ impl ClusterSimulator {
         let row_count = dc.layout().rows().len();
         let aisle_count = dc.layout().aisles().len();
         let tapas_placement = TapasPlacement::default();
-        let planner =
-            PlacementPlanner::new(&state, dc.layout(), &profiles, tapas_placement.config.design);
+        let planner = PlacementPlanner::new(
+            &state,
+            dc.layout(),
+            &profiles,
+            tapas_placement.config.design,
+        );
         let router_tapas = TapasRouter::default();
         let routing_context = RoutingContext {
             outside_temp: Celsius::new(20.0),
@@ -497,7 +509,10 @@ impl ClusterSimulator {
     pub fn run(self) -> RunReport {
         let config = FleetConfig::single_site(self.config.clone());
         let mut report = FleetSimulator::with_cells(config, vec![self], None, None).run();
-        report.sites.pop().expect("a one-site fleet reports one site")
+        report
+            .sites
+            .pop()
+            .expect("a one-site fleet reports one site")
     }
 
     /// Queues a fleet-routed VM arrival. Arrivals must be enqueued in the same
@@ -534,7 +549,9 @@ impl ClusterSimulator {
     }
 
     fn fabric_profile_ns(&self) -> u64 {
-        self.fabric.as_ref().map_or(0, |fabric| fabric.phase_profile().total_ns())
+        self.fabric
+            .as_ref()
+            .map_or(0, |fabric| fabric.phase_profile().total_ns())
     }
 
     /// This site's scheduling signals at `now`: the grid price `now` pays on the cell's
@@ -606,7 +623,10 @@ impl ClusterSimulator {
             if vm.departure() <= now {
                 continue;
             }
-            let request = PlacementRequest { vm, predicted_peak_load: self.predicted_peak_load(&vm) };
+            let request = PlacementRequest {
+                vm,
+                predicted_peak_load: self.predicted_peak_load(&vm),
+            };
             let chosen = if self.config.policy.placement_enabled() {
                 self.tapas_placement.place_with(
                     &request,
@@ -646,7 +666,8 @@ impl ClusterSimulator {
                     self.state
                         .place(vm, server, request.predicted_peak_load, config)
                         .expect("chosen server is free");
-                    self.planner.on_place(server, request.predicted_peak_load, &self.profiles);
+                    self.planner
+                        .on_place(server, request.predicted_peak_load, &self.profiles);
                     self.report.events.record(EventKind::VmPlaced, now, 1);
                 }
                 None => self.report.events.record(EventKind::VmRejected, now, 1),
@@ -748,8 +769,7 @@ impl ClusterSimulator {
                 } else {
                     pool.goodput[index]
                 };
-                let capacity =
-                    (goodput * step_seconds / MEAN_TOKENS_PER_REQUEST).max(1.0);
+                let capacity = (goodput * step_seconds / MEAN_TOKENS_PER_REQUEST).max(1.0);
                 pool.utilization[index] =
                     (pool.utilization[index] + requests_per_quantum / capacity).min(1.5);
                 pool.recent.push(index, customer);
@@ -789,8 +809,11 @@ impl ClusterSimulator {
                 // power-capping directives degrades goodput exactly as it degrades the
                 // physics-side clock (1.0 on a healthy server is a bit-identical no-op).
                 let throttle = carryover[pool.server[i].index()];
-                let effective_goodput =
-                    if in_transition { goodput * 0.5 } else { goodput } * throttle;
+                let effective_goodput = if in_transition {
+                    goodput * 0.5
+                } else {
+                    goodput
+                } * throttle;
                 let utilization = (offered_tokens_per_s / effective_goodput).min(1.5);
                 pool.pressure[i] = utilization;
                 pool.utilization[i] = utilization.min(1.0);
@@ -828,7 +851,11 @@ impl ClusterSimulator {
         }
         self.fabric_replicas.clear();
         for ordinal in 0..self.catalog.len() {
-            let placed = self.registry.pools.get(ordinal).map_or(0, |pool| pool.len() as u32);
+            let placed = self
+                .registry
+                .pools
+                .get(ordinal)
+                .map_or(0, |pool| pool.len() as u32);
             // Replica-failure windows kill serving processes without touching VM
             // placement: the placed instances survive on the books, but the fabric
             // serves on whatever capacity is actually up. Shrinking below the KV
@@ -872,14 +899,15 @@ impl ClusterSimulator {
         let power_cap = self.timeline.power_cap_at(now);
         let layout = self.dc.layout();
         self.row_envelopes.clear();
-        self.row_envelopes.extend((0..self.profiles.row_count()).map(|ordinal| {
-            let row = RowId::new(ordinal);
-            RowEnvelope::new(
-                self.profiles.row_budget(row) * power_cap,
-                self.routing_context.row_power[ordinal],
-                self.state.row_mix(layout, row).1,
-            )
-        }));
+        self.row_envelopes
+            .extend((0..self.profiles.row_count()).map(|ordinal| {
+                let row = RowId::new(ordinal);
+                RowEnvelope::new(
+                    self.profiles.row_budget(row) * power_cap,
+                    self.routing_context.row_power[ordinal],
+                    self.state.row_mix(layout, row).1,
+                )
+            }));
         let thermal_target = self.profiles.thermal_headroom_target;
 
         for endpoint_index in 0..self.registry.pools.len() {
@@ -904,8 +932,7 @@ impl ClusterSimulator {
                 let decision = configurator.select(&current_config, &limits, &self.profiles);
                 if decision.config != current_config {
                     let downtime = decision.cost.downtime_seconds();
-                    let transition_until =
-                        (downtime > 0.0).then(|| now + self.config.step);
+                    let transition_until = (downtime > 0.0).then(|| now + self.config.step);
                     self.registry.set_config(
                         endpoint_index,
                         position,
@@ -913,12 +940,16 @@ impl ClusterSimulator {
                         transition_until,
                         &self.profiles,
                     );
-                    self.state.set_config(vm_id, decision.config).expect("placed instance");
+                    self.state
+                        .set_config(vm_id, decision.config)
+                        .expect("placed instance");
                     assert!(
                         self.profiles.profile_slot(&decision.config).is_some(),
                         "decisions come from the sweep"
                     );
-                    self.report.events.record(EventKind::InstanceReconfigured, now, 1);
+                    self.report
+                        .events
+                        .record(EventKind::InstanceReconfigured, now, 1);
                 }
             }
         }
@@ -933,11 +964,12 @@ impl ClusterSimulator {
     fn fill_activity(&mut self, now: SimTime) {
         let customers = self.iaas_model.customer_count() as u64;
         self.iaas_customer_load.clear();
-        self.iaas_customer_load.extend((0..customers).map(|customer| {
-            self.iaas_model
-                .customer_load(IaasCustomerId(customer), now)
-                .expect("customer ids are 0..customer_count()")
-        }));
+        self.iaas_customer_load
+            .extend((0..customers).map(|customer| {
+                self.iaas_model
+                    .customer_load(IaasCustomerId(customer), now)
+                    .expect("customer ids are 0..customer_count()")
+            }));
         let layout = self.dc.layout();
         for server in layout.servers() {
             let gpus = server.spec.gpus_per_server;
@@ -1013,7 +1045,8 @@ impl ClusterSimulator {
             let lap_end = Instant::now();
             let elapsed = lap_end.duration_since(since).as_nanos() as u64;
             let fabric = self.fabric_profile_ns() - fabric_before;
-            self.profile.add(StepPhase::Offer, elapsed.saturating_sub(fabric));
+            self.profile
+                .add(StepPhase::Offer, elapsed.saturating_sub(fabric));
             mark = Some(lap_end);
         }
         self.reconfigure_instances(now);
@@ -1025,7 +1058,9 @@ impl ClusterSimulator {
         // The resolved timeline holds the scenario's failure windows; the step's power
         // cap rides along the same way (1.0 outside cap windows keeps the engine's
         // uncapped path untouched).
-        self.timeline.failures().state_into(now, &mut self.step_input.failures);
+        self.timeline
+            .failures()
+            .state_into(now, &mut self.step_input.failures);
         self.step_input.power_cap = self.timeline.power_cap_at(now);
         self.dc.evaluate_into(&self.step_input, &mut self.workspace);
         mark = self.profile.lap(StepPhase::Physics, mark);
@@ -1056,10 +1091,21 @@ impl ClusterSimulator {
             .push(now, slo_violating_instances as f64);
 
         let events = &mut self.report.events;
-        events.record(EventKind::ThermalThrottle, now, outcome.thermal_throttles.len());
-        let over_budget_rows = outcome.power.rows.iter().filter(|(_, u)| u.is_over_budget());
+        events.record(
+            EventKind::ThermalThrottle,
+            now,
+            outcome.thermal_throttles.len(),
+        );
+        let over_budget_rows = outcome
+            .power
+            .rows
+            .iter()
+            .filter(|(_, u)| u.is_over_budget());
         events.record(EventKind::PowerCap, now, over_budget_rows.count());
-        let violated_aisles = outcome.aisle_airflow.iter().filter(|(_, a)| a.is_violated());
+        let violated_aisles = outcome
+            .aisle_airflow
+            .iter()
+            .filter(|(_, a)| a.is_violated());
         events.record(EventKind::AirflowViolation, now, violated_aisles.count());
 
         // Carry throttling and capping into the next step's effective frequency, and let
@@ -1130,7 +1176,11 @@ mod tests {
     fn single_site_run_reports_are_pinned() {
         let digest = |config: ExperimentConfig| {
             let report = ClusterSimulator::new(config).run();
-            fnv1a(serde_json::to_string(&report).expect("serialize").as_bytes())
+            fnv1a(
+                serde_json::to_string(&report)
+                    .expect("serialize")
+                    .as_bytes(),
+            )
         };
         let plain = ExperimentConfig::small_smoke_test();
         assert_eq!(digest(plain.clone()), 0x9c60_7ecb_1a76_30f5);
@@ -1240,10 +1290,9 @@ mod tests {
             .surge(SimTime::from_hours(30), SimTime::from_hours(31), 3.0)
             .build()
             .expect("valid scenario");
-        let staged = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test().with_scenario(scenario),
-        )
-        .run();
+        let staged =
+            ClusterSimulator::new(ExperimentConfig::small_smoke_test().with_scenario(scenario))
+                .run();
         assert_eq!(
             serde_json::to_string(&plain).expect("serialize"),
             serde_json::to_string(&staged).expect("serialize"),
@@ -1262,7 +1311,10 @@ mod tests {
         // window closes every recorded sample must be bit-identical to the uncapped
         // run — the pre-cap digest trajectory, not merely "close to it".
         let idle = FleetConfig::single_site(ExperimentConfig::small_smoke_test());
-        let uncapped = FleetSimulator::with_arrivals(idle, Vec::new()).run().sites.remove(0);
+        let uncapped = FleetSimulator::with_arrivals(idle, Vec::new())
+            .run()
+            .sites
+            .remove(0);
         let scenario = Scenario::builder()
             .power_cap(crate::scenario::SiteSelector::All, start, end, 0.05)
             .build()
@@ -1278,13 +1330,20 @@ mod tests {
             let now = clock.now();
             sim.step(now);
             let events = &sim.report.events;
-            let caps = (events.count(EventKind::PowerCap), events.last(EventKind::PowerCap));
+            let caps = (
+                events.count(EventKind::PowerCap),
+                events.last(EventKind::PowerCap),
+            );
             if now < start {
                 assert_eq!(caps.0, 0, "cap event before the window, at {now}");
             } else if now < end {
                 in_window = Some(caps);
             } else {
-                assert_eq!(Some(caps), in_window, "cap event after the window, at {now}");
+                assert_eq!(
+                    Some(caps),
+                    in_window,
+                    "cap event after the window, at {now}"
+                );
             }
             if clock.tick().is_none() {
                 break;
@@ -1292,14 +1351,23 @@ mod tests {
         }
         let (count, last) = in_window.expect("the window lies inside the run");
         assert!(count > 0, "a 5 % cap must put idle rows over budget");
-        assert!(last.is_some_and(|last| last >= start && last < end), "last cap at {last:?}");
+        assert!(
+            last.is_some_and(|last| last >= start && last < end),
+            "last cap at {last:?}"
+        );
         let capped = sim.into_report();
 
         // Recovery: the physical trajectory never left the uncapped one (budgets moved,
         // physics did not), so every series matches bit for bit — including after `end`.
         assert_eq!(capped.max_gpu_temp.values(), uncapped.max_gpu_temp.values());
-        assert_eq!(capped.peak_row_power.values(), uncapped.peak_row_power.values());
-        assert_eq!(capped.datacenter_power.values(), uncapped.datacenter_power.values());
+        assert_eq!(
+            capped.peak_row_power.values(),
+            uncapped.peak_row_power.values()
+        );
+        assert_eq!(
+            capped.datacenter_power.values(),
+            uncapped.datacenter_power.values()
+        );
         assert_eq!(capped.requests_served, uncapped.requests_served);
     }
 
@@ -1343,9 +1411,18 @@ mod tests {
         let after = mean(&headroom, end, SimTime::from_hours(2));
         // The cap visibly shrinks the headroom the geo router sees, and the site
         // recovers most of it once the window closes (recovery asserted, not assumed).
-        assert!(during < before * 0.75, "cap must bite: {before} -> {during}");
-        assert!(after > during, "headroom must recover after the window: {during} -> {after}");
-        assert!(after > before * 0.8, "recovery must approach the pre-cap level: {before} -> {after}");
+        assert!(
+            during < before * 0.75,
+            "cap must bite: {before} -> {during}"
+        );
+        assert!(
+            after > during,
+            "headroom must recover after the window: {during} -> {after}"
+        );
+        assert!(
+            after > before * 0.8,
+            "recovery must approach the pre-cap level: {before} -> {after}"
+        );
 
         // Once recovered, the run keeps serving and tallies the cap.
         let report = sim.into_report();
@@ -1366,10 +1443,9 @@ mod tests {
             )
             .build()
             .expect("valid scenario");
-        let hot = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test().with_scenario(heatwave),
-        )
-        .run();
+        let hot =
+            ClusterSimulator::new(ExperimentConfig::small_smoke_test().with_scenario(heatwave))
+                .run();
         assert!(
             hot.peak_temperature_c() > plain.peak_temperature_c() + 2.0,
             "heatwave {} vs plain {}",
@@ -1386,10 +1462,8 @@ mod tests {
             .surge(SimTime::ZERO, SimTime::from_hours(2), 2.0)
             .build()
             .expect("valid scenario");
-        let surged = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test().with_scenario(surge),
-        )
-        .run();
+        let surged =
+            ClusterSimulator::new(ExperimentConfig::small_smoke_test().with_scenario(surge)).run();
         assert!(
             surged.requests_served as f64 > plain.requests_served as f64 * 1.5,
             "surge {} vs plain {}",
@@ -1421,7 +1495,10 @@ mod tests {
         let catalog = config.endpoint_catalog();
         let trace = config.vm_stream(&catalog, 1.0);
         let fleet = FleetConfig::single_site(config.clone());
-        let replayed = FleetSimulator::with_arrivals(fleet, trace).run().sites.remove(0);
+        let replayed = FleetSimulator::with_arrivals(fleet, trace)
+            .run()
+            .sites
+            .remove(0);
         let generated = ClusterSimulator::new(config).run();
         assert_eq!(
             serde_json::to_string(&replayed).expect("serialize"),
@@ -1445,7 +1522,11 @@ mod tests {
             for (row, &server) in pool.risk.iter().zip(&pool.server) {
                 let mut fresh = RiskRow::of(sim.profiles.server(server));
                 fresh.prepare(outside, dc_load);
-                assert_eq!(format!("{row:?}"), format!("{fresh:?}"), "{server} at {now:?}");
+                assert_eq!(
+                    format!("{row:?}"),
+                    format!("{fresh:?}"),
+                    "{server} at {now:?}"
+                );
                 rows += 1;
             }
         }
@@ -1455,20 +1536,35 @@ mod tests {
         for (endpoint, pool) in sim.registry.pools.iter().enumerate() {
             for (position, (&vm, &server)) in pool.vm.iter().zip(&pool.server).enumerate() {
                 per_row[layout.server(server).row.index()] += 1;
-                assert_eq!(sim.registry.position(server), Some(position), "{vm} on {server}");
-                let placed = sim.state.vm_on(server).expect("an instance's server is occupied");
+                assert_eq!(
+                    sim.registry.position(server),
+                    Some(position),
+                    "{vm} on {server}"
+                );
+                let placed = sim
+                    .state
+                    .vm_on(server)
+                    .expect("an instance's server is occupied");
                 assert_eq!(placed.vm.id, vm);
                 assert_eq!(placed.vm.kind.endpoint(), Some(EndpointId(endpoint as u64)));
                 indexed[server.index()] = true;
             }
         }
         for row in layout.rows() {
-            assert_eq!(sim.state.row_mix(layout, row.id).1, per_row[row.id.index()], "{}", row.id);
+            assert_eq!(
+                sim.state.row_mix(layout, row.id).1,
+                per_row[row.id.index()],
+                "{}",
+                row.id
+            );
         }
         for server in layout.servers() {
             if !indexed[server.id.index()] {
                 assert_eq!(sim.registry.position(server.id), None, "{}", server.id);
-                assert!(sim.state.vm_on(server.id).is_none_or(|p| !p.vm.kind.is_saas()));
+                assert!(sim
+                    .state
+                    .vm_on(server.id)
+                    .is_none_or(|p| !p.vm.kind.is_saas()));
             }
         }
         rows
@@ -1523,12 +1619,20 @@ mod tests {
             // contexts. The last context's thermal target is below the inlet, so its
             // per-GPU budgets hit the 1 W floor.
             let target = sim.profiles.thermal_headroom_target;
-            let contexts =
-                [(18.0, 1.0, target), (41.0, 0.6, target), (30.0, 0.05, Celsius::new(25.0))];
+            let contexts = [
+                (18.0, 1.0, target),
+                (41.0, 0.6, target),
+                (30.0, 0.05, Celsius::new(25.0)),
+            ];
             for (outside, power_cap, thermal_target) in contexts {
                 let outside = Celsius::new(outside);
                 let dc_load = sim.prev_dc_load;
-                for row in sim.registry.pools.iter_mut().flat_map(|pool| &mut pool.risk) {
+                for row in sim
+                    .registry
+                    .pools
+                    .iter_mut()
+                    .flat_map(|pool| &mut pool.risk)
+                {
                     row.prepare(outside, dc_load);
                 }
                 let layout = sim.dc.layout();
@@ -1572,10 +1676,19 @@ mod tests {
             }
         }
         assert!(compared > 5000, "only {compared} instances compared");
-        assert!(over_budget > 2000, "only {over_budget} instances in over-budget rows");
+        assert!(
+            over_budget > 2000,
+            "only {over_budget} instances in over-budget rows"
+        );
         let with_headroom = compared - over_budget;
-        assert!(with_headroom > 2000, "only {with_headroom} instances in rows with headroom");
-        assert!(gpu_floored > 1000, "only {gpu_floored} per-GPU budgets at the floor");
+        assert!(
+            with_headroom > 2000,
+            "only {with_headroom} instances in rows with headroom"
+        );
+        assert!(
+            gpu_floored > 1000,
+            "only {gpu_floored} per-GPU budgets at the floor"
+        );
     }
 
     #[test]
@@ -1591,9 +1704,13 @@ mod tests {
             .map(|i| Vm {
                 id: VmId(i),
                 kind: if i % 4 == 0 {
-                    VmKind::Saas { endpoint: EndpointId(i % 2) }
+                    VmKind::Saas {
+                        endpoint: EndpointId(i % 2),
+                    }
                 } else {
-                    VmKind::Iaas { customer: IaasCustomerId(i % 14) }
+                    VmKind::Iaas {
+                        customer: IaasCustomerId(i % 14),
+                    }
                 },
                 arrival: SimTime::from_minutes(i * 3),
                 lifetime: SimDuration::from_minutes(60 + (i * 37) % 300),
@@ -1648,9 +1765,13 @@ mod tests {
             .map(|i| Vm {
                 id: VmId(i),
                 kind: if i % 4 == 3 {
-                    VmKind::Iaas { customer: IaasCustomerId(i % 12) }
+                    VmKind::Iaas {
+                        customer: IaasCustomerId(i % 12),
+                    }
                 } else {
-                    VmKind::Saas { endpoint: EndpointId(i % 3) }
+                    VmKind::Saas {
+                        endpoint: EndpointId(i % 3),
+                    }
                 },
                 arrival: SimTime::from_minutes(i * 9),
                 lifetime: SimDuration::from_minutes(30 + (i * 53) % 150),
@@ -1674,7 +1795,10 @@ mod tests {
                     positions.insert(vm, position);
                 }
             }
-            retired += previous.keys().filter(|vm| !positions.contains_key(vm)).count();
+            retired += previous
+                .keys()
+                .filter(|vm| !positions.contains_key(vm))
+                .count();
             for pool in &sim.registry.pools {
                 // Every column must stay aligned with the vm column.
                 let n = pool.vm.len();
@@ -1715,7 +1839,8 @@ mod tests {
         sim.routing_context.outside_temp = outside;
         sim.routing_context.dc_load = sim.prev_dc_load;
         let config = &sim.router_tapas.config;
-        sim.prepared_routing.refresh(&sim.routing_context, config, &sim.profiles);
+        sim.prepared_routing
+            .refresh(&sim.routing_context, config, &sim.profiles);
         sim.registry.begin_step(now, outside, sim.prev_dc_load);
         let mut scratch = RouterScratch::default();
         scratch.begin_step(sim.profiles.server_count());
@@ -1807,6 +1932,9 @@ mod tests {
             }
         }
         assert!(quanta > 5000, "only {quanta} quanta compared");
-        assert!(split > quanta / 4, "only {split} of {quanta} quanta saw mixed risk flags");
+        assert!(
+            split > quanta / 4,
+            "only {split} of {quanta} quanta saw mixed risk flags"
+        );
     }
 }

@@ -124,9 +124,12 @@ impl SelectionIndex {
         let mut slots: Vec<usize> = (0..profiles.len()).collect();
         let finite = |a: f64, b: f64| a.partial_cmp(&b).expect("checked finite");
         slots.sort_by(|&a, &b| {
-            finite(profiles[b].goodput_tokens_per_s, profiles[a].goodput_tokens_per_s)
-                .then(finite(power[a], power[b]))
-                .then(b.cmp(&a))
+            finite(
+                profiles[b].goodput_tokens_per_s,
+                profiles[a].goodput_tokens_per_s,
+            )
+            .then(finite(power[a], power[b]))
+            .then(b.cmp(&a))
         });
         let order: Vec<Candidate> = slots
             .iter()
@@ -134,7 +137,11 @@ impl SelectionIndex {
                 let p = &profiles[slot];
                 Candidate {
                     hottest_gpu_w: p.prefill.gpu_power.value().max(p.decode.gpu_power.value()),
-                    server_kw: p.prefill.server_power.value().max(p.decode.server_power.value()),
+                    server_kw: p
+                        .prefill
+                        .server_power
+                        .value()
+                        .max(p.decode.server_power.value()),
                     goodput: p.goodput_tokens_per_s,
                     quality: p.quality,
                     class: variant_class(&p.config) as u16,
@@ -151,7 +158,12 @@ impl SelectionIndex {
         let coolest = (0..profiles.len())
             .min_by(|&a, &b| finite(power[a], power[b]))
             .expect("non-empty");
-        Self { order, position_of_slot, class_members, coolest }
+        Self {
+            order,
+            position_of_slot,
+            class_members,
+            coolest,
+        }
     }
 
     /// The winning `order` position among the candidates `admit` accepts that fit
@@ -214,7 +226,9 @@ impl InstanceConfigurator {
     /// Creates a configurator with the endpoint's quality SLO.
     #[must_use]
     pub fn new(quality_slo: f64) -> Self {
-        Self { quality_slo: quality_slo.clamp(0.0, 1.0) }
+        Self {
+            quality_slo: quality_slo.clamp(0.0, 1.0),
+        }
     }
 
     /// Returns `true` if a profile fits the limits.
@@ -299,7 +313,10 @@ impl InstanceConfigurator {
         if let Some(position) = index.scan(current_position, class, limits, |_| true) {
             return decide(usize::from(index.order[position].slot), true);
         }
-        decide(index.coolest, profiles.llm().profiles[index.coolest].quality < slo)
+        decide(
+            index.coolest,
+            profiles.llm().profiles[index.coolest].quality < slo,
+        )
     }
 
     /// The executable reference of [`Self::select`]: one pass over the whole sweep that
@@ -400,7 +417,12 @@ impl InstanceConfigurator {
     /// Convenience: the decision under no thermal/power pressure. Used by the baseline (which
     /// never reconfigures) and at instance start-up.
     #[must_use]
-    pub fn unconstrained(&self, current: &InstanceConfig, demand: f64, profiles: &ProfileStore) -> ConfigDecision {
+    pub fn unconstrained(
+        &self,
+        current: &InstanceConfig,
+        demand: f64,
+        profiles: &ProfileStore,
+    ) -> ConfigDecision {
         self.select(current, &InstanceLimits::unconstrained(demand), profiles)
     }
 }

@@ -76,7 +76,9 @@ impl EmergencyResponder {
     /// Creates a responder with the endpoint quality SLO used during emergencies.
     #[must_use]
     pub fn new(quality_slo: f64) -> Self {
-        Self { configurator: InstanceConfigurator::new(quality_slo) }
+        Self {
+            configurator: InstanceConfigurator::new(quality_slo),
+        }
     }
 
     /// The Baseline response: a uniform frequency cap on every server (IaaS and SaaS) chosen
@@ -184,7 +186,11 @@ mod tests {
         assert_eq!(plan.iaas_frequency_cap, plan.saas_frequency_cap);
         assert!(plan.iaas_perf_impact_pct() < -10.0);
         assert!(plan.saas_perf_impact_pct() < -10.0);
-        assert_eq!(plan.saas_quality_impact_pct(), 0.0, "baseline never touches quality");
+        assert_eq!(
+            plan.saas_quality_impact_pct(),
+            0.0,
+            "baseline never touches quality"
+        );
         assert!(plan.saas_config.is_none());
     }
 
@@ -217,7 +223,11 @@ mod tests {
         // SaaS absorbs the cut by reconfiguring; quality may drop but stays bounded.
         assert!(plan.saas_config.is_some());
         assert!(plan.saas_quality <= 1.0);
-        assert!(plan.saas_quality >= 0.8, "quality loss should stay bounded, got {}", plan.saas_quality);
+        assert!(
+            plan.saas_quality >= 0.8,
+            "quality loss should stay bounded, got {}",
+            plan.saas_quality
+        );
     }
 
     #[test]

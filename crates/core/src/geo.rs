@@ -253,8 +253,10 @@ impl GeoPlacement {
     /// extra entries are ignored.
     pub fn set_request_capacity(&mut self, site: usize, effective_replicas: &[u32]) {
         let base = site * self.request_endpoints;
-        for (endpoint, &count) in
-            effective_replicas.iter().take(self.request_endpoints).enumerate()
+        for (endpoint, &count) in effective_replicas
+            .iter()
+            .take(self.request_endpoints)
+            .enumerate()
         {
             self.request_capacity[base + endpoint] = count;
         }
@@ -271,7 +273,11 @@ impl GeoPlacement {
     #[must_use]
     pub fn choose(&mut self, signals: &[SiteSignals]) -> usize {
         assert!(!signals.is_empty(), "geo placement needs at least one site");
-        assert_eq!(signals.len(), self.assigned.len(), "begin_step must size the scratch");
+        assert_eq!(
+            signals.len(),
+            self.assigned.len(),
+            "begin_step must size the scratch"
+        );
         let scale = ScoreScale::of(signals);
         let any_capacity = signals
             .iter()
@@ -345,7 +351,10 @@ impl GeoPlacement {
         if !self.request_prepared {
             self.prepare_requests(signals);
         }
-        debug_assert!(self.step_signals == signals, "signals changed within a step");
+        debug_assert!(
+            self.step_signals == signals,
+            "signals changed within a step"
+        );
         if self.request_failover {
             return self.choose_request_failover(endpoint);
         }
@@ -386,7 +395,9 @@ impl GeoPlacement {
         let scale = ScoreScale::of(signals);
         let endpoints = self.request_endpoints;
         self.request_sites.clear();
-        for (signal, assigned) in signals.iter().zip(self.request_assigned.chunks_exact(endpoints))
+        for (signal, assigned) in signals
+            .iter()
+            .zip(self.request_assigned.chunks_exact(endpoints))
         {
             let (base, emergency, price) = self.score_terms(signal, &scale);
             let mut site = RequestSite {
@@ -406,7 +417,10 @@ impl GeoPlacement {
     /// [`GeoPlacement::choose_request_failover`]).
     fn prepare_failover(&mut self, signals: &[SiteSignals]) {
         let endpoints = self.request_endpoints;
-        let unset = RequestCell { weight: 0.0, deficit: 0.0 };
+        let unset = RequestCell {
+            weight: 0.0,
+            deficit: 0.0,
+        };
         self.request_cells.resize(signals.len() * endpoints, unset);
         for endpoint in 0..endpoints {
             let instances_known = (0..signals.len())
@@ -442,7 +456,11 @@ impl GeoPlacement {
         let endpoints = self.request_endpoints;
         let mut best = 0usize;
         let mut best_deficit = f64::INFINITY;
-        for (site, cell) in self.request_cells[endpoint..].iter().step_by(endpoints).enumerate() {
+        for (site, cell) in self.request_cells[endpoint..]
+            .iter()
+            .step_by(endpoints)
+            .enumerate()
+        {
             if cell.deficit < best_deficit {
                 best_deficit = cell.deficit;
                 best = site;
@@ -463,9 +481,13 @@ impl GeoPlacement {
         let c = &self.config;
         let headroom = (signal.power_headroom_kw / scale.max_headroom).clamp(0.0, 1.0);
         let thermal = (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
-        let base = c.power_weight * headroom + c.thermal_weight * thermal
-            - c.load_weight * signal.dc_load;
-        let emergency = if signal.in_emergency() { c.emergency_penalty } else { 0.0 };
+        let base =
+            c.power_weight * headroom + c.thermal_weight * thermal - c.load_weight * signal.dc_load;
+        let emergency = if signal.in_emergency() {
+            c.emergency_penalty
+        } else {
+            0.0
+        };
         let price = if scale.price_span > 0.0 {
             c.price_weight * ((signal.grid_price_per_mwh - scale.min_price) / scale.price_span)
         } else {
@@ -502,7 +524,11 @@ impl ScoreScale {
             .map(|s| s.grid_price_per_mwh)
             .fold(f64::NEG_INFINITY, f64::max)
             - min_price;
-        Self { max_headroom, min_price, price_span }
+        Self {
+            max_headroom,
+            min_price,
+            price_span,
+        }
     }
 }
 
@@ -543,7 +569,10 @@ mod tests {
         geo.begin_step(2);
         let signals = [comfortable(100.0, 20.0, 0.5), comfortable(100.0, 20.0, 0.5)];
         let picks: Vec<usize> = (0..6).map(|_| geo.choose(&signals)).collect();
-        assert!(picks.contains(&0) && picks.contains(&1), "burst must spread: {picks:?}");
+        assert!(
+            picks.contains(&0) && picks.contains(&1),
+            "burst must spread: {picks:?}"
+        );
     }
 
     #[test]
@@ -639,7 +668,10 @@ mod tests {
         let mut hot = comfortable(500.0, 25.0, 0.2);
         hot.throttled_gpus = 4;
         geo.begin_step(2);
-        assert_eq!(geo.choose_request(&[hot, comfortable(10.0, 3.0, 0.95)], 0), 1);
+        assert_eq!(
+            geo.choose_request(&[hot, comfortable(10.0, 3.0, 0.95)], 0),
+            1
+        );
     }
 
     #[test]
@@ -651,7 +683,10 @@ mod tests {
         for _ in 0..1000 {
             counts[geo.choose_request(&signals, 0)] += 1;
         }
-        assert!(counts[0] > 0 && counts[1] > 0, "request burst must spread: {counts:?}");
+        assert!(
+            counts[0] > 0 && counts[1] > 0,
+            "request burst must spread: {counts:?}"
+        );
         // The VM burst counter is untouched: the next VM pick still ties to ordinal 0.
         assert_eq!(geo.choose(&signals), 0);
     }
@@ -723,8 +758,9 @@ mod tests {
         // ...and recovery does not un-latch: the next step still spreads evenly
         // (deficit round-robin alternates) instead of re-concentrating on site 0.
         geo.begin_step(2);
-        let picks: Vec<usize> =
-            (0..4).map(|_| geo.choose_request(&[preferred, weaker], 0)).collect();
+        let picks: Vec<usize> = (0..4)
+            .map(|_| geo.choose_request(&[preferred, weaker], 0))
+            .collect();
         assert_eq!(picks, vec![0, 1, 0, 1]);
         // VM placement is unaffected by the request latch.
         assert_eq!(geo.choose(&[preferred, weaker]), 0);
@@ -783,7 +819,10 @@ mod tests {
         let plain: Vec<usize> = (0..6).map(|_| geo.choose_request(&base, 0)).collect();
         geo.begin_step(2);
         let pressured: Vec<usize> = (0..6).map(|_| geo.choose_request(&loaded, 0)).collect();
-        assert_eq!(plain, pressured, "pressure at or below 1.0 is score-neutral");
+        assert_eq!(
+            plain, pressured,
+            "pressure at or below 1.0 is score-neutral"
+        );
     }
 
     #[test]
@@ -844,8 +883,8 @@ mod tests {
         endpoint: usize,
     ) -> Vec<f64> {
         let endpoints = geo.request_endpoints;
-        let instances_known = (0..signals.len())
-            .any(|site| geo.request_capacity[site * endpoints + endpoint] > 0);
+        let instances_known =
+            (0..signals.len()).any(|site| geo.request_capacity[site * endpoints + endpoint] > 0);
         let mut deficits = Vec::new();
         for (site, signal) in signals.iter().enumerate() {
             let cell = site * endpoints + endpoint;
@@ -926,14 +965,26 @@ mod tests {
         let uniform_price = rng.chance(0.5);
         (0..sites)
             .map(|_| SiteSignals {
-                power_headroom_kw: if rng.chance(0.1) { 0.0 } else { rng.uniform(0.0, 500.0) },
+                power_headroom_kw: if rng.chance(0.1) {
+                    0.0
+                } else {
+                    rng.uniform(0.0, 500.0)
+                },
                 worst_power_utilization: rng.uniform(0.3, 1.1),
                 thermal_slack_c: rng.uniform(-5.0, 40.0),
                 dc_load: rng.uniform(0.0, 1.0),
-                free_servers: if rng.chance(0.25) { 0 } else { rng.uniform_usize(1, 200) as u32 },
+                free_servers: if rng.chance(0.25) {
+                    0
+                } else {
+                    rng.uniform_usize(1, 200) as u32
+                },
                 throttled_gpus: u32::from(rng.chance(0.15)),
                 capped_servers: u32::from(rng.chance(0.15)),
-                grid_price_per_mwh: if uniform_price { 90.0 } else { rng.uniform(20.0, 300.0) },
+                grid_price_per_mwh: if uniform_price {
+                    90.0
+                } else {
+                    rng.uniform(20.0, 300.0)
+                },
                 request_pressure: if saturation && rng.chance(0.3) {
                     saturated[rng.uniform_usize(0, saturated.len())]
                 } else {
@@ -947,7 +998,13 @@ mod tests {
         // Rows shorter than the endpoint count leave the tail columns at zero.
         let len = rng.uniform_usize(0, endpoints + 1);
         (0..len)
-            .map(|_| if rng.chance(0.4) { 0 } else { rng.uniform_usize(1, 5) as u32 })
+            .map(|_| {
+                if rng.chance(0.4) {
+                    0
+                } else {
+                    rng.uniform_usize(1, 5) as u32
+                }
+            })
             .collect()
     }
 
@@ -985,15 +1042,28 @@ mod tests {
                     let endpoint = rng.uniform_usize(0, endpoints);
                     let expected = reference_choose_request(&mut reference, &signals, endpoint);
                     let context = format!("trial {trial} step {step} pick {pick}");
-                    assert_eq!(fast.choose_request(&signals, endpoint), expected, "{context}");
-                    assert_eq!(fast.request_assigned, reference.request_assigned, "{context}");
-                    assert_eq!(fast.request_failover, reference.request_failover, "{context}");
+                    assert_eq!(
+                        fast.choose_request(&signals, endpoint),
+                        expected,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        fast.request_assigned, reference.request_assigned,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        fast.request_failover, reference.request_failover,
+                        "{context}"
+                    );
                     assert_caches_match(&fast, &signals, &context);
                 }
             }
             latched += usize::from(fast.request_failover);
         }
-        assert!((50..250).contains(&latched), "both modes exercised: {latched} latched");
+        assert!(
+            (50..250).contains(&latched),
+            "both modes exercised: {latched} latched"
+        );
     }
 
     #[test]

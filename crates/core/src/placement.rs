@@ -41,7 +41,10 @@ pub struct DesignConditions {
 
 impl Default for DesignConditions {
     fn default() -> Self {
-        Self { design_outside_temp: Celsius::new(32.0), design_dc_load: 0.8 }
+        Self {
+            design_outside_temp: Celsius::new(32.0),
+            design_dc_load: 0.8,
+        }
     }
 }
 
@@ -78,7 +81,9 @@ impl ServerConstants {
     /// in the same operation order (`LinearModel::predict`'s `intercept + Σ`).
     fn peak_temp_c(&self, gpu_share_w: f64) -> f64 {
         self.temp_intercept
-            + [self.temp_inlet_term, self.temp_power_coeff * gpu_share_w].into_iter().sum::<f64>()
+            + [self.temp_inlet_term, self.temp_power_coeff * gpu_share_w]
+                .into_iter()
+                .sum::<f64>()
     }
 }
 
@@ -399,14 +404,29 @@ impl LoadView {
                 .map(|&server| ClassPeak::at(profiles.server(server), load)),
         );
         self.row_limit_kw.clear();
-        self.row_limit_kw
-            .extend(profiles.budgets.row_power.values().map(|b| b.value() * power_safety));
+        self.row_limit_kw.extend(
+            profiles
+                .budgets
+                .row_power
+                .values()
+                .map(|b| b.value() * power_safety),
+        );
         self.aisle_limit_cfm.clear();
-        self.aisle_limit_cfm
-            .extend(profiles.budgets.aisle_airflow.values().map(|b| b.value() * airflow_safety));
+        self.aisle_limit_cfm.extend(
+            profiles
+                .budgets
+                .aisle_airflow
+                .values()
+                .map(|b| b.value() * airflow_safety),
+        );
         let mut pass = std::mem::take(&mut self.pass);
         pass.clear();
-        pass.extend(topology.cells.iter().map(|&cell| self.passes(cell, planner)));
+        pass.extend(
+            topology
+                .cells
+                .iter()
+                .map(|&cell| self.passes(cell, planner)),
+        );
         self.pass = pass;
 
         let temp_bits: Vec<u64> = (0..servers)
@@ -424,7 +444,10 @@ impl LoadView {
         let mut order: Vec<u32> = (0..servers as u32).collect();
         order.sort_unstable_by_key(|&server| (temp_bits[server as usize], server));
 
-        let row_words = *topology.row_word_start.last().expect("one entry per row, plus one");
+        let row_words = *topology
+            .row_word_start
+            .last()
+            .expect("one entry per row, plus one");
         self.candidates.clear(servers, row_words as usize);
         self.free.clear(servers, row_words as usize);
         self.row_servers.reset(servers);
@@ -496,9 +519,14 @@ impl LoadView {
         let row = topology.servers[server].row as usize;
         let slots = topology.row_slots(row);
         let start = slots.start;
-        let slot = self.row_servers.partition_point(slots, |other| key(other) < target);
+        let slot = self
+            .row_servers
+            .partition_point(slots, |other| key(other) < target);
         debug_assert_eq!(self.row_servers.get(slot), server);
-        (slot, topology.row_word_start[row] as usize * 64 + slot - start)
+        (
+            slot,
+            topology.row_word_start[row] as usize * 64 + slot - start,
+        )
     }
 
     /// Applies a change of `server`'s free bit, then re-evaluates the verdicts of the cells
@@ -609,7 +637,10 @@ impl PlacementPlanner {
             let (power, airflow) = match state.vm_on(server.id) {
                 Some(placed) => {
                     let load = effective_peak_load(placed.predicted_peak_load);
-                    (profile.predicted_power(load).value(), profile.predicted_airflow(load).value())
+                    (
+                        profile.predicted_power(load).value(),
+                        profile.predicted_airflow(load).value(),
+                    )
                 }
                 None => (
                     profile.spec.idle_power.value(),
@@ -619,7 +650,10 @@ impl PlacementPlanner {
             row_power_kw[server.row.index()] += power;
             aisle_airflow_cfm[server.aisle.index()] += airflow;
         }
-        assert!(u32::try_from(profiles.servers.len()).is_ok(), "server ids fit in u32");
+        assert!(
+            u32::try_from(profiles.servers.len()).is_ok(),
+            "server ids fit in u32"
+        );
         let mut classes: HashMap<Vec<u64>, u32> = HashMap::new();
         let mut class_servers = Vec::new();
         let mut last_class: Option<(u32, ServerId)> = None;
@@ -638,10 +672,12 @@ impl PlacementPlanner {
                     {
                         class
                     }
-                    _ => *classes.entry(class_signature(profile).collect()).or_insert_with(|| {
-                        class_servers.push(profile.server);
-                        (class_servers.len() - 1) as u32
-                    }),
+                    _ => *classes
+                        .entry(class_signature(profile).collect())
+                        .or_insert_with(|| {
+                            class_servers.push(profile.server);
+                            (class_servers.len() - 1) as u32
+                        }),
                 };
                 last_class = Some((class, class_servers[class as usize]));
                 let (row, aisle) = (profile.row.index() as u32, profile.aisle.index() as u32);
@@ -700,7 +736,9 @@ impl PlacementPlanner {
                 row_start,
                 row_word_start,
             },
-            free: (0..profiles.servers.len()).map(|s| state.is_free(ServerId::new(s))).collect(),
+            free: (0..profiles.servers.len())
+                .map(|s| state.is_free(ServerId::new(s)))
+                .collect(),
             views: Vec::new(),
             clock: 0,
         }
@@ -713,7 +751,12 @@ impl PlacementPlanner {
     }
 
     /// Records that a VM with `predicted_peak_load` was placed on `server`.
-    pub fn on_place(&mut self, server: ServerId, predicted_peak_load: f64, profiles: &ProfileStore) {
+    pub fn on_place(
+        &mut self,
+        server: ServerId,
+        predicted_peak_load: f64,
+        profiles: &ProfileStore,
+    ) {
         let profile = profiles.server(server);
         let load = effective_peak_load(predicted_peak_load);
         self.row_power_kw[profile.row.index()] +=
@@ -823,7 +866,10 @@ impl PlacementPlanner {
                 ("row order", view.row_servers == fresh.row_servers),
                 ("positions", view.row_pos == fresh.row_pos),
                 ("cell verdicts", view.pass == fresh.pass),
-                ("candidate count", view.candidates.len == fresh.candidates.len),
+                (
+                    "candidate count",
+                    view.candidates.len == fresh.candidates.len,
+                ),
                 ("candidate set", view.candidates == fresh.candidates),
                 ("free set", view.free == fresh.free),
             ];
@@ -881,13 +927,11 @@ impl Default for TapasPlacementConfig {
 }
 
 /// The TAPAS thermal- and power-aware placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct TapasPlacement {
     /// Tuning parameters.
     pub config: TapasPlacementConfig,
 }
-
 
 impl TapasPlacement {
     /// Current predicted peak power per row from already-placed VMs (idle power for empty
@@ -956,8 +1000,10 @@ impl TapasPlacement {
         peak_load: f64,
     ) -> Celsius {
         let profile = profiles.server(server);
-        let inlet = profile
-            .predicted_inlet(self.config.design.design_outside_temp, self.config.design.design_dc_load);
+        let inlet = profile.predicted_inlet(
+            self.config.design.design_outside_temp,
+            self.config.design.design_dc_load,
+        );
         let gpu_share = gpu_share_w(profile, peak_load);
         profile.predicted_worst_gpu_temp(inlet, simkit::units::Watts::new(gpu_share))
     }
@@ -1018,20 +1064,33 @@ impl TapasPlacement {
         }
         let peak_load = effective_peak_load(request.predicted_peak_load);
         let view = planner.view_index(peak_load, &self.config, profiles);
-        let PlacementPlanner { topology, views, .. } = planner;
+        let PlacementPlanner {
+            topology, views, ..
+        } = planner;
         let view = &mut views[view];
-        debug_assert_eq!(view.free.len, state.free_count(), "planner out of step with state");
+        debug_assert_eq!(
+            view.free.len,
+            state.free_count(),
+            "planner out of step with state"
+        );
         let positions = topology.servers.len();
         // SaaS VMs must never be placed somewhere that already predicts a violation: only
         // positions below `allowed` estimate at most the limit.
         let is_saas = matches!(request.vm.kind, VmKind::Saas { .. });
         let limit = profiles.thermal_headroom_target.value();
-        let allowed =
-            if is_saas && !limit.is_nan() { view.allowed(topology, limit) } else { positions };
+        let allowed = if is_saas && !limit.is_nan() {
+            view.allowed(topology, limit)
+        } else {
+            positions
+        };
         let view = &*view;
         // When the validator rejects every server, fall back to every free server rather
         // than rejecting outright.
-        let set = if view.candidates.len > 0 { &view.candidates } else { &view.free };
+        let set = if view.candidates.len > 0 {
+            &view.candidates
+        } else {
+            &view.free
+        };
 
         // Thermal terciles by rank, as position bounds: tercile t holds the members with
         // positions in bounds[t]..bounds[t + 1], exactly the ranks of a full sort.
@@ -1040,7 +1099,11 @@ impl TapasPlacement {
             [0, 0, positions, positions]
         } else {
             let warm_start = (2 * n).div_ceil(3);
-            let warm = if warm_start < n { set.select(warm_start) } else { positions };
+            let warm = if warm_start < n {
+                set.select(warm_start)
+            } else {
+                positions
+            };
             [0, set.select(n.div_ceil(3)), warm, positions]
         };
 
@@ -1062,7 +1125,9 @@ impl TapasPlacement {
             }
             let words = &set.row_bits[topology.row_words(row)];
             let slots = topology.row_slots(row);
-            let Some(first) = first_set_from(words, 0) else { continue };
+            let Some(first) = first_set_from(words, 0) else {
+                continue;
+            };
             let slot = slots.start + first;
             let pos = view.row_pos.get(slot);
             if coolest.is_none_or(|(coolest, _)| pos < coolest) {
@@ -1073,14 +1138,19 @@ impl TapasPlacement {
             }
             // The row's first member stands for its tercile; a later tercile's first
             // member has a larger position, so it matters only with a higher score.
-            let tercile = bounds[1..3].iter().take_while(|&&bound| bound <= pos).count();
+            let tercile = bounds[1..3]
+                .iter()
+                .take_while(|&&bound| bound <= pos)
+                .count();
             let mut row_best = (thermal[tercile] + balance, pos, slot);
             for later in tercile + 1..3 {
                 let score = thermal[later] + balance;
                 if score <= row_best.0 {
                     continue;
                 }
-                let from = view.row_pos.partition_point(slots.clone(), |p| p < bounds[later]);
+                let from = view
+                    .row_pos
+                    .partition_point(slots.clone(), |p| p < bounds[later]);
                 if let Some(rank) = first_set_from(words, from - slots.start) {
                     let pos = view.row_pos.get(slots.start + rank);
                     if pos < bounds[later + 1] && pos < allowed {
@@ -1096,8 +1166,13 @@ impl TapasPlacement {
         }
         // Every candidate predicted a thermal violation for a SaaS VM: pick the coolest
         // (no row was skipped for its score, as nothing had scored).
-        let slot = best.map(|(_, _, slot)| slot).or(coolest.map(|(_, slot)| slot));
-        Some(ServerId::new(view.row_servers.get(slot.expect("a free server is a member"))))
+        let slot = best
+            .map(|(_, _, slot)| slot)
+            .or(coolest.map(|(_, slot)| slot));
+        Some(ServerId::new(
+            view.row_servers
+                .get(slot.expect("a free server is a member")),
+        ))
     }
 
     /// The executable reference of [`TapasPlacement::place_with`]: validates every free
@@ -1127,10 +1202,10 @@ impl TapasPlacement {
         let mut candidates = Vec::new();
         for server_id in state.free_iter() {
             let profile = profiles.server(server_id);
-            let row_budget = profiles.row_budget(profile.row).value()
-                * self.config.power_safety_fraction;
-            let aisle_budget = profiles.aisle_budget(profile.aisle).value()
-                * self.config.airflow_safety_fraction;
+            let row_budget =
+                profiles.row_budget(profile.row).value() * self.config.power_safety_fraction;
+            let aisle_budget =
+                profiles.aisle_budget(profile.aisle).value() * self.config.airflow_safety_fraction;
             let new_row_power = planner.row_power_kw[profile.row.index()]
                 - profile.spec.idle_power.value()
                 + profile.predicted_power(peak_load).value();
@@ -1201,7 +1276,11 @@ fn thermal_score(tercile: usize, is_saas: bool) -> f64 {
 /// Preference 2: how balanced a row's `(iaas, saas)` VM mix is once the VM joins it
 /// (1 = even, 0 = one-sided).
 fn balance_score((iaas, saas): (usize, usize), is_saas: bool) -> f64 {
-    let (new_iaas, new_saas) = if is_saas { (iaas, saas + 1) } else { (iaas + 1, saas) };
+    let (new_iaas, new_saas) = if is_saas {
+        (iaas, saas + 1)
+    } else {
+        (iaas + 1, saas)
+    };
     let total = (new_iaas + new_saas) as f64;
     1.0 - ((new_iaas as f64 - new_saas as f64).abs() / total)
 }
@@ -1227,9 +1306,13 @@ mod tests {
         Vm {
             id: VmId(id),
             kind: if saas {
-                VmKind::Saas { endpoint: EndpointId(0) }
+                VmKind::Saas {
+                    endpoint: EndpointId(0),
+                }
             } else {
-                VmKind::Iaas { customer: IaasCustomerId(0) }
+                VmKind::Iaas {
+                    customer: IaasCustomerId(0),
+                }
             },
             arrival: SimTime::ZERO,
             lifetime: SimDuration::from_days(14),
@@ -1237,7 +1320,10 @@ mod tests {
     }
 
     fn request(id: u64, saas: bool, load: f64) -> PlacementRequest {
-        PlacementRequest { vm: vm(id, saas), predicted_peak_load: load }
+        PlacementRequest {
+            vm: vm(id, saas),
+            predicted_peak_load: load,
+        }
     }
 
     #[test]
@@ -1247,7 +1333,11 @@ mod tests {
         let policy = TapasPlacement::default();
         let planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         let topology = &planner.topology;
-        assert_eq!(topology.class_servers.len(), 1, "one SKU is one hardware class");
+        assert_eq!(
+            topology.class_servers.len(),
+            1,
+            "one SKU is one hardware class"
+        );
         for server in layout.servers() {
             let c = &topology.servers[server.id.index()];
             let class = profiles.server(topology.class_servers[c.class as usize]);
@@ -1255,19 +1345,28 @@ mod tests {
             for step in 0..=20 {
                 let load = f64::from(step) / 20.0;
                 let peak = ClassPeak::at(class, load);
-                assert_eq!(peak.idle_kw.to_bits(), profile.spec.idle_power.value().to_bits());
+                assert_eq!(
+                    peak.idle_kw.to_bits(),
+                    profile.spec.idle_power.value().to_bits()
+                );
                 assert_eq!(
                     peak.power_kw.to_bits(),
                     profile.predicted_power(load).value().to_bits()
                 );
-                assert_eq!(peak.idle_cfm.to_bits(), profile.spec.idle_airflow.value().to_bits());
+                assert_eq!(
+                    peak.idle_cfm.to_bits(),
+                    profile.spec.idle_airflow.value().to_bits()
+                );
                 assert_eq!(
                     peak.airflow_cfm.to_bits(),
                     profile.predicted_airflow(load).value().to_bits()
                 );
                 assert_eq!(
                     c.peak_temp_c(peak.gpu_share_w).to_bits(),
-                    policy.thermal_estimate(&profiles, server.id, load).value().to_bits()
+                    policy
+                        .thermal_estimate(&profiles, server.id, load)
+                        .value()
+                        .to_bits()
                 );
             }
         }
@@ -1275,7 +1374,17 @@ mod tests {
 
     #[test]
     fn order_keys_sort_like_a_stable_temperature_sort() {
-        let temps = [3.5, -0.0, 0.0, -2.0, f64::INFINITY, 3.5, -1e-300, f64::NEG_INFINITY, 1e-300];
+        let temps = [
+            3.5,
+            -0.0,
+            0.0,
+            -2.0,
+            f64::INFINITY,
+            3.5,
+            -1e-300,
+            f64::NEG_INFINITY,
+            1e-300,
+        ];
         let mut by_key: Vec<usize> = (0..temps.len()).collect();
         by_key.sort_by_key(|&i| order_key(temps[i], i));
         let mut stable: Vec<usize> = (0..temps.len()).collect();
@@ -1368,14 +1477,19 @@ mod tests {
         let policy = TapasPlacement::default();
         let row0_servers = layout.rows()[0].servers.clone();
         for (i, &server) in row0_servers.iter().enumerate().take(30) {
-            state.place(vm(100 + i as u64, false), server, 1.0, None).unwrap();
+            state
+                .place(vm(100 + i as u64, false), server, 1.0, None)
+                .unwrap();
         }
         let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         for saas in [false, true] {
             let nan = request(1, saas, f64::NAN);
             let chosen = policy.place_with(&nan, &state, &layout, &profiles, &mut planner);
             let full = request(1, saas, 1.0);
-            assert_eq!(chosen, policy.place_with(&full, &state, &layout, &profiles, &mut planner));
+            assert_eq!(
+                chosen,
+                policy.place_with(&full, &state, &layout, &profiles, &mut planner)
+            );
             assert_eq!(
                 chosen,
                 policy.place_with_reference(&nan, &state, &layout, &profiles, &planner)
@@ -1389,7 +1503,10 @@ mod tests {
         let added = planner.row_power_kw(layout.server(server).row) - before;
         let profile = profiles.server(server);
         let full_kw = profile.predicted_power(1.0).value() - profile.spec.idle_power.value();
-        assert!((added - full_kw).abs() < 1e-9, "a NaN peak should book full power, added {added}");
+        assert!(
+            (added - full_kw).abs() < 1e-9,
+            "a NaN peak should book full power, added {added}"
+        );
     }
 
     /// A planner in step with `state`, as the simulator keeps one.
@@ -1398,7 +1515,12 @@ mod tests {
         layout: &Layout,
         profiles: &ProfileStore,
     ) -> PlacementPlanner {
-        PlacementPlanner::new(state, layout, profiles, TapasPlacement::default().config.design)
+        PlacementPlanner::new(
+            state,
+            layout,
+            profiles,
+            TapasPlacement::default().config.design,
+        )
     }
 
     #[test]
@@ -1418,7 +1540,9 @@ mod tests {
         let policy = TapasPlacement::default();
         let mut planner = planner_for(&state, &layout, &profiles);
         let mut place = |req: PlacementRequest| {
-            policy.place_with(&req, &state, &layout, &profiles, &mut planner).unwrap()
+            policy
+                .place_with(&req, &state, &layout, &profiles, &mut planner)
+                .unwrap()
         };
         let iaas_server = place(request(1, false, 0.9));
         let saas_server = place(request(2, true, 0.9));
@@ -1439,16 +1563,28 @@ mod tests {
         // Fill row 0 with peak-load VMs until its predicted power approaches the budget.
         let row0_servers = layout.rows()[0].servers.clone();
         for (i, &server) in row0_servers.iter().enumerate().take(30) {
-            state.place(vm(100 + i as u64, false), server, 1.0, None).unwrap();
+            state
+                .place(vm(100 + i as u64, false), server, 1.0, None)
+                .unwrap();
         }
         // The next peak-load VM must not land in row 0 (its predicted peak would exceed the
         // 85 %-provisioned budget), even though row 0 still has free servers.
         let mut planner = planner_for(&state, &layout, &profiles);
         let chosen = policy
-            .place_with(&request(1, false, 1.0), &state, &layout, &profiles, &mut planner)
+            .place_with(
+                &request(1, false, 1.0),
+                &state,
+                &layout,
+                &profiles,
+                &mut planner,
+            )
             .unwrap();
         let chosen_row = layout.server(chosen).row;
-        assert_eq!(chosen_row.index(), 1, "validator should steer the VM to the other row");
+        assert_eq!(
+            chosen_row.index(),
+            1,
+            "validator should steer the VM to the other row"
+        );
     }
 
     #[test]
@@ -1461,8 +1597,9 @@ mod tests {
         for i in 0..40u64 {
             let saas = i % 2 == 0;
             let req = request(i, saas, 0.7);
-            let server =
-                policy.place_with(&req, &state, &layout, &profiles, &mut planner).unwrap();
+            let server = policy
+                .place_with(&req, &state, &layout, &profiles, &mut planner)
+                .unwrap();
             state.place(vm(i, saas), server, 0.7, None).unwrap();
             planner.on_place(server, 0.7, &profiles);
         }
@@ -1471,7 +1608,11 @@ mod tests {
             let total = iaas + saas;
             if total >= 8 {
                 let imbalance = (iaas as f64 - saas as f64).abs() / total as f64;
-                assert!(imbalance < 0.6, "row {} too one-sided: {iaas} IaaS vs {saas} SaaS", row.id);
+                assert!(
+                    imbalance < 0.6,
+                    "row {} too one-sided: {iaas} IaaS vs {saas} SaaS",
+                    row.id
+                );
             }
         }
     }
@@ -1488,7 +1629,13 @@ mod tests {
         assert!(state.first_free().is_none());
         let mut planner = planner_for(&state, &layout, &profiles);
         assert!(TapasPlacement::default()
-            .place_with(&request(999, false, 0.5), &state, &layout, &profiles, &mut planner)
+            .place_with(
+                &request(999, false, 0.5),
+                &state,
+                &layout,
+                &profiles,
+                &mut planner
+            )
             .is_none());
     }
 

@@ -68,7 +68,10 @@ impl ServerProfile {
     /// power.
     #[must_use]
     pub fn predicted_worst_gpu_temp(&self, inlet: Celsius, gpu_power: Watts) -> Celsius {
-        Celsius::new(self.worst_gpu_temp.predict(&[inlet.value(), gpu_power.value()]))
+        Celsius::new(
+            self.worst_gpu_temp
+                .predict(&[inlet.value(), gpu_power.value()]),
+        )
     }
 
     /// The per-GPU power budget that keeps the hottest GPU at or below `limit` for a given
@@ -110,7 +113,10 @@ impl ServerProfile {
         let server = self.server;
         let inlet = &self.inlet_vs_outside;
         let inlet_values = inlet.breakpoints().iter().chain(
-            inlet.segments().iter().flat_map(|segment| segment.coefficients()),
+            inlet
+                .segments()
+                .iter()
+                .flat_map(|segment| segment.coefficients()),
         );
         let gpu = &self.worst_gpu_temp;
         let intercept = gpu.intercept();
@@ -124,7 +130,11 @@ impl ServerProfile {
             .find(|&degree| degree != 1)
             .unwrap_or(1);
         if segments != INLET_BREAKPOINTS_C.len() - 1 || degree != 1 {
-            return Err(ProfileError::InletShape { server, segments, degree });
+            return Err(ProfileError::InletShape {
+                server,
+                segments,
+                degree,
+            });
         }
         non_finite(
             server,
@@ -138,7 +148,11 @@ impl ServerProfile {
                 features: gpu.coefficients().len(),
             });
         }
-        non_finite(server, ProfileModel::PowerCurve, self.power_curve.coefficients())?;
+        non_finite(
+            server,
+            ProfileModel::PowerCurve,
+            self.power_curve.coefficients(),
+        )?;
         if self.power_curve.degree() != 2 {
             return Err(ProfileError::PowerCurveDegree {
                 server,
@@ -215,12 +229,20 @@ pub enum ProfileError {
 impl std::fmt::Display for ProfileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProfileError::NonFinite { server, model, value } => write!(
+            ProfileError::NonFinite {
+                server,
+                model,
+                value,
+            } => write!(
                 f,
                 "server {server}: its fitted {} model holds a non-finite value ({value})",
                 model.name()
             ),
-            ProfileError::InletShape { server, segments, degree } => write!(
+            ProfileError::InletShape {
+                server,
+                segments,
+                degree,
+            } => write!(
                 f,
                 "server {server}: its inlet_vs_outside model is {segments} segments (one of \
                  degree {degree}), not 3 segments of degree 1"
@@ -247,7 +269,11 @@ fn non_finite<'a>(
     values: impl IntoIterator<Item = &'a f64>,
 ) -> Result<(), ProfileError> {
     match values.into_iter().find(|value| !value.is_finite()) {
-        Some(&value) => Err(ProfileError::NonFinite { server, model, value }),
+        Some(&value) => Err(ProfileError::NonFinite {
+            server,
+            model,
+            value,
+        }),
         None => Ok(()),
     }
 }
@@ -273,7 +299,11 @@ impl LlmProfiles {
             .into_iter()
             .map(|size| (size, ParetoFrontier::for_model(&profiles, size)))
             .collect();
-        Self { profiles, frontier, frontier_by_model }
+        Self {
+            profiles,
+            frontier,
+            frontier_by_model,
+        }
     }
 
     /// Process-wide shared profile of a GPU generation.
@@ -323,7 +353,10 @@ impl SweepIndex {
             let point = sweep_point(&profile.config).expect("sweep profiles lie on the grid");
             slots[point] = Some(u16::try_from(slot).expect("sweep fits u16 slots"));
         }
-        Self { slots: slots.into(), selection: SelectionIndex::build(&llm.profiles) }
+        Self {
+            slots: slots.into(),
+            selection: SelectionIndex::build(&llm.profiles),
+        }
     }
 }
 
@@ -379,7 +412,9 @@ fn sweep_point(config: &InstanceConfig) -> Option<usize> {
         .iter()
         .position(|&b| b == config.max_batch_size)?;
     let bits = config.frequency.value().to_bits();
-    let frequency = FrequencyScale::STEPS.iter().position(|s| s.to_bits() == bits)?;
+    let frequency = FrequencyScale::STEPS
+        .iter()
+        .position(|s| s.to_bits() == bits)?;
     Some(
         (variant_class(config) * InstanceConfig::BATCH_SIZES.len() + batch)
             * FrequencyScale::STEPS.len()
@@ -435,7 +470,9 @@ impl ProfileStore {
                     let outside = Celsius::new(f64::from(t));
                     (
                         f64::from(t),
-                        dc.inlet_model().inlet_temp(server.id, outside, 0.5, 0.0).value(),
+                        dc.inlet_model()
+                            .inlet_temp(server.id, outside, 0.5, 0.0)
+                            .value(),
                     )
                 })
                 .collect();
@@ -478,7 +515,10 @@ impl ProfileStore {
             let power_samples: Vec<(f64, f64)> = (0..=10)
                 .map(|i| {
                     let load = f64::from(i) / 10.0;
-                    (load, dc.power_model().server_power(&server.spec, load).value())
+                    (
+                        load,
+                        dc.power_model().server_power(&server.spec, load).value(),
+                    )
                 })
                 .collect();
             let power_curve = Polynomial::fit(&power_samples, 2).expect("power profiling fit");
@@ -505,11 +545,7 @@ impl ProfileStore {
                 .map(|a| a.airflow_provisioned)
                 .collect(),
             row_servers: layout.rows().iter().map(|r| r.servers.clone()).collect(),
-            aisle_servers: layout
-                .aisles()
-                .iter()
-                .map(|a| a.servers.clone())
-                .collect(),
+            aisle_servers: layout.aisles().iter().map(|a| a.servers.clone()).collect(),
         };
 
         let (llm, index) = LlmProfiles::shared_indexed(gpu);
@@ -622,7 +658,8 @@ impl ProfileStore {
     /// mixed-radix table read, no hashing and no scan.
     #[must_use]
     pub fn profile_for(&self, config: &InstanceConfig) -> Option<&ConfigProfile> {
-        self.profile_slot(config).map(|slot| &self.llm.profiles[slot])
+        self.profile_slot(config)
+            .map(|slot| &self.llm.profiles[slot])
     }
 
     /// Position of a configuration's profile in `llm().profiles`, if it was part of the
@@ -661,7 +698,9 @@ mod tests {
         assert_eq!(corrupt.check(), Ok(()));
         let coefficients = corrupt.servers[7].worst_gpu_temp.coefficients().to_vec();
         corrupt.servers[7].worst_gpu_temp = LinearModel::from_coefficients(f64::NAN, coefficients);
-        let error = corrupt.check().expect_err("a NaN intercept fails the check");
+        let error = corrupt
+            .check()
+            .expect_err("a NaN intercept fails the check");
         assert!(matches!(
             error,
             ProfileError::NonFinite { server, model: ProfileModel::WorstGpuTemp, value }
@@ -686,18 +725,32 @@ mod tests {
         corrupt.servers[2].worst_gpu_temp = LinearModel::from_coefficients(40.0, vec![1.0]);
         assert_eq!(
             corrupt.check(),
-            Err(ProfileError::GpuModelFeatures { server: ServerId::new(2), features: 1 })
+            Err(ProfileError::GpuModelFeatures {
+                server: ServerId::new(2),
+                features: 1
+            })
         );
 
         let (_, mut corrupt) = store();
         corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0]);
-        let error = corrupt.check().expect_err("a linear power curve fails the check");
-        assert_eq!(error, ProfileError::PowerCurveDegree { server: ServerId::new(4), degree: 1 });
+        let error = corrupt
+            .check()
+            .expect_err("a linear power curve fails the check");
+        assert_eq!(
+            error,
+            ProfileError::PowerCurveDegree {
+                server: ServerId::new(4),
+                degree: 1
+            }
+        );
         assert!(error.to_string().contains("power_curve"), "{error}");
         corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(
             corrupt.check(),
-            Err(ProfileError::PowerCurveDegree { server: ServerId::new(4), degree: 3 })
+            Err(ProfileError::PowerCurveDegree {
+                server: ServerId::new(4),
+                degree: 3
+            })
         );
     }
 
@@ -711,18 +764,33 @@ mod tests {
         )
         .expect("valid segments");
         let error = corrupt.check().expect_err("two segments fail the check");
-        assert_eq!(error, ProfileError::InletShape { server: ServerId::new(6), segments: 2, degree: 1 });
+        assert_eq!(
+            error,
+            ProfileError::InletShape {
+                server: ServerId::new(6),
+                segments: 2,
+                degree: 1
+            }
+        );
         assert!(error.to_string().contains("inlet_vs_outside"), "{error}");
 
         let (_, mut corrupt) = store();
         corrupt.servers[1].inlet_vs_outside = PiecewisePolynomial::from_segments(
             INLET_BREAKPOINTS_C.to_vec(),
-            vec![segment(&[18.0, 0.2]), segment(&[20.0, 0.3, 0.01]), segment(&[21.0, 0.4])],
+            vec![
+                segment(&[18.0, 0.2]),
+                segment(&[20.0, 0.3, 0.01]),
+                segment(&[21.0, 0.4]),
+            ],
         )
         .expect("valid segments");
         assert_eq!(
             corrupt.check(),
-            Err(ProfileError::InletShape { server: ServerId::new(1), segments: 3, degree: 2 })
+            Err(ProfileError::InletShape {
+                server: ServerId::new(1),
+                segments: 3,
+                degree: 2
+            })
         );
     }
 
@@ -731,7 +799,10 @@ mod tests {
         let (dc, store) = store();
         assert_eq!(store.server_count(), dc.layout().server_count());
         assert_eq!(store.budgets.row_power.len(), dc.layout().rows().len());
-        assert_eq!(store.budgets.aisle_airflow.len(), dc.layout().aisles().len());
+        assert_eq!(
+            store.budgets.aisle_airflow.len(),
+            dc.layout().aisles().len()
+        );
         assert!(!store.llm().profiles.is_empty());
         assert!(!store.llm().frontier.is_empty());
         assert_eq!(store.llm().frontier_by_model.len(), 3);
@@ -783,7 +854,11 @@ mod tests {
                 let predicted = profile
                     .predicted_worst_gpu_temp(Celsius::new(inlet), Watts::new(power))
                     .value();
-                assert!((truth - predicted).abs() < 1.0, "error {}", (truth - predicted).abs());
+                assert!(
+                    (truth - predicted).abs() < 1.0,
+                    "error {}",
+                    (truth - predicted).abs()
+                );
             }
         }
     }
@@ -827,13 +902,17 @@ mod tests {
             assert_eq!(store.profile_slot(&profile.config), Some(slot));
         }
         // Every grid point has its own table entry: class and point are bijections.
-        let mut points: Vec<usize> =
-            InstanceConfig::enumerate().iter().filter_map(sweep_point).collect();
+        let mut points: Vec<usize> = InstanceConfig::enumerate()
+            .iter()
+            .filter_map(sweep_point)
+            .collect();
         points.sort_unstable();
         points.dedup();
         assert_eq!(points.len(), SWEEP_POINTS);
-        let classes: std::collections::BTreeSet<usize> =
-            InstanceConfig::enumerate().iter().map(variant_class).collect();
+        let classes: std::collections::BTreeSet<usize> = InstanceConfig::enumerate()
+            .iter()
+            .map(variant_class)
+            .collect();
         assert_eq!(classes.len(), VARIANT_CLASSES);
         assert!(classes.iter().all(|&c| c < VARIANT_CLASSES));
         // Grid points the sweep skipped (70B FP16 on TP2 does not fit) have no profile.

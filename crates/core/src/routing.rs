@@ -73,7 +73,11 @@ impl RecentWindow {
     /// An empty window.
     #[must_use]
     pub fn new() -> Self {
-        Self { items: [CustomerId(0); RECENT_WINDOW], len: 0, head: 0 }
+        Self {
+            items: [CustomerId(0); RECENT_WINDOW],
+            len: 0,
+            head: 0,
+        }
     }
 
     /// Records a served customer, evicting the oldest entry when full. Returns the evicted
@@ -151,7 +155,10 @@ impl SlotLists {
     #[inline]
     fn link(&mut self, slot: usize, customer: usize) {
         let first = self.head[customer];
-        self.links[slot] = Link { next: first, prev: NIL };
+        self.links[slot] = Link {
+            next: first,
+            prev: NIL,
+        };
         if first != NIL {
             self.links[first as usize].prev = slot as u32;
         }
@@ -192,7 +199,10 @@ impl SlotLists {
 #[cold]
 #[inline(never)]
 fn customer_out_of_bound(customer: CustomerId, bound: usize) -> ! {
-    panic!("customer id {} is outside the recent index's bound {bound}", customer.0)
+    panic!(
+        "customer id {} is outside the recent index's bound {bound}",
+        customer.0
+    )
 }
 
 /// A pool's recent-customer windows plus, per customer, the window slots that hold it.
@@ -218,7 +228,13 @@ impl RecentIndex {
     #[must_use]
     pub fn new(customers: u64) -> Self {
         let bound = usize::try_from(customers).expect("the customer bound fits in usize");
-        Self { windows: Vec::new(), lists: SlotLists { links: Vec::new(), head: vec![NIL; bound] } }
+        Self {
+            windows: Vec::new(),
+            lists: SlotLists {
+                links: Vec::new(),
+                head: vec![NIL; bound],
+            },
+        }
     }
 
     /// Appends `window` as the last position, indexing its contents.
@@ -235,7 +251,13 @@ impl RecentIndex {
         for &customer in window.customers() {
             self.lists.index(customer);
         }
-        self.lists.links.resize(base + RECENT_WINDOW, Link { next: NIL, prev: NIL });
+        self.lists.links.resize(
+            base + RECENT_WINDOW,
+            Link {
+                next: NIL,
+                prev: NIL,
+            },
+        );
         for (k, customer) in window.customers().iter().enumerate() {
             self.lists.link(base + k, customer.0 as usize);
         }
@@ -251,7 +273,11 @@ impl RecentIndex {
         let index = self.lists.index(customer);
         let window = &mut self.windows[position];
         // The ring entry the push writes: the next free one, or the oldest once full.
-        let k = if window.len() < RECENT_WINDOW { window.len() } else { usize::from(window.head) };
+        let k = if window.len() < RECENT_WINDOW {
+            window.len()
+        } else {
+            usize::from(window.head)
+        };
         let evicted = window.push(customer);
         if evicted == Some(customer) {
             return;
@@ -273,7 +299,8 @@ impl RecentIndex {
         let last = self.windows.len() - 1;
         let removed = self.windows.swap_remove(position);
         for (k, customer) in removed.customers().iter().enumerate() {
-            self.lists.unlink(position * RECENT_WINDOW + k, customer.0 as usize);
+            self.lists
+                .unlink(position * RECENT_WINDOW + k, customer.0 as usize);
         }
         if position != last {
             for (k, customer) in self.windows[position].customers().iter().enumerate() {
@@ -519,23 +546,31 @@ impl PreparedRoutingContext {
         // shorter than the layout (e.g. no telemetry yet) reads as zero draw, matching the
         // previous map-based `get().unwrap_or(ZERO)` tolerance.
         self.row_headroom_kw.clear();
-        self.row_headroom_kw.extend((0..profiles.row_count()).map(|row| {
-            let now = context.row_power.get(row).copied().unwrap_or(Kilowatts::ZERO);
-            profiles.row_budget(dc_sim::ids::RowId::new(row)).value()
-                * config.row_power_risk_fraction
-                - now.value()
-        }));
+        self.row_headroom_kw
+            .extend((0..profiles.row_count()).map(|row| {
+                let now = context
+                    .row_power
+                    .get(row)
+                    .copied()
+                    .unwrap_or(Kilowatts::ZERO);
+                profiles.row_budget(dc_sim::ids::RowId::new(row)).value()
+                    * config.row_power_risk_fraction
+                    - now.value()
+            }));
         self.aisle_headroom_cfm.clear();
-        self.aisle_headroom_cfm.extend((0..profiles.aisle_count()).map(|aisle| {
-            let now = context
-                .aisle_airflow
-                .get(aisle)
-                .copied()
-                .unwrap_or(CubicFeetPerMinute::ZERO);
-            profiles.aisle_budget(dc_sim::ids::AisleId::new(aisle)).value()
-                * config.aisle_airflow_risk_fraction
-                - now.value()
-        }));
+        self.aisle_headroom_cfm
+            .extend((0..profiles.aisle_count()).map(|aisle| {
+                let now = context
+                    .aisle_airflow
+                    .get(aisle)
+                    .copied()
+                    .unwrap_or(CubicFeetPerMinute::ZERO);
+                profiles
+                    .aisle_budget(dc_sim::ids::AisleId::new(aisle))
+                    .value()
+                    * config.aisle_airflow_risk_fraction
+                    - now.value()
+            }));
     }
 }
 
@@ -589,23 +624,23 @@ impl RiskRow {
     #[must_use]
     pub fn of(profile: &ServerProfile) -> Self {
         let inlet = &profile.inlet_vs_outside;
-        let (
-            &[gpu_inlet_coeff, gpu_power_coeff],
-            &[c0, c1, c2],
-            &[b0, b1, b2, b3],
-            [s0, s1, s2],
-        ) = (
+        let (&[gpu_inlet_coeff, gpu_power_coeff], &[c0, c1, c2], &[b0, b1, b2, b3], [s0, s1, s2]) = (
             profile.worst_gpu_temp.coefficients(),
             profile.power_curve.coefficients(),
             inlet.breakpoints(),
             inlet.segments(),
-        )
-        else {
-            panic!("server {}: its profile fails ProfileStore::check", profile.server);
+        ) else {
+            panic!(
+                "server {}: its profile fails ProfileStore::check",
+                profile.server
+            );
         };
         let segment = |polynomial: &Polynomial| match *polynomial.coefficients() {
             [a0, a1] => [a0, a1],
-            _ => panic!("server {}: its profile fails ProfileStore::check", profile.server),
+            _ => panic!(
+                "server {}: its profile fails ProfileStore::check",
+                profile.server
+            ),
         };
         let spec = &profile.spec;
         Self {
@@ -643,8 +678,10 @@ impl RiskRow {
         } else {
             2
         };
-        let at_reference =
-            self.inlet_segments[segment].iter().rev().fold(0.0, |acc, &c| acc * x + c);
+        let at_reference = self.inlet_segments[segment]
+            .iter()
+            .rev()
+            .fold(0.0, |acc, &c| acc * x + c);
         let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.inlet_load_sensitivity_c;
         self.gpu_inlet_term = self.gpu_inlet_coeff * (at_reference + load_delta);
     }
@@ -667,7 +704,11 @@ impl RiskRow {
     #[inline]
     pub fn predicted_power(&self, load: f64) -> Kilowatts {
         let load = load.clamp(0.0, 1.0);
-        let curve = self.power_curve.iter().rev().fold(0.0, |acc, &c| acc * load + c);
+        let curve = self
+            .power_curve
+            .iter()
+            .rev()
+            .fold(0.0, |acc, &c| acc * load + c);
         Kilowatts::new(curve.clamp(0.0, self.max_power_kw))
     }
 
@@ -838,23 +879,16 @@ impl RouteKeys {
 }
 
 /// The TAPAS thermal- and power-aware request router.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct TapasRouter {
     /// Tuning parameters.
     pub config: TapasRouterConfig,
 }
 
-
 impl TapasRouter {
     /// Scores an eligible candidate; higher is better. `affinity` is evaluated lazily so the
     /// recent-customer window is only scanned for instances below the concentration knee.
-    fn score(
-        &self,
-        outstanding: usize,
-        utilization: f64,
-        affinity: impl FnOnce() -> bool,
-    ) -> f64 {
+    fn score(&self, outstanding: usize, utilization: f64, affinity: impl FnOnce() -> bool) -> f64 {
         // (3) Spread: fewer outstanding requests is better. This is the only criterion that
         // applies to instances already past the utilization knee — sending them affinity or
         // concentration traffic would trade latency for locality/energy, which the paper's
@@ -893,7 +927,10 @@ impl TapasRouter {
         view: &CandidateView<'_>,
         flags: &[bool],
     ) -> Option<usize> {
-        assert!(flags.len() >= view.vm.len(), "risk flags must cover every candidate");
+        assert!(
+            flags.len() >= view.vm.len(),
+            "risk flags must cover every candidate"
+        );
         #[derive(Clone, Copy)]
         struct Best {
             score: f64,
@@ -977,7 +1014,11 @@ impl TapasRouter {
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
     ) -> bool {
-        self.row_risk(scratch.risk_row(server, profiles, prepared), utilization, prepared)
+        self.row_risk(
+            scratch.risk_row(server, profiles, prepared),
+            utilization,
+            prepared,
+        )
     }
 
     /// Fills `flags[i] = risky(candidate i)` for every candidate, reading each server's
@@ -1017,7 +1058,8 @@ impl TapasRouter {
     /// Panics if `risky` is shorter than the candidate list.
     pub fn fill_route_keys(&self, view: &CandidateView<'_>, risky: &[bool], keys: &mut RouteKeys) {
         keys.keys.clear();
-        keys.keys.extend((0..view.vm.len()).map(|i| self.route_key(view, i, risky[i])));
+        keys.keys
+            .extend((0..view.vm.len()).map(|i| self.route_key(view, i, risky[i])));
         keys.build();
     }
 
@@ -1136,7 +1178,9 @@ mod tests {
             scratch.begin_step(profiles.server_count());
             let mut flags = Vec::new();
             router.fill_risk_flags(&self.view(), profiles, &prepared, &mut scratch, &mut flags);
-            router.route_prescored(request, &self.view(), &flags).map(|i| self.vm[i])
+            router
+                .route_prescored(request, &self.view(), &flags)
+                .map(|i| self.vm[i])
         }
 
         /// The baseline decision through `route_view`, the simulator's path.
@@ -1206,7 +1250,11 @@ mod tests {
         let mut rng = SimRng::seed_from(31).derive("baseline-route-view");
         for case in 0..400 {
             // Case 0 is the empty pool; every fourth case has every instance in transition.
-            let size = if case == 0 { 0 } else { rng.uniform_usize(1, 24) };
+            let size = if case == 0 {
+                0
+            } else {
+                rng.uniform_usize(1, 24)
+            };
             let all_in_transition = case % 4 == 3;
             // Shuffled VM ids over a narrow outstanding range force ties on the count.
             let mut vms: Vec<u64> = (0..size as u64).map(|i| 100 + 7 * i).collect();
@@ -1238,7 +1286,11 @@ mod tests {
         ctx.row_power[row0.index()] = budget * 0.99;
         let instances = pool(&[(1, 0, 1, 0.5), (2, 40, 5, 0.5)]);
         let choice = instances.route_tapas(&router, &request(0), &profiles, &ctx);
-        assert_eq!(choice, Some(VmId(2)), "the request must avoid the at-risk row");
+        assert_eq!(
+            choice,
+            Some(VmId(2)),
+            "the request must avoid the at-risk row"
+        );
     }
 
     #[test]
@@ -1273,7 +1325,11 @@ mod tests {
         assert_eq!(choice, Some(VmId(1)), "KV affinity should dominate");
         // A different customer goes by concentration/spread instead.
         let other = instances.route_tapas(&router, &request(9), &profiles, &ctx);
-        assert_eq!(other, Some(VmId(1)), "concentration prefers the busier-but-safe instance");
+        assert_eq!(
+            other,
+            Some(VmId(1)),
+            "concentration prefers the busier-but-safe instance"
+        );
     }
 
     #[test]
@@ -1307,7 +1363,9 @@ mod tests {
         // Both instances are in the same (only) aisle, so the filter rejects both and the
         // fallback still routes the request.
         let instances = pool(&[(1, 0, 3, 0.5), (2, 40, 1, 0.5)]);
-        assert!(instances.route_tapas(&router, &request(0), &profiles, &ctx).is_some());
+        assert!(instances
+            .route_tapas(&router, &request(0), &profiles, &ctx)
+            .is_some());
     }
 
     #[test]
@@ -1323,7 +1381,9 @@ mod tests {
             aisle_airflow: Vec::new(),
         };
         let instances = pool(&[(1, 0, 1, 0.5), (2, 40, 3, 0.4)]);
-        assert!(instances.route_tapas(&router, &request(0), &profiles, &ctx).is_some());
+        assert!(instances
+            .route_tapas(&router, &request(0), &profiles, &ctx)
+            .is_some());
         assert!(instances.route_baseline().is_some());
     }
 
@@ -1405,8 +1465,8 @@ mod tests {
                     // Each predicate's marginal term, from the profile.
                     let next = (utilization + router.config.marginal_utilization).clamp(0.0, 1.0);
                     let now = utilization.clamp(0.0, 1.0);
-                    let power = (profile.predicted_power(next) - profile.predicted_power(now))
-                        .value();
+                    let power =
+                        (profile.predicted_power(next) - profile.predicted_power(now)).value();
                     let airflow =
                         (profile.predicted_airflow(next) - profile.predicted_airflow(now)).value();
                     let gpu_max = profile.spec.gpu_max_power.to_watts().value();
@@ -1447,7 +1507,10 @@ mod tests {
                 }
             }
         }
-        assert!(outcomes.iter().all(|&n| n > 10_000), "outcomes {outcomes:?}");
+        assert!(
+            outcomes.iter().all(|&n| n > 10_000),
+            "outcomes {outcomes:?}"
+        );
     }
 
     #[test]
@@ -1468,7 +1531,10 @@ mod tests {
             let mut row = RiskRow::of(profile);
             for &outside in &outsides {
                 let clamped = outside.clamp(breakpoints[0], breakpoints[3]);
-                let segment = breakpoints[1..].iter().take_while(|&&b| clamped >= b).count();
+                let segment = breakpoints[1..]
+                    .iter()
+                    .take_while(|&&b| clamped >= b)
+                    .count();
                 segments_seen[segment.min(2)] += 1;
                 for dc_load in [-0.1, 0.0, 0.5, 1.0, 1.3] {
                     row.prepare(Celsius::new(outside), dc_load);
@@ -1482,7 +1548,10 @@ mod tests {
                 }
             }
         }
-        assert!(segments_seen.iter().all(|&n| n > 1000), "segments seen {segments_seen:?}");
+        assert!(
+            segments_seen.iter().all(|&n| n > 1000),
+            "segments seen {segments_seen:?}"
+        );
     }
 
     #[test]
@@ -1512,8 +1581,7 @@ mod tests {
         );
         let aisle0 = AisleId::new(0);
         assert!(
-            (ctx.aisle_airflow[0].value()
-                - profiles.budgets.aisle_airflow[aisle0].value() * 0.6)
+            (ctx.aisle_airflow[0].value() - profiles.budgets.aisle_airflow[aisle0].value() * 0.6)
                 .abs()
                 < 1e-9
         );

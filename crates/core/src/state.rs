@@ -146,7 +146,11 @@ impl FreeSet {
                 *last = (1u64 << (capacity % 64)) - 1;
             }
         }
-        Self { words, capacity, count: capacity }
+        Self {
+            words,
+            capacity,
+            count: capacity,
+        }
     }
 
     fn set(&mut self, index: usize) {
@@ -227,7 +231,11 @@ impl ClusterState {
     pub fn with_layout(layout: &Layout) -> Self {
         let mut state = Self::new(layout.server_count());
         state.topology = Some(TopologyCache {
-            row_of: layout.servers().iter().map(|s| s.row.index() as u32).collect(),
+            row_of: layout
+                .servers()
+                .iter()
+                .map(|s| s.row.index() as u32)
+                .collect(),
             row_mix: vec![(0, 0); layout.rows().len()],
         });
         state
@@ -319,8 +327,12 @@ impl ClusterState {
         if self.occupancy[server.index()].is_some() {
             return Err(StateError::ServerOccupied(server));
         }
-        self.occupancy[server.index()] =
-            Some(PlacedVm { vm, server, predicted_peak_load, config });
+        self.occupancy[server.index()] = Some(PlacedVm {
+            vm,
+            server,
+            predicted_peak_load,
+            config,
+        });
         self.by_vm.insert(vm.id, server.index() as u32);
         self.free.clear(server.index());
         if let Some(count) = self.row_count(&vm, server) {
@@ -417,9 +429,13 @@ mod tests {
         Vm {
             id: VmId(id),
             kind: if saas {
-                VmKind::Saas { endpoint: EndpointId(0) }
+                VmKind::Saas {
+                    endpoint: EndpointId(0),
+                }
             } else {
-                VmKind::Iaas { customer: IaasCustomerId(0) }
+                VmKind::Iaas {
+                    customer: IaasCustomerId(0),
+                }
             },
             arrival: SimTime::ZERO,
             lifetime: SimDuration::from_days(7),
@@ -431,7 +447,14 @@ mod tests {
         let mut state = ClusterState::new(4);
         assert_eq!(state.server_count(), 4);
         assert_eq!(state.free_servers().len(), 4);
-        state.place(vm(1, true), ServerId::new(2), 0.8, Some(InstanceConfig::default_70b())).unwrap();
+        state
+            .place(
+                vm(1, true),
+                ServerId::new(2),
+                0.8,
+                Some(InstanceConfig::default_70b()),
+            )
+            .unwrap();
         assert_eq!(state.placed_count(), 1);
         assert!(!state.is_free(ServerId::new(2)));
         assert_eq!(state.server_of(VmId(1)), Some(ServerId::new(2)));
@@ -445,7 +468,9 @@ mod tests {
     #[test]
     fn double_placement_and_missing_removal_error() {
         let mut state = ClusterState::new(2);
-        state.place(vm(1, false), ServerId::new(0), 1.0, None).unwrap();
+        state
+            .place(vm(1, false), ServerId::new(0), 1.0, None)
+            .unwrap();
         assert_eq!(
             state.place(vm(2, false), ServerId::new(0), 1.0, None),
             Err(StateError::ServerOccupied(ServerId::new(0)))
@@ -455,16 +480,28 @@ mod tests {
             Err(StateError::AlreadyPlaced(VmId(1)))
         );
         assert_eq!(state.remove(VmId(9)), Err(StateError::NotPlaced(VmId(9))));
-        assert!(StateError::NotPlaced(VmId(9)).to_string().contains("not placed"));
+        assert!(StateError::NotPlaced(VmId(9))
+            .to_string()
+            .contains("not placed"));
     }
 
     #[test]
     fn set_config_updates_placed_vm() {
         let mut state = ClusterState::new(2);
-        state.place(vm(1, true), ServerId::new(0), 0.5, Some(InstanceConfig::default_70b())).unwrap();
+        state
+            .place(
+                vm(1, true),
+                ServerId::new(0),
+                0.5,
+                Some(InstanceConfig::default_70b()),
+            )
+            .unwrap();
         let new_config = InstanceConfig::small_fallback();
         state.set_config(VmId(1), new_config).unwrap();
-        assert_eq!(state.vm_on(ServerId::new(0)).unwrap().config, Some(new_config));
+        assert_eq!(
+            state.vm_on(ServerId::new(0)).unwrap().config,
+            Some(new_config)
+        );
         assert!(state.set_config(VmId(2), new_config).is_err());
     }
 
@@ -473,9 +510,15 @@ mod tests {
         let layout = LayoutConfig::small_test_cluster().build();
         let mut state = ClusterState::new(layout.server_count());
         // Row 0 contains servers 0..4.
-        state.place(vm(1, true), ServerId::new(0), 0.5, None).unwrap();
-        state.place(vm(2, false), ServerId::new(1), 0.5, None).unwrap();
-        state.place(vm(3, false), ServerId::new(4), 0.5, None).unwrap();
+        state
+            .place(vm(1, true), ServerId::new(0), 0.5, None)
+            .unwrap();
+        state
+            .place(vm(2, false), ServerId::new(1), 0.5, None)
+            .unwrap();
+        state
+            .place(vm(3, false), ServerId::new(4), 0.5, None)
+            .unwrap();
         let (iaas, saas) = state.row_mix(&layout, RowId::new(0));
         assert_eq!((iaas, saas), (1, 1));
         let (iaas1, saas1) = state.row_mix(&layout, RowId::new(1));
@@ -495,21 +538,33 @@ mod tests {
         cached.remove(VmId(1)).unwrap();
         scanned.remove(VmId(1)).unwrap();
         for row in layout.rows() {
-            assert_eq!(cached.row_mix(&layout, row.id), scanned.row_mix(&layout, row.id));
+            assert_eq!(
+                cached.row_mix(&layout, row.id),
+                scanned.row_mix(&layout, row.id)
+            );
         }
     }
 
     #[test]
     fn free_set_iterates_in_id_order() {
         let mut state = ClusterState::new(130);
-        state.place(vm(1, false), ServerId::new(0), 0.5, None).unwrap();
-        state.place(vm(2, false), ServerId::new(64), 0.5, None).unwrap();
-        state.place(vm(3, false), ServerId::new(129), 0.5, None).unwrap();
+        state
+            .place(vm(1, false), ServerId::new(0), 0.5, None)
+            .unwrap();
+        state
+            .place(vm(2, false), ServerId::new(64), 0.5, None)
+            .unwrap();
+        state
+            .place(vm(3, false), ServerId::new(129), 0.5, None)
+            .unwrap();
         assert_eq!(state.first_free(), Some(ServerId::new(1)));
         assert_eq!(state.free_count(), 127);
         let free = state.free_servers();
         assert_eq!(free.len(), 127);
-        assert!(free.windows(2).all(|w| w[0] < w[1]), "free list must be ordered");
+        assert!(
+            free.windows(2).all(|w| w[0] < w[1]),
+            "free list must be ordered"
+        );
         assert!(!free.contains(&ServerId::new(64)));
         state.remove(VmId(1)).unwrap();
         assert_eq!(state.first_free(), Some(ServerId::new(0)));
@@ -521,7 +576,9 @@ mod tests {
         let mut short = vm(1, false);
         short.lifetime = SimDuration::from_hours(1);
         state.place(short, ServerId::new(0), 0.5, None).unwrap();
-        state.place(vm(2, true), ServerId::new(1), 0.5, None).unwrap();
+        state
+            .place(vm(2, true), ServerId::new(1), 0.5, None)
+            .unwrap();
         let mut retired = Vec::new();
         state.retire_expired(SimTime::from_hours(2), |placed| retired.push(placed));
         assert_eq!(retired.len(), 1);

@@ -19,7 +19,9 @@ pub struct AirflowModel {
 
 impl Default for AirflowModel {
     fn default() -> Self {
-        Self { recirculation_penalty_c_per_10pct: 2.5 }
+        Self {
+            recirculation_penalty_c_per_10pct: 2.5,
+        }
     }
 }
 
@@ -77,8 +79,7 @@ impl AirflowModel {
         per_server_airflow: impl Fn(crate::ids::ServerId) -> CubicFeetPerMinute,
         available_fraction: f64,
     ) -> AisleAirflowAssessment {
-        let demand: CubicFeetPerMinute =
-            aisle.servers.iter().map(|&s| per_server_airflow(s)).sum();
+        let demand: CubicFeetPerMinute = aisle.servers.iter().map(|&s| per_server_airflow(s)).sum();
         self.assess_aisle_demand(aisle, demand, available_fraction)
     }
 
@@ -102,7 +103,12 @@ impl AirflowModel {
         let deficit_fraction = (utilization - 1.0).max(0.0);
         let recirculation_penalty_c =
             self.recirculation_penalty_c_per_10pct * deficit_fraction * 10.0;
-        AisleAirflowAssessment { demand, available, utilization, recirculation_penalty_c }
+        AisleAirflowAssessment {
+            demand,
+            available,
+            utilization,
+            recirculation_penalty_c,
+        }
     }
 }
 
@@ -139,8 +145,7 @@ mod tests {
         let layout = LayoutConfig::small_test_cluster().build();
         let aisle = &layout.aisles()[0];
         let model = AirflowModel::default();
-        let assessment =
-            model.assess_aisle(aisle, |_| CubicFeetPerMinute::new(500.0), 1.0);
+        let assessment = model.assess_aisle(aisle, |_| CubicFeetPerMinute::new(500.0), 1.0);
         assert!(!assessment.is_violated());
         assert_eq!(assessment.recirculation_penalty_c, 0.0);
         assert!((assessment.demand.value() - 8.0 * 500.0).abs() < 1e-9);

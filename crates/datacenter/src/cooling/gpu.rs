@@ -107,7 +107,11 @@ pub struct TempGrid {
 
 impl Default for TempGrid {
     fn default() -> Self {
-        Self { gpu_c: Vec::new(), mem_offset_c: Vec::new(), offsets: vec![0] }
+        Self {
+            gpu_c: Vec::new(),
+            mem_offset_c: Vec::new(),
+            offsets: vec![0],
+        }
     }
 }
 
@@ -189,7 +193,10 @@ impl TempGrid {
     fn server_at(&self, ordinal: usize) -> ServerTemps<'_> {
         let start = self.offsets[ordinal] as usize;
         let end = self.offsets[ordinal + 1] as usize;
-        ServerTemps { gpu_c: &self.gpu_c[start..end], mem_offset_c: self.mem_offset_c[ordinal] }
+        ServerTemps {
+            gpu_c: &self.gpu_c[start..end],
+            mem_offset_c: self.mem_offset_c[ordinal],
+        }
     }
 
     /// The temperatures of every GPU in one server.
@@ -285,7 +292,11 @@ impl GpuThermalModel {
             }
             starts.push(offsets.len() as u32);
         }
-        Self { coeffs, offsets, starts }
+        Self {
+            coeffs,
+            offsets,
+            starts,
+        }
     }
 
     /// The model coefficients.
@@ -360,8 +371,7 @@ impl GpuThermalModel {
             .iter()
             .copied()
             .fold(f64::MIN, f64::max);
-        let available =
-            limit.value() - c.inlet_coeff * inlet.value() - c.intercept - worst_offset;
+        let available = limit.value() - c.inlet_coeff * inlet.value() - c.intercept - worst_offset;
         Watts::new((available / c.power_coeff).max(0.0))
     }
 
@@ -433,7 +443,10 @@ mod tests {
             }
         }
         let diff = stats::mean(&odd).unwrap() - stats::mean(&even).unwrap();
-        assert!((diff - 4.0).abs() < 0.5, "layout penalty should be ≈4 °C, got {diff}");
+        assert!(
+            (diff - 4.0).abs() < 0.5,
+            "layout penalty should be ≈4 °C, got {diff}"
+        );
     }
 
     #[test]
@@ -458,9 +471,18 @@ mod tests {
         }
         let typical = stats::mean(&spreads).unwrap();
         let worst = stats::max(&spreads).unwrap();
-        assert!(typical > 3.0, "typical within-server spread too small: {typical}");
-        assert!(worst < 20.0, "worst within-server spread implausibly large: {worst}");
-        assert!(worst > 7.0, "worst within-server spread should approach 10 °C: {worst}");
+        assert!(
+            typical > 3.0,
+            "typical within-server spread too small: {typical}"
+        );
+        assert!(
+            worst < 20.0,
+            "worst within-server spread implausibly large: {worst}"
+        );
+        assert!(
+            worst > 7.0,
+            "worst within-server spread should approach 10 °C: {worst}"
+        );
     }
 
     #[test]
@@ -517,7 +539,10 @@ mod tests {
         assert_eq!(second.gpu_c()[3], 11.0);
         assert_eq!(second.get(3).memory.value(), 11.5);
         assert_eq!(second.iter().count(), 8);
-        assert_eq!(grid.get(GpuId::new(ServerId::new(1), 3)).memory.value(), 11.5);
+        assert_eq!(
+            grid.get(GpuId::new(ServerId::new(1), 3)).memory.value(),
+            11.5
+        );
         assert_eq!(grid.iter().count(), 64);
         assert_eq!(grid.gpu_plane().len(), 64);
         let servers: Vec<ServerId> = grid.iter_servers().map(|(s, _)| s).collect();
@@ -530,7 +555,10 @@ mod tests {
         let json = serde_json::to_string(&grid).unwrap();
         assert!(json.starts_with("{\"gpu_c\":[0,1,2,"), "{json}");
         assert!(json.contains("],\"mem_offset_c\":[0.5,0.5,"), "{json}");
-        assert!(json.ends_with(",\"offsets\":[0,8,16,24,32,40,48,56,64]}"), "{json}");
+        assert!(
+            json.ends_with(",\"offsets\":[0,8,16,24,32,40,48,56,64]}"),
+            "{json}"
+        );
         assert!(TempGrid::default().is_empty());
     }
 

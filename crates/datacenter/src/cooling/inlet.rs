@@ -121,7 +121,10 @@ impl InletModel {
                 row_offset + rack_offset + height_offset + jitter
             })
             .collect();
-        Self { curve, spatial_offsets }
+        Self {
+            curve,
+            spatial_offsets,
+        }
     }
 
     /// The base curve parameters.
@@ -215,7 +218,10 @@ mod tests {
         let mut last = f64::MIN;
         for t in (-10..45).map(f64::from) {
             let inlet = model.inlet_temp(server, Celsius::new(t), 0.5, 0.0).value();
-            assert!(inlet >= last - 1e-9, "inlet must be non-decreasing in outside temp");
+            assert!(
+                inlet >= last - 1e-9,
+                "inlet must be non-decreasing in outside temp"
+            );
             last = inlet;
         }
     }

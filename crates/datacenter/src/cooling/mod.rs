@@ -18,5 +18,5 @@ pub mod gpu;
 pub mod inlet;
 
 pub use airflow::{AirflowModel, AisleAirflowAssessment};
-pub use gpu::{GpuThermalModel, GpuTemperatures, ServerTemps, TempGrid};
+pub use gpu::{GpuTemperatures, GpuThermalModel, ServerTemps, TempGrid};
 pub use inlet::InletModel;

@@ -137,7 +137,11 @@ impl ActivityPlanes {
     /// The flat kernel planes: `(utilization, frequency scale, memory boundedness)`.
     #[must_use]
     pub fn planes(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.gpu_utilization, &self.frequency_scale, &self.memory_boundedness)
+        (
+            &self.gpu_utilization,
+            &self.frequency_scale,
+            &self.memory_boundedness,
+        )
     }
 
     /// Read-only view of one server's activity.
@@ -298,8 +302,7 @@ impl StepOutcome {
 }
 
 /// Tunable model parameters for a [`Datacenter`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DatacenterModels {
     /// Inlet-temperature curve (Eq. 1).
     pub inlet_curve: InletCurve,
@@ -310,7 +313,6 @@ pub struct DatacenterModels {
     /// Server power model (Eq. 4).
     pub power: ServerPowerModel,
 }
-
 
 /// The datacenter physics engine.
 #[derive(Debug, Clone)]
@@ -376,7 +378,9 @@ fn row_plans(layout: &Layout, airflow: &AirflowModel, power: &ServerPowerModel) 
         .iter()
         .map(|row| {
             debug_assert!(
-                row.servers.iter().all(|&s| layout.server(s).aisle == row.aisle),
+                row.servers
+                    .iter()
+                    .all(|&s| layout.server(s).aisle == row.aisle),
                 "rows must not span aisles"
             );
             let uniform = row.servers.split_first().and_then(|(&first, rest)| {
@@ -385,7 +389,10 @@ fn row_plans(layout: &Layout, airflow: &AirflowModel, power: &ServerPowerModel) 
                     .all(|&s| layout.server(s).spec == spec)
                     .then(|| RowUniformTerms::for_spec(&spec, airflow, power))
             });
-            RowPlan { aisle: row.aisle.index(), uniform }
+            RowPlan {
+                aisle: row.aisle.index(),
+                uniform,
+            }
         })
         .collect()
 }
@@ -597,8 +604,11 @@ impl Datacenter {
         }
         // Per-row sums reduced in row order (the reference's FP order).
         let total_load: f64 = workspace.row_load.iter().sum();
-        let datacenter_load =
-            if server_count > 0 { total_load / server_count as f64 } else { 0.0 };
+        let datacenter_load = if server_count > 0 {
+            total_load / server_count as f64
+        } else {
+            0.0
+        };
         workspace.outcome.datacenter_load = datacenter_load;
 
         // 2. Aisle airflow assessment and recirculation penalties, written into the
@@ -611,10 +621,12 @@ impl Datacenter {
                 .aisle_airflow_fraction(aisle.id, aisle.ahu_count);
             let demand: CubicFeetPerMinute = workspace.outcome.server_airflow
                 [topology.aisle_range(aisle.id)]
-                .iter()
-                .copied()
-                .sum();
-            let assessment = self.airflow_model.assess_aisle_demand(aisle, demand, fraction);
+            .iter()
+            .copied()
+            .sum();
+            let assessment = self
+                .airflow_model
+                .assess_aisle_demand(aisle, demand, fraction);
             workspace.aisle_penalty[aisle.id.index()] = assessment.recirculation_penalty_c;
             workspace.outcome.aisle_airflow[aisle.id] = assessment;
         }
@@ -685,9 +697,7 @@ impl Datacenter {
         #[cfg(debug_assertions)]
         workspace.assert_kernel_lanes_written();
     }
-
 }
-
 
 /// Reusable buffers for [`Datacenter::evaluate_into`], including the output
 /// [`StepOutcome`] whose grids are overwritten in place each step.
@@ -780,7 +790,9 @@ impl StepWorkspace {
     fn poison_kernel_lanes(&mut self) {
         self.outcome.inlet_temps.fill(Celsius::new(f64::NAN));
         self.outcome.server_power.fill(Kilowatts::new(f64::NAN));
-        self.outcome.server_airflow.fill(CubicFeetPerMinute::new(f64::NAN));
+        self.outcome
+            .server_airflow
+            .fill(CubicFeetPerMinute::new(f64::NAN));
         let (gpu_c, mem_offsets) = self.outcome.gpu_temps.kernel_planes_mut();
         gpu_c.fill(f64::NAN);
         mem_offsets.fill(f64::NAN);
@@ -801,12 +813,24 @@ impl StepWorkspace {
             }
         }
         sweep("inlet", self.outcome.inlet_temps.iter().map(|c| c.value()));
-        sweep("server-power", self.outcome.server_power.iter().map(|p| p.value()));
-        sweep("server-airflow", self.outcome.server_airflow.iter().map(|a| a.value()));
-        sweep("gpu-temp", self.outcome.gpu_temps.gpu_plane().iter().copied());
+        sweep(
+            "server-power",
+            self.outcome.server_power.iter().map(|p| p.value()),
+        );
+        sweep(
+            "server-airflow",
+            self.outcome.server_airflow.iter().map(|a| a.value()),
+        );
+        sweep(
+            "gpu-temp",
+            self.outcome.gpu_temps.gpu_plane().iter().copied(),
+        );
         // Derived memory values inherit NaN from either an unwritten junction lane or an
         // unwritten per-server offset, so this sweep covers the offset plane too.
-        sweep("mem-temp", self.outcome.gpu_temps.iter().map(|t| t.memory.value()));
+        sweep(
+            "mem-temp",
+            self.outcome.gpu_temps.iter().map(|t| t.memory.value()),
+        );
         sweep("row-load", self.row_load.iter().copied());
     }
 }
@@ -863,8 +887,7 @@ fn power_lanes(
             let clamped_u = _mm_min_pd(_mm_max_pd(u, zero), one);
             let clamped_f = _mm_min_pd(_mm_max_pd(f, freq_floor), one);
             let f3 = _mm_mul_pd(_mm_mul_pd(clamped_f, clamped_f), clamped_f);
-            let power =
-                _mm_add_pd(static_2, _mm_mul_pd(_mm_mul_pd(dynamic_2, clamped_u), f3));
+            let power = _mm_add_pd(static_2, _mm_mul_pd(_mm_mul_pd(dynamic_2, clamped_u), f3));
             _mm_storeu_pd(out.as_mut_ptr().add(2 * i), power);
             util_acc_2 = _mm_add_pd(util_acc_2, u);
             pow_acc_2 = _mm_add_pd(pow_acc_2, power);
@@ -899,8 +922,11 @@ fn power_lanes(
         out[lanes - 1] = power;
     }
     let gpu_sum = pow_acc[0] + pow_acc[1];
-    let mean_load =
-        if lanes == 0 { 0.0 } else { (util_acc[0] + util_acc[1]) / lanes as f64 };
+    let mean_load = if lanes == 0 {
+        0.0
+    } else {
+        (util_acc[0] + util_acc[1]) / lanes as f64
+    };
     (gpu_sum, mean_load)
 }
 
@@ -953,7 +979,11 @@ impl RowPowerKernel<'_> {
             // is `f64::max` minus its NaN bookkeeping (both operands are finite sums of
             // clamped terms), which a bare `maxsd` implements exactly.
             let server_w = t.power.at_load(mean_load).to_watts().value();
-            let total = if server_w >= gpu_sum { server_w } else { gpu_sum };
+            let total = if server_w >= gpu_sum {
+                server_w
+            } else {
+                gpu_sum
+            };
             self.power[i] = Watts::new(total).to_kilowatts();
             gpu_offset += gpus;
         }
@@ -979,7 +1009,11 @@ impl RowPowerKernel<'_> {
             load_sum += mean_load;
             self.airflow[i] = airflow_model.server_airflow(spec, mean_load);
             let server_w = power_model.server_power(spec, mean_load).to_watts().value();
-            let total = if server_w >= gpu_sum { server_w } else { gpu_sum };
+            let total = if server_w >= gpu_sum {
+                server_w
+            } else {
+                gpu_sum
+            };
             self.power[i] = Watts::new(total).to_kilowatts();
             gpu_offset += spec.gpus_per_server;
         }
@@ -1022,8 +1056,8 @@ fn thermal_lanes(
     // within the resliced `lanes` bound (`2 * pairs <= lanes`).
     unsafe {
         use std::arch::x86_64::{
-            _mm_add_pd, _mm_cmpgt_pd, _mm_loadu_pd, _mm_movemask_pd, _mm_mul_pd,
-            _mm_set1_pd, _mm_storeu_pd,
+            _mm_add_pd, _mm_cmpgt_pd, _mm_loadu_pd, _mm_movemask_pd, _mm_mul_pd, _mm_set1_pd,
+            _mm_storeu_pd,
         };
         let base_2 = _mm_set1_pd(base_common);
         let coeff_2 = _mm_set1_pd(power_coeff);
@@ -1199,7 +1233,10 @@ mod tests {
         assert!(outcome.max_gpu_temp().value() < 55.0);
         assert!(!outcome.power.any_over_budget());
         assert!(outcome.thermal_throttles.is_empty());
-        assert!(!outcome.aisle_airflow.values().any(AisleAirflowAssessment::is_violated));
+        assert!(!outcome
+            .aisle_airflow
+            .values()
+            .any(AisleAirflowAssessment::is_violated));
         assert_eq!(outcome.datacenter_load, 0.0);
         assert_eq!(outcome.inlet_temps.len(), 80);
         assert_eq!(outcome.gpu_temps.server_count(), 80);
@@ -1213,8 +1250,11 @@ mod tests {
         let mut last_temp = 0.0;
         let mut last_power = 0.0;
         for load in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let outcome =
-                dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(22.0), load));
+            let outcome = dc.evaluate(&StepInput::uniform_load(
+                dc.layout(),
+                Celsius::new(22.0),
+                load,
+            ));
             let t = outcome.max_gpu_temp().value();
             let p = outcome.peak_row_power().value();
             assert!(t >= last_temp, "temperature must be monotone in load");
@@ -1227,8 +1267,11 @@ mod tests {
     #[test]
     fn hot_day_full_load_produces_hot_gpus() {
         let dc = datacenter();
-        let outcome =
-            dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(35.0), 1.0));
+        let outcome = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(35.0),
+            1.0,
+        ));
         // Full load on a hot day should push the hottest GPUs near or past the limit.
         assert!(outcome.max_gpu_temp().value() > 70.0);
         // Memory runs hotter than the GPU under the default 0.5 boundedness? Not necessarily,
@@ -1240,8 +1283,11 @@ mod tests {
     fn thermal_throttles_fire_above_limit() {
         let dc = datacenter();
         // Extreme outside temperature forces inlet (and thus GPU) temperatures over the limit.
-        let outcome =
-            dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(45.0), 1.0));
+        let outcome = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(45.0),
+            1.0,
+        ));
         assert!(outcome.throttled_gpu_count() > 0);
         for directive in &outcome.thermal_throttles {
             assert!(directive.temperature.value() > 85.0);
@@ -1255,8 +1301,11 @@ mod tests {
         let mut cfg = LayoutConfig::real_cluster_two_rows();
         cfg.row_power_provisioning = 0.6;
         let dc = Datacenter::new(cfg.build(), 1);
-        let outcome =
-            dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(20.0), 1.0));
+        let outcome = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(20.0),
+            1.0,
+        ));
         assert!(outcome.power.any_over_budget());
         assert!(!outcome.power.capping.is_empty());
     }
@@ -1297,7 +1346,9 @@ mod tests {
         let healthy = dc.evaluate(&input);
         let mut schedule = FailureSchedule::none();
         schedule.add(FailureWindow {
-            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
+            kind: FailureKind::CoolingDeviceFailure {
+                capacity_fraction: 0.9,
+            },
             start: SimTime::ZERO,
             end: SimTime::from_hours(2),
         });
@@ -1318,7 +1369,10 @@ mod tests {
         assert!(!healthy.power.any_over_budget());
         let mut schedule = FailureSchedule::none();
         schedule.add(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.75,
+            },
             start: SimTime::ZERO,
             end: SimTime::from_hours(1),
         });
@@ -1331,11 +1385,17 @@ mod tests {
     #[test]
     fn spatial_heterogeneity_shows_in_outcome() {
         let dc = datacenter();
-        let outcome =
-            dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(25.0), 0.8));
+        let outcome = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(25.0),
+            0.8,
+        ));
         let inlets: Vec<f64> = outcome.inlet_temps.iter().map(|t| t.value()).collect();
         let spread = simkit::stats::max(&inlets).unwrap() - simkit::stats::min(&inlets).unwrap();
-        assert!(spread > 1.0, "inlet spread should reflect spatial heterogeneity: {spread}");
+        assert!(
+            spread > 1.0,
+            "inlet spread should reflect spatial heterogeneity: {spread}"
+        );
         // GPUs within one server differ because of layout/process variation.
         let first_server = outcome.gpu_temps.server(ServerId::new(0));
         let temps: Vec<f64> = first_server.iter().map(|t| t.gpu.value()).collect();

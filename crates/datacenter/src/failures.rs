@@ -103,14 +103,21 @@ impl FailureSchedule {
         state.clear();
         for window in self.windows.iter().filter(|w| w.is_active(time)) {
             match window.kind {
-                FailureKind::AhuFailure { aisle, failed_units } => {
+                FailureKind::AhuFailure {
+                    aisle,
+                    failed_units,
+                } => {
                     state.fail_ahus(aisle, failed_units);
                 }
                 FailureKind::CoolingDeviceFailure { capacity_fraction } => {
-                    state.global_cooling_fraction =
-                        state.global_cooling_fraction.min(capacity_fraction.clamp(0.0, 1.0));
+                    state.global_cooling_fraction = state
+                        .global_cooling_fraction
+                        .min(capacity_fraction.clamp(0.0, 1.0));
                 }
-                FailureKind::UpsFailure { ups, capacity_fraction } => {
+                FailureKind::UpsFailure {
+                    ups,
+                    capacity_fraction,
+                } => {
                     state.fail_ups(ups, capacity_fraction.clamp(0.0, 1.0));
                 }
             }
@@ -225,12 +232,19 @@ impl FailureState {
     /// keep their allocations across steps.
     pub fn capacity_state_into(&self, layout: &Layout, capacity: &mut CapacityState) {
         capacity.reset();
-        if let Some(min_fraction) =
-            self.failed_upses.iter().map(|&(_, fraction)| fraction).min_by(nan_last)
+        if let Some(min_fraction) = self
+            .failed_upses
+            .iter()
+            .map(|&(_, fraction)| fraction)
+            .min_by(nan_last)
         {
             // A NaN fraction ranks after every number, so any finite failure decides; if
             // every fraction is NaN, nothing says what survived — read it as a total loss.
-            let min_fraction = if min_fraction.is_nan() { 0.0 } else { min_fraction };
+            let min_fraction = if min_fraction.is_nan() {
+                0.0
+            } else {
+                min_fraction
+            };
             capacity.datacenter_capacity = min_fraction;
             for ups in layout.upses() {
                 capacity.set_ups_capacity(ups.id, min_fraction);
@@ -250,7 +264,9 @@ mod tests {
     /// The paper's thermal emergency: cooling capacity reduced to 90 % over `[start, end)`.
     fn thermal_emergency(start: SimTime, end: SimTime) -> FailureWindow {
         FailureWindow {
-            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
+            kind: FailureKind::CoolingDeviceFailure {
+                capacity_fraction: 0.9,
+            },
             start,
             end,
         }
@@ -259,7 +275,10 @@ mod tests {
     /// The paper's power emergency: power capacity reduced to 75 % over `[start, end)`.
     fn power_emergency(start: SimTime, end: SimTime) -> FailureWindow {
         FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.75,
+            },
             start,
             end,
         }
@@ -284,7 +303,9 @@ mod tests {
     #[test]
     fn window_activation_boundaries() {
         let window = FailureWindow {
-            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 },
+            kind: FailureKind::CoolingDeviceFailure {
+                capacity_fraction: 0.9,
+            },
             start: t(10),
             end: t(20),
         };
@@ -298,7 +319,10 @@ mod tests {
     fn ahu_failure_scales_only_its_aisle() {
         let mut schedule = FailureSchedule::none();
         schedule.add(FailureWindow {
-            kind: FailureKind::AhuFailure { aisle: AisleId::new(1), failed_units: 1 },
+            kind: FailureKind::AhuFailure {
+                aisle: AisleId::new(1),
+                failed_units: 1,
+            },
             start: t(0),
             end: t(60),
         });
@@ -309,11 +333,19 @@ mod tests {
         // All AHUs failed -> zero airflow, never negative.
         let mut schedule2 = FailureSchedule::none();
         schedule2.add(FailureWindow {
-            kind: FailureKind::AhuFailure { aisle: AisleId::new(0), failed_units: 9 },
+            kind: FailureKind::AhuFailure {
+                aisle: AisleId::new(0),
+                failed_units: 9,
+            },
             start: t(0),
             end: t(60),
         });
-        assert_eq!(schedule2.state_at(t(0)).aisle_airflow_fraction(AisleId::new(0), 4), 0.0);
+        assert_eq!(
+            schedule2
+                .state_at(t(0))
+                .aisle_airflow_fraction(AisleId::new(0), 4),
+            0.0
+        );
     }
 
     #[test]
@@ -321,7 +353,10 @@ mod tests {
         let mut schedule = FailureSchedule::none();
         schedule.add(thermal_emergency(t(0), t(100)));
         schedule.add(FailureWindow {
-            kind: FailureKind::AhuFailure { aisle: AisleId::new(0), failed_units: 2 },
+            kind: FailureKind::AhuFailure {
+                aisle: AisleId::new(0),
+                failed_units: 2,
+            },
             start: t(0),
             end: t(100),
         });
@@ -356,8 +391,7 @@ mod tests {
             reused.capacity_state_into(&layout, &mut reused_capacity);
             let fresh = schedule.state_at(t(minutes)).capacity_state(&layout);
             assert!(
-                (reused_capacity.datacenter_capacity - fresh.datacenter_capacity).abs()
-                    < 1e-12
+                (reused_capacity.datacenter_capacity - fresh.datacenter_capacity).abs() < 1e-12
             );
         }
     }
@@ -368,12 +402,18 @@ mod tests {
         // regardless of schedule order (previously the schedule-order-last window won).
         let mut schedule = FailureSchedule::none();
         schedule.add(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.5 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.5,
+            },
             start: t(0),
             end: t(60),
         });
         schedule.add(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.8 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.8,
+            },
             start: t(10),
             end: t(60),
         });
@@ -384,12 +424,18 @@ mod tests {
         // Once the severe window ends, the milder one governs alone.
         let mut late = FailureSchedule::none();
         late.add(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.5 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.5,
+            },
             start: t(0),
             end: t(20),
         });
         late.add(FailureWindow {
-            kind: FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.8 },
+            kind: FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.8,
+            },
             start: t(10),
             end: t(60),
         });
@@ -415,7 +461,9 @@ mod tests {
         schedule.add(thermal_emergency(t(0), t(100)));
         schedule.add(power_emergency(t(0), t(100)));
         schedule.add(FailureWindow {
-            kind: FailureKind::CoolingDeviceFailure { capacity_fraction: 0.8 },
+            kind: FailureKind::CoolingDeviceFailure {
+                capacity_fraction: 0.8,
+            },
             start: t(20),
             end: t(40),
         });

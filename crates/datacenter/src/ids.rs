@@ -137,7 +137,13 @@ mod tests {
     fn gpu_id_display_and_equality() {
         let g = GpuId::new(ServerId::new(7), 3);
         assert_eq!(g.to_string(), "server-7/gpu-3");
-        assert_eq!(g, GpuId { server: ServerId::new(7), slot: 3 });
+        assert_eq!(
+            g,
+            GpuId {
+                server: ServerId::new(7),
+                slot: 3
+            }
+        );
         assert_ne!(g, GpuId::new(ServerId::new(7), 4));
     }
 }

@@ -58,7 +58,10 @@ pub struct OrdinalMap<K, V> {
 
 impl<K, V> Default for OrdinalMap<K, V> {
     fn default() -> Self {
-        Self { values: Vec::new(), _key: PhantomData }
+        Self {
+            values: Vec::new(),
+            _key: PhantomData,
+        }
     }
 }
 
@@ -75,13 +78,19 @@ impl<K: TopologyOrdinal, V> OrdinalMap<K, V> {
     where
         V: Clone,
     {
-        Self { values: vec![value; len], _key: PhantomData }
+        Self {
+            values: vec![value; len],
+            _key: PhantomData,
+        }
     }
 
     /// Wraps an ordinal-ordered vector (slot `i` belongs to the id with ordinal `i`).
     #[must_use]
     pub fn from_ordered(values: Vec<V>) -> Self {
-        Self { values, _key: PhantomData }
+        Self {
+            values,
+            _key: PhantomData,
+        }
     }
 
     /// Number of slots.
@@ -190,7 +199,10 @@ impl<K, V: Serialize> Serialize for OrdinalMap<K, V> {
 
 impl<K, V: Deserialize> Deserialize for OrdinalMap<K, V> {
     fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(Self { values: Vec::from_value(value)?, _key: PhantomData })
+        Ok(Self {
+            values: Vec::from_value(value)?,
+            _key: PhantomData,
+        })
     }
 }
 
@@ -231,7 +243,10 @@ pub struct TopologyIndex {
 /// # Panics
 /// Panics, naming the `level`, if the list is not an ascending contiguous run.
 pub(crate) fn server_span(servers: &[ServerId], level: &str) -> Range<usize> {
-    assert!(is_contiguous_run(servers), "{level} must cover contiguous server-index ranges");
+    assert!(
+        is_contiguous_run(servers),
+        "{level} must cover contiguous server-index ranges"
+    );
     let start = servers.first().map_or(0, |s| s.index());
     start..start + servers.len()
 }
@@ -253,9 +268,16 @@ impl TopologyIndex {
                 .expect("per-server GPU count fits in u32");
             gpu_offsets.push(total_gpus);
         }
-        let row_ranges = layout.rows().iter().map(|r| server_span(&r.servers, "rows")).collect();
-        let aisle_ranges =
-            layout.aisles().iter().map(|a| server_span(&a.servers, "aisles")).collect();
+        let row_ranges = layout
+            .rows()
+            .iter()
+            .map(|r| server_span(&r.servers, "rows"))
+            .collect();
+        let aisle_ranges = layout
+            .aisles()
+            .iter()
+            .map(|a| server_span(&a.servers, "aisles"))
+            .collect();
         Self {
             server_count,
             row_count: layout.rows().len(),
@@ -396,7 +418,10 @@ mod tests {
         let index = TopologyIndex::from_layout(&layout);
         assert_eq!(index.gpu_offsets().len(), layout.server_count() + 1);
         for server in layout.servers() {
-            assert_eq!(index.gpu_range(server.id).len(), server.spec.gpus_per_server);
+            assert_eq!(
+                index.gpu_range(server.id).len(),
+                server.spec.gpus_per_server
+            );
             let flat = index.gpu_flat_index(GpuId::new(server.id, 0));
             assert_eq!(flat, index.gpu_range(server.id).start);
         }
@@ -419,7 +444,11 @@ mod tests {
     fn contiguous_run_predicate() {
         assert!(is_contiguous_run::<ServerId>(&[]));
         assert!(is_contiguous_run(&[ServerId::new(3)]));
-        assert!(is_contiguous_run(&[ServerId::new(3), ServerId::new(4), ServerId::new(5)]));
+        assert!(is_contiguous_run(&[
+            ServerId::new(3),
+            ServerId::new(4),
+            ServerId::new(5)
+        ]));
         assert!(!is_contiguous_run(&[ServerId::new(3), ServerId::new(5)]));
         assert!(!is_contiguous_run(&[ServerId::new(4), ServerId::new(3)]));
     }
@@ -428,11 +457,13 @@ mod tests {
     /// mixed-spec remap — is one ascending contiguous span matching its member list.
     #[test]
     fn aisles_are_contiguous_spans_of_their_members() {
-        let ragged = LayoutConfig::production_datacenter().build().map_server_specs(|s| {
-            let mut spec = s.spec;
-            spec.gpus_per_server = 1 + s.id.index() % 8;
-            spec
-        });
+        let ragged = LayoutConfig::production_datacenter()
+            .build()
+            .map_server_specs(|s| {
+                let mut spec = s.spec;
+                spec.gpus_per_server = 1 + s.id.index() % 8;
+                spec
+            });
         for layout in [
             LayoutConfig::small_test_cluster().build(),
             LayoutConfig::real_cluster_two_rows().build(),
@@ -446,7 +477,10 @@ mod tests {
                 let members: Vec<usize> = aisle.servers.iter().map(|s| s.index()).collect();
                 assert!(!members.is_empty());
                 assert_eq!(members, span.clone().collect::<Vec<_>>());
-                assert_eq!(span.start, covered, "aisles tile the server indices in order");
+                assert_eq!(
+                    span.start, covered,
+                    "aisles tile the server indices in order"
+                );
                 covered = span.end;
             }
             assert_eq!(covered, layout.server_count());

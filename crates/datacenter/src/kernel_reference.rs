@@ -97,18 +97,22 @@ pub fn evaluate_scalar(dc: &Datacenter, input: &StepInput) -> StepOutcome {
         let row_load: f64 = mean_loads[row_range].iter().sum();
         total_load += row_load;
     }
-    let datacenter_load = if server_count > 0 { total_load / server_count as f64 } else { 0.0 };
+    let datacenter_load = if server_count > 0 {
+        total_load / server_count as f64
+    } else {
+        0.0
+    };
 
     // 2. Aisle airflow assessment and recirculation penalties.
     let mut aisle_penalty = vec![0.0; layout.aisles().len()];
     let mut assessments = Vec::with_capacity(layout.aisles().len());
     for aisle in layout.aisles() {
-        let fraction = input.failures.aisle_airflow_fraction(aisle.id, aisle.ahu_count);
-        let assessment = dc.airflow_model().assess_aisle(
-            aisle,
-            |s| server_airflow[s.index()],
-            fraction,
-        );
+        let fraction = input
+            .failures
+            .aisle_airflow_fraction(aisle.id, aisle.ahu_count);
+        let assessment =
+            dc.airflow_model()
+                .assess_aisle(aisle, |s| server_airflow[s.index()], fraction);
         aisle_penalty[aisle.id.index()] = assessment.recirculation_penalty_c;
         assessments.push(assessment);
     }

@@ -40,7 +40,11 @@ impl LevelUtilization {
     /// A zero-draw, zero-budget placeholder (used to pre-size reusable outcomes).
     #[must_use]
     pub fn empty() -> Self {
-        Self { draw: Kilowatts::ZERO, budget: Kilowatts::ZERO, utilization: 0.0 }
+        Self {
+            draw: Kilowatts::ZERO,
+            budget: Kilowatts::ZERO,
+            utilization: 0.0,
+        }
     }
 
     fn new(draw: Kilowatts, budget: Kilowatts) -> Self {
@@ -49,7 +53,11 @@ impl LevelUtilization {
         } else {
             f64::INFINITY
         };
-        Self { draw, budget, utilization }
+        Self {
+            draw,
+            budget,
+            utilization,
+        }
     }
 
     /// Returns `true` if the level draws more than its budget.
@@ -252,8 +260,14 @@ impl CapacityState {
     #[must_use]
     pub fn is_full(&self) -> bool {
         (self.datacenter_capacity - 1.0).abs() < f64::EPSILON
-            && self.ups_capacity.values().all(|&f| (f - 1.0).abs() < f64::EPSILON)
-            && self.row_capacity.values().all(|&f| (f - 1.0).abs() < f64::EPSILON)
+            && self
+                .ups_capacity
+                .values()
+                .all(|&f| (f - 1.0).abs() < f64::EPSILON)
+            && self
+                .row_capacity
+                .values()
+                .all(|&f| (f - 1.0).abs() < f64::EPSILON)
     }
 }
 
@@ -271,7 +285,6 @@ pub struct PowerHierarchy {
     row_span_start: Vec<u32>,
     row_span_end: Vec<u32>,
 }
-
 
 impl PowerHierarchy {
     /// Builds the hierarchy view from a layout.
@@ -313,15 +326,27 @@ impl PowerHierarchy {
         // Ordinal indexing throughout (`row_budget`, `assess_into`) relies on each level
         // being stored in id order; pin the invariant here, once, at construction.
         debug_assert!(
-            hierarchy.layout_rows.iter().enumerate().all(|(i, r)| r.0.index() == i),
+            hierarchy
+                .layout_rows
+                .iter()
+                .enumerate()
+                .all(|(i, r)| r.0.index() == i),
             "rows stored in id order"
         );
         debug_assert!(
-            hierarchy.layout_pdus.iter().enumerate().all(|(i, p)| p.0.index() == i),
+            hierarchy
+                .layout_pdus
+                .iter()
+                .enumerate()
+                .all(|(i, p)| p.0.index() == i),
             "pdus stored in id order"
         );
         debug_assert!(
-            hierarchy.layout_upses.iter().enumerate().all(|(i, u)| u.0.index() == i),
+            hierarchy
+                .layout_upses
+                .iter()
+                .enumerate()
+                .all(|(i, u)| u.0.index() == i),
             "upses stored in id order"
         );
         hierarchy
@@ -352,11 +377,7 @@ impl PowerHierarchy {
     /// # Panics
     /// Panics if `server_power` has fewer entries than the layout has servers.
     #[must_use]
-    pub fn assess(
-        &self,
-        server_power: &[Kilowatts],
-        capacity: &CapacityState,
-    ) -> PowerAssessment {
+    pub fn assess(&self, server_power: &[Kilowatts], capacity: &CapacityState) -> PowerAssessment {
         let mut assessment = PowerAssessment::empty();
         self.assess_into(
             server_power,
@@ -381,9 +402,12 @@ impl PowerHierarchy {
         out: &mut PowerAssessment,
         scratch: &mut HierarchyScratch,
     ) {
-        out.rows.resize(self.layout_rows.len(), LevelUtilization::empty());
-        out.pdus.resize(self.layout_pdus.len(), LevelUtilization::empty());
-        out.upses.resize(self.layout_upses.len(), LevelUtilization::empty());
+        out.rows
+            .resize(self.layout_rows.len(), LevelUtilization::empty());
+        out.pdus
+            .resize(self.layout_pdus.len(), LevelUtilization::empty());
+        out.upses
+            .resize(self.layout_upses.len(), LevelUtilization::empty());
         out.capping.clear();
         scratch.caps.clear();
         scratch.caps.resize(server_power.len(), 1.0);
@@ -396,18 +420,15 @@ impl PowerHierarchy {
         }
 
         for (pdu_id, member_rows, budget, _) in &self.layout_pdus {
-            let draw: Kilowatts =
-                member_rows.iter().map(|r| out.rows[*r].draw).sum();
+            let draw: Kilowatts = member_rows.iter().map(|r| out.rows[*r].draw).sum();
             out.pdus[*pdu_id] = LevelUtilization::new(draw, *budget);
         }
 
         let mut dc_draw = Kilowatts::ZERO;
         for (ups_id, member_pdus, budget) in &self.layout_upses {
-            let draw: Kilowatts =
-                member_pdus.iter().map(|p| out.pdus[*p].draw).sum();
+            let draw: Kilowatts = member_pdus.iter().map(|p| out.pdus[*p].draw).sum();
             dc_draw += draw;
-            out.upses[*ups_id] =
-                LevelUtilization::new(draw, *budget * capacity.ups(*ups_id));
+            out.upses[*ups_id] = LevelUtilization::new(draw, *budget * capacity.ups(*ups_id));
         }
 
         out.datacenter = LevelUtilization::new(
@@ -523,8 +544,7 @@ mod tests {
         let power = vec![Kilowatts::new(2.0); layout.server_count()];
         let assessment = hierarchy.assess(&power, &CapacityState::healthy());
         // Total row headroom = Σ per-row headroom, and matches the per-row accessors.
-        let expected: f64 =
-            assessment.rows.values().map(|u| u.headroom().value()).sum();
+        let expected: f64 = assessment.rows.values().map(|u| u.headroom().value()).sum();
         assert!((assessment.total_row_headroom().value() - expected).abs() < 1e-9);
         assert!(expected > 0.0);
         // Worst level is at least every row's utilization and under budget here.
@@ -538,8 +558,8 @@ mod tests {
             cfg.row_power_provisioning = 0.5;
             cfg.build()
         };
-        let stressed = PowerHierarchy::from_layout(&stressed_layout)
-            .assess(&hot, &CapacityState::healthy());
+        let stressed =
+            PowerHierarchy::from_layout(&stressed_layout).assess(&hot, &CapacityState::healthy());
         assert!(stressed.worst_level_utilization() > 1.0);
         assert_eq!(stressed.total_row_headroom().value(), 0.0);
     }
@@ -634,7 +654,10 @@ mod tests {
         state.set_row_capacity(RowId::new(0), 0.7);
         state.datacenter_capacity = 0.75;
         assert!((state.ups(UpsId::new(1)) - 0.5).abs() < 1e-12);
-        assert!((state.ups(UpsId::new(0)) - 1.0).abs() < 1e-12, "untouched ordinal is full");
+        assert!(
+            (state.ups(UpsId::new(0)) - 1.0).abs() < 1e-12,
+            "untouched ordinal is full"
+        );
         assert!((state.row(RowId::new(0)) - 0.7).abs() < 1e-12);
         state.reset();
         assert!(state.is_full());
@@ -666,7 +689,10 @@ mod tests {
         let mut neutral = CapacityState::healthy();
         neutral.apply_power_cap(1.0, layout.upses().len(), layout.rows().len());
         assert!(neutral.is_full());
-        assert_eq!(hierarchy.assess(&power, &neutral), hierarchy.assess(&power, &CapacityState::healthy()));
+        assert_eq!(
+            hierarchy.assess(&power, &neutral),
+            hierarchy.assess(&power, &CapacityState::healthy())
+        );
     }
 
     #[test]

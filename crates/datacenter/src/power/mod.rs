@@ -10,5 +10,7 @@
 pub mod hierarchy;
 pub mod server;
 
-pub use hierarchy::{CapacityState, CappingDirective, LevelUtilization, PowerAssessment, PowerHierarchy};
+pub use hierarchy::{
+    CapacityState, CappingDirective, LevelUtilization, PowerAssessment, PowerHierarchy,
+};
 pub use server::ServerPowerModel;

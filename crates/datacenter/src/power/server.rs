@@ -237,8 +237,7 @@ mod tests {
         assert_eq!(per_gpu.len(), 8);
         let mean_load: f64 = utils.iter().sum::<f64>() / 8.0;
         let total_expected = model.server_power(&spec, mean_load).to_watts().value();
-        let total_actual: f64 =
-            per_gpu.iter().map(|p| p.value()).sum::<f64>() + overhead.value();
+        let total_actual: f64 = per_gpu.iter().map(|p| p.value()).sum::<f64>() + overhead.value();
         assert!((total_actual - total_expected).abs() < 1e-6);
         assert!(overhead.value() > 0.0, "non-GPU components draw power");
     }

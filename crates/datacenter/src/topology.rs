@@ -306,7 +306,11 @@ pub struct LayoutError {
 
 impl std::fmt::Display for LayoutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "layout field {} is {}, expected {}", self.field, self.value, self.expected)
+        write!(
+            f,
+            "layout field {} is {}, expected {}",
+            self.field, self.value, self.expected
+        )
     }
 }
 
@@ -406,27 +410,40 @@ impl LayoutConfig {
     /// # Errors
     /// Returns the first offending field.
     pub fn check(&self) -> Result<(), LayoutError> {
-        let error = |field, value, expected| Err(LayoutError { field, value, expected });
+        let error = |field, value, expected| {
+            Err(LayoutError {
+                field,
+                value,
+                expected,
+            })
+        };
         let counts = [
             ("aisles", self.aisles),
             ("racks_per_row", self.racks_per_row),
             ("servers_per_rack", self.servers_per_rack),
             ("pdus_per_ups", self.pdus_per_ups),
             ("ahus_per_aisle", self.ahus_per_aisle),
-            ("server_spec.gpus_per_server", self.server_spec.gpus_per_server),
+            (
+                "server_spec.gpus_per_server",
+                self.server_spec.gpus_per_server,
+            ),
         ];
         if let Some(&(field, value)) = counts.iter().find(|(_, value)| *value == 0) {
             return error(field, value as f64, "non-zero");
         }
         let fractions = [
             ("row_power_provisioning", self.row_power_provisioning),
-            ("aisle_airflow_provisioning", self.aisle_airflow_provisioning),
+            (
+                "aisle_airflow_provisioning",
+                self.aisle_airflow_provisioning,
+            ),
             ("pdu_power_provisioning", self.pdu_power_provisioning),
             ("ups_power_provisioning", self.ups_power_provisioning),
         ];
         // NaN must fail too, so test the accepting range rather than its negation.
-        if let Some(&(field, value)) =
-            fractions.iter().find(|(_, value)| !(value.is_finite() && *value > 0.0))
+        if let Some(&(field, value)) = fractions
+            .iter()
+            .find(|(_, value)| !(value.is_finite() && *value > 0.0))
         {
             return error(field, value, "finite and positive");
         }
@@ -444,7 +461,11 @@ impl LayoutConfig {
             return error(field, value, "finite");
         }
         if spec.idle_power > spec.max_power {
-            return error("server_spec.idle_power", spec.idle_power.value(), "at most max_power");
+            return error(
+                "server_spec.idle_power",
+                spec.idle_power.value(),
+                "at most max_power",
+            );
         }
         if spec.idle_airflow > spec.max_airflow {
             return error(
@@ -519,8 +540,7 @@ impl LayoutConfig {
                     });
                     row_racks.push(rack_id);
                 }
-                let row_max_power: Kilowatts =
-                    row_servers.iter().map(|_| spec.max_power).sum();
+                let row_max_power: Kilowatts = row_servers.iter().map(|_| spec.max_power).sum();
                 rows.push(Row {
                     id: row_id,
                     aisle: aisle_id,
@@ -566,14 +586,18 @@ impl LayoutConfig {
         let mut upses = Vec::new();
         for chunk in pdus.chunks_mut(self.pdus_per_ups) {
             let ups_id = UpsId::new(upses.len());
-            let budget: Kilowatts =
-                chunk.iter().map(|p| p.power_budget).sum::<Kilowatts>() * self.ups_power_provisioning;
+            let budget: Kilowatts = chunk.iter().map(|p| p.power_budget).sum::<Kilowatts>()
+                * self.ups_power_provisioning;
             let mut members = Vec::new();
             for pdu in chunk.iter_mut() {
                 pdu.ups = ups_id;
                 members.push(pdu.id);
             }
-            upses.push(Ups { id: ups_id, pdus: members, power_budget: budget });
+            upses.push(Ups {
+                id: ups_id,
+                pdus: members,
+                power_budget: budget,
+            });
         }
 
         let datacenter_power_budget: Kilowatts = upses.iter().map(|u| u.power_budget).sum();
@@ -622,7 +646,9 @@ mod tests {
         for server in layout.servers() {
             assert!(layout.row(server.row).servers.contains(&server.id));
             assert!(layout.aisle(server.aisle).servers.contains(&server.id));
-            assert!(layout.racks()[server.rack.index()].servers.contains(&server.id));
+            assert!(layout.racks()[server.rack.index()]
+                .servers
+                .contains(&server.id));
         }
         // Row -> PDU -> UPS chains are consistent.
         for row in layout.rows() {
@@ -706,19 +732,34 @@ mod tests {
             Err("server_spec.gpus_per_server")
         );
         for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(field(&|c| c.row_power_provisioning = bad), Err("row_power_provisioning"));
+            assert_eq!(
+                field(&|c| c.row_power_provisioning = bad),
+                Err("row_power_provisioning")
+            );
             assert_eq!(
                 field(&|c| c.aisle_airflow_provisioning = bad),
                 Err("aisle_airflow_provisioning")
             );
-            assert_eq!(field(&|c| c.pdu_power_provisioning = bad), Err("pdu_power_provisioning"));
-            assert_eq!(field(&|c| c.ups_power_provisioning = bad), Err("ups_power_provisioning"));
+            assert_eq!(
+                field(&|c| c.pdu_power_provisioning = bad),
+                Err("pdu_power_provisioning")
+            );
+            assert_eq!(
+                field(&|c| c.ups_power_provisioning = bad),
+                Err("ups_power_provisioning")
+            );
         }
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let kw = Kilowatts::new(bad);
             let cfm = CubicFeetPerMinute::new(bad);
-            assert_eq!(field(&|c| c.server_spec.idle_power = kw), Err("server_spec.idle_power"));
-            assert_eq!(field(&|c| c.server_spec.max_power = kw), Err("server_spec.max_power"));
+            assert_eq!(
+                field(&|c| c.server_spec.idle_power = kw),
+                Err("server_spec.idle_power")
+            );
+            assert_eq!(
+                field(&|c| c.server_spec.max_power = kw),
+                Err("server_spec.max_power")
+            );
             assert_eq!(
                 field(&|c| c.server_spec.gpu_max_power = kw),
                 Err("server_spec.gpu_max_power")
@@ -727,7 +768,10 @@ mod tests {
                 field(&|c| c.server_spec.idle_airflow = cfm),
                 Err("server_spec.idle_airflow")
             );
-            assert_eq!(field(&|c| c.server_spec.max_airflow = cfm), Err("server_spec.max_airflow"));
+            assert_eq!(
+                field(&|c| c.server_spec.max_airflow = cfm),
+                Err("server_spec.max_airflow")
+            );
             assert_eq!(
                 field(&|c| c.server_spec.gpu_throttle_temp_c = bad),
                 Err("server_spec.gpu_throttle_temp_c")
@@ -746,8 +790,15 @@ mod tests {
             field(&|c| c.server_spec.max_airflow = CubicFeetPerMinute::new(-840.0)),
             Err("server_spec.idle_airflow")
         );
-        let error = LayoutConfig { aisles: 0, ..LayoutConfig::small_test_cluster() }.check();
-        assert_eq!(error.unwrap_err().to_string(), "layout field aisles is 0, expected non-zero");
+        let error = LayoutConfig {
+            aisles: 0,
+            ..LayoutConfig::small_test_cluster()
+        }
+        .check();
+        assert_eq!(
+            error.unwrap_err().to_string(),
+            "layout field aisles is 0, expected non-zero"
+        );
     }
 
     #[test]

@@ -197,7 +197,10 @@ mod tests {
             night.push(w.outside_temp(t_am).value());
         }
         let diff = stats::mean(&afternoon).unwrap() - stats::mean(&night).unwrap();
-        assert!(diff > 5.0, "afternoon should be much warmer than night, diff {diff}");
+        assert!(
+            diff > 5.0,
+            "afternoon should be much warmer than night, diff {diff}"
+        );
     }
 
     #[test]
@@ -205,11 +208,18 @@ mod tests {
         let mut hot = WeatherModel::new(Climate::hot(), 9);
         let mut cold = WeatherModel::new(Climate::cold(), 9);
         let hot_mean = stats::mean(
-            &hot.trace(14, 60).into_iter().map(|(_, t)| t.value()).collect::<Vec<_>>(),
+            &hot.trace(14, 60)
+                .into_iter()
+                .map(|(_, t)| t.value())
+                .collect::<Vec<_>>(),
         )
         .unwrap();
         let cold_mean = stats::mean(
-            &cold.trace(14, 60).into_iter().map(|(_, t)| t.value()).collect::<Vec<_>>(),
+            &cold
+                .trace(14, 60)
+                .into_iter()
+                .map(|(_, t)| t.value())
+                .collect::<Vec<_>>(),
         )
         .unwrap();
         assert!(hot_mean > cold_mean + 10.0);

@@ -81,7 +81,11 @@ const NIL: u32 = u32::MAX;
 /// every `f64` is an integer, and the cast saturates like the `ceil` path's.
 fn ceil_to_u64(x: f64) -> u64 {
     let truncated = x as u64;
-    if (truncated as f64) < x { truncated.saturating_add(1) } else { truncated }
+    if (truncated as f64) < x {
+        truncated.saturating_add(1)
+    } else {
+        truncated
+    }
 }
 
 /// Duration of one iteration in whole milliseconds (at least 1): the prefill of
@@ -89,7 +93,11 @@ fn ceil_to_u64(x: f64) -> u64 {
 /// batch of `batch` sequences at mean context `mean_context`. Replicas split the work
 /// evenly, so the aggregate iteration time is the per-replica share's time.
 fn iteration_ms(step: &StepModel, prefill_tokens: usize, batch: usize, mean_context: usize) -> u64 {
-    let prefill_s = if prefill_tokens > 0 { step.prefill_time_s(prefill_tokens) } else { 0.0 };
+    let prefill_s = if prefill_tokens > 0 {
+        step.prefill_time_s(prefill_tokens)
+    } else {
+        0.0
+    };
     let decode_s = step.decode_step_time_s(batch, mean_context.max(1));
     ceil_to_u64((prefill_s + decode_s) * 1000.0).max(1)
 }
@@ -104,7 +112,11 @@ struct Span {
 }
 
 /// A span no context falls in (`lo > hi`).
-const NO_SPAN: Span = Span { lo: usize::MAX, hi: 0, ms: 0 };
+const NO_SPAN: Span = Span {
+    lo: usize::MAX,
+    hi: 0,
+    ms: 0,
+};
 
 /// The iteration clock's exact span table (see the module docs): per per-replica batch
 /// size, the last span a lookup landed in.
@@ -117,7 +129,10 @@ struct SpanTable {
 
 impl SpanTable {
     fn new(max_batch_size: usize) -> Self {
-        Self { spans: Vec::new(), batch_sizes: max_batch_size + 1 }
+        Self {
+            spans: Vec::new(),
+            batch_sizes: max_batch_size + 1,
+        }
     }
 
     /// The decode-only iteration time of per-replica batch `batch` at mean context
@@ -300,7 +315,6 @@ struct FinishRing {
 }
 
 impl FinishRing {
-
     fn bucket(iteration: u64) -> usize {
         (iteration & RING_MASK) as usize
     }
@@ -329,7 +343,9 @@ impl FinishRing {
 
     /// Unlinks `slot` from its finish bucket.
     fn remove(&mut self, slots: &mut [Slot], slot: u32) {
-        let Slot { finish, next, prev, .. } = slots[slot as usize];
+        let Slot {
+            finish, next, prev, ..
+        } = slots[slot as usize];
         if prev == NIL {
             let bucket = Self::bucket(finish);
             self.heads[bucket] = next;
@@ -710,14 +726,14 @@ impl BatchScheduler {
         let mut capacity = self.admission_capacity();
         let mut admitted_prompt_tokens = 0;
         while self.running.len() < max_batch {
-            let Some(front) = self.queue.front().copied() else { break };
+            let Some(front) = self.queue.front().copied() else {
+                break;
+            };
             if front.ready_ms > self.now_ms {
                 break;
             }
             let footprint = front.footprint();
-            if self.shed_deadline_ms > 0
-                && self.now_ms > front.arrival_ms + self.shed_deadline_ms
-            {
+            if self.shed_deadline_ms > 0 && self.now_ms > front.arrival_ms + self.shed_deadline_ms {
                 self.queue.pop_front();
                 self.queued_tokens -= footprint;
                 self.faults.shed += 1;
@@ -744,7 +760,12 @@ impl BatchScheduler {
             let seq = self.admission_seq;
             self.admission_seq += 1;
             let slot = self.free_slots.pop().unwrap_or_else(|| {
-                self.slots.push(Slot { finish: 0, pos: 0, next: NIL, prev: NIL });
+                self.slots.push(Slot {
+                    finish: 0,
+                    pos: 0,
+                    next: NIL,
+                    prev: NIL,
+                });
                 (self.slots.len() - 1) as u32
             });
             let entry = &mut self.slots[slot as usize];
@@ -843,7 +864,9 @@ impl BatchScheduler {
         if self.running.len() >= self.max_batch() {
             return u64::MAX;
         }
-        let Some(front) = self.queue.front() else { return u64::MAX };
+        let Some(front) = self.queue.front() else {
+            return u64::MAX;
+        };
         if front.ready_ms > self.now_ms {
             return front.ready_ms;
         }
@@ -872,7 +895,9 @@ impl BatchScheduler {
         if self.now_ms >= limit_ms {
             return;
         }
-        let Some(quiet) = self.ring.distance_to_occupied(self.iterations) else { return };
+        let Some(quiet) = self.ring.distance_to_occupied(self.iterations) else {
+            return;
+        };
         let per_replica = self.per_replica(batch);
         let mut context = self.kv_in_use / batch;
         let mut now_ms = self.now_ms;
@@ -910,7 +935,9 @@ impl BatchScheduler {
             if self.now_ms >= deadline_ms {
                 break;
             }
-            let Some(admitted_from) = self.begin_iteration(deadline_ms, true) else { continue };
+            let Some(admitted_from) = self.begin_iteration(deadline_ms, true) else {
+                continue;
+            };
             let now_ms = self.now_ms;
             for seq in &mut self.running[admitted_from..] {
                 seq.first_token_ms = now_ms;
@@ -918,7 +945,10 @@ impl BatchScheduler {
 
             // Sequences whose finish iteration is the one that just ran complete and
             // evict their whole footprint.
-            if self.ring.is_occupied(FinishRing::bucket(self.iterations - 1)) {
+            if self
+                .ring
+                .is_occupied(FinishRing::bucket(self.iterations - 1))
+            {
                 self.complete_finished(&mut done);
             }
         }
@@ -997,7 +1027,11 @@ mod tests {
     use super::*;
 
     fn scheduler(replicas: usize) -> BatchScheduler {
-        BatchScheduler::new(InstanceConfig::default_70b(), &GpuHardware::a100(), replicas)
+        BatchScheduler::new(
+            InstanceConfig::default_70b(),
+            &GpuHardware::a100(),
+            replicas,
+        )
     }
 
     #[test]
@@ -1018,8 +1052,21 @@ mod tests {
             (1u64 << 53) as f64,
             (1u64 << 63) as f64,
         ];
-        for whole in [1.0, 2.0, 17.0, 999.0, 4_503_599_627_370_495.0, 9.0e15, 1.0e19] {
-            samples.extend([whole, f64::next_up(whole), f64::next_down(whole), whole + 0.5]);
+        for whole in [
+            1.0,
+            2.0,
+            17.0,
+            999.0,
+            4_503_599_627_370_495.0,
+            9.0e15,
+            1.0e19,
+        ] {
+            samples.extend([
+                whole,
+                f64::next_up(whole),
+                f64::next_down(whole),
+                whole + 0.5,
+            ]);
         }
         let mut x = 1.0e-3;
         while x < 1.0e21 {
@@ -1040,7 +1087,10 @@ mod tests {
     fn span_table_matches_the_direct_formula_and_stores_tight_spans() {
         let perf = PerfModel::new(GpuHardware::a100());
         let mut models: Vec<(StepModel, usize)> = Vec::new();
-        let stock = [InstanceConfig::default_70b(), InstanceConfig::small_fallback()];
+        let stock = [
+            InstanceConfig::default_70b(),
+            InstanceConfig::small_fallback(),
+        ];
         for config in InstanceConfig::enumerate().into_iter().chain(stock) {
             let step = perf.step_model(&config);
             match models.iter_mut().find(|(model, _)| *model == step) {
@@ -1057,7 +1107,11 @@ mod tests {
                     let direct = iteration_ms(step, 0, batch, context);
                     let (ms, hi) = table.span(step, batch, context);
                     let span = table.spans[batch];
-                    assert_eq!((ms, hi), (direct, span.hi), "{step:?} b={batch} c={context}");
+                    assert_eq!(
+                        (ms, hi),
+                        (direct, span.hi),
+                        "{step:?} b={batch} c={context}"
+                    );
                     assert!(span.lo <= context && context <= span.hi);
                     if span != checked {
                         misses += 1;
@@ -1071,7 +1125,11 @@ mod tests {
             }
         }
         // The sweep crosses many spans per batch size, so edges were really searched.
-        assert!(misses > 100 * models.len(), "{misses} spans over {} models", models.len());
+        assert!(
+            misses > 100 * models.len(),
+            "{misses} spans over {} models",
+            models.len()
+        );
     }
 
     #[test]
@@ -1174,8 +1232,7 @@ mod tests {
     fn occupancy_grows_incrementally_and_never_exceeds_capacity() {
         // A fast configuration with prompts sized so the KV budget (not the batch-size
         // cap) is the binding admission constraint.
-        let mut s =
-            BatchScheduler::new(InstanceConfig::small_fallback(), &GpuHardware::a100(), 1);
+        let mut s = BatchScheduler::new(InstanceConfig::small_fallback(), &GpuHardware::a100(), 1);
         let prompt = s.kv_capacity() / 12;
         let output = 200;
         let footprint = prompt + output;
@@ -1192,8 +1249,14 @@ mod tests {
             window += 1;
             assert!(window < 50_000, "scheduler failed to drain the backlog");
             s.advance_to(window * 500, |done| out.push(done));
-            assert!(s.kv_in_use() <= s.kv_capacity(), "occupancy exceeded capacity");
-            assert!(s.kv_committed() <= s.kv_capacity(), "commitment exceeded capacity");
+            assert!(
+                s.kv_in_use() <= s.kv_capacity(),
+                "occupancy exceeded capacity"
+            );
+            assert!(
+                s.kv_committed() <= s.kv_capacity(),
+                "commitment exceeded capacity"
+            );
             if s.kv_in_use() > prev_in_use && prev_in_use > 0 {
                 saw_growth_between_observations = true;
             }
@@ -1201,7 +1264,10 @@ mod tests {
             peak_committed = peak_committed.max(s.kv_committed());
         }
         assert_eq!(out.len() as u64, count);
-        assert!(saw_growth_between_observations, "decode growth never observed");
+        assert!(
+            saw_growth_between_observations,
+            "decode growth never observed"
+        );
         // The KV constraint actually bound admission at some point.
         assert!(peak_committed > s.kv_capacity() / 2);
         assert_eq!(s.kv_in_use(), 0);
@@ -1228,7 +1294,12 @@ mod tests {
         let run = || {
             let mut s = scheduler(2);
             for i in 0..64 {
-                s.offer(i, 300 + (i as usize * 37) % 900, 40 + (i as usize * 13) % 120, i * 111);
+                s.offer(
+                    i,
+                    300 + (i as usize * 37) % 900,
+                    40 + (i as usize * 13) % 120,
+                    i * 111,
+                );
             }
             let mut out = Vec::new();
             for window in 1..=20u64 {
@@ -1263,10 +1334,16 @@ mod tests {
         }
         let mut out = Vec::new();
         s.advance_to(600_000, |done| out.push(done));
-        let first = out.iter().find(|c| c.tag == 0).expect("first request completes");
+        let first = out
+            .iter()
+            .find(|c| c.tag == 0)
+            .expect("first request completes");
         let ttfts: Vec<u64> = out.iter().map(|c| c.ttft_ms()).collect();
         let worst = *ttfts.iter().max().unwrap();
-        assert!(worst > 4 * first.ttft_ms(), "queueing should inflate tail TTFT");
+        assert!(
+            worst > 4 * first.ttft_ms(),
+            "queueing should inflate tail TTFT"
+        );
     }
 
     #[test]
@@ -1306,7 +1383,11 @@ mod tests {
         // A single shrink preempts each victim at most once, well inside the retry
         // budget: nothing times out and every request still completes.
         assert_eq!(s.faults().timeouts, 0);
-        assert_eq!(out.len(), 64, "all sequences still complete after the downsize");
+        assert_eq!(
+            out.len(),
+            64,
+            "all sequences still complete after the downsize"
+        );
         assert_eq!(s.kv_in_use(), 0);
         assert_eq!(s.kv_committed(), 0);
     }
@@ -1325,7 +1406,10 @@ mod tests {
         // One iteration admits the whole burst (8 footprints fit 4 replicas).
         s.advance_to(1, |done| out.push(done));
         let running_before = s.running_len();
-        assert!(running_before >= 4, "expected a loaded batch, got {running_before}");
+        assert!(
+            running_before >= 4,
+            "expected a loaded batch, got {running_before}"
+        );
         s.set_replicas(1);
         let faults = s.faults();
         assert!(faults.preemptions > 0, "the shrink must preempt");
@@ -1365,7 +1449,10 @@ mod tests {
         }
         assert_eq!(s.running_len(), 2);
         let generated = (s.kv_in_use() - 2 * prompt) / 2;
-        assert!(generated > 1 && generated < 500, "mid-decode, got {generated}");
+        assert!(
+            generated > 1 && generated < 500,
+            "mid-decode, got {generated}"
+        );
         s.set_replicas(1);
         let faults = s.faults();
         assert_eq!(faults.preemptions, 1);

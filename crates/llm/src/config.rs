@@ -33,8 +33,11 @@ pub enum TensorParallelism {
 
 impl TensorParallelism {
     /// All supported degrees, smallest first.
-    pub const ALL: [TensorParallelism; 3] =
-        [TensorParallelism::Tp2, TensorParallelism::Tp4, TensorParallelism::Tp8];
+    pub const ALL: [TensorParallelism; 3] = [
+        TensorParallelism::Tp2,
+        TensorParallelism::Tp4,
+        TensorParallelism::Tp8,
+    ];
 
     /// Number of GPUs the instance occupies.
     #[must_use]
@@ -256,7 +259,10 @@ mod tests {
         assert_eq!(TensorParallelism::Tp2.gpus(), 2);
         assert_eq!(TensorParallelism::Tp8.gpus(), 8);
         assert_eq!(TensorParallelism::Tp8.to_string(), "TP8");
-        assert!(TensorParallelism::Tp2.scaling_efficiency() > TensorParallelism::Tp8.scaling_efficiency());
+        assert!(
+            TensorParallelism::Tp2.scaling_efficiency()
+                > TensorParallelism::Tp8.scaling_efficiency()
+        );
     }
 
     #[test]
@@ -303,12 +309,21 @@ mod tests {
 
         let mut freq_change = base;
         freq_change.frequency = FrequencyScale::new(0.7);
-        assert_eq!(base.reconfiguration_cost(&freq_change), ReconfigurationCost::Online);
-        assert_eq!(base.reconfiguration_cost(&freq_change).downtime_seconds(), 0.0);
+        assert_eq!(
+            base.reconfiguration_cost(&freq_change),
+            ReconfigurationCost::Online
+        );
+        assert_eq!(
+            base.reconfiguration_cost(&freq_change).downtime_seconds(),
+            0.0
+        );
 
         let mut batch_change = base;
         batch_change.max_batch_size = 16;
-        assert_eq!(base.reconfiguration_cost(&batch_change), ReconfigurationCost::Online);
+        assert_eq!(
+            base.reconfiguration_cost(&batch_change),
+            ReconfigurationCost::Online
+        );
 
         let small = InstanceConfig::small_fallback();
         let cost = base.reconfiguration_cost(&small);

@@ -30,7 +30,9 @@ fn submit(s: &mut BatchScheduler, tag: u64, prompt: usize, output: usize) {
 fn run_for(s: &mut BatchScheduler, duration_s: f64) -> Vec<BatchCompletion> {
     assert!(duration_s > 0.0, "duration must be positive");
     let mut out = Vec::new();
-    s.advance_to(s.now_ms() + (duration_s * 1e3).round() as u64, |done| out.push(done));
+    s.advance_to(s.now_ms() + (duration_s * 1e3).round() as u64, |done| {
+        out.push(done)
+    });
     out
 }
 

@@ -97,7 +97,10 @@ mod tests {
         let compute_ratio = gpu.effective_flops(0.5) / gpu.effective_flops(1.0);
         let bandwidth_ratio = gpu.effective_bandwidth(0.5) / gpu.effective_bandwidth(1.0);
         assert!((compute_ratio - 0.5).abs() < 1e-9);
-        assert!(bandwidth_ratio > 0.8, "bandwidth should be less frequency sensitive");
+        assert!(
+            bandwidth_ratio > 0.8,
+            "bandwidth should be less frequency sensitive"
+        );
     }
 
     #[test]

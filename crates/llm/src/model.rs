@@ -22,8 +22,11 @@ pub enum ModelSize {
 
 impl ModelSize {
     /// All catalog entries from largest (highest quality) to smallest.
-    pub const ALL: [ModelSize; 3] =
-        [ModelSize::Llama2_70B, ModelSize::Llama2_13B, ModelSize::Llama2_7B];
+    pub const ALL: [ModelSize; 3] = [
+        ModelSize::Llama2_70B,
+        ModelSize::Llama2_13B,
+        ModelSize::Llama2_7B,
+    ];
 
     /// Number of parameters.
     #[must_use]
@@ -224,7 +227,10 @@ mod tests {
         let q13 = ModelSize::Llama2_13B.base_quality();
         let q7 = ModelSize::Llama2_7B.base_quality();
         assert!(q70 > q13 && q13 > q7);
-        assert!((0.60..=0.70).contains(&q7), "7B quality loss should be 30–40 %");
+        assert!(
+            (0.60..=0.70).contains(&q7),
+            "7B quality loss should be 30–40 %"
+        );
         // Quantization costs 2–20 %.
         for q in Quantization::ALL {
             let loss = 1.0 - q.quality_factor();

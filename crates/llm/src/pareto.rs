@@ -68,8 +68,11 @@ impl ParetoFrontier {
     /// Computes the frontier over a set of profiles.
     #[must_use]
     pub fn compute(profiles: &[ConfigProfile]) -> Self {
-        let candidates: Vec<ParetoPoint> =
-            profiles.iter().copied().map(ParetoPoint::from_profile).collect();
+        let candidates: Vec<ParetoPoint> = profiles
+            .iter()
+            .copied()
+            .map(ParetoPoint::from_profile)
+            .collect();
         let mut points: Vec<ParetoPoint> = candidates
             .iter()
             .filter(|p| !candidates.iter().any(|q| p.is_dominated_by(q)))
@@ -181,9 +184,10 @@ mod tests {
         let profiles = sweep();
         let frontier = ParetoFrontier::compute(&profiles);
         for p in profiles.iter().copied().map(ParetoPoint::from_profile) {
-            let on_frontier = frontier.points().iter().any(|f| {
-                f.profile.config == p.profile.config
-            });
+            let on_frontier = frontier
+                .points()
+                .iter()
+                .any(|f| f.profile.config == p.profile.config);
             let dominated = frontier.points().iter().any(|f| p.is_dominated_by(f));
             assert!(on_frontier || dominated);
         }

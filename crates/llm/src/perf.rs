@@ -130,7 +130,8 @@ impl PerfModel {
         batch_size: usize,
         mean_context_tokens: usize,
     ) -> f64 {
-        self.step_model(config).decode_step_time_s(batch_size, mean_context_tokens)
+        self.step_model(config)
+            .decode_step_time_s(batch_size, mean_context_tokens)
     }
 
     /// Fraction of a decode iteration spent compute-bound (a proxy for GPU utilization and
@@ -281,7 +282,10 @@ mod tests {
         let prefill_ratio = m.prefill_time_s(&slow, 512) / m.prefill_time_s(&nominal, 512);
         let decode_ratio =
             m.decode_step_time_s(&slow, 1, 700) / m.decode_step_time_s(&nominal, 1, 700);
-        assert!(prefill_ratio > decode_ratio, "prefill should be more frequency sensitive");
+        assert!(
+            prefill_ratio > decode_ratio,
+            "prefill should be more frequency sensitive"
+        );
         assert!(prefill_ratio > 1.5);
         assert!(decode_ratio < 1.3);
     }

@@ -82,8 +82,8 @@ impl ConfigProfile {
         };
 
         // Decode: memory-bound; utilization (and therefore power) grows with the batch size.
-        let context = crate::perf::CALIBRATION_PROMPT_TOKENS
-            + crate::perf::CALIBRATION_OUTPUT_TOKENS / 2;
+        let context =
+            crate::perf::CALIBRATION_PROMPT_TOKENS + crate::perf::CALIBRATION_OUTPUT_TOKENS / 2;
         let batch = perf.slo_feasible_batch(config);
         let decode_util = perf.decode_compute_fraction(config, batch, context)
             * config.parallelism.scaling_efficiency()
@@ -234,7 +234,10 @@ mod tests {
     fn sweep_excludes_configs_that_do_not_fit() {
         let profiles = ConfigProfile::sweep(&a100());
         let all = InstanceConfig::enumerate().len();
-        assert!(profiles.len() < all, "the 70B FP16 TP2 configs must be filtered out");
+        assert!(
+            profiles.len() < all,
+            "the 70B FP16 TP2 configs must be filtered out"
+        );
         assert!(profiles.len() > all / 2);
         for p in &profiles {
             assert!(p.config.fits_in_memory(80.0));

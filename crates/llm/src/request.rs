@@ -93,7 +93,10 @@ mod tests {
 
     #[test]
     fn clamp_total_preserves_budget() {
-        let shape = |max_total_tokens| RequestShape { max_total_tokens, ..RequestShape::default() };
+        let shape = |max_total_tokens| RequestShape {
+            max_total_tokens,
+            ..RequestShape::default()
+        };
         assert_eq!(shape(300).clamp(100, 100), (100, 100));
         let (p, o) = shape(8192).clamp(6000, 6000);
         assert!(p + o <= 8192);

@@ -91,7 +91,10 @@ impl EventTally {
         }
         let tally = self.get_mut(kind);
         if let Some(last) = tally.last {
-            assert!(now >= last, "{kind:?} events must be recorded in order ({now} < {last})");
+            assert!(
+                now >= last,
+                "{kind:?} events must be recorded in order ({now} < {last})"
+            );
         }
         tally.count += n;
         if tally.last != Some(now) {
@@ -164,7 +167,11 @@ mod tests {
         assert_eq!(tally.last(EventKind::VmPlaced), None);
         assert_eq!(
             tally.get(EventKind::ThermalThrottle),
-            KindTally { count: 4, steps: 2, last: Some(minutes(5)) }
+            KindTally {
+                count: 4,
+                steps: 2,
+                last: Some(minutes(5))
+            }
         );
     }
 
@@ -177,8 +184,14 @@ mod tests {
         tally.record(EventKind::PowerCap, minutes(10), 1);
         let (horizon, step) = (minutes(20), SimDuration::from_minutes(5));
         assert!((tally.fraction_of_time(EventKind::PowerCap, horizon, step) - 0.5).abs() < 1e-12);
-        assert_eq!(tally.fraction_of_time(EventKind::ThermalThrottle, horizon, step), 0.0);
-        assert_eq!(tally.fraction_of_time(EventKind::PowerCap, SimTime::ZERO, step), 0.0);
+        assert_eq!(
+            tally.fraction_of_time(EventKind::ThermalThrottle, horizon, step),
+            0.0
+        );
+        assert_eq!(
+            tally.fraction_of_time(EventKind::PowerCap, SimTime::ZERO, step),
+            0.0
+        );
     }
 
     #[test]
@@ -219,12 +232,20 @@ mod tests {
             for kind in ALL_KINDS {
                 let of_kind = || log.iter().filter(|(_, k)| *k == kind);
                 assert_eq!(tally.count(kind), of_kind().count(), "case {case} {kind:?}");
-                assert_eq!(tally.last(kind), of_kind().map(|(t, _)| *t).max(), "case {case}");
-                let buckets: BTreeSet<u64> =
-                    of_kind().map(|(t, _)| t.as_minutes() / step.as_minutes()).collect();
+                assert_eq!(
+                    tally.last(kind),
+                    of_kind().map(|(t, _)| *t).max(),
+                    "case {case}"
+                );
+                let buckets: BTreeSet<u64> = of_kind()
+                    .map(|(t, _)| t.as_minutes() / step.as_minutes())
+                    .collect();
                 let total = horizon.as_minutes().div_ceil(step.as_minutes());
-                let reference =
-                    if total == 0 { 0.0 } else { buckets.len() as f64 / total as f64 };
+                let reference = if total == 0 {
+                    0.0
+                } else {
+                    buckets.len() as f64 / total as f64
+                };
                 assert_eq!(
                     tally.fraction_of_time(kind, horizon, step).to_bits(),
                     reference.to_bits(),

@@ -64,13 +64,19 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self { heap: Vec::new(), next_seq: 0 }
+        Self {
+            heap: Vec::new(),
+            next_seq: 0,
+        }
     }
 
     /// Creates an empty queue with room for `capacity` events before reallocating.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { heap: Vec::with_capacity(capacity), next_seq: 0 }
+        Self {
+            heap: Vec::with_capacity(capacity),
+            next_seq: 0,
+        }
     }
 
     /// Number of pending events.

@@ -41,11 +41,17 @@ impl fmt::Display for FitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FitError::TooFewSamples { provided, required } => {
-                write!(f, "too few samples for fit: {provided} provided, {required} required")
+                write!(
+                    f,
+                    "too few samples for fit: {provided} provided, {required} required"
+                )
             }
             FitError::Singular => write!(f, "normal equations are singular"),
             FitError::DimensionMismatch { expected, found } => {
-                write!(f, "feature dimension mismatch: expected {expected}, found {found}")
+                write!(
+                    f,
+                    "feature dimension mismatch: expected {expected}, found {found}"
+                )
             }
             FitError::InvalidSegments => write!(f, "invalid piecewise segment boundaries"),
         }
@@ -62,7 +68,12 @@ fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>
     for col in 0..n {
         // Partial pivot: find the row with the largest magnitude in this column.
         let pivot_row = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).expect("finite"))
+            .max_by(|&i, &j| {
+                a[i][col]
+                    .abs()
+                    .partial_cmp(&a[j][col].abs())
+                    .expect("finite")
+            })
             .expect("non-empty range");
         if a[pivot_row][col].abs() < 1e-12 {
             return None;
@@ -104,7 +115,10 @@ impl LinearModel {
     /// Creates a model directly from an intercept and coefficients.
     #[must_use]
     pub fn from_coefficients(intercept: f64, coefficients: Vec<f64>) -> Self {
-        Self { intercept, coefficients }
+        Self {
+            intercept,
+            coefficients,
+        }
     }
 
     /// Fits the model to `(features, target)` samples by ordinary least squares.
@@ -117,11 +131,17 @@ impl LinearModel {
         let dim = samples.first().map(|(x, _)| x.len()).unwrap_or(0);
         let unknowns = dim + 1;
         if samples.len() < unknowns {
-            return Err(FitError::TooFewSamples { provided: samples.len(), required: unknowns });
+            return Err(FitError::TooFewSamples {
+                provided: samples.len(),
+                required: unknowns,
+            });
         }
         for (x, _) in samples {
             if x.len() != dim {
-                return Err(FitError::DimensionMismatch { expected: dim, found: x.len() });
+                return Err(FitError::DimensionMismatch {
+                    expected: dim,
+                    found: x.len(),
+                });
             }
         }
         // Normal equations: (Xᵀ X) β = Xᵀ y with an implicit leading 1 column for the intercept.
@@ -139,7 +159,10 @@ impl LinearModel {
             }
         }
         let beta = solve_linear_system(xtx, xty).ok_or(FitError::Singular)?;
-        Ok(Self { intercept: beta[0], coefficients: beta[1..].to_vec() })
+        Ok(Self {
+            intercept: beta[0],
+            coefficients: beta[1..].to_vec(),
+        })
     }
 
     /// Predicts the target for a feature vector.
@@ -201,7 +224,10 @@ impl Polynomial {
     /// Panics if `coefficients` is empty.
     #[must_use]
     pub fn from_coefficients(coefficients: Vec<f64>) -> Self {
-        assert!(!coefficients.is_empty(), "polynomial needs at least one coefficient");
+        assert!(
+            !coefficients.is_empty(),
+            "polynomial needs at least one coefficient"
+        );
         Self { coefficients }
     }
 
@@ -286,7 +312,10 @@ impl PiecewisePolynomial {
         {
             return Err(FitError::InvalidSegments);
         }
-        Ok(Self { breakpoints, segments })
+        Ok(Self {
+            breakpoints,
+            segments,
+        })
     }
 
     /// Fits one polynomial of the given `degree` per segment delimited by `breakpoints`.
@@ -315,7 +344,10 @@ impl PiecewisePolynomial {
         for bucket in &buckets {
             segments.push(Polynomial::fit(bucket, degree)?);
         }
-        Ok(Self { breakpoints: breakpoints.to_vec(), segments })
+        Ok(Self {
+            breakpoints: breakpoints.to_vec(),
+            segments,
+        })
     }
 
     /// Evaluates the model at `x`, clamping `x` into the fitted range first.
@@ -394,7 +426,10 @@ mod tests {
         let samples = vec![(vec![1.0, 2.0], 3.0)];
         assert!(matches!(
             LinearModel::fit(&samples),
-            Err(FitError::TooFewSamples { provided: 1, required: 3 })
+            Err(FitError::TooFewSamples {
+                provided: 1,
+                required: 3
+            })
         ));
     }
 
@@ -407,7 +442,10 @@ mod tests {
         ];
         assert!(matches!(
             LinearModel::fit(&samples),
-            Err(FitError::DimensionMismatch { expected: 2, found: 1 })
+            Err(FitError::DimensionMismatch {
+                expected: 2,
+                found: 1
+            })
         ));
     }
 
@@ -472,10 +510,12 @@ mod tests {
                 26.0 + 0.3 * (x - 25.0)
             }
         };
-        let samples: Vec<(f64, f64)> = (0..400).map(|i| {
-            let x = f64::from(i) * 0.1;
-            (x, f(x))
-        }).collect();
+        let samples: Vec<(f64, f64)> = (0..400)
+            .map(|i| {
+                let x = f64::from(i) * 0.1;
+                (x, f(x))
+            })
+            .collect();
         let model = PiecewisePolynomial::fit(&samples, &[0.0, 15.0, 25.0, 40.0], 1).unwrap();
         assert!(model.mean_absolute_error(&samples) < 0.05);
         assert!((model.evaluate(10.0) - 18.0).abs() < 0.1);
@@ -528,8 +568,11 @@ mod tests {
     #[test]
     fn fit_error_display() {
         assert!(FitError::Singular.to_string().contains("singular"));
-        assert!(FitError::TooFewSamples { provided: 1, required: 2 }
-            .to_string()
-            .contains("too few"));
+        assert!(FitError::TooFewSamples {
+            provided: 1,
+            required: 2
+        }
+        .to_string()
+        .contains("too few"));
     }
 }

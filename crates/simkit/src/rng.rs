@@ -30,7 +30,9 @@ impl SimRng {
     /// Creates a stream from a 64-bit seed.
     #[must_use]
     pub fn seed_from(seed: u64) -> Self {
-        Self { inner: ChaCha8Rng::seed_from_u64(seed) }
+        Self {
+            inner: ChaCha8Rng::seed_from_u64(seed),
+        }
     }
 
     /// Derives an independent child stream from this stream and a domain label.
@@ -50,7 +52,9 @@ impl SimRng {
         for (i, b) in hash.to_le_bytes().iter().enumerate() {
             seed_words[i] ^= *b;
         }
-        Self { inner: ChaCha8Rng::from_seed(seed_words) }
+        Self {
+            inner: ChaCha8Rng::from_seed(seed_words),
+        }
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -69,7 +73,10 @@ impl SimRng {
     /// Panics if `lo >= hi`.
     #[inline]
     pub fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "uniform_usize range must be non-empty ({lo} >= {hi})");
+        assert!(
+            lo < hi,
+            "uniform_usize range must be non-empty ({lo} >= {hi})"
+        );
         self.inner.gen_range(lo..hi)
     }
 
@@ -172,7 +179,10 @@ impl SimRng {
     /// # Panics
     /// Panics if `lo <= 0`, `lo >= hi` or `alpha <= 0`.
     pub fn bounded_pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        assert!(lo > 0.0 && lo < hi && alpha > 0.0, "invalid bounded Pareto parameters");
+        assert!(
+            lo > 0.0 && lo < hi && alpha > 0.0,
+            "invalid bounded Pareto parameters"
+        );
         let u: f64 = self.inner.gen();
         let la = lo.powf(alpha);
         let ha = hi.powf(alpha);
@@ -210,8 +220,14 @@ impl SimRng {
     /// # Panics
     /// Panics if `weights` is empty, contains a negative value, or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index needs at least one weight");
-        assert!(weights.iter().all(|&w| w >= 0.0), "weights must be non-negative");
+        assert!(
+            !weights.is_empty(),
+            "weighted_index needs at least one weight"
+        );
+        assert!(
+            weights.iter().all(|&w| w >= 0.0),
+            "weights must be non-negative"
+        );
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must not all be zero");
         let mut target = self.uniform(0.0, total);
@@ -452,7 +468,9 @@ mod tests {
     #[test]
     fn bounded_pareto_respects_bounds_and_is_heavy_tailed() {
         let mut rng = SimRng::seed_from(4);
-        let samples: Vec<f64> = (0..20_000).map(|_| rng.bounded_pareto(1.0, 500.0, 1.1)).collect();
+        let samples: Vec<f64> = (0..20_000)
+            .map(|_| rng.bounded_pareto(1.0, 500.0, 1.1))
+            .collect();
         assert!(samples.iter().all(|&v| (1.0..=500.0).contains(&v)));
         let p50 = stats::percentile(&samples, 50.0).unwrap();
         let p99 = stats::percentile(&samples, 99.0).unwrap();
@@ -507,7 +525,11 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-        assert_ne!(items, (0..50).collect::<Vec<u32>>(), "shuffle should change order");
+        assert_ne!(
+            items,
+            (0..50).collect::<Vec<u32>>(),
+            "shuffle should change order"
+        );
     }
 
     /// Double-double arithmetic (an unevaluated sum `hi + lo`, ~32 significant digits):
@@ -593,7 +615,11 @@ mod tests {
     fn assert_within_one_ulp(table: f64, exact: Dd, what: &str) {
         let error = Dd::from(table).add(exact.neg()).0.abs();
         let ulp = f64::next_up(table.abs()) - table.abs();
-        assert!(error <= ulp, "{what}: {table:e} is {:.2} ulp off", error / ulp);
+        assert!(
+            error <= ulp,
+            "{what}: {table:e} is {:.2} ulp off",
+            error / ulp
+        );
     }
 
     /// The literal tables against their defining recurrence, run in double-double from
@@ -612,8 +638,15 @@ mod tests {
             exact.push(v.div(x).add(density(x)).ln().mul(Dd::from(-2.0)).sqrt());
         }
         // The top layer closes at 0: V / x[255] + f(x[255]) = 1.
-        let closure = v.div(exact[255]).add(density(exact[255])).add(Dd::from(-1.0));
-        assert!(closure.0.abs() < 1e-25, "top layer misses 0 by {:e}", closure.0);
+        let closure = v
+            .div(exact[255])
+            .add(density(exact[255]))
+            .add(Dd::from(-1.0));
+        assert!(
+            closure.0.abs() < 1e-25,
+            "top layer misses 0 by {:e}",
+            closure.0
+        );
         assert_eq!((ZIG_X[256], ZIG_F[256]), (0.0, 1.0));
         for (i, x) in exact.iter().enumerate() {
             assert_within_one_ulp(ZIG_X[i], *x, &format!("x[{i}]"));
@@ -646,7 +679,11 @@ mod tests {
 
     /// The float whose [`float_key`] is `key`.
     fn key_float(key: u64) -> f64 {
-        f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+        f64::from_bits(if key >> 63 == 1 {
+            key & !(1 << 63)
+        } else {
+            !key
+        })
     }
 
     /// The keys of `values`, sorted by an LSD radix sort (four 16-bit passes): millions of
@@ -696,11 +733,17 @@ mod tests {
             let variance =
                 draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (DRAWS - 1) as f64;
             assert!(mean.abs() < 0.005, "seed {seed}: mean {mean}");
-            assert!((variance - 1.0).abs() < 0.008, "seed {seed}: variance {variance}");
+            assert!(
+                (variance - 1.0).abs() < 0.008,
+                "seed {seed}: variance {variance}"
+            );
             let sorted = sorted_keys(&draws);
             for (p, expected, tolerance) in quantiles {
                 let got = key_float(sorted[(p * DRAWS as f64) as usize]);
-                assert!((got - expected).abs() < tolerance, "seed {seed}: q{p} {got}");
+                assert!(
+                    (got - expected).abs() < tolerance,
+                    "seed {seed}: q{p} {got}"
+                );
             }
             ziggurat.extend(draws);
             let mut rng = SimRng::seed_from(seed).derive("box-muller");
@@ -745,9 +788,10 @@ mod tests {
     #[test]
     fn known_answer_digests() {
         let root = SimRng::seed_from(42);
-        for (label, pinned) in
-            [("weather", 0xaffc_0cd1_e87a_413f), ("request-fabric", 0x4f66_ec11_930c_35d0)]
-        {
+        for (label, pinned) in [
+            ("weather", 0xaffc_0cd1_e87a_413f),
+            ("request-fabric", 0x4f66_ec11_930c_35d0),
+        ] {
             // The first 10⁶ words of a derived child.
             let mut child = root.derive(label);
             let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -20,7 +20,11 @@ impl TimeSeries {
     /// Creates an empty series with a descriptive name (used in reports).
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), times: Vec::new(), values: Vec::new() }
+        Self {
+            name: name.into(),
+            times: Vec::new(),
+            values: Vec::new(),
+        }
     }
 
     /// The series name.
@@ -47,7 +51,10 @@ impl TimeSeries {
     /// Panics if `time` is earlier than the last recorded sample.
     pub fn push(&mut self, time: SimTime, value: f64) {
         if let Some(&last) = self.times.last() {
-            assert!(time >= last, "time series must be appended in order ({time} < {last})");
+            assert!(
+                time >= last,
+                "time series must be appended in order ({time} < {last})"
+            );
         }
         self.times.push(time);
         self.values.push(value);

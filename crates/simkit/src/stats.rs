@@ -12,7 +12,8 @@ use std::cmp::Ordering;
 /// keeps their input order), every NaN after every number whatever its sign bit. Unlike
 /// [`f64::total_cmp`] it leaves the order of finite values exactly as `partial_cmp` has it.
 pub fn nan_last(a: &f64, b: &f64) -> Ordering {
-    a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// Returns the arithmetic mean of `values`, or `None` if the slice is empty.
@@ -40,7 +41,10 @@ pub fn std_dev(values: &[f64]) -> Option<f64> {
 /// Panics if `p` is not within `[0, 100]`.
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100], got {p}");
+    assert!(
+        (0.0..=100.0).contains(&p),
+        "percentile must be in [0, 100], got {p}"
+    );
     if values.is_empty() {
         return None;
     }
@@ -189,7 +193,10 @@ impl Ecdf {
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1], got {q}");
+        assert!(
+            (0.0..=1.0).contains(&q),
+            "quantile must be in [0, 1], got {q}"
+        );
         percentile_of_sorted(&self.sorted, q * 100.0)
     }
 
@@ -254,7 +261,10 @@ mod tests {
         let values = [f64::NAN, 4.0, 1.0, 0.0, -0.0];
         let s = Summary::from_values(&values);
         assert_eq!(s.count, 5);
-        assert!(s.min == 0.0 && s.min.is_sign_positive(), "equal zeros keep their input order");
+        assert!(
+            s.min == 0.0 && s.min.is_sign_positive(),
+            "equal zeros keep their input order"
+        );
         assert_eq!(s.p50, 1.0);
         assert!(s.max.is_nan() && s.mean.is_nan());
     }
@@ -307,7 +317,10 @@ mod tests {
         assert_eq!(ecdf.cdf(2000.0), 1.0);
         let curve = ecdf.curve(11);
         assert_eq!(curve.len(), 11);
-        assert!(curve.windows(2).all(|w| w[0].1 <= w[1].1), "CDF must be monotone");
+        assert!(
+            curve.windows(2).all(|w| w[0].1 <= w[1].1),
+            "CDF must be monotone"
+        );
     }
 
     #[test]

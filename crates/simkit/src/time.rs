@@ -346,7 +346,10 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(SimTime::from_minutes(MINUTES_PER_DAY + 75).to_string(), "d1+01:15");
+        assert_eq!(
+            SimTime::from_minutes(MINUTES_PER_DAY + 75).to_string(),
+            "d1+01:15"
+        );
         assert_eq!(SimDuration::from_minutes(30).to_string(), "30min");
     }
 }

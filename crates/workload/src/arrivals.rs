@@ -55,7 +55,11 @@ impl VmArrivalGenerator {
     /// Creates a generator.
     #[must_use]
     pub fn new(config: ArrivalConfig, seed: u64) -> Self {
-        Self { config, rng: SimRng::seed_from(seed).derive("vm-arrivals"), next_id: 0 }
+        Self {
+            config,
+            rng: SimRng::seed_from(seed).derive("vm-arrivals"),
+            next_id: 0,
+        }
     }
 
     /// The configuration.
@@ -86,10 +90,15 @@ impl VmArrivalGenerator {
     fn draw_kind(&mut self, catalog: &EndpointCatalog) -> VmKind {
         let is_saas = !catalog.is_empty() && self.rng.chance(self.config.saas_fraction);
         if is_saas {
-            let weights: Vec<f64> =
-                catalog.endpoints().iter().map(|e| e.vm_count.max(1) as f64).collect();
+            let weights: Vec<f64> = catalog
+                .endpoints()
+                .iter()
+                .map(|e| e.vm_count.max(1) as f64)
+                .collect();
             let idx = self.rng.weighted_index(&weights);
-            VmKind::Saas { endpoint: catalog.endpoints()[idx].id }
+            VmKind::Saas {
+                endpoint: catalog.endpoints()[idx].id,
+            }
         } else {
             VmKind::Iaas {
                 customer: IaasCustomerId(self.rng.next_u64() % self.config.iaas_customers),
@@ -100,7 +109,12 @@ impl VmArrivalGenerator {
     fn next_vm(&mut self, arrival: SimTime, kind: VmKind, lifetime: SimDuration) -> Vm {
         let id = VmId(self.next_id);
         self.next_id += 1;
-        Vm { id, kind, arrival, lifetime }
+        Vm {
+            id,
+            kind,
+            arrival,
+            lifetime,
+        }
     }
 
     /// Generates the initial resident population (arrival time zero, lifetimes long enough to
@@ -173,7 +187,11 @@ impl WeightedSplitter {
         );
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "at least one weight must be positive");
-        Self { weights: weights.to_vec(), credit: vec![0.0; weights.len()], total }
+        Self {
+            weights: weights.to_vec(),
+            credit: vec![0.0; weights.len()],
+            total,
+        }
     }
 
     /// Number of sites the splitter spreads over.
@@ -186,8 +204,7 @@ impl WeightedSplitter {
     pub fn next_site(&mut self) -> usize {
         let mut best = 0usize;
         let mut best_credit = f64::NEG_INFINITY;
-        for (site, (credit, weight)) in self.credit.iter_mut().zip(&self.weights).enumerate()
-        {
+        for (site, (credit, weight)) in self.credit.iter_mut().zip(&self.weights).enumerate() {
             *credit += *weight;
             if *credit > best_credit {
                 best_credit = *credit;
@@ -209,9 +226,10 @@ mod tests {
 
     #[test]
     fn lifetimes_match_fig12a() {
-        let mut generator =
-            VmArrivalGenerator::new(ArrivalConfig::evaluation_week(1000), 1);
-        let lifetimes: Vec<f64> = (0..5000).map(|_| generator.draw_lifetime().as_days()).collect();
+        let mut generator = VmArrivalGenerator::new(ArrivalConfig::evaluation_week(1000), 1);
+        let lifetimes: Vec<f64> = (0..5000)
+            .map(|_| generator.draw_lifetime().as_days())
+            .collect();
         let over_two_weeks =
             lifetimes.iter().filter(|&&d| d >= 14.0).count() as f64 / lifetimes.len() as f64;
         assert!(
@@ -274,7 +292,10 @@ mod tests {
         config.saas_fraction = 1.0;
         let mut generator = VmArrivalGenerator::new(config, 5);
         let empty = EndpointCatalog::from_endpoints(Vec::new());
-        assert!(generator.initial_population(&empty).iter().all(|vm| vm.kind.is_iaas()));
+        assert!(generator
+            .initial_population(&empty)
+            .iter()
+            .all(|vm| vm.kind.is_iaas()));
     }
 
     #[test]

@@ -30,14 +30,26 @@ impl DiurnalPattern {
     /// weekends.
     #[must_use]
     pub fn interactive(seed: u64) -> Self {
-        Self { floor: 0.25, peak_hour: 15.0, weekend_factor: 0.7, noise: 0.05, seed }
+        Self {
+            floor: 0.25,
+            peak_hour: 15.0,
+            weekend_factor: 0.7,
+            noise: 0.05,
+            seed,
+        }
     }
 
     /// A batch-like pattern with a shallow cycle (e.g. fine-tuning or offline scoring IaaS
     /// tenants): stays near full load with small dips.
     #[must_use]
     pub fn batchy(seed: u64) -> Self {
-        Self { floor: 0.7, peak_hour: 2.0, weekend_factor: 1.0, noise: 0.08, seed }
+        Self {
+            floor: 0.7,
+            peak_hour: 2.0,
+            weekend_factor: 1.0,
+            noise: 0.08,
+            seed,
+        }
     }
 
     /// Creates a pattern with an explicit peak hour (used to give each customer its own
@@ -58,7 +70,11 @@ impl DiurnalPattern {
         let base = self.floor + (1.0 - self.floor) * cycle;
         // Day 5 and 6 of each week are the weekend.
         let weekday = time.day_index() % 7;
-        let weekend = if weekday >= 5 { self.weekend_factor } else { 1.0 };
+        let weekend = if weekday >= 5 {
+            self.weekend_factor
+        } else {
+            1.0
+        };
         // Deterministic noise: hash the hour index with the seed so queries are pure.
         let hour_index = time.as_minutes() / 60;
         let mut rng = SimRng::seed_from(self.seed ^ hour_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));

@@ -188,14 +188,24 @@ mod tests {
     #[test]
     fn production_catalog_is_heavy_tailed() {
         let catalog = EndpointCatalog::production_shaped(300, 10.0, 7);
-        let sizes: Vec<f64> = catalog.endpoints().iter().map(|e| e.vm_count as f64).collect();
+        let sizes: Vec<f64> = catalog
+            .endpoints()
+            .iter()
+            .map(|e| e.vm_count as f64)
+            .collect();
         let p50 = stats::percentile(&sizes, 50.0).unwrap();
         let max = stats::max(&sizes).unwrap();
-        assert!(max > 8.0 * p50, "distribution should be heavy tailed: p50={p50} max={max}");
+        assert!(
+            max > 8.0 * p50,
+            "distribution should be heavy tailed: p50={p50} max={max}"
+        );
         // Fig. 12b: a large share of all VMs belongs to big endpoints.
         let total: f64 = sizes.iter().sum();
         let in_big: f64 = sizes.iter().filter(|&&s| s >= 100.0).sum();
-        assert!(in_big / total > 0.25, "big endpoints should own a large share of VMs");
+        assert!(
+            in_big / total > 0.25,
+            "big endpoints should own a large share of VMs"
+        );
     }
 
     #[test]
@@ -211,7 +221,10 @@ mod tests {
     fn scaling_preserves_per_vm_rate() {
         let catalog = EndpointCatalog::evaluation(10, 12.0, 3);
         let scaled = catalog.scaled_to_total_vms(40);
-        assert!(scaled.total_vms() >= 10, "every endpoint keeps at least one VM");
+        assert!(
+            scaled.total_vms() >= 10,
+            "every endpoint keeps at least one VM"
+        );
         assert!(scaled.total_vms() < catalog.total_vms());
         for e in scaled.endpoints() {
             assert!((e.peak_rate_per_vm() - 12.0).abs() < 1e-9);

@@ -123,7 +123,9 @@ mod tests {
     fn iaas_vm(id: u64, customer: u64) -> Vm {
         Vm {
             id: VmId(id),
-            kind: VmKind::Iaas { customer: IaasCustomerId(customer) },
+            kind: VmKind::Iaas {
+                customer: IaasCustomerId(customer),
+            },
             arrival: SimTime::ZERO,
             lifetime: SimDuration::from_days(30),
         }
@@ -138,7 +140,10 @@ mod tests {
             let load = model.load_at(&vm, SimTime::from_minutes(m));
             assert!((0.0..=1.0).contains(&load));
         }
-        let dead = Vm { lifetime: SimDuration::from_minutes(10), ..vm };
+        let dead = Vm {
+            lifetime: SimDuration::from_minutes(10),
+            ..vm
+        };
         assert_eq!(model.load_at(&dead, SimTime::from_hours(5)), 0.0);
     }
 
@@ -147,7 +152,9 @@ mod tests {
         let model = IaasLoadModel::new(5, 2);
         let saas = Vm {
             id: VmId(1),
-            kind: VmKind::Saas { endpoint: crate::endpoints::EndpointId(0) },
+            kind: VmKind::Saas {
+                endpoint: crate::endpoints::EndpointId(0),
+            },
             arrival: SimTime::ZERO,
             lifetime: SimDuration::from_days(10),
         };
@@ -175,8 +182,14 @@ mod tests {
         let lc = load(&c);
         let corr = correlation(&la, &lb);
         let cross = correlation(&la, &lc);
-        assert!(corr > 0.9, "same-customer VMs should be strongly correlated, got {corr}");
-        assert!(corr > cross, "same-customer correlation should exceed cross-customer");
+        assert!(
+            corr > 0.9,
+            "same-customer VMs should be strongly correlated, got {corr}"
+        );
+        assert!(
+            corr > cross,
+            "same-customer correlation should exceed cross-customer"
+        );
     }
 
     fn correlation(a: &[f64], b: &[f64]) -> f64 {
@@ -213,7 +226,10 @@ mod tests {
         let b = IaasLoadModel::new(10, 8);
         let vm = iaas_vm(0, 2);
         for h in 0..24 {
-            assert_eq!(a.load_at(&vm, SimTime::from_hours(h)), b.load_at(&vm, SimTime::from_hours(h)));
+            assert_eq!(
+                a.load_at(&vm, SimTime::from_hours(h)),
+                b.load_at(&vm, SimTime::from_hours(h))
+            );
         }
     }
 }

@@ -55,7 +55,10 @@ impl PowerTemplate {
     /// Panics if `history` is empty.
     #[must_use]
     pub fn fit(kind: TemplateKind, history: &[(SimTime, f64)]) -> Self {
-        assert!(!history.is_empty(), "cannot fit a template to an empty history");
+        assert!(
+            !history.is_empty(),
+            "cannot fit a template to an empty history"
+        );
         let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); HOURS_PER_WEEK];
         for &(time, value) in history {
             buckets[hour_of_week(time)].push(value);
@@ -142,8 +145,14 @@ mod tests {
             let base = 70.0 + 30.0 * ((hour - 15.0) / 24.0 * std::f64::consts::TAU).cos();
             (t, (base + rng.normal(0.0, 2.0)).max(0.0))
         };
-        let week1 = (0..7 * 1440).step_by(2).map(|m| sample(m, &mut rng)).collect();
-        let week2 = (7 * 1440..14 * 1440).step_by(2).map(|m| sample(m, &mut rng)).collect();
+        let week1 = (0..7 * 1440)
+            .step_by(2)
+            .map(|m| sample(m, &mut rng))
+            .collect();
+        let week2 = (7 * 1440..14 * 1440)
+            .step_by(2)
+            .map(|m| sample(m, &mut rng))
+            .collect();
         (week1, week2)
     }
 
@@ -161,8 +170,12 @@ mod tests {
         let (history, future) = signal(1);
         let template = PowerTemplate::fit(TemplateKind::P50, &history);
         let errors = template.percentage_errors(&future);
-        let within_10 = errors.iter().filter(|e| e.abs() <= 10.0).count() as f64 / errors.len() as f64;
-        assert!(within_10 > 0.8, "most errors should be within 10 %, got {within_10}");
+        let within_10 =
+            errors.iter().filter(|e| e.abs() <= 10.0).count() as f64 / errors.len() as f64;
+        assert!(
+            within_10 > 0.8,
+            "most errors should be within 10 %, got {within_10}"
+        );
     }
 
     #[test]
@@ -174,7 +187,10 @@ mod tests {
         let under_p99 = p99.underprediction_fraction(&future);
         let under_p50 = p50.underprediction_fraction(&future);
         assert!(under_p99 < 0.06, "P99 underprediction {under_p99}");
-        assert!(under_p99 < under_p50, "P99 must be more conservative than P50");
+        assert!(
+            under_p99 < under_p50,
+            "P99 must be more conservative than P50"
+        );
         assert!(p99.predicted_peak() >= p50.predicted_peak());
     }
 
@@ -197,8 +213,9 @@ mod tests {
     fn sparse_history_falls_back_conservatively() {
         // History only covers hour 0 of the week; other hours fall back to the global
         // statistic (maximum for P99).
-        let history: Vec<(SimTime, f64)> =
-            (0..6).map(|i| (SimTime::from_minutes(i * 10), 50.0 + i as f64)).collect();
+        let history: Vec<(SimTime, f64)> = (0..6)
+            .map(|i| (SimTime::from_minutes(i * 10), 50.0 + i as f64))
+            .collect();
         let p99 = PowerTemplate::fit(TemplateKind::P99, &history);
         assert_eq!(p99.predict(SimTime::from_hours(100)), 55.0);
         let p50 = PowerTemplate::fit(TemplateKind::P50, &history);

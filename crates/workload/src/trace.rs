@@ -90,16 +90,25 @@ impl fmt::Display for TraceError {
                 write!(f, "line {line}: missing `{field}` field")
             }
             TraceError::InvalidField { line, field, value } => {
-                write!(f, "line {line}: `{field}` value `{value}` is not a valid number")
+                write!(
+                    f,
+                    "line {line}: `{field}` value `{value}` is not a valid number"
+                )
             }
             TraceError::MalformedLine { line, reason } => {
                 write!(f, "line {line}: malformed record ({reason})")
             }
             TraceError::UnsortedTimestamp { line } => {
-                write!(f, "line {line}: timestamp decreases (trace must be time-sorted)")
+                write!(
+                    f,
+                    "line {line}: timestamp decreases (trace must be time-sorted)"
+                )
             }
             TraceError::UnknownEndpoint { endpoint } => {
-                write!(f, "trace endpoint {endpoint} is not in the experiment's catalog")
+                write!(
+                    f,
+                    "trace endpoint {endpoint} is not in the experiment's catalog"
+                )
             }
         }
     }
@@ -144,7 +153,10 @@ pub fn parse_csv(input: &str) -> Result<Vec<TraceRecord>, TraceError> {
         for (slot, &column) in COLUMNS.iter().enumerate() {
             let raw = *fields
                 .get(positions[slot])
-                .ok_or(TraceError::MissingField { line: line_no, field: column })?;
+                .ok_or(TraceError::MissingField {
+                    line: line_no,
+                    field: column,
+                })?;
             values[slot] = raw.parse::<u64>().map_err(|_| TraceError::InvalidField {
                 line: line_no,
                 field: column,
@@ -171,9 +183,11 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceRecord>, TraceError> {
         if line.trim().is_empty() {
             continue;
         }
-        let record: TraceRecord = serde_json::from_str(line).map_err(|err| {
-            TraceError::MalformedLine { line: line_no, reason: err.to_string() }
-        })?;
+        let record: TraceRecord =
+            serde_json::from_str(line).map_err(|err| TraceError::MalformedLine {
+                line: line_no,
+                reason: err.to_string(),
+            })?;
         push_record(
             &mut records,
             [
@@ -196,7 +210,10 @@ fn push_record(
     values: [u64; 4],
     line_no: usize,
 ) -> Result<(), TraceError> {
-    if records.last().is_some_and(|prev| prev.timestamp_ms > values[0]) {
+    if records
+        .last()
+        .is_some_and(|prev| prev.timestamp_ms > values[0])
+    {
         return Err(TraceError::UnsortedTimestamp { line: line_no });
     }
     records.push(TraceRecord {
@@ -232,7 +249,9 @@ pub fn vm_arrivals_from_trace(records: &[TraceRecord], lifetime: SimDuration) ->
         seen.push(record.endpoint);
         vms.push(Vm {
             id: VmId(vms.len() as u64),
-            kind: VmKind::Saas { endpoint: EndpointId(record.endpoint) },
+            kind: VmKind::Saas {
+                endpoint: EndpointId(record.endpoint),
+            },
             arrival: SimTime::from_minutes(record.timestamp_ms / 60_000),
             lifetime,
         });
@@ -258,7 +277,12 @@ timestamp_ms,endpoint,prompt_tokens,output_tokens
         assert_eq!(records.len(), 4);
         assert_eq!(
             records[0],
-            TraceRecord { timestamp_ms: 0, endpoint: 0, prompt_tokens: 512, output_tokens: 128 }
+            TraceRecord {
+                timestamp_ms: 0,
+                endpoint: 0,
+                prompt_tokens: 512,
+                output_tokens: 128
+            }
         );
         assert_eq!(records[3].timestamp_ms, 60_000);
     }
@@ -272,7 +296,12 @@ endpoint,region,output_tokens,timestamp_ms,prompt_tokens
         let records = parse_csv(input).unwrap();
         assert_eq!(
             records[0],
-            TraceRecord { timestamp_ms: 100, endpoint: 3, prompt_tokens: 512, output_tokens: 64 }
+            TraceRecord {
+                timestamp_ms: 100,
+                endpoint: 3,
+                prompt_tokens: 512,
+                output_tokens: 64
+            }
         );
     }
 
@@ -281,11 +310,16 @@ endpoint,region,output_tokens,timestamp_ms,prompt_tokens
         assert_eq!(parse_csv(""), Err(TraceError::Empty));
         assert_eq!(
             parse_csv("timestamp_ms,endpoint,prompt_tokens\n1,2,3\n"),
-            Err(TraceError::MissingColumn { column: "output_tokens" })
+            Err(TraceError::MissingColumn {
+                column: "output_tokens"
+            })
         );
         assert_eq!(
             parse_csv("timestamp_ms,endpoint,prompt_tokens,output_tokens\n5,0,10\n"),
-            Err(TraceError::MissingField { line: 2, field: "output_tokens" })
+            Err(TraceError::MissingField {
+                line: 2,
+                field: "output_tokens"
+            })
         );
         assert_eq!(
             parse_csv("timestamp_ms,endpoint,prompt_tokens,output_tokens\n5,zero,10,10\n"),
@@ -342,9 +376,19 @@ endpoint,region,output_tokens,timestamp_ms,prompt_tokens
         let records = parse_csv(CSV).unwrap();
         let vms = vm_arrivals_from_trace(&records, SimDuration::from_days(7));
         assert_eq!(vms.len(), 2);
-        assert_eq!(vms[0].kind, VmKind::Saas { endpoint: EndpointId(0) });
+        assert_eq!(
+            vms[0].kind,
+            VmKind::Saas {
+                endpoint: EndpointId(0)
+            }
+        );
         assert_eq!(vms[0].arrival, SimTime::ZERO);
-        assert_eq!(vms[1].kind, VmKind::Saas { endpoint: EndpointId(1) });
+        assert_eq!(
+            vms[1].kind,
+            VmKind::Saas {
+                endpoint: EndpointId(1)
+            }
+        );
         assert_eq!(vms[1].arrival, SimTime::from_minutes(0));
         assert_eq!(vms[0].id, VmId(0));
         assert_eq!(vms[1].id, VmId(1));

@@ -97,8 +97,12 @@ mod tests {
 
     #[test]
     fn kind_helpers() {
-        let saas = VmKind::Saas { endpoint: EndpointId(3) };
-        let iaas = VmKind::Iaas { customer: IaasCustomerId(9) };
+        let saas = VmKind::Saas {
+            endpoint: EndpointId(3),
+        };
+        let iaas = VmKind::Iaas {
+            customer: IaasCustomerId(9),
+        };
         assert!(saas.is_saas() && !saas.is_iaas());
         assert!(iaas.is_iaas() && !iaas.is_saas());
         assert_eq!(saas.endpoint(), Some(EndpointId(3)));
@@ -109,7 +113,9 @@ mod tests {
     fn lifetime_window() {
         let vm = Vm {
             id: VmId(1),
-            kind: VmKind::Iaas { customer: IaasCustomerId(0) },
+            kind: VmKind::Iaas {
+                customer: IaasCustomerId(0),
+            },
             arrival: SimTime::from_hours(10),
             lifetime: SimDuration::from_days(2),
         };

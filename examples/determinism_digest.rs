@@ -42,7 +42,10 @@ fn main() {
     let json = serde_json_digest(&report);
     println!("report-digest: {json:#018x}");
     println!("requests-served: {}", report.requests_served);
-    println!("peak-temp-milli-c: {}", (report.peak_temperature_c() * 1000.0).round());
+    println!(
+        "peak-temp-milli-c: {}",
+        (report.peak_temperature_c() * 1000.0).round()
+    );
 
     // A 3-datacenter fleet under cycling climates: covers the geo routing stage and the
     // per-site weather/physics seeds.
@@ -67,13 +70,16 @@ fn main() {
         .surge(SimTime::ZERO, SimTime::from_hours(2), 1.5)
         .build()
         .expect("valid digest scenario");
-    let scenario_fleet = FleetSimulator::new(
-        FleetConfig::evaluation(fleet_base.with_scenario(scenario), 3),
-    )
+    let scenario_fleet = FleetSimulator::new(FleetConfig::evaluation(
+        fleet_base.with_scenario(scenario),
+        3,
+    ))
     .run();
-    let scenario_json =
-        serde_json::to_string(&scenario_fleet).expect("serializable fleet report");
-    println!("scenario-fleet-digest: {:#018x}", fnv1a(scenario_json.as_bytes()));
+    let scenario_json = serde_json::to_string(&scenario_fleet).expect("serializable fleet report");
+    println!(
+        "scenario-fleet-digest: {:#018x}",
+        fnv1a(scenario_json.as_bytes())
+    );
     println!("scenario-fleet-vms-routed: {:?}", scenario_fleet.vms_routed);
     println!(
         "scenario-fleet-requests-served: {}",
@@ -92,14 +98,21 @@ fn main() {
             endpoints: generator_base.endpoint_count,
         },
     );
-    let generated_fleet = FleetSimulator::new(
-        FleetConfig::evaluation(generator_base.with_scenario(generated), 3),
-    )
+    let generated_fleet = FleetSimulator::new(FleetConfig::evaluation(
+        generator_base.with_scenario(generated),
+        3,
+    ))
     .run();
     let generated_json =
         serde_json::to_string(&generated_fleet).expect("serializable fleet report");
-    println!("generated-fleet-digest: {:#018x}", fnv1a(generated_json.as_bytes()));
-    println!("generated-fleet-vms-routed: {:?}", generated_fleet.vms_routed);
+    println!(
+        "generated-fleet-digest: {:#018x}",
+        fnv1a(generated_json.as_bytes())
+    );
+    println!(
+        "generated-fleet-vms-routed: {:?}",
+        generated_fleet.vms_routed
+    );
     println!(
         "generated-fleet-capped-minutes: {}",
         generated_fleet.power_capped_minutes().round()
@@ -119,10 +132,14 @@ fn main() {
             ..RequestFabricConfig::default()
         });
     let fabric_fleet = FleetSimulator::new(FleetConfig::evaluation(fabric_base, 3)).run();
-    let fabric_json =
-        serde_json::to_string(&fabric_fleet).expect("serializable fleet report");
-    println!("fabric-fleet-digest: {:#018x}", fnv1a(fabric_json.as_bytes()));
-    let fabric_metrics = fabric_fleet.request_fabric().expect("fabric ran on every site");
+    let fabric_json = serde_json::to_string(&fabric_fleet).expect("serializable fleet report");
+    println!(
+        "fabric-fleet-digest: {:#018x}",
+        fnv1a(fabric_json.as_bytes())
+    );
+    let fabric_metrics = fabric_fleet
+        .request_fabric()
+        .expect("fabric ran on every site");
     println!("fabric-requests-completed: {}", fabric_metrics.completed);
     let curve: Vec<u64> = fabric_metrics
         .attainment_curve()
@@ -154,19 +171,24 @@ fn main() {
             endpoints: chaos_base.endpoint_count,
         },
     );
-    let chaos_fleet = FleetSimulator::new(
-        FleetConfig::evaluation(chaos_base.with_scenario(chaos_scenario), 3),
-    )
+    let chaos_fleet = FleetSimulator::new(FleetConfig::evaluation(
+        chaos_base.with_scenario(chaos_scenario),
+        3,
+    ))
     .run();
     let chaos_json = serde_json::to_string(&chaos_fleet).expect("serializable fleet report");
-    println!("chaos-fabric-fleet-digest: {:#018x}", fnv1a(chaos_json.as_bytes()));
-    let chaos_metrics = chaos_fleet.request_fabric().expect("fabric ran on every site");
+    println!(
+        "chaos-fabric-fleet-digest: {:#018x}",
+        fnv1a(chaos_json.as_bytes())
+    );
+    let chaos_metrics = chaos_fleet
+        .request_fabric()
+        .expect("fabric ran on every site");
     let lifecycle = chaos_metrics.lifecycle;
     println!("chaos-fabric-arrived: {}", lifecycle.arrived);
     println!(
         "chaos-fabric-outcomes: completed={} shed={} timeouts={} in-flight={}",
-        chaos_metrics.completed, lifecycle.shed, lifecycle.timeouts,
-        lifecycle.in_flight_at_horizon
+        chaos_metrics.completed, lifecycle.shed, lifecycle.timeouts, lifecycle.in_flight_at_horizon
     );
     println!("chaos-fabric-preemptions: {}", lifecycle.preemptions);
 }

@@ -18,10 +18,22 @@ fn main() {
     let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
     let table = run_table2(&profiles, 0.5);
     println!("Per-instance response (Table 2 shape):");
-    println!("  power emergency  — Baseline: IaaS {:.0} %, SaaS {:.0} % perf, 0 % quality", table.power_baseline.iaas_perf_pct, table.power_baseline.saas_perf_pct);
-    println!("  power emergency  — TAPAS   : IaaS {:.0} % perf, SaaS quality {:.0} %", table.power_tapas.iaas_perf_pct, table.power_tapas.saas_quality_pct);
-    println!("  thermal emergency— Baseline: IaaS {:.0} %, SaaS {:.0} % perf", table.thermal_baseline.iaas_perf_pct, table.thermal_baseline.saas_perf_pct);
-    println!("  thermal emergency— TAPAS   : IaaS {:.0} % perf, SaaS quality {:.0} %", table.thermal_tapas.iaas_perf_pct, table.thermal_tapas.saas_quality_pct);
+    println!(
+        "  power emergency  — Baseline: IaaS {:.0} %, SaaS {:.0} % perf, 0 % quality",
+        table.power_baseline.iaas_perf_pct, table.power_baseline.saas_perf_pct
+    );
+    println!(
+        "  power emergency  — TAPAS   : IaaS {:.0} % perf, SaaS quality {:.0} %",
+        table.power_tapas.iaas_perf_pct, table.power_tapas.saas_quality_pct
+    );
+    println!(
+        "  thermal emergency— Baseline: IaaS {:.0} %, SaaS {:.0} % perf",
+        table.thermal_baseline.iaas_perf_pct, table.thermal_baseline.saas_perf_pct
+    );
+    println!(
+        "  thermal emergency— TAPAS   : IaaS {:.0} % perf, SaaS quality {:.0} %",
+        table.thermal_tapas.iaas_perf_pct, table.thermal_tapas.saas_quality_pct
+    );
 
     // Part 2: end-to-end simulation with the failure window injected mid-run, composed
     // through the scenario API (`Scenario::power_emergency` is the Table 2 preset).

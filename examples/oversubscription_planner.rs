@@ -48,5 +48,7 @@ fn main() {
         safe_baseline * 100.0,
         safe_tapas * 100.0
     );
-    println!("(The paper reports TAPAS sustains up to 40 % additional servers at < 0.7 % capping.)");
+    println!(
+        "(The paper reports TAPAS sustains up to 40 % additional servers at < 0.7 % capping.)"
+    );
 }

@@ -11,7 +11,8 @@ use tapas_repro::prelude::*;
 fn main() {
     println!("TAPAS quickstart: 80 A100 servers, 1 hour, 50/50 IaaS/SaaS mix\n");
 
-    let baseline = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Baseline)).run();
+    let baseline =
+        ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Baseline)).run();
     let tapas = ClusterSimulator::new(ExperimentConfig::real_cluster_hour(Policy::Tapas)).run();
 
     for report in [&baseline, &tapas] {
@@ -23,7 +24,15 @@ fn main() {
     println!("\nTAPAS vs Baseline:");
     println!("  peak GPU temperature : {temp_change:+.1} %");
     println!("  peak row power       : {power_change:+.1} %");
-    println!("  SLO attainment       : {:.3} -> {:.3}", baseline.slo_attainment(), tapas.slo_attainment());
-    println!("  mean result quality  : {:.3} -> {:.3}", baseline.mean_quality(), tapas.mean_quality());
+    println!(
+        "  SLO attainment       : {:.3} -> {:.3}",
+        baseline.slo_attainment(),
+        tapas.slo_attainment()
+    );
+    println!(
+        "  mean result quality  : {:.3} -> {:.3}",
+        baseline.mean_quality(),
+        tapas.mean_quality()
+    );
     println!("\n(The paper's real-cluster experiment reports ≈20 % lower peak power with unchanged latency and quality.)");
 }

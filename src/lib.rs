@@ -49,10 +49,10 @@ pub mod prelude {
     pub use dc_sim::failures::FailureSchedule;
     pub use dc_sim::topology::{LayoutConfig, ServerSpec};
     pub use dc_sim::weather::Climate;
+    pub use llm_sim::batch::{BatchCompletion, BatchScheduler};
     pub use llm_sim::config::InstanceConfig;
     pub use llm_sim::hardware::GpuHardware;
     pub use llm_sim::profile::ConfigProfile;
-    pub use llm_sim::batch::{BatchCompletion, BatchScheduler};
     pub use simkit::queue::EventQueue;
     pub use simkit::time::{SimDuration, SimTime};
     pub use simkit::units::{Celsius, Kilowatts, Watts};

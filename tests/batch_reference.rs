@@ -39,13 +39,37 @@ struct Coverage {
 
 fn assert_same(fast: &BatchScheduler, reference: &BatchScheduler, context: &str) {
     assert_eq!(fast.now_ms(), reference.now_ms(), "now_ms: {context}");
-    assert_eq!(fast.kv_in_use(), reference.kv_in_use(), "kv_in_use: {context}");
-    assert_eq!(fast.kv_committed(), reference.kv_committed(), "kv_committed: {context}");
-    assert_eq!(fast.queue_len(), reference.queue_len(), "queue_len: {context}");
-    assert_eq!(fast.running_len(), reference.running_len(), "running_len: {context}");
-    assert_eq!(fast.completed_total(), reference.completed_total(), "completed: {context}");
+    assert_eq!(
+        fast.kv_in_use(),
+        reference.kv_in_use(),
+        "kv_in_use: {context}"
+    );
+    assert_eq!(
+        fast.kv_committed(),
+        reference.kv_committed(),
+        "kv_committed: {context}"
+    );
+    assert_eq!(
+        fast.queue_len(),
+        reference.queue_len(),
+        "queue_len: {context}"
+    );
+    assert_eq!(
+        fast.running_len(),
+        reference.running_len(),
+        "running_len: {context}"
+    );
+    assert_eq!(
+        fast.completed_total(),
+        reference.completed_total(),
+        "completed: {context}"
+    );
     assert_eq!(fast.faults(), reference.faults(), "faults: {context}");
-    assert_eq!(fast.degrade_level(), reference.degrade_level(), "degrade: {context}");
+    assert_eq!(
+        fast.degrade_level(),
+        reference.degrade_level(),
+        "degrade: {context}"
+    );
     assert_eq!(
         fast.pressure().to_bits(),
         reference.pressure().to_bits(),
@@ -79,12 +103,22 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
         InstanceConfig::small_fallback()
     };
     let max_replicas = 5;
-    let mut fast =
-        BatchScheduler::new(config, &GpuHardware::a100(), rng.uniform_usize(1, max_replicas));
-    let shed_deadline_ms =
-        if rng.chance(0.5) { rng.uniform_usize(20, 4_000) as u64 } else { 0 };
+    let mut fast = BatchScheduler::new(
+        config,
+        &GpuHardware::a100(),
+        rng.uniform_usize(1, max_replicas),
+    );
+    let shed_deadline_ms = if rng.chance(0.5) {
+        rng.uniform_usize(20, 4_000) as u64
+    } else {
+        0
+    };
     let max_retries = rng.uniform_usize(0, 4) as u32;
-    fast.set_fault_policy(shed_deadline_ms, max_retries, rng.uniform_usize(1, 400) as u64);
+    fast.set_fault_policy(
+        shed_deadline_ms,
+        max_retries,
+        rng.uniform_usize(1, 400) as u64,
+    );
     let mut reference = fast.clone();
     // Long prompts make KV the binding admission constraint and make shrinks preempt.
     let long_prompt = BatchScheduler::new(config, &GpuHardware::a100(), 1).kv_capacity() / 6;
@@ -123,7 +157,11 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             let replicas = rng.uniform_usize(1, max_replicas);
             fast.set_replicas(replicas);
             reference.set_replicas(replicas);
-            assert_same(&fast, &reference, &format!("seed {seed} window {window} resize"));
+            assert_same(
+                &fast,
+                &reference,
+                &format!("seed {seed} window {window} resize"),
+            );
         }
 
         let now = fast.now_ms();
@@ -169,17 +207,33 @@ fn event_cost_scheduler_matches_the_per_sequence_walk() {
     for seed in 0..CASES {
         run_case(seed, &mut coverage);
     }
-    assert!(coverage.completions > 10_000, "too few completions: {}", coverage.completions);
-    assert!(coverage.single_token > 100, "single-token outputs: {}", coverage.single_token);
+    assert!(
+        coverage.completions > 10_000,
+        "too few completions: {}",
+        coverage.completions
+    );
+    assert!(
+        coverage.single_token > 100,
+        "single-token outputs: {}",
+        coverage.single_token
+    );
     assert!(
         coverage.shared_finish_groups > 500,
         "iterations completing several sequences: {}",
         coverage.shared_finish_groups
     );
-    assert!(coverage.preemptions > 50, "preemptions: {}", coverage.preemptions);
+    assert!(
+        coverage.preemptions > 50,
+        "preemptions: {}",
+        coverage.preemptions
+    );
     assert!(coverage.timeouts > 5, "timeouts: {}", coverage.timeouts);
     assert!(coverage.shed > 50, "shed: {}", coverage.shed);
-    assert!(coverage.past_deadlines > 20, "past deadlines: {}", coverage.past_deadlines);
+    assert!(
+        coverage.past_deadlines > 20,
+        "past deadlines: {}",
+        coverage.past_deadlines
+    );
 }
 
 /// One admitted burst with short and long outputs interleaved: the short ones finish in
@@ -203,7 +257,10 @@ fn one_iteration_completing_interleaved_finishers_keeps_walk_order() {
     let tags: Vec<u64> = fast_out.iter().map(|c| c.tag).collect();
     let mut sorted = tags.clone();
     sorted.sort_unstable();
-    assert_ne!(tags, sorted, "swap_remove reorders a multi-finisher iteration");
+    assert_ne!(
+        tags, sorted,
+        "swap_remove reorders a multi-finisher iteration"
+    );
 }
 
 /// Advances both schedulers to `deadline` and compares their outputs and state.
@@ -258,7 +315,13 @@ fn outputs_longer_than_the_ring_share_buckets_with_near_finishes() {
             for lap in 0..3 {
                 for _ in 0..rng.uniform_usize(1, 3) {
                     let prompt = rng.uniform_usize(1, 300);
-                    offer_both((&mut fast, &mut reference), tag, prompt, k + lap * ring, deadline);
+                    offer_both(
+                        (&mut fast, &mut reference),
+                        tag,
+                        prompt,
+                        k + lap * ring,
+                        deadline,
+                    );
                     tag += 1;
                 }
             }
@@ -271,9 +334,16 @@ fn outputs_longer_than_the_ring_share_buckets_with_near_finishes() {
     advance_both(&mut fast, &mut reference, drain, &mut outputs, "drain");
     assert_eq!(outputs.0.len() as u64, tag, "every request completes");
     let lapped = outputs.0.iter().filter(|c| c.output_tokens > ring).count();
-    let double_lapped = outputs.0.iter().filter(|c| c.output_tokens > 2 * ring).count();
+    let double_lapped = outputs
+        .0
+        .iter()
+        .filter(|c| c.output_tokens > 2 * ring)
+        .count();
     assert!(lapped >= 20, "outputs longer than the ring: {lapped}");
-    assert!(double_lapped >= 10, "outputs longer than two laps: {double_lapped}");
+    assert!(
+        double_lapped >= 10,
+        "outputs longer than two laps: {double_lapped}"
+    );
 }
 
 /// Preemption is LIFO by admission, and a bucket list is in reverse admission order, so
@@ -316,7 +386,11 @@ fn preemption_unlinks_victims_from_shared_buckets() {
             let before = fast.faults().preemptions;
             fast.set_replicas(replicas);
             reference.set_replicas(replicas);
-            assert_same(&fast, &reference, &format!("seed {seed} window {window} resize"));
+            assert_same(
+                &fast,
+                &reference,
+                &format!("seed {seed} window {window} resize"),
+            );
             if fast.faults().preemptions > before + 1 {
                 multi_victim_shrinks += 1;
             }
@@ -324,15 +398,32 @@ fn preemption_unlinks_victims_from_shared_buckets() {
         fast.set_replicas(4);
         reference.set_replicas(4);
         let drain = fast.now_ms() + 3_600_000_000;
-        advance_both(&mut fast, &mut reference, drain, &mut outputs, &format!("{seed} drain"));
+        advance_both(
+            &mut fast,
+            &mut reference,
+            drain,
+            &mut outputs,
+            &format!("{seed} drain"),
+        );
         let faults = fast.faults();
         assert_eq!(outputs.0.len() as u64 + faults.timeouts, tag, "seed {seed}");
         coverage.preemptions += faults.preemptions;
         coverage.completions += outputs.0.len() as u64;
     }
-    assert!(coverage.preemptions > 40, "preemptions: {}", coverage.preemptions);
-    assert!(multi_victim_shrinks > 10, "multi-victim shrinks: {multi_victim_shrinks}");
-    assert!(coverage.completions > 100, "completions: {}", coverage.completions);
+    assert!(
+        coverage.preemptions > 40,
+        "preemptions: {}",
+        coverage.preemptions
+    );
+    assert!(
+        multi_victim_shrinks > 10,
+        "multi-victim shrinks: {multi_victim_shrinks}"
+    );
+    assert!(
+        coverage.completions > 100,
+        "completions: {}",
+        coverage.completions
+    );
 }
 
 /// A full batch of long outputs, advanced in windows a few iterations long: a window with
@@ -371,7 +462,13 @@ fn quiet_runs_span_whole_serve_windows() {
         // Drain, then a few sequences with a far-future arrival behind them: the windows
         // before it is ready are quiet runs that end at each deadline.
         let drain = fast.now_ms() + 3_600_000;
-        advance_both(&mut fast, &mut reference, drain, &mut outputs, &format!("{seed} drain"));
+        advance_both(
+            &mut fast,
+            &mut reference,
+            drain,
+            &mut outputs,
+            &format!("{seed} drain"),
+        );
         let start = fast.now_ms();
         for _ in 0..4 {
             offer_both((&mut fast, &mut reference), tag, 100, 5_000, start);
@@ -389,11 +486,20 @@ fn quiet_runs_span_whole_serve_windows() {
             if running == 4 && queued == 1 && quiet {
                 quiet_waiting_windows += 1;
             }
-            assert!(deadline < start + 100_000_000, "seed {seed}: the tail never drained");
+            assert!(
+                deadline < start + 100_000_000,
+                "seed {seed}: the tail never drained"
+            );
         }
     }
-    assert!(quiet_full_windows > 50, "quiet windows on a full batch: {quiet_full_windows}");
-    assert!(quiet_waiting_windows > 10, "quiet windows before an arrival: {quiet_waiting_windows}");
+    assert!(
+        quiet_full_windows > 50,
+        "quiet windows on a full batch: {quiet_full_windows}"
+    );
+    assert!(
+        quiet_waiting_windows > 10,
+        "quiet windows before an arrival: {quiet_waiting_windows}"
+    );
 }
 
 /// Shedding on, a long sequence holding most of the cache and a ready queue front that
@@ -423,9 +529,14 @@ fn a_ready_front_that_does_not_fit_wakes_at_its_shed_time() {
     };
     let mut unfit_front_sheds = 0;
     let mut exact_wakeups = 0;
-    let cases = [(0u64, 300u64, false), (1, 777, false), (2, 1_500, false), (3, 4_000, false)]
-        .into_iter()
-        .chain([5, 17, 60, 150].map(|k| (k, boundaries[k as usize] - 1, true)));
+    let cases = [
+        (0u64, 300u64, false),
+        (1, 777, false),
+        (2, 1_500, false),
+        (3, 4_000, false),
+    ]
+    .into_iter()
+    .chain([5, 17, 60, 150].map(|k| (k, boundaries[k as usize] - 1, true)));
     for (seed, shed_deadline_ms, exact) in cases {
         let mut rng = SimRng::seed_from(900 + seed);
         let mut fast = base.clone();
@@ -435,7 +546,11 @@ fn a_ready_front_that_does_not_fit_wakes_at_its_shed_time() {
         // Ready at once, but the first sequence's commitment leaves no room for it.
         offer_both((&mut fast, &mut reference), 1, big, 10, 0);
         // Behind it, a small request young enough to be admitted when the front goes.
-        let small_arrival = if exact { shed_deadline_ms } else { rng.uniform_usize(0, 50) as u64 };
+        let small_arrival = if exact {
+            shed_deadline_ms
+        } else {
+            rng.uniform_usize(0, 50) as u64
+        };
         offer_both((&mut fast, &mut reference), 2, 100, 10, small_arrival);
         let mut outputs = (Vec::new(), Vec::new());
         let mut deadline = 0;
@@ -446,19 +561,29 @@ fn a_ready_front_that_does_not_fit_wakes_at_its_shed_time() {
             advance_both(&mut fast, &mut reference, deadline, &mut outputs, &context);
             if fast.faults().shed > 0 && !shed_while_running {
                 shed_while_running = fast.running_len() >= 1 && outputs.0.is_empty();
-                assert!(fast.now_ms() > shed_deadline_ms, "shed before the deadline passed");
+                assert!(
+                    fast.now_ms() > shed_deadline_ms,
+                    "shed before the deadline passed"
+                );
             }
         }
         if shed_while_running {
             unfit_front_sheds += 1;
         }
         if exact {
-            let small = outputs.0.iter().find(|c| c.tag == 2).expect("the small request is served");
+            let small = outputs
+                .0
+                .iter()
+                .find(|c| c.tag == 2)
+                .expect("the small request is served");
             assert!(small.first_token_ms > shed_deadline_ms + 1, "seed {seed}");
             exact_wakeups += 1;
         }
     }
-    assert_eq!(unfit_front_sheds, 8, "every case sheds the unfit front mid-decode");
+    assert_eq!(
+        unfit_front_sheds, 8,
+        "every case sheds the unfit front mid-decode"
+    );
     assert_eq!(exact_wakeups, 4);
 }
 
@@ -483,10 +608,17 @@ fn offers_before_a_downsize_equal_offers_after_it() {
         };
         let max_replicas = 5;
         let mut first = BatchScheduler::new(config, &GpuHardware::a100(), max_replicas);
-        let shed_deadline_ms =
-            if rng.chance(0.3) { rng.uniform_usize(200, 4_000) as u64 } else { 0 };
+        let shed_deadline_ms = if rng.chance(0.3) {
+            rng.uniform_usize(200, 4_000) as u64
+        } else {
+            0
+        };
         let max_retries = rng.uniform_usize(0, 4) as u32;
-        first.set_fault_policy(shed_deadline_ms, max_retries, rng.uniform_usize(1, 400) as u64);
+        first.set_fault_policy(
+            shed_deadline_ms,
+            max_retries,
+            rng.uniform_usize(1, 400) as u64,
+        );
         let mut then = first.clone();
         let long_prompt = BatchScheduler::new(config, &GpuHardware::a100(), 1).kv_capacity() / 6;
         let (mut first_out, mut then_out) = (Vec::new(), Vec::new());
@@ -555,10 +687,21 @@ fn offers_before_a_downsize_equal_offers_after_it() {
         coverage.shed += faults.shed;
         retries += faults.retries;
     }
-    assert!(coverage.completions > 5_000, "completions: {}", coverage.completions);
-    assert!(coverage.preemptions > 50, "preemptions: {}", coverage.preemptions);
+    assert!(
+        coverage.completions > 5_000,
+        "completions: {}",
+        coverage.completions
+    );
+    assert!(
+        coverage.preemptions > 50,
+        "preemptions: {}",
+        coverage.preemptions
+    );
     assert!(retries > 30, "requeues: {retries}");
     assert!(coverage.timeouts > 5, "timeouts: {}", coverage.timeouts);
     assert!(coverage.shed > 10, "shed: {}", coverage.shed);
-    assert!(mixed_windows > 30, "windows whose resize preempted beside offers: {mixed_windows}");
+    assert!(
+        mixed_windows > 30,
+        "windows whose resize preempted beside offers: {mixed_windows}"
+    );
 }

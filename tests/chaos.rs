@@ -39,8 +39,14 @@ fn fleet_config(seed: u64, tier: IntensityTier) -> FleetConfig {
 }
 
 fn assert_finite_run(report: &RunReport, label: &str) {
-    assert!(report.peak_temperature_c().is_finite(), "{label}: peak temperature");
-    assert!(report.peak_row_power_kw().is_finite(), "{label}: peak row power");
+    assert!(
+        report.peak_temperature_c().is_finite(),
+        "{label}: peak temperature"
+    );
+    assert!(
+        report.peak_row_power_kw().is_finite(),
+        "{label}: peak row power"
+    );
     assert!(
         (0.0..=1.0).contains(&report.slo_attainment()),
         "{label}: SLO attainment {}",
@@ -48,7 +54,10 @@ fn assert_finite_run(report: &RunReport, label: &str) {
     );
     assert!(report.mean_quality().is_finite(), "{label}: quality");
     assert!(
-        report.datacenter_power.iter().all(|(_, kw)| kw.is_finite() && kw >= 0.0),
+        report
+            .datacenter_power
+            .iter()
+            .all(|(_, kw)| kw.is_finite() && kw >= 0.0),
         "{label}: power series"
     );
 }
@@ -61,14 +70,21 @@ fn generated_scenarios_run_without_panicking_and_stay_finite() {
     let mut scenarios = 0;
     for tier in IntensityTier::ALL {
         for seed in 0..20 {
-            let policy = if seed % 2 == 0 { Policy::Tapas } else { Policy::Baseline };
+            let policy = if seed % 2 == 0 {
+                Policy::Tapas
+            } else {
+                Policy::Baseline
+            };
             let config = single_config(seed, tier, policy);
             let timeline = config.resolved_timeline();
             let report = ClusterSimulator::new(config).run();
             let label = format!("single {tier:?} seed {seed}");
             assert_finite_run(&report, &label);
             let cost = energy_cost_usd(&report, &timeline);
-            assert!(cost.is_finite() && cost >= 0.0, "{label}: energy cost {cost}");
+            assert!(
+                cost.is_finite() && cost >= 0.0,
+                "{label}: energy cost {cost}"
+            );
             scenarios += 1;
         }
     }
@@ -81,13 +97,22 @@ fn generated_scenarios_run_without_panicking_and_stay_finite() {
             for site in &report.sites {
                 assert_finite_run(site, &label);
             }
-            assert!(report.power_capped_minutes().is_finite(), "{label}: capped minutes");
+            assert!(
+                report.power_capped_minutes().is_finite(),
+                "{label}: capped minutes"
+            );
             let cost = fleet_energy_cost_usd(&report, &cost_config);
-            assert!(cost.is_finite() && cost >= 0.0, "{label}: energy cost {cost}");
+            assert!(
+                cost.is_finite() && cost >= 0.0,
+                "{label}: energy cost {cost}"
+            );
             scenarios += 1;
         }
     }
-    assert!(scenarios >= 100, "chaos run covered only {scenarios} scenarios");
+    assert!(
+        scenarios >= 100,
+        "chaos run covered only {scenarios} scenarios"
+    );
 }
 
 /// The same seed produces byte-identical serialized reports — generation, resolution and
@@ -182,12 +207,17 @@ fn golden_generated_scenario_round_trips_byte_for_byte() {
         7,
         &GeneratorConfig::new(IntensityTier::Adversarial, 3, SimTime::from_days(2)),
     );
-    scenario.validate(3).expect("golden generated scenario is valid");
+    scenario
+        .validate(3)
+        .expect("golden generated scenario is valid");
     let json = serde_json::to_string(&scenario).expect("serialize");
 
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/generated_scenario.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/generated_scenario.json"
+            ),
             &json,
         )
         .expect("write golden file");
@@ -201,5 +231,8 @@ fn golden_generated_scenario_round_trips_byte_for_byte() {
          intentional, regenerate with UPDATE_GOLDEN=1 cargo test --test chaos"
     );
     let back: Scenario = serde_json::from_str(GOLDEN_GENERATED).expect("deserialize golden");
-    assert_eq!(back, scenario, "golden file must deserialize to the same scenario");
+    assert_eq!(
+        back, scenario,
+        "golden file must deserialize to the same scenario"
+    );
 }

@@ -50,9 +50,16 @@ fn tied_store(base: &ProfileStore, rng: &mut SimRng) -> ProfileStore {
             rng.uniform_usize(0, n)
         };
         let target = &mut profiles[to];
-        *target = ConfigProfile { config: target.config, quality: target.quality, ..from };
+        *target = ConfigProfile {
+            config: target.config,
+            quality: target.quality,
+            ..from
+        };
     }
-    let llm = LlmProfiles { profiles, ..base.llm().clone() };
+    let llm = LlmProfiles {
+        profiles,
+        ..base.llm().clone()
+    };
     base.clone().with_llm_profiles(Arc::new(llm))
 }
 
@@ -61,7 +68,10 @@ fn hottest_gpu(p: &ConfigProfile) -> f64 {
 }
 
 fn hottest_server(p: &ConfigProfile) -> f64 {
-    p.prefill.server_power.value().max(p.decode.server_power.value())
+    p.prefill
+        .server_power
+        .value()
+        .max(p.decode.server_power.value())
 }
 
 /// A limit drawn around `at` (some profile's own figure): exactly at it, just inside or
@@ -119,7 +129,10 @@ fn indexed_select_matches_the_reference_scan() {
             let p = pick(&mut rng);
             (hottest_gpu(&p), hottest_server(&p))
         } else {
-            (hottest_gpu(&pick(&mut rng)), hottest_server(&pick(&mut rng)))
+            (
+                hottest_gpu(&pick(&mut rng)),
+                hottest_server(&pick(&mut rng)),
+            )
         };
         let demand = match rng.uniform_usize(0, 10) {
             0 => 0.0,
@@ -146,7 +159,11 @@ fn indexed_select_matches_the_reference_scan() {
             _ if reference.quality_degraded => 0,
             ReconfigurationCost::None => 1,
             ReconfigurationCost::Online => 2,
-            ReconfigurationCost::Reload { .. } if reference.profile.goodput_tokens_per_s >= demand => 3,
+            ReconfigurationCost::Reload { .. }
+                if reference.profile.goodput_tokens_per_s >= demand =>
+            {
+                3
+            }
             ReconfigurationCost::Reload { .. } => 4,
         };
         outcomes[outcome] += 1;

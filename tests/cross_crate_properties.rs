@@ -37,9 +37,16 @@ fn physics_is_finite_and_monotone() {
     for case in 0..CASES {
         let outside = rng.uniform(-10.0, 45.0);
         let load = rng.uniform(0.0, 1.0);
-        let low =
-            dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(outside), load * 0.5));
-        let high = dc.evaluate(&StepInput::uniform_load(dc.layout(), Celsius::new(outside), load));
+        let low = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(outside),
+            load * 0.5,
+        ));
+        let high = dc.evaluate(&StepInput::uniform_load(
+            dc.layout(),
+            Celsius::new(outside),
+            load,
+        ));
         assert!(low.max_gpu_temp().value().is_finite(), "case {case}");
         assert!(high.peak_row_power().value().is_finite(), "case {case}");
         assert!(
@@ -93,26 +100,37 @@ fn allocator_respects_occupancy() {
         let vm_count = rng.uniform_usize(1, 8);
         let saas_mask = rng.next_u64();
         let mut state = ClusterState::new(layout.server_count());
-        let mut planner =
-            PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
+        let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         for i in 0..vm_count {
             let load = rng.uniform(0.3, 1.0);
             let saas = (saas_mask >> (i % 8)) & 1 == 1;
             let vm = Vm {
                 id: VmId(i as u64),
                 kind: if saas {
-                    VmKind::Saas { endpoint: EndpointId(0) }
+                    VmKind::Saas {
+                        endpoint: EndpointId(0),
+                    }
                 } else {
-                    VmKind::Iaas { customer: IaasCustomerId(0) }
+                    VmKind::Iaas {
+                        customer: IaasCustomerId(0),
+                    }
                 },
                 arrival: SimTime::ZERO,
                 lifetime: SimDuration::from_days(7),
             };
-            let request = PlacementRequest { vm, predicted_peak_load: load };
+            let request = PlacementRequest {
+                vm,
+                predicted_peak_load: load,
+            };
             let chosen = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
             let server = chosen.expect("free servers remain");
-            assert!(state.is_free(server), "case {case}: server {server} occupied");
-            state.place(vm, server, load, None).expect("placement on a free server");
+            assert!(
+                state.is_free(server),
+                "case {case}: server {server} occupied"
+            );
+            state
+                .place(vm, server, load, None)
+                .expect("placement on a free server");
             planner.on_place(server, load, &profiles);
         }
         assert_eq!(state.placed_count(), vm_count, "case {case}");
@@ -141,14 +159,19 @@ fn perf_model_is_consistent() {
                 >= perf.decode_step_time_s(&config, config.max_batch_size, 500),
             "case {case}: decode must slow down with context length"
         );
-        let slower =
-            InstanceConfig { frequency: FrequencyScale::new(config.frequency.value() * 0.8), ..config };
+        let slower = InstanceConfig {
+            frequency: FrequencyScale::new(config.frequency.value() * 0.8),
+            ..config
+        };
         assert!(
             perf.prefill_time_s(&slower, 512) > perf.prefill_time_s(&config, 512) * 0.99,
             "case {case}: prefill must slow down at lower clocks"
         );
         let targets = perf.slo_targets(&config);
-        assert!(targets.ttft_s > perf.ttft_unloaded_s(&config), "case {case}");
+        assert!(
+            targets.ttft_s > perf.ttft_unloaded_s(&config),
+            "case {case}"
+        );
     }
 }
 
@@ -174,10 +197,19 @@ fn profiles_respect_hardware_envelope() {
         }
         checked += 1;
         let profile = ConfigProfile::build(&config, &gpu);
-        assert!(profile.prefill.server_power.value() <= 6.5 + 1e-9, "{config}");
-        assert!(profile.decode.server_power.value() <= 6.5 + 1e-9, "{config}");
+        assert!(
+            profile.prefill.server_power.value() <= 6.5 + 1e-9,
+            "{config}"
+        );
+        assert!(
+            profile.decode.server_power.value() <= 6.5 + 1e-9,
+            "{config}"
+        );
         assert!(profile.quality > 0.0 && profile.quality <= 1.0, "{config}");
-        assert!(profile.prefill.gpu_power.value() <= 400.0 + 1e-9, "{config}");
+        assert!(
+            profile.prefill.gpu_power.value() <= 400.0 + 1e-9,
+            "{config}"
+        );
     }
 }
 
@@ -212,9 +244,13 @@ fn dense_state_matches_btreemap_reference_model() {
                     let server = free[rng.uniform_usize(0, free.len())];
                     let saas = rng.chance(0.5);
                     let kind = if saas {
-                        VmKind::Saas { endpoint: EndpointId(rng.next_u64() % 3) }
+                        VmKind::Saas {
+                            endpoint: EndpointId(rng.next_u64() % 3),
+                        }
                     } else {
-                        VmKind::Iaas { customer: IaasCustomerId(0) }
+                        VmKind::Iaas {
+                            customer: IaasCustomerId(0),
+                        }
                     };
                     let vm = Vm {
                         id: VmId(next_vm),
@@ -225,7 +261,14 @@ fn dense_state_matches_btreemap_reference_model() {
                     next_vm += 1;
                     let config = saas.then(InstanceConfig::default_70b);
                     dense.place(vm, server, 0.8, config).expect("free server");
-                    reference.insert(vm.id, RefEntry { server, kind, config });
+                    reference.insert(
+                        vm.id,
+                        RefEntry {
+                            server,
+                            kind,
+                            config,
+                        },
+                    );
                 }
                 // Retire a random placed VM.
                 1 => {
@@ -327,7 +370,10 @@ fn arrival_stream_fits_the_cluster() {
         state.retire_expired(vm.arrival, |retired| {
             planner.on_remove(retired.server, retired.predicted_peak_load, &profiles);
         });
-        let request = PlacementRequest { vm, predicted_peak_load: 0.8 };
+        let request = PlacementRequest {
+            vm,
+            predicted_peak_load: 0.8,
+        };
         let chosen = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
         if let Some(server) = chosen {
             assert!(server.index() < layout.server_count());

@@ -55,8 +55,15 @@ fn reference_assess(
 ) -> ReferenceAssessment {
     let mut rows = BTreeMap::new();
     for row in layout.rows() {
-        let draw: f64 = row.servers.iter().map(|s| server_power[s.index()].value()).sum();
-        rows.insert(row.id, (draw, row.power_budget.value() * capacity.row(row.id)));
+        let draw: f64 = row
+            .servers
+            .iter()
+            .map(|s| server_power[s.index()].value())
+            .sum();
+        rows.insert(
+            row.id,
+            (draw, row.power_budget.value() * capacity.row(row.id)),
+        );
     }
     let mut pdus = BTreeMap::new();
     for pdu in layout.pdus() {
@@ -68,7 +75,10 @@ fn reference_assess(
     for ups in layout.upses() {
         let draw: f64 = ups.pdus.iter().map(|p| pdus[p].0).sum();
         dc_draw += draw;
-        upses.insert(ups.id, (draw, ups.power_budget.value() * capacity.ups(ups.id)));
+        upses.insert(
+            ups.id,
+            (draw, ups.power_budget.value() * capacity.ups(ups.id)),
+        );
     }
     let datacenter = (
         dc_draw,
@@ -76,7 +86,11 @@ fn reference_assess(
     );
 
     let over = |&(draw, budget): &(f64, f64)| {
-        let utilization = if budget > 0.0 { draw / budget } else { f64::INFINITY };
+        let utilization = if budget > 0.0 {
+            draw / budget
+        } else {
+            f64::INFINITY
+        };
         (utilization > 1.0).then_some(1.0 / utilization)
     };
     let mut caps: BTreeMap<ServerId, f64> = BTreeMap::new();
@@ -113,7 +127,13 @@ fn reference_assess(
         }
     }
     caps.retain(|_, &mut f| f < 1.0);
-    ReferenceAssessment { rows, pdus, upses, datacenter, caps }
+    ReferenceAssessment {
+        rows,
+        pdus,
+        upses,
+        datacenter,
+        caps,
+    }
 }
 
 /// The dense `PowerAssessment` must agree bitwise with the `BTreeMap` reference model for
@@ -159,15 +179,27 @@ fn dense_assessment_matches_btreemap_reference_model() {
             assert_eq!(utilization.draw.value(), draw, "case {case} ups {ups}");
             assert_eq!(utilization.budget.value(), budget, "case {case} ups {ups}");
         }
-        assert_eq!(dense.datacenter.draw.value(), reference.datacenter.0, "case {case}");
-        assert_eq!(dense.datacenter.budget.value(), reference.datacenter.1, "case {case}");
+        assert_eq!(
+            dense.datacenter.draw.value(),
+            reference.datacenter.0,
+            "case {case}"
+        );
+        assert_eq!(
+            dense.datacenter.budget.value(),
+            reference.datacenter.1,
+            "case {case}"
+        );
 
         let dense_caps: BTreeMap<ServerId, f64> = dense
             .capping
             .iter()
             .map(|c| (c.server, c.power_fraction))
             .collect();
-        assert_eq!(dense_caps.len(), dense.capping.len(), "case {case}: one cap per server");
+        assert_eq!(
+            dense_caps.len(),
+            dense.capping.len(),
+            "case {case}: one cap per server"
+        );
         assert_eq!(dense_caps, reference.caps, "case {case}");
         assert_eq!(
             dense.any_over_budget(),
@@ -231,16 +263,21 @@ fn temp_grid_and_aisle_grid_match_reference_models() {
 
         let mut reference_aisles = BTreeMap::new();
         for aisle in dc.layout().aisles() {
-            let assessment = dc.airflow_model().assess_aisle(
-                aisle,
-                |s| outcome.server_airflow[s.index()],
-                1.0,
-            );
+            let assessment =
+                dc.airflow_model()
+                    .assess_aisle(aisle, |s| outcome.server_airflow[s.index()], 1.0);
             reference_aisles.insert(aisle.id, assessment);
         }
-        assert_eq!(outcome.aisle_airflow.len(), reference_aisles.len(), "case {case}");
+        assert_eq!(
+            outcome.aisle_airflow.len(),
+            reference_aisles.len(),
+            "case {case}"
+        );
         for (aisle, assessment) in outcome.aisle_airflow.iter() {
-            assert_eq!(assessment, &reference_aisles[&aisle], "case {case} aisle {aisle}");
+            assert_eq!(
+                assessment, &reference_aisles[&aisle],
+                "case {case} aisle {aisle}"
+            );
         }
     }
 }

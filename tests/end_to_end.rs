@@ -24,7 +24,11 @@ fn tapas_reduces_peak_row_power_on_the_real_cluster_hour() {
     );
     // Quality stays within the endpoint SLO under normal operation (§5.2: "without hurting
     // result quality").
-    assert!(tapas.mean_quality() >= 0.85, "quality {:.3}", tapas.mean_quality());
+    assert!(
+        tapas.mean_quality() >= 0.85,
+        "quality {:.3}",
+        tapas.mean_quality()
+    );
     assert!(baseline.requests_served > 0 && tapas.requests_served > 0);
 }
 
@@ -60,11 +64,13 @@ fn power_emergency_is_survivable() {
     for policy in [Policy::Baseline, Policy::Tapas] {
         let mut config = ExperimentConfig::medium(policy);
         config.duration = SimTime::from_hours(8);
-        config.scenario =
-            Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        config.scenario = Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
         let report = ClusterSimulator::new(config).run();
         assert_eq!(report.max_gpu_temp.len(), 8 * 6 + 1);
-        assert!(report.peak_temperature_c() < 120.0, "temperatures must stay physical");
+        assert!(
+            report.peak_temperature_c() < 120.0,
+            "temperatures must stay physical"
+        );
         assert!(report.mean_quality() > 0.5);
     }
 }
@@ -102,7 +108,10 @@ fn offline_profiling_matches_ground_truth_at_scale() {
             }
         }
     }
-    assert!(worst_error < 1.5, "worst-case fitted error {worst_error} °C");
+    assert!(
+        worst_error < 1.5,
+        "worst-case fitted error {worst_error} °C"
+    );
 }
 
 /// Reports are serializable (the bench harnesses persist them as JSON for EXPERIMENTS.md).
@@ -119,7 +128,12 @@ fn run_reports_round_trip_through_json() {
 /// some instances overrun the SLO, so both of the report's counters are exercised.
 fn capped_real_cluster_hour() -> RunReport {
     let scenario = Scenario::builder()
-        .power_cap(SiteSelector::All, SimTime::from_minutes(20), SimTime::from_minutes(50), 0.6)
+        .power_cap(
+            SiteSelector::All,
+            SimTime::from_minutes(20),
+            SimTime::from_minutes(50),
+            0.6,
+        )
         .build()
         .expect("valid power-cap window");
     let config = ExperimentConfig::real_cluster_hour(Policy::Tapas).with_scenario(scenario);
@@ -134,8 +148,15 @@ fn capped_hour_pins_worst_step_slo_and_mean_quality() {
     let report = capped_real_cluster_hour();
     assert_eq!(report.worst_step_slo_violations(), 5);
     let quality = report.mean_quality();
-    assert_eq!(quality.to_bits(), 0x3fef_7cfc_2eab_3125, "mean quality {quality}");
-    assert_eq!(report.slo_violating_instances.len(), report.max_gpu_temp.len());
+    assert_eq!(
+        quality.to_bits(),
+        0x3fef_7cfc_2eab_3125,
+        "mean quality {quality}"
+    );
+    assert_eq!(
+        report.slo_violating_instances.len(),
+        report.max_gpu_temp.len()
+    );
     assert!(report.quality_samples > 0);
 }
 
@@ -152,7 +173,9 @@ fn capped_hour_report_serializes_within_a_step_bounded_size() {
     let empty = RunReport::new(&report.policy, report.horizon, report.step);
     let without_numbers = |report: &RunReport| {
         let events = serde_json::to_string(&report.events).expect("serialize");
-        events.replace("null", "").replace(|c: char| c.is_ascii_digit(), "")
+        events
+            .replace("null", "")
+            .replace(|c: char| c.is_ascii_digit(), "")
     };
     assert!(report.events.count(simkit::events::EventKind::PowerCap) > 0);
     assert_eq!(without_numbers(&report), without_numbers(&empty));

@@ -74,7 +74,10 @@ fn pinned_three_site_fleet_is_bit_identical_to_the_single_dc_simulation() {
 
     let fleet_site = serde_json::to_string(&fleet.sites[0]).expect("serialize");
     let single_run = serde_json::to_string(&single).expect("serialize");
-    assert_eq!(fleet_site, single_run, "pinned site must reproduce the single-DC run");
+    assert_eq!(
+        fleet_site, single_run,
+        "pinned site must reproduce the single-DC run"
+    );
     assert_eq!(fleet.vms_routed[1], 0);
     assert_eq!(fleet.vms_routed[2], 0);
     assert_eq!(fleet.sites[1].requests_served, 0);
@@ -174,8 +177,7 @@ fn grid_price_spike_shifts_load_away_under_headroom_routing() {
         flat.vms_routed
     );
     assert!(
-        spiked.vms_routed[0] < spiked.vms_routed[1]
-            && spiked.vms_routed[0] < spiked.vms_routed[2],
+        spiked.vms_routed[0] < spiked.vms_routed[1] && spiked.vms_routed[0] < spiked.vms_routed[2],
         "the expensive site must receive the least load: {:?}",
         spiked.vms_routed
     );
@@ -183,8 +185,7 @@ fn grid_price_spike_shifts_load_away_under_headroom_routing() {
     // compared to splitting the same spike round-robin.
     let spiked_rr = FleetSimulator::new(priced_fleet(GeoPolicy::RoundRobin, true)).run();
     let geo_cost = fleet_energy_cost_usd(&spiked, &priced_fleet(GeoPolicy::Headroom, true));
-    let rr_cost =
-        fleet_energy_cost_usd(&spiked_rr, &priced_fleet(GeoPolicy::RoundRobin, true));
+    let rr_cost = fleet_energy_cost_usd(&spiked_rr, &priced_fleet(GeoPolicy::RoundRobin, true));
     assert!(
         geo_cost < rr_cost,
         "price-aware routing must cut energy cost: geo ${geo_cost:.0} vs rr ${rr_cost:.0}"
@@ -279,7 +280,10 @@ fn site_outside_temperature_traces_diverge() {
     // Pairwise distinct traces.
     for i in 0..traces.len() {
         for j in (i + 1)..traces.len() {
-            assert_ne!(traces[i], traces[j], "sites {i} and {j} share a weather trace");
+            assert_ne!(
+                traces[i], traces[j],
+                "sites {i} and {j} share a weather trace"
+            );
         }
     }
     // And the climates order the means: hot > temperate > cold.
@@ -287,5 +291,8 @@ fn site_outside_temperature_traces_diverge() {
         .iter_mut()
         .map(|t| t.iter().sum::<f64>() / t.len() as f64)
         .collect();
-    assert!(means[0] > means[1] && means[1] > means[2], "means {means:?}");
+    assert!(
+        means[0] > means[1] && means[1] > means[2],
+        "means {means:?}"
+    );
 }

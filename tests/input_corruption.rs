@@ -128,24 +128,29 @@ fn corrupted_run_reports_end_in_typed_errors() {
     let original = serde_json::to_string(&report).expect("reports serialize");
     let json = ascii_escaped(&original);
     let reparsed = serde_json::from_str::<RunReport>(&json).expect("escaped report parses");
-    assert_eq!(serde_json::to_string(&reparsed).expect("reports serialize"), original);
-    let counts = tally(34, &json, |text| match serde_json::from_str::<RunReport>(text) {
-        Err(_) => 0,
-        Ok(report) => {
-            // A report that parses answers its summary queries without panicking,
-            // whatever values the mutation left in it.
-            let figures = [
-                report.peak_temperature_c(),
-                report.normalized_peak_power(),
-                report.normalized_peak_temperature(),
-                report.thermal_capped_time_fraction(),
-                report.power_capped_time_fraction(),
-                report.slo_attainment(),
-                report.mean_quality(),
-                report.worst_step_slo_violations() as f64,
-            ];
-            let _ = (figures, report.last_stress_event_minute());
-            1
+    assert_eq!(
+        serde_json::to_string(&reparsed).expect("reports serialize"),
+        original
+    );
+    let counts = tally(34, &json, |text| {
+        match serde_json::from_str::<RunReport>(text) {
+            Err(_) => 0,
+            Ok(report) => {
+                // A report that parses answers its summary queries without panicking,
+                // whatever values the mutation left in it.
+                let figures = [
+                    report.peak_temperature_c(),
+                    report.normalized_peak_power(),
+                    report.normalized_peak_temperature(),
+                    report.thermal_capped_time_fraction(),
+                    report.power_capped_time_fraction(),
+                    report.slo_attainment(),
+                    report.mean_quality(),
+                    report.worst_step_slo_violations() as f64,
+                ];
+                let _ = (figures, report.last_stress_event_minute());
+                1
+            }
         }
     });
     let [parse_errors, parsed] = counts;
@@ -158,20 +163,25 @@ fn corrupted_run_reports_end_in_typed_errors() {
 fn corrupted_generated_scenarios_end_in_typed_errors() {
     let sites = 4;
     let duration = SimTime::from_hours(6);
-    let scenario = generate(7, &GeneratorConfig::new(IntensityTier::Adversarial, sites, duration));
+    let scenario = generate(
+        7,
+        &GeneratorConfig::new(IntensityTier::Adversarial, sites, duration),
+    );
     let json = ascii_escaped(&serde_json::to_string(&scenario).expect("scenarios serialize"));
-    let counts = tally(35, &json, |text| match serde_json::from_str::<Scenario>(text) {
-        Err(_) => 0,
-        Ok(scenario) => match scenario.validate(sites) {
-            Err(_) => 1,
-            Ok(()) => {
-                // A scenario that validates resolves for every site it may target.
-                for site in 0..sites {
-                    let _ = scenario.resolve(site, duration, SimDuration::from_minutes(5), 4);
+    let counts = tally(35, &json, |text| {
+        match serde_json::from_str::<Scenario>(text) {
+            Err(_) => 0,
+            Ok(scenario) => match scenario.validate(sites) {
+                Err(_) => 1,
+                Ok(()) => {
+                    // A scenario that validates resolves for every site it may target.
+                    for site in 0..sites {
+                        let _ = scenario.resolve(site, duration, SimDuration::from_minutes(5), 4);
+                    }
+                    2
                 }
-                2
-            }
-        },
+            },
+        }
     });
     let [parse_errors, check_errors, valid] = counts;
     assert!(parse_errors >= CASES / 4, "{counts:?}");

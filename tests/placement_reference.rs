@@ -45,9 +45,13 @@ fn vm(id: u64, saas: bool) -> Vm {
     Vm {
         id: VmId(id),
         kind: if saas {
-            VmKind::Saas { endpoint: EndpointId(id % 3) }
+            VmKind::Saas {
+                endpoint: EndpointId(id % 3),
+            }
         } else {
-            VmKind::Iaas { customer: IaasCustomerId(id % 5) }
+            VmKind::Iaas {
+                customer: IaasCustomerId(id % 5),
+            }
         },
         arrival: SimTime::ZERO,
         lifetime: SimDuration::from_days(14),
@@ -59,7 +63,11 @@ fn random_layout(rng: &mut SimRng) -> Layout {
         aisles: rng.uniform_usize(1, 4),
         racks_per_row: rng.uniform_usize(1, 4),
         servers_per_rack: rng.uniform_usize(1, 4),
-        server_spec: if rng.chance(0.5) { ServerSpec::dgx_a100() } else { ServerSpec::dgx_h100() },
+        server_spec: if rng.chance(0.5) {
+            ServerSpec::dgx_a100()
+        } else {
+            ServerSpec::dgx_h100()
+        },
         row_power_provisioning: rng.uniform(0.4, 1.1),
         aisle_airflow_provisioning: rng.uniform(0.5, 1.1),
         pdu_power_provisioning: rng.uniform(0.8, 1.05),
@@ -92,8 +100,12 @@ fn clone_models(profiles: &mut ProfileStore, donor: usize, targets: &[usize]) {
     let models = profiles.servers[donor].clone();
     for &target in targets {
         let own = &profiles.servers[target];
-        profiles.servers[target] =
-            ServerProfile { server: own.server, row: own.row, aisle: own.aisle, ..models.clone() };
+        profiles.servers[target] = ServerProfile {
+            server: own.server,
+            row: own.row,
+            aisle: own.aisle,
+            ..models.clone()
+        };
     }
 }
 
@@ -166,7 +178,10 @@ fn audit(
     }
     for (aisle, airflow) in TapasPlacement::predicted_aisle_airflow(state, layout, profiles) {
         let gap = relative_gap(planner.aisle_airflow_cfm(aisle), airflow.value());
-        assert!(gap <= 1e-9, "{context}: aisle {aisle} airflow off by {gap:e}");
+        assert!(
+            gap <= 1e-9,
+            "{context}: aisle {aisle} airflow off by {gap:e}"
+        );
     }
     if let Err(stale) = planner.audit_views(state, profiles) {
         panic!("{context}: {stale}");
@@ -188,8 +203,10 @@ fn drive(
 ) -> usize {
     let design = policies[0].config.design;
     let mut planner = PlacementPlanner::new(state, layout, profiles, design);
-    let mut placed: Vec<(VmId, ServerId, f64)> =
-        state.placed().map(|p| (p.vm.id, p.server, p.predicted_peak_load)).collect();
+    let mut placed: Vec<(VmId, ServerId, f64)> = state
+        .placed()
+        .map(|p| (p.vm.id, p.server, p.predicted_peak_load))
+        .collect();
     let mut next_id = 10_000;
     let mut calls = 0;
     while state.free_count() > 0 {
@@ -207,7 +224,10 @@ fn drive(
         } else {
             loads[rng.uniform_usize(0, loads.len())]
         };
-        let request = PlacementRequest { vm: vm(next_id, saas), predicted_peak_load: load };
+        let request = PlacementRequest {
+            vm: vm(next_id, saas),
+            predicted_peak_load: load,
+        };
         next_id += 1;
         let fast = policy.place_with(&request, state, layout, profiles, &mut planner);
         let reference = policy.place_with_reference(&request, state, layout, profiles, &planner);
@@ -222,13 +242,28 @@ fn drive(
         let server = fast.expect("a free server always yields a placement");
         state.place(request.vm, server, load, None).unwrap();
         planner.on_place(server, load, profiles);
-        audit(&planner, state, layout, profiles, &format!("{case}, call {calls}"));
+        audit(
+            &planner,
+            state,
+            layout,
+            profiles,
+            &format!("{case}, call {calls}"),
+        );
         placed.push((request.vm.id, server, load));
     }
-    let full = PlacementRequest { vm: vm(next_id, false), predicted_peak_load: 0.5 };
+    let full = PlacementRequest {
+        vm: vm(next_id, false),
+        predicted_peak_load: 0.5,
+    };
     for policy in policies {
-        assert_eq!(policy.place_with(&full, state, layout, profiles, &mut planner), None);
-        assert_eq!(policy.place_with_reference(&full, state, layout, profiles, &planner), None);
+        assert_eq!(
+            policy.place_with(&full, state, layout, profiles, &mut planner),
+            None
+        );
+        assert_eq!(
+            policy.place_with_reference(&full, state, layout, profiles, &planner),
+            None
+        );
     }
     calls
 }
@@ -239,7 +274,12 @@ fn occupy(rng: &mut SimRng, state: &mut ClusterState, occupancy: f64) {
         if rng.chance(occupancy) {
             let load = random_load(rng);
             state
-                .place(vm(server as u64, rng.chance(0.5)), ServerId::new(server), load, None)
+                .place(
+                    vm(server as u64, rng.chance(0.5)),
+                    ServerId::new(server),
+                    load,
+                    None,
+                )
                 .unwrap();
         }
     }
@@ -277,9 +317,14 @@ fn fast_path_matches_reference_on_random_clusters() {
         let palette = rng.uniform_usize(0, 25);
         let loads = load_palette(&mut rng, palette);
         let case = format!("case {case}");
-        total_calls += drive(&mut rng, &policies, &loads, &layout, &profiles, &mut state, &case);
+        total_calls += drive(
+            &mut rng, &policies, &loads, &layout, &profiles, &mut state, &case,
+        );
     }
-    assert!(total_calls > 200, "too few placement calls checked: {total_calls}");
+    assert!(
+        total_calls > 200,
+        "too few placement calls checked: {total_calls}"
+    );
 }
 
 /// Rows of 68 and 130 servers: each row's bitmaps span two or three words.
@@ -300,7 +345,9 @@ fn wide_rows_match_reference() {
         let policies = shared_policies(&mut rng, TapasPlacement::default());
         let loads = load_palette(&mut rng, 6);
         let case = format!("{} servers per row", racks_per_row * servers_per_rack);
-        let calls = drive(&mut rng, &policies, &loads, &layout, &profiles, &mut state, &case);
+        let calls = drive(
+            &mut rng, &policies, &loads, &layout, &profiles, &mut state, &case,
+        );
         assert!(calls > 90, "{case}: {calls} calls");
     }
 }
@@ -312,35 +359,56 @@ fn wide_rows_match_reference() {
 fn shared_planner_and_view_cache_match_reference() {
     let layout = LayoutConfig::real_cluster_two_rows().build();
     let profiles = profile(&layout, 9);
-    let configs = [(0.97, 0.97, 1.0, 0.5), (0.6, 0.9, 0.3, 1.5), (0.9, 0.55, 2.0, 0.0)];
+    let configs = [
+        (0.97, 0.97, 1.0, 0.5),
+        (0.6, 0.9, 0.3, 1.5),
+        (0.9, 0.55, 2.0, 0.0),
+    ];
     let policies: Vec<TapasPlacement> = configs
         .into_iter()
-        .map(|(power, airflow, thermal_weight, balance_weight)| TapasPlacement {
-            config: TapasPlacementConfig {
-                power_safety_fraction: power,
-                airflow_safety_fraction: airflow,
-                thermal_weight,
-                balance_weight,
-                ..Default::default()
+        .map(
+            |(power, airflow, thermal_weight, balance_weight)| TapasPlacement {
+                config: TapasPlacementConfig {
+                    power_safety_fraction: power,
+                    airflow_safety_fraction: airflow,
+                    thermal_weight,
+                    balance_weight,
+                    ..Default::default()
+                },
             },
-        })
+        )
         .collect();
     let mut state = ClusterState::with_layout(&layout);
     let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policies[0].config.design);
     let cycle: Vec<f64> = (0..20).map(|i| 0.3 + 0.035 * f64::from(i)).collect();
     let repeated = [0.45, 0.9, 0.45];
-    let loads = cycle.iter().chain(&cycle).chain(repeated.iter().cycle().take(30));
+    let loads = cycle
+        .iter()
+        .chain(&cycle)
+        .chain(repeated.iter().cycle().take(30));
     for (call, &load) in loads.enumerate() {
         let policy = &policies[call % policies.len()];
-        let request =
-            PlacementRequest { vm: vm(call as u64, call % 3 == 0), predicted_peak_load: load };
+        let request = PlacementRequest {
+            vm: vm(call as u64, call % 3 == 0),
+            predicted_peak_load: load,
+        };
         let fast = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
         let reference = policy.place_with_reference(&request, &state, &layout, &profiles, &planner);
-        assert_eq!(fast, reference, "call {call}, load {load}, {:?}", policy.config);
+        assert_eq!(
+            fast, reference,
+            "call {call}, load {load}, {:?}",
+            policy.config
+        );
         let server = fast.unwrap();
         state.place(request.vm, server, load, None).unwrap();
         planner.on_place(server, load, &profiles);
-        audit(&planner, &state, &layout, &profiles, &format!("call {call}"));
+        audit(
+            &planner,
+            &state,
+            &layout,
+            &profiles,
+            &format!("call {call}"),
+        );
     }
 }
 
@@ -361,17 +429,29 @@ fn saas_limit_straddling_estimates_match_reference() {
         let mut call = 0;
         while state.free_count() > 0 {
             let saas = call % 4 != 3;
-            let request = PlacementRequest { vm: vm(call, saas), predicted_peak_load: load };
+            let request = PlacementRequest {
+                vm: vm(call, saas),
+                predicted_peak_load: load,
+            };
             let fast = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
             let reference =
                 policy.place_with_reference(&request, &state, &layout, &profiles, &planner);
-            assert_eq!(fast, reference, "limit {estimate} at load {load}, call {call}");
+            assert_eq!(
+                fast, reference,
+                "limit {estimate} at load {load}, call {call}"
+            );
             let server = fast.unwrap();
             state.place(request.vm, server, load, None).unwrap();
             planner.on_place(server, load, &profiles);
             call += 1;
         }
-        audit(&planner, &state, &layout, &profiles, &format!("limit {estimate}"));
+        audit(
+            &planner,
+            &state,
+            &layout,
+            &profiles,
+            &format!("limit {estimate}"),
+        );
     }
 }
 
@@ -385,12 +465,17 @@ fn tercile_edges_and_fallbacks_match_reference() {
     clone_models(&mut profiles, 0, &(1..servers - 4).collect::<Vec<_>>());
     let default_limit = profiles.thermal_headroom_target;
     for free in 1..=4 {
-        for (power_safety_fraction, limit) in
-            [(0.97, default_limit), (0.0, default_limit), (0.97, Celsius::new(-100.0))]
-        {
+        for (power_safety_fraction, limit) in [
+            (0.97, default_limit),
+            (0.0, default_limit),
+            (0.97, Celsius::new(-100.0)),
+        ] {
             profiles.thermal_headroom_target = limit;
             let policy = TapasPlacement {
-                config: TapasPlacementConfig { power_safety_fraction, ..Default::default() },
+                config: TapasPlacementConfig {
+                    power_safety_fraction,
+                    ..Default::default()
+                },
             };
             for cached in [true, false] {
                 let mut state = if cached {
@@ -402,15 +487,22 @@ fn tercile_edges_and_fallbacks_match_reference() {
                 let keep: Vec<usize> = (0..free).map(|i| i * (servers / free) + 3).collect();
                 for server in (0..servers).filter(|s| !keep.contains(s)) {
                     state
-                        .place(vm(server as u64, server % 3 == 0), ServerId::new(server), 0.8, None)
+                        .place(
+                            vm(server as u64, server % 3 == 0),
+                            ServerId::new(server),
+                            0.8,
+                            None,
+                        )
                         .unwrap();
                 }
                 let mut planner =
                     PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
                 for saas in [false, true] {
                     for load in [0.0, 0.6, 1.0, 1.5, f64::NAN] {
-                        let request =
-                            PlacementRequest { vm: vm(9_999, saas), predicted_peak_load: load };
+                        let request = PlacementRequest {
+                            vm: vm(9_999, saas),
+                            predicted_peak_load: load,
+                        };
                         let fast =
                             policy.place_with(&request, &state, &layout, &profiles, &mut planner);
                         let reference = policy
@@ -440,7 +532,10 @@ fn replay_wave(config: &ExperimentConfig, audit_every: usize) -> usize {
     let mut planner = PlacementPlanner::new(&state, layout, &profiles, policy.config.design);
     let stream = config.vm_stream(&config.endpoint_catalog(), 1.0);
     let mut calls = 0;
-    for vm in stream.into_iter().take_while(|vm| vm.arrival <= SimTime::ZERO) {
+    for vm in stream
+        .into_iter()
+        .take_while(|vm| vm.arrival <= SimTime::ZERO)
+    {
         if vm.departure() <= SimTime::ZERO {
             continue;
         }
@@ -448,7 +543,10 @@ fn replay_wave(config: &ExperimentConfig, audit_every: usize) -> usize {
             VmKind::Iaas { customer } => iaas.predicted_peak(customer),
             VmKind::Saas { .. } => 0.9,
         };
-        let request = PlacementRequest { vm, predicted_peak_load };
+        let request = PlacementRequest {
+            vm,
+            predicted_peak_load,
+        };
         let fast = policy.place_with(&request, &state, layout, &profiles, &mut planner);
         let reference = policy.place_with_reference(&request, &state, layout, &profiles, &planner);
         assert_eq!(fast, reference, "call {calls} ({vm:?})");
@@ -458,7 +556,13 @@ fn replay_wave(config: &ExperimentConfig, audit_every: usize) -> usize {
             planner.on_place(server, predicted_peak_load, &profiles);
         }
         if calls % audit_every == 0 {
-            audit(&planner, &state, layout, &profiles, &format!("call {calls}"));
+            audit(
+                &planner,
+                &state,
+                layout,
+                &profiles,
+                &format!("call {calls}"),
+            );
         }
     }
     calls
@@ -468,7 +572,10 @@ fn replay_wave(config: &ExperimentConfig, audit_every: usize) -> usize {
 #[test]
 fn production_week_wave_matches_reference_on_every_call() {
     let calls = replay_wave(&ExperimentConfig::production_week(Policy::Tapas), 100);
-    assert!(calls > 900, "the wave should place ~92 % of 1040 servers, got {calls} calls");
+    assert!(
+        calls > 900,
+        "the wave should place ~92 % of 1040 servers, got {calls} calls"
+    );
 }
 
 /// The t = 0 wave of the benchmark's 10240-server day (the 1040-server week widened to 128
@@ -481,5 +588,8 @@ fn hyperscale_day_wave_matches_reference_on_every_call() {
     let mut config = ExperimentConfig::production_week(Policy::Tapas).with_seed(7);
     config.layout.aisles = 128;
     let calls = replay_wave(&config, 1000);
-    assert!(calls > 9000, "the wave should place ~92 % of 10240 servers, got {calls} calls");
+    assert!(
+        calls > 9000,
+        "the wave should place ~92 % of 10240 servers, got {calls} calls"
+    );
 }

@@ -15,8 +15,7 @@ const SAMPLE_JSONL: &str = include_str!("data/sample_requests.jsonl");
 const GOLDEN_METRICS: &str = include_str!("golden/request_fabric_metrics.json");
 
 fn fabric_smoke() -> ExperimentConfig {
-    ExperimentConfig::small_smoke_test()
-        .with_request_fabric(RequestFabricConfig::default())
+    ExperimentConfig::small_smoke_test().with_request_fabric(RequestFabricConfig::default())
 }
 
 /// Replays a request trace through a single-site run (a pinned one-site fleet).
@@ -51,7 +50,10 @@ fn event_queue_matches_a_stable_sorted_reference_under_random_workloads() {
         while let Some((time, payload)) = queue.pop() {
             drained.push((time, payload));
         }
-        assert_eq!(drained, reference, "round {round} diverged from the reference");
+        assert_eq!(
+            drained, reference,
+            "round {round} diverged from the reference"
+        );
     }
 }
 
@@ -172,7 +174,10 @@ fn arrival_buffer_drains_exactly_like_the_event_queue() {
     let floors = [
         ("out-of-order pushes", coverage.out_of_order_pushes),
         ("equal-time pushes", coverage.equal_time_pushes),
-        ("pushes after a partial drain", coverage.pushes_after_partial_drain),
+        (
+            "pushes after a partial drain",
+            coverage.pushes_after_partial_drain,
+        ),
         ("drains leaving events", coverage.drains_leaving_events),
         ("drains at an event time", coverage.drains_at_an_event_time),
         ("empty drains", coverage.empty_drains),
@@ -189,8 +194,12 @@ fn arrival_buffer_drains_exactly_like_the_event_queue() {
 /// Timestamps sit on a large base so only the span, not the magnitude, picks the class.
 #[test]
 fn arrival_buffer_matches_a_stable_sorted_vec_in_every_radix_class() {
-    const CLASSES: [(u64, u64); 4] =
-        [(1, 1 << 8), (1 << 8, 1 << 16), (1 << 16, 1 << 24), (1 << 24, 1 << 40)];
+    const CLASSES: [(u64, u64); 4] = [
+        (1, 1 << 8),
+        (1 << 8, 1 << 16),
+        (1 << 16, 1 << 24),
+        (1 << 24, 1 << 40),
+    ];
     let mut rng = SimRng::seed_from(2027).derive("arrival-buffer-radix");
     // Per class: drains that sorted a tail of that span, and tied timestamps drained.
     let mut sorted_spans = [0usize; CLASSES.len()];
@@ -233,9 +242,14 @@ fn arrival_buffer_matches_a_stable_sorted_vec_in_every_radix_class() {
             let out_of_order = reference.windows(2).any(|pair| pair[1].0 < pair[0].0);
             let (min, max) = reference
                 .iter()
-                .fold((u64::MAX, 0), |(min, max), &(time, _)| (min.min(time), max.max(time)));
+                .fold((u64::MAX, 0), |(min, max), &(time, _)| {
+                    (min.min(time), max.max(time))
+                });
             if out_of_order {
-                let class = CLASSES.iter().position(|&(_, top)| max - min < top).unwrap_or(3);
+                let class = CLASSES
+                    .iter()
+                    .position(|&(_, top)| max - min < top)
+                    .unwrap_or(3);
                 sorted_spans[class] += 1;
             }
             reference.sort_by_key(|&(time, _)| time);
@@ -246,13 +260,20 @@ fn arrival_buffer_matches_a_stable_sorted_vec_in_every_radix_class() {
                 _ => u64::MAX,
             };
             let due = reference.partition_point(|&(time, _)| time < end_ms);
-            ties += reference[..due].windows(2).filter(|pair| pair[0].0 == pair[1].0).count();
+            ties += reference[..due]
+                .windows(2)
+                .filter(|pair| pair[0].0 == pair[1].0)
+                .count();
             if due < reference.len() {
                 partial_drains += 1;
             }
             let mut drained = Vec::new();
             buffer.drain_before(end_ms, |time, request| drained.push((time, request)));
-            assert_eq!(drained, reference[..due], "case {case}: drain before {end_ms}");
+            assert_eq!(
+                drained,
+                reference[..due],
+                "case {case}: drain before {end_ms}"
+            );
             reference.drain(..due);
             assert_eq!(buffer.len(), reference.len(), "case {case}: pending count");
         }
@@ -263,10 +284,16 @@ fn arrival_buffer_matches_a_stable_sorted_vec_in_every_radix_class() {
         assert!(buffer.is_empty());
     }
     for (class, &count) in sorted_spans.iter().enumerate() {
-        assert!(count >= 20, "only {count} sorted tails in span class {class}");
+        assert!(
+            count >= 20,
+            "only {count} sorted tails in span class {class}"
+        );
     }
     assert!(ties >= 1_000, "only {ties} tied timestamps drained");
-    assert!(partial_drains >= 100, "only {partial_drains} partial drains");
+    assert!(
+        partial_drains >= 100,
+        "only {partial_drains} partial drains"
+    );
 }
 
 // --- Completion recording ------------------------------------------------------------
@@ -329,8 +356,13 @@ fn record_by_the_multiplier_loop(
 #[test]
 fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
     let multipliers = tapas_repro::cluster_sim::metrics::SLO_CURVE_MULTIPLIERS;
-    let target_pairs =
-        [(0.137, 0.0213), (0.25, 0.05), (1e-9, 1e-12), (0.0, -1.0), (f64::NAN, 0.02)];
+    let target_pairs = [
+        (0.137, 0.0213),
+        (0.25, 0.05),
+        (1e-9, 1e-12),
+        (0.0, -1.0),
+        (f64::NAN, 0.02),
+    ];
     let mut rng = SimRng::seed_from(2028).derive("slo-recording");
     let mut boundary_samples = 0;
     for &targets in &target_pairs {
@@ -339,7 +371,15 @@ fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
             let (mut fast, mut reference) = (RequestMetrics::new(), RequestMetrics::new());
             let mut stepped = RequestMetrics::new();
             let mut sites = [RequestMetrics::new(), RequestMetrics::new()];
-            let mut edges = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, 3.0];
+            let mut edges = vec![
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.0,
+                3.0,
+            ];
             for multiplier in multipliers.iter().chain([&headline]) {
                 for target_s in [targets.0, targets.1] {
                     let at = multiplier * (target_s * 1000.0).max(f64::MIN_POSITIVE);
@@ -402,13 +442,27 @@ fn threshold_recording_matches_the_multiplier_loop_at_the_boundaries() {
             assert_eq!(fast.joint_curve, reference.joint_curve, "{context}");
             assert_eq!(fast.ttft.counts, reference.ttft.counts, "{context}");
             assert_eq!(fast.tbt.counts, reference.tbt.counts, "{context}");
-            assert_eq!(fast.ttft.sum_ms.to_bits(), reference.ttft.sum_ms.to_bits(), "{context}");
-            assert_eq!(fast.tbt.sum_ms.to_bits(), reference.tbt.sum_ms.to_bits(), "{context}");
+            assert_eq!(
+                fast.ttft.sum_ms.to_bits(),
+                reference.ttft.sum_ms.to_bits(),
+                "{context}"
+            );
+            assert_eq!(
+                fast.tbt.sum_ms.to_bits(),
+                reference.tbt.sum_ms.to_bits(),
+                "{context}"
+            );
             assert_eq!(fast.lifecycle, reference.lifecycle, "{context}");
-            assert!(fast.lifecycle.goodput_tokens > 0 || targets.0.is_nan(), "{context}");
+            assert!(
+                fast.lifecycle.goodput_tokens > 0 || targets.0.is_nan(),
+                "{context}"
+            );
         }
     }
-    assert!(boundary_samples > 10_000, "boundary samples: {boundary_samples}");
+    assert!(
+        boundary_samples > 10_000,
+        "boundary samples: {boundary_samples}"
+    );
 }
 
 /// A trace with out-of-order records and timestamp ties between different shapes on one
@@ -425,10 +479,14 @@ fn shuffled_trace_and_its_stable_sort() -> (Vec<TraceRecord>, Vec<TraceRecord>) 
         })
         .collect();
     rng.shuffle(&mut records);
-    assert!(records.windows(2).any(|p| p[0].timestamp_ms > p[1].timestamp_ms));
+    assert!(records
+        .windows(2)
+        .any(|p| p[0].timestamp_ms > p[1].timestamp_ms));
     let mut sorted = records.clone();
     sorted.sort_by_key(|r| r.timestamp_ms);
-    assert!(sorted.windows(2).any(|p| p[0].timestamp_ms == p[1].timestamp_ms));
+    assert!(sorted
+        .windows(2)
+        .any(|p| p[0].timestamp_ms == p[1].timestamp_ms));
     (records, sorted)
 }
 
@@ -501,8 +559,14 @@ fn kv_occupancy_never_exceeds_committed_nor_capacity() {
             assert!(done.finish_ms >= done.first_token_ms);
         }
     }
-    assert!(completed > 0, "the overloaded scheduler still makes progress");
-    assert!(offered > completed, "overload keeps a backlog (offered {offered})");
+    assert!(
+        completed > 0,
+        "the overloaded scheduler still makes progress"
+    );
+    assert!(
+        offered > completed,
+        "overload keeps a backlog (offered {offered})"
+    );
 }
 
 /// Randomized replica churn — shrinks standing in for failures, grows for recovery —
@@ -561,8 +625,7 @@ fn kv_invariants_hold_under_randomized_replica_churn() {
         assert_kv_invariants(&scheduler, &format!("window {window} after advance"));
         for done in &completions {
             assert_eq!(
-                done.arrival_ms,
-                arrivals[done.tag as usize],
+                done.arrival_ms, arrivals[done.tag as usize],
                 "window {window}: TTFT must be measured from the original arrival"
             );
             assert!(done.first_token_ms >= done.arrival_ms);
@@ -573,7 +636,10 @@ fn kv_invariants_hold_under_randomized_replica_churn() {
 
     let faults = scheduler.faults();
     assert!(completed > 0, "the churned scheduler still completes work");
-    assert!(faults.preemptions > 0, "shrinks must actually exercise preemption");
+    assert!(
+        faults.preemptions > 0,
+        "shrinks must actually exercise preemption"
+    );
     assert_eq!(
         arrivals.len() as u64,
         completed
@@ -597,7 +663,10 @@ fn fabric_enabled_three_site_fleet_is_byte_identical_across_same_seed_runs() {
     let b = fleet();
     let json_a = serde_json::to_string(&a).expect("serialize");
     let json_b = serde_json::to_string(&b).expect("serialize");
-    assert_eq!(json_a, json_b, "same-seed fabric fleets must serialize identically");
+    assert_eq!(
+        json_a, json_b,
+        "same-seed fabric fleets must serialize identically"
+    );
     // Every site ran the fabric and the fleet-wide merge sees their requests.
     let merged = a.request_fabric().expect("fabric enabled on every site");
     assert!(merged.completed > 0);
@@ -613,7 +682,10 @@ fn fabric_enabled_three_site_fleet_is_byte_identical_across_same_seed_runs() {
     assert!(active_sites >= 2, "requests must spread beyond one site");
     // Attainment curves are cumulative in the multiplier.
     let curve = merged.attainment_curve();
-    assert!(curve.windows(2).all(|p| p[0] <= p[1]), "curve must be monotone");
+    assert!(
+        curve.windows(2).all(|p| p[0] <= p[1]),
+        "curve must be monotone"
+    );
 }
 
 #[test]
@@ -621,7 +693,10 @@ fn disabling_the_fabric_leaves_reports_free_of_request_metrics() {
     let report = ClusterSimulator::new(ExperimentConfig::small_smoke_test()).run();
     assert!(report.request_fabric.is_none());
     let json = serde_json::to_string(&report).expect("serialize");
-    assert!(json.ends_with("\"request_fabric\":null}"), "the key is written as null");
+    assert!(
+        json.ends_with("\"request_fabric\":null}"),
+        "the key is written as null"
+    );
 }
 
 // --- Trace replay ------------------------------------------------------------------
@@ -630,7 +705,10 @@ fn disabling_the_fabric_leaves_reports_free_of_request_metrics() {
 fn csv_and_jsonl_replays_are_byte_identical_and_complete_every_request() {
     let csv = parse_csv(SAMPLE_CSV).expect("sample CSV parses");
     let jsonl = parse_jsonl(SAMPLE_JSONL).expect("sample JSONL parses");
-    assert_eq!(csv, jsonl, "the two sample encodings carry the same records");
+    assert_eq!(
+        csv, jsonl,
+        "the two sample encodings carry the same records"
+    );
 
     let from_csv = replay_single_site(ExperimentConfig::small_smoke_test(), &csv)
         .expect("trace endpoints are in the smoke catalog");
@@ -641,7 +719,10 @@ fn csv_and_jsonl_replays_are_byte_identical_and_complete_every_request() {
         serde_json::to_string(&from_jsonl).expect("serialize"),
         "replaying either encoding must produce identical runs"
     );
-    let metrics = from_csv.request_fabric.as_ref().expect("replay enables the fabric");
+    let metrics = from_csv
+        .request_fabric
+        .as_ref()
+        .expect("replay enables the fabric");
     assert_eq!(
         metrics.completed,
         csv.len() as u64,
@@ -677,7 +758,9 @@ fn fleet_trace_replay_routes_records_across_sites() {
     let report = FleetSimulator::with_request_trace(FleetConfig::evaluation(base, 3), &records)
         .expect("trace endpoints are in the base catalog")
         .run();
-    let merged = report.request_fabric().expect("fabric enabled by the replay entry");
+    let merged = report
+        .request_fabric()
+        .expect("fabric enabled by the replay entry");
     assert_eq!(merged.completed, records.len() as u64);
 }
 
@@ -694,7 +777,10 @@ fn fabric_metrics_golden_artifact_is_stable() {
 
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/request_fabric_metrics.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/request_fabric_metrics.json"
+            ),
             &json,
         )
         .expect("write golden file");

@@ -132,10 +132,14 @@ fn add_instance(pool: &mut Pool, rng: &mut SimRng, shape: &Shape, vm: VmId) {
     let (outstanding, utilization) = if rng.chance(0.6) {
         shape.classes[rng.uniform_usize(0, shape.classes.len())]
     } else {
-        (rng.uniform_usize(0, 20) as u32, random_utilization(rng, shape.knee))
+        (
+            rng.uniform_usize(0, 20) as u32,
+            random_utilization(rng, shape.knee),
+        )
     };
     pool.vm.push(vm);
-    pool.server.push(ServerId::new(rng.uniform_usize(0, shape.servers)));
+    pool.server
+        .push(ServerId::new(rng.uniform_usize(0, shape.servers)));
     pool.outstanding.push(outstanding);
     pool.utilization.push(utilization);
     pool.in_transition.push(rng.chance(shape.transition_p));
@@ -168,7 +172,11 @@ fn random_pool(rng: &mut SimRng, size: usize, shape: &Shape) -> Pool {
 fn churn(pool: &mut Pool, rng: &mut SimRng, shape: &Shape, next_vm: &mut u64) {
     for _ in 0..rng.uniform_usize(0, 4).min(pool.len().saturating_sub(1)) {
         // Half the retirements take the last position, which moves nothing.
-        let index = if rng.chance(0.5) { pool.len() - 1 } else { rng.uniform_usize(0, pool.len()) };
+        let index = if rng.chance(0.5) {
+            pool.len() - 1
+        } else {
+            rng.uniform_usize(0, pool.len())
+        };
         pool.swap_remove(index);
     }
     for _ in 0..rng.uniform_usize(0, 4) {
@@ -257,7 +265,12 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
             bound,
             customers,
             classes: (0..classes)
-                .map(|_| (rng.uniform_usize(0, 4) as u32, random_utilization(&mut rng, knee)))
+                .map(|_| {
+                    (
+                        rng.uniform_usize(0, 4) as u32,
+                        random_utilization(&mut rng, knee),
+                    )
+                })
                 .collect(),
             transition_p: [0.0, 0.3, 1.0][rng.uniform_usize(0, 3)],
         };
@@ -353,9 +366,18 @@ fn keyed_router_matches_the_reference_on_every_quantum() {
     }
     // The sequences must reach every tier, exercise the affinity branch and the final
     // tie-break, reach the largest pools and churn between steps.
-    assert!(tiers_seen.iter().all(|&seen| seen), "tiers seen: {tiers_seen:?}");
-    assert!(index_ties > 100, "only {index_ties} decisions broken on candidate order");
-    assert!(affinity_hits > 100, "only {affinity_hits} affinity wins in {decisions} decisions");
+    assert!(
+        tiers_seen.iter().all(|&seen| seen),
+        "tiers seen: {tiers_seen:?}"
+    );
+    assert!(
+        index_ties > 100,
+        "only {index_ties} decisions broken on candidate order"
+    );
+    assert!(
+        affinity_hits > 100,
+        "only {affinity_hits} affinity wins in {decisions} decisions"
+    );
     assert!(largest_pool >= MAX_POOL, "largest pool {largest_pool}");
     assert!(churned_steps > 50, "only {churned_steps} churned steps");
 }
@@ -366,7 +388,10 @@ fn keyed_router_handles_an_empty_pool() {
     let pool = Pool::new(1);
     let mut keys = RouteKeys::default();
     router.fill_route_keys(&pool.view(), &[], &mut keys);
-    assert_eq!(router.route_keyed(CustomerId(1), &pool.view(), &keys, &pool.recent), None);
+    assert_eq!(
+        router.route_keyed(CustomerId(1), &pool.view(), &keys, &pool.recent),
+        None
+    );
 }
 
 #[test]
@@ -376,14 +401,20 @@ fn recent_window_matches_a_bounded_deque() {
         let customers: Vec<u64> = if case % 2 == 0 {
             (0..rng.uniform_usize(1, 80) as u64).collect()
         } else {
-            (0..rng.uniform_usize(1, 48)).map(|_| rng.next_u64()).collect()
+            (0..rng.uniform_usize(1, 48))
+                .map(|_| rng.next_u64())
+                .collect()
         };
         let mut window = RecentWindow::new();
         let mut model: VecDeque<u64> = VecDeque::with_capacity(RECENT_WINDOW);
         for _ in 0..rng.uniform_usize(0, 4 * RECENT_WINDOW) {
             let customer = customers[rng.uniform_usize(0, customers.len())];
             let evicted = window.push(CustomerId(customer));
-            let expected = if model.len() == RECENT_WINDOW { model.pop_front() } else { None };
+            let expected = if model.len() == RECENT_WINDOW {
+                model.pop_front()
+            } else {
+                None
+            };
             model.push_back(customer);
             assert_eq!(evicted, expected.map(CustomerId), "case {case}");
 
@@ -417,7 +448,11 @@ fn scanned_holders(windows: &[RecentWindow], customer: CustomerId) -> Vec<usize>
         .iter()
         .enumerate()
         .flat_map(|(position, window)| {
-            let count = window.customers().iter().filter(|&&c| c == customer).count();
+            let count = window
+                .customers()
+                .iter()
+                .filter(|&&c| c == customer)
+                .count();
             std::iter::repeat_n(position, count)
         })
         .collect()
@@ -453,8 +488,11 @@ fn recent_index_matches_a_brute_force_scan() {
                     index.add(window);
                 }
                 2 if len > 0 => {
-                    let position =
-                        if rng.chance(0.4) { len - 1 } else { rng.uniform_usize(0, len) };
+                    let position = if rng.chance(0.4) {
+                        len - 1
+                    } else {
+                        rng.uniform_usize(0, len)
+                    };
                     removed_last += usize::from(position == len - 1);
                     let held = index.windows()[position].customers();
                     removed_repeating +=
@@ -498,8 +536,14 @@ fn recent_index_matches_a_brute_force_scan() {
             }
         }
     }
-    assert!(removed_last > 100, "only {removed_last} removals of the last position");
-    assert!(removed_repeating > 100, "only {removed_repeating} removals of repeating windows");
+    assert!(
+        removed_last > 100,
+        "only {removed_last} removals of the last position"
+    );
+    assert!(
+        removed_repeating > 100,
+        "only {removed_repeating} removals of repeating windows"
+    );
     assert!(evicted_self > 100, "only {evicted_self} self-evictions");
 }
 

@@ -71,19 +71,30 @@ fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInpu
     for server in 0..input.activity.server_count() {
         let activity = input.activity.server_mut(server);
         // Occasionally out of range, so the kernel clamps are pinned too.
-        activity.gpu_utilization.fill_with(|| rng.uniform(-0.1, 1.3));
+        activity
+            .gpu_utilization
+            .fill_with(|| rng.uniform(-0.1, 1.3));
         activity.frequency_scale.fill_with(|| rng.uniform(0.4, 1.0));
         *activity.memory_boundedness = rng.uniform(0.0, 1.0);
     }
     if rng.chance(0.3) {
         // The paper's thermal (cooling at 90 %) or power (UPS capacity at 75 %) emergency.
         let kind = if rng.chance(0.5) {
-            FailureKind::CoolingDeviceFailure { capacity_fraction: 0.9 }
+            FailureKind::CoolingDeviceFailure {
+                capacity_fraction: 0.9,
+            }
         } else {
-            FailureKind::UpsFailure { ups: UpsId::new(0), capacity_fraction: 0.75 }
+            FailureKind::UpsFailure {
+                ups: UpsId::new(0),
+                capacity_fraction: 0.75,
+            }
         };
         let mut schedule = FailureSchedule::none();
-        schedule.add(FailureWindow { kind, start: SimTime::ZERO, end: SimTime::from_hours(2) });
+        schedule.add(FailureWindow {
+            kind,
+            start: SimTime::ZERO,
+            end: SimTime::from_hours(2),
+        });
         input.failures = schedule.state_at(SimTime::from_minutes(30));
     }
     input
@@ -105,11 +116,17 @@ fn batched_kernels_match_scalar_reference_bitwise() {
 
         let batched = dc.evaluate(&input);
         let reference = evaluate_scalar(&dc, &input);
-        assert_eq!(batched, reference, "case {case}: batched != scalar reference");
+        assert_eq!(
+            batched, reference,
+            "case {case}: batched != scalar reference"
+        );
 
         let batched_json = serde_json::to_string(&batched).expect("serialize batched");
         let reference_json = serde_json::to_string(&reference).expect("serialize reference");
-        assert_eq!(batched_json, reference_json, "case {case}: serialized forms differ");
+        assert_eq!(
+            batched_json, reference_json,
+            "case {case}: serialized forms differ"
+        );
     }
 }
 
@@ -127,7 +144,10 @@ fn workspace_reuse_is_bit_identical_across_steps() {
         let input = random_input(&mut rng, &dc, outside);
         dc.evaluate_into(&input, &mut reused);
         let fresh = dc.evaluate(&input);
-        assert_eq!(reused.outcome, fresh, "step {step}: reused workspace diverged");
+        assert_eq!(
+            reused.outcome, fresh,
+            "step {step}: reused workspace diverged"
+        );
     }
 }
 
@@ -139,7 +159,10 @@ fn throttle_collection_order_and_values_are_preserved() {
     let dc = Datacenter::new(LayoutConfig::real_cluster_two_rows().build(), 42);
     let input = StepInput::uniform_load(dc.layout(), Celsius::new(45.0), 1.0);
     let outcome = dc.evaluate(&input);
-    assert!(outcome.throttled_gpu_count() > 0, "heatwave at full load must throttle");
+    assert!(
+        outcome.throttled_gpu_count() > 0,
+        "heatwave at full load must throttle"
+    );
     let reference = evaluate_scalar(&dc, &input);
     assert_eq!(outcome.thermal_throttles, reference.thermal_throttles);
     // Directives arrive sorted by (server, slot) with strictly increasing flat ordinals.
@@ -148,7 +171,10 @@ fn throttle_collection_order_and_values_are_preserved() {
         .iter()
         .map(|t| dc.topology().gpu_flat_index(t.gpu))
         .collect();
-    assert!(flats.windows(2).all(|w| w[0] < w[1]), "directives must be in flat GPU order");
+    assert!(
+        flats.windows(2).all(|w| w[0] < w[1]),
+        "directives must be in flat GPU order"
+    );
 }
 
 /// Mixed-spec rows take the general kernel path; a layout remapped so every row stays
@@ -177,7 +203,10 @@ fn uniform_and_mixed_rows_agree_with_reference() {
             let input = StepInput::uniform_load(dc.layout(), Celsius::new(outside), load);
             let outcome = dc.evaluate(&input);
             let reference = evaluate_scalar(&dc, &input);
-            assert_eq!(outcome, reference, "{label} layout at {outside}C load {load}");
+            assert_eq!(
+                outcome, reference,
+                "{label} layout at {outside}C load {load}"
+            );
         }
     }
 }
