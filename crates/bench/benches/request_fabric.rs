@@ -24,7 +24,6 @@ fn fabric_base(rate_scale: f64) -> ExperimentConfig {
     base.duration = SimTime::from_hours(12);
     base.with_request_fabric(RequestFabricConfig {
         rate_scale,
-        slo_multiplier: 5.0,
         ..RequestFabricConfig::default()
     })
 }

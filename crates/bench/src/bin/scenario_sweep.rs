@@ -229,7 +229,6 @@ fn run_fabric(
             .with_request_fabric(RequestFabricConfig {
                 rate_scale: FABRIC_RATE_SCALE,
                 deadline_shedding: true,
-                ..RequestFabricConfig::default()
             }),
         FLEET_SITES,
     )

@@ -26,29 +26,19 @@ pub struct RequestFabricConfig {
     /// Scales the generated request rate relative to the endpoint catalog's diurnal
     /// per-VM peak rates (`1.0` = the catalog's calibrated demand).
     pub rate_scale: f64,
-    /// The headline SLO multiplier for attainment reporting. The paper's SLO is 5× the
-    /// unloaded latency; the full attainment curve is recorded regardless.
-    pub slo_multiplier: f64,
-    /// Enables deadline shedding: a queued request that cannot start within
-    /// `slo_multiplier ×` its endpoint's unloaded TTFT is shed (counted, never served)
+    /// Enables deadline shedding: a queued request that cannot start within 5× its
+    /// endpoint's unloaded TTFT (the headline SLO) is shed (counted, never served)
     /// instead of burning KV budget after its SLO is already blown. Off by default so
-    /// pre-fault-tolerance runs keep their exact request outcomes.
+    /// pre-fault-tolerance runs keep their exact request outcomes. A preempted request is
+    /// retried at most 3 times, after a 256 ms backoff doubled per attempt.
     pub deadline_shedding: bool,
-    /// Retry budget for preempted requests before they are dropped as timeouts.
-    pub max_retries: u32,
-    /// Base of the deterministic exponential backoff applied to requeued requests
-    /// (`backoff_base_ms << (attempt - 1)` milliseconds, capped).
-    pub backoff_base_ms: u64,
 }
 
 impl Default for RequestFabricConfig {
     fn default() -> Self {
         Self {
             rate_scale: 1.0,
-            slo_multiplier: 5.0,
             deadline_shedding: false,
-            max_retries: 3,
-            backoff_base_ms: 256,
         }
     }
 }
@@ -60,22 +50,16 @@ impl RequestFabricConfig {
     /// generation time and memory, without bound (1e12 never finishes a step).
     pub const MAX_RATE_SCALE: f64 = 1e3;
 
-    /// Checks the knobs the generator draws with and the SLO accounting scales by. Each
-    /// test names its accepting range, so NaN fails too.
+    /// Checks the rate scale the generator draws with. The test names the accepting
+    /// range, so NaN fails too.
     ///
     /// # Errors
     /// Returns [`ScenarioError::InvalidRateScale`] for a rate scale outside
-    /// `[0, MAX_RATE_SCALE]` (NaN included) and [`ScenarioError::InvalidSloMultiplier`]
-    /// for a non-positive or non-finite SLO multiplier.
+    /// `[0, MAX_RATE_SCALE]` (NaN included).
     pub fn check(&self) -> Result<(), ScenarioError> {
         if !(self.rate_scale >= 0.0 && self.rate_scale <= Self::MAX_RATE_SCALE) {
             return Err(ScenarioError::InvalidRateScale {
                 scale: self.rate_scale,
-            });
-        }
-        if !(self.slo_multiplier.is_finite() && self.slo_multiplier > 0.0) {
-            return Err(ScenarioError::InvalidSloMultiplier {
-                multiplier: self.slo_multiplier,
             });
         }
         Ok(())
@@ -89,7 +73,7 @@ pub struct ExperimentConfig {
     pub layout: LayoutConfig,
     /// Scheduling policy under test.
     pub policy: Policy,
-    /// Fraction of VMs that are SaaS (the rest are IaaS).
+    /// Fraction of VMs that are SaaS (the rest are IaaS), in `[0, 1]`.
     pub saas_fraction: f64,
     /// Regional climate for the outside-temperature model.
     pub climate: Climate,
@@ -97,16 +81,19 @@ pub struct ExperimentConfig {
     pub duration: SimTime,
     /// Step length.
     pub step: SimDuration,
-    /// Number of SaaS endpoints.
+    /// Number of SaaS endpoints, at most one per server (`0` runs one endpoint).
     pub endpoint_count: usize,
-    /// Peak request rate per SaaS VM (requests per minute at the top of the diurnal cycle).
+    /// Peak request rate per SaaS VM (requests per minute at the top of the diurnal cycle),
+    /// at most [`Self::MAX_REQUESTS_PER_VM_PER_MINUTE`].
     pub requests_per_vm_per_minute: f64,
-    /// Fraction of servers occupied at time zero.
+    /// Fraction of servers occupied at time zero, in `[0, 1]`.
     pub initial_occupancy: f64,
     /// Overrides the mean number of additional VM arrivals per day (before any fleet
     /// scaling). `None` keeps the evaluation-week default of 5 % of the server count per
-    /// day; arrival-driven scenarios (e.g. fleet geo-routing studies) raise it so load
-    /// builds over the horizon instead of arriving entirely at time zero.
+    /// day (at least one); arrival-driven scenarios (e.g. fleet geo-routing studies) raise
+    /// it so load builds over the horizon instead of arriving entirely at time zero. At
+    /// most [`RequestFabricConfig::MAX_RATE_SCALE`] times that default: the generator
+    /// materializes every arrival.
     pub arrivals_per_day: Option<f64>,
     /// The typed event timeline this experiment runs under (weather episodes,
     /// grid-price curves, failures, demand shaping); the default is the empty scenario.
@@ -121,6 +108,10 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
+    /// The largest accepted [`Self::requests_per_vm_per_minute`]: the paper-scale presets'
+    /// 170 requests per VM per minute times [`RequestFabricConfig::MAX_RATE_SCALE`].
+    pub const MAX_REQUESTS_PER_VM_PER_MINUTE: f64 = 170.0 * RequestFabricConfig::MAX_RATE_SCALE;
+
     /// A tiny configuration for unit tests and doctests: 8 servers, 2 simulated hours at
     /// 5-minute steps.
     #[must_use]
@@ -276,23 +267,48 @@ impl ExperimentConfig {
         self
     }
 
-    /// Validates the layout ([`LayoutConfig::check`]), the request-fabric knobs
-    /// ([`RequestFabricConfig::check`]) and the configuration's scenario (a standalone
-    /// experiment is site 0 of a 1-site fleet, but site-targeted events are allowed here
-    /// because the config may be the shared base of a larger fleet — [`FleetConfig::check`]
-    /// bounds them).
+    /// Validates the layout ([`LayoutConfig::check`]), the workload shape (the ranges its
+    /// fields document), the request-fabric knobs ([`RequestFabricConfig::check`]) and the
+    /// configuration's scenario (a standalone experiment is site 0 of a 1-site
+    /// fleet, but site-targeted events are allowed here because the config may be the
+    /// shared base of a larger fleet — [`FleetConfig::check`] bounds them).
     ///
     /// # Errors
-    /// Returns the first violated layout, fabric or event invariant as a
+    /// Returns the first violated layout, workload, fabric or event invariant as a
     /// [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
         self.layout
             .check()
             .map_err(|error| ScenarioError::InvalidLayout { site: None, error })?;
+        self.check_workload()?;
         if let Some(fabric) = &self.request_fabric {
             fabric.check()?;
         }
         self.scenario.validate_events()
+    }
+
+    /// Checks the workload-shape numbers the generators draw with against the ranges their
+    /// fields document (NaN fails), after the layout check: ceilings scale with servers.
+    fn check_workload(&self) -> Result<(), ScenarioError> {
+        let servers = self.server_count();
+        let arrivals = self.arrivals_per_day.unwrap_or(0.0);
+        let max_arrivals = RequestFabricConfig::MAX_RATE_SCALE
+            * ArrivalConfig::evaluation_week(servers).arrivals_per_day;
+        let rate = self.requests_per_vm_per_minute;
+        let max_rate = Self::MAX_REQUESTS_PER_VM_PER_MINUTE;
+        let fields = [
+            ("saas_fraction", self.saas_fraction, 1.0),
+            ("initial_occupancy", self.initial_occupancy, 1.0),
+            ("arrivals_per_day", arrivals, max_arrivals),
+            ("requests_per_vm_per_minute", rate, max_rate),
+            ("endpoint_count", self.endpoint_count as f64, servers as f64),
+        ];
+        for (field, value, max) in fields {
+            if !(value >= 0.0 && value <= max) {
+                return Err(ScenarioError::InvalidWorkload { field, value, max });
+            }
+        }
+        Ok(())
     }
 
     /// Resolves the composed scenario into the dense per-step timeline this experiment
@@ -536,7 +552,8 @@ impl FleetConfig {
 
     /// Validates the cross-field invariants the simulator relies on: at least one site,
     /// valid base and site layouts ([`LayoutConfig::check`]; the base layout sizes the
-    /// fleet's arrival stream), a positive arrival scale, an in-range pinned site, valid
+    /// fleet's arrival stream), the base's workload shape (as [`ExperimentConfig::validate`]
+    /// checks it), a positive arrival scale, an in-range pinned site, valid
     /// arrival shares under [`GeoPolicy::RoundRobin`] (the only policy that consumes
     /// them), and the composed scenario's event and site-range invariants.
     ///
@@ -558,6 +575,7 @@ impl FleetConfig {
                 .check()
                 .map_err(|error| ScenarioError::InvalidLayout { site, error })?;
         }
+        self.base.check_workload()?;
         // NaN must fail too, so test the accepting range rather than its negation.
         if !(self.arrival_scale.is_finite() && self.arrival_scale > 0.0) {
             return Err(ScenarioError::NonPositiveArrivalScale {
@@ -837,10 +855,7 @@ mod tests {
             });
         let json = serde_json::to_string(&config).expect("serialize");
         assert!(
-            json.ends_with(
-                "\"request_fabric\":{\"rate_scale\":2.5,\"slo_multiplier\":5,\
-                 \"deadline_shedding\":false,\"max_retries\":3,\"backoff_base_ms\":256}}"
-            ),
+            json.ends_with("\"request_fabric\":{\"rate_scale\":2.5,\"deadline_shedding\":false}}"),
             "{json}"
         );
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
@@ -852,27 +867,20 @@ mod tests {
         let config =
             ExperimentConfig::small_smoke_test().with_request_fabric(RequestFabricConfig {
                 deadline_shedding: true,
-                max_retries: 5,
-                backoff_base_ms: 128,
                 ..RequestFabricConfig::default()
             });
         let json = serde_json::to_string(&config).expect("serialize");
         assert!(
-            json.ends_with(
-                "\"request_fabric\":{\"rate_scale\":1,\"slo_multiplier\":5,\
-                 \"deadline_shedding\":true,\"max_retries\":5,\"backoff_base_ms\":128}}"
-            ),
+            json.ends_with("\"request_fabric\":{\"rate_scale\":1,\"deadline_shedding\":true}}"),
             "{json}"
         );
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
-        // The knobs are written at their defaults too, so each one is required on load.
+        // The knob is written at its default too, so it is required on load.
         let fabric = RequestFabricConfig::default().to_value();
-        for key in ["deadline_shedding", "max_retries", "backoff_base_ms"] {
-            let error =
-                RequestFabricConfig::from_value(&without_key(fabric.clone(), key)).unwrap_err();
-            assert!(error.to_string().contains(key), "{key}: {error}");
-        }
+        let key = "deadline_shedding";
+        let error = RequestFabricConfig::from_value(&without_key(fabric, key)).unwrap_err();
+        assert!(error.to_string().contains(key), "{key}: {error}");
     }
 
     #[test]
@@ -975,10 +983,9 @@ mod tests {
         assert!(expected(&error), "check: {error}");
     }
 
-    fn fabric(rate_scale: f64, slo_multiplier: f64) -> RequestFabricConfig {
+    fn fabric(rate_scale: f64) -> RequestFabricConfig {
         RequestFabricConfig {
             rate_scale,
-            slo_multiplier,
             ..RequestFabricConfig::default()
         }
     }
@@ -986,14 +993,14 @@ mod tests {
     #[test]
     fn nan_rate_scale_is_rejected() {
         assert_fabric_rejected(
-            fabric(f64::NAN, 5.0),
+            fabric(f64::NAN),
             |e| matches!(e, ScenarioError::InvalidRateScale { scale } if scale.is_nan()),
         );
     }
 
     #[test]
     fn infinite_rate_scale_is_rejected() {
-        assert_fabric_rejected(fabric(f64::INFINITY, 5.0), |e| {
+        assert_fabric_rejected(fabric(f64::INFINITY), |e| {
             *e == ScenarioError::InvalidRateScale {
                 scale: f64::INFINITY,
             }
@@ -1002,40 +1009,9 @@ mod tests {
 
     #[test]
     fn negative_rate_scale_is_rejected() {
-        assert_fabric_rejected(fabric(-0.5, 5.0), |e| {
+        assert_fabric_rejected(fabric(-0.5), |e| {
             *e == ScenarioError::InvalidRateScale { scale: -0.5 }
         });
-    }
-
-    #[test]
-    fn nan_slo_multiplier_is_rejected() {
-        assert_fabric_rejected(
-            fabric(1.0, f64::NAN),
-            |e| matches!(e, ScenarioError::InvalidSloMultiplier { multiplier } if multiplier.is_nan()),
-        );
-    }
-
-    #[test]
-    fn infinite_slo_multiplier_is_rejected() {
-        assert_fabric_rejected(fabric(1.0, f64::INFINITY), |e| {
-            *e == ScenarioError::InvalidSloMultiplier {
-                multiplier: f64::INFINITY,
-            }
-        });
-    }
-
-    #[test]
-    fn zero_slo_multiplier_is_rejected() {
-        assert_fabric_rejected(fabric(1.0, 0.0), |e| {
-            *e == ScenarioError::InvalidSloMultiplier { multiplier: 0.0 }
-        });
-    }
-
-    #[test]
-    fn negative_slo_multiplier_is_rejected() {
-        let error = ScenarioError::InvalidSloMultiplier { multiplier: -5.0 };
-        assert!(error.to_string().contains("finite and positive"));
-        assert_fabric_rejected(fabric(1.0, -5.0), |e| *e == error);
     }
 
     #[test]
@@ -1044,20 +1020,129 @@ mod tests {
         // The two-site fleet generates at twice the rate scale, so half the ceiling is the
         // largest scale both entry points accept.
         let ceiling = RequestFabricConfig::MAX_RATE_SCALE;
-        for (rate_scale, slo_multiplier) in
-            [(0.0, 5.0), (1.0, 1.0), (ceiling / 2.0, f64::MIN_POSITIVE)]
-        {
-            let config = ExperimentConfig::small_smoke_test()
-                .with_request_fabric(fabric(rate_scale, slo_multiplier));
+        for rate_scale in [0.0, 1.0, ceiling / 2.0] {
+            let config =
+                ExperimentConfig::small_smoke_test().with_request_fabric(fabric(rate_scale));
             config.validate().expect("in-range knobs are valid");
             FleetConfig::evaluation(config, 2)
                 .check()
                 .expect("in-range knobs are valid");
         }
         ExperimentConfig::small_smoke_test()
-            .with_request_fabric(fabric(ceiling, 5.0))
+            .with_request_fabric(fabric(ceiling))
             .validate()
             .expect("a scale at the ceiling is valid");
+    }
+
+    /// Checks that each of `values`, written into a fabric-enabled config by `set`, fails
+    /// both entry points with an [`ScenarioError::InvalidWorkload`] naming `field`.
+    fn assert_workload_rejected(
+        field: &str,
+        values: &[f64],
+        set: impl Fn(&mut ExperimentConfig, f64),
+    ) {
+        for &value in values {
+            let mut config = ExperimentConfig::small_smoke_test()
+                .with_request_fabric(RequestFabricConfig::default());
+            set(&mut config, value);
+            let fleet = FleetConfig::evaluation(config.clone(), 2);
+            for error in [config.validate().unwrap_err(), fleet.check().unwrap_err()] {
+                assert!(
+                    matches!(
+                        error,
+                        ScenarioError::InvalidWorkload { field: f, value: v, .. }
+                            if f == field && (v == value || v.is_nan() && value.is_nan())
+                    ),
+                    "{field} = {value}: {error}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_initial_occupancy_is_rejected() {
+        assert_workload_rejected("initial_occupancy", &[1e9, f64::NAN, -0.1, 1.5], |c, v| {
+            c.initial_occupancy = v;
+        });
+    }
+
+    #[test]
+    fn out_of_range_saas_fraction_is_rejected() {
+        assert_workload_rejected("saas_fraction", &[-3.0, f64::NAN, 1.0001], |c, v| {
+            c.saas_fraction = v;
+        });
+    }
+
+    #[test]
+    fn out_of_range_arrivals_per_day_is_rejected() {
+        // The 8-server config's default is one arrival a day, so its ceiling is 1000.
+        let ceiling = RequestFabricConfig::MAX_RATE_SCALE;
+        assert_workload_rejected(
+            "arrivals_per_day",
+            &[
+                1e15,
+                f64::NAN,
+                f64::INFINITY,
+                -1.0,
+                ceiling * (1.0 + f64::EPSILON),
+            ],
+            |c, v| c.arrivals_per_day = Some(v),
+        );
+        let error = ScenarioError::InvalidWorkload {
+            field: "arrivals_per_day",
+            value: 1e15,
+            max: ceiling,
+        };
+        assert!(
+            error
+                .to_string()
+                .contains("arrivals_per_day must be in [0, 1000]"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_requests_per_vm_per_minute_is_rejected() {
+        let ceiling = ExperimentConfig::MAX_REQUESTS_PER_VM_PER_MINUTE;
+        assert_workload_rejected(
+            "requests_per_vm_per_minute",
+            &[
+                1e12,
+                f64::NAN,
+                f64::INFINITY,
+                -1.0,
+                ceiling * (1.0 + f64::EPSILON),
+            ],
+            |c, v| c.requests_per_vm_per_minute = v,
+        );
+    }
+
+    #[test]
+    fn more_endpoints_than_servers_are_rejected() {
+        assert_workload_rejected("endpoint_count", &[9.0, 1e6], |c, v| {
+            c.endpoint_count = v as usize;
+        });
+    }
+
+    #[test]
+    fn workload_shapes_at_their_bounds_pass_both_entry_points() {
+        let bounds: [fn(&mut ExperimentConfig); 6] = [
+            |c| c.initial_occupancy = 0.0,
+            |c| (c.initial_occupancy, c.saas_fraction) = (1.0, 1.0),
+            |c| c.saas_fraction = 0.0,
+            |c| c.arrivals_per_day = Some(RequestFabricConfig::MAX_RATE_SCALE),
+            |c| c.requests_per_vm_per_minute = ExperimentConfig::MAX_REQUESTS_PER_VM_PER_MINUTE,
+            |c| c.endpoint_count = c.server_count(),
+        ];
+        for set in bounds {
+            let mut config = ExperimentConfig::small_smoke_test()
+                .with_request_fabric(RequestFabricConfig::default());
+            set(&mut config);
+            config.validate().expect("a bound is valid");
+            FleetConfig::evaluation(config, 2)
+                .check()
+                .expect("a bound is valid");
+        }
     }
 
     #[test]
@@ -1081,7 +1166,7 @@ mod tests {
             1e12,
             RequestFabricConfig::MAX_RATE_SCALE * (1.0 + f64::EPSILON),
         ] {
-            assert_fabric_rejected(fabric(scale, 5.0), |e| {
+            assert_fabric_rejected(fabric(scale), |e| {
                 *e == ScenarioError::InvalidRateScale { scale }
             });
         }
@@ -1093,7 +1178,7 @@ mod tests {
     fn fleet_rate_scale_times_arrival_scale_above_the_ceiling_is_rejected() {
         // Each factor is in range; the fleet generator's product is not.
         let mut fleet = FleetConfig::evaluation(
-            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(500.0, 5.0)),
+            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(500.0)),
             4,
         );
         fleet.base.validate().expect("the base alone is valid");
@@ -1112,7 +1197,7 @@ mod tests {
         // Each factor is finite and in range; the fleet generator's product is not.
         let ceiling = RequestFabricConfig::MAX_RATE_SCALE;
         let mut fleet = FleetConfig::evaluation(
-            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(ceiling, 5.0)),
+            ExperimentConfig::small_smoke_test().with_request_fabric(fabric(ceiling)),
             2,
         );
         fleet.arrival_scale = f64::MAX;

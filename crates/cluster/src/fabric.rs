@@ -53,7 +53,7 @@
 use crate::experiment::RequestFabricConfig;
 use crate::metrics::{RequestMetrics, SloThresholds};
 use crate::scenario::ResolvedTimeline;
-use llm_sim::batch::{BatchScheduler, SchedulerFaults};
+use llm_sim::batch::{BatchScheduler, SchedulerFaults, BACKOFF_BASE_MS, MAX_RETRIES};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::perf::PerfModel;
 use llm_sim::request::RequestShape;
@@ -68,6 +68,10 @@ use workload::trace::{TraceError, TraceRecord};
 /// Milliseconds per simulated minute (the fabric's event clock is integer ms; the
 /// simulator's step clock is integer minutes).
 pub const MS_PER_MINUTE: u64 = 60_000;
+
+/// The headline SLO multiplier (the paper's SLO is 5× the unloaded latency): the headline
+/// attainment and, with deadline shedding on, the admission deadline on the unloaded TTFT.
+const SLO_MULTIPLIER: f64 = 5.0;
 
 /// One inference request travelling through the fabric. The arrival timestamp travels
 /// beside it (the arrival buffer's sort key), not inside it.
@@ -452,15 +456,11 @@ impl RequestFabric {
                 // inside it has already blown its TTFT SLO, so serving it only burns
                 // KV budget the on-time queue needs.
                 let shed_deadline_ms = if config.deadline_shedding {
-                    ((config.slo_multiplier * ttft_target_s * 1000.0).ceil() as u64).max(1)
+                    ((SLO_MULTIPLIER * ttft_target_s * 1000.0).ceil() as u64).max(1)
                 } else {
                     0
                 };
-                scheduler.set_fault_policy(
-                    shed_deadline_ms,
-                    config.max_retries,
-                    config.backoff_base_ms,
-                );
+                scheduler.set_fault_policy(shed_deadline_ms, MAX_RETRIES, BACKOFF_BASE_MS);
                 scheduler
             })
             .collect();
@@ -469,7 +469,7 @@ impl RequestFabric {
             schedulers,
             thresholds: targets
                 .iter()
-                .map(|&(ttft_s, tbt_s)| SloThresholds::new(ttft_s, tbt_s, config.slo_multiplier))
+                .map(|&(ttft_s, tbt_s)| SloThresholds::new(ttft_s, tbt_s, SLO_MULTIPLIER))
                 .collect(),
             metrics: RequestMetrics::new(),
             fault_marks: Vec::new(),

@@ -469,6 +469,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "arrivals_per_day must be in [0, 1000], got 1000000000000000")]
+    fn huge_arrival_rate_fails_the_config_check_not_the_vm_generator() {
+        let mut fleet = smoke_fleet(2);
+        fleet.base.arrivals_per_day = Some(1e15);
+        let _ = FleetSimulator::new(fleet);
+    }
+
+    #[test]
     fn distinct_climates_produce_distinct_site_weather() {
         use dc_sim::weather::WeatherModel;
         let fleet = smoke_fleet(3);

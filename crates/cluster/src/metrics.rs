@@ -4,7 +4,6 @@
 use serde::{Deserialize, Serialize};
 use simkit::events::{EventKind, EventTally};
 use simkit::series::TimeSeries;
-use simkit::stats::Summary;
 use simkit::time::{SimDuration, SimTime};
 
 /// Upper bucket edges (milliseconds, inclusive) of the request-fabric latency
@@ -153,17 +152,6 @@ impl LatencyHistogram {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Mean sample (ms), `0.0` when empty.
-    #[must_use]
-    pub fn mean_ms(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.sum_ms / total as f64
-        }
     }
 
     /// The upper bucket edge (ms) below which at least `quantile` (in `[0, 1]`) of the
@@ -582,15 +570,6 @@ impl RunReport {
         }
     }
 
-    /// Summary of the maximum-temperature series.
-    ///
-    /// # Panics
-    /// Panics if the run recorded no steps.
-    #[must_use]
-    pub fn temperature_summary(&self) -> Summary {
-        self.max_gpu_temp.summary()
-    }
-
     /// One-line textual summary used by the bench harnesses.
     #[must_use]
     pub fn one_liner(&self) -> String {
@@ -879,7 +858,7 @@ mod tests {
         assert!((report.slo_attainment() - 0.75).abs() < 1e-12);
         assert!((report.mean_quality() - 0.93).abs() < 1e-12);
         assert_eq!(report.worst_step_slo_violations(), 1);
-        assert_eq!(report.temperature_summary().count, 4);
+        assert_eq!(report.max_gpu_temp.len(), 4);
         let line = report.one_liner();
         assert!(line.contains("TAPAS"));
         assert!(line.contains("peak_temp"));
@@ -961,7 +940,7 @@ mod tests {
         metrics.fold_curves();
         assert_eq!(metrics.completed, 3);
         assert_eq!(metrics.ttft.total(), 3);
-        assert!((metrics.ttft.mean_ms() - (80.0 + 250.0 + 2500.0) / 3.0).abs() < 1e-9);
+        assert!((metrics.ttft.sum_ms - (80.0 + 250.0 + 2500.0)).abs() < 1e-9);
         // At 1x only the fast request qualifies; at 3x the mid one joins; the slow one
         // (25x TTFT, 30x TBT) is outside even the 20x tail.
         let curve = metrics.attainment_curve();

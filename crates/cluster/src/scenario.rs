@@ -323,10 +323,15 @@ pub enum ScenarioError {
         /// The offending scale.
         scale: f64,
     },
-    /// The request fabric's headline SLO multiplier is zero, negative or non-finite.
-    InvalidSloMultiplier {
-        /// The offending multiplier.
-        multiplier: f64,
+    /// A workload-shape field of the experiment is outside `[0, max]` (NaN included): a
+    /// fraction above one, a rate above its ceiling, or more endpoints than servers.
+    InvalidWorkload {
+        /// The offending field, e.g. `initial_occupancy`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+        /// The field's ceiling.
+        max: f64,
     },
     /// A layout field fails [`dc_sim::topology::LayoutConfig::check`]: a zero dimension,
     /// a provisioning fraction that is not finite and positive, or a server specification
@@ -407,10 +412,9 @@ impl fmt::Display for ScenarioError {
                 "request-fabric rate scale must be in [0, {}], got {scale}",
                 crate::experiment::RequestFabricConfig::MAX_RATE_SCALE
             ),
-            ScenarioError::InvalidSloMultiplier { multiplier } => write!(
-                f,
-                "request-fabric SLO multiplier must be finite and positive, got {multiplier}"
-            ),
+            ScenarioError::InvalidWorkload { field, value, max } => {
+                write!(f, "{field} must be in [0, {max}], got {value}")
+            }
             ScenarioError::InvalidLayout {
                 site: Some(site),
                 error,
@@ -1077,12 +1081,6 @@ impl ResolvedTimeline {
             .map(|w| w.replicas)
             .sum()
     }
-
-    /// `true` when the scenario contains any serving-replica outage window.
-    #[must_use]
-    pub fn has_replica_failures(&self) -> bool {
-        !self.replica_failures.is_empty()
-    }
 }
 
 /// Energy cost of one site's run in dollars: the per-step datacenter power draw priced
@@ -1268,7 +1266,7 @@ mod tests {
             .build()
             .expect("valid");
         let timeline = resolve(&scenario, 0);
-        assert!(timeline.has_replica_failures());
+        assert!(!timeline.replica_failures.is_empty());
         assert_eq!(timeline.failed_replicas_at(t(0), EndpointId(0)), 0);
         assert_eq!(timeline.failed_replicas_at(t(10), EndpointId(0)), 2);
         assert_eq!(timeline.failed_replicas_at(t(25), EndpointId(0)), 2);
@@ -1290,7 +1288,7 @@ mod tests {
         assert!(timeline.failures().windows().is_empty());
         assert_eq!(scenario.last_emergency_end(), None);
         // A fabric-free timeline scans to zero everywhere.
-        assert!(!resolve(&Scenario::default(), 0).has_replica_failures());
+        assert!(resolve(&Scenario::default(), 0).replica_failures.is_empty());
 
         let zero = Scenario::builder()
             .fail_replicas(SiteSelector::All, t(0), t(30), None, 0)

@@ -913,7 +913,6 @@ impl ClusterSimulator {
         for endpoint_index in 0..self.registry.pools.len() {
             for position in 0..self.registry.pools[endpoint_index].len() {
                 let pool = &self.registry.pools[endpoint_index];
-                let vm_id = pool.vm[position];
                 let current_config = pool.config[position];
                 let goodput = if pool.goodput[position].is_nan() {
                     FALLBACK_GOODPUT
@@ -940,9 +939,6 @@ impl ClusterSimulator {
                         transition_until,
                         &self.profiles,
                     );
-                    self.state
-                        .set_config(vm_id, decision.config)
-                        .expect("placed instance");
                     assert!(
                         self.profiles.profile_slot(&decision.config).is_some(),
                         "decisions come from the sweep"

@@ -66,7 +66,7 @@ struct Candidate {
     quality: f64,
     /// Variant class (`profiles::variant_class`).
     class: u16,
-    /// Position of the profile in the sweep (`LlmProfiles::profiles`).
+    /// Position of the profile in the sweep (`ProfileStore::sweep`).
     slot: u16,
 }
 
@@ -285,7 +285,7 @@ impl InstanceConfigurator {
                 && c.goodput >= limits.demand_tokens_per_s
                 && c.quality >= self.quality_slo
             {
-                let profile = profiles.llm().profiles[usize::from(c.slot)];
+                let profile = profiles.sweep()[usize::from(c.slot)];
                 return ConfigDecision {
                     config: profile.config,
                     profile,
@@ -297,7 +297,7 @@ impl InstanceConfigurator {
 
         let class = variant_class(current);
         let decide = |slot: usize, quality_degraded: bool| {
-            let profile = profiles.llm().profiles[slot];
+            let profile = profiles.sweep()[slot];
             ConfigDecision {
                 config: profile.config,
                 cost: current.reconfiguration_cost(&profile.config),
@@ -313,10 +313,7 @@ impl InstanceConfigurator {
         if let Some(position) = index.scan(current_position, class, limits, |_| true) {
             return decide(usize::from(index.order[position].slot), true);
         }
-        decide(
-            index.coolest,
-            profiles.llm().profiles[index.coolest].quality < slo,
-        )
+        decide(index.coolest, profiles.sweep()[index.coolest].quality < slo)
     }
 
     /// The executable reference of [`Self::select`]: one pass over the whole sweep that
@@ -329,7 +326,7 @@ impl InstanceConfigurator {
         limits: &InstanceLimits,
         profiles: &ProfileStore,
     ) -> ConfigDecision {
-        let all = &profiles.llm().profiles;
+        let all = profiles.sweep();
 
         // Preference key, compared lexicographically: (1) meets the offered demand, (2)
         // cheaper reconfiguration, (3) higher goodput, (4) lower blended power. On exact
@@ -516,8 +513,7 @@ mod tests {
         let decision = configurator.select(&current, &limits, &profiles);
         // The fallback is the lowest-power profile in the sweep.
         let min_power = profiles
-            .llm()
-            .profiles
+            .sweep()
             .iter()
             .map(|p| p.blended_server_power(0.7).value())
             .fold(f64::MAX, f64::min);
@@ -555,21 +551,20 @@ mod tests {
     #[should_panic(expected = "profile of llama2-70b")]
     fn non_finite_profiles_fail_loudly_when_indexed() {
         let store = profiles();
-        let mut llm = store.llm().clone();
-        let at = llm
-            .profiles
+        let mut sweep = store.sweep().to_vec();
+        let at = sweep
             .iter()
             .position(|p| p.config == InstanceConfig::default_70b())
             .expect("default is profiled");
-        llm.profiles[at].goodput_tokens_per_s = f64::NAN;
-        let _ = store.with_llm_profiles(std::sync::Arc::new(llm));
+        sweep[at].goodput_tokens_per_s = f64::NAN;
+        let _ = store.with_sweep(sweep.into());
     }
 
     #[test]
     fn index_orders_by_goodput_then_power_then_later_slot() {
         let store = profiles();
         let index = store.selection_index();
-        let all = &store.llm().profiles;
+        let all = store.sweep();
         let power = |slot: usize| all[slot].blended_server_power(DECODE_FRACTION).value();
         for pair in index.order.windows(2) {
             let (a, b) = (usize::from(pair[0].slot), usize::from(pair[1].slot));

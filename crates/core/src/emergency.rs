@@ -130,8 +130,7 @@ impl EmergencyResponder {
         let r = capacity_fraction.clamp(0.1, 1.0);
         let saas_fraction = saas_fraction.clamp(0.01, 1.0);
         let current_profile = profiles
-            .llm()
-            .profiles
+            .sweep()
             .iter()
             .find(|p| p.config == *current_config)
             .copied()

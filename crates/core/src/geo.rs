@@ -75,39 +75,22 @@ impl SiteSignals {
     }
 }
 
-/// Tunable weights of the geo score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GeoConfig {
-    /// Weight of the normalized power headroom term.
-    pub power_weight: f64,
-    /// Weight of the normalized thermal-slack term.
-    pub thermal_weight: f64,
-    /// Weight of the current-load penalty.
-    pub load_weight: f64,
-    /// Thermal slack (°C) that counts as "fully comfortable" (slack is normalized by it).
-    pub thermal_slack_scale_c: f64,
-    /// Weight of the grid-price penalty. The penalty is the price normalized across the
-    /// fleet's current min–max price spread, so it only engages when sites actually pay
-    /// different prices — a fleet with uniform prices scores bit-identically to one with
-    /// no price signal at all.
-    pub price_weight: f64,
-    /// Score penalty applied to sites in emergency (large enough to dominate the other
-    /// terms, so an emergency site is only chosen when every site is in emergency).
-    pub emergency_penalty: f64,
-}
-
-impl Default for GeoConfig {
-    fn default() -> Self {
-        Self {
-            power_weight: 1.0,
-            thermal_weight: 1.0,
-            load_weight: 0.5,
-            thermal_slack_scale_c: 30.0,
-            price_weight: 0.75,
-            emergency_penalty: 100.0,
-        }
-    }
-}
+/// Weight of the geo score's normalized power-headroom term.
+const POWER_WEIGHT: f64 = 1.0;
+/// Weight of the geo score's normalized thermal-slack term.
+const THERMAL_WEIGHT: f64 = 1.0;
+/// Weight of the geo score's current-load penalty.
+const LOAD_WEIGHT: f64 = 0.5;
+/// Thermal slack (°C) that counts as "fully comfortable" (slack is normalized by it).
+const THERMAL_SLACK_SCALE_C: f64 = 30.0;
+/// Weight of the grid-price penalty. The penalty is the price normalized across the
+/// fleet's current min–max price spread, so it only engages when sites actually pay
+/// different prices — a fleet with uniform prices scores bit-identically to one with no
+/// price signal at all.
+const PRICE_WEIGHT: f64 = 0.75;
+/// Score penalty applied to sites in emergency (large enough to dominate the other terms,
+/// so an emergency site is only chosen when every site is in emergency).
+const EMERGENCY_PENALTY: f64 = 100.0;
 
 /// Requests one free server is assumed to absorb per step before the request-routing
 /// burst penalty reaches one full server's worth of charge. Mirrors the per-endpoint
@@ -137,8 +120,6 @@ const REQUEST_SATURATION_PENALTY: f64 = 2.0;
 /// not perturb each other's burst accounting.
 #[derive(Debug, Clone)]
 pub struct GeoPlacement {
-    /// Scoring weights.
-    pub config: GeoConfig,
     /// Arrivals assigned to each site during the current step.
     assigned: Vec<u32>,
     /// Inference requests routed to each `(site, endpoint)` pair during the current
@@ -205,16 +186,7 @@ struct RequestCell {
 
 impl Default for GeoPlacement {
     fn default() -> Self {
-        Self::new(GeoConfig::default())
-    }
-}
-
-impl GeoPlacement {
-    /// Creates a router with explicit weights.
-    #[must_use]
-    pub fn new(config: GeoConfig) -> Self {
         Self {
-            config,
             assigned: Vec::new(),
             request_assigned: Vec::new(),
             request_capacity: Vec::new(),
@@ -226,7 +198,9 @@ impl GeoPlacement {
             step_signals: Vec::new(),
         }
     }
+}
 
+impl GeoPlacement {
     /// Declares how many serving endpoints each site runs (sizes the per-endpoint
     /// request matrices; call once before the first [`GeoPlacement::begin_step`]).
     /// Routers that never call this treat the request stream as one endpoint.
@@ -474,22 +448,21 @@ impl GeoPlacement {
     }
 
     /// One site's score terms: the score (higher is better) is `base − burst − emergency
-    /// − price` for the caller's burst charge, with `base = power_weight × headroom +
-    /// thermal_weight × thermal − load_weight × load`. A term that does not apply is
+    /// − price` for the caller's burst charge, with `base = POWER_WEIGHT × headroom +
+    /// THERMAL_WEIGHT × thermal − LOAD_WEIGHT × load`. A term that does not apply is
     /// `0.0`, which subtracts bit-identically to no term (`x − 0.0 == x` for every `x`).
     fn score_terms(&self, signal: &SiteSignals, scale: &ScoreScale) -> (f64, f64, f64) {
-        let c = &self.config;
         let headroom = (signal.power_headroom_kw / scale.max_headroom).clamp(0.0, 1.0);
-        let thermal = (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
+        let thermal = (signal.thermal_slack_c / THERMAL_SLACK_SCALE_C).clamp(-1.0, 1.0);
         let base =
-            c.power_weight * headroom + c.thermal_weight * thermal - c.load_weight * signal.dc_load;
+            POWER_WEIGHT * headroom + THERMAL_WEIGHT * thermal - LOAD_WEIGHT * signal.dc_load;
         let emergency = if signal.in_emergency() {
-            c.emergency_penalty
+            EMERGENCY_PENALTY
         } else {
             0.0
         };
         let price = if scale.price_span > 0.0 {
-            c.price_weight * ((signal.grid_price_per_mwh - scale.min_price) / scale.price_span)
+            PRICE_WEIGHT * ((signal.grid_price_per_mwh - scale.min_price) / scale.price_span)
         } else {
             0.0
         };
@@ -858,18 +831,16 @@ mod tests {
             let total: u32 = geo.request_assigned[base..base + endpoints].iter().sum();
             let burst = f64::from(total)
                 / (f64::from(signal.free_servers.max(1)) * REQUESTS_PER_SERVER_SLOT);
-            let c = &geo.config;
             let headroom = (signal.power_headroom_kw / max_headroom).clamp(0.0, 1.0);
-            let thermal = (signal.thermal_slack_c / c.thermal_slack_scale_c).clamp(-1.0, 1.0);
-            let mut score = c.power_weight * headroom + c.thermal_weight * thermal
-                - c.load_weight * signal.dc_load
+            let thermal = (signal.thermal_slack_c / THERMAL_SLACK_SCALE_C).clamp(-1.0, 1.0);
+            let mut score = POWER_WEIGHT * headroom + THERMAL_WEIGHT * thermal
+                - LOAD_WEIGHT * signal.dc_load
                 - burst;
             if signal.in_emergency() {
-                score -= c.emergency_penalty;
+                score -= EMERGENCY_PENALTY;
             }
             if price_span > 0.0 {
-                score -= geo.config.price_weight
-                    * ((signal.grid_price_per_mwh - min_price) / price_span);
+                score -= PRICE_WEIGHT * ((signal.grid_price_per_mwh - min_price) / price_span);
             }
             scores.push(score);
         }

@@ -36,7 +36,7 @@ pub mod state;
 
 pub use configurator::{ConfigDecision, InstanceConfigurator, InstanceLimits};
 pub use emergency::{EmergencyPlan, EmergencyResponder};
-pub use geo::{GeoConfig, GeoPlacement, SiteSignals};
+pub use geo::{GeoPlacement, SiteSignals};
 pub use placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};

@@ -68,14 +68,6 @@ impl Policy {
         )
     }
 
-    /// Number of enabled mechanisms (0 for the Baseline, 3 for TAPAS).
-    #[must_use]
-    pub fn mechanism_count(self) -> usize {
-        usize::from(self.placement_enabled())
-            + usize::from(self.routing_enabled())
-            + usize::from(self.config_enabled())
-    }
-
     /// Short label used in figures and reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -118,11 +110,23 @@ mod tests {
 
     #[test]
     fn mechanism_counts() {
-        assert_eq!(Policy::Baseline.mechanism_count(), 0);
-        assert_eq!(Policy::Place.mechanism_count(), 1);
-        assert_eq!(Policy::RouteConfig.mechanism_count(), 2);
-        assert_eq!(Policy::Tapas.mechanism_count(), 3);
+        let mechanisms = |p: Policy| {
+            [
+                p.placement_enabled(),
+                p.routing_enabled(),
+                p.config_enabled(),
+            ]
+        };
+        let count = |p: Policy| mechanisms(p).into_iter().filter(|&on| on).count();
+        assert_eq!(count(Policy::Baseline), 0);
+        assert_eq!(count(Policy::Place), 1);
+        assert_eq!(count(Policy::RouteConfig), 2);
+        assert_eq!(count(Policy::Tapas), 3);
         assert_eq!(Policy::ALL.len(), 8);
+        // The eight policies are the eight subsets of the three mechanisms.
+        let subsets: std::collections::BTreeSet<[bool; 3]> =
+            Policy::ALL.into_iter().map(mechanisms).collect();
+        assert_eq!(subsets.len(), 8);
         // All policies are distinct.
         let labels: std::collections::BTreeSet<&str> =
             Policy::ALL.iter().map(|p| p.label()).collect();

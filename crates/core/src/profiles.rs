@@ -22,12 +22,11 @@ use dc_sim::topology::ServerSpec;
 use llm_sim::config::{FrequencyScale, InstanceConfig, TensorParallelism};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::model::{ModelSize, Quantization};
-use llm_sim::pareto::ParetoFrontier;
 use llm_sim::profile::ConfigProfile;
 use serde::{Deserialize, Serialize};
 use simkit::regression::{LinearModel, PiecewisePolynomial, Polynomial};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The breakpoints (°C outside) of the inlet model offline profiling fits (Eq. 1): three
@@ -278,84 +277,49 @@ fn non_finite<'a>(
     }
 }
 
-/// LLM configuration profiles and the Pareto frontiers derived from them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LlmProfiles {
-    /// Every profiled configuration that fits the hardware.
-    pub profiles: Vec<ConfigProfile>,
-    /// The overall Pareto frontier.
-    pub frontier: ParetoFrontier,
-    /// Per-model-size frontiers (Fig. 16 keeps them separate because quality differs).
-    pub frontier_by_model: BTreeMap<ModelSize, ParetoFrontier>,
-}
-
-impl LlmProfiles {
-    /// Profiles every configuration on the given GPU generation.
-    #[must_use]
-    pub fn profile(gpu: &GpuHardware) -> Self {
-        let profiles = ConfigProfile::sweep(gpu);
-        let frontier = ParetoFrontier::compute(&profiles);
-        let frontier_by_model = ModelSize::ALL
-            .into_iter()
-            .map(|size| (size, ParetoFrontier::for_model(&profiles, size)))
-            .collect();
-        Self {
-            profiles,
-            frontier,
-            frontier_by_model,
-        }
+/// The LLM configuration sweep of a GPU generation ([`ConfigProfile::sweep`]) and its
+/// [`SweepIndex`], built once per process and GPU generation and shared by every store.
+///
+/// The sweep is a pure function of the hardware parameters, so repeated simulator
+/// constructions (parameter sweeps, benches) share one `Arc` instead of re-profiling the
+/// full configuration space every time.
+fn shared_sweep(gpu: &GpuHardware) -> (Arc<[ConfigProfile]>, Arc<SweepIndex>) {
+    type SweepCache = Mutex<HashMap<u64, (Arc<[ConfigProfile]>, Arc<SweepIndex>)>>;
+    static CACHE: OnceLock<SweepCache> = OnceLock::new();
+    let key = gpu_fingerprint(gpu);
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    if let Some((sweep, index)) = cache.lock().expect("llm profile cache").get(&key) {
+        return (Arc::clone(sweep), Arc::clone(index));
     }
-
-    /// Process-wide shared profile of a GPU generation.
-    ///
-    /// The sweep is a pure function of the hardware parameters, so repeated simulator
-    /// constructions (parameter sweeps, benches) share one `Arc` instead of re-profiling
-    /// the full configuration space every time.
-    #[must_use]
-    pub fn shared(gpu: &GpuHardware) -> Arc<Self> {
-        Self::shared_indexed(gpu).0
-    }
-
-    /// [`Self::shared`] together with the sweep's [`SweepIndex`], built once per process
-    /// and GPU generation like the sweep itself.
-    fn shared_indexed(gpu: &GpuHardware) -> (Arc<Self>, Arc<SweepIndex>) {
-        type SweepCache = Mutex<HashMap<u64, (Arc<LlmProfiles>, Arc<SweepIndex>)>>;
-        static CACHE: OnceLock<SweepCache> = OnceLock::new();
-        let key = gpu_fingerprint(gpu);
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some((llm, index)) = cache.lock().expect("llm profile cache").get(&key) {
-            return (Arc::clone(llm), Arc::clone(index));
-        }
-        // Profile outside the lock: sweeps are independent and this keeps the critical
-        // section tiny.
-        let llm = Self::profile(gpu);
-        let index = Arc::new(SweepIndex::build(&llm));
-        let mut cache = cache.lock().expect("llm profile cache");
-        let (llm, index) = cache.entry(key).or_insert((Arc::new(llm), index));
-        (Arc::clone(llm), Arc::clone(index))
-    }
+    // Profile outside the lock: sweeps are independent and this keeps the critical
+    // section tiny.
+    let sweep: Arc<[ConfigProfile]> = ConfigProfile::sweep(gpu).into();
+    let index = Arc::new(SweepIndex::build(&sweep));
+    let mut cache = cache.lock().expect("llm profile cache");
+    let (sweep, index) = cache.entry(key).or_insert((sweep, index));
+    (Arc::clone(sweep), Arc::clone(index))
 }
 
 /// The lookup structures over one sweep: the profile-slot table behind
 /// [`ProfileStore::profile_for`] and the configurator's selection index.
 #[derive(Debug)]
 struct SweepIndex {
-    /// Position in `LlmProfiles::profiles` of each profiling-grid point (`None` for grid
-    /// points the sweep skipped because they do not fit in memory).
+    /// Position in the sweep of each profiling-grid point (`None` for grid points the
+    /// sweep skipped because they do not fit in memory).
     slots: Box<[Option<u16>]>,
     selection: SelectionIndex,
 }
 
 impl SweepIndex {
-    fn build(llm: &LlmProfiles) -> Self {
+    fn build(sweep: &[ConfigProfile]) -> Self {
         let mut slots = vec![None; SWEEP_POINTS];
-        for (slot, profile) in llm.profiles.iter().enumerate() {
+        for (slot, profile) in sweep.iter().enumerate() {
             let point = sweep_point(&profile.config).expect("sweep profiles lie on the grid");
             slots[point] = Some(u16::try_from(slot).expect("sweep fits u16 slots"));
         }
         Self {
             slots: slots.into(),
-            selection: SelectionIndex::build(&llm.profiles),
+            selection: SelectionIndex::build(sweep),
         }
     }
 }
@@ -430,10 +394,6 @@ pub struct InfrastructureBudgets {
     pub row_power: OrdinalMap<RowId, Kilowatts>,
     /// Aisle airflow provisioning, indexed by [`AisleId`].
     pub aisle_airflow: OrdinalMap<AisleId, CubicFeetPerMinute>,
-    /// Servers per row, indexed by [`RowId`].
-    pub row_servers: OrdinalMap<RowId, Vec<ServerId>>,
-    /// Servers per aisle, indexed by [`AisleId`].
-    pub aisle_servers: OrdinalMap<AisleId, Vec<ServerId>>,
 }
 
 /// The complete profile store TAPAS consults at run time.
@@ -441,15 +401,14 @@ pub struct InfrastructureBudgets {
 pub struct ProfileStore {
     /// Per-server fitted models, indexed by `ServerId::index`.
     pub servers: Vec<ServerProfile>,
-    /// LLM configuration profiles and frontiers (shared across stores for one GPU model).
-    /// Private so the index below can never go stale: see [`Self::llm`] and
-    /// [`Self::with_llm_profiles`].
-    llm: Arc<LlmProfiles>,
+    /// The LLM configuration sweep (shared across stores for one GPU model). Private so
+    /// the index below can never go stale: see [`Self::sweep`] and [`Self::with_sweep`].
+    sweep: Arc<[ConfigProfile]>,
     /// Row/aisle budgets.
     pub budgets: InfrastructureBudgets,
     /// GPU throttle limit minus a safety margin; the controllers aim to stay below this.
     pub thermal_headroom_target: Celsius,
-    /// Lookup structures over `llm`, shared with it.
+    /// Lookup structures over `sweep`, shared with it.
     index: Arc<SweepIndex>,
 }
 
@@ -544,14 +503,12 @@ impl ProfileStore {
                 .iter()
                 .map(|a| a.airflow_provisioned)
                 .collect(),
-            row_servers: layout.rows().iter().map(|r| r.servers.clone()).collect(),
-            aisle_servers: layout.aisles().iter().map(|a| a.servers.clone()).collect(),
         };
 
-        let (llm, index) = LlmProfiles::shared_indexed(gpu);
+        let (sweep, index) = shared_sweep(gpu);
         Self {
             servers,
-            llm,
+            sweep,
             index,
             budgets,
             thermal_headroom_target: Celsius::new(
@@ -570,24 +527,24 @@ impl ProfileStore {
         self.servers.iter().try_for_each(ServerProfile::check)
     }
 
-    /// Replaces the LLM profiles (e.g. with a re-profiled or hand-edited sweep) and rebuilds
-    /// the indices over them.
+    /// Replaces the LLM configuration sweep (e.g. with a re-profiled or hand-edited one)
+    /// and rebuilds the indices over it.
     ///
     /// # Panics
     /// Panics if a profile lies off the profiling grid (`InstanceConfig::enumerate`), and,
     /// naming the configuration, if a profile's goodput or blended server power is not
     /// finite (the configurator's order would silently mis-rank it).
     #[must_use]
-    pub fn with_llm_profiles(mut self, llm: Arc<LlmProfiles>) -> Self {
-        self.index = Arc::new(SweepIndex::build(&llm));
-        self.llm = llm;
+    pub fn with_sweep(mut self, sweep: Arc<[ConfigProfile]>) -> Self {
+        self.index = Arc::new(SweepIndex::build(&sweep));
+        self.sweep = sweep;
         self
     }
 
-    /// LLM configuration profiles and frontiers.
+    /// The LLM configuration sweep: every profiled configuration that fits the hardware.
     #[must_use]
-    pub fn llm(&self) -> &LlmProfiles {
-        &self.llm
+    pub fn sweep(&self) -> &[ConfigProfile] {
+        &self.sweep
     }
 
     /// Process-wide shared offline profiling.
@@ -658,12 +615,10 @@ impl ProfileStore {
     /// mixed-radix table read, no hashing and no scan.
     #[must_use]
     pub fn profile_for(&self, config: &InstanceConfig) -> Option<&ConfigProfile> {
-        self.profile_slot(config)
-            .map(|slot| &self.llm.profiles[slot])
+        self.profile_slot(config).map(|slot| &self.sweep[slot])
     }
 
-    /// Position of a configuration's profile in `llm().profiles`, if it was part of the
-    /// sweep.
+    /// Position of a configuration's profile in [`Self::sweep`], if it was part of it.
     #[must_use]
     pub fn profile_slot(&self, config: &InstanceConfig) -> Option<usize> {
         self.index.slots[sweep_point(config)?].map(usize::from)
@@ -803,9 +758,7 @@ mod tests {
             store.budgets.aisle_airflow.len(),
             dc.layout().aisles().len()
         );
-        assert!(!store.llm().profiles.is_empty());
-        assert!(!store.llm().frontier.is_empty());
-        assert_eq!(store.llm().frontier_by_model.len(), 3);
+        assert!(!store.sweep().is_empty());
         assert!((store.thermal_headroom_target.value() - 82.0).abs() < 1e-9);
     }
 
@@ -898,7 +851,7 @@ mod tests {
     #[test]
     fn profile_for_finds_exactly_the_sweep_configurations() {
         let (_, store) = store();
-        for (slot, profile) in store.llm().profiles.iter().enumerate() {
+        for (slot, profile) in store.sweep().iter().enumerate() {
             assert_eq!(store.profile_slot(&profile.config), Some(slot));
         }
         // Every grid point has its own table entry: class and point are bijections.

@@ -30,7 +30,8 @@ pub struct PlacedVm {
     pub server: ServerId,
     /// The allocator's prediction of this VM's peak mean-GPU load in `[0, 1]`.
     pub predicted_peak_load: f64,
-    /// The current instance configuration (SaaS only).
+    /// The instance configuration the VM was placed with (SaaS only). Reconfiguration
+    /// does not update it: the simulator's instance registry holds the current config.
     pub config: Option<InstanceConfig>,
 }
 
@@ -357,19 +358,6 @@ impl ClusterState {
         Ok(placed)
     }
 
-    /// Updates the configuration of a placed SaaS VM.
-    ///
-    /// # Errors
-    /// Returns an error if the VM is not placed.
-    pub fn set_config(&mut self, vm: VmId, config: InstanceConfig) -> Result<(), StateError> {
-        let slot = self.by_vm.get(vm).ok_or(StateError::NotPlaced(vm))?;
-        let placed = self.occupancy[slot as usize]
-            .as_mut()
-            .expect("occupancy consistent with index");
-        placed.config = Some(config);
-        Ok(())
-    }
-
     /// Counts `(iaas, saas)` VMs in a row.
     ///
     /// O(1) when the state was built [`Self::with_layout`]; otherwise scans the row.
@@ -483,26 +471,6 @@ mod tests {
         assert!(StateError::NotPlaced(VmId(9))
             .to_string()
             .contains("not placed"));
-    }
-
-    #[test]
-    fn set_config_updates_placed_vm() {
-        let mut state = ClusterState::new(2);
-        state
-            .place(
-                vm(1, true),
-                ServerId::new(0),
-                0.5,
-                Some(InstanceConfig::default_70b()),
-            )
-            .unwrap();
-        let new_config = InstanceConfig::small_fallback();
-        state.set_config(VmId(1), new_config).unwrap();
-        assert_eq!(
-            state.vm_on(ServerId::new(0)).unwrap().config,
-            Some(new_config)
-        );
-        assert!(state.set_config(VmId(2), new_config).is_err());
     }
 
     #[test]

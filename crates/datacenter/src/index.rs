@@ -140,12 +140,6 @@ impl<K: TopologyOrdinal, V> OrdinalMap<K, V> {
         (0..self.values.len()).map(K::from_ordinal)
     }
 
-    /// The values as an ordinal-ordered slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[V] {
-        &self.values
-    }
-
     /// Resizes to `len` slots, filling new slots with clones of `value`. Existing slots
     /// keep their contents; shrinking truncates. Reuses the allocation across steps.
     pub fn resize(&mut self, len: usize, value: V)
@@ -524,6 +518,6 @@ mod tests {
         let map: OrdinalMap<AisleId, f64> = [1.0, 2.0, 3.0].into_iter().collect();
         let back = OrdinalMap::<AisleId, f64>::from_value(&map.to_value()).unwrap();
         assert_eq!(back, map);
-        assert_eq!(back.as_slice(), &[1.0, 2.0, 3.0]);
+        assert_eq!(back.values().copied().collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
     }
 }

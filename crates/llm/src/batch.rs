@@ -410,6 +410,13 @@ pub struct SchedulerFaults {
 /// by 5 %, so the floor is 80 % of capacity.
 const MAX_DEGRADE_LEVEL: u32 = 4;
 
+/// The retry budget every scheduler starts with: a request preempted more often is
+/// dropped as a timeout.
+pub const MAX_RETRIES: u32 = 3;
+
+/// The requeue backoff base every scheduler starts with, in ms (doubled per attempt).
+pub const BACKOFF_BASE_MS: u64 = 256;
+
 /// Cap on the exponential backoff shift so the delay cannot overflow or exceed
 /// `backoff_base_ms << 8`.
 const MAX_BACKOFF_SHIFT: u32 = 8;
@@ -489,8 +496,8 @@ impl BatchScheduler {
             admission_seq: 0,
             faults: SchedulerFaults::default(),
             shed_deadline_ms: 0,
-            max_retries: 3,
-            backoff_base_ms: 256,
+            max_retries: MAX_RETRIES,
+            backoff_base_ms: BACKOFF_BASE_MS,
             degrade_level: 0,
         }
     }

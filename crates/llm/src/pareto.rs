@@ -3,8 +3,8 @@
 //! Fig. 16 plots every profiled configuration as normalized temperature and power (lower is
 //! better) against normalized goodput (higher is better), grouped by model size. Each model
 //! has a Pareto frontier of configurations that minimize temperature/power with minimal
-//! goodput loss; TAPAS's instance configurator walks that frontier when it needs to shed heat
-//! or power.
+//! goodput loss. TAPAS's instance configurator searches the whole sweep through its own
+//! selection index (`tapas::configurator`); this module only draws the figure.
 //!
 //! Because GPU temperature is (to first order) linear in per-GPU power at a fixed inlet
 //! temperature (Eq. 2), the per-GPU power of the hottest phase is used as the temperature
@@ -115,37 +115,6 @@ impl ParetoFrontier {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// The highest-goodput configuration whose per-GPU power stays at or below
-    /// `max_gpu_power_w` and whose server power stays at or below `max_server_power_kw`.
-    ///
-    /// This is the query the instance configurator issues when it has translated a thermal or
-    /// power headroom into budgets (§4.3). Returns `None` if no frontier point fits.
-    #[must_use]
-    pub fn best_within(
-        &self,
-        max_gpu_power_w: f64,
-        max_server_power_kw: f64,
-    ) -> Option<&ParetoPoint> {
-        self.points
-            .iter()
-            .find(|p| p.temp_proxy_w <= max_gpu_power_w && p.server_power_kw <= max_server_power_kw)
-    }
-
-    /// The highest-goodput configuration meeting the budgets *and* a minimum quality.
-    #[must_use]
-    pub fn best_within_quality(
-        &self,
-        max_gpu_power_w: f64,
-        max_server_power_kw: f64,
-        min_quality: f64,
-    ) -> Option<&ParetoPoint> {
-        self.points.iter().find(|p| {
-            p.temp_proxy_w <= max_gpu_power_w
-                && p.server_power_kw <= max_server_power_kw
-                && p.profile.quality >= min_quality
-        })
-    }
 }
 
 #[cfg(test)]
@@ -227,48 +196,28 @@ mod tests {
         let max_goodput_70 = f70.points().iter().map(|p| p.goodput).fold(0.0, f64::max);
         let max_goodput_7 = f7.points().iter().map(|p| p.goodput).fold(0.0, f64::max);
         assert!(max_goodput_7 > 2.0 * max_goodput_70);
-        // At a power budget the 70B model can barely meet, the 7B model delivers far more
-        // goodput — the reason TAPAS only falls back to it under pressure.
-        let budget = min_power_70 + 0.2;
-        let best_70 = f70.best_within(f64::MAX, budget);
-        let best_7 = f7.best_within(f64::MAX, budget);
-        if let (Some(p70), Some(p7)) = (best_70, best_7) {
-            assert!(p7.goodput > p70.goodput);
-        }
-    }
-
-    #[test]
-    fn best_within_respects_budgets() {
-        let profiles = sweep();
-        let frontier = ParetoFrontier::compute(&profiles);
-        let unconstrained = frontier.best_within(f64::MAX, f64::MAX).expect("non-empty");
-        assert_eq!(unconstrained.goodput, frontier.points()[0].goodput);
-        // A tight per-GPU power budget forces a cooler configuration.
-        let constrained = frontier.best_within(200.0, f64::MAX);
-        if let Some(point) = constrained {
-            assert!(point.temp_proxy_w <= 200.0);
-            assert!(point.goodput <= unconstrained.goodput);
-        }
-        // An impossible budget returns None.
-        assert!(frontier.best_within(1.0, 0.001).is_none());
     }
 
     #[test]
     fn quality_floor_excludes_small_models() {
-        // On the combined frontier the smaller models dominate on power and goodput, so a
-        // high quality floor must be answered from the 70B frontier (how the configurator
-        // queries it in practice).
+        // The smaller models dominate on power and goodput, so every point on the combined
+        // frontier above a high quality floor is a 70B point, and the 70B frontier has one.
         let profiles = sweep();
+        let high_quality = |frontier: &ParetoFrontier| {
+            frontier
+                .points()
+                .iter()
+                .filter(|p| p.profile.quality >= 0.95)
+                .map(|p| p.profile.config.variant.size)
+                .collect::<Vec<_>>()
+        };
         let f70 = ParetoFrontier::for_model(&profiles, ModelSize::Llama2_70B);
-        let high_quality = f70.best_within_quality(f64::MAX, f64::MAX, 0.95);
-        assert!(high_quality.is_some());
-        assert!(high_quality.unwrap().profile.quality >= 0.95);
-        assert_eq!(
-            high_quality.unwrap().profile.config.variant.size,
-            ModelSize::Llama2_70B
-        );
-        // A floor above 1.0 can never be satisfied.
-        assert!(f70.best_within_quality(f64::MAX, f64::MAX, 1.01).is_none());
+        assert!(!high_quality(&f70).is_empty());
+        assert!(high_quality(&ParetoFrontier::compute(&profiles))
+            .iter()
+            .all(|&size| size == ModelSize::Llama2_70B));
+        // No configuration has a quality above 1.0.
+        assert!(profiles.iter().all(|p| p.quality <= 1.0));
     }
 
     #[test]

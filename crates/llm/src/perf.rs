@@ -202,19 +202,6 @@ impl PerfModel {
         let step = self.decode_step_time_s(config, batch, context);
         batch as f64 / step
     }
-
-    /// End-to-end unloaded latency for a request of the given shape, in seconds.
-    #[must_use]
-    pub fn request_latency_unloaded_s(
-        &self,
-        config: &InstanceConfig,
-        prompt_tokens: usize,
-        output_tokens: usize,
-    ) -> f64 {
-        self.prefill_time_s(config, prompt_tokens)
-            + output_tokens as f64
-                * self.decode_step_time_s(config, 1, prompt_tokens + output_tokens / 2)
-    }
 }
 
 #[cfg(test)]
@@ -340,15 +327,5 @@ mod tests {
         let cfg = config_70b();
         assert!(a100.goodput_tokens_per_s(&cfg) > 0.0);
         assert!(h100.goodput_tokens_per_s(&cfg) > a100.goodput_tokens_per_s(&cfg));
-    }
-
-    #[test]
-    fn request_latency_combines_both_phases() {
-        let m = model();
-        let cfg = config_70b();
-        let latency = m.request_latency_unloaded_s(&cfg, 512, 128);
-        let prefill = m.prefill_time_s(&cfg, 512);
-        assert!(latency > prefill);
-        assert!(latency > 128.0 * m.decode_step_time_s(&cfg, 1, 512));
     }
 }

@@ -132,13 +132,6 @@ impl ConfigProfile {
         let d = decode_fraction.clamp(0.0, 1.0);
         self.prefill.server_power * (1.0 - d) + self.decode.server_power * d
     }
-
-    /// Steady-state per-GPU power under the same blend.
-    #[must_use]
-    pub fn blended_gpu_power(&self, decode_fraction: f64) -> Watts {
-        let d = decode_fraction.clamp(0.0, 1.0);
-        self.prefill.gpu_power * (1.0 - d) + self.decode.gpu_power * d
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +247,6 @@ mod tests {
         let mid = p.blended_server_power(0.5).value();
         assert!(mid < p.prefill.server_power.value());
         assert!(mid > p.decode.server_power.value());
-        assert_eq!(p.blended_gpu_power(1.0), p.decode.gpu_power);
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub struct InferenceRequest {
     pub output_tokens: usize,
 }
 
-impl InferenceRequest {
-    /// Total tokens processed for this request (prompt + generated).
-    #[must_use]
-    pub fn total_tokens(&self) -> usize {
-        self.prompt_tokens + self.output_tokens
-    }
-}
-
 /// Parameters of the request-shape distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestShape {

@@ -66,4 +66,4 @@ pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::Summary;
 pub use time::{SimClock, SimDuration, SimTime};
-pub use units::{Celsius, CubicFeetPerMinute, Kilowatts, Megawatts, Watts};
+pub use units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};

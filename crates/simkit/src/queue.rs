@@ -244,6 +244,47 @@ mod tests {
         }
     }
 
+    /// Reference model: a stable sort by timestamp preserves push order among equal
+    /// timestamps — exactly the `(time, seq)` contract the binary heap must honour.
+    #[test]
+    fn matches_a_stable_sorted_reference_under_random_workloads() {
+        let mut rng = SimRng::seed_from(2025).derive("queue-property");
+        for round in 0..50 {
+            let mut queue = EventQueue::new();
+            let mut reference: Vec<(u64, usize)> = Vec::new();
+            let pushes = 1 + rng.uniform_usize(0, 400);
+            for payload in 0..pushes {
+                // Narrow time range on odd rounds forces heavy timestamp collisions.
+                let span = if round % 2 == 0 { 10_000 } else { 7 };
+                let time = rng.uniform_usize(0, span) as u64;
+                queue.push(time, payload);
+                reference.push((time, payload));
+            }
+            reference.sort_by_key(|&(time, _)| time); // stable: ties keep push order
+            let mut drained = Vec::new();
+            while let Some((time, payload)) = queue.pop() {
+                drained.push((time, payload));
+            }
+            assert_eq!(
+                drained, reference,
+                "round {round} diverged from the reference"
+            );
+        }
+    }
+
+    #[test]
+    fn drain_until_is_inclusive_and_leaves_the_rest() {
+        let mut queue = EventQueue::new();
+        for time in [5u64, 1, 9, 5, 3] {
+            queue.push(time, time);
+        }
+        let mut drained = Vec::new();
+        queue.drain_until(5, |time, _| drained.push(time));
+        assert_eq!(drained, vec![1, 3, 5, 5]);
+        assert_eq!(queue.len(), 1);
+        assert_eq!(queue.peek_time(), Some(9));
+    }
+
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut queue = EventQueue::new();

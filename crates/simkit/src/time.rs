@@ -89,12 +89,6 @@ impl SimTime {
     pub const fn day_index(self) -> u64 {
         self.0 / MINUTES_PER_DAY
     }
-
-    /// Duration elapsed since `earlier`, saturating at zero if `earlier` is later.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -305,10 +299,6 @@ mod tests {
         let t = SimTime::from_minutes(100) + SimDuration::from_minutes(40);
         assert_eq!(t.as_minutes(), 140);
         assert_eq!((t - SimTime::from_minutes(100)).as_minutes(), 40);
-        assert_eq!(
-            SimTime::from_minutes(10).saturating_since(SimTime::from_minutes(50)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -167,12 +167,6 @@ scalar_unit!(
 );
 
 scalar_unit!(
-    /// Electrical power in megawatts. Used for UPS- and datacenter-level aggregates.
-    Megawatts,
-    "MW"
-);
-
-scalar_unit!(
     /// Volumetric airflow in cubic feet per minute (CFM).
     ///
     /// The DGX A100 moves roughly 840 CFM and the DGX H100 roughly 1105 CFM at 80 % PWM fan
@@ -207,20 +201,6 @@ impl Kilowatts {
     #[must_use]
     pub fn to_watts(self) -> Watts {
         Watts::new(self.0 * 1000.0)
-    }
-
-    /// Converts to megawatts.
-    #[must_use]
-    pub fn to_megawatts(self) -> Megawatts {
-        Megawatts::new(self.0 / 1000.0)
-    }
-}
-
-impl Megawatts {
-    /// Converts to kilowatts.
-    #[must_use]
-    pub fn to_kilowatts(self) -> Kilowatts {
-        Kilowatts::new(self.0 * 1000.0)
     }
 }
 
@@ -289,9 +269,6 @@ mod tests {
         let w = Watts::new(6500.0);
         assert!((w.to_kilowatts().value() - 6.5).abs() < 1e-12);
         assert!((w.to_kilowatts().to_watts().value() - 6500.0).abs() < 1e-9);
-        let mw = Kilowatts::new(2500.0).to_megawatts();
-        assert!((mw.value() - 2.5).abs() < 1e-12);
-        assert!((mw.to_kilowatts().value() - 2500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -160,7 +160,6 @@ fn main() {
         .with_request_fabric(RequestFabricConfig {
             rate_scale: 2.0,
             deadline_shedding: true,
-            ..RequestFabricConfig::default()
         });
     let chaos_scenario = generate(
         4242,

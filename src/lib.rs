@@ -53,7 +53,6 @@ pub mod prelude {
     pub use llm_sim::config::InstanceConfig;
     pub use llm_sim::hardware::GpuHardware;
     pub use llm_sim::profile::ConfigProfile;
-    pub use simkit::queue::EventQueue;
     pub use simkit::time::{SimDuration, SimTime};
     pub use simkit::units::{Celsius, Kilowatts, Watts};
     pub use tapas::policy::Policy;

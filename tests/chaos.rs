@@ -144,7 +144,6 @@ fn fabric_chaos_config(seed: u64) -> FleetConfig {
         .with_request_fabric(RequestFabricConfig {
             rate_scale: 2.0,
             deadline_shedding: true,
-            ..RequestFabricConfig::default()
         });
     let scenario = generate(
         seed,

@@ -17,9 +17,8 @@ use llm_sim::hardware::GpuHardware;
 use llm_sim::profile::ConfigProfile;
 use simkit::rng::SimRng;
 use simkit::units::{Kilowatts, Watts};
-use std::sync::Arc;
 use tapas::configurator::{InstanceConfigurator, InstanceLimits};
-use tapas::profiles::{LlmProfiles, ProfileStore};
+use tapas::profiles::ProfileStore;
 
 const CASES: usize = 12_000;
 
@@ -32,7 +31,7 @@ fn store() -> ProfileStore {
 /// figures with another one: the copy takes the source's phase profiles and goodput but
 /// keeps its own configuration and quality.
 fn tied_store(base: &ProfileStore, rng: &mut SimRng) -> ProfileStore {
-    let mut profiles = base.llm().profiles.clone();
+    let mut profiles = base.sweep().to_vec();
     let n = profiles.len();
     for _ in 0..n / 3 {
         let from = profiles[rng.uniform_usize(0, n)];
@@ -56,11 +55,7 @@ fn tied_store(base: &ProfileStore, rng: &mut SimRng) -> ProfileStore {
             ..from
         };
     }
-    let llm = LlmProfiles {
-        profiles,
-        ..base.llm().clone()
-    };
-    base.clone().with_llm_profiles(Arc::new(llm))
+    base.clone().with_sweep(profiles.into())
 }
 
 fn hottest_gpu(p: &ConfigProfile) -> f64 {
@@ -121,7 +116,7 @@ fn indexed_select_matches_the_reference_scan() {
     let mut outcomes = [0usize; 5];
     for case in 0..CASES {
         let store = if case % 2 == 0 { &base } else { &tied };
-        let profiles = &store.llm().profiles;
+        let profiles = store.sweep();
         let pick = |rng: &mut SimRng| profiles[rng.uniform_usize(0, profiles.len())];
         let current = current_config(&mut rng, profiles);
         let (gpu_at, server_at) = if rng.chance(0.3) {

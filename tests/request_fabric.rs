@@ -1,6 +1,5 @@
-//! Request-fabric integration tests: event-queue ordering against a reference model, the
-//! arrival buffer against the event queue and against a stable-sorted `Vec` in every
-//! radix-pass class, completion recording against the per-multiplier loop it replaced,
+//! Request-fabric integration tests: the arrival buffer against a stable-sorted `Vec`
+//! under random pushes and drains and in every radix-pass class, completion recording against the per-multiplier loop it replaced,
 //! KV-cache admission invariants, fabric-enabled fleet determinism, trace replay through
 //! both encodings, and a pinned golden metrics artifact.
 //!
@@ -27,50 +26,7 @@ fn replay_single_site(
     Ok(fleet.run().sites.remove(0))
 }
 
-// --- EventQueue ordering -----------------------------------------------------------
-
-/// Reference model: a stable sort by timestamp preserves push order among equal
-/// timestamps — exactly the `(time, seq)` contract the binary heap must honour.
-#[test]
-fn event_queue_matches_a_stable_sorted_reference_under_random_workloads() {
-    let mut rng = SimRng::seed_from(2025).derive("queue-property");
-    for round in 0..50 {
-        let mut queue = EventQueue::new();
-        let mut reference: Vec<(u64, usize)> = Vec::new();
-        let pushes = 1 + rng.uniform_usize(0, 400);
-        for payload in 0..pushes {
-            // Narrow time range on odd rounds forces heavy timestamp collisions.
-            let span = if round % 2 == 0 { 10_000 } else { 7 };
-            let time = rng.uniform_usize(0, span) as u64;
-            queue.push(time, payload);
-            reference.push((time, payload));
-        }
-        reference.sort_by_key(|&(time, _)| time); // stable: ties keep push order
-        let mut drained = Vec::new();
-        while let Some((time, payload)) = queue.pop() {
-            drained.push((time, payload));
-        }
-        assert_eq!(
-            drained, reference,
-            "round {round} diverged from the reference"
-        );
-    }
-}
-
-#[test]
-fn event_queue_drain_until_is_inclusive_and_leaves_the_rest() {
-    let mut queue = EventQueue::new();
-    for time in [5u64, 1, 9, 5, 3] {
-        queue.push(time, time);
-    }
-    let mut drained = Vec::new();
-    queue.drain_until(5, |time, _| drained.push(time));
-    assert_eq!(drained, vec![1, 3, 5, 5]);
-    assert_eq!(queue.len(), 1);
-    assert_eq!(queue.peek_time(), Some(9));
-}
-
-// --- Arrival buffer vs. EventQueue -------------------------------------------------
+// --- Arrival buffer vs. a stable-sorted Vec ----------------------------------------
 
 /// Per-feature counters so the random cases provably exercise every path.
 #[derive(Default)]
@@ -83,12 +39,12 @@ struct BufferCoverage {
     empty_drains: usize,
 }
 
-/// Replays one random operation sequence into an [`ArrivalBuffer`] and an [`EventQueue`]
-/// (the heap the buffer replaced) and compares every drained event and the pending count
-/// after every operation.
+/// Replays one random operation sequence into an [`ArrivalBuffer`] and into a plain `Vec`
+/// that is stably sorted by time before every drain (ties keep push order), and compares
+/// every drained event and the pending count after every operation.
 fn buffer_case(rng: &mut SimRng, coverage: &mut BufferCoverage) {
     let mut buffer = ArrivalBuffer::new();
-    let mut heap = EventQueue::new();
+    let mut reference: Vec<(u64, FabricRequest)> = Vec::new();
     // Narrow spans force timestamp collisions; wide ones are mostly distinct.
     let span = [4u64, 50, 100_000][rng.uniform_usize(0, 3)];
     let mut last_time = 0u64;
@@ -123,7 +79,7 @@ fn buffer_case(rng: &mut SimRng, coverage: &mut BufferCoverage) {
                     output_tokens: rng.uniform_usize(1, 512) as u32,
                 };
                 buffer.push(time, request);
-                heap.push(time, request);
+                reference.push((time, request));
                 times.push(time);
                 last_time = time;
                 pushed += 1;
@@ -140,11 +96,14 @@ fn buffer_case(rng: &mut SimRng, coverage: &mut BufferCoverage) {
             }
             let mut from_buffer = Vec::new();
             buffer.drain_before(end_ms, |time, request| from_buffer.push((time, request)));
-            let mut from_heap = Vec::new();
-            if let Some(deadline) = end_ms.checked_sub(1) {
-                heap.drain_until(deadline, |time, request| from_heap.push((time, request)));
-            }
-            assert_eq!(from_buffer, from_heap, "drain before {end_ms} diverged");
+            reference.sort_by_key(|&(time, _)| time);
+            let due = reference.partition_point(|&(time, _)| time < end_ms);
+            assert_eq!(
+                from_buffer,
+                reference[..due],
+                "drain before {end_ms} diverged"
+            );
+            reference.drain(..due);
             times.retain(|&time| time >= end_ms);
             if from_buffer.is_empty() {
                 coverage.empty_drains += 1;
@@ -154,18 +113,17 @@ fn buffer_case(rng: &mut SimRng, coverage: &mut BufferCoverage) {
             }
             drained_once = true;
         }
-        assert_eq!(buffer.len(), heap.len(), "pending counts diverged");
+        assert_eq!(buffer.len(), reference.len(), "pending counts diverged");
     }
     let mut from_buffer = Vec::new();
     buffer.drain_before(u64::MAX, |time, request| from_buffer.push((time, request)));
-    let mut from_heap = Vec::new();
-    heap.drain_until(u64::MAX, |time, request| from_heap.push((time, request)));
-    assert_eq!(from_buffer, from_heap, "final drain diverged");
+    reference.sort_by_key(|&(time, _)| time);
+    assert_eq!(from_buffer, reference, "final drain diverged");
     assert!(buffer.is_empty());
 }
 
 #[test]
-fn arrival_buffer_drains_exactly_like_the_event_queue() {
+fn arrival_buffer_drains_exactly_like_a_stable_sorted_vec() {
     let mut rng = SimRng::seed_from(2026).derive("arrival-buffer");
     let mut coverage = BufferCoverage::default();
     for _ in 0..400 {
