@@ -81,7 +81,7 @@ pub struct ExperimentConfig {
     pub duration: SimTime,
     /// Step length.
     pub step: SimDuration,
-    /// Number of SaaS endpoints, at most one per server (`0` runs one endpoint).
+    /// Number of SaaS endpoints, from one to one per server.
     pub endpoint_count: usize,
     /// Peak request rate per SaaS VM (requests per minute at the top of the diurnal cycle),
     /// at most [`Self::MAX_REQUESTS_PER_VM_PER_MINUTE`].
@@ -292,23 +292,28 @@ impl ExperimentConfig {
     fn check_workload(&self) -> Result<(), ScenarioError> {
         let servers = self.server_count();
         let arrivals = self.arrivals_per_day.unwrap_or(0.0);
-        let max_arrivals = RequestFabricConfig::MAX_RATE_SCALE
-            * ArrivalConfig::evaluation_week(servers).arrivals_per_day;
         let rate = self.requests_per_vm_per_minute;
         let max_rate = Self::MAX_REQUESTS_PER_VM_PER_MINUTE;
         let fields = [
-            ("saas_fraction", self.saas_fraction, 1.0),
-            ("initial_occupancy", self.initial_occupancy, 1.0),
-            ("arrivals_per_day", arrivals, max_arrivals),
-            ("requests_per_vm_per_minute", rate, max_rate),
-            ("endpoint_count", self.endpoint_count as f64, servers as f64),
+            ("saas_fraction", self.saas_fraction, 0.0, 1.0),
+            ("initial_occupancy", self.initial_occupancy, 0.0, 1.0),
+            ("arrivals_per_day", arrivals, 0.0, self.max_arrivals()),
+            ("requests_per_vm_per_minute", rate, 0.0, max_rate),
+            (
+                "endpoint_count",
+                self.endpoint_count as f64,
+                1.0,
+                servers as f64,
+            ),
         ];
-        for (field, value, max) in fields {
-            if !(value >= 0.0 && value <= max) {
-                return Err(ScenarioError::InvalidWorkload { field, value, max });
-            }
-        }
-        Ok(())
+        check_ranges(fields)
+    }
+
+    /// The most VM arrivals a day the generator is asked for:
+    /// [`RequestFabricConfig::MAX_RATE_SCALE`] times the evaluation-week default.
+    fn max_arrivals(&self) -> f64 {
+        RequestFabricConfig::MAX_RATE_SCALE
+            * ArrivalConfig::evaluation_week(self.server_count()).arrivals_per_day
     }
 
     /// Resolves the composed scenario into the dense per-step timeline this experiment
@@ -316,7 +321,7 @@ impl ExperimentConfig {
     #[must_use]
     pub fn resolved_timeline(&self) -> ResolvedTimeline {
         self.scenario
-            .resolve(0, self.duration, self.step, self.endpoint_count.max(1))
+            .resolve(0, self.duration, self.step, self.endpoint_count)
     }
 
     /// Adds extra servers beyond the provisioned budgets to model oversubscription (Fig. 21):
@@ -347,17 +352,18 @@ impl ExperimentConfig {
     /// catalog here (and their VM stream from [`Self::vm_stream`] over it) so every
     /// consumer draws the same endpoints in the same order. Building a catalog any other
     /// way forfeits the pinned-fleet/single-DC equivalence; [`Self::vm_stream`] debug-asserts
-    /// the catalog shape to catch drift.
+    /// the catalog shape to catch drift. It holds `endpoint_count` endpoints, which
+    /// [`Self::validate`] keeps at least one.
     #[must_use]
     pub fn endpoint_catalog(&self) -> EndpointCatalog {
         let saas_target = (self.server_count() as f64 * self.initial_occupancy * self.saas_fraction)
             .round() as usize;
         EndpointCatalog::evaluation(
-            self.endpoint_count.max(1),
+            self.endpoint_count,
             self.requests_per_vm_per_minute,
             self.seed,
         )
-        .scaled_to_total_vms(saas_target.max(self.endpoint_count.max(1)))
+        .scaled_to_total_vms(saas_target.max(self.endpoint_count))
     }
 
     /// Generates the VM arrival stream (initial population followed by the sorted arrival
@@ -374,21 +380,49 @@ impl ExperimentConfig {
         assert!(scale > 0.0, "arrival scale must be positive");
         debug_assert_eq!(
             catalog.len(),
-            self.endpoint_count.max(1),
+            self.endpoint_count,
             "vm_stream must be fed the catalog produced by endpoint_catalog() on this \
              configuration — it is the single shared generation path"
         );
         let mut arrival_config = ArrivalConfig::evaluation_week(self.server_count());
         arrival_config.saas_fraction = self.saas_fraction;
-        arrival_config.initial_population =
-            (self.server_count() as f64 * self.initial_occupancy * scale).round() as usize;
-        if let Some(rate) = self.arrivals_per_day {
-            arrival_config.arrivals_per_day = rate;
-        }
-        arrival_config.arrivals_per_day *= scale;
+        let [initial_population, arrivals_per_day] = self.scaled_arrivals(scale);
+        arrival_config.initial_population = initial_population.round() as usize;
+        arrival_config.arrivals_per_day = arrivals_per_day;
         arrival_config.horizon = self.duration;
         VmArrivalGenerator::new(arrival_config, self.seed).generate(catalog)
     }
+
+    /// The initial population (before rounding) and the daily arrivals the generator is
+    /// asked for at arrival scale `scale`.
+    fn scaled_arrivals(&self, scale: f64) -> [f64; 2] {
+        let servers = self.server_count();
+        let arrivals_per_day = self
+            .arrivals_per_day
+            .unwrap_or(ArrivalConfig::evaluation_week(servers).arrivals_per_day);
+        [
+            servers as f64 * self.initial_occupancy * scale,
+            arrivals_per_day * scale,
+        ]
+    }
+}
+
+/// The first of `(field, value, min, max)` whose value is outside `[min, max]` (NaN
+/// included), as a [`ScenarioError::InvalidWorkload`].
+fn check_ranges<const N: usize>(
+    fields: [(&'static str, f64, f64, f64); N],
+) -> Result<(), ScenarioError> {
+    for (field, value, min, max) in fields {
+        if !(value >= min && value <= max) {
+            return Err(ScenarioError::InvalidWorkload {
+                field,
+                value,
+                min,
+                max,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// How a fleet splits each step's VM arrivals across its sites.
@@ -553,7 +587,8 @@ impl FleetConfig {
     /// Validates the cross-field invariants the simulator relies on: at least one site,
     /// valid base and site layouts ([`LayoutConfig::check`]; the base layout sizes the
     /// fleet's arrival stream), the base's workload shape (as [`ExperimentConfig::validate`]
-    /// checks it), a positive arrival scale, an in-range pinned site, valid
+    /// checks it), a positive arrival scale that keeps the scaled initial population and
+    /// daily arrivals under the base's arrival ceiling, an in-range pinned site, valid
     /// arrival shares under [`GeoPolicy::RoundRobin`] (the only policy that consumes
     /// them), and the composed scenario's event and site-range invariants.
     ///
@@ -591,6 +626,19 @@ impl FleetConfig {
                 return Err(ScenarioError::InvalidRateScale { scale: scaled });
             }
         }
+        // The fleet's stream multiplies the base's initial population and daily arrivals
+        // by the arrival scale; each product stays under the base's arrival ceiling.
+        let [initial, daily] = self.base.scaled_arrivals(self.arrival_scale);
+        let max = self.base.max_arrivals();
+        check_ranges([
+            (
+                "initial_occupancy × servers × arrival_scale",
+                initial,
+                0.0,
+                max,
+            ),
+            ("arrivals_per_day × arrival_scale", daily, 0.0, max),
+        ])?;
         if let GeoPolicy::Pinned(site) = self.geo {
             if site >= self.sites.len() {
                 return Err(ScenarioError::PinnedSiteOutOfRange {
@@ -1091,6 +1139,7 @@ mod tests {
         let error = ScenarioError::InvalidWorkload {
             field: "arrivals_per_day",
             value: 1e15,
+            min: 0.0,
             max: ceiling,
         };
         assert!(
@@ -1139,10 +1188,68 @@ mod tests {
                 .with_request_fabric(RequestFabricConfig::default());
             set(&mut config);
             config.validate().expect("a bound is valid");
-            FleetConfig::evaluation(config, 2)
-                .check()
-                .expect("a bound is valid");
+            // A two-site fleet at arrival scale 1 generates the base's own stream (at the
+            // default scale 2, arrivals at their ceiling would double past it).
+            let mut fleet = FleetConfig::evaluation(config, 2);
+            fleet.arrival_scale = 1.0;
+            fleet.check().expect("a bound is valid");
         }
+    }
+
+    #[test]
+    fn no_endpoint_is_rejected() {
+        assert_workload_rejected("endpoint_count", &[0.0], |c, v| {
+            c.endpoint_count = v as usize;
+        });
+        let error = ExperimentConfig {
+            endpoint_count: 0,
+            ..ExperimentConfig::small_smoke_test()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(
+            error
+                .to_string()
+                .contains("endpoint_count must be in [1, 8], got 0"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn arrival_scale_past_the_arrival_ceiling_is_rejected_with_the_fabric_off() {
+        // The 8-server config asks for 0.9 × 8 initial VMs and one arrival a day, under a
+        // ceiling of 1000: a scale of 1e15 or f64::MAX passes the finite-and-positive test
+        // but not the products. Checked only; the stream is never built.
+        let base = ExperimentConfig::small_smoke_test();
+        assert!(base.request_fabric.is_none());
+        for scale in [1e15, f64::MAX] {
+            let mut fleet = FleetConfig::evaluation(base.clone(), 2);
+            fleet.arrival_scale = scale;
+            assert_eq!(
+                fleet.check().unwrap_err(),
+                ScenarioError::InvalidWorkload {
+                    field: "initial_occupancy × servers × arrival_scale",
+                    value: 8.0 * 0.9 * scale,
+                    min: 0.0,
+                    max: 1000.0,
+                }
+            );
+        }
+        // Daily arrivals at their ceiling pass at scale 1 and fail doubled.
+        let mut fleet = FleetConfig::evaluation(base, 2);
+        fleet.base.arrivals_per_day = Some(1000.0);
+        fleet.arrival_scale = 1.0;
+        fleet.check().expect("arrivals at the ceiling are valid");
+        fleet.arrival_scale = 2.0;
+        assert_eq!(
+            fleet.check().unwrap_err(),
+            ScenarioError::InvalidWorkload {
+                field: "arrivals_per_day × arrival_scale",
+                value: 2000.0,
+                min: 0.0,
+                max: 1000.0,
+            }
+        );
     }
 
     #[test]

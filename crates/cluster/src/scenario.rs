@@ -323,13 +323,17 @@ pub enum ScenarioError {
         /// The offending scale.
         scale: f64,
     },
-    /// A workload-shape field of the experiment is outside `[0, max]` (NaN included): a
-    /// fraction above one, a rate above its ceiling, or more endpoints than servers.
+    /// A workload-shape field of the experiment is outside `[min, max]` (NaN included): a
+    /// fraction above one, a rate above its ceiling, no endpoint or more endpoints than
+    /// servers, or (for a fleet) an arrival scale that multiplies the initial population
+    /// or the daily arrivals past the arrival ceiling.
     InvalidWorkload {
         /// The offending field, e.g. `initial_occupancy`.
         field: &'static str,
         /// The offending value.
         value: f64,
+        /// The field's floor.
+        min: f64,
         /// The field's ceiling.
         max: f64,
     },
@@ -412,8 +416,13 @@ impl fmt::Display for ScenarioError {
                 "request-fabric rate scale must be in [0, {}], got {scale}",
                 crate::experiment::RequestFabricConfig::MAX_RATE_SCALE
             ),
-            ScenarioError::InvalidWorkload { field, value, max } => {
-                write!(f, "{field} must be in [0, {max}], got {value}")
+            ScenarioError::InvalidWorkload {
+                field,
+                value,
+                min,
+                max,
+            } => {
+                write!(f, "{field} must be in [{min}, {max}], got {value}")
             }
             ScenarioError::InvalidLayout {
                 site: Some(site),
@@ -619,6 +628,8 @@ impl Scenario {
 
     /// Resolves the scenario into dense per-step vectors for one site. Pure (no RNG) and
     /// run once per simulator build; the per-step hot path only indexes the result.
+    /// `endpoint_count` sizes the per-endpoint demand columns: an event for an endpoint
+    /// outside them shapes nothing.
     #[must_use]
     pub fn resolve(
         &self,
@@ -629,7 +640,6 @@ impl Scenario {
     ) -> ResolvedTimeline {
         let step_minutes = step.as_minutes().max(1);
         let steps = step_count(duration, step_minutes);
-        let endpoint_count = endpoint_count.max(1);
         let mut timeline = ResolvedTimeline {
             step_minutes,
             temp_offset_c: vec![0.0; steps],

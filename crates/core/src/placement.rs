@@ -357,8 +357,9 @@ impl Slots {
 /// Every server has a static *position*: its rank in the order of estimated peak
 /// temperature at the load, ties broken by server id. The view keeps each row's servers
 /// in position order (a server's index in that list is its *row rank*) with their
-/// positions, the validator verdict of every [`Cell`], and two [`RankSet`]s over
-/// positions: the free servers and the candidates (free servers whose cell passes).
+/// positions, each server's slot in those lists (so an event finds its server in one
+/// read), the validator verdict of every [`Cell`], and two [`RankSet`]s over positions:
+/// the free servers and the candidates (free servers whose cell passes).
 #[derive(Debug, Clone, Default)]
 struct LoadView {
     /// Bits of the effective load and of the power and airflow safety fractions.
@@ -375,6 +376,8 @@ struct LoadView {
     row_servers: Slots,
     /// The position of each entry of `row_servers`.
     row_pos: Slots,
+    /// Each server's slot in `row_servers`, indexed by `ServerId::index`.
+    server_slot: Slots,
     /// The last SaaS temperature limit asked for (its order bits) and how many positions
     /// estimate at most that limit.
     allowed: Option<(u64, usize)>,
@@ -441,6 +444,8 @@ impl LoadView {
                 order_bits(temp)
             })
             .collect();
+        // The position key: temperature first, server id on ties, the order of a stable
+        // sort by temperature over servers listed in id order.
         let mut order: Vec<u32> = (0..servers as u32).collect();
         order.sort_unstable_by_key(|&server| (temp_bits[server as usize], server));
 
@@ -452,6 +457,7 @@ impl LoadView {
         self.free.clear(servers, row_words as usize);
         self.row_servers.reset(servers);
         self.row_pos.reset(servers);
+        self.server_slot.reset(servers);
         let mut next_slot = topology.row_start.clone();
         for (pos, &server) in order.iter().enumerate() {
             let c = &topology.servers[server as usize];
@@ -460,6 +466,7 @@ impl LoadView {
             next_slot[row] += 1;
             self.row_servers.set(slot, server as usize);
             self.row_pos.set(slot, pos);
+            self.server_slot.set(server as usize, slot);
             if planner.free[server as usize] {
                 let row_bit = topology.row_word_start[row] as usize * 64 + slot
                     - topology.row_start[row] as usize;
@@ -511,21 +518,14 @@ impl LoadView {
         }
     }
 
-    /// A server's slot in `row_servers` and its bit in the row bitmaps, by binary search of
-    /// its row on the order key.
+    /// A server's slot in `row_servers` and its bit in the row bitmaps.
     fn locate(&self, topology: &PlannerTopology, server: usize) -> (usize, usize) {
-        let key = |server: usize| order_key(self.peak_temp_c(topology, server), server);
-        let target = key(server);
+        let slot = self.server_slot.get(server);
+        debug_assert_eq!(self.row_servers.get(slot), server, "stale slot array");
         let row = topology.servers[server].row as usize;
-        let slots = topology.row_slots(row);
-        let start = slots.start;
-        let slot = self
-            .row_servers
-            .partition_point(slots, |other| key(other) < target);
-        debug_assert_eq!(self.row_servers.get(slot), server);
         (
             slot,
-            topology.row_word_start[row] as usize * 64 + slot - start,
+            topology.row_word_start[row] as usize * 64 + slot - topology.row_start[row] as usize,
         )
     }
 
@@ -584,6 +584,77 @@ impl LoadView {
     }
 }
 
+/// The balance-class index for one VM kind: the rows in descending order of the balance
+/// preference ([`balance_score`]) such a VM would score joining each, ties by row index.
+/// Rows with one balance value form a class, consecutive in the order. A
+/// [`ClusterState`] built with its layout keeps one per kind and moves a row whenever its
+/// IaaS/SaaS mix changes, so [`TapasPlacement::place_with`] can visit the rows best
+/// balance first and stop at the first class that can no longer win.
+#[derive(Debug, Clone)]
+pub(crate) struct BalanceOrder {
+    is_saas: bool,
+    /// [`balance_score`] of each row's mix for a VM of this kind.
+    balance: Vec<f64>,
+    /// The rows by `(balance descending, row ascending)`.
+    rows: Vec<u32>,
+}
+
+impl BalanceOrder {
+    /// The order of rows with the given `(iaas, saas)` mixes.
+    pub(crate) fn new(mixes: Vec<(usize, usize)>, is_saas: bool) -> Self {
+        let balance: Vec<f64> = mixes
+            .into_iter()
+            .map(|mix| balance_score(mix, is_saas))
+            .collect();
+        let mut rows: Vec<u32> = (0..balance.len() as u32).collect();
+        rows.sort_unstable_by_key(|&row| Self::key(&balance, row));
+        Self {
+            is_saas,
+            balance,
+            rows,
+        }
+    }
+
+    /// A row's sort key: descending balance, then ascending row.
+    fn key(balance: &[f64], row: u32) -> (u64, u32) {
+        (!order_bits(balance[row as usize]), row)
+    }
+
+    /// Moves `row` to its place for its new `(iaas, saas)` mix: two binary searches and a
+    /// rotation of the rows between its old and new place.
+    pub(crate) fn update(&mut self, row: usize, mix: (usize, usize)) {
+        let Self {
+            is_saas,
+            balance,
+            rows,
+        } = self;
+        let old = Self::key(balance, row as u32);
+        let from = rows.partition_point(|&other| Self::key(balance, other) < old);
+        debug_assert_eq!(rows[from] as usize, row);
+        balance[row] = balance_score(mix, *is_saas);
+        let new = Self::key(balance, row as u32);
+        // Both searches below skip the row itself, so they read only unchanged keys.
+        let key = |&other: &u32| Self::key(balance, other);
+        if new > old {
+            let to = from + 1 + rows[from + 1..].partition_point(|other| key(other) < new);
+            rows[from..to].rotate_left(1);
+        } else if new < old {
+            let to = rows[..from].partition_point(|other| key(other) < new);
+            rows[to..=from].rotate_right(1);
+        }
+    }
+
+    /// The rows, best balance first.
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The balance preference a VM of this kind scores in `row`.
+    pub(crate) fn balance(&self, row: usize) -> f64 {
+        self.balance[row]
+    }
+}
+
 /// Incrementally maintained placement aggregates and the placement index over them.
 ///
 /// The TAPAS validator compares each candidate row's/aisle's *predicted peak* power and
@@ -597,7 +668,8 @@ impl LoadView {
 /// [`TapasPlacement::place_with`]), keyed on the effective peak load and the policy's two
 /// safety fractions. A view is built by the first decision that needs it (O(S log S)), not
 /// here. [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`] keep every
-/// cached view current: they flip the server's free bit in each, re-evaluate the verdicts
+/// cached view current: they read the server's slot from each view's slot array, flip
+/// its free bit there (O(log S) for the prefix counts), re-evaluate the verdicts
 /// of the cells in the server's row and aisle, and move the free servers of a cell whose
 /// verdict flips in or out of the candidates. The cache holds 16 views, a fixed capacity;
 /// the least recently used one is evicted, and rebuilt exactly if it is needed again.
@@ -865,6 +937,7 @@ impl PlacementPlanner {
             let checks = [
                 ("row order", view.row_servers == fresh.row_servers),
                 ("positions", view.row_pos == fresh.row_pos),
+                ("slot array", view.server_slot == fresh.server_slot),
                 ("cell verdicts", view.pass == fresh.pass),
                 (
                     "candidate count",
@@ -890,12 +963,6 @@ fn order_bits(temp: f64) -> u64 {
     } else {
         bits | 1 << 63
     }
-}
-
-/// A server's position key in a view: temperature first, server id on ties. Its order is
-/// the order of a stable sort by temperature over servers listed in id order.
-fn order_key(temp: f64, server: usize) -> (u64, usize) {
-    (order_bits(temp), server)
 }
 
 /// Tuning parameters of the TAPAS placement policy.
@@ -1028,15 +1095,21 @@ impl TapasPlacement {
     ///   `thermal(tercile) + balance(row)` for every candidate it has in a tercile, so the
     ///   first one (the smallest key) stands for the rest. A row's first candidate is one
     ///   bit scan; a later tercile's is searched for (O(log row size)) only if its score
-    ///   could win, which for the default weights means SaaS VMs only; a row whose best
-    ///   possible score is below the best found so far is skipped;
+    ///   could win, which for the default weights means SaaS VMs only;
+    /// * the rows in the order of the state's balance-class index for the VM's kind, best
+    ///   balance first, stopping at the first row whose best possible score
+    ///   (`max thermal + balance`) is below the best found: every later row's is too. The
+    ///   choice (highest score, then smallest position) does not depend on the visit
+    ///   order, the stop is strict so no tie is lost, and the coolest-candidate fallback
+    ///   is read only when no row scored, when nothing stopped the scan. A state built
+    ///   without its layout has no index, and each call sorts the rows' scanned mixes;
     /// * the SaaS rule against predicted violations as a cap on positions (how many
     ///   positions estimate at most the limit, counted once per view and limit); the
     ///   validator-rejects-all fallback as the same query over the free servers; the
     ///   coolest-candidate fallback as the smallest first position over the rows.
     ///
-    /// That is O(log S + rows) per call, plus a view build (O(S log S)) the first time a
-    /// load is seen.
+    /// That is O(log S + rows visited) per call, plus a view build (O(S log S)) the first
+    /// time a load is seen.
     ///
     /// The result is pinned to [`TapasPlacement::place_with_reference`]: the same server on
     /// every call. The contract that makes this exact is the candidate order, temperature
@@ -1111,17 +1184,32 @@ impl TapasPlacement {
             [0, 1, 2].map(|tercile| self.config.thermal_weight * thermal_score(tercile, is_saas));
         let thermal_max = thermal.into_iter().fold(f64::NEG_INFINITY, f64::max);
 
+        // Preference 2 per row: improve the IaaS/SaaS balance of the row. The rows come
+        // best balance first, so once a row's best possible score is below the best found,
+        // so is every later row's. (With a negative weight the bound only grows along the
+        // order and the scan never stops early.)
+        let scanned;
+        let order = match state.balance_order(is_saas) {
+            Some(order) => order,
+            None => {
+                let mixes = (0..layout.rows().len())
+                    .map(|row| state.row_mix(layout, RowId::new(row)))
+                    .collect();
+                scanned = BalanceOrder::new(mixes, is_saas);
+                &scanned
+            }
+        };
+
         // The best (score, position, slot): the highest score, the smallest position on
         // ties.
         let mut best: Option<(f64, usize, usize)> = None;
         // The (position, slot) of the coolest member.
         let mut coolest: Option<(usize, usize)> = None;
-        for row in 0..layout.rows().len() {
-            // Preference 2 per row: improve the IaaS/SaaS balance of the row.
-            let balance = self.config.balance_weight
-                * balance_score(state.row_mix(layout, RowId::new(row)), is_saas);
+        for &row in order.rows() {
+            let row = row as usize;
+            let balance = self.config.balance_weight * order.balance(row);
             if best.is_some_and(|(score, ..)| thermal_max + balance < score) {
-                continue;
+                break;
             }
             let words = &set.row_bits[topology.row_words(row)];
             let slots = topology.row_slots(row);
@@ -1165,7 +1253,7 @@ impl TapasPlacement {
             }
         }
         // Every candidate predicted a thermal violation for a SaaS VM: pick the coolest
-        // (no row was skipped for its score, as nothing had scored).
+        // (the scan stopped at no row, as nothing had scored).
         let slot = best
             .map(|(_, _, slot)| slot)
             .or(coolest.map(|(_, slot)| slot));
@@ -1386,7 +1474,7 @@ mod tests {
             1e-300,
         ];
         let mut by_key: Vec<usize> = (0..temps.len()).collect();
-        by_key.sort_by_key(|&i| order_key(temps[i], i));
+        by_key.sort_by_key(|&i| (order_bits(temps[i]), i));
         let mut stable: Vec<usize> = (0..temps.len()).collect();
         stable.sort_by(|&a, &b| temps[a].partial_cmp(&temps[b]).unwrap());
         assert_eq!(by_key, stable);
@@ -1431,6 +1519,35 @@ mod tests {
                 let expected = members.range(from..130).next().copied();
                 let words = &set.row_bits[row_words[0]..row_words[1]];
                 assert_eq!(first_set_from(words, from), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn balance_order_moves_rows_like_a_fresh_sort() {
+        let mut rng = simkit::rng::SimRng::seed_from(0xBA1);
+        for is_saas in [false, true] {
+            let mut mixes = vec![(0, 0); 37];
+            let mut order = BalanceOrder::new(mixes.clone(), is_saas);
+            for step in 0..3000 {
+                let row = rng.uniform_usize(0, mixes.len());
+                let (iaas, saas) = &mut mixes[row];
+                let count = if rng.chance(0.5) { iaas } else { saas };
+                // Mostly joins, so rows fill and pass through many balance classes.
+                if *count > 0 && rng.chance(0.4) {
+                    *count -= 1;
+                } else {
+                    *count += 1;
+                }
+                order.update(row, mixes[row]);
+                let fresh = BalanceOrder::new(mixes.clone(), is_saas);
+                assert_eq!(order.rows(), fresh.rows(), "step {step}");
+                let bits = |order: &BalanceOrder| {
+                    (0..mixes.len())
+                        .map(|row| order.balance(row).to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&order), bits(&fresh), "step {step}");
             }
         }
     }

@@ -14,15 +14,17 @@
 //! occupancy and IaaS/SaaS mixes, states with and without the topology cache, temperature
 //! ties (servers sharing one cloned profile, so the server-id tie-break decides), the last
 //! few free servers (tercile edges at n = 1..4), both fallbacks, SaaS estimates exactly at
-//! the thermal limit, predicted peaks outside `[0, 1]`, one planner shared by policies
-//! with different safety fractions and weights, loads repeated (views reused) and more
-//! distinct loads than the view cache holds (views evicted and rebuilt).
+//! the thermal limit, predicted peaks outside `[0, 1]`, negative balance weights, one
+//! planner shared by policies with different safety fractions and weights, loads repeated
+//! (views reused) and more distinct loads than the view cache holds (views evicted and
+//! rebuilt).
 
 use cluster_sim::experiment::ExperimentConfig;
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::ServerId;
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
 use llm_sim::hardware::GpuHardware;
+use simkit::regression::LinearModel;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
 use simkit::units::Celsius;
@@ -128,6 +130,10 @@ fn random_policy(rng: &mut SimRng) -> TapasPlacement {
         config.airflow_safety_fraction = rng.uniform(0.3, 1.05);
         config.thermal_weight = rng.uniform(0.0, 2.0);
         config.balance_weight = rng.uniform(0.0, 2.0);
+        if rng.chance(0.3) {
+            // A negative balance weight prefers one-sided rows.
+            config.balance_weight = -config.balance_weight;
+        }
     }
     if rng.chance(0.1) {
         // A validator that rejects every server: both paths fall back to every free server.
@@ -408,6 +414,70 @@ fn shared_planner_and_view_cache_match_reference() {
             &layout,
             &profiles,
             &format!("call {call}"),
+        );
+    }
+}
+
+/// Profiles whose rows change their temperature order with the load (each server's
+/// per-GPU power coefficient scaled by 0.5 to 1.5, its intercept moved so the estimates
+/// agree at 200 W), placed through a cycle of more distinct loads than the view cache
+/// holds: from the 17th call on, every call rebuilds the least recently used view (the
+/// load of 16 calls before) for a new load that orders some row differently. A rebuild
+/// that kept any of the evicted view's arrays (its slot array included) fails the audit.
+#[test]
+fn views_rebuilt_over_evicted_ones_match_reference() {
+    let layout = LayoutConfig::real_cluster_two_rows().build();
+    let mut profiles = profile(&layout, 21);
+    for (i, server) in profiles.servers.iter_mut().enumerate() {
+        let model = &server.worst_gpu_temp;
+        let &[inlet, power] = model.coefficients() else {
+            panic!("the worst-GPU model takes [inlet, power]");
+        };
+        let scaled = power * (0.5 + 0.25 * (i % 5) as f64);
+        let intercept = model.intercept() + (power - scaled) * 200.0;
+        server.worst_gpu_temp = LinearModel::from_coefficients(intercept, vec![inlet, scaled]);
+    }
+    let policy = TapasPlacement::default();
+    let cycle: Vec<f64> = (0..20).map(|i| 0.05 * f64::from(i)).collect();
+    // Each row's servers in (temperature, id) order at a load.
+    let row_orders = |load: f64| -> Vec<Vec<ServerId>> {
+        layout
+            .rows()
+            .iter()
+            .map(|row| {
+                let mut servers = row.servers.clone();
+                servers.sort_by(|&a, &b| {
+                    let estimate = |s| policy.thermal_estimate(&profiles, s, load).value();
+                    estimate(a).total_cmp(&estimate(b)).then(a.cmp(&b))
+                });
+                servers
+            })
+            .collect()
+    };
+    let evicted = |k: usize| cycle[(k + cycle.len() - 16) % cycle.len()];
+    let reordered = (0..cycle.len())
+        .filter(|&k| row_orders(cycle[k]) != row_orders(evicted(k)))
+        .count();
+    assert_eq!(reordered, cycle.len(), "every rebuild reorders a row");
+    let mut state = ClusterState::with_layout(&layout);
+    let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
+    for (call, &load) in cycle.iter().cycle().take(60).enumerate() {
+        let request = PlacementRequest {
+            vm: vm(call as u64, call % 3 == 0),
+            predicted_peak_load: load,
+        };
+        let fast = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
+        let reference = policy.place_with_reference(&request, &state, &layout, &profiles, &planner);
+        assert_eq!(fast, reference, "call {call}, load {load}");
+        let server = fast.unwrap();
+        state.place(request.vm, server, load, None).unwrap();
+        planner.on_place(server, load, &profiles);
+        audit(
+            &planner,
+            &state,
+            &layout,
+            &profiles,
+            &format!("call {call}, load {load}"),
         );
     }
 }
