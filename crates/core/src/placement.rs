@@ -9,7 +9,7 @@
 //! power/airflow domains. The Baseline allocator is thermal- and power-oblivious: it packs
 //! VMs onto the lowest-numbered free server ([`ClusterState::first_free`]).
 
-use crate::profiles::{ProfileStore, ServerProfile};
+use crate::profiles::{GpuTempModel, ProfileStore, ServerProfile};
 use crate::state::ClusterState;
 use dc_sim::ids::{AisleId, RowId, ServerId};
 use dc_sim::topology::Layout;
@@ -68,22 +68,16 @@ struct ServerConstants {
     class: u32,
     /// Index of the server's validator cell in `PlannerTopology::cells`.
     cell: u32,
-    /// Intercept of the fitted worst-GPU temperature model (Eq. 2).
-    temp_intercept: f64,
-    /// The model's inlet term at the design conditions: inlet coefficient × design inlet.
+    /// The fitted worst-GPU temperature model (Eq. 2).
+    temp: GpuTempModel,
+    /// Its inlet term at the design conditions' predicted inlet.
     temp_inlet_term: f64,
-    /// The model's per-GPU power coefficient.
-    temp_power_coeff: f64,
 }
 
 impl ServerConstants {
-    /// [`TapasPlacement::thermal_estimate`] for the class's per-GPU power `gpu_share_w`,
-    /// in the same operation order (`LinearModel::predict`'s `intercept + Σ`).
+    /// [`TapasPlacement::thermal_estimate`] for the class's per-GPU power `gpu_share_w`.
     fn peak_temp_c(&self, gpu_share_w: f64) -> f64 {
-        self.temp_intercept
-            + [self.temp_inlet_term, self.temp_power_coeff * gpu_share_w]
-                .into_iter()
-                .sum::<f64>()
+        self.temp.predict(self.temp_inlet_term, gpu_share_w)
     }
 }
 
@@ -135,7 +129,7 @@ fn class_signature(profile: &ServerProfile) -> impl Iterator<Item = u64> + '_ {
         spec.gpu_max_power.value(),
     ]
     .into_iter()
-    .chain(profile.power_curve.coefficients().iter().copied())
+    .chain(profile.power_curve.coefficients)
     .map(f64::to_bits)
 }
 
@@ -768,9 +762,6 @@ impl PlacementPlanner {
                         id
                     }
                 };
-                let &[inlet_coeff, power_coeff] = profile.worst_gpu_temp.coefficients() else {
-                    panic!("the worst-GPU temperature model takes [inlet °C, per-GPU power W]");
-                };
                 let design_inlet = profile
                     .predicted_inlet(design.design_outside_temp, design.design_dc_load)
                     .value();
@@ -779,9 +770,8 @@ impl PlacementPlanner {
                     aisle,
                     class,
                     cell,
-                    temp_intercept: profile.worst_gpu_temp.intercept(),
-                    temp_inlet_term: inlet_coeff * design_inlet,
-                    temp_power_coeff: power_coeff,
+                    temp: profile.worst_gpu_temp,
+                    temp_inlet_term: profile.worst_gpu_temp.inlet_term(design_inlet),
                 }
             })
             .collect();
@@ -1570,9 +1560,7 @@ mod tests {
     #[should_panic(expected = "non-finite estimated peak temperature")]
     fn a_non_finite_profile_is_named_when_its_view_is_built() {
         let (layout, mut profiles) = setup();
-        let coefficients = profiles.servers[7].worst_gpu_temp.coefficients().to_vec();
-        profiles.servers[7].worst_gpu_temp =
-            simkit::regression::LinearModel::from_coefficients(f64::NAN, coefficients);
+        profiles.servers[7].worst_gpu_temp.intercept = f64::NAN;
         let state = ClusterState::new(layout.server_count());
         let mut planner = planner_for(&state, &layout, &profiles);
         let _ = TapasPlacement::default().place_with(

@@ -18,7 +18,7 @@ use crate::configurator::SelectionIndex;
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::{AisleId, GpuId, RowId, ServerId};
 use dc_sim::index::OrdinalMap;
-use dc_sim::topology::ServerSpec;
+use dc_sim::topology::{Server, ServerSpec};
 use llm_sim::config::{FrequencyScale, InstanceConfig, TensorParallelism};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::model::{ModelSize, Quantization};
@@ -29,12 +29,113 @@ use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The breakpoints (°C outside) of the inlet model offline profiling fits (Eq. 1): three
-/// degree-1 segments, the one shape [`ServerProfile::check`] accepts.
+/// The breakpoints (°C outside) every fitted inlet model (Eq. 1) is segmented at: its
+/// three degree-1 segments cover `[b₀, b₁)`, `[b₁, b₂)` and `[b₂, b₃]`.
 pub const INLET_BREAKPOINTS_C: [f64; 4] = [-10.0, 15.0, 25.0, 45.0];
 
+/// The fitted inlet model (Eq. 1): inlet °C vs outside °C at a reference (50 %)
+/// datacenter load, one degree-1 polynomial per segment of [`INLET_BREAKPOINTS_C`], plus a
+/// linear datacenter-load term.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InletModel {
+    /// Per segment, `[c₀, c₁]`: inlet °C = c₀ + c₁ × outside °C.
+    pub segments: [[f64; 2]; 3],
+    /// Additional inlet °C per unit of datacenter load (0→1).
+    pub load_sensitivity_c: f64,
+}
+
+impl InletModel {
+    /// Predicted inlet °C at an outside temperature and a datacenter load. The outside
+    /// temperature is clamped to `[b₀, b₃]`, so the model never extrapolates past the range
+    /// it was fitted on (a NaN fails every comparison and takes the last segment); the
+    /// segment is evaluated by Horner's rule from `0.0`, then
+    /// `(clamp(load, 0, 1) − 0.5) × sensitivity` is added.
+    #[must_use]
+    #[inline]
+    pub fn predict(&self, outside_c: f64, dc_load: f64) -> f64 {
+        let [b0, b1, b2, b3] = INLET_BREAKPOINTS_C;
+        let x = outside_c.clamp(b0, b3);
+        let segment = if x < b1 {
+            0
+        } else if x < b2 {
+            1
+        } else {
+            2
+        };
+        let at_reference = horner(&self.segments[segment], x);
+        let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.load_sensitivity_c;
+        at_reference + load_delta
+    }
+}
+
+/// The fitted worst-GPU temperature model (Eq. 2):
+/// °C = intercept + inlet coefficient × inlet °C + power coefficient × per-GPU W.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GpuTempModel {
+    /// The intercept (°C).
+    pub intercept: f64,
+    /// °C per inlet °C.
+    pub inlet_coeff: f64,
+    /// °C per W of per-GPU power.
+    pub power_coeff: f64,
+}
+
+impl GpuTempModel {
+    /// The inlet term, inlet coefficient × `inlet_c`: a caller at a fixed inlet forms it
+    /// once for many predictions.
+    #[must_use]
+    #[inline]
+    pub fn inlet_term(&self, inlet_c: f64) -> f64 {
+        self.inlet_coeff * inlet_c
+    }
+
+    /// Predicted worst-GPU °C at an [`Self::inlet_term`] and a per-GPU power:
+    /// `intercept + [inlet term, power coefficient × power].sum()`.
+    #[must_use]
+    #[inline]
+    pub fn predict(&self, inlet_term: f64, gpu_power_w: f64) -> f64 {
+        self.intercept
+            + [inlet_term, self.power_coeff * gpu_power_w]
+                .iter()
+                .sum::<f64>()
+    }
+
+    /// The per-GPU power (W) at which [`Self::predict`] reaches `limit_c` at an
+    /// [`Self::inlet_term`], floored at zero.
+    #[must_use]
+    #[inline]
+    pub fn power_budget_w(&self, inlet_term: f64, limit_c: f64) -> f64 {
+        let base = self.intercept + inlet_term;
+        ((limit_c - base) / self.power_coeff.max(1e-6)).max(0.0)
+    }
+}
+
+/// The fitted server power curve (Eq. 4): server kW vs mean GPU load, of degree 2.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerCurve {
+    /// `[c₀, c₁, c₂]`, ascending degree.
+    pub coefficients: [f64; 3],
+}
+
+impl PowerCurve {
+    /// Predicted server kW at a mean GPU load: the load clamped to `[0, 1]`, the curve
+    /// evaluated by Horner's rule from `0.0`, the result clamped to `[0, max_power_kw]`.
+    #[must_use]
+    #[inline]
+    pub fn predict(&self, load: f64, max_power_kw: f64) -> f64 {
+        let load = load.clamp(0.0, 1.0);
+        horner(&self.coefficients, load).clamp(0.0, max_power_kw)
+    }
+}
+
+/// A polynomial in ascending-degree `coefficients` at `x`, by Horner's rule from `0.0`.
+#[inline]
+fn horner(coefficients: &[f64], x: f64) -> f64 {
+    coefficients.iter().rev().fold(0.0, |acc, &c| acc * x + c)
+}
+
 /// Per-server fitted thermal and power models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerProfile {
     /// The server this profile describes.
     pub server: ServerId,
@@ -44,54 +145,41 @@ pub struct ServerProfile {
     pub aisle: AisleId,
     /// Hardware specification (public knowledge from the SKU).
     pub spec: ServerSpec,
-    /// Fitted inlet temperature vs outside temperature at a reference (50 %) datacenter load.
-    pub inlet_vs_outside: PiecewisePolynomial,
-    /// Additional inlet °C per unit of datacenter load (0→1).
-    pub inlet_load_sensitivity_c: f64,
-    /// Fitted worst-GPU temperature vs `[inlet °C, per-GPU power W]` (Eq. 2).
-    pub worst_gpu_temp: LinearModel,
-    /// Fitted server power (kW) vs mean GPU load.
-    pub power_curve: Polynomial,
+    /// Fitted inlet temperature vs outside temperature and datacenter load (Eq. 1).
+    pub inlet_vs_outside: InletModel,
+    /// Fitted worst-GPU temperature vs inlet °C and per-GPU power W (Eq. 2).
+    pub worst_gpu_temp: GpuTempModel,
+    /// Fitted server power (kW) vs mean GPU load (Eq. 4).
+    pub power_curve: PowerCurve,
 }
 
 impl ServerProfile {
     /// Predicted inlet temperature at an outside temperature and datacenter load.
     #[must_use]
     pub fn predicted_inlet(&self, outside: Celsius, dc_load: f64) -> Celsius {
-        let at_reference = self.inlet_vs_outside.evaluate(outside.value());
-        let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.inlet_load_sensitivity_c;
-        Celsius::new(at_reference + load_delta)
+        Celsius::new(self.inlet_vs_outside.predict(outside.value(), dc_load))
     }
 
     /// Predicted temperature of the hottest GPU at a given inlet temperature and per-GPU
     /// power.
     #[must_use]
     pub fn predicted_worst_gpu_temp(&self, inlet: Celsius, gpu_power: Watts) -> Celsius {
-        Celsius::new(
-            self.worst_gpu_temp
-                .predict(&[inlet.value(), gpu_power.value()]),
-        )
+        let model = &self.worst_gpu_temp;
+        Celsius::new(model.predict(model.inlet_term(inlet.value()), gpu_power.value()))
     }
 
     /// The per-GPU power budget that keeps the hottest GPU at or below `limit` for a given
     /// inlet temperature (the inverse of the fitted Eq. 2).
     #[must_use]
     pub fn gpu_power_budget(&self, inlet: Celsius, limit: Celsius) -> Watts {
-        let coeffs = self.worst_gpu_temp.coefficients();
-        let power_coeff = coeffs.get(1).copied().unwrap_or(0.1).max(1e-6);
-        let base = self.worst_gpu_temp.intercept() + coeffs[0] * inlet.value();
-        Watts::new(((limit.value() - base) / power_coeff).max(0.0))
+        let model = &self.worst_gpu_temp;
+        Watts::new(model.power_budget_w(model.inlet_term(inlet.value()), limit.value()))
     }
 
     /// Predicted server power at a mean GPU load in `[0, 1]`.
     #[must_use]
     pub fn predicted_power(&self, load: f64) -> Kilowatts {
-        let load = load.clamp(0.0, 1.0);
-        Kilowatts::new(
-            self.power_curve
-                .evaluate(load)
-                .clamp(0.0, self.spec.max_power.value()),
-        )
+        Kilowatts::new(self.power_curve.predict(load, self.spec.max_power.value()))
     }
 
     /// Predicted server airflow at a mean GPU load (linear between the SKU's idle and maximum
@@ -102,72 +190,43 @@ impl ServerProfile {
         self.spec.idle_airflow + (self.spec.max_airflow - self.spec.idle_airflow) * load
     }
 
-    /// Checks that every fitted value is finite, that the inlet model is three segments of
-    /// degree 1, that the worst-GPU temperature model takes the two features of Eq. 2 and
-    /// that the power curve is of degree 2 (the shapes the router's risk rows hold inline).
+    /// Checks that every fitted value is finite.
     ///
     /// # Errors
-    /// Returns the first problem found, naming this server and the model.
+    /// Returns the first non-finite value found, naming this server and the model.
     pub fn check(&self) -> Result<(), ProfileError> {
         let server = self.server;
         let inlet = &self.inlet_vs_outside;
-        let inlet_values = inlet.breakpoints().iter().chain(
-            inlet
-                .segments()
-                .iter()
-                .flat_map(|segment| segment.coefficients()),
-        );
         let gpu = &self.worst_gpu_temp;
-        let intercept = gpu.intercept();
-        let gpu_values = std::iter::once(&intercept).chain(gpu.coefficients());
-        non_finite(server, ProfileModel::InletVsOutside, inlet_values)?;
-        let segments = inlet.segments().len();
-        let degree = inlet
-            .segments()
-            .iter()
-            .map(Polynomial::degree)
-            .find(|&degree| degree != 1)
-            .unwrap_or(1);
-        if segments != INLET_BREAKPOINTS_C.len() - 1 || degree != 1 {
-            return Err(ProfileError::InletShape {
-                server,
-                segments,
-                degree,
-            });
-        }
+        non_finite(
+            server,
+            ProfileModel::InletVsOutside,
+            inlet.segments.as_flattened(),
+        )?;
         non_finite(
             server,
             ProfileModel::InletLoadSensitivity,
-            [&self.inlet_load_sensitivity_c],
+            [&inlet.load_sensitivity_c],
         )?;
-        non_finite(server, ProfileModel::WorstGpuTemp, gpu_values)?;
-        if gpu.coefficients().len() != 2 {
-            return Err(ProfileError::GpuModelFeatures {
-                server,
-                features: gpu.coefficients().len(),
-            });
-        }
+        non_finite(
+            server,
+            ProfileModel::WorstGpuTemp,
+            [&gpu.intercept, &gpu.inlet_coeff, &gpu.power_coeff],
+        )?;
         non_finite(
             server,
             ProfileModel::PowerCurve,
-            self.power_curve.coefficients(),
-        )?;
-        if self.power_curve.degree() != 2 {
-            return Err(ProfileError::PowerCurveDegree {
-                server,
-                degree: self.power_curve.degree(),
-            });
-        }
-        Ok(())
+            &self.power_curve.coefficients,
+        )
     }
 }
 
 /// The fitted model of a [`ServerProfile`] a [`ProfileError`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileModel {
-    /// `inlet_vs_outside` (Eq. 1): a breakpoint or a segment coefficient.
+    /// `inlet_vs_outside` (Eq. 1): a segment coefficient.
     InletVsOutside,
-    /// `inlet_load_sensitivity_c`.
+    /// `inlet_vs_outside.load_sensitivity_c`.
     InletLoadSensitivity,
     /// `worst_gpu_temp` (Eq. 2): the intercept or a coefficient.
     WorstGpuTemp,
@@ -180,7 +239,7 @@ impl ProfileModel {
     fn name(self) -> &'static str {
         match self {
             ProfileModel::InletVsOutside => "inlet_vs_outside",
-            ProfileModel::InletLoadSensitivity => "inlet_load_sensitivity_c",
+            ProfileModel::InletLoadSensitivity => "inlet_vs_outside.load_sensitivity_c",
             ProfileModel::WorstGpuTemp => "worst_gpu_temp",
             ProfileModel::PowerCurve => "power_curve",
         }
@@ -199,30 +258,6 @@ pub enum ProfileError {
         /// The first non-finite value found.
         value: f64,
     },
-    /// The inlet model (Eq. 1) is not the three degree-1 segments offline profiling fits.
-    InletShape {
-        /// The profiled server.
-        server: ServerId,
-        /// The model's segment count.
-        segments: usize,
-        /// The degree of its first segment not of degree 1 (1 when every segment is).
-        degree: usize,
-    },
-    /// The worst-GPU temperature model does not take the two features
-    /// `[inlet °C, per-GPU power W]` of Eq. 2.
-    GpuModelFeatures {
-        /// The profiled server.
-        server: ServerId,
-        /// The model's feature count.
-        features: usize,
-    },
-    /// The power curve (Eq. 4) is not the degree-2 polynomial offline profiling fits.
-    PowerCurveDegree {
-        /// The profiled server.
-        server: ServerId,
-        /// The curve's degree.
-        degree: usize,
-    },
 }
 
 impl std::fmt::Display for ProfileError {
@@ -236,24 +271,6 @@ impl std::fmt::Display for ProfileError {
                 f,
                 "server {server}: its fitted {} model holds a non-finite value ({value})",
                 model.name()
-            ),
-            ProfileError::InletShape {
-                server,
-                segments,
-                degree,
-            } => write!(
-                f,
-                "server {server}: its inlet_vs_outside model is {segments} segments (one of \
-                 degree {degree}), not 3 segments of degree 1"
-            ),
-            ProfileError::GpuModelFeatures { server, features } => write!(
-                f,
-                "server {server}: its worst_gpu_temp model takes {features} features, not \
-                 [inlet °C, per-GPU power W]"
-            ),
-            ProfileError::PowerCurveDegree { server, degree } => write!(
-                f,
-                "server {server}: its power_curve model is of degree {degree}, not 2"
             ),
         }
     }
@@ -423,20 +440,8 @@ impl ProfileStore {
         let layout = dc.layout();
         let mut servers = Vec::with_capacity(layout.server_count());
         for server in layout.servers() {
-            // Eq. 1: inlet vs outside at 50 % datacenter load.
-            let inlet_samples: Vec<(f64, f64)> = (-10..=45)
-                .map(|t| {
-                    let outside = Celsius::new(f64::from(t));
-                    (
-                        f64::from(t),
-                        dc.inlet_model()
-                            .inlet_temp(server.id, outside, 0.5, 0.0)
-                            .value(),
-                    )
-                })
-                .collect();
-            let inlet_vs_outside =
-                PiecewisePolynomial::fit(&inlet_samples, &INLET_BREAKPOINTS_C, 1)
+            let inlet =
+                PiecewisePolynomial::fit(&inlet_samples(dc, server), &INLET_BREAKPOINTS_C, 1)
                     .expect("inlet profiling fit");
             let low = dc
                 .inlet_model()
@@ -446,51 +451,27 @@ impl ProfileStore {
                 .inlet_model()
                 .inlet_temp(server.id, Celsius::new(22.0), 1.0, 0.0)
                 .value();
-            let inlet_load_sensitivity_c = high - low;
-
-            // Eq. 2: worst-GPU temperature vs inlet and per-GPU power.
-            let mut gpu_samples = Vec::new();
-            for inlet in [16.0, 20.0, 24.0, 28.0, 32.0, 36.0] {
-                for power in [60.0, 150.0, 250.0, 350.0, 450.0, 600.0] {
-                    let worst = (0..server.spec.gpus_per_server)
-                        .map(|slot| {
-                            dc.gpu_model()
-                                .temperatures(
-                                    GpuId::new(server.id, slot),
-                                    Celsius::new(inlet),
-                                    Watts::new(power),
-                                    0.5,
-                                )
-                                .gpu
-                                .value()
-                        })
-                        .fold(f64::MIN, f64::max);
-                    gpu_samples.push((vec![inlet, power], worst));
-                }
-            }
-            let worst_gpu_temp = LinearModel::fit(&gpu_samples).expect("gpu profiling fit");
-
-            // Eq. 4: server power vs load.
-            let power_samples: Vec<(f64, f64)> = (0..=10)
-                .map(|i| {
-                    let load = f64::from(i) / 10.0;
-                    (
-                        load,
-                        dc.power_model().server_power(&server.spec, load).value(),
-                    )
-                })
-                .collect();
-            let power_curve = Polynomial::fit(&power_samples, 2).expect("power profiling fit");
-
+            let gpu = LinearModel::fit(&gpu_samples(dc, server)).expect("gpu profiling fit");
+            let [inlet_coeff, power_coeff] = fitted(gpu.coefficients());
+            let power =
+                Polynomial::fit(&power_samples(dc, server), 2).expect("power profiling fit");
             servers.push(ServerProfile {
                 server: server.id,
                 row: server.row,
                 aisle: server.aisle,
                 spec: server.spec,
-                inlet_vs_outside,
-                inlet_load_sensitivity_c,
-                worst_gpu_temp,
-                power_curve,
+                inlet_vs_outside: InletModel {
+                    segments: std::array::from_fn(|i| fitted(inlet.segments()[i].coefficients())),
+                    load_sensitivity_c: high - low,
+                },
+                worst_gpu_temp: GpuTempModel {
+                    intercept: gpu.intercept(),
+                    inlet_coeff,
+                    power_coeff,
+                },
+                power_curve: PowerCurve {
+                    coefficients: fitted(power.coefficients()),
+                },
             });
         }
 
@@ -636,6 +617,70 @@ impl ProfileStore {
     }
 }
 
+/// Eq. 1's profiling samples: `(outside °C, inlet °C)` at 50 % datacenter load, every
+/// degree from −10 to 45 °C.
+fn inlet_samples(dc: &Datacenter, server: &Server) -> Vec<(f64, f64)> {
+    (-10..=45)
+        .map(|t| {
+            let outside = Celsius::new(f64::from(t));
+            (
+                f64::from(t),
+                dc.inlet_model()
+                    .inlet_temp(server.id, outside, 0.5, 0.0)
+                    .value(),
+            )
+        })
+        .collect()
+}
+
+/// Eq. 2's profiling samples: `([inlet °C, per-GPU W], worst-GPU °C)` on a grid of six
+/// inlet temperatures and six powers.
+fn gpu_samples(dc: &Datacenter, server: &Server) -> Vec<(Vec<f64>, f64)> {
+    let mut samples = Vec::new();
+    for inlet in [16.0, 20.0, 24.0, 28.0, 32.0, 36.0] {
+        for power in [60.0, 150.0, 250.0, 350.0, 450.0, 600.0] {
+            let worst = (0..server.spec.gpus_per_server)
+                .map(|slot| {
+                    dc.gpu_model()
+                        .temperatures(
+                            GpuId::new(server.id, slot),
+                            Celsius::new(inlet),
+                            Watts::new(power),
+                            0.5,
+                        )
+                        .gpu
+                        .value()
+                })
+                .fold(f64::MIN, f64::max);
+            samples.push((vec![inlet, power], worst));
+        }
+    }
+    samples
+}
+
+/// Eq. 4's profiling samples: `(mean GPU load, server kW)` at loads 0, 0.1, …, 1.
+fn power_samples(dc: &Datacenter, server: &Server) -> Vec<(f64, f64)> {
+    (0..=10)
+        .map(|i| {
+            let load = f64::from(i) / 10.0;
+            (
+                load,
+                dc.power_model().server_power(&server.spec, load).value(),
+            )
+        })
+        .collect()
+}
+
+/// Fitted coefficients in the shape profiling fits them in.
+///
+/// # Panics
+/// Panics if the fit returned another number of coefficients.
+fn fitted<const N: usize>(coefficients: &[f64]) -> [f64; N] {
+    coefficients
+        .try_into()
+        .expect("profiling fits each model in its stored shape")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,104 +694,79 @@ mod tests {
 
     #[test]
     fn check_names_the_server_and_model_of_a_non_finite_coefficient() {
-        let (_, mut corrupt) = store();
-        assert_eq!(corrupt.check(), Ok(()));
-        let coefficients = corrupt.servers[7].worst_gpu_temp.coefficients().to_vec();
-        corrupt.servers[7].worst_gpu_temp = LinearModel::from_coefficients(f64::NAN, coefficients);
-        let error = corrupt
-            .check()
-            .expect_err("a NaN intercept fails the check");
-        assert!(matches!(
-            error,
-            ProfileError::NonFinite { server, model: ProfileModel::WorstGpuTemp, value }
-                if server == ServerId::new(7) && value.is_nan()
-        ));
-        assert!(error.to_string().contains("worst_gpu_temp"), "{error}");
-
-        let (_, mut corrupt) = store();
-        corrupt.servers[3].power_curve = Polynomial::from_coefficients(vec![1.0, f64::INFINITY]);
-        corrupt.servers[5].inlet_load_sensitivity_c = f64::NAN;
-        assert_eq!(
-            corrupt.check(),
-            Err(ProfileError::NonFinite {
-                server: ServerId::new(3),
-                model: ProfileModel::PowerCurve,
-                value: f64::INFINITY,
+        let (_, store) = store();
+        assert_eq!(store.check(), Ok(()));
+        type Corrupt = fn(&mut ServerProfile, f64);
+        let cases: [(ProfileModel, Corrupt); 6] = [
+            (ProfileModel::InletVsOutside, |p, v| {
+                p.inlet_vs_outside.segments[1][0] = v;
             }),
-            "the first server in order is reported"
-        );
-
-        let (_, mut corrupt) = store();
-        corrupt.servers[2].worst_gpu_temp = LinearModel::from_coefficients(40.0, vec![1.0]);
-        assert_eq!(
-            corrupt.check(),
-            Err(ProfileError::GpuModelFeatures {
-                server: ServerId::new(2),
-                features: 1
-            })
-        );
-
-        let (_, mut corrupt) = store();
-        corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0]);
-        let error = corrupt
-            .check()
-            .expect_err("a linear power curve fails the check");
-        assert_eq!(
-            error,
-            ProfileError::PowerCurveDegree {
-                server: ServerId::new(4),
-                degree: 1
+            (ProfileModel::InletLoadSensitivity, |p, v| {
+                p.inlet_vs_outside.load_sensitivity_c = v;
+            }),
+            (ProfileModel::WorstGpuTemp, |p, v| {
+                p.worst_gpu_temp.intercept = v
+            }),
+            (ProfileModel::WorstGpuTemp, |p, v| {
+                p.worst_gpu_temp.inlet_coeff = v
+            }),
+            (ProfileModel::WorstGpuTemp, |p, v| {
+                p.worst_gpu_temp.power_coeff = v
+            }),
+            (ProfileModel::PowerCurve, |p, v| {
+                p.power_curve.coefficients[2] = v
+            }),
+        ];
+        for (model, corrupt) in cases {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = store.clone();
+                corrupt(&mut bad.servers[5], value);
+                // A later server's problem is not the one reported.
+                bad.servers[7].inlet_vs_outside.load_sensitivity_c = f64::NAN;
+                let error = bad.check().expect_err("a non-finite value fails the check");
+                let ProfileError::NonFinite {
+                    server,
+                    model: named,
+                    value: found,
+                } = error;
+                assert_eq!((server, named), (ServerId::new(5), model));
+                assert_eq!(found.to_bits(), value.to_bits());
+                assert!(error.to_string().contains(model.name()), "{error}");
             }
-        );
-        assert!(error.to_string().contains("power_curve"), "{error}");
-        corrupt.servers[4].power_curve = Polynomial::from_coefficients(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(
-            corrupt.check(),
-            Err(ProfileError::PowerCurveDegree {
-                server: ServerId::new(4),
-                degree: 3
-            })
-        );
+        }
     }
 
     #[test]
-    fn check_rejects_an_inlet_model_of_another_shape() {
-        let segment = |coefficients: &[f64]| Polynomial::from_coefficients(coefficients.to_vec());
-        let (_, mut corrupt) = store();
-        corrupt.servers[6].inlet_vs_outside = PiecewisePolynomial::from_segments(
-            vec![-10.0, 20.0, 45.0],
-            vec![segment(&[18.0, 0.2]), segment(&[20.0, 0.3])],
-        )
-        .expect("valid segments");
-        let error = corrupt.check().expect_err("two segments fail the check");
-        assert_eq!(
-            error,
-            ProfileError::InletShape {
-                server: ServerId::new(6),
-                segments: 2,
-                degree: 1
-            }
-        );
-        assert!(error.to_string().contains("inlet_vs_outside"), "{error}");
-
-        let (_, mut corrupt) = store();
-        corrupt.servers[1].inlet_vs_outside = PiecewisePolynomial::from_segments(
-            INLET_BREAKPOINTS_C.to_vec(),
-            vec![
-                segment(&[18.0, 0.2]),
-                segment(&[20.0, 0.3, 0.01]),
-                segment(&[21.0, 0.4]),
-            ],
-        )
-        .expect("valid segments");
-        assert_eq!(
-            corrupt.check(),
-            Err(ProfileError::InletShape {
-                server: ServerId::new(1),
-                segments: 3,
-                degree: 2
-            })
-        );
+    fn stored_models_are_the_profiling_fits_bit_for_bit() {
+        let dc = Datacenter::new(LayoutConfig::real_cluster_two_rows().build(), 42);
+        let store = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for server in dc.layout().servers() {
+            let profile = store.server(server.id);
+            let inlet =
+                PiecewisePolynomial::fit(&inlet_samples(&dc, server), &INLET_BREAKPOINTS_C, 1)
+                    .unwrap();
+            let segments: Vec<f64> = inlet
+                .segments()
+                .iter()
+                .flat_map(|segment| segment.coefficients().iter().copied())
+                .collect();
+            assert_eq!(
+                bits(profile.inlet_vs_outside.segments.as_flattened()),
+                bits(&segments)
+            );
+            let gpu = LinearModel::fit(&gpu_samples(&dc, server)).unwrap();
+            let stored = profile.worst_gpu_temp;
+            assert_eq!(
+                bits(&[stored.intercept, stored.inlet_coeff, stored.power_coeff]),
+                bits(&[&[gpu.intercept()], gpu.coefficients()].concat())
+            );
+            let power = Polynomial::fit(&power_samples(&dc, server), 2).unwrap();
+            assert_eq!(
+                bits(&profile.power_curve.coefficients),
+                bits(power.coefficients())
+            );
+        }
     }
 
     #[test]

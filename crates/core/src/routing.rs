@@ -19,7 +19,7 @@
 //! its registry in O(1). The risk filter reads a [`RiskRow`] per candidate: the fitted
 //! models of its server, inline, copied once when the caller registers the instance
 //! ([`RiskRow::of`]) and refreshed once per step for the weather and load
-//! ([`RiskRow::prepare`]), evaluated in the profile's own operations and order so every
+//! ([`RiskRow::prepare`]), evaluated by the same model methods the profile calls so every
 //! flag is the reference's bit for bit; [`TapasRouter::row_risk`] is the predicate. The
 //! simulator keeps the rows as a registry column next to the candidate columns, and the
 //! instance configurator reads the same rows. Callers without such a column read rows
@@ -37,11 +37,10 @@
 //! safe, score, smaller vm id)`. [`BaselineRouter::route_view`] is the simulator's
 //! baseline decision, with [`BaselineRouter::route_candidates`] as its reference.
 
-use crate::profiles::{ProfileStore, ServerProfile};
+use crate::profiles::{GpuTempModel, InletModel, PowerCurve, ProfileStore, ServerProfile};
 use dc_sim::ids::{RowId, ServerId};
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
-use simkit::regression::Polynomial;
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use workload::vm::VmId;
 
@@ -576,114 +575,60 @@ impl PreparedRoutingContext {
 
 /// One server's fitted models as the risk filter and the configurator read them.
 ///
-/// [`Self::of`] copies, inline, the Eq. 1 inlet model (its four breakpoints, three
-/// degree-1 segments and load sensitivity), the Eq. 2 intercept and coefficients, the GPU
-/// power and throttle limits, the degree-2 power curve, the airflow line and the server's
-/// row and aisle, so a risk check reads one contiguous 192-byte row instead of following
-/// the [`crate::profiles::ServerProfile`]'s model vectors. The models do not change during
-/// a run, so a row is built once per instance; [`Self::prepare`] refreshes the one term
-/// that depends on the step's weather and load, the inlet coefficient times the predicted
-/// inlet. Every method repeats the profile's operations in the profile's order
-/// (`PiecewisePolynomial::evaluate`'s clamp and segment choice, `Polynomial::evaluate`'s
-/// Horner fold, `LinearModel::predict`'s sum), so each result is bit-identical to the
-/// profile's.
+/// [`Self::of`] copies the server's fitted models (Eq. 1, 2 and 4), its GPU power and
+/// throttle limits, its airflow line and its row and aisle into one flat 160-byte record,
+/// so a risk check reads contiguous rows instead of the [`ServerProfile`]s. The models do
+/// not change during a run, so a row is built once per instance; [`Self::prepare`]
+/// refreshes the one term that depends on the step's weather and load, the Eq. 2 inlet
+/// term at the predicted inlet. Every prediction calls the models' own methods, the ones
+/// the [`ServerProfile`] calls, so each result is the profile's bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct RiskRow {
-    /// Eq. 2: the intercept, the inlet coefficient, the inlet coefficient times the
-    /// prepared step's predicted inlet (°C), and the per-GPU power coefficient.
-    gpu_intercept: f64,
-    gpu_inlet_coeff: f64,
+    /// Eq. 2, and its inlet term at the prepared step's predicted inlet (°C).
+    gpu: GpuTempModel,
     gpu_inlet_term: f64,
-    gpu_power_coeff: f64,
-    /// Eq. 1: segment boundaries (°C outside), per-segment `[c₀, c₁]`, and the inlet °C
-    /// added per unit of datacenter load.
-    inlet_breakpoints: [f64; 4],
-    inlet_segments: [[f64; 2]; 3],
-    inlet_load_sensitivity_c: f64,
     /// Maximum power of one GPU (W).
     gpu_max_power_w: f64,
     /// GPU throttle temperature (°C).
     throttle_c: f64,
-    /// Server power (kW) vs load, ascending degree.
-    power_curve: [f64; 3],
+    /// Eq. 4, and the server's maximum power (kW) it is capped at.
+    power_curve: PowerCurve,
     max_power_kw: f64,
     idle_airflow_cfm: f64,
     /// `max_airflow − idle_airflow` (CFM).
     airflow_span_cfm: f64,
+    /// Eq. 1, read by [`Self::prepare`].
+    inlet: InletModel,
     row: u32,
     aisle: u32,
 }
 
 impl RiskRow {
     /// The static part of a server's row; its inlet term is NaN until [`Self::prepare`].
-    ///
-    /// # Panics
-    /// Panics, naming the server, if its inlet model is not three degree-1 segments, its
-    /// worst-GPU model does not take the two Eq. 2 features or its power curve is not of
-    /// degree 2 (all [`crate::profiles::ProfileStore::check`] errors).
     #[must_use]
     pub fn of(profile: &ServerProfile) -> Self {
-        let inlet = &profile.inlet_vs_outside;
-        let (&[gpu_inlet_coeff, gpu_power_coeff], &[c0, c1, c2], &[b0, b1, b2, b3], [s0, s1, s2]) = (
-            profile.worst_gpu_temp.coefficients(),
-            profile.power_curve.coefficients(),
-            inlet.breakpoints(),
-            inlet.segments(),
-        ) else {
-            panic!(
-                "server {}: its profile fails ProfileStore::check",
-                profile.server
-            );
-        };
-        let segment = |polynomial: &Polynomial| match *polynomial.coefficients() {
-            [a0, a1] => [a0, a1],
-            _ => panic!(
-                "server {}: its profile fails ProfileStore::check",
-                profile.server
-            ),
-        };
         let spec = &profile.spec;
         Self {
-            gpu_intercept: profile.worst_gpu_temp.intercept(),
-            gpu_inlet_coeff,
+            gpu: profile.worst_gpu_temp,
             gpu_inlet_term: f64::NAN,
-            gpu_power_coeff,
-            inlet_breakpoints: [b0, b1, b2, b3],
-            inlet_segments: [segment(s0), segment(s1), segment(s2)],
-            inlet_load_sensitivity_c: profile.inlet_load_sensitivity_c,
             gpu_max_power_w: spec.gpu_max_power.to_watts().value(),
             throttle_c: spec.gpu_throttle_temp_c,
-            power_curve: [c0, c1, c2],
+            power_curve: profile.power_curve,
             max_power_kw: spec.max_power.value(),
             idle_airflow_cfm: spec.idle_airflow.value(),
             airflow_span_cfm: (spec.max_airflow - spec.idle_airflow).value(),
+            inlet: profile.inlet_vs_outside,
             row: position_u32(profile.row.index()),
             aisle: position_u32(profile.aisle.index()),
         }
     }
 
-    /// Sets the inlet term to the inlet coefficient times
-    /// [`ServerProfile::predicted_inlet`]`(outside, dc_load)`, in that method's operations:
-    /// the clamp to `[b₀, b₃]`, `segment_index`'s comparisons (after the clamp `x < b₀`
-    /// never holds, and a NaN takes the last segment as there), the Horner fold from `0.0`,
-    /// then the clamped load delta.
+    /// Sets the inlet term to the Eq. 2 inlet term at
+    /// [`ServerProfile::predicted_inlet`]`(outside, dc_load)`.
     #[inline]
     pub fn prepare(&mut self, outside: Celsius, dc_load: f64) {
-        let [b0, b1, b2, b3] = self.inlet_breakpoints;
-        let x = outside.value().clamp(b0, b3);
-        let segment = if x < b1 {
-            0
-        } else if x < b2 {
-            1
-        } else {
-            2
-        };
-        let at_reference = self.inlet_segments[segment]
-            .iter()
-            .rev()
-            .fold(0.0, |acc, &c| acc * x + c);
-        let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.inlet_load_sensitivity_c;
-        self.gpu_inlet_term = self.gpu_inlet_coeff * (at_reference + load_delta);
+        let inlet = self.inlet.predict(outside.value(), dc_load);
+        self.gpu_inlet_term = self.gpu.inlet_term(inlet);
     }
 
     /// The server's row.
@@ -692,24 +637,17 @@ impl RiskRow {
         RowId::new(self.row as usize)
     }
 
-    /// [`crate::profiles::ServerProfile::gpu_power_budget`] at the prepared predicted inlet.
+    /// [`ServerProfile::gpu_power_budget`] at the prepared predicted inlet.
     #[must_use]
     pub fn gpu_power_budget(&self, limit: Celsius) -> Watts {
-        let base = self.gpu_intercept + self.gpu_inlet_term;
-        Watts::new(((limit.value() - base) / self.gpu_power_coeff.max(1e-6)).max(0.0))
+        Watts::new(self.gpu.power_budget_w(self.gpu_inlet_term, limit.value()))
     }
 
-    /// [`crate::profiles::ServerProfile::predicted_power`].
+    /// [`ServerProfile::predicted_power`].
     #[must_use]
     #[inline]
     pub fn predicted_power(&self, load: f64) -> Kilowatts {
-        let load = load.clamp(0.0, 1.0);
-        let curve = self
-            .power_curve
-            .iter()
-            .rev()
-            .fold(0.0, |acc, &c| acc * load + c);
-        Kilowatts::new(curve.clamp(0.0, self.max_power_kw))
+        Kilowatts::new(self.power_curve.predict(load, self.max_power_kw))
     }
 
     /// [`crate::profiles::ServerProfile::predicted_airflow`] (CFM) at a `load` already
@@ -732,8 +670,7 @@ impl RiskRow {
     ) -> bool {
         let next_util = (utilization + config.marginal_utilization).clamp(0.0, 1.0);
         let gpu_power = self.gpu_max_power_w * (0.15 + 0.85 * next_util);
-        let terms = [self.gpu_inlet_term, self.gpu_power_coeff * gpu_power];
-        let predicted_temp = self.gpu_intercept + terms.iter().sum::<f64>();
+        let predicted_temp = self.gpu.predict(self.gpu_inlet_term, gpu_power);
         if predicted_temp > self.throttle_c - config.thermal_margin_c {
             return true;
         }
@@ -1294,6 +1231,24 @@ mod tests {
     }
 
     #[test]
+    fn an_aisle_at_its_airflow_budget_alone_makes_a_row_risky() {
+        let profiles = profiles();
+        let router = TapasRouter::default();
+        let mut ctx = calm_context(&profiles);
+        let profile = profiles.server(ServerId::new(0));
+        let risky = |ctx: &RoutingContext| {
+            let prepared = PreparedRoutingContext::new(ctx, &router.config, &profiles);
+            let mut row = RiskRow::of(profile);
+            row.prepare(ctx.outside_temp, ctx.dc_load);
+            router.row_risk(&row, 0.5, &prepared)
+        };
+        assert!(!risky(&ctx), "a calm row, aisle and server");
+        // Rows and temperatures stay calm; only the aisle's headroom is gone.
+        ctx.aisle_airflow[profile.aisle.index()] = profiles.aisle_budget(profile.aisle) * 0.99;
+        assert!(risky(&ctx), "the aisle airflow limit flags the row");
+    }
+
+    #[test]
     fn tapas_avoids_hot_servers() {
         let profiles = profiles();
         // A wide thermal margin makes the fully-loaded server risky and the lightly-loaded
@@ -1513,35 +1468,71 @@ mod tests {
         );
     }
 
+    /// The fitted Eq. 1 at `outside` and `dc_load`, evaluated as a general piecewise
+    /// polynomial: the clamp to the outer breakpoints, the first segment whose upper
+    /// breakpoint exceeds the input (the last one if none does), Horner's rule from `0.0`,
+    /// then the clamped load delta. The reference for [`InletModel::predict`].
+    fn reference_inlet(profile: &ServerProfile, outside: f64, dc_load: f64) -> f64 {
+        let breakpoints = crate::profiles::INLET_BREAKPOINTS_C;
+        let x = outside.clamp(breakpoints[0], breakpoints[breakpoints.len() - 1]);
+        let segments = profile.inlet_vs_outside.segments.len();
+        let segment = if x < breakpoints[0] {
+            0
+        } else {
+            (0..segments)
+                .find(|&i| x < breakpoints[i + 1])
+                .unwrap_or(segments - 1)
+        };
+        let at_reference = profile.inlet_vs_outside.segments[segment]
+            .iter()
+            .rev()
+            .fold(0.0, |acc, &c| acc * x + c);
+        at_reference + (dc_load.clamp(0.0, 1.0) - 0.5) * profile.inlet_vs_outside.load_sensitivity_c
+    }
+
     #[test]
     fn prepared_inlet_terms_match_the_profile_bit_for_bit() {
         let dc = Datacenter::new(LayoutConfig::production_datacenter().build(), 42);
         let profiles = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
+        let breakpoints = crate::profiles::INLET_BREAKPOINTS_C;
         // Each breakpoint and its neighbours one ulp away, then past both clamps.
-        let outsides: Vec<f64> = crate::profiles::INLET_BREAKPOINTS_C
+        let outsides: Vec<f64> = breakpoints
             .iter()
             .flat_map(|&b| [b.next_down(), b, b.next_up()])
-            .chain([f64::NEG_INFINITY, -40.0, 20.0, 60.0, f64::INFINITY])
+            .chain([
+                f64::NEG_INFINITY,
+                -40.0,
+                20.0,
+                60.0,
+                f64::INFINITY,
+                f64::NAN,
+            ])
             .collect();
         let mut segments_seen = [0usize; 3];
         for profile in &profiles.servers {
-            let breakpoints = profile.inlet_vs_outside.breakpoints();
-            assert_eq!(breakpoints, crate::profiles::INLET_BREAKPOINTS_C);
-            let coefficient = profile.worst_gpu_temp.coefficients()[0];
+            let coefficient = profile.worst_gpu_temp.inlet_coeff;
             let mut row = RiskRow::of(profile);
             for &outside in &outsides {
                 let clamped = outside.clamp(breakpoints[0], breakpoints[3]);
-                let segment = breakpoints[1..]
+                // A NaN fails every comparison and takes the last segment.
+                let segment = breakpoints[1..3]
                     .iter()
-                    .take_while(|&&b| clamped >= b)
+                    .take_while(|&&b| clamped >= b || clamped.is_nan())
                     .count();
-                segments_seen[segment.min(2)] += 1;
+                segments_seen[segment] += 1;
                 for dc_load in [-0.1, 0.0, 0.5, 1.0, 1.3] {
                     row.prepare(Celsius::new(outside), dc_load);
+                    let expected = reference_inlet(profile, outside, dc_load);
                     let inlet = profile.predicted_inlet(Celsius::new(outside), dc_load);
                     assert_eq!(
+                        inlet.value().to_bits(),
+                        expected.to_bits(),
+                        "{}, outside {outside}, load {dc_load}",
+                        profile.server
+                    );
+                    assert_eq!(
                         row.gpu_inlet_term.to_bits(),
-                        (coefficient * inlet.value()).to_bits(),
+                        (coefficient * expected).to_bits(),
                         "{}, outside {outside}, load {dc_load}",
                         profile.server
                     );
@@ -1552,6 +1543,13 @@ mod tests {
             segments_seen.iter().all(|&n| n > 1000),
             "segments seen {segments_seen:?}"
         );
+    }
+
+    #[test]
+    fn a_risk_row_is_one_flat_160_byte_record() {
+        // Nineteen `f64`s and two `u32` ordinals, no indirection: the router streams
+        // these rows every quantum.
+        assert_eq!(std::mem::size_of::<RiskRow>(), 160);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`LinearModel`] — multivariate ordinary least squares with an intercept.
 //! * [`Polynomial`] — univariate polynomial least squares of configurable degree.
 //! * [`PiecewisePolynomial`] — univariate polynomials fit on contiguous segments of the input
-//!   range, evaluated with clamping outside the fitted range (mirroring the paper's remark
-//!   that the model must not extrapolate wildly for unseen temperatures).
+//!   range. It is a fit only: a consumer reads the per-segment coefficients into the shape
+//!   it evaluates, with the clamping outside the fitted range that the paper calls for (the
+//!   model must not extrapolate wildly for unseen temperatures).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -112,15 +113,6 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// Creates a model directly from an intercept and coefficients.
-    #[must_use]
-    pub fn from_coefficients(intercept: f64, coefficients: Vec<f64>) -> Self {
-        Self {
-            intercept,
-            coefficients,
-        }
-    }
-
     /// Fits the model to `(features, target)` samples by ordinary least squares.
     ///
     /// # Errors
@@ -196,19 +188,6 @@ impl LinearModel {
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
     }
-
-    /// Mean absolute error of the model over a sample set.
-    #[must_use]
-    pub fn mean_absolute_error(&self, samples: &[(Vec<f64>, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples
-            .iter()
-            .map(|(x, y)| (self.predict(x) - y).abs())
-            .sum::<f64>()
-            / samples.len() as f64
-    }
 }
 
 /// A univariate polynomial `y = c0 + c1·x + c2·x² + …` fit by least squares.
@@ -256,68 +235,22 @@ impl Polynomial {
             .fold(0.0, |acc, &c| acc * x + c)
     }
 
-    /// Degree of the polynomial.
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        self.coefficients.len() - 1
-    }
-
     /// Coefficients in ascending-degree order.
     #[must_use]
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
     }
-
-    /// Mean absolute error over a sample set.
-    #[must_use]
-    pub fn mean_absolute_error(&self, samples: &[(f64, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples
-            .iter()
-            .map(|&(x, y)| (self.evaluate(x) - y).abs())
-            .sum::<f64>()
-            / samples.len() as f64
-    }
 }
 
-/// A univariate piecewise polynomial: the x-axis is split at `breakpoints` and an independent
-/// polynomial is fit (or supplied) per segment.
-///
-/// Evaluation clamps the input to the fitted range, so the model never extrapolates beyond
-/// the data it has seen — the property the paper calls out as the reason piecewise
-/// polynomial regression beats random forests for unseen (colder) temperatures.
+/// A univariate piecewise polynomial: the x-axis is split at breakpoints and an independent
+/// polynomial is fit per segment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PiecewisePolynomial {
-    /// Segment boundaries, ascending. Segment `i` covers `[breakpoints[i], breakpoints[i+1])`.
-    breakpoints: Vec<f64>,
-    /// One polynomial per segment; `segments.len() == breakpoints.len() - 1`.
+    /// One polynomial per segment, in breakpoint order.
     segments: Vec<Polynomial>,
 }
 
 impl PiecewisePolynomial {
-    /// Builds a piecewise polynomial from explicit breakpoints and per-segment polynomials.
-    ///
-    /// # Errors
-    /// Returns [`FitError::InvalidSegments`] if the breakpoints are not strictly ascending or
-    /// the number of segments does not match.
-    pub fn from_segments(
-        breakpoints: Vec<f64>,
-        segments: Vec<Polynomial>,
-    ) -> Result<Self, FitError> {
-        if breakpoints.len() < 2
-            || segments.len() != breakpoints.len() - 1
-            || breakpoints.windows(2).any(|w| w[0] >= w[1])
-        {
-            return Err(FitError::InvalidSegments);
-        }
-        Ok(Self {
-            breakpoints,
-            segments,
-        })
-    }
-
     /// Fits one polynomial of the given `degree` per segment delimited by `breakpoints`.
     ///
     /// Samples outside the breakpoint range are assigned to the first/last segment so no data
@@ -344,45 +277,13 @@ impl PiecewisePolynomial {
         for bucket in &buckets {
             segments.push(Polynomial::fit(bucket, degree)?);
         }
-        Ok(Self {
-            breakpoints: breakpoints.to_vec(),
-            segments,
-        })
-    }
-
-    /// Evaluates the model at `x`, clamping `x` into the fitted range first.
-    #[must_use]
-    pub fn evaluate(&self, x: f64) -> f64 {
-        let lo = self.breakpoints[0];
-        let hi = *self.breakpoints.last().expect("at least two breakpoints");
-        let x = x.clamp(lo, hi);
-        let seg = segment_index(&self.breakpoints, x);
-        self.segments[seg].evaluate(x)
-    }
-
-    /// The segment boundaries.
-    #[must_use]
-    pub fn breakpoints(&self) -> &[f64] {
-        &self.breakpoints
+        Ok(Self { segments })
     }
 
     /// The per-segment polynomials.
     #[must_use]
     pub fn segments(&self) -> &[Polynomial] {
         &self.segments
-    }
-
-    /// Mean absolute error over a sample set.
-    #[must_use]
-    pub fn mean_absolute_error(&self, samples: &[(f64, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples
-            .iter()
-            .map(|&(x, y)| (self.evaluate(x) - y).abs())
-            .sum::<f64>()
-            / samples.len() as f64
     }
 }
 
@@ -418,7 +319,6 @@ mod tests {
         assert!((model.intercept() - 3.0).abs() < 1e-8);
         assert!((model.coefficients()[0] - 2.0).abs() < 1e-8);
         assert!((model.coefficients()[1] + 0.5).abs() < 1e-8);
-        assert!(model.mean_absolute_error(&samples) < 1e-8);
     }
 
     #[test]
@@ -464,7 +364,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature dimension mismatch")]
     fn predict_panics_on_wrong_dimension() {
-        let model = LinearModel::from_coefficients(0.0, vec![1.0, 2.0]);
+        let samples: Vec<(Vec<f64>, f64)> = (0..6)
+            .map(|i| (vec![f64::from(i), f64::from(i * i)], f64::from(i)))
+            .collect();
+        let model = LinearModel::fit(&samples).unwrap();
         let _ = model.predict(&[1.0]);
     }
 
@@ -478,11 +381,10 @@ mod tests {
             })
             .collect();
         let poly = Polynomial::fit(&samples, 2).unwrap();
-        assert_eq!(poly.degree(), 2);
+        assert_eq!(poly.coefficients().len(), 3);
         assert!((poly.coefficients()[0] - 1.0).abs() < 1e-8);
         assert!((poly.coefficients()[1] + 2.0).abs() < 1e-8);
         assert!((poly.coefficients()[2] - 0.5).abs() < 1e-8);
-        assert!(poly.mean_absolute_error(&samples) < 1e-8);
     }
 
     #[test]
@@ -517,13 +419,16 @@ mod tests {
             })
             .collect();
         let model = PiecewisePolynomial::fit(&samples, &[0.0, 15.0, 25.0, 40.0], 1).unwrap();
-        assert!(model.mean_absolute_error(&samples) < 0.05);
-        assert!((model.evaluate(10.0) - 18.0).abs() < 0.1);
-        assert!((model.evaluate(20.0) - 22.0).abs() < 0.2);
-        assert!((model.evaluate(30.0) - 27.5).abs() < 0.2);
-        // Clamping: evaluation far outside the fitted range returns the boundary value.
-        assert!((model.evaluate(-100.0) - model.evaluate(0.0)).abs() < 1e-9);
-        assert!((model.evaluate(500.0) - model.evaluate(40.0)).abs() < 1e-9);
+        // Each segment's samples lie on one line, so each fit recovers its `[c0, c1]`:
+        // 18, 18 + 0.8 (x − 15) and 26 + 0.3 (x − 25).
+        let lines = [[18.0, 0.0], [6.0, 0.8], [18.5, 0.3]];
+        assert_eq!(model.segments().len(), lines.len());
+        for (segment, line) in model.segments().iter().zip(lines) {
+            assert_eq!(segment.coefficients().len(), 2);
+            for (fitted, exact) in segment.coefficients().iter().zip(line) {
+                assert!((fitted - exact).abs() < 1e-8, "{fitted} vs {exact}");
+            }
+        }
     }
 
     #[test]
@@ -535,21 +440,6 @@ mod tests {
         );
         assert_eq!(
             PiecewisePolynomial::fit(&samples, &[1.0], 1).unwrap_err(),
-            FitError::InvalidSegments
-        );
-    }
-
-    #[test]
-    fn piecewise_from_segments_validates() {
-        let p = Polynomial::from_coefficients(vec![1.0]);
-        assert!(PiecewisePolynomial::from_segments(vec![0.0, 1.0], vec![p.clone()]).is_ok());
-        assert_eq!(
-            PiecewisePolynomial::from_segments(vec![0.0, 1.0], vec![p.clone(), p.clone()])
-                .unwrap_err(),
-            FitError::InvalidSegments
-        );
-        assert_eq!(
-            PiecewisePolynomial::from_segments(vec![1.0, 0.0], vec![p]).unwrap_err(),
             FitError::InvalidSegments
         );
     }

@@ -24,7 +24,6 @@ use dc_sim::engine::Datacenter;
 use dc_sim::ids::ServerId;
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
 use llm_sim::hardware::GpuHardware;
-use simkit::regression::LinearModel;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
 use simkit::units::Celsius;
@@ -429,13 +428,11 @@ fn views_rebuilt_over_evicted_ones_match_reference() {
     let layout = LayoutConfig::real_cluster_two_rows().build();
     let mut profiles = profile(&layout, 21);
     for (i, server) in profiles.servers.iter_mut().enumerate() {
-        let model = &server.worst_gpu_temp;
-        let &[inlet, power] = model.coefficients() else {
-            panic!("the worst-GPU model takes [inlet, power]");
-        };
+        let model = &mut server.worst_gpu_temp;
+        let power = model.power_coeff;
         let scaled = power * (0.5 + 0.25 * (i % 5) as f64);
-        let intercept = model.intercept() + (power - scaled) * 200.0;
-        server.worst_gpu_temp = LinearModel::from_coefficients(intercept, vec![inlet, scaled]);
+        model.intercept += (power - scaled) * 200.0;
+        model.power_coeff = scaled;
     }
     let policy = TapasPlacement::default();
     let cycle: Vec<f64> = (0..20).map(|i| 0.05 * f64::from(i)).collect();
