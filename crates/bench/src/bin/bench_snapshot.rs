@@ -25,7 +25,7 @@ use tapas_bench::snapshot::{
 };
 
 const DEFAULT_BENCHES: &str =
-    "router,end_to_end,hierarchy,fleet,scenario,request_fabric,configurator,allocator";
+    "router,end_to_end,hierarchy,fleet,scenario,request_fabric,configurator,allocator,profiling";
 
 struct Args {
     section: String,

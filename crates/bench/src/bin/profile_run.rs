@@ -3,7 +3,9 @@
 //! Builds one of the four benchmark workloads (the configurations are the benchmark's
 //! own, read from `perfbench/src/workloads.rs`), switches on the simulator's phase
 //! profile, runs every step and prints one row per phase: milliseconds, share of the run
-//! and microseconds per step. The profile reads the clock only; the run is the same run
+//! and microseconds per step. A `setup` row beside the table gives the wall time of the
+//! build itself, cold because the process is fresh; it is not part of the run or its
+//! shares. The profile reads the clock only; the run is the same run
 //! the benchmark times. The config fingerprint (FNV-1a of the configuration's JSON) is
 //! printed so the run can be matched to a benchmark manifest line.
 //!
@@ -69,7 +71,9 @@ fn main() -> ExitCode {
         fnv1a(json.as_bytes())
     );
 
+    let setup_start = Instant::now();
     let mut sim = FleetSimulator::new(config.clone());
+    let setup_ns = setup_start.elapsed().as_nanos() as u64;
     sim.enable_phase_profile();
     let mut clock = SimClock::new(config.base.step, config.base.duration);
     let start = Instant::now();
@@ -100,6 +104,7 @@ fn main() -> ExitCode {
     }
     row("unprofiled", run_ns.saturating_sub(profile.total_ns()));
     row("run", run_ns);
+    println!("{:<16} {:>10.1}", "setup", setup_ns as f64 / 1e6);
     println!("steps {}", profile.steps());
     ExitCode::SUCCESS
 }

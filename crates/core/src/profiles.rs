@@ -10,21 +10,23 @@
 //! not modelled, because placement here predicts from per-VM peaks and design conditions,
 //! so the store is never mutated during a run.
 //!
-//! The store deliberately contains *fitted* models (via `simkit::regression`), not references
-//! to the ground-truth simulator models: the controllers only ever see what real profiling
-//! could have measured.
+//! The store deliberately contains *fitted* models, not references to the ground-truth
+//! simulator models: the controllers only ever see what real profiling could have measured.
+//! Every server is sampled on the same grids, so each fit is a `simkit::regression`
+//! [`FixedDesign`] factored once per grid and solved once per server (Eq. 4 once per
+//! server spec).
 
 use crate::configurator::SelectionIndex;
 use dc_sim::engine::Datacenter;
 use dc_sim::ids::{AisleId, GpuId, RowId, ServerId};
 use dc_sim::index::OrdinalMap;
-use dc_sim::topology::{Server, ServerSpec};
+use dc_sim::topology::ServerSpec;
 use llm_sim::config::{FrequencyScale, InstanceConfig, TensorParallelism};
 use llm_sim::hardware::GpuHardware;
 use llm_sim::model::{ModelSize, Quantization};
 use llm_sim::profile::ConfigProfile;
 use serde::{Deserialize, Serialize};
-use simkit::regression::{LinearModel, PiecewisePolynomial, Polynomial};
+use simkit::regression::FixedDesign;
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -53,16 +55,8 @@ impl InletModel {
     #[must_use]
     #[inline]
     pub fn predict(&self, outside_c: f64, dc_load: f64) -> f64 {
-        let [b0, b1, b2, b3] = INLET_BREAKPOINTS_C;
-        let x = outside_c.clamp(b0, b3);
-        let segment = if x < b1 {
-            0
-        } else if x < b2 {
-            1
-        } else {
-            2
-        };
-        let at_reference = horner(&self.segments[segment], x);
+        let x = outside_c.clamp(INLET_BREAKPOINTS_C[0], INLET_BREAKPOINTS_C[3]);
+        let at_reference = horner(&self.segments[inlet_segment(x)], x);
         let load_delta = (dc_load.clamp(0.0, 1.0) - 0.5) * self.load_sensitivity_c;
         at_reference + load_delta
     }
@@ -125,6 +119,20 @@ impl PowerCurve {
     pub fn predict(&self, load: f64, max_power_kw: f64) -> f64 {
         let load = load.clamp(0.0, 1.0);
         horner(&self.coefficients, load).clamp(0.0, max_power_kw)
+    }
+}
+
+/// The segment of [`INLET_BREAKPOINTS_C`] holding `outside_c`: the first before `b₁`, the
+/// last from `b₂` on (so past `b₃` and at NaN too).
+#[inline]
+fn inlet_segment(outside_c: f64) -> usize {
+    let [_, b1, b2, _] = INLET_BREAKPOINTS_C;
+    if outside_c < b1 {
+        0
+    } else if outside_c < b2 {
+        1
+    } else {
+        2
     }
 }
 
@@ -435,43 +443,85 @@ impl ProfileStore {
     /// The profiling probes the datacenter's response at a grid of outside temperatures, loads
     /// and per-GPU powers — exactly what an operator does with benchmarks during initial
     /// deployment — and fits the regression models of Eq. (1)–(4) to the observations.
+    ///
+    /// Each grid is one [`FixedDesign`], factored here once; a server's fit is a solve. The
+    /// worst GPU of a sample is the GPU with the largest static offset: its temperature is
+    /// `(base terms + power term) + offset`, monotone in the offset under IEEE rounding, so
+    /// it is the maximum over the server's GPUs. Eq. 4's samples depend on the spec only,
+    /// so it is fitted once per distinct spec.
     #[must_use]
     pub fn offline_profiling(dc: &Datacenter, gpu: &GpuHardware) -> Self {
         let layout = dc.layout();
+        let curve = dc.inlet_model().curve();
+        // Per segment, the design and the base curve at its grid points.
+        let inlet_designs: [(FixedDesign<2>, Vec<f64>); 3] = std::array::from_fn(|segment| {
+            let grid = || inlet_grid().filter(move |&t| inlet_segment(t) == segment);
+            let design = FixedDesign::polynomial(grid()).expect("inlet profiling design");
+            (
+                design,
+                grid().map(|t| curve.base(Celsius::new(t))).collect(),
+            )
+        });
+        let reference_load = curve.load_term(0.5);
+        let base_22 = curve.base(Celsius::new(22.0));
+        let (idle_load, full_load) = (curve.load_term(0.0), curve.load_term(1.0));
+        let gpu_design = FixedDesign::new(gpu_grid().map(|(inlet, power)| [1.0, inlet, power]))
+            .expect("gpu profiling design");
+        let power_design = FixedDesign::polynomial(power_grid()).expect("power profiling design");
+        let mut power_curves: Vec<(ServerSpec, PowerCurve)> = Vec::new();
+
         let mut servers = Vec::with_capacity(layout.server_count());
         for server in layout.servers() {
-            let inlet =
-                PiecewisePolynomial::fit(&inlet_samples(dc, server), &INLET_BREAKPOINTS_C, 1)
-                    .expect("inlet profiling fit");
-            let low = dc
-                .inlet_model()
-                .inlet_temp(server.id, Celsius::new(22.0), 0.0, 0.0)
-                .value();
-            let high = dc
-                .inlet_model()
-                .inlet_temp(server.id, Celsius::new(22.0), 1.0, 0.0)
-                .value();
-            let gpu = LinearModel::fit(&gpu_samples(dc, server)).expect("gpu profiling fit");
-            let [inlet_coeff, power_coeff] = fitted(gpu.coefficients());
-            let power =
-                Polynomial::fit(&power_samples(dc, server), 2).expect("power profiling fit");
+            // `InletModel::inlet_temp` at no recirculation penalty, in its order of addition.
+            let spatial = dc.inlet_model().spatial_offset(server.id);
+            let inlet = |base: f64, load_term: f64| base + spatial + load_term + 0.0;
+            let offsets = dc.gpu_model().server_offsets(server.id);
+            let hottest = (0..offsets.len())
+                .max_by(|&a, &b| offsets[a].total_cmp(&offsets[b]))
+                .expect("every server has a GPU");
+            let [intercept, inlet_coeff, power_coeff] =
+                gpu_design.solve(gpu_grid().map(|(inlet, power)| {
+                    dc.gpu_model()
+                        .temperatures(
+                            GpuId::new(server.id, hottest),
+                            Celsius::new(inlet),
+                            Watts::new(power),
+                            0.5,
+                        )
+                        .gpu
+                        .value()
+                }));
+            let power_curve = match power_curves.iter().find(|(spec, _)| *spec == server.spec) {
+                Some(&(_, curve)) => curve,
+                None => {
+                    let curve =
+                        PowerCurve {
+                            coefficients: power_design.solve(power_grid().map(|load| {
+                                dc.power_model().server_power(&server.spec, load).value()
+                            })),
+                        };
+                    power_curves.push((server.spec, curve));
+                    curve
+                }
+            };
             servers.push(ServerProfile {
                 server: server.id,
                 row: server.row,
                 aisle: server.aisle,
                 spec: server.spec,
                 inlet_vs_outside: InletModel {
-                    segments: std::array::from_fn(|i| fitted(inlet.segments()[i].coefficients())),
-                    load_sensitivity_c: high - low,
+                    segments: std::array::from_fn(|segment| {
+                        let (design, bases) = &inlet_designs[segment];
+                        design.solve(bases.iter().map(|&base| inlet(base, reference_load)))
+                    }),
+                    load_sensitivity_c: inlet(base_22, full_load) - inlet(base_22, idle_load),
                 },
                 worst_gpu_temp: GpuTempModel {
-                    intercept: gpu.intercept(),
+                    intercept,
                     inlet_coeff,
                     power_coeff,
                 },
-                power_curve: PowerCurve {
-                    coefficients: fitted(power.coefficients()),
-                },
+                power_curve,
             });
         }
 
@@ -617,74 +667,37 @@ impl ProfileStore {
     }
 }
 
-/// Eq. 1's profiling samples: `(outside °C, inlet °C)` at 50 % datacenter load, every
-/// degree from −10 to 45 °C.
-fn inlet_samples(dc: &Datacenter, server: &Server) -> Vec<(f64, f64)> {
-    (-10..=45)
-        .map(|t| {
-            let outside = Celsius::new(f64::from(t));
-            (
-                f64::from(t),
-                dc.inlet_model()
-                    .inlet_temp(server.id, outside, 0.5, 0.0)
-                    .value(),
-            )
+/// Eq. 1's grid: outside °C, every degree from −10 to 45.
+fn inlet_grid() -> impl Iterator<Item = f64> {
+    (-10..=45).map(f64::from)
+}
+
+/// Eq. 2's grid: `(inlet °C, per-GPU W)`, six inlet temperatures by six powers.
+fn gpu_grid() -> impl Iterator<Item = (f64, f64)> {
+    [16.0, 20.0, 24.0, 28.0, 32.0, 36.0]
+        .into_iter()
+        .flat_map(|inlet| {
+            [60.0, 150.0, 250.0, 350.0, 450.0, 600.0]
+                .into_iter()
+                .map(move |power| (inlet, power))
         })
-        .collect()
 }
 
-/// Eq. 2's profiling samples: `([inlet °C, per-GPU W], worst-GPU °C)` on a grid of six
-/// inlet temperatures and six powers.
-fn gpu_samples(dc: &Datacenter, server: &Server) -> Vec<(Vec<f64>, f64)> {
-    let mut samples = Vec::new();
-    for inlet in [16.0, 20.0, 24.0, 28.0, 32.0, 36.0] {
-        for power in [60.0, 150.0, 250.0, 350.0, 450.0, 600.0] {
-            let worst = (0..server.spec.gpus_per_server)
-                .map(|slot| {
-                    dc.gpu_model()
-                        .temperatures(
-                            GpuId::new(server.id, slot),
-                            Celsius::new(inlet),
-                            Watts::new(power),
-                            0.5,
-                        )
-                        .gpu
-                        .value()
-                })
-                .fold(f64::MIN, f64::max);
-            samples.push((vec![inlet, power], worst));
-        }
-    }
-    samples
+/// Eq. 4's grid: mean GPU load 0, 0.1, …, 1.
+fn power_grid() -> impl Iterator<Item = f64> {
+    (0..=10).map(|i| f64::from(i) / 10.0)
 }
 
-/// Eq. 4's profiling samples: `(mean GPU load, server kW)` at loads 0, 0.1, …, 1.
-fn power_samples(dc: &Datacenter, server: &Server) -> Vec<(f64, f64)> {
-    (0..=10)
-        .map(|i| {
-            let load = f64::from(i) / 10.0;
-            (
-                load,
-                dc.power_model().server_power(&server.spec, load).value(),
-            )
-        })
-        .collect()
-}
-
-/// Fitted coefficients in the shape profiling fits them in.
-///
-/// # Panics
-/// Panics if the fit returned another number of coefficients.
-fn fitted<const N: usize>(coefficients: &[f64]) -> [f64; N] {
-    coefficients
-        .try_into()
-        .expect("profiling fits each model in its stored shape")
-}
+/// The general `simkit::regression` fits profiling is held to bit for bit.
+#[cfg(test)]
+#[path = "../../simkit/src/regression/reference.rs"]
+mod regression_reference;
 
 #[cfg(test)]
 mod tests {
+    use super::regression_reference::{LinearModel, PiecewisePolynomial, Polynomial};
     use super::*;
-    use dc_sim::topology::LayoutConfig;
+    use dc_sim::topology::{LayoutConfig, Server};
 
     fn store() -> (Datacenter, ProfileStore) {
         let dc = Datacenter::new(LayoutConfig::small_test_cluster().build(), 42);
@@ -736,15 +749,74 @@ mod tests {
         }
     }
 
+    /// Eq. 1's profiling samples: `(outside °C, inlet °C)` at 50 % datacenter load.
+    fn inlet_samples(dc: &Datacenter, server: ServerId) -> Vec<(f64, f64)> {
+        inlet_grid()
+            .map(|t| {
+                let inlet = dc
+                    .inlet_model()
+                    .inlet_temp(server, Celsius::new(t), 0.5, 0.0);
+                (t, inlet.value())
+            })
+            .collect()
+    }
+
+    /// Eq. 2's profiling samples: `([inlet °C, per-GPU W], worst-GPU °C)`, the worst GPU
+    /// the hottest of all of the server's GPUs.
+    fn gpu_samples(dc: &Datacenter, server: &Server) -> Vec<(Vec<f64>, f64)> {
+        gpu_grid()
+            .map(|(inlet, power)| {
+                let worst = (0..server.spec.gpus_per_server)
+                    .map(|slot| {
+                        dc.gpu_model()
+                            .temperatures(
+                                GpuId::new(server.id, slot),
+                                Celsius::new(inlet),
+                                Watts::new(power),
+                                0.5,
+                            )
+                            .gpu
+                            .value()
+                    })
+                    .fold(f64::MIN, f64::max);
+                (vec![inlet, power], worst)
+            })
+            .collect()
+    }
+
+    /// Eq. 4's profiling samples: `(mean GPU load, server kW)`.
+    fn power_samples(dc: &Datacenter, spec: &ServerSpec) -> Vec<(f64, f64)> {
+        power_grid()
+            .map(|load| (load, dc.power_model().server_power(spec, load).value()))
+            .collect()
+    }
+
+    /// The stored models equal the general `simkit::regression` fits of every server's
+    /// samples, bit for bit, on a mixed fleet: A100 and H100 rows (both 8 GPUs, so Eq. 4
+    /// must be told apart by more than the GPU count) and a 4-GPU spec among them.
     #[test]
     fn stored_models_are_the_profiling_fits_bit_for_bit() {
-        let dc = Datacenter::new(LayoutConfig::real_cluster_two_rows().build(), 42);
+        let four_gpus = ServerSpec {
+            gpus_per_server: 4,
+            max_power: Kilowatts::new(3.4),
+            ..ServerSpec::dgx_a100()
+        };
+        let layout = LayoutConfig::real_cluster_two_rows()
+            .build()
+            .map_server_specs(|server| match (server.row.index(), server.id.index() % 5) {
+                (_, 3) => four_gpus,
+                (0, _) => ServerSpec::dgx_a100(),
+                _ => ServerSpec::dgx_h100(),
+            });
+        let dc = Datacenter::new(layout, 42);
         let store = ProfileStore::offline_profiling(&dc, &GpuHardware::a100());
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut gpu_counts = std::collections::BTreeSet::new();
         for server in dc.layout().servers() {
+            gpu_counts.insert(server.spec.gpus_per_server);
             let profile = store.server(server.id);
             let inlet =
-                PiecewisePolynomial::fit(&inlet_samples(&dc, server), &INLET_BREAKPOINTS_C, 1)
+                PiecewisePolynomial::fit(&inlet_samples(&dc, server.id), &INLET_BREAKPOINTS_C, 1)
                     .unwrap();
             let segments: Vec<f64> = inlet
                 .segments()
@@ -755,18 +827,29 @@ mod tests {
                 bits(profile.inlet_vs_outside.segments.as_flattened()),
                 bits(&segments)
             );
+            let inlet_at = |load| {
+                let inlet = dc.inlet_model();
+                inlet
+                    .inlet_temp(server.id, Celsius::new(22.0), load, 0.0)
+                    .value()
+            };
+            assert_eq!(
+                profile.inlet_vs_outside.load_sensitivity_c.to_bits(),
+                (inlet_at(1.0) - inlet_at(0.0)).to_bits()
+            );
             let gpu = LinearModel::fit(&gpu_samples(&dc, server)).unwrap();
             let stored = profile.worst_gpu_temp;
             assert_eq!(
                 bits(&[stored.intercept, stored.inlet_coeff, stored.power_coeff]),
                 bits(&[&[gpu.intercept()], gpu.coefficients()].concat())
             );
-            let power = Polynomial::fit(&power_samples(&dc, server), 2).unwrap();
+            let power = Polynomial::fit(&power_samples(&dc, &server.spec), 2).unwrap();
             assert_eq!(
                 bits(&profile.power_curve.coefficients),
                 bits(power.coefficients())
             );
         }
+        assert_eq!(gpu_counts.into_iter().collect::<Vec<_>>(), [4, 8]);
     }
 
     #[test]

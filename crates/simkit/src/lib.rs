@@ -11,9 +11,10 @@
 //! * [`series`] — the per-step time series container run reports record into.
 //! * [`stats`] — summary statistics (mean, percentiles, CDFs) used throughout the
 //!   characterization and evaluation figures.
-//! * [`regression`] — linear, polynomial and piecewise-polynomial least-squares fitting.
-//!   The paper fits Eq. (1)–(4) with piecewise polynomial regression (§5.1), reporting a
-//!   mean absolute error below 1 °C.
+//! * [`regression`] — least squares on a fixed design, factored once and solved per fit,
+//!   and the general linear, polynomial and piecewise-polynomial fits. The paper fits
+//!   Eq. (1)–(4) with piecewise polynomial regression (§5.1), reporting a mean absolute
+//!   error below 1 °C.
 //! * [`rng`] — deterministic, seedable random streams plus the handful of distributions the
 //!   trace generators need (normal, log-normal, exponential, Pareto-like heavy tails).
 //! * [`events`] — a fixed-size per-kind tally the cluster simulator records thermal
@@ -27,26 +28,36 @@
 //! # Example
 //!
 //! ```
+//! use simkit::regression::FixedDesign;
 //! use simkit::units::{Celsius, Watts};
-//! use simkit::regression::LinearModel;
 //!
-//! // Fit a toy GPU-temperature model T_gpu = a*T_inlet + b*P_gpu + c (Eq. 2 of the paper).
-//! let samples = vec![
-//!     (vec![20.0, 300.0], 48.0),
-//!     (vec![22.0, 400.0], 55.0),
-//!     (vec![25.0, 500.0], 63.0),
-//!     (vec![28.0, 250.0], 52.0),
-//!     (vec![18.0, 600.0], 60.0),
-//! ];
-//! let model = LinearModel::fit(&samples).expect("well-conditioned fit");
-//! let predicted = model.predict(&[21.0, 350.0]);
+//! // A toy GPU-temperature model T_gpu = c + a·T_inlet + b·P_gpu (Eq. 2 of the paper),
+//! // sampled at five (inlet °C, GPU W) points. The design is factored once ...
+//! let design = FixedDesign::new([
+//!     [1.0, 20.0, 300.0],
+//!     [1.0, 22.0, 400.0],
+//!     [1.0, 25.0, 500.0],
+//!     [1.0, 28.0, 250.0],
+//!     [1.0, 18.0, 600.0],
+//! ])
+//! .expect("well-conditioned design");
+//! // ... and every GPU sampled at those points is one solve.
+//! let [c, a, b] = design.solve([48.0, 55.0, 63.0, 52.0, 60.0]);
+//! let predicted = c + a * 21.0 + b * 350.0;
 //! assert!(predicted > 40.0 && predicted < 70.0);
+//! let [hotter, ..] = design.solve([50.0, 57.0, 65.0, 54.0, 62.0]);
+//! assert!((hotter - c - 2.0).abs() < 1e-9);
 //! let _t = Celsius::new(predicted);
 //! let _p = Watts::new(350.0);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+// The test-only regression reference names `simkit::regression::FitError`, a path that
+// resolves both here and in the crates that include it.
+#[cfg(test)]
+extern crate self as simkit;
 
 pub mod events;
 pub mod profile;
@@ -61,7 +72,7 @@ pub mod units;
 pub use events::{EventKind, EventTally};
 pub use profile::{StepPhase, StepProfile};
 pub use queue::EventQueue;
-pub use regression::{LinearModel, PiecewisePolynomial, Polynomial};
+pub use regression::FixedDesign;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::Summary;

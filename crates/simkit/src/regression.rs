@@ -1,16 +1,17 @@
-//! Least-squares regression models.
+//! Least-squares regression on a fixed design.
 //!
 //! The paper models the thermal and power behaviour of the datacenter with regressions fit to
 //! three months of production telemetry (§2, Eq. 1–4), and its simulator uses piecewise
 //! polynomial regression because it achieved a mean absolute error below 1 °C while
-//! generalizing to unseen conditions better than random forests (§5.1). This module provides:
+//! generalizing to unseen conditions better than random forests (§5.1). Offline profiling
+//! samples every server on the same grids, so a fit is [`FixedDesign`]: the normal
+//! equations of one grid are eliminated once, and each server's fit only solves for its
+//! targets. A piecewise fit is one design per segment.
 //!
-//! * [`LinearModel`] — multivariate ordinary least squares with an intercept.
-//! * [`Polynomial`] — univariate polynomial least squares of configurable degree.
-//! * [`PiecewisePolynomial`] — univariate polynomials fit on contiguous segments of the input
-//!   range. It is a fit only: a consumer reads the per-segment coefficients into the shape
-//!   it evaluates, with the clamping outside the fitted range that the paper calls for (the
-//!   model must not extrapolate wildly for unseen temperatures).
+//! The general fits (multivariate, polynomial and piecewise-polynomial least squares, each
+//! solving its own normal equations) are kept in `regression/reference.rs` as the
+//! executable reference a `FixedDesign` solve equals bit for bit; they are compiled into
+//! tests only.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,249 +62,138 @@ impl fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
-/// Solves the square linear system `a · x = b` in place using Gaussian elimination with
-/// partial pivoting. Returns `None` when the matrix is (numerically) singular.
-fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let n = b.len();
-    debug_assert!(a.len() == n && a.iter().all(|row| row.len() == n));
-    for col in 0..n {
-        // Partial pivot: find the row with the largest magnitude in this column.
-        let pivot_row = (col..n)
-            .max_by(|&i, &j| {
-                a[i][col]
-                    .abs()
-                    .partial_cmp(&a[j][col].abs())
-                    .expect("finite")
-            })
-            .expect("non-empty range");
-        if a[pivot_row][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot_row);
-        b.swap(col, pivot_row);
-        for row in (col + 1)..n {
-            let factor = a[row][col] / a[col][col];
-            let (pivot_rows, tail) = a.split_at_mut(row);
-            let pivot = &pivot_rows[col];
-            for (target, &coeff) in tail[0][col..n].iter_mut().zip(&pivot[col..n]) {
-                *target -= factor * coeff;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for col in (row + 1)..n {
-            acc -= a[row][col] * x[col];
-        }
-        x[row] = acc / a[row][row];
-    }
-    Some(x)
-}
-
-/// Multivariate ordinary least squares: `y ≈ intercept + Σ coef_i · x_i`.
+/// Least squares on a fixed design of `N` unknowns, for fits that share their samples'
+/// regressors and differ only in the targets.
 ///
-/// Used for the GPU-temperature model of Eq. (2), which is linear in the inlet temperature
-/// and the GPU power draw, and as the building block for the piecewise models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinearModel {
-    intercept: f64,
-    coefficients: Vec<f64>,
+/// Building the design forms the normal equations' `XᵀX` and eliminates it once, with the
+/// partial pivoting of the reference `LinearModel::fit`, recording each pivot swap, each
+/// row factor and the upper triangle. [`Self::solve`] accumulates `Xᵀy` in sample order,
+/// replays the swaps and factors on it and back-substitutes: the operations
+/// `LinearModel::fit` runs on the same samples, in the same order, so the coefficients are
+/// bit-identical. A solve allocates nothing.
+#[derive(Debug, Clone)]
+pub struct FixedDesign<const N: usize> {
+    /// The design matrix `X`, one row of regressors per sample.
+    rows: Box<[[f64; N]]>,
+    /// Per elimination column, the row swapped into the pivot position.
+    pivots: [usize; N],
+    /// Per elimination column, the factor each later row was reduced by.
+    factors: [[f64; N]; N],
+    /// `XᵀX` after elimination (its upper triangle is read).
+    upper: [[f64; N]; N],
 }
 
-impl LinearModel {
-    /// Fits the model to `(features, target)` samples by ordinary least squares.
+impl<const N: usize> FixedDesign<N> {
+    /// Factors the design with one row of regressors per sample: `[1, x₁, …]` for a model
+    /// with an intercept.
     ///
     /// # Errors
-    /// Returns [`FitError::TooFewSamples`] when there are fewer samples than coefficients,
-    /// [`FitError::DimensionMismatch`] when samples disagree on dimension, and
-    /// [`FitError::Singular`] when the design matrix is rank-deficient.
-    pub fn fit(samples: &[(Vec<f64>, f64)]) -> Result<Self, FitError> {
-        let dim = samples.first().map(|(x, _)| x.len()).unwrap_or(0);
-        let unknowns = dim + 1;
-        if samples.len() < unknowns {
+    /// Returns [`FitError::TooFewSamples`] when there are fewer rows than unknowns and
+    /// [`FitError::Singular`] when the design is rank-deficient.
+    pub fn new(rows: impl IntoIterator<Item = [f64; N]>) -> Result<Self, FitError> {
+        let rows: Box<[[f64; N]]> = rows.into_iter().collect();
+        if rows.len() < N {
             return Err(FitError::TooFewSamples {
-                provided: samples.len(),
-                required: unknowns,
+                provided: rows.len(),
+                required: N,
             });
         }
-        for (x, _) in samples {
-            if x.len() != dim {
-                return Err(FitError::DimensionMismatch {
-                    expected: dim,
-                    found: x.len(),
-                });
-            }
-        }
-        // Normal equations: (Xᵀ X) β = Xᵀ y with an implicit leading 1 column for the intercept.
-        let mut xtx = vec![vec![0.0; unknowns]; unknowns];
-        let mut xty = vec![0.0; unknowns];
-        for (features, y) in samples {
-            let mut row = Vec::with_capacity(unknowns);
-            row.push(1.0);
-            row.extend_from_slice(features);
-            for i in 0..unknowns {
-                xty[i] += row[i] * y;
-                for j in 0..unknowns {
-                    xtx[i][j] += row[i] * row[j];
+        let mut a = [[0.0; N]; N];
+        for row in &rows {
+            for (a_row, &xi) in a.iter_mut().zip(row) {
+                for (a_ij, &xj) in a_row.iter_mut().zip(row) {
+                    *a_ij += xi * xj;
                 }
             }
         }
-        let beta = solve_linear_system(xtx, xty).ok_or(FitError::Singular)?;
+        let mut pivots = [0; N];
+        let mut factors = [[0.0; N]; N];
+        for col in 0..N {
+            let pivot_row = (col..N)
+                .max_by(|&i, &j| {
+                    a[i][col]
+                        .abs()
+                        .partial_cmp(&a[j][col].abs())
+                        .expect("finite")
+                })
+                .expect("non-empty range");
+            if a[pivot_row][col].abs() < 1e-12 {
+                return Err(FitError::Singular);
+            }
+            a.swap(col, pivot_row);
+            pivots[col] = pivot_row;
+            let pivot = a[col];
+            for (row, factor) in a[col + 1..].iter_mut().zip(&mut factors[col][col + 1..]) {
+                *factor = row[col] / pivot[col];
+                for (target, &coeff) in row[col..].iter_mut().zip(&pivot[col..]) {
+                    *target -= *factor * coeff;
+                }
+            }
+        }
         Ok(Self {
-            intercept: beta[0],
-            coefficients: beta[1..].to_vec(),
+            rows,
+            pivots,
+            factors,
+            upper: a,
         })
     }
 
-    /// Predicts the target for a feature vector.
-    ///
-    /// # Panics
-    /// Panics if `features` has a different dimension than the model was fit with.
-    #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(
-            features.len(),
-            self.coefficients.len(),
-            "feature dimension mismatch in predict"
-        );
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(features)
-                .map(|(c, x)| c * x)
-                .sum::<f64>()
-    }
-
-    /// The fitted intercept.
-    #[must_use]
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The fitted coefficients, one per feature.
-    #[must_use]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-}
-
-/// A univariate polynomial `y = c0 + c1·x + c2·x² + …` fit by least squares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Polynomial {
-    coefficients: Vec<f64>,
-}
-
-impl Polynomial {
-    /// Creates a polynomial from coefficients in ascending-degree order.
-    ///
-    /// # Panics
-    /// Panics if `coefficients` is empty.
-    #[must_use]
-    pub fn from_coefficients(coefficients: Vec<f64>) -> Self {
-        assert!(
-            !coefficients.is_empty(),
-            "polynomial needs at least one coefficient"
-        );
-        Self { coefficients }
-    }
-
-    /// Fits a polynomial of the given `degree` to `(x, y)` samples.
+    /// The design of a degree-`N − 1` polynomial: one row `[1, x, x², …]` per sample `x`,
+    /// the powers taken as the reference `Polynomial::fit` takes them.
     ///
     /// # Errors
-    /// Returns [`FitError::TooFewSamples`] or [`FitError::Singular`] as appropriate.
-    pub fn fit(samples: &[(f64, f64)], degree: usize) -> Result<Self, FitError> {
-        let expanded: Vec<(Vec<f64>, f64)> = samples
-            .iter()
-            .map(|&(x, y)| ((1..=degree).map(|d| x.powi(d as i32)).collect(), y))
-            .collect();
-        let linear = LinearModel::fit(&expanded)?;
-        let mut coefficients = vec![linear.intercept()];
-        coefficients.extend_from_slice(linear.coefficients());
-        Ok(Self { coefficients })
+    /// As [`Self::new`].
+    pub fn polynomial(xs: impl IntoIterator<Item = f64>) -> Result<Self, FitError> {
+        Self::new(
+            xs.into_iter()
+                .map(|x| std::array::from_fn(|d| if d == 0 { 1.0 } else { x.powi(d as i32) })),
+        )
     }
 
-    /// Evaluates the polynomial at `x`.
-    #[must_use]
-    pub fn evaluate(&self, x: f64) -> f64 {
-        // Horner's rule.
-        self.coefficients
-            .iter()
-            .rev()
-            .fold(0.0, |acc, &c| acc * x + c)
-    }
-
-    /// Coefficients in ascending-degree order.
-    #[must_use]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-}
-
-/// A univariate piecewise polynomial: the x-axis is split at breakpoints and an independent
-/// polynomial is fit per segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PiecewisePolynomial {
-    /// One polynomial per segment, in breakpoint order.
-    segments: Vec<Polynomial>,
-}
-
-impl PiecewisePolynomial {
-    /// Fits one polynomial of the given `degree` per segment delimited by `breakpoints`.
+    /// The least-squares coefficients, in regressor order, for one target per design row.
     ///
-    /// Samples outside the breakpoint range are assigned to the first/last segment so no data
-    /// is discarded.
-    ///
-    /// # Errors
-    /// Returns [`FitError::InvalidSegments`] for bad breakpoints, or propagates fitting errors
-    /// from any segment (e.g. a segment with too few samples).
-    pub fn fit(
-        samples: &[(f64, f64)],
-        breakpoints: &[f64],
-        degree: usize,
-    ) -> Result<Self, FitError> {
-        if breakpoints.len() < 2 || breakpoints.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FitError::InvalidSegments);
-        }
-        let n_segments = breakpoints.len() - 1;
-        let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_segments];
-        for &(x, y) in samples {
-            let seg = segment_index(breakpoints, x);
-            buckets[seg].push((x, y));
-        }
-        let mut segments = Vec::with_capacity(n_segments);
-        for bucket in &buckets {
-            segments.push(Polynomial::fit(bucket, degree)?);
-        }
-        Ok(Self { segments })
-    }
-
-    /// The per-segment polynomials.
+    /// # Panics
+    /// Panics if `targets` yields another number of values than the design has rows.
     #[must_use]
-    pub fn segments(&self) -> &[Polynomial] {
-        &self.segments
+    pub fn solve(&self, targets: impl IntoIterator<Item = f64>) -> [f64; N] {
+        let mut targets = targets.into_iter();
+        let mut b = [0.0; N];
+        for row in &self.rows {
+            let y = targets.next().expect("one target per design row");
+            for (b_i, &xi) in b.iter_mut().zip(row) {
+                *b_i += xi * y;
+            }
+        }
+        assert!(targets.next().is_none(), "one target per design row");
+        for (col, (&pivot_row, factors)) in self.pivots.iter().zip(&self.factors).enumerate() {
+            b.swap(col, pivot_row);
+            let (head, tail) = b.split_at_mut(col + 1);
+            for (target, &factor) in tail.iter_mut().zip(&factors[col + 1..]) {
+                *target -= factor * head[col];
+            }
+        }
+        let mut x = [0.0; N];
+        for row in (0..N).rev() {
+            let upper = &self.upper[row];
+            let mut acc = b[row];
+            for (&coeff, &solved) in upper[row + 1..].iter().zip(&x[row + 1..]) {
+                acc -= coeff * solved;
+            }
+            x[row] = acc / upper[row];
+        }
+        x
     }
 }
 
-/// Index of the segment containing `x` (clamped to the valid segment range).
-fn segment_index(breakpoints: &[f64], x: f64) -> usize {
-    let n_segments = breakpoints.len() - 1;
-    if x < breakpoints[0] {
-        return 0;
-    }
-    for i in 0..n_segments {
-        if x < breakpoints[i + 1] {
-            return i;
-        }
-    }
-    n_segments - 1
-}
+/// The general least-squares fits a [`FixedDesign`] solve is held to bit for bit.
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{segment_index, LinearModel, PiecewisePolynomial, Polynomial};
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn linear_model_recovers_exact_coefficients() {
@@ -362,16 +252,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feature dimension mismatch")]
-    fn predict_panics_on_wrong_dimension() {
-        let samples: Vec<(Vec<f64>, f64)> = (0..6)
-            .map(|i| (vec![f64::from(i), f64::from(i * i)], f64::from(i)))
-            .collect();
-        let model = LinearModel::fit(&samples).unwrap();
-        let _ = model.predict(&[1.0]);
-    }
-
-    #[test]
     fn polynomial_fits_quadratic_exactly() {
         // y = 1 - 2x + 0.5x^2
         let samples: Vec<(f64, f64)> = (-10..=10)
@@ -385,18 +265,6 @@ mod tests {
         assert!((poly.coefficients()[0] - 1.0).abs() < 1e-8);
         assert!((poly.coefficients()[1] + 2.0).abs() < 1e-8);
         assert!((poly.coefficients()[2] - 0.5).abs() < 1e-8);
-    }
-
-    #[test]
-    fn polynomial_evaluate_uses_horner_correctly() {
-        let poly = Polynomial::from_coefficients(vec![1.0, 0.0, 2.0]);
-        assert_eq!(poly.evaluate(3.0), 1.0 + 2.0 * 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one coefficient")]
-    fn polynomial_rejects_empty_coefficients() {
-        let _ = Polynomial::from_coefficients(vec![]);
     }
 
     #[test]
@@ -453,6 +321,121 @@ mod tests {
         assert_eq!(segment_index(&bp, 10.0), 1);
         assert_eq!(segment_index(&bp, 20.0), 1);
         assert_eq!(segment_index(&bp, 99.0), 1);
+    }
+
+    /// A random design of `samples` rows `[1, x₁, …]` with features in `[−scale, scale)`
+    /// and random targets, solved by [`FixedDesign`] and fitted by [`LinearModel::fit`]:
+    /// the coefficients agree bit for bit. Returns whether the elimination swapped rows.
+    fn solve_matches_reference<const N: usize>(
+        rng: &mut SimRng,
+        samples: usize,
+        scale: f64,
+    ) -> bool {
+        let rows: Vec<[f64; N]> = (0..samples)
+            .map(|_| {
+                std::array::from_fn(|d| {
+                    if d == 0 {
+                        1.0
+                    } else {
+                        rng.uniform(-scale, scale)
+                    }
+                })
+            })
+            .collect();
+        let targets: Vec<f64> = (0..samples).map(|_| rng.uniform(-50.0, 50.0)).collect();
+        let reference = LinearModel::fit(
+            &rows
+                .iter()
+                .zip(&targets)
+                .map(|(row, &y)| (row[1..].to_vec(), y))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let design = FixedDesign::new(rows.iter().copied()).unwrap();
+        let solved = design.solve(targets.iter().copied());
+        let expected = [&[reference.intercept()], reference.coefficients()].concat();
+        assert_eq!(
+            solved.map(f64::to_bits).to_vec(),
+            expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        design
+            .pivots
+            .iter()
+            .enumerate()
+            .any(|(col, &row)| row != col)
+    }
+
+    #[test]
+    fn fixed_design_solves_equal_the_reference_fit_bit_for_bit() {
+        let mut rng = SimRng::seed_from(11);
+        let (mut cases, mut swapped) = (0, 0);
+        for case in 0..100 {
+            // With features near zero the intercept column keeps its pivot; with features
+            // far from zero partial pivoting swaps rows.
+            let scale = if case % 2 == 0 { 0.1 } else { 100.0 };
+            let samples = rng.uniform_usize(3, 40);
+            for swaps in [
+                solve_matches_reference::<2>(&mut rng, samples, scale),
+                solve_matches_reference::<3>(&mut rng, samples, scale),
+            ] {
+                cases += 1;
+                swapped += usize::from(swaps);
+            }
+        }
+        assert!(
+            0 < swapped && swapped < cases,
+            "{swapped} of {cases} swapped"
+        );
+
+        // A polynomial design takes its powers as `Polynomial::fit` does.
+        let xs: Vec<f64> = (0..=10).map(|i| f64::from(i) / 10.0).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 1.6 + 4.9 * x * (0.3 + 0.7 * x)).collect();
+        let samples: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+        let solved = FixedDesign::<3>::polynomial(xs).unwrap().solve(ys);
+        let reference = Polynomial::fit(&samples, 2).unwrap();
+        assert_eq!(
+            solved.map(f64::to_bits).to_vec(),
+            reference
+                .coefficients()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn fixed_design_fails_where_the_reference_fit_fails() {
+        let features = |rows: &[[f64; 3]]| -> Vec<(Vec<f64>, f64)> {
+            rows.iter().map(|row| (row[1..].to_vec(), 1.0)).collect()
+        };
+        // A duplicated feature and a constant one: singular.
+        let duplicated: Vec<[f64; 3]> =
+            (0..10).map(|i| [1.0, f64::from(i), f64::from(i)]).collect();
+        let constant: Vec<[f64; 3]> = (0..10).map(|i| [1.0, f64::from(i), 5.0]).collect();
+        // Fewer samples than unknowns.
+        let short = [[1.0, 2.0, 3.0], [1.0, 4.0, 7.0]];
+        for rows in [&duplicated[..], &constant, &short] {
+            let expected = LinearModel::fit(&features(rows)).unwrap_err();
+            assert_eq!(
+                FixedDesign::new(rows.iter().copied()).unwrap_err(),
+                expected
+            );
+        }
+        assert_eq!(
+            FixedDesign::<3>::new(duplicated).unwrap_err(),
+            FitError::Singular
+        );
+        assert_eq!(
+            FixedDesign::new(short).unwrap_err(),
+            FitError::TooFewSamples {
+                provided: 2,
+                required: 3
+            }
+        );
+        assert_eq!(
+            FixedDesign::<2>::new([[1.0, 2.0]]).unwrap_err(),
+            LinearModel::fit(&[(vec![2.0], 1.0)]).unwrap_err()
+        );
     }
 
     #[test]
