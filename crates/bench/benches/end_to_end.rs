@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the end-to-end simulator: one full smoke-test run and one
 //! physics step at four scales — the 80-server real cluster (the inner loop of every
 //! evaluation figure), the 1040-server production datacenter, a 10240-server site
-//! (128 aisles), and a 102400-server hyperscale site (1280 aisles) proving the SoA
-//! activity-plane kernels hold their ns/server price at DRAM-streaming scale.
+//! (128 aisles), and a 102400-server hyperscale site (1280 aisles) proving the row
+//! kernels hold their ns/server price at DRAM-streaming scale.
 
 use cluster_sim::experiment::ExperimentConfig;
 use cluster_sim::simulator::ClusterSimulator;

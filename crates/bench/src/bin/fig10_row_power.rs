@@ -3,7 +3,7 @@
 
 use cluster_sim::experiment::ExperimentConfig;
 use cluster_sim::simulator::ClusterSimulator;
-use dc_sim::engine::{Datacenter, StepInput};
+use dc_sim::engine::{Datacenter, ServerActivity, StepInput};
 use dc_sim::topology::LayoutConfig;
 use dc_sim::weather::{Climate, WeatherModel};
 use serde::Serialize;
@@ -50,8 +50,8 @@ fn main() {
             if i >= dc.layout().server_count() {
                 break;
             }
-            let load = iaas.load_at(vm, now);
-            input.activity.set_uniform(i, load);
+            let gpus = dc.layout().servers()[i].spec.gpus_per_server;
+            input.activity[i] = ServerActivity::uniform(gpus, iaas.load_at(vm, now));
         }
         let outcome = dc.evaluate(&input);
         for (row, power) in outcome.row_power() {

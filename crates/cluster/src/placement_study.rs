@@ -5,8 +5,7 @@
 //! and maximum temperature and peak power are uncorrelated across placements — the
 //! motivation for considering both dimensions when placing VMs.
 
-use dc_sim::engine::{ActivityPlanes, Datacenter, StepInput};
-use dc_sim::failures::FailureState;
+use dc_sim::engine::{Datacenter, ServerActivity, StepInput};
 use dc_sim::topology::LayoutConfig;
 use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
@@ -65,16 +64,12 @@ impl PlacementStudy {
             .map(|_| {
                 let mut servers: Vec<usize> = (0..server_count).collect();
                 rng.shuffle(&mut servers);
-                let mut activity = ActivityPlanes::idle_for(dc.layout());
+                let mut input = StepInput::idle(dc.layout(), Celsius::new(self.outside_temp_c));
                 for (vm, &server) in vm_loads.iter().zip(servers.iter()) {
-                    activity.set_uniform(server, *vm);
+                    let gpus = dc.layout().servers()[server].spec.gpus_per_server;
+                    input.activity[server] = ServerActivity::uniform(gpus, *vm);
                 }
-                let outcome = dc.evaluate(&StepInput {
-                    outside_temp: Celsius::new(self.outside_temp_c),
-                    activity,
-                    failures: FailureState::healthy(),
-                    power_cap: 1.0,
-                });
+                let outcome = dc.evaluate(&input);
                 PlacementSample {
                     max_temp_c: outcome.max_gpu_temp().value(),
                     peak_row_power_kw: outcome.peak_row_power().value(),

@@ -26,7 +26,7 @@ use crate::fabric::{FabricRequest, RequestFabric};
 use crate::fleet::FleetSimulator;
 use crate::metrics::RunReport;
 use crate::scenario::ResolvedTimeline;
-use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
+use dc_sim::engine::{Datacenter, ServerActivity, StepInput, StepWorkspace};
 use dc_sim::ids::{RowId, ServerId};
 use dc_sim::weather::WeatherModel;
 use llm_sim::config::InstanceConfig;
@@ -951,8 +951,8 @@ impl ClusterSimulator {
         }
     }
 
-    /// Fills the per-server activity planes for the physics engine in place: each quantum
-    /// writes directly into the flat SoA planes, never rebuilding per-server `Vec`s.
+    /// Writes each server's activity record for the physics engine: one record per
+    /// server, with a SaaS instance's model parallelism deciding how many GPUs run.
     ///
     /// IaaS loads reproduce `IaasLoadModel::load_at` bit for bit from one shared load per
     /// customer per step and the wobble cached when the VM landed, so no server reseeds
@@ -971,8 +971,8 @@ impl ClusterSimulator {
             let gpus = server.spec.gpus_per_server;
             let carry = self.carryover_freq[server.id.index()];
             let index = server.id.index();
-            match self.state.vm_on(server.id) {
-                None => self.step_input.activity.set_idle(index),
+            self.step_input.activity[index] = match self.state.vm_on(server.id) {
+                None => ServerActivity::idle(gpus),
                 Some(placed) => match placed.vm.kind {
                     VmKind::Iaas { customer } => {
                         // `IaasLoadModel::load_at`, from this step's customer loads.
@@ -987,10 +987,12 @@ impl ClusterSimulator {
                             // Unknown customer: the conservative peak.
                             1.0
                         };
-                        let activity = self.step_input.activity.server_mut(index);
-                        activity.gpu_utilization.fill(load);
-                        activity.frequency_scale.fill(carry);
-                        *activity.memory_boundedness = 0.5;
+                        ServerActivity {
+                            utilization: load,
+                            frequency_scale: carry,
+                            memory_boundedness: 0.5,
+                            active_gpus: gpus,
+                        }
                     }
                     VmKind::Saas { endpoint } => {
                         let position = self
@@ -999,21 +1001,16 @@ impl ClusterSimulator {
                             .expect("every placed SaaS VM is registered");
                         let pool = &self.registry.pools[endpoint.0 as usize];
                         let config = &pool.config[position];
-                        let active_gpus = config.parallelism.gpus().min(gpus);
-                        let util =
-                            (pool.sat_util[position] * pool.utilization[position]).clamp(0.0, 1.0);
-                        let freq = config.frequency.value() * carry;
-                        let activity = self.step_input.activity.server_mut(index);
-                        activity.gpu_utilization.fill(0.0);
-                        activity.frequency_scale.fill(1.0);
-                        for slot in 0..active_gpus {
-                            activity.gpu_utilization[slot] = util;
-                            activity.frequency_scale[slot] = freq;
+                        ServerActivity {
+                            utilization: (pool.sat_util[position] * pool.utilization[position])
+                                .clamp(0.0, 1.0),
+                            frequency_scale: config.frequency.value() * carry,
+                            memory_boundedness: pool.boundedness[position],
+                            active_gpus: config.parallelism.gpus().min(gpus),
                         }
-                        *activity.memory_boundedness = pool.boundedness[position];
                     }
                 },
-            }
+            };
         }
     }
 
@@ -1694,6 +1691,17 @@ mod tests {
         config.policy = Policy::Tapas;
         config.duration = SimTime::from_hours(36);
         config.step = SimDuration::from_minutes(20);
+        // A day-long power cap makes the configurator reload instances at a lower tensor
+        // parallelism, so SaaS records run some but not all of their GPUs.
+        config.scenario = crate::scenario::Scenario::builder()
+            .power_cap(
+                crate::scenario::SiteSelector::All,
+                SimTime::from_hours(6),
+                SimTime::from_hours(30),
+                0.5,
+            )
+            .build()
+            .expect("valid scenario");
         // Short-lived VMs so servers are freed and re-occupied; customers 12 and 13 are
         // unknown to the 12-customer load model (its conservative fallback).
         let arrivals = (0..600u64)
@@ -1718,15 +1726,18 @@ mod tests {
         // freed by a retirement and re-occupied.
         let mut tenant: Vec<Option<VmId>> = vec![None; sim.state.server_count()];
         let (mut checked, mut reoccupied, mut rows) = (0usize, 0usize, 0usize);
+        let (mut saas_checked, mut saas_partial) = (0usize, 0usize);
         loop {
             let now = clock.now();
             rows += step_and_check_registry(&mut sim, now);
             for placed in sim.state.placed().filter(|p| !p.vm.kind.is_saas()) {
                 let index = placed.server.index();
                 let expected = sim.iaas_model.load_at(&placed.vm, now).to_bits();
-                let plane = sim.step_input.activity.server(index).gpu_utilization;
-                assert!(
-                    plane.iter().all(|u| u.to_bits() == expected),
+                let record = sim.step_input.activity[index];
+                let gpus = sim.dc.layout().server(placed.server).spec.gpus_per_server;
+                assert_eq!(
+                    (record.utilization.to_bits(), record.active_gpus),
+                    (expected, gpus),
                     "{} on {} at {now:?}",
                     placed.vm.id,
                     placed.server
@@ -1737,11 +1748,29 @@ mod tests {
                 }
                 tenant[index] = Some(placed.vm.id);
             }
+            for pool in &sim.registry.pools {
+                for (config, &server) in pool.config.iter().zip(&pool.server) {
+                    let gpus = sim.dc.layout().server(server).spec.gpus_per_server;
+                    let active = sim.step_input.activity[server.index()].active_gpus;
+                    assert_eq!(
+                        active,
+                        config.parallelism.gpus().min(gpus),
+                        "{server} at {now:?}"
+                    );
+                    saas_checked += 1;
+                    saas_partial += usize::from(active < gpus);
+                }
+            }
             if clock.tick().is_none() {
                 break;
             }
         }
         assert!(checked > 500, "{checked}");
+        assert!(saas_checked >= 50, "{saas_checked}");
+        assert!(
+            (10..saas_checked).contains(&saas_partial),
+            "{saas_partial} of {saas_checked} SaaS records run part of their GPUs"
+        );
         assert!(reoccupied >= 10, "{reoccupied} servers changed IaaS tenant");
         assert!(rows >= 50, "only {rows} risk rows checked");
     }

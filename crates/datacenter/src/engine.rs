@@ -1,7 +1,8 @@
 //! The per-step evaluation pipeline.
 //!
 //! [`Datacenter`] owns the layout and the generative thermal/power models, and
-//! [`Datacenter::evaluate`] turns one step's per-GPU activity into:
+//! [`Datacenter::evaluate`] turns one step's activity, one [`ServerActivity`] record per
+//! server, into:
 //!
 //! 1. per-server airflow demand and per-aisle airflow assessment (Eq. 3), including the heat
 //!    recirculation penalty when an aisle is over-subscribed or an AHU has failed;
@@ -29,170 +30,120 @@ use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts, Watts};
 use std::sync::Arc;
 
-/// Structure-of-arrays per-GPU activity of the whole datacenter: the step input the
-/// row-batched kernels stream directly.
+/// One server's activity for a step: lanes `0..active_gpus` run at `(utilization,
+/// frequency_scale)`, and the remaining lanes idle at utilization 0 and nominal frequency.
 ///
-/// The planes store every GPU's utilization and frequency scale in two flat server-major
-/// vectors windowed by the same GPU prefix sums a [`TopologyIndex`] freezes
-/// ([`TopologyIndex::gpu_offsets`]), plus one per-server memory-boundedness vector.
-/// Row kernels slice contiguous windows out of the planes with no per-server indirection,
-/// and building an idle cluster costs four allocations total. The planes are always
-/// shaped for a layout ([`Self::idle_for`], [`Self::uniform_for`]); per-server writes go
-/// through [`Self::server_mut`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivityPlanes {
-    /// Flat server-major per-GPU utilization in `[0, 1]`, windowed by `offsets`.
-    gpu_utilization: Vec<f64>,
-    /// Flat server-major per-GPU frequency scale in `(0, 1]`, windowed by `offsets`.
-    frequency_scale: Vec<f64>,
-    /// Per-server memory-boundedness in `[0, 1]` (0 = prefill-like, 1 = decode-like).
-    memory_boundedness: Vec<f64>,
-    /// Server-major GPU prefix sums (length `server_count + 1`), mirroring the layout's
-    /// [`TopologyIndex::gpu_offsets`]. The engine validates them against its topology in
-    /// one up-front comparison instead of per-server length checks.
-    offsets: Vec<u32>,
-}
-
-/// Read-only view of one server's activity inside [`ActivityPlanes`].
-#[derive(Debug, Clone, Copy)]
-pub struct ActivityView<'a> {
-    /// The server's window of the utilization plane.
-    pub gpu_utilization: &'a [f64],
-    /// The server's window of the frequency-scale plane.
-    pub frequency_scale: &'a [f64],
-    /// The server's memory-boundedness.
+/// This is the shape the simulator writes (an instance's model parallelism decides how
+/// many GPUs run, and its configuration their frequency); GPU-to-GPU heterogeneity comes
+/// from the thermal model's per-GPU offsets, not from the input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServerActivity {
+    /// Utilization of each active lane, nominally in `[0, 1]` (the kernels clamp).
+    pub utilization: f64,
+    /// Frequency scale of each active lane in `(0, 1]`.
+    pub frequency_scale: f64,
+    /// Memory-boundedness in `[0, 1]` (0 = prefill-like, 1 = decode-like).
     pub memory_boundedness: f64,
+    /// Number of leading lanes that run; at most the server's GPU count.
+    pub active_gpus: usize,
 }
 
-/// Mutable view of one server's activity inside [`ActivityPlanes`].
+impl ServerActivity {
+    /// An idle server: utilization 0, nominal frequency, no memory-boundedness.
+    #[must_use]
+    pub fn idle(gpus: usize) -> Self {
+        Self {
+            utilization: 0.0,
+            frequency_scale: 1.0,
+            memory_boundedness: 0.0,
+            active_gpus: gpus,
+        }
+    }
+
+    /// Every lane at the same utilization (clamped to `[0, 1]`), nominal frequency and
+    /// memory-boundedness 0.5.
+    #[must_use]
+    pub fn uniform(gpus: usize, utilization: f64) -> Self {
+        Self {
+            utilization: utilization.clamp(0.0, 1.0),
+            frequency_scale: 1.0,
+            memory_boundedness: 0.5,
+            active_gpus: gpus,
+        }
+    }
+
+    /// The `(utilization, frequency scale)` of GPU slot `slot`: the record's pair on the
+    /// first `active_gpus` slots, `(0.0, 1.0)` after them.
+    #[must_use]
+    pub fn lane(&self, slot: usize) -> (f64, f64) {
+        if slot < self.active_gpus {
+            (self.utilization, self.frequency_scale)
+        } else {
+            (0.0, 1.0)
+        }
+    }
+}
+
+/// The step's activity: one [`ServerActivity`] per server, indexed by
+/// [`ServerId::index`]. Dereferences to the record slice.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActivityRecords(Vec<ServerActivity>);
+
+/// Field-wise mutable access to one [`ServerActivity`], with utilization and frequency as
+/// one-element slices. Only `replay_physics` in `perfbench/src/layers.rs` writes through
+/// it; the benchmark change of ROADMAP direction 5 deletes it.
 #[derive(Debug)]
-pub struct ActivityViewMut<'a> {
-    /// The server's window of the utilization plane.
+pub struct ServerActivityMut<'a> {
+    /// The record's utilization.
     pub gpu_utilization: &'a mut [f64],
-    /// The server's window of the frequency-scale plane.
+    /// The record's frequency scale.
     pub frequency_scale: &'a mut [f64],
-    /// The server's memory-boundedness.
+    /// The record's memory-boundedness.
     pub memory_boundedness: &'a mut f64,
 }
 
-impl ActivityPlanes {
-    /// All-idle planes shaped for a layout: utilization 0, nominal frequency, no
-    /// memory-boundedness. Four allocations for the whole datacenter.
-    #[must_use]
-    pub fn idle_for(layout: &Layout) -> Self {
-        let offsets = Self::offsets_for(layout);
-        let gpu_count = *offsets.last().expect("offsets non-empty") as usize;
-        Self {
-            gpu_utilization: vec![0.0; gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: vec![0.0; layout.server_count()],
-            offsets,
-        }
-    }
-
-    /// Planes with every GPU at the same utilization (clamped to `[0, 1]`), nominal
-    /// frequency and memory-boundedness 0.5 ([`Self::set_uniform`] on every server).
-    #[must_use]
-    pub fn uniform_for(layout: &Layout, utilization: f64) -> Self {
-        let offsets = Self::offsets_for(layout);
-        let gpu_count = *offsets.last().expect("offsets non-empty") as usize;
-        Self {
-            gpu_utilization: vec![utilization.clamp(0.0, 1.0); gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: vec![0.5; layout.server_count()],
-            offsets,
-        }
-    }
-
-    fn offsets_for(layout: &Layout) -> Vec<u32> {
-        let mut offsets = Vec::with_capacity(layout.server_count() + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for server in layout.servers() {
-            total += u32::try_from(server.spec.gpus_per_server)
-                .expect("per-server GPU count fits in u32");
-            offsets.push(total);
-        }
-        offsets
-    }
-
-    /// Number of servers the planes cover.
-    #[must_use]
-    pub fn server_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of GPU lanes.
-    #[must_use]
-    pub fn gpu_count(&self) -> usize {
-        *self.offsets.last().expect("offsets non-empty") as usize
-    }
-
-    /// The server-major GPU prefix sums (length `server_count + 1`).
-    #[must_use]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The flat kernel planes: `(utilization, frequency scale, memory boundedness)`.
-    #[must_use]
-    pub fn planes(&self) -> (&[f64], &[f64], &[f64]) {
-        (
-            &self.gpu_utilization,
-            &self.frequency_scale,
-            &self.memory_boundedness,
+impl ActivityRecords {
+    fn for_layout(layout: &Layout, record: impl Fn(usize) -> ServerActivity) -> Self {
+        Self(
+            layout
+                .servers()
+                .iter()
+                .map(|server| record(server.spec.gpus_per_server))
+                .collect(),
         )
     }
 
-    /// Read-only view of one server's activity.
+    /// Field-wise writer for one server's record (see [`ServerActivityMut`]).
     ///
     /// # Panics
     /// Panics if the server ordinal is out of range.
     #[must_use]
-    pub fn server(&self, server: usize) -> ActivityView<'_> {
-        let window = self.offsets[server] as usize..self.offsets[server + 1] as usize;
-        ActivityView {
-            gpu_utilization: &self.gpu_utilization[window.clone()],
-            frequency_scale: &self.frequency_scale[window],
-            memory_boundedness: self.memory_boundedness[server],
+    pub fn server_mut(&mut self, server: usize) -> ServerActivityMut<'_> {
+        let ServerActivity {
+            utilization,
+            frequency_scale,
+            memory_boundedness,
+            ..
+        } = &mut self.0[server];
+        ServerActivityMut {
+            gpu_utilization: std::slice::from_mut(utilization),
+            frequency_scale: std::slice::from_mut(frequency_scale),
+            memory_boundedness,
         }
     }
+}
 
-    /// Mutable view of one server's activity (the simulator's per-quantum fill path).
-    ///
-    /// # Panics
-    /// Panics if the server ordinal is out of range.
-    #[must_use]
-    pub fn server_mut(&mut self, server: usize) -> ActivityViewMut<'_> {
-        let window = self.offsets[server] as usize..self.offsets[server + 1] as usize;
-        ActivityViewMut {
-            gpu_utilization: &mut self.gpu_utilization[window.clone()],
-            frequency_scale: &mut self.frequency_scale[window],
-            memory_boundedness: &mut self.memory_boundedness[server],
-        }
+impl std::ops::Deref for ActivityRecords {
+    type Target = [ServerActivity];
+
+    fn deref(&self) -> &[ServerActivity] {
+        &self.0
     }
+}
 
-    /// Resets one server to the idle shape (allocation-free).
-    ///
-    /// # Panics
-    /// Panics if the server ordinal is out of range.
-    pub fn set_idle(&mut self, server: usize) {
-        let a = self.server_mut(server);
-        a.gpu_utilization.fill(0.0);
-        a.frequency_scale.fill(1.0);
-        *a.memory_boundedness = 0.0;
-    }
-
-    /// Sets one server's GPUs to the same utilization (clamped to `[0, 1]`) at nominal
-    /// frequency, with memory-boundedness 0.5 (allocation-free).
-    ///
-    /// # Panics
-    /// Panics if the server ordinal is out of range.
-    pub fn set_uniform(&mut self, server: usize, utilization: f64) {
-        let a = self.server_mut(server);
-        a.gpu_utilization.fill(utilization.clamp(0.0, 1.0));
-        a.frequency_scale.fill(1.0);
-        *a.memory_boundedness = 0.5;
+impl std::ops::DerefMut for ActivityRecords {
+    fn deref_mut(&mut self) -> &mut [ServerActivity] {
+        &mut self.0
     }
 }
 
@@ -201,9 +152,8 @@ impl ActivityPlanes {
 pub struct StepInput {
     /// Outside air temperature.
     pub outside_temp: Celsius,
-    /// Per-server activity as flat SoA planes, windowed by [`ServerId::index`]-ordered
-    /// GPU offsets.
-    pub activity: ActivityPlanes,
+    /// One activity record per server.
+    pub activity: ActivityRecords,
     /// Active infrastructure failures.
     pub failures: FailureState,
     /// Operator power-cap fraction in `(0, 1]`: every row and UPS budget is clamped to
@@ -214,24 +164,25 @@ pub struct StepInput {
 
 impl StepInput {
     /// An all-idle cluster at a given outside temperature (useful for tests and
-    /// baselines). Allocation-free per server: the planes are four datacenter-wide
-    /// vectors, not two heap payloads per server.
+    /// baselines); every record has all its lanes active.
     #[must_use]
     pub fn idle(layout: &Layout, outside_temp: Celsius) -> Self {
         Self {
             outside_temp,
-            activity: ActivityPlanes::idle_for(layout),
+            activity: ActivityRecords::for_layout(layout, ServerActivity::idle),
             failures: FailureState::healthy(),
             power_cap: 1.0,
         }
     }
 
-    /// A uniformly loaded cluster.
+    /// A uniformly loaded cluster ([`ServerActivity::uniform`] on every server).
     #[must_use]
     pub fn uniform_load(layout: &Layout, outside_temp: Celsius, utilization: f64) -> Self {
         Self {
             outside_temp,
-            activity: ActivityPlanes::uniform_for(layout, utilization),
+            activity: ActivityRecords::for_layout(layout, |gpus| {
+                ServerActivity::uniform(gpus, utilization)
+            }),
             failures: FailureState::healthy(),
             power_cap: 1.0,
         }
@@ -539,8 +490,8 @@ impl Datacenter {
     /// across steps.
     ///
     /// # Panics
-    /// Panics if `input.activity` does not have exactly one entry per server, or if a
-    /// server's activity has a different GPU count than its spec.
+    /// Panics if `input.activity` does not have exactly one record per server, or if a
+    /// record's `active_gpus` exceeds its server's GPU count.
     #[must_use]
     pub fn evaluate(&self, input: &StepInput) -> StepOutcome {
         let mut workspace = StepWorkspace::for_topology(Arc::clone(&self.topology));
@@ -557,28 +508,22 @@ impl Datacenter {
     /// [`crate::kernel_reference::evaluate_scalar`].
     ///
     /// # Panics
-    /// Panics if `input.activity` does not have exactly one entry per server, or if a
-    /// server's activity has a different GPU count than its spec.
+    /// Panics if `input.activity` does not have exactly one record per server, or if a
+    /// record's `active_gpus` exceeds its server's GPU count.
     pub fn evaluate_into(&self, input: &StepInput, workspace: &mut StepWorkspace) {
         assert_eq!(
-            input.activity.server_count(),
+            input.activity.len(),
             self.layout.server_count(),
             "activity must cover every server"
         );
-        // One dense comparison of the planes' prefix sums against the frozen topology
-        // replaces the per-server length checks of the array-of-structs shape: equal
-        // offsets mean every server's GPU window matches its spec.
-        assert!(
-            input.activity.offsets() == workspace.topology.gpu_offsets(),
-            "activity GPU count must match the server spec"
-        );
+        // Each record's `active_gpus` bound is asserted where the power pass expands it.
         workspace.reset(&self.layout);
         let server_count = self.layout.server_count();
         let servers = self.layout.servers();
         let topology = Arc::clone(&workspace.topology);
         let row_ranges = topology.row_ranges();
         let gpu_offsets = topology.gpu_offsets();
-        let (utilization_all, frequency_all, boundedness_all) = input.activity.planes();
+        let activity_all: &[ServerActivity] = &input.activity;
 
         // 1. Per-server loads, airflow demand and power, processed per contiguous row slice.
         {
@@ -592,8 +537,7 @@ impl Datacenter {
                 RowPowerKernel {
                     plan: &self.row_plans[row],
                     servers: &servers[range.clone()],
-                    utilization: &utilization_all[gpus.clone()],
-                    frequency: &frequency_all[gpus.clone()],
+                    activity: &activity_all[range.clone()],
                     airflow: &mut outcome.server_airflow[range.clone()],
                     power: &mut outcome.server_power[range.clone()],
                     power_stage: &mut power_stage[gpus],
@@ -654,7 +598,7 @@ impl Datacenter {
                     plan: &self.row_plans[row],
                     servers: &servers[range.clone()],
                     row_start: range.start,
-                    memory_boundedness: &boundedness_all[range.clone()],
+                    activity: &activity_all[range.clone()],
                     spatial: &spatial_all[range.clone()],
                     thermal_offsets: &thermal_offsets_all[gpus.clone()],
                     aisle_penalty: &workspace.aisle_penalty,
@@ -835,109 +779,89 @@ impl StepWorkspace {
     }
 }
 
-/// Fused per-server GPU lane pass of the power kernel: writes each GPU's power
-/// (`ServerPowerModel::gpu_power` with its terms hoisted by the caller) and returns the
-/// `(Σ per-GPU power, mean utilization)` pair. The two alternating accumulator lanes make
-/// the float additions pipeline instead of forming one serial dependency chain — the
-/// lane order (even slots → lane 0, odd slots → lane 1, the historical `acc[slot & 1]`)
-/// is part of the engine's FP-order contract.
+/// Fused per-server GPU lane pass of the power kernel: expands one [`ServerActivity`]
+/// into its lanes, writes each GPU's power (`ServerPowerModel::gpu_power` with its terms
+/// hoisted by the caller) and returns the `(Σ per-GPU power, mean utilization)` pair.
 ///
-/// On x86-64 the pair loop runs on explicit SSE2 packed-double intrinsics (SSE2 is part
-/// of the x86-64 baseline, so no runtime detection is needed): the auto-vectorizer packs
-/// `[u, f]` per lane instead of `[u₀, u₁]` across lanes, which drowns the loop in
-/// shuffles. Every packed op is the lane-wise IEEE operation of the scalar path, so
-/// results are bit-identical (see `kernel_reference` and `tests/soa_physics.rs`); NaN
-/// activity is outside the engine's contract either way (the debug poison sweep rejects
-/// it).
+/// The active and idle lane powers are computed once per server; the lanes then form two
+/// runs (slots `0..active_gpus`, then the idle rest), and [`lane_run`] stores and
+/// accumulates each lane by lane, one scalar loop for every target. The two alternating
+/// accumulator lanes make the float additions pipeline instead of forming one serial
+/// dependency chain — the lane order (even slots → lane 0, odd slots → lane 1, the
+/// historical `acc[slot & 1]`) is part of the engine's FP-order contract (see
+/// `kernel_reference` and `tests/soa_physics.rs`).
+///
+/// # Panics
+/// Panics if `activity.active_gpus` exceeds the server's lane count.
 #[inline(always)]
 fn power_lanes(
     static_power: f64,
     dynamic_coeff: f64,
-    utilization: &[f64],
-    frequency: &[f64],
+    activity: &ServerActivity,
     out: &mut [f64],
 ) -> (f64, f64) {
-    // Equal-length reslicing: the caller validated the shapes up front; restating the
-    // bound here lets the compiler collapse the loops into counted, branch-free form.
     let lanes = out.len();
-    let utilization = &utilization[..lanes];
-    let frequency = &frequency[..lanes];
-    let mut util_acc = [0.0f64; 2];
-    let mut pow_acc = [0.0f64; 2];
-    let pairs = lanes / 2;
-
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is unconditionally available on x86-64; every pointer below stays
-    // within the resliced `lanes` bound (`2 * pairs <= lanes`).
-    unsafe {
-        use std::arch::x86_64::{
-            _mm_add_pd, _mm_loadu_pd, _mm_max_pd, _mm_min_pd, _mm_mul_pd, _mm_set1_pd,
-            _mm_storeu_pd,
-        };
-        let zero = _mm_set1_pd(0.0);
-        let one = _mm_set1_pd(1.0);
-        let freq_floor = _mm_set1_pd(0.1);
-        let static_2 = _mm_set1_pd(static_power);
-        let dynamic_2 = _mm_set1_pd(dynamic_coeff);
-        let mut util_acc_2 = _mm_loadu_pd(util_acc.as_ptr());
-        let mut pow_acc_2 = _mm_loadu_pd(pow_acc.as_ptr());
-        for i in 0..pairs {
-            let u = _mm_loadu_pd(utilization.as_ptr().add(2 * i));
-            let f = _mm_loadu_pd(frequency.as_ptr().add(2 * i));
-            let clamped_u = _mm_min_pd(_mm_max_pd(u, zero), one);
-            let clamped_f = _mm_min_pd(_mm_max_pd(f, freq_floor), one);
-            let f3 = _mm_mul_pd(_mm_mul_pd(clamped_f, clamped_f), clamped_f);
-            let power = _mm_add_pd(static_2, _mm_mul_pd(_mm_mul_pd(dynamic_2, clamped_u), f3));
-            _mm_storeu_pd(out.as_mut_ptr().add(2 * i), power);
-            util_acc_2 = _mm_add_pd(util_acc_2, u);
-            pow_acc_2 = _mm_add_pd(pow_acc_2, power);
-        }
-        _mm_storeu_pd(util_acc.as_mut_ptr(), util_acc_2);
-        _mm_storeu_pd(pow_acc.as_mut_ptr(), pow_acc_2);
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    for i in 0..pairs {
-        for k in 0..2 {
-            let u = utilization[2 * i + k];
-            let clamped_u = u.clamp(0.0, 1.0);
-            let clamped_f = frequency[2 * i + k].clamp(0.1, 1.0);
-            let f3 = (clamped_f * clamped_f) * clamped_f;
-            let power = static_power + dynamic_coeff * clamped_u * f3;
-            util_acc[k] += u;
-            pow_acc[k] += power;
-            out[2 * i + k] = power;
-        }
-    }
-
-    // Odd trailing lane (ragged GPU counts): its slot is even, so it lands in lane 0.
-    if lanes % 2 == 1 {
-        let u = utilization[lanes - 1];
-        let clamped_u = u.clamp(0.0, 1.0);
-        let clamped_f = frequency[lanes - 1].clamp(0.1, 1.0);
+    let active = activity.active_gpus;
+    assert!(
+        active <= lanes,
+        "active GPU count must not exceed the server spec"
+    );
+    let lane_power = |utilization: f64, frequency: f64| {
+        let clamped_u = utilization.clamp(0.0, 1.0);
+        let clamped_f = frequency.clamp(0.1, 1.0);
         let f3 = (clamped_f * clamped_f) * clamped_f;
-        let power = static_power + dynamic_coeff * clamped_u * f3;
-        util_acc[0] += u;
-        pow_acc[0] += power;
-        out[lanes - 1] = power;
+        static_power + dynamic_coeff * clamped_u * f3
+    };
+    let active_power = lane_power(activity.utilization, activity.frequency_scale);
+    let idle_power = lane_power(0.0, 1.0);
+    // `acc[parity] = (Σ utilization, Σ power)` over the slots of that parity, in slot
+    // order. The idle run starts at slot `active`, so an odd count swaps the parities
+    // for its duration.
+    let mut acc = [(0.0f64, 0.0f64); 2];
+    let (running, idle) = out.split_at_mut(active);
+    lane_run(running, activity.utilization, active_power, &mut acc);
+    if active % 2 == 1 {
+        acc.swap(0, 1);
     }
-    let gpu_sum = pow_acc[0] + pow_acc[1];
+    lane_run(idle, 0.0, idle_power, &mut acc);
+    if active % 2 == 1 {
+        acc.swap(0, 1);
+    }
+    let [(util_even, pow_even), (util_odd, pow_odd)] = acc;
+    let gpu_sum = pow_even + pow_odd;
     let mean_load = if lanes == 0 {
         0.0
     } else {
-        (util_acc[0] + util_acc[1]) / lanes as f64
+        (util_even + util_odd) / lanes as f64
     };
     (gpu_sum, mean_load)
+}
+
+/// Stores `power` into every lane of a run and accumulates `(utilization, power)` per lane,
+/// the run's first lane into `acc[0]` and then alternating.
+#[inline(always)]
+fn lane_run(lanes: &mut [f64], utilization: f64, power: f64, acc: &mut [(f64, f64); 2]) {
+    let mut pairs = lanes.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        acc[0].0 += utilization;
+        acc[0].1 += power;
+        acc[1].0 += utilization;
+        acc[1].1 += power;
+        pair[0] = power;
+        pair[1] = power;
+    }
+    if let [last] = pairs.into_remainder() {
+        acc[0].0 += utilization;
+        acc[0].1 += power;
+        *last = power;
+    }
 }
 
 struct RowPowerKernel<'a> {
     plan: &'a RowPlan,
     servers: &'a [crate::topology::Server],
-    /// The row's window of the flat utilization plane (validated against the topology's
-    /// GPU offsets up front, so no per-server shape checks remain in the loop).
-    utilization: &'a [f64],
-    /// The row's window of the flat frequency-scale plane.
-    frequency: &'a [f64],
+    /// The row's window of the activity records.
+    activity: &'a [ServerActivity],
     airflow: &'a mut [CubicFeetPerMinute],
     power: &'a mut [Kilowatts],
     /// The row's window of the junction-temperature plane, used as per-GPU power staging
@@ -956,9 +880,8 @@ impl RowPowerKernel<'_> {
 
     /// Fast path for a spec-homogeneous row: every spec-derived term arrives hoisted in
     /// the row plan, so the per-server stride is fixed and the loop never touches the
-    /// `Server` structs. The activity arrives as dense plane windows, so the loop is
-    /// three linear streams the hardware prefetcher follows on its own (the old
-    /// per-server `Vec` shape needed explicit prefetch hints to hide its pointer chase).
+    /// `Server` structs. The activity arrives as the row's window of records, so the
+    /// loop is linear streams the hardware prefetcher follows on its own.
     fn run_uniform(&mut self, t: &RowUniformTerms) {
         let gpus = t.gpus_per_server;
         let mut load_sum = 0.0;
@@ -968,8 +891,7 @@ impl RowPowerKernel<'_> {
             let (gpu_sum, mean_load) = power_lanes(
                 t.gpu_static_w,
                 t.gpu_dynamic_w,
-                &self.utilization[lanes.clone()],
-                &self.frequency[lanes.clone()],
+                &self.activity[i],
                 &mut self.power_stage[lanes],
             );
             load_sum += mean_load;
@@ -1002,8 +924,7 @@ impl RowPowerKernel<'_> {
             let (gpu_sum, mean_load) = power_lanes(
                 static_power,
                 dynamic_coeff,
-                &self.utilization[lanes.clone()],
-                &self.frequency[lanes.clone()],
+                &self.activity[i],
                 &mut self.power_stage[lanes],
             );
             load_sum += mean_load;
@@ -1033,9 +954,10 @@ impl RowPowerKernel<'_> {
 /// value), because at the 10k-server scale the step is memory-bound and every avoided
 /// full-plane stream is ~10 % of the step.
 ///
-/// As in [`power_lanes`], the x86-64 pair loop uses explicit SSE2 packed doubles; every
-/// packed op is the lane-wise IEEE operation of the scalar path, so results are
-/// bit-identical to the retained scalar reference.
+/// The x86-64 pair loop uses explicit SSE2 packed doubles (SSE2 is part of the x86-64
+/// baseline, so no runtime detection is needed); every packed op is the lane-wise IEEE
+/// operation of the scalar path, so results are bit-identical to the retained scalar
+/// reference.
 #[inline(always)]
 fn thermal_lanes(
     base_common: f64,
@@ -1120,8 +1042,9 @@ struct RowThermalKernel<'a> {
     servers: &'a [crate::topology::Server],
     /// Ordinal of the row's first server (fast path reconstructs `ServerId`s from it).
     row_start: usize,
-    /// The row's window of the staged per-server memory-boundedness plane.
-    memory_boundedness: &'a [f64],
+    /// The row's window of the activity records (the thermal pass reads only their
+    /// memory-boundedness).
+    activity: &'a [ServerActivity],
     /// The row's window of the inlet model's spatial-offset plane.
     spatial: &'a [f64],
     /// The row's window of the thermal model's per-GPU offset plane.
@@ -1161,7 +1084,7 @@ impl RowThermalKernel<'_> {
             let inlet = Celsius::new(self.inlet_base + self.spatial[i] + self.load_term + penalty);
             self.inlets[i] = inlet;
             let base_common = coeffs.base_terms(inlet);
-            self.mem_offsets[i] = coeffs.memory_offset(self.memory_boundedness[i]);
+            self.mem_offsets[i] = coeffs.memory_offset(self.activity[i].memory_boundedness);
             let lanes = gpu_offset..gpu_offset + gpus;
             let hot = thermal_lanes(
                 base_common,
@@ -1191,7 +1114,7 @@ impl RowThermalKernel<'_> {
             let inlet = Celsius::new(self.inlet_base + self.spatial[i] + self.load_term + penalty);
             self.inlets[i] = inlet;
             let base_common = coeffs.base_terms(inlet);
-            self.mem_offsets[i] = coeffs.memory_offset(self.memory_boundedness[i]);
+            self.mem_offsets[i] = coeffs.memory_offset(self.activity[i].memory_boundedness);
             let gpus = server.spec.gpus_per_server;
             let lanes = gpu_offset..gpu_offset + gpus;
             let hot = thermal_lanes(
@@ -1403,12 +1326,12 @@ mod tests {
         assert!(gpu_spread > 1.0);
     }
 
-    /// Planes shaped for the test layout with `edit` applied to its config: a step input
+    /// Records shaped for the test layout with `edit` applied to its config: a step input
     /// whose shape disagrees with the datacenter.
-    fn planes_for_other_layout(edit: impl FnOnce(&mut LayoutConfig)) -> ActivityPlanes {
+    fn records_for_other_layout(edit: impl FnOnce(&mut LayoutConfig)) -> ActivityRecords {
         let mut config = LayoutConfig::real_cluster_two_rows();
         edit(&mut config);
-        ActivityPlanes::idle_for(&config.build())
+        StepInput::idle(&config.build(), Celsius::new(20.0)).activity
     }
 
     #[test]
@@ -1416,42 +1339,54 @@ mod tests {
     fn mismatched_activity_length_panics() {
         let dc = datacenter();
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = planes_for_other_layout(|c| c.racks_per_row -= 1);
-        assert!(input.activity.server_count() < dc.layout().server_count());
+        input.activity = records_for_other_layout(|c| c.racks_per_row -= 1);
+        assert!(input.activity.len() < dc.layout().server_count());
         let _ = dc.evaluate(&input);
     }
 
+    /// Records built for servers with more GPUs than the datacenter's name lanes that do
+    /// not exist.
     #[test]
-    #[should_panic(expected = "match the server spec")]
+    #[should_panic(expected = "active GPU count must not exceed the server spec")]
     fn mismatched_gpu_count_panics() {
         let dc = datacenter();
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = planes_for_other_layout(|c| c.server_spec.gpus_per_server -= 1);
-        assert_eq!(input.activity.server_count(), dc.layout().server_count());
+        input.activity = records_for_other_layout(|c| c.server_spec.gpus_per_server += 1);
+        assert_eq!(input.activity.len(), dc.layout().server_count());
         let _ = dc.evaluate(&input);
     }
 
-    /// Per-server views and the allocation-free fill helpers agree with the
-    /// datacenter-wide constructors.
+    /// One record past its server's GPU count is rejected, on the last server of the
+    /// last row.
     #[test]
-    fn planes_views_match_the_layout_constructors() {
+    #[should_panic(expected = "active GPU count must not exceed the server spec")]
+    fn active_gpus_above_the_spec_panics() {
         let dc = datacenter();
-        let mut planes = ActivityPlanes::idle_for(dc.layout());
-        assert_eq!(planes.server_count(), 80);
-        assert_eq!(planes.gpu_count(), 640);
-        assert_eq!(planes.offsets(), dc.topology().gpu_offsets());
-        let s0 = planes.server(0);
-        assert_eq!(s0.gpu_utilization, &[0.0; 8][..]);
-        assert_eq!(s0.frequency_scale, &[1.0; 8][..]);
-        assert_eq!(s0.memory_boundedness, 0.0);
-        planes.set_uniform(2, 1.7);
-        let uniform = ActivityPlanes::uniform_for(dc.layout(), 1.7);
-        let (s2, expected) = (planes.server(2), uniform.server(2));
-        assert_eq!(s2.gpu_utilization, &[1.0; 8][..], "utilization is clamped");
-        assert_eq!(s2.gpu_utilization, expected.gpu_utilization);
-        assert_eq!(s2.frequency_scale, expected.frequency_scale);
-        assert_eq!(s2.memory_boundedness, expected.memory_boundedness);
-        planes.set_idle(2);
-        assert_eq!(planes, ActivityPlanes::idle_for(dc.layout()));
+        let mut input = StepInput::uniform_load(dc.layout(), Celsius::new(20.0), 0.5);
+        let last = input.activity.last_mut().expect("servers");
+        last.active_gpus += 1;
+        let _ = dc.evaluate(&input);
+    }
+
+    /// The layout constructors build one all-lanes-active record per server, and the
+    /// field-wise writer edits that record in place.
+    #[test]
+    fn server_records_match_the_layout_constructors() {
+        let dc = datacenter();
+        let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
+        assert_eq!(input.activity.len(), 80);
+        assert_eq!(input.activity[0], ServerActivity::idle(8));
+        assert_eq!(input.activity[0].active_gpus, 8);
+        let uniform = StepInput::uniform_load(dc.layout(), Celsius::new(20.0), 1.7);
+        assert_eq!(
+            uniform.activity[2].utilization, 1.0,
+            "utilization is clamped"
+        );
+        let writer = input.activity.server_mut(2);
+        writer.gpu_utilization.fill(1.0);
+        writer.frequency_scale.fill(1.0);
+        *writer.memory_boundedness = 0.5;
+        assert_eq!(input.activity[2], uniform.activity[2]);
+        assert_eq!(input.activity[1], ServerActivity::idle(8));
     }
 }

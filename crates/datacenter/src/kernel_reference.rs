@@ -9,6 +9,12 @@
 //! scalar walk for *any* layout — homogeneous rows (the fast path), mixed-spec and ragged
 //! rows (the general path), any climate, any load.
 //!
+//! The input is one [`ServerActivity`] record per server. The reference expands each
+//! record per GPU slot, in slot order, through [`ServerActivity::lane`]: slots
+//! `0..active_gpus` run at the record's `(utilization, frequency_scale)`, the rest idle
+//! at `(0.0, 1.0)`, and every slot is evaluated through the model entry points as if it
+//! had its own per-GPU value.
+//!
 //! The contract pins three accumulation orders that are easy to break silently:
 //!
 //! 1. per-server GPU sums (utilization, power) use **two alternating accumulator lanes**
@@ -29,20 +35,20 @@ use simkit::units::Watts;
 #[allow(unused_imports)] // doc links
 use crate::cooling::{gpu::GpuThermalModel, inlet::InletModel};
 #[allow(unused_imports)] // doc links
-use crate::power::server::ServerPowerModel;
+use crate::{engine::ServerActivity, power::server::ServerPowerModel};
 
 /// Evaluates one step with the scalar reference kernels (see the module docs).
 ///
 /// # Panics
-/// Panics under the same conditions as [`Datacenter::evaluate`]: the activity must cover
-/// every server with per-GPU vectors matching each server's spec.
+/// Panics under the same conditions as [`Datacenter::evaluate`]: the activity must hold
+/// one record per server, none with more active GPUs than its server has.
 #[must_use]
 pub fn evaluate_scalar(dc: &Datacenter, input: &StepInput) -> StepOutcome {
     let layout = dc.layout();
     let topology = dc.topology();
     let server_count = layout.server_count();
     assert_eq!(
-        input.activity.server_count(),
+        input.activity.len(),
         server_count,
         "activity must cover every server"
     );
@@ -54,21 +60,16 @@ pub fn evaluate_scalar(dc: &Datacenter, input: &StepInput) -> StepOutcome {
     let mut mean_loads = Vec::with_capacity(server_count);
     for (i, server) in layout.servers().iter().enumerate() {
         let spec = &server.spec;
-        let activity = input.activity.server(i);
-        assert_eq!(
-            activity.gpu_utilization.len(),
-            spec.gpus_per_server,
-            "activity GPU count must match the server spec"
+        let activity = input.activity[i];
+        assert!(
+            activity.active_gpus <= spec.gpus_per_server,
+            "active GPU count must not exceed the server spec"
         );
         // Contract order #1: two alternating accumulator lanes, combined low + high.
         let mut util_acc = [0.0f64; 2];
         let mut power_acc = [0.0f64; 2];
-        for (slot, (&u, &f)) in activity
-            .gpu_utilization
-            .iter()
-            .zip(activity.frequency_scale)
-            .enumerate()
-        {
+        for slot in 0..spec.gpus_per_server {
+            let (u, f) = activity.lane(slot);
             let power = dc.power_model().gpu_power(spec, u, f);
             util_acc[slot & 1] += u;
             power_acc[slot & 1] += power.value();
@@ -126,7 +127,7 @@ pub fn evaluate_scalar(dc: &Datacenter, input: &StepInput) -> StepOutcome {
         let (gpu_plane, mem_offsets) = gpu_temps.kernel_planes_mut();
         let mut flat = 0usize;
         for (i, server) in layout.servers().iter().enumerate() {
-            let activity = input.activity.server(i);
+            let activity = input.activity[i];
             let penalty = aisle_penalty[server.aisle.index()];
             // Contract order #3 lives inside `inlet_temp`.
             let inlet = dc.inlet_model().inlet_temp(

@@ -18,8 +18,8 @@
 //! * [`index`] — frozen topology ordinals ([`TopologyIndex`] handles, one per datacenter)
 //!   and the dense id-keyed telemetry containers ([`OrdinalMap`]) every per-step shape is
 //!   built on.
-//! * [`engine`] — the per-step evaluation pipeline that turns per-GPU load/power into
-//!   temperatures, aggregate powers, violations and capping directives, built on
+//! * [`engine`] — the per-step evaluation pipeline that turns one activity record per
+//!   server (how many GPUs run, at what utilization and frequency) into temperatures, aggregate powers, violations and capping directives, built on
 //!   structure-of-arrays, row-batched, branch-free kernels.
 //! * [`kernel_reference`] — the retained scalar reference implementation the batched
 //!   kernels are pinned bitwise-equal to (the engine's FP-order contract, executable).

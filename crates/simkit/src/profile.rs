@@ -38,7 +38,7 @@ pub enum StepPhase {
     Route,
     /// Cell level: the instance configurator.
     Configure,
-    /// Cell level: filling the per-server activity planes.
+    /// Cell level: writing the per-server activity records.
     Fill,
     /// Cell level: the thermal and power physics step.
     Physics,

@@ -28,15 +28,6 @@ pub enum FitError {
     },
     /// The normal-equation system is singular (e.g. duplicated or constant features).
     Singular,
-    /// Samples had inconsistent feature dimensions.
-    DimensionMismatch {
-        /// Dimension of the first sample.
-        expected: usize,
-        /// Dimension of the offending sample.
-        found: usize,
-    },
-    /// A segment boundary list was invalid (unsorted or empty segments).
-    InvalidSegments,
 }
 
 impl fmt::Display for FitError {
@@ -49,13 +40,6 @@ impl fmt::Display for FitError {
                 )
             }
             FitError::Singular => write!(f, "normal equations are singular"),
-            FitError::DimensionMismatch { expected, found } => {
-                write!(
-                    f,
-                    "feature dimension mismatch: expected {expected}, found {found}"
-                )
-            }
-            FitError::InvalidSegments => write!(f, "invalid piecewise segment boundaries"),
         }
     }
 }
@@ -224,19 +208,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "feature dimension mismatch: expected 2, found 1")]
     fn linear_model_rejects_dimension_mismatch() {
         let samples = vec![
             (vec![1.0, 2.0], 3.0),
             (vec![1.0], 3.0),
             (vec![2.0, 1.0], 3.0),
         ];
-        assert!(matches!(
-            LinearModel::fit(&samples),
-            Err(FitError::DimensionMismatch {
-                expected: 2,
-                found: 1
-            })
-        ));
+        let _ = LinearModel::fit(&samples);
     }
 
     #[test]
@@ -300,16 +279,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid piecewise segment boundaries")]
     fn piecewise_rejects_bad_breakpoints() {
         let samples = vec![(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)];
-        assert_eq!(
-            PiecewisePolynomial::fit(&samples, &[5.0, 1.0], 1).unwrap_err(),
-            FitError::InvalidSegments
-        );
-        assert_eq!(
-            PiecewisePolynomial::fit(&samples, &[1.0], 1).unwrap_err(),
-            FitError::InvalidSegments
-        );
+        let _ = PiecewisePolynomial::fit(&samples, &[5.0, 1.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid piecewise segment boundaries")]
+    fn piecewise_rejects_a_single_breakpoint() {
+        let samples = vec![(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)];
+        let _ = PiecewisePolynomial::fit(&samples, &[1.0], 1);
     }
 
     #[test]

@@ -65,8 +65,10 @@ impl LinearModel {
     ///
     /// # Errors
     /// Returns [`FitError::TooFewSamples`] when there are fewer samples than coefficients,
-    /// [`FitError::DimensionMismatch`] when samples disagree on dimension, and
-    /// [`FitError::Singular`] when the design matrix is rank-deficient.
+    /// and [`FitError::Singular`] when the design matrix is rank-deficient.
+    ///
+    /// # Panics
+    /// Panics when samples disagree on their feature dimension.
     pub fn fit(samples: &[(Vec<f64>, f64)]) -> Result<Self, FitError> {
         let dim = samples.first().map(|(x, _)| x.len()).unwrap_or(0);
         let unknowns = dim + 1;
@@ -77,12 +79,11 @@ impl LinearModel {
             });
         }
         for (x, _) in samples {
-            if x.len() != dim {
-                return Err(FitError::DimensionMismatch {
-                    expected: dim,
-                    found: x.len(),
-                });
-            }
+            assert!(
+                x.len() == dim,
+                "feature dimension mismatch: expected {dim}, found {}",
+                x.len()
+            );
         }
         // Normal equations: (Xᵀ X) β = Xᵀ y with an implicit leading 1 column for the intercept.
         let mut xtx = vec![vec![0.0; unknowns]; unknowns];
@@ -162,16 +163,19 @@ impl PiecewisePolynomial {
     /// is discarded.
     ///
     /// # Errors
-    /// Returns [`FitError::InvalidSegments`] for bad breakpoints, or propagates fitting errors
-    /// from any segment (e.g. a segment with too few samples).
+    /// Propagates fitting errors from any segment (e.g. a segment with too few samples).
+    ///
+    /// # Panics
+    /// Panics unless the breakpoints are at least two and strictly increasing.
     pub fn fit(
         samples: &[(f64, f64)],
         breakpoints: &[f64],
         degree: usize,
     ) -> Result<Self, FitError> {
-        if breakpoints.len() < 2 || breakpoints.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FitError::InvalidSegments);
-        }
+        assert!(
+            breakpoints.len() >= 2 && !breakpoints.windows(2).any(|w| w[0] >= w[1]),
+            "invalid piecewise segment boundaries"
+        );
         let n_segments = breakpoints.len() - 1;
         let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_segments];
         for &(x, y) in samples {

@@ -6,7 +6,7 @@
 //! [`simkit::rng::SimRng`] stream, so every case is deterministic and reproducible from
 //! the printed case number.
 
-use dc_sim::engine::{Datacenter, StepInput};
+use dc_sim::engine::{Datacenter, ServerActivity, StepInput};
 use dc_sim::ids::{GpuId, PduId, RowId, ServerId, UpsId};
 use dc_sim::power::hierarchy::{CapacityState, PowerHierarchy};
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
@@ -211,7 +211,7 @@ fn dense_assessment_matches_btreemap_reference_model() {
 
 /// The flat `TempGrid` must agree bitwise with per-GPU calls into the thermal model, and
 /// the dense aisle grid with direct aisle assessments, for randomized layouts and
-/// per-GPU activity.
+/// per-server activity records expanded to their GPU lanes.
 #[test]
 fn temp_grid_and_aisle_grid_match_reference_models() {
     let mut rng = SimRng::seed_from(2025).derive("dense-grid-cases");
@@ -220,11 +220,13 @@ fn temp_grid_and_aisle_grid_match_reference_models() {
         let dc = Datacenter::new(layout, rng.next_u64());
         let outside = Celsius::new(rng.uniform(-5.0, 45.0));
         let mut input = StepInput::idle(dc.layout(), outside);
-        for server in 0..input.activity.server_count() {
-            let activity = input.activity.server_mut(server);
-            activity.gpu_utilization.fill_with(|| rng.uniform(0.0, 1.0));
-            activity.frequency_scale.fill_with(|| rng.uniform(0.5, 1.0));
-            *activity.memory_boundedness = rng.uniform(0.0, 1.0);
+        for (record, server) in input.activity.iter_mut().zip(dc.layout().servers()) {
+            *record = ServerActivity {
+                utilization: rng.uniform(0.0, 1.0),
+                frequency_scale: rng.uniform(0.5, 1.0),
+                memory_boundedness: rng.uniform(0.0, 1.0),
+                active_gpus: rng.uniform_usize(0, server.spec.gpus_per_server + 1),
+            };
         }
         let outcome = dc.evaluate(&input);
 
@@ -232,16 +234,15 @@ fn temp_grid_and_aisle_grid_match_reference_models() {
         // calls (per-GPU power from the power model, temperatures from the thermal model).
         assert_eq!(outcome.gpu_temps.server_count(), dc.layout().server_count());
         for server in dc.layout().servers() {
-            let activity = input.activity.server(server.id.index());
+            let activity = input.activity[server.id.index()];
             let inlet = outcome.inlet_temps[server.id.index()];
             let grid_row = outcome.gpu_temps.server(server.id);
             assert_eq!(grid_row.len(), server.spec.gpus_per_server, "case {case}");
             for (slot, actual) in grid_row.iter().enumerate() {
-                let power = dc.power_model().gpu_power(
-                    &server.spec,
-                    activity.gpu_utilization[slot],
-                    activity.frequency_scale[slot],
-                );
+                let (utilization, frequency) = activity.lane(slot);
+                let power = dc
+                    .power_model()
+                    .gpu_power(&server.spec, utilization, frequency);
                 let expected = dc.gpu_model().temperatures(
                     GpuId::new(server.id, slot),
                     inlet,

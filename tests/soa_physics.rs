@@ -9,10 +9,11 @@
 //!   per-server path),
 //!
 //! across climates from freezing to heatwave, load levels from idle to saturated (with
-//! out-of-range utilization exercising the clamps), DVFS'd frequencies, and failure
-//! states that trigger recirculation penalties and power capping.
+//! out-of-range utilization exercising the clamps), DVFS'd frequencies, servers running
+//! none, some or all of their GPUs, and failure states that trigger recirculation
+//! penalties and power capping.
 
-use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
+use dc_sim::engine::{Datacenter, ServerActivity, StepInput, StepWorkspace};
 use dc_sim::failures::{FailureKind, FailureSchedule, FailureWindow};
 use dc_sim::ids::UpsId;
 use dc_sim::kernel_reference::evaluate_scalar;
@@ -24,14 +25,25 @@ use std::sync::Arc;
 
 const CASES: usize = 24;
 
-/// Draws a randomized (but always valid) layout, sometimes remapped to mixed specs and
-/// ragged GPU counts so the general kernel path is exercised.
-fn random_layout(rng: &mut SimRng) -> Layout {
-    let spec = if rng.chance(0.5) {
+/// Draws an A100 or H100 spec. One in four gets a per-GPU power budget as large as the
+/// whole server's, so the sum of GPU power, idle lanes included, exceeds the server power
+/// curve and decides the server's power (the stock specs never reach that branch).
+fn random_spec(rng: &mut SimRng) -> ServerSpec {
+    let mut spec = if rng.chance(0.5) {
         ServerSpec::dgx_a100()
     } else {
         ServerSpec::dgx_h100()
     };
+    if rng.chance(0.25) {
+        spec.gpu_max_power = spec.max_power;
+    }
+    spec
+}
+
+/// Draws a randomized (but always valid) layout, sometimes remapped to mixed specs and
+/// ragged GPU counts so the general kernel path is exercised.
+fn random_layout(rng: &mut SimRng) -> Layout {
+    let spec = random_spec(rng);
     let layout = LayoutConfig {
         aisles: rng.uniform_usize(1, 5),
         racks_per_row: rng.uniform_usize(1, 5),
@@ -50,11 +62,7 @@ fn random_layout(rng: &mut SimRng) -> Layout {
         // ragged, so some (usually all) rows lose spec homogeneity.
         let mut choices = Vec::new();
         for _ in 0..4 {
-            let mut s = if rng.chance(0.5) {
-                ServerSpec::dgx_a100()
-            } else {
-                ServerSpec::dgx_h100()
-            };
+            let mut s = random_spec(rng);
             if rng.chance(0.4) {
                 s.gpus_per_server = rng.uniform_usize(1, 9);
             }
@@ -68,14 +76,14 @@ fn random_layout(rng: &mut SimRng) -> Layout {
 
 fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInput {
     let mut input = StepInput::idle(dc.layout(), outside);
-    for server in 0..input.activity.server_count() {
-        let activity = input.activity.server_mut(server);
-        // Occasionally out of range, so the kernel clamps are pinned too.
-        activity
-            .gpu_utilization
-            .fill_with(|| rng.uniform(-0.1, 1.3));
-        activity.frequency_scale.fill_with(|| rng.uniform(0.4, 1.0));
-        *activity.memory_boundedness = rng.uniform(0.0, 1.0);
+    for (record, server) in input.activity.iter_mut().zip(dc.layout().servers()) {
+        *record = ServerActivity {
+            // Occasionally out of range, so the kernel clamps are pinned too.
+            utilization: rng.uniform(-0.1, 1.3),
+            frequency_scale: rng.uniform(0.4, 1.0),
+            memory_boundedness: rng.uniform(0.0, 1.0),
+            active_gpus: rng.uniform_usize(0, server.spec.gpus_per_server + 1),
+        };
     }
     if rng.chance(0.3) {
         // The paper's thermal (cooling at 90 %) or power (UPS capacity at 75 %) emergency.
@@ -100,12 +108,37 @@ fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInpu
     input
 }
 
+/// Marks which `(row path, active lanes)` combinations an input covers: the row path is
+/// 0 for a spec-homogeneous row (the fast path) and 1 for a mixed one (the general path);
+/// the lanes are none, some or all of the server's GPUs.
+fn mark_lane_coverage(dc: &Datacenter, input: &StepInput, seen: &mut [[bool; 3]; 2]) {
+    let layout = dc.layout();
+    for row in layout.rows() {
+        let spec = layout.server(row.servers[0]).spec;
+        let path = usize::from(row.servers.iter().any(|&s| layout.server(s).spec != spec));
+        for &server in &row.servers {
+            let gpus = layout.server(server).spec.gpus_per_server;
+            let active = input.activity[server.index()].active_gpus;
+            let lanes = if active == 0 {
+                0
+            } else if active < gpus {
+                1
+            } else {
+                2
+            };
+            seen[path][lanes] = true;
+        }
+    }
+}
+
 /// The batched engine must agree bitwise with the scalar reference — structurally
 /// (`PartialEq` over every grid) and on the serialized telemetry surface the determinism
-/// digests cover.
+/// digests cover — on both row paths with none, some and all GPUs of a server running.
 #[test]
 fn batched_kernels_match_scalar_reference_bitwise() {
     let mut rng = SimRng::seed_from(4242).derive("soa-physics-cases");
+    let mut seen = [[false; 3]; 2];
+    let mut overdrawn_with_idle_lanes = false;
     for case in 0..CASES {
         let layout = random_layout(&mut rng);
         let dc = Datacenter::new(layout, rng.next_u64());
@@ -113,6 +146,16 @@ fn batched_kernels_match_scalar_reference_bitwise() {
         // over the throttle limit so the sparse collection pass is exercised.
         let outside = Celsius::new(rng.uniform(-10.0, 48.0));
         let input = random_input(&mut rng, &dc, outside);
+        mark_lane_coverage(&dc, &input, &mut seen);
+        overdrawn_with_idle_lanes |=
+            dc.layout()
+                .servers()
+                .iter()
+                .zip(input.activity.iter())
+                .any(|(server, record)| {
+                    server.spec.gpu_max_power == server.spec.max_power
+                        && record.active_gpus < server.spec.gpus_per_server
+                });
 
         let batched = dc.evaluate(&input);
         let reference = evaluate_scalar(&dc, &input);
@@ -128,6 +171,14 @@ fn batched_kernels_match_scalar_reference_bitwise() {
             "case {case}: serialized forms differ"
         );
     }
+    assert_eq!(
+        seen, [[true; 3]; 2],
+        "(uniform, mixed) rows x (no, some, all) active GPUs"
+    );
+    assert!(
+        overdrawn_with_idle_lanes,
+        "no case sums idle lanes into a GPU total that beats the server curve"
+    );
 }
 
 /// A reused workspace (the simulator's steady-state path) must produce the same outcome
